@@ -8,8 +8,9 @@
 //  * Google Benchmark (default): timing curves per master mode.
 //  * --smoke_json=PATH: a quick cold-vs-incremental comparison that writes
 //    a BENCH_*.json report (total solve-time ratio, master iteration
-//    counts, warm-start coverage, and Syn A objective agreement) — the
-//    form CI runs and archives per PR.
+//    counts, warm-start coverage, and Syn A objective agreement), plus the
+//    work counters of fixed cold ISHM sweeps over CGGS — the form CI runs
+//    and archives per PR.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,8 +24,10 @@
 #include "bench/smoke_common.h"
 #include "core/cggs.h"
 #include "core/detection.h"
+#include "core/ishm.h"
 #include "data/syn_a.h"
 #include "prob/count_distribution.h"
+#include "scenario/generator.h"
 #include "solver/registry.h"
 #include "util/arena.h"
 #include "util/json.h"
@@ -273,11 +276,50 @@ int RunSmoke(const std::string& json_path) {
     cases.push_back(std::move(json_case));
   }
 
+  // Cold ishm-cggs sweeps as the server runs them (uniform scenario,
+  // 5 types, eps 0.25): one master LP re-priced across every probe. Master
+  // solves, warm resumes and pivots per sweep are deterministic, so CI
+  // gates them; losing the master reuse shows up here first.
+  util::JsonValue::Array sweeps;
+  auto uniform_spec = scenario::SpecByName("uniform");
+  uniform_spec->num_types = 5;
+  const auto uniform = scenario::Generate(*uniform_spec);
+  const auto uniform_compiled = core::Compile(*uniform);
+  for (const double budget : {6.0, 10.0}) {
+    auto detection = core::DetectionModel::Create(*uniform, budget);
+    core::IshmOptions ishm_options;
+    ishm_options.step_size = 0.25;
+    const auto ishm = core::SolveIshm(
+        *uniform, core::MakeCggsEvaluator(*uniform_compiled, *detection),
+        ishm_options);
+    if (!ishm.ok()) {
+      std::fprintf(stderr, "ishm-cggs sweep failed: %s\n",
+                   ishm.status().ToString().c_str());
+      std::exit(1);
+    }
+    const core::CggsWork& work = ishm->stats.cggs;
+    util::JsonValue::Object sweep;
+    sweep["budget"] = budget;
+    sweep["probes"] = static_cast<double>(ishm->stats.distinct_evaluations);
+    sweep["ishm_lp_solves"] = work.lp_solves;
+    sweep["ishm_warm_lp_solves"] = work.warm_lp_solves;
+    sweep["ishm_master_iterations"] =
+        static_cast<double>(work.master_lp_iterations);
+    sweep["ishm_objective"] = ishm->objective;
+    std::printf("ishm-cggs sweep budget=%.0f probes %lld lp_solves %d "
+                "(warm %d) pivots %ld obj %.9f\n",
+                budget, static_cast<long long>(ishm->stats.distinct_evaluations),
+                work.lp_solves, work.warm_lp_solves, work.master_lp_iterations,
+                ishm->objective);
+    sweeps.push_back(std::move(sweep));
+  }
+
   util::JsonValue::Object report;
   report["bench"] = "micro_cggs";
   report["mode"] = "smoke";
   report["syn_a_objectives_agree_1e6"] = syn_a_agree;
   report["cases"] = std::move(cases);
+  report["ishm_sweeps"] = std::move(sweeps);
   const int write_status =
       bench::WriteSmokeReport(json_path, std::move(report));
   // Disagreement outranks a report-write failure: it is the signal CI must

@@ -6,7 +6,6 @@
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <utility>
 
 #include "core/game_lp.h"
 #include "core/master_lp.h"
@@ -162,13 +161,67 @@ void GreedyOrdering(const CompiledGame& game, const DetectionModel& detection,
 
 }  // namespace
 
+RestrictedMasterLp::Options CggsMasterOptions(const CggsOptions& options,
+                                              util::WorkspacePool* workspace) {
+  RestrictedMasterLp::Options master_options;
+  if (options.master_mode == CggsOptions::MasterMode::kColdDense) {
+    master_options.backend = lp::SimplexBackend::kDenseTableau;
+    master_options.incremental = false;
+  }
+  master_options.lp.workspace = workspace;
+  master_options.expected_orderings = options.max_columns;
+  return master_options;
+}
+
+util::Status AddSeedOrderings(const CompiledGame& game,
+                              const std::vector<std::vector<int>>& seeds,
+                              RestrictedMasterLp& master) {
+  for (const std::vector<int>& ordering : seeds) {
+    if (!IsValidOrdering(ordering, game.num_types)) continue;
+    if (master.HasOrdering(ordering)) continue;
+    RETURN_IF_ERROR(master.AddOrdering(ordering));
+  }
+  return util::OkStatus();
+}
+
 util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
                                      DetectionModel& detection,
                                      const std::vector<double>& thresholds,
                                      const CggsOptions& options) {
   RETURN_IF_ERROR(detection.SetThresholds(thresholds));
 
-  // One pool for the whole solve — the caller's shared pool when provided,
+  // Scratch workspace for the whole solve — shared (caller-provided) or
+  // owned. Slot 0 backs the serial sections: greedy pricing buffers and
+  // the master LP's revised-simplex working memory, which alternate and
+  // nest their ArenaScopes LIFO.
+  util::WorkspacePool* workspace = options.workspace;
+  std::unique_ptr<util::WorkspacePool> owned_workspace;
+  if (workspace == nullptr) {
+    owned_workspace = std::make_unique<util::WorkspacePool>();
+    workspace = owned_workspace.get();
+  }
+
+  // The restricted master lives across all pricing iterations: Q starts
+  // from the valid, deduplicated warm-start set, every new column is
+  // appended to it, and (in the default incremental mode) each re-solve
+  // resumes from the previous optimal basis instead of paying a cold
+  // two-phase solve per round.
+  RestrictedMasterLp master(game, detection,
+                            CggsMasterOptions(options, workspace));
+  RETURN_IF_ERROR(AddSeedOrderings(game, options.initial_orderings, master));
+  ASSIGN_OR_RETURN(CggsResult result, SolveCggsOnMaster(game, detection,
+                                                        options, *workspace,
+                                                        master));
+  result.columns = master.orderings();
+  return result;
+}
+
+util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
+                                             const DetectionModel& detection,
+                                             const CggsOptions& options,
+                                             util::WorkspacePool& workspace,
+                                             RestrictedMasterLp& master_lp) {
+  // One pool for the whole loop — the caller's shared pool when provided,
   // a locally owned one otherwise; null selects the inline serial path.
   // Work is chunked by pricing_threads (never by pool size), and every
   // pricing round runs the same per-candidate arithmetic and the same
@@ -183,61 +236,15 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
       pool = owned_pool.get();
     }
   }
+  workspace.Prepare(1);
+  util::Arena& arena = workspace.Get(0);
 
-  // Scratch workspace for the whole solve — shared (caller-provided) or
-  // owned. Slot 0 backs the serial sections: greedy pricing buffers and
-  // the master LP's revised-simplex working memory, which alternate and
-  // nest their ArenaScopes LIFO.
-  util::WorkspacePool* workspace = options.workspace;
-  std::unique_ptr<util::WorkspacePool> owned_workspace;
-  if (workspace == nullptr) {
-    owned_workspace = std::make_unique<util::WorkspacePool>();
-    workspace = owned_workspace.get();
-  }
-  workspace->Prepare(1);
-  util::Arena& arena = workspace->Get(0);
-
-  // Q starts from the warm-start set — deduplicated, and with orderings
-  // that are not permutations of this game's type set silently dropped
-  // (a cached seed may predate an instance reshape) — or the identity
-  // ordering when no valid seed remains.
-  // Membership in Q is checked by linear scan: |Q| is capped at
-  // max_columns and the per-round check count is tiny next to pricing, so
-  // a scan beats the per-insert node + key-copy allocations of a set.
-  std::vector<std::vector<int>> columns;
-  columns.reserve(static_cast<size_t>(std::max(1, options.max_columns)));
-  const auto in_columns = [&columns](const std::vector<int>& ordering) {
-    for (const std::vector<int>& column : columns) {
-      if (column == ordering) return true;
-    }
-    return false;
-  };
-  for (const std::vector<int>& ordering : options.initial_orderings) {
-    if (!IsValidOrdering(ordering, game.num_types)) continue;
-    if (in_columns(ordering)) continue;
-    columns.push_back(ordering);
-  }
-  if (columns.empty()) {
+  if (master_lp.num_orderings() == 0) {
     std::vector<int> identity(game.num_types);
     std::iota(identity.begin(), identity.end(), 0);
-    columns.push_back(identity);
+    RETURN_IF_ERROR(master_lp.AddOrdering(identity));
   }
-
-  // The restricted master lives across all pricing iterations: every new
-  // column is appended to it, and (in the default incremental mode) each
-  // re-solve resumes from the previous optimal basis instead of paying a
-  // cold two-phase solve per round.
-  RestrictedMasterLp::Options master_options;
-  if (options.master_mode == CggsOptions::MasterMode::kColdDense) {
-    master_options.backend = lp::SimplexBackend::kDenseTableau;
-    master_options.incremental = false;
-  }
-  master_options.lp.workspace = workspace;
-  master_options.expected_orderings = options.max_columns;
-  RestrictedMasterLp master_lp(game, detection, master_options);
-  for (const auto& column : columns) {
-    RETURN_IF_ERROR(master_lp.AddOrdering(column));
-  }
+  const RestrictedMasterLp::Stats stats_before = master_lp.stats();
 
   CggsResult result;
   RestrictedLpSolution master;
@@ -261,7 +268,7 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
   for (int round = 0;; ++round) {
     RETURN_IF_ERROR(master_lp.SolveInto(master));
     ++result.lp_solves;
-    if (static_cast<int>(columns.size()) >= options.max_columns) break;
+    if (master_lp.num_orderings() >= options.max_columns) break;
 
     // Price candidates: the greedy ordering plus a few random probes, each
     // probe shuffled by its own pre-seeded Rng.
@@ -280,7 +287,7 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
     // Reduced costs of the novel candidates, one preassigned slot each.
     skip.assign(num_candidates, 0);
     for (size_t i = 0; i < num_candidates; ++i) {
-      skip[i] = in_columns(candidates[i]) ? 1 : 0;  // already in Q
+      skip[i] = master_lp.HasOrdering(candidates[i]) ? 1 : 0;  // already in Q
     }
     reduced_costs.assign(num_candidates, 0.0);
     statuses.assign(num_candidates, util::OkStatus());
@@ -317,26 +324,25 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
     }
     result.pricing_seconds += pricing_timer.ElapsedSeconds();
     if (best_index < 0) break;  // no improving column
-    // Copy (not move): the candidate slots keep their buffers for reuse
-    // next round; the copy becomes the persistent column.
-    std::vector<int> best_candidate = candidates[static_cast<size_t>(best_index)];
-    RETURN_IF_ERROR(master_lp.AddOrdering(best_candidate));
-    columns.push_back(std::move(best_candidate));
+    RETURN_IF_ERROR(
+        master_lp.AddOrdering(candidates[static_cast<size_t>(best_index)]));
     ++result.columns_generated;
   }
 
   result.objective = master.objective;
-  result.warm_lp_solves = master_lp.stats().warm_solves;
-  result.master_lp_iterations = master_lp.stats().iterations;
+  result.warm_lp_solves =
+      master_lp.stats().warm_solves - stats_before.warm_solves;
+  result.master_lp_iterations =
+      master_lp.stats().iterations - stats_before.iterations;
   result.policy.budget = detection.budget();
-  result.policy.thresholds = thresholds;
+  result.policy.thresholds = detection.thresholds();
+  const std::vector<std::vector<int>>& columns = master_lp.orderings();
   for (size_t o = 0; o < columns.size(); ++o) {
     if (master.ordering_probs[o] > 1e-9) {
       result.policy.orderings.push_back(columns[o]);
       result.policy.probabilities.push_back(master.ordering_probs[o]);
     }
   }
-  result.columns = std::move(columns);
   double total = 0.0;
   for (double p : result.policy.probabilities) total += p;
   if (total > 0) {

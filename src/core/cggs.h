@@ -6,6 +6,7 @@
 
 #include "core/detection.h"
 #include "core/game.h"
+#include "core/master_lp.h"
 #include "core/policy.h"
 #include "util/status.h"
 #include "util/statusor.h"
@@ -71,8 +72,9 @@ struct CggsOptions {
   /// preassigned by chunk index, so — like pricing_pool — this is
   /// result-neutral and excluded from policy-cache fingerprints.
   util::WorkspacePool* workspace = nullptr;
-  /// Optional warm start: orderings to seed Q with (e.g. the support of the
-  /// solution at a neighboring threshold vector during ISHM).
+  /// Optional warm start: orderings to seed Q with (e.g. the support of a
+  /// previously served policy). The ISHM sweep re-seeds its master with
+  /// them whenever it rebuilds it (see CggsSweep).
   std::vector<std::vector<int>> initial_orderings;
 };
 
@@ -81,11 +83,13 @@ struct CggsResult {
   double objective = 0.0;
   AuditPolicy policy;
   /// All columns considered (Q at termination) — useful for warm starts.
+  /// Filled by SolveCggs only; SolveCggsOnMaster leaves Q in the master.
   std::vector<std::vector<int>> columns;
   int lp_solves = 0;
   int columns_generated = 0;
-  /// Master LP solves that resumed from the previous basis (always 0 in
-  /// kColdDense mode; lp_solves - 1 in a healthy incremental run).
+  /// Master LP solves that resumed from the previous basis without a
+  /// phase-1 pivot (always 0 in kColdDense mode; lp_solves - 1 in a
+  /// healthy one-shot incremental run).
   int warm_lp_solves = 0;
   /// Simplex iterations summed over all master solves.
   long master_lp_iterations = 0;
@@ -104,6 +108,34 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
                                      DetectionModel& detection,
                                      const std::vector<double>& thresholds,
                                      const CggsOptions& options = {});
+
+/// The options SolveCggs builds its master with: the master_mode backend,
+/// `workspace` for the simplex scratch, and max_columns as the column
+/// hint. Callers that keep their own master use it to solve the same LPs.
+RestrictedMasterLp::Options CggsMasterOptions(const CggsOptions& options,
+                                              util::WorkspacePool* workspace);
+
+/// Appends to `master` each ordering of `seeds` that is a permutation of
+/// the game's types and not already a column. Seeds arrive from cached
+/// policies that may predate an instance reshape; anything else would
+/// corrupt the master.
+util::Status AddSeedOrderings(const CompiledGame& game,
+                              const std::vector<std::vector<int>>& seeds,
+                              RestrictedMasterLp& master);
+
+/// Algorithm 1's pricing loop on a caller-supplied master whose columns
+/// are priced against the thresholds installed in `detection` (seeded
+/// with the identity ordering when it has none). `master` must have been
+/// built with CggsMasterOptions(options, &workspace); the loop's pricing
+/// scratch shares that workspace. Ignores options.initial_orderings (seed
+/// the master instead) and options.workspace. The counters in the result
+/// are this call's share of the master's lifetime stats, and `columns`
+/// stays empty: Q is master.orderings().
+util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
+                                             const DetectionModel& detection,
+                                             const CggsOptions& options,
+                                             util::WorkspacePool& workspace,
+                                             RestrictedMasterLp& master);
 
 }  // namespace auditgame::core
 

@@ -5,7 +5,7 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <set>
+#include <utility>
 
 #include "core/game_lp.h"
 #include "util/arena.h"
@@ -72,6 +72,7 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
     if (it != cache.end()) return it->second;
     ++result.stats.distinct_evaluations;
     ASSIGN_OR_RETURN(ThresholdEvaluation eval, evaluator(effective_buf));
+    result.stats.cggs.Add(eval.work);
     cache.emplace(key_buf, eval);
     return eval;
   };
@@ -126,7 +127,11 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
         temp.assign(thresholds.begin(), thresholds.end());
         for (int idx : combos[j]) temp[idx] *= ratio;
         ASSIGN_OR_RETURN(ThresholdEvaluation eval, evaluate(temp));
-        if (eval.objective < round_best) {
+        // The first combo is taken explicitly: round_best starts at +inf,
+        // and the tolerance term would turn inf - inf into NaN.
+        if (round_best_combo < 0 ||
+            eval.objective <
+                round_best - 1e-9 * (1.0 + std::fabs(round_best))) {
           round_best = eval.objective;
           round_best_combo = static_cast<int>(j);
           round_best_eval = eval;
@@ -184,44 +189,64 @@ ThresholdEvaluator MakeFullLpEvaluator(const CompiledGame& game,
   };
 }
 
+CggsSweep::CggsSweep(const CompiledGame& game, DetectionModel& detection,
+                     CggsOptions options)
+    : game_(game), detection_(detection), options_(std::move(options)) {
+  // One pricing thread pool for the sweep — ISHM submits hundreds of
+  // evaluations per policy, far too many to pay a thread spawn+join each
+  // (result-neutral either way; see CggsOptions).
+  if (options_.pricing_threads > 1 && options_.pricing_pool == nullptr) {
+    owned_pricing_pool_ =
+        std::make_unique<util::ThreadPool>(options_.pricing_threads);
+    options_.pricing_pool = owned_pricing_pool_.get();
+  }
+  // Likewise one scratch workspace: the first probe sizes the arenas, every
+  // later one reuses them on the pricing and simplex hot paths.
+  if (options_.workspace == nullptr) {
+    owned_workspace_ = std::make_unique<util::WorkspacePool>();
+    options_.workspace = owned_workspace_.get();
+  }
+}
+
+CggsSweep::~CggsSweep() = default;
+
+util::StatusOr<CggsResult> CggsSweep::Solve(
+    const std::vector<double>& thresholds) {
+  RETURN_IF_ERROR(detection_.SetThresholds(thresholds));
+  const int cap = 4 * game_.num_types + 8;
+  if (master_.has_value() && master_->num_orderings() <= cap) {
+    RETURN_IF_ERROR(master_->Reprice());
+  } else {
+    if (master_.has_value()) ++rebuilds_;
+    master_.emplace(game_, detection_,
+                    CggsMasterOptions(options_, options_.workspace));
+    RETURN_IF_ERROR(
+        AddSeedOrderings(game_, options_.initial_orderings, *master_));
+    RETURN_IF_ERROR(AddSeedOrderings(game_, support_, *master_));
+  }
+  ASSIGN_OR_RETURN(CggsResult result,
+                   SolveCggsOnMaster(game_, detection_, options_,
+                                     *options_.workspace, *master_));
+  support_ = result.policy.orderings;
+  return result;
+}
+
 ThresholdEvaluator MakeCggsEvaluator(const CompiledGame& game,
                                      DetectionModel& detection,
                                      CggsOptions options) {
-  // Shared warm-start pool across evaluations: the support of every solved
-  // LP is fed back as initial columns of the next solve.
-  auto pool = std::make_shared<std::set<std::vector<int>>>();
-  // One pricing thread pool for the evaluator's lifetime — ISHM submits
-  // hundreds of evaluations per policy, far too many to pay a thread
-  // spawn+join each (result-neutral either way; see CggsOptions).
-  std::shared_ptr<util::ThreadPool> pricing_pool;
-  if (options.pricing_threads > 1 && options.pricing_pool == nullptr) {
-    pricing_pool = std::make_shared<util::ThreadPool>(options.pricing_threads);
-  }
-  // Likewise one scratch workspace for the evaluator's lifetime: the first
-  // solve sizes the arenas, every later evaluation reuses them and runs
-  // allocation-free on the pricing and simplex hot paths.
-  std::shared_ptr<util::WorkspacePool> workspace;
-  if (options.workspace == nullptr) {
-    workspace = std::make_shared<util::WorkspacePool>();
-  }
-  return [&game, &detection, options, pool, pricing_pool, workspace](
-             const std::vector<double>& thresholds)
+  auto sweep =
+      std::make_shared<CggsSweep>(game, detection, std::move(options));
+  return [sweep](const std::vector<double>& thresholds)
              -> util::StatusOr<ThresholdEvaluation> {
-    CggsOptions local = options;
-    if (pricing_pool != nullptr) local.pricing_pool = pricing_pool.get();
-    if (workspace != nullptr) local.workspace = workspace.get();
-    local.initial_orderings.insert(local.initial_orderings.end(),
-                                   pool->begin(), pool->end());
-    ASSIGN_OR_RETURN(CggsResult cggs,
-                     SolveCggs(game, detection, thresholds, local));
-    for (const auto& o : cggs.policy.orderings) pool->insert(o);
-    // Keep the pool bounded: beyond ~4x the type count the extra columns
-    // slow the master LP more than they help.
-    const size_t cap = static_cast<size_t>(4 * game.num_types + 8);
-    while (pool->size() > cap) pool->erase(pool->begin());
+    ASSIGN_OR_RETURN(CggsResult cggs, sweep->Solve(thresholds));
     ThresholdEvaluation eval;
     eval.objective = cggs.objective;
     eval.policy = std::move(cggs.policy);
+    eval.work.lp_solves = cggs.lp_solves;
+    eval.work.warm_lp_solves = cggs.warm_lp_solves;
+    eval.work.columns_generated = cggs.columns_generated;
+    eval.work.master_lp_iterations = cggs.master_lp_iterations;
+    eval.work.pricing_seconds = cggs.pricing_seconds;
     return eval;
   };
 }

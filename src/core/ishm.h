@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/cggs.h"
@@ -14,10 +16,32 @@
 
 namespace auditgame::core {
 
+/// Column-generation work behind one evaluation; stays zero for
+/// evaluators that do not run CGGS.
+struct CggsWork {
+  int lp_solves = 0;
+  /// Master solves that resumed from the previous basis with no phase-1
+  /// pivot.
+  int warm_lp_solves = 0;
+  int columns_generated = 0;
+  /// Simplex pivots summed over the master solves.
+  long master_lp_iterations = 0;
+  double pricing_seconds = 0.0;
+
+  void Add(const CggsWork& other) {
+    lp_solves += other.lp_solves;
+    warm_lp_solves += other.warm_lp_solves;
+    columns_generated += other.columns_generated;
+    master_lp_iterations += other.master_lp_iterations;
+    pricing_seconds += other.pricing_seconds;
+  }
+};
+
 /// What an ISHM threshold-vector probe returns.
 struct ThresholdEvaluation {
   double objective = 0.0;
   AuditPolicy policy;
+  CggsWork work;
 };
 
 /// Pluggable evaluator: given a threshold vector, produce the (approximate)
@@ -58,6 +82,9 @@ struct IshmStats {
   int64_t distinct_evaluations = 0;
   /// Accepted improvements.
   int improvements = 0;
+  /// Evaluator work summed over the distinct evaluations (memo hits cost
+  /// nothing).
+  CggsWork cggs;
 };
 
 struct IshmResult {
@@ -74,7 +101,11 @@ struct IshmResult {
 /// C_t * max(F_t support), then iteratively shrink subsets of thresholds
 /// (subset size lh = 1..|T|, ratio 1 - i*eps), accepting any strict
 /// improvement of the evaluator objective and restarting at lh = 1.
-/// Identical effective vectors are evaluated once (memoized).
+/// Identical effective vectors are evaluated once (memoized). Within a
+/// round, a later subset replaces the round's best only when it wins by
+/// more than 1e-9 * (1 + |best|): near-ties go to the first subset in the
+/// fixed order, so rounding noise in the evaluator (a warm-started LP, a
+/// pmf that went through JSON) cannot steer the search path.
 util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
                                      const ThresholdEvaluator& evaluator,
                                      const IshmOptions& options = {});
@@ -84,9 +115,50 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
 ThresholdEvaluator MakeFullLpEvaluator(const CompiledGame& game,
                                        DetectionModel& detection);
 
-/// Evaluator running CGGS. Keeps a shared pool of previously generated
-/// columns as warm starts across calls, which makes neighboring ISHM probes
-/// nearly free.
+/// CGGS over one ISHM sweep: a single restricted master lives across all
+/// probes. Each Solve installs the probe's thresholds, re-prices the
+/// master's columns in place (RestrictedMasterLp::Reprice) and runs the
+/// pricing loop from the previous probe's optimal basis, so a probe
+/// starts from its neighbour's columns and basis instead of a cold LP.
+/// When a probe starts with the master past 4T+8 columns (beyond that,
+/// extra columns slow the master more than they help), the master is
+/// rebuilt from the previous probe's policy support plus the seed
+/// orderings in CggsOptions::initial_orderings. Results depend only on the
+/// sequence of probes, never on pricing_threads.
+class CggsSweep {
+ public:
+  /// `game` and `detection` must outlive the sweep; `detection`'s
+  /// thresholds are overwritten by every Solve.
+  CggsSweep(const CompiledGame& game, DetectionModel& detection,
+            CggsOptions options);
+  ~CggsSweep();
+
+  util::StatusOr<CggsResult> Solve(const std::vector<double>& thresholds);
+
+  /// Columns in the live master (0 before the first Solve).
+  int num_columns() const {
+    return master_.has_value() ? master_->num_orderings() : 0;
+  }
+  /// Times the master was rebuilt past the column cap.
+  int rebuilds() const { return rebuilds_; }
+
+ private:
+  const CompiledGame& game_;
+  DetectionModel& detection_;
+  // pricing_pool and workspace point at the members below unless the
+  // caller supplied its own.
+  CggsOptions options_;
+  std::unique_ptr<util::ThreadPool> owned_pricing_pool_;
+  std::unique_ptr<util::WorkspacePool> owned_workspace_;
+  std::optional<RestrictedMasterLp> master_;
+  // The previous probe's policy support: the rebuild seed.
+  std::vector<std::vector<int>> support_;
+  int rebuilds_ = 0;
+};
+
+/// Evaluator running CGGS through one CggsSweep, so every probe of an ISHM
+/// search reuses the previous probe's master LP. Reports each probe's
+/// CGGS counters in ThresholdEvaluation::work.
 ThresholdEvaluator MakeCggsEvaluator(const CompiledGame& game,
                                      DetectionModel& detection,
                                      CggsOptions options = {});

@@ -17,28 +17,25 @@ RestrictedMasterLp::RestrictedMasterLp(const CompiledGame& game,
   model_.Reserve(static_cast<int>(num_groups) + expected,
                  static_cast<int>(num_victim_rows) + 1);
   po_vars_.reserve(static_cast<size_t>(expected));
-  pal_per_ordering_.reserve(static_cast<size_t>(expected));
+  orderings_.reserve(static_cast<size_t>(expected));
   u_vars_.reserve(num_groups);
   for (size_t g = 0; g < num_groups; ++g) {
     const double lb = game_.groups[g].can_opt_out ? 0.0 : -lp::kInfinity;
-    u_vars_.push_back(model_.AddVariable(game_.groups[g].weight, lb,
-                                         lp::kInfinity,
-                                         "u" + std::to_string(g)));
+    u_vars_.push_back(
+        model_.AddVariable(game_.groups[g].weight, lb, lp::kInfinity));
   }
   victim_rows_.resize(num_groups);
   for (size_t g = 0; g < num_groups; ++g) {
     const auto& victims = game_.groups[g].victims;
     victim_rows_[g].resize(victims.size());
     for (size_t v = 0; v < victims.size(); ++v) {
-      const int row = model_.AddConstraint(
-          lp::Sense::kGreaterEqual, 0.0,
-          "g" + std::to_string(g) + "v" + std::to_string(v));
+      const int row = model_.AddConstraint(lp::Sense::kGreaterEqual, 0.0);
       victim_rows_[g][v] = row;
       model_.ReserveRowEntries(row, 1 + expected);
       model_.AddCoefficient(row, u_vars_[g], 1.0);
     }
   }
-  convexity_row_ = model_.AddConstraint(lp::Sense::kEqual, 1.0, "conv");
+  convexity_row_ = model_.AddConstraint(lp::Sense::kEqual, 1.0);
   model_.ReserveRowEntries(convexity_row_, expected);
   // The reused solve buffers track the growing column count; reserving
   // them to the hint keeps the per-round resizes allocation-free too.
@@ -57,19 +54,36 @@ util::Status RestrictedMasterLp::AddOrdering(
     const std::vector<int>& ordering) {
   RETURN_IF_ERROR(detection_.DetectionProbabilitiesInto(ordering, pal_prefix_,
                                                         pal_scratch_));
-  const int var = model_.AddVariable(
-      0.0, 0.0, lp::kInfinity, "p" + std::to_string(po_vars_.size()));
+  const int var = model_.AddVariable(0.0, 0.0, lp::kInfinity);
+  WriteUtilities(var);
+  model_.AddCoefficient(convexity_row_, var, 1.0);
+  po_vars_.push_back(var);
+  orderings_.push_back(ordering);
+  return util::OkStatus();
+}
+
+util::Status RestrictedMasterLp::Reprice() {
+  for (size_t o = 0; o < orderings_.size(); ++o) {
+    RETURN_IF_ERROR(detection_.DetectionProbabilitiesInto(
+        orderings_[o], pal_prefix_, pal_scratch_));
+    WriteUtilities(po_vars_[o]);
+  }
+  return util::OkStatus();
+}
+
+bool RestrictedMasterLp::HasOrdering(const std::vector<int>& ordering) const {
+  return std::find(orderings_.begin(), orderings_.end(), ordering) !=
+         orderings_.end();
+}
+
+void RestrictedMasterLp::WriteUtilities(int var) {
   for (size_t g = 0; g < game_.groups.size(); ++g) {
     const auto& victims = game_.groups[g].victims;
     for (size_t v = 0; v < victims.size(); ++v) {
-      model_.AddCoefficient(victim_rows_[g][v], var,
+      model_.SetCoefficient(victim_rows_[g][v], var,
                             -AdversaryUtility(victims[v], pal_scratch_));
     }
   }
-  model_.AddCoefficient(convexity_row_, var, 1.0);
-  po_vars_.push_back(var);
-  pal_per_ordering_.push_back(pal_scratch_);
-  return util::OkStatus();
 }
 
 util::StatusOr<RestrictedLpSolution> RestrictedMasterLp::Solve() {
@@ -97,7 +111,11 @@ util::Status RestrictedMasterLp::SolveInto(RestrictedLpSolution& result) {
       // reusable buffer (SolveInto refills it in place).
       std::swap(basis_, revised_.basis);
       has_basis_ = true;
-      if (revised_.warm_started) ++stats_.warm_solves;
+      if (revised_.warm_started) {
+        ++stats_.warm_solves;
+      } else if (revised_.basis_accepted) {
+        ++stats_.repaired_solves;
+      }
     }
     lp_solution = &revised_.solution;
   } else {

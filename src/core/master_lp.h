@@ -27,10 +27,14 @@ namespace auditgame::core {
 /// phase 1 entirely and typically needs a handful of pivots, where the
 /// pre-incremental path paid a full cold two-phase solve per round.
 ///
-/// The Pal vectors of added orderings are computed against the thresholds
-/// installed in `detection` at AddOrdering time; callers that change
-/// thresholds must build a fresh master (CGGS installs thresholds once,
-/// before its loop).
+/// A master also outlives a threshold change: after
+/// DetectionModel::SetThresholds, Reprice() recomputes every column's Pal
+/// vector and overwrites its victim-row coefficients in place. The
+/// sparsity pattern and the basis are kept, so the next Solve starts from
+/// the previous optimum — phase 1 repairs it when the new coefficients
+/// made it primal-infeasible, and the solver falls back to a cold start
+/// when they made it singular. The ISHM evaluator (core/ishm.h) keeps one
+/// master for a whole threshold sweep this way.
 class RestrictedMasterLp {
  public:
   struct Options {
@@ -52,8 +56,11 @@ class RestrictedMasterLp {
 
   struct Stats {
     int solves = 0;
-    /// Solves that resumed from an accepted previous basis.
+    /// Solves that resumed from the previous basis with no phase-1 pivot.
     int warm_solves = 0;
+    /// Solves that resumed from the previous basis but paid phase-1
+    /// pivots to restore primal feasibility (typical after a Reprice).
+    int repaired_solves = 0;
     /// Simplex iterations summed over all solves (both phases).
     long iterations = 0;
   };
@@ -68,7 +75,16 @@ class RestrictedMasterLp {
   /// for deduplication (a duplicate column is harmless but wasteful).
   util::Status AddOrdering(const std::vector<int>& ordering);
 
-  int num_orderings() const { return static_cast<int>(po_vars_.size()); }
+  /// Re-prices every column against the thresholds now installed in
+  /// `detection`, overwriting its victim-row coefficients in place.
+  util::Status Reprice();
+
+  int num_orderings() const { return static_cast<int>(orderings_.size()); }
+  /// The columns' orderings, in the order they were added (the order of
+  /// RestrictedLpSolution::ordering_probs).
+  const std::vector<std::vector<int>>& orderings() const { return orderings_; }
+  /// True iff `ordering` is already a column (linear scan: Q stays small).
+  bool HasOrdering(const std::vector<int>& ordering) const;
 
   /// Solves the current restricted master; requires at least one ordering.
   /// Incremental mode re-solves from the previous optimal basis when one
@@ -93,17 +109,20 @@ class RestrictedMasterLp {
   std::vector<int> u_vars_;
   std::vector<std::vector<int>> victim_rows_;
   int convexity_row_ = -1;
-  std::vector<std::vector<double>> pal_per_ordering_;
+  std::vector<std::vector<int>> orderings_;
 
   lp::Basis basis_;
   bool has_basis_ = false;
   Stats stats_;
 
+  // Writes column `var`'s victim-row coefficients from the Pal vector in
+  // `pal_scratch_` (appending the entries on the column's first write).
+  void WriteUtilities(int var);
+
   // Reused across solves/additions so the steady-state pricing loop is
   // allocation-free: the revised backend refills `revised_` in place (its
   // basis buffers swap with `basis_` each accepted solve), and AddOrdering
-  // evaluates Pal into `pal_prefix_`/`pal_scratch_` before copying the one
-  // persistent vector into pal_per_ordering_.
+  // and Reprice evaluate Pal into `pal_prefix_`/`pal_scratch_`.
   lp::RevisedSolution revised_;
   DetectionModel::Prefix pal_prefix_;
   std::vector<double> pal_scratch_;

@@ -1,6 +1,7 @@
 #include "lp/model.h"
 
 #include <cmath>
+#include <string>
 
 namespace auditgame::lp {
 
@@ -9,8 +10,10 @@ int LpModel::AddVariable(double cost, double lower, double upper,
   costs_.push_back(cost);
   lower_.push_back(lower);
   upper_.push_back(upper);
-  if (name.empty()) name = "x" + std::to_string(costs_.size() - 1);
-  var_names_.push_back(std::move(name));
+  if (!name.empty()) {
+    var_names_.resize(costs_.size());
+    var_names_.back() = std::move(name);
+  }
   return num_variables() - 1;
 }
 
@@ -18,9 +21,23 @@ int LpModel::AddConstraint(Sense sense, double rhs, std::string name) {
   rows_.emplace_back();
   senses_.push_back(sense);
   rhs_.push_back(rhs);
-  if (name.empty()) name = "c" + std::to_string(rows_.size() - 1);
-  row_names_.push_back(std::move(name));
+  if (!name.empty()) {
+    row_names_.resize(rows_.size());
+    row_names_.back() = std::move(name);
+  }
   return num_constraints() - 1;
+}
+
+std::string LpModel::variable_name(int var) const {
+  const size_t j = static_cast<size_t>(var);
+  if (j < var_names_.size() && !var_names_[j].empty()) return var_names_[j];
+  return "x" + std::to_string(var);
+}
+
+std::string LpModel::constraint_name(int row) const {
+  const size_t i = static_cast<size_t>(row);
+  if (i < row_names_.size() && !row_names_[i].empty()) return row_names_[i];
+  return "c" + std::to_string(row);
 }
 
 void LpModel::AddCoefficient(int row, int var, double value) {
@@ -30,6 +47,18 @@ void LpModel::AddCoefficient(int row, int var, double value) {
   for (size_t k = 0; k < r.vars.size(); ++k) {
     if (r.vars[k] == var) {
       r.coeffs[k] += value;
+      return;
+    }
+  }
+  r.vars.push_back(var);
+  r.coeffs.push_back(value);
+}
+
+void LpModel::SetCoefficient(int row, int var, double value) {
+  Row& r = rows_[row];
+  for (size_t k = 0; k < r.vars.size(); ++k) {
+    if (r.vars[k] == var) {
+      r.coeffs[k] = value;
       return;
     }
   }
@@ -55,22 +84,22 @@ double LpModel::Objective(const std::vector<double>& x) const {
 util::Status LpModel::Validate() const {
   for (int j = 0; j < num_variables(); ++j) {
     if (lower_[j] > upper_[j]) {
-      return util::InvalidArgumentError("variable " + var_names_[j] +
+      return util::InvalidArgumentError("variable " + variable_name(j) +
                                         " has lower bound > upper bound");
     }
     if (!std::isfinite(costs_[j])) {
-      return util::InvalidArgumentError("variable " + var_names_[j] +
+      return util::InvalidArgumentError("variable " + variable_name(j) +
                                         " has non-finite cost");
     }
   }
   for (int i = 0; i < num_constraints(); ++i) {
     if (!std::isfinite(rhs_[i])) {
-      return util::InvalidArgumentError("constraint " + row_names_[i] +
+      return util::InvalidArgumentError("constraint " + constraint_name(i) +
                                         " has non-finite rhs");
     }
     for (double c : rows_[i].coeffs) {
       if (!std::isfinite(c)) {
-        return util::InvalidArgumentError("constraint " + row_names_[i] +
+        return util::InvalidArgumentError("constraint " + constraint_name(i) +
                                           " has non-finite coefficient");
       }
     }

@@ -48,6 +48,12 @@ class LpModel {
   /// Sets (accumulates) a coefficient in a row. Requires valid indices.
   void AddCoefficient(int row, int var, double value);
 
+  /// Overwrites a coefficient in a row, appending the entry when the row
+  /// has none for `var` yet. Requires valid indices. Re-pricing callers
+  /// (the column-generation master) use it to rewrite existing entries
+  /// without changing the sparsity pattern.
+  void SetCoefficient(int row, int var, double value);
+
   /// Pre-sizes the model-level storage for `variables` variables and
   /// `constraints` rows. Purely an allocation hint for builders that know
   /// their final shape (the column-generation master reserves its full
@@ -56,11 +62,9 @@ class LpModel {
     costs_.reserve(variables);
     lower_.reserve(variables);
     upper_.reserve(variables);
-    var_names_.reserve(variables);
     rows_.reserve(constraints);
     senses_.reserve(constraints);
     rhs_.reserve(constraints);
-    row_names_.reserve(constraints);
   }
 
   /// Pre-sizes one row's sparse entry storage for `entries` coefficients.
@@ -80,8 +84,10 @@ class LpModel {
   double cost(int var) const { return costs_[var]; }
   double lower_bound(int var) const { return lower_[var]; }
   double upper_bound(int var) const { return upper_[var]; }
-  const std::string& variable_name(int var) const { return var_names_[var]; }
-  const std::string& constraint_name(int row) const { return row_names_[row]; }
+  /// The name given at creation, or "x<var>" / "c<row>" built on demand
+  /// for unnamed entries (only diagnostics and LP-format export read them).
+  std::string variable_name(int var) const;
+  std::string constraint_name(int row) const;
   Sense sense(int row) const { return senses_[row]; }
   double rhs(int row) const { return rhs_[row]; }
 
@@ -109,6 +115,8 @@ class LpModel {
   std::vector<double> costs_;
   std::vector<double> lower_;
   std::vector<double> upper_;
+  // Names are stored only when a caller passes one: these are sized up to
+  // the last named entry, and unnamed entries hold the empty string.
   std::vector<std::string> var_names_;
   std::vector<Row> rows_;
   std::vector<Sense> senses_;

@@ -146,6 +146,7 @@ class Engine {
     result.basis.structural.clear();
     result.basis.logical.clear();
     result.warm_started = false;
+    result.basis_accepted = false;
     bool installed = InstallBasis(warm_start);
     if (!installed) InstallColdBasis();
     if (installed && !Factorize()) {
@@ -155,6 +156,7 @@ class Engine {
       installed = false;
     }
     if (!installed) CHECK(Factorize());
+    result.basis_accepted = installed;
     ComputeBasicValues();
 
     LpSolution& solution = result.solution;
@@ -739,6 +741,7 @@ util::Status SolveUnconstrained(const LpModel& model,
   solution.primal.assign(model.num_variables(), 0.0);
   solution.reduced_cost.assign(model.num_variables(), 0.0);
   result.warm_started = false;
+  result.basis_accepted = false;
   result.basis.logical.clear();
   result.basis.structural.assign(model.num_variables(), VarStatus::kAtLower);
   double objective = model.objective_constant();

@@ -26,8 +26,11 @@ enum class VarStatus : uint8_t {
 /// Warm-start contract (see docs/DESIGN.md "LP layer"): a Basis taken from
 /// a solved model M may be passed back to RevisedSimplex::Solve for a model
 /// M' obtained from M by *appending variables and coefficients in existing
-/// rows* (the column-generation pattern). Appended variables start nonbasic
-/// at their lower bound when finite, else their upper bound, else at zero.
+/// rows* (the column-generation pattern) or by *overwriting coefficients in
+/// place* (re-pricing a master after a threshold change; the snapshot may
+/// then be primal-infeasible, which phase 1 repairs). Appended variables
+/// start nonbasic at their lower bound when finite, else their upper bound,
+/// else at zero.
 /// The constraint set must be unchanged; if the snapshot does not fit the
 /// model, or the recorded basic set is singular, the solver silently falls
 /// back to a cold start — a warm start never changes what is solved, only
@@ -50,6 +53,10 @@ struct RevisedSolution {
   /// starts, rejected snapshots, and accepted-but-infeasible snapshots
   /// (which pay a real phase 1).
   bool warm_started = false;
+  /// True when the warm-start basis fit the model and was nonsingular, so
+  /// the solve began from it even if phase 1 then had to repair a primal
+  /// infeasibility. False for cold starts and rejected snapshots.
+  bool basis_accepted = false;
 };
 
 /// Bounded-variable revised simplex.

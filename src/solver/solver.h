@@ -85,7 +85,8 @@ struct SolveStats {
   int64_t distinct_evaluations = 0;
   /// ISHM: accepted improvements.
   int improvements = 0;
-  /// CGGS: restricted master LPs solved.
+  /// CGGS: restricted master LPs solved (ishm-cggs: summed over the
+  /// sweep's distinct probes).
   int lp_solves = 0;
   /// CGGS: master solves warm-started from the previous basis (the
   /// incremental master; see core/master_lp.h).
@@ -123,9 +124,9 @@ struct SolveResult {
 };
 
 /// Abstract polymorphic solver. Implementations are stateless between
-/// Solve() calls except for deliberate warm-start caches (ishm-cggs keeps
-/// its column pool per *call*, not per solver object, so repeated Solve()
-/// calls are independent and deterministic).
+/// Solve() calls except for deliberate warm-start state (ishm-cggs keeps
+/// its sweep's master LP per *call*, not per solver object, so repeated
+/// Solve() calls are independent and deterministic).
 ///
 /// Thread-safety: a Solver object may be used from one thread at a time;
 /// `detection` is mutated (SetThresholds) during the solve. For parallel

@@ -155,8 +155,9 @@ class IshmSolver : public Solver {
         options.cggs.initial_orderings.end(),
         request.warm_start.orderings.begin(),
         request.warm_start.orderings.end());
-    // A fresh evaluator per call keeps the CGGS warm-start pool scoped to
-    // this solve: repeated Solve() calls are independent and deterministic.
+    // A fresh evaluator per call keeps the CGGS sweep's master LP scoped
+    // to this solve: repeated Solve() calls are independent and
+    // deterministic.
     const core::ThresholdEvaluator evaluator =
         evaluator_ == Evaluator::kFullLp
             ? core::MakeFullLpEvaluator(game, detection)
@@ -172,6 +173,10 @@ class IshmSolver : public Solver {
     result.stats.evaluations = ishm.stats.evaluations;
     result.stats.distinct_evaluations = ishm.stats.distinct_evaluations;
     result.stats.improvements = ishm.stats.improvements;
+    result.stats.lp_solves = ishm.stats.cggs.lp_solves;
+    result.stats.warm_lp_solves = ishm.stats.cggs.warm_lp_solves;
+    result.stats.columns_generated = ishm.stats.cggs.columns_generated;
+    result.stats.pricing_seconds = ishm.stats.cggs.pricing_seconds;
     result.stats.seconds = timer.ElapsedSeconds();
     return result;
   }

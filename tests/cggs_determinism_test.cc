@@ -7,12 +7,17 @@
 // generated games spanning the scenario families and both detection modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/cggs.h"
 #include "core/detection.h"
 #include "core/game.h"
+#include "core/ishm.h"
+#include "core/policy.h"
 #include "math/kernels.h"
 #include "scenario/generator.h"
 #include "solver/registry.h"
@@ -122,6 +127,93 @@ TEST_F(CggsDeterminismTest, FingerprintsIdenticalAcrossBackendsAndThreads) {
       }
     }
   }
+}
+
+// Solves game `index` with ishm-cggs, whose sweep keeps one master LP
+// across all probes, and returns the SolveResult fingerprint.
+util::Fingerprint SweepFingerprint(int index, int pricing_threads) {
+  const auto instance = scenario::Generate(SpecForGame(index));
+  EXPECT_TRUE(instance.ok()) << index;
+  const auto compiled = core::Compile(*instance);
+  EXPECT_TRUE(compiled.ok()) << index;
+  core::DetectionModel::Options detection_options;
+  if (index % 4 == 3) {
+    detection_options.mode = core::DetectionModel::Mode::kMonteCarlo;
+    detection_options.mc_samples = 400;
+  }
+  auto detection = core::DetectionModel::Create(
+      *instance, 1.5 * instance->num_types(), detection_options);
+  EXPECT_TRUE(detection.ok()) << index;
+
+  solver::SolverOptions options;
+  options.ishm.step_size = 0.25;
+  options.cggs.pricing_threads = pricing_threads;
+  auto ishm = solver::Create("ishm-cggs", options);
+  EXPECT_TRUE(ishm.ok());
+  solver::SolveRequest request;
+  request.instance = &*instance;
+  auto result = (*ishm)->Solve(*compiled, *detection, request);
+  EXPECT_TRUE(result.ok()) << index;
+  return util::FingerprintState(*result);
+}
+
+// Every probe of a sweep starts from the master the previous probes left
+// behind, so any nondeterminism would compound across the sweep. It must
+// still be byte-identical run to run and across pricing thread counts.
+TEST(CggsSweepTest, IshmCggsSweepsIdenticalAcrossRunsAndThreads) {
+  for (int game = 0; game < 8; ++game) {
+    const std::string reference = SweepFingerprint(game, 1).ToHex();
+    EXPECT_EQ(reference, SweepFingerprint(game, 1).ToHex())
+        << "game " << game << " rerun";
+    for (const int threads : {2, 4}) {
+      EXPECT_EQ(reference, SweepFingerprint(game, threads).ToHex())
+          << "game " << game << " threads=" << threads;
+    }
+  }
+}
+
+// Past 4T+8 columns the next probe rebuilds the master from the previous
+// support and the seeds. Every probe, rebuilt or re-priced, must report
+// the exact loss of the policy it returns. Most sweeps stay under the cap;
+// this game's sweep at budget 10 is one that grows past it.
+TEST(CggsSweepTest, RebuildsPastColumnCap) {
+  auto spec = scenario::SpecByName("uniform");
+  ASSERT_TRUE(spec.ok());
+  spec->num_types = 5;
+  spec->seed = 6;
+  const auto instance = scenario::Generate(*spec);
+  ASSERT_TRUE(instance.ok());
+  const auto compiled = core::Compile(*instance);
+  ASSERT_TRUE(compiled.ok());
+  auto detection = core::DetectionModel::Create(*instance, 10.0);
+  ASSERT_TRUE(detection.ok());
+  const int cap = 4 * instance->num_types() + 8;
+
+  core::CggsSweep sweep(*compiled, *detection, core::CggsOptions());
+  int most_columns = 0;
+  const core::ThresholdEvaluator evaluator =
+      [&](const std::vector<double>& thresholds)
+      -> util::StatusOr<core::ThresholdEvaluation> {
+    const int columns_before = sweep.num_columns();
+    const int rebuilds_before = sweep.rebuilds();
+    most_columns = std::max(most_columns, columns_before);
+    ASSIGN_OR_RETURN(core::CggsResult cggs, sweep.Solve(thresholds));
+    EXPECT_EQ(sweep.rebuilds() > rebuilds_before, columns_before > cap);
+    const auto loss = core::EvaluatePolicy(*compiled, *detection, cggs.policy);
+    EXPECT_TRUE(loss.ok());
+    if (loss.ok()) {
+      EXPECT_NEAR(loss->auditor_loss, cggs.objective, 1e-6);
+    }
+    core::ThresholdEvaluation eval;
+    eval.objective = cggs.objective;
+    eval.policy = std::move(cggs.policy);
+    return eval;
+  };
+  core::IshmOptions options;
+  options.step_size = 0.25;
+  ASSERT_TRUE(core::SolveIshm(*instance, evaluator, options).ok());
+  EXPECT_GT(most_columns, cap);
+  EXPECT_GT(sweep.rebuilds(), 0);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "core/master_lp.h"
 #include "tests/test_util.h"
 
@@ -134,6 +137,82 @@ TEST(RestrictedMasterLpTest, IncrementalMatchesOneShotAtEveryPrefix) {
   // Every re-solve after the first resumed from the previous basis.
   EXPECT_EQ(master.stats().warm_solves,
             static_cast<int>(orderings.size()) - 1);
+}
+
+// Re-pricing across a threshold change: a master solved at b1 is moved to
+// b2 in place (SetThresholds + Reprice) and re-solved from its old basis.
+// It must land on the objective of a master built fresh at b2, whichever
+// way the old basis fares under the new coefficients.
+class RepriceTest : public ::testing::Test {
+ protected:
+  const std::vector<std::vector<int>> orderings_ = {
+      {0, 1, 2}, {2, 1, 0}, {1, 0, 2}, {0, 2, 1}, {2, 0, 1}, {1, 2, 0}};
+  const std::vector<double> b1_ = {3.0, 3.0, 3.0};
+
+  void SetUp() override {
+    instance_ = MakeMediumGame();
+    auto compiled = Compile(instance_);
+    ASSERT_TRUE(compiled.ok());
+    compiled_ = *std::move(compiled);
+    auto detection = DetectionModel::Create(instance_, 5.0);
+    ASSERT_TRUE(detection.ok());
+    detection_.emplace(*std::move(detection));
+    ASSERT_TRUE(detection_->SetThresholds(b1_).ok());
+    master_.emplace(compiled_, *detection_);
+    for (const auto& ordering : orderings_) {
+      ASSERT_TRUE(master_->AddOrdering(ordering).ok());
+    }
+    const auto at_b1 = master_->Solve();
+    ASSERT_TRUE(at_b1.ok());
+    b1_solution_ = *at_b1;
+  }
+
+  // Moves the master to `b2`, re-solves it, and checks the objective
+  // against a fresh master; returns the master's stats from before the
+  // re-solve.
+  RestrictedMasterLp::Stats RepriceAndCheck(const std::vector<double>& b2) {
+    EXPECT_TRUE(detection_->SetThresholds(b2).ok());
+    EXPECT_TRUE(master_->Reprice().ok());
+    const RestrictedMasterLp::Stats before = master_->stats();
+    const auto repriced = master_->Solve();
+    const auto fresh =
+        SolveRestrictedGameLp(compiled_, *detection_, orderings_);
+    EXPECT_TRUE(repriced.ok());
+    EXPECT_TRUE(fresh.ok());
+    if (repriced.ok() && fresh.ok()) {
+      EXPECT_NEAR(repriced->objective, fresh->objective, 1e-9);
+    }
+    EXPECT_EQ(master_->stats().solves, before.solves + 1);
+    return before;
+  }
+
+  GameInstance instance_;
+  CompiledGame compiled_;
+  std::optional<DetectionModel> detection_;
+  std::optional<RestrictedMasterLp> master_;
+  RestrictedLpSolution b1_solution_;
+};
+
+TEST_F(RepriceTest, FeasibleBasisResumesWithoutPhaseOne) {
+  const RestrictedMasterLp::Stats before = RepriceAndCheck({3.0, 2.0, 3.0});
+  EXPECT_EQ(master_->stats().warm_solves, before.warm_solves + 1);
+}
+
+TEST_F(RepriceTest, PrimalInfeasibleBasisIsRepaired) {
+  const RestrictedMasterLp::Stats before = RepriceAndCheck({2.0, 2.0, 2.0});
+  EXPECT_EQ(master_->stats().warm_solves, before.warm_solves);
+  EXPECT_EQ(master_->stats().repaired_solves, before.repaired_solves + 1);
+}
+
+TEST_F(RepriceTest, SingularBasisFallsBackToColdStart) {
+  // With every threshold at zero nothing is ever audited, so all columns
+  // become identical, and a basis holding two of them is singular.
+  int mixed = 0;
+  for (double p : b1_solution_.ordering_probs) mixed += p > 1e-9 ? 1 : 0;
+  ASSERT_GE(mixed, 2) << "the b1 optimum must mix orderings";
+  const RestrictedMasterLp::Stats before = RepriceAndCheck({0.0, 0.0, 0.0});
+  EXPECT_EQ(master_->stats().warm_solves, before.warm_solves);
+  EXPECT_EQ(master_->stats().repaired_solves, before.repaired_solves);
 }
 
 TEST(RestrictedMasterLpTest, SolveWithoutColumnsIsRejected) {

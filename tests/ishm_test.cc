@@ -210,6 +210,24 @@ TEST(IshmTest, WarmSeedIsClampedToUpperBounds) {
   EXPECT_EQ(first_probe, (std::vector<double>{2.0, 0.0}));
 }
 
+// Objectives that differ only by rounding noise must not steer the search:
+// the first subset in the fixed order keeps a near-tie.
+TEST(IshmTest, NearTieGoesToFirstSubset) {
+  const GameInstance instance = MakeTinyGame();  // upper bounds 2, 2
+  auto evaluator = [](const std::vector<double>& thresholds)
+      -> util::StatusOr<ThresholdEvaluation> {
+    ThresholdEvaluation eval;
+    // Shrinking type 1 looks better by 1e-15, far below any real gain.
+    eval.objective = thresholds[1] < 2.0 ? 1.0 - 1e-15 : 1.0;
+    return eval;
+  };
+  IshmOptions options;
+  options.step_size = 0.5;
+  const auto result = SolveIshm(instance, evaluator, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->effective_thresholds, (std::vector<double>{1.0, 2.0}));
+}
+
 TEST(IshmTest, PolicyMatchesReportedObjective) {
   const auto instance = data::MakeSynA();
   ASSERT_TRUE(instance.ok());

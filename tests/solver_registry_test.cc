@@ -230,6 +230,17 @@ TEST_F(AdapterEquivalenceTest, IshmCggsMatchesDirectCall) {
   EXPECT_EQ(result->thresholds, direct->effective_thresholds);
   EXPECT_EQ(result->stats.evaluations, direct->stats.evaluations);
   ExpectSamePolicy(result->policy, direct->policy);
+  // The sweep's CGGS work reaches the served stats, and its master really
+  // is reused: some solves resume from the previous basis.
+  EXPECT_EQ(result->stats.lp_solves, direct->stats.cggs.lp_solves);
+  EXPECT_EQ(result->stats.warm_lp_solves, direct->stats.cggs.warm_lp_solves);
+  EXPECT_EQ(result->stats.columns_generated,
+            direct->stats.cggs.columns_generated);
+  EXPECT_GT(result->stats.lp_solves, 0);
+  EXPECT_GT(result->stats.warm_lp_solves, 0);
+  // A fresh master per probe would cold-start every probe's first solve.
+  EXPECT_LT(result->stats.lp_solves - result->stats.warm_lp_solves,
+            result->stats.distinct_evaluations);
 }
 
 }  // namespace
