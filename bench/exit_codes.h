@@ -14,9 +14,8 @@ inline constexpr int kSmokeExitOk = 0;
 /// The report could not be written (bad path, full disk) — an
 /// infrastructure failure, not a correctness signal.
 inline constexpr int kSmokeExitIoError = 3;
-/// The smoke's correctness gate tripped: two backends that must agree
-/// (dense vs revised, cold vs incremental, serial vs parallel pricing)
-/// disagreed.
+/// The smoke's correctness gate tripped: two paths that must agree
+/// (serial vs parallel pricing, the two wire encodings) disagreed.
 inline constexpr int kSmokeExitDisagreement = 4;
 
 }  // namespace auditgame::bench

@@ -5,17 +5,15 @@
 // Two entry points:
 //  * Google Benchmark (default): timing curves.
 //  * --smoke_json=PATH: runs the detection hot path (the Into-style calls
-//    CGGS prices with) under the scalar and SIMD kernel backends and
-//    writes a BENCH_*.json report — bit-identity of the two backends,
+//    CGGS prices with) and writes a BENCH_*.json report —
 //    allocations-per-solve in steady state (the arena/kernel refactor
-//    gate), and timings for the archive.
+//    gate) and timings for the archive.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench/alloc_count.h"
@@ -24,7 +22,6 @@
 #include "data/credit.h"
 #include "data/emr.h"
 #include "data/syn_a.h"
-#include "math/kernels.h"
 #include "util/json.h"
 #include "util/timer.h"
 
@@ -135,17 +132,17 @@ BENCHMARK(BM_MonteCarloError)->Arg(500)->Arg(2000)->Arg(10000);
 
 // ---- Smoke mode ----------------------------------------------------------
 
-struct BackendRun {
+struct DetectionRun {
   double seconds = 0.0;
   double allocations_per_solve = 0.0;
-  std::vector<double> pal;
 };
 
 // One "solve" is the steady-state pricing unit: a full detection-
 // probability sweep over an ordering through the caller-scratch API
 // (DetectionProbabilitiesInto), exactly how CGGS evaluates candidates.
-BackendRun RunDetection(core::DetectionModel& model, int t_count, int reps) {
-  BackendRun run;
+DetectionRun RunDetection(core::DetectionModel& model, int t_count,
+                          int reps) {
+  DetectionRun run;
   const auto ordering = IdentityOrdering(t_count);
   core::DetectionModel::Prefix prefix = model.EmptyPrefix();
   std::vector<double> pal;
@@ -167,20 +164,11 @@ BackendRun RunDetection(core::DetectionModel& model, int t_count, int reps) {
   run.seconds = timer.ElapsedSeconds() / reps;
   run.allocations_per_solve =
       static_cast<double>(bench::HeapAllocationCount() - alloc_before) / reps;
-  run.pal = pal;
   return run;
 }
 
-bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
-
 int RunSmoke(const std::string& json_path) {
-  const bool simd = math::SimdAvailable();
   util::JsonValue::Array cases;
-  bool all_identical = true;
 
   struct Case {
     const char* mode;
@@ -205,51 +193,22 @@ int RunSmoke(const std::string& json_path) {
       return 1;
     }
 
-    if (!math::SetBackend(math::Backend::kScalar)) return 1;
-    const BackendRun scalar =
-        RunDetection(*model, instance.num_types(), c.reps);
-    BackendRun vectorized;
-    if (simd) {
-      if (!math::SetBackend(math::Backend::kSimd)) return 1;
-      vectorized = RunDetection(*model, instance.num_types(), c.reps);
-      math::SetBackend(math::Backend::kSimd);
-    }
-
-    const bool identical =
-        !simd || BitIdentical(scalar.pal, vectorized.pal);
-    all_identical = all_identical && identical;
+    const DetectionRun run = RunDetection(*model, instance.num_types(), c.reps);
     util::JsonValue::Object json_case;
     json_case["game"] = "emr";
     json_case["mode"] = c.mode;
-    json_case["scalar_seconds"] = scalar.seconds;
-    json_case["allocations_per_solve"] = scalar.allocations_per_solve;
-    json_case["pal_bit_identical_scalar_simd"] = identical;
-    if (simd) {
-      json_case["simd_backend"] = math::BackendName();
-      json_case["simd_seconds"] = vectorized.seconds;
-      json_case["speedup_simd_over_scalar"] =
-          scalar.seconds / vectorized.seconds;
-    }
-    std::printf("%s scalar %.6fs%s allocs/solve %.2f identical=%d\n", c.mode,
-                scalar.seconds,
-                simd ? (" simd " + std::to_string(vectorized.seconds) + "s")
-                           .c_str()
-                     : "",
-                scalar.allocations_per_solve, identical ? 1 : 0);
+    json_case["scalar_seconds"] = run.seconds;
+    json_case["allocations_per_solve"] = run.allocations_per_solve;
+    std::printf("%s %.6fs allocs/solve %.2f\n", c.mode, run.seconds,
+                run.allocations_per_solve);
     cases.push_back(std::move(json_case));
   }
 
   util::JsonValue::Object report;
   report["bench"] = "micro_detection";
   report["mode"] = "smoke";
-  report["simd_compared"] = simd;
-  report["pal_bit_identical_scalar_simd"] = all_identical;
   report["cases"] = std::move(cases);
-  const int write_status =
-      bench::WriteSmokeReport(json_path, std::move(report));
-  // Backend disagreement outranks a report-write failure: it is the signal
-  // CI must not mistake for an infrastructure problem.
-  return all_identical ? write_status : bench::kSmokeExitDisagreement;
+  return bench::WriteSmokeReport(json_path, std::move(report));
 }
 
 }  // namespace

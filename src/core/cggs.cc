@@ -162,12 +162,8 @@ void GreedyOrdering(const CompiledGame& game, const DetectionModel& detection,
 }  // namespace
 
 RestrictedMasterLp::Options CggsMasterOptions(const CggsOptions& options,
-                                              util::WorkspacePool* workspace) {
+                                              util::Arena* workspace) {
   RestrictedMasterLp::Options master_options;
-  if (options.master_mode == CggsOptions::MasterMode::kColdDense) {
-    master_options.backend = lp::SimplexBackend::kDenseTableau;
-    master_options.incremental = false;
-  }
   master_options.lp.workspace = workspace;
   master_options.expected_orderings = options.max_columns;
   return master_options;
@@ -190,22 +186,21 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
                                      const CggsOptions& options) {
   RETURN_IF_ERROR(detection.SetThresholds(thresholds));
 
-  // Scratch workspace for the whole solve — shared (caller-provided) or
-  // owned. Slot 0 backs the serial sections: greedy pricing buffers and
-  // the master LP's revised-simplex working memory, which alternate and
-  // nest their ArenaScopes LIFO.
-  util::WorkspacePool* workspace = options.workspace;
-  std::unique_ptr<util::WorkspacePool> owned_workspace;
+  // Scratch arena for the whole solve — shared (caller-provided) or owned.
+  // It backs the serial sections: greedy pricing buffers and the master
+  // LP's revised-simplex working memory, which alternate and nest their
+  // ArenaScopes LIFO.
+  util::Arena* workspace = options.workspace;
+  std::unique_ptr<util::Arena> owned_workspace;
   if (workspace == nullptr) {
-    owned_workspace = std::make_unique<util::WorkspacePool>();
+    owned_workspace = std::make_unique<util::Arena>();
     workspace = owned_workspace.get();
   }
 
   // The restricted master lives across all pricing iterations: Q starts
   // from the valid, deduplicated warm-start set, every new column is
-  // appended to it, and (in the default incremental mode) each re-solve
-  // resumes from the previous optimal basis instead of paying a cold
-  // two-phase solve per round.
+  // appended to it, and each re-solve resumes from the previous optimal
+  // basis instead of paying a cold two-phase solve per round.
   RestrictedMasterLp master(game, detection,
                             CggsMasterOptions(options, workspace));
   RETURN_IF_ERROR(AddSeedOrderings(game, options.initial_orderings, master));
@@ -219,7 +214,7 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
 util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
                                              const DetectionModel& detection,
                                              const CggsOptions& options,
-                                             util::WorkspacePool& workspace,
+                                             util::Arena& arena,
                                              RestrictedMasterLp& master_lp) {
   // One pool for the whole loop — the caller's shared pool when provided,
   // a locally owned one otherwise; null selects the inline serial path.
@@ -236,8 +231,6 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
       pool = owned_pool.get();
     }
   }
-  workspace.Prepare(1);
-  util::Arena& arena = workspace.Get(0);
 
   if (master_lp.num_orderings() == 0) {
     std::vector<int> identity(game.num_types);

@@ -12,28 +12,14 @@
 #include "util/statusor.h"
 
 namespace auditgame::util {
+class Arena;
 class ThreadPool;
-class WorkspacePool;
 }  // namespace auditgame::util
 
 namespace auditgame::core {
 
 /// Options for Column Generation Greedy Search (Algorithm 1).
 struct CggsOptions {
-  /// How the restricted master LP is solved across pricing iterations.
-  ///  * kIncrementalRevised — one RestrictedMasterLp (core/master_lp.h) is
-  ///    kept alive for the whole loop; each round appends the priced
-  ///    ordering as a column and the revised simplex re-solves from the
-  ///    previous optimal basis, skipping phase 1. Default.
-  ///  * kColdDense — every round re-solves the master from scratch with
-  ///    the dense-tableau backend: the pre-incremental reference path,
-  ///    kept for A/B benchmarking (bench/micro_cggs) and debugging.
-  /// Given the same column pool the two modes solve identical LPs and
-  /// agree to solver tolerance; over a whole run the dual-driven greedy
-  /// pricing can branch at degenerate master optima, so final objectives
-  /// can differ by the usual heuristic gap (they agree to 1e-6 on Syn A).
-  enum class MasterMode { kIncrementalRevised, kColdDense };
-  MasterMode master_mode = MasterMode::kIncrementalRevised;
   /// Cap on generated columns (orderings) — safety net; the search normally
   /// terminates when no column with negative reduced cost is found.
   int max_columns = 200;
@@ -64,14 +50,15 @@ struct CggsOptions {
   /// chunked by pricing_threads, never by pool size) and therefore
   /// excluded from policy-cache fingerprints.
   util::ThreadPool* pricing_pool = nullptr;
-  /// Optional non-owning scratch pool (util/arena.h) for the solve's hot
+  /// Optional non-owning scratch arena (util/arena.h) for the solve's hot
   /// paths: greedy-pricing candidate buffers and the master LP's revised
   /// simplex draw from it instead of the heap, so repeated solves (ISHM
   /// sweeps, serving loops) run allocation-free in steady state. Must
-  /// outlive the solve. Null = the solve creates its own. Scratch slots are
-  /// preassigned by chunk index, so — like pricing_pool — this is
-  /// result-neutral and excluded from policy-cache fingerprints.
-  util::WorkspacePool* workspace = nullptr;
+  /// outlive the solve. Null = the solve creates its own. Only the serial
+  /// sections allocate (pricing workers write into buffers carved before
+  /// the parallel region), so — like pricing_pool — this is result-neutral
+  /// and excluded from policy-cache fingerprints.
+  util::Arena* workspace = nullptr;
   /// Optional warm start: orderings to seed Q with (e.g. the support of a
   /// previously served policy). The ISHM sweep re-seeds its master with
   /// them whenever it rebuilds it (see CggsSweep).
@@ -88,8 +75,7 @@ struct CggsResult {
   int lp_solves = 0;
   int columns_generated = 0;
   /// Master LP solves that resumed from the previous basis without a
-  /// phase-1 pivot (always 0 in kColdDense mode; lp_solves - 1 in a
-  /// healthy one-shot incremental run).
+  /// phase-1 pivot (lp_solves - 1 in a healthy one-shot run).
   int warm_lp_solves = 0;
   /// Simplex iterations summed over all master solves.
   long master_lp_iterations = 0;
@@ -109,11 +95,11 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
                                      const std::vector<double>& thresholds,
                                      const CggsOptions& options = {});
 
-/// The options SolveCggs builds its master with: the master_mode backend,
-/// `workspace` for the simplex scratch, and max_columns as the column
-/// hint. Callers that keep their own master use it to solve the same LPs.
+/// The options SolveCggs builds its master with: `workspace` for the
+/// simplex scratch and max_columns as the column hint. Callers that keep
+/// their own master use it to solve the same LPs.
 RestrictedMasterLp::Options CggsMasterOptions(const CggsOptions& options,
-                                              util::WorkspacePool* workspace);
+                                              util::Arena* workspace);
 
 /// Appends to `master` each ordering of `seeds` that is a permutation of
 /// the game's types and not already a column. Seeds arrive from cached
@@ -134,7 +120,7 @@ util::Status AddSeedOrderings(const CompiledGame& game,
 util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
                                              const DetectionModel& detection,
                                              const CggsOptions& options,
-                                             util::WorkspacePool& workspace,
+                                             util::Arena& workspace,
                                              RestrictedMasterLp& master);
 
 }  // namespace auditgame::core

@@ -14,13 +14,7 @@ util::StatusOr<RestrictedLpSolution> SolveRestrictedGameLp(
   if (orderings.empty()) {
     return util::InvalidArgumentError("no candidate orderings");
   }
-  // One-shot callers (brute force sweeps, the full-LP ground truth) solve
-  // thousands of small cold LPs where the dense tableau's low per-solve
-  // overhead wins; the revised backend earns its keep on warm re-solves,
-  // which only the long-lived master performs.
   RestrictedMasterLp::Options options;
-  options.backend = lp::SimplexBackend::kDenseTableau;
-  options.incremental = false;
   options.expected_orderings = static_cast<int>(orderings.size());
   RestrictedMasterLp master(game, detection, options);
   for (const auto& ordering : orderings) {

@@ -200,10 +200,10 @@ CggsSweep::CggsSweep(const CompiledGame& game, DetectionModel& detection,
         std::make_unique<util::ThreadPool>(options_.pricing_threads);
     options_.pricing_pool = owned_pricing_pool_.get();
   }
-  // Likewise one scratch workspace: the first probe sizes the arenas, every
-  // later one reuses them on the pricing and simplex hot paths.
+  // Likewise one scratch arena: the first probe sizes it, every later one
+  // reuses it on the pricing and simplex hot paths.
   if (options_.workspace == nullptr) {
-    owned_workspace_ = std::make_unique<util::WorkspacePool>();
+    owned_workspace_ = std::make_unique<util::Arena>();
     options_.workspace = owned_workspace_.get();
   }
 }

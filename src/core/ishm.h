@@ -149,7 +149,7 @@ class CggsSweep {
   // caller supplied its own.
   CggsOptions options_;
   std::unique_ptr<util::ThreadPool> owned_pricing_pool_;
-  std::unique_ptr<util::WorkspacePool> owned_workspace_;
+  std::unique_ptr<util::Arena> owned_workspace_;
   std::optional<RestrictedMasterLp> master_;
   // The previous probe's policy support: the rebuild seed.
   std::vector<std::vector<int>> support_;

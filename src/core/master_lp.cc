@@ -97,59 +97,46 @@ util::Status RestrictedMasterLp::SolveInto(RestrictedLpSolution& result) {
     return util::InvalidArgumentError("no candidate orderings");
   }
 
-  const lp::LpSolution* lp_solution = nullptr;
-  lp::LpSolution dense_solution;
-  if (options_.backend == lp::SimplexBackend::kRevised) {
-    lp::SimplexSolver::Options lp_options = options_.lp;
-    lp_options.backend = lp::SimplexBackend::kRevised;
-    const lp::Basis* warm =
-        options_.incremental && has_basis_ ? &basis_ : nullptr;
-    RETURN_IF_ERROR(
-        lp::RevisedSimplex::SolveInto(model_, lp_options, warm, revised_));
-    if (revised_.solution.status == lp::SolveStatus::kOptimal) {
-      // Swap, not move: the displaced previous basis becomes next solve's
-      // reusable buffer (SolveInto refills it in place).
-      std::swap(basis_, revised_.basis);
-      has_basis_ = true;
-      if (revised_.warm_started) {
-        ++stats_.warm_solves;
-      } else if (revised_.basis_accepted) {
-        ++stats_.repaired_solves;
-      }
+  const lp::Basis* warm = has_basis_ ? &basis_ : nullptr;
+  RETURN_IF_ERROR(
+      lp::RevisedSimplex::SolveInto(model_, options_.lp, warm, revised_));
+  const lp::LpSolution& lp_solution = revised_.solution;
+  if (lp_solution.status == lp::SolveStatus::kOptimal) {
+    // Swap, not move: the displaced previous basis becomes next solve's
+    // reusable buffer (SolveInto refills it in place).
+    std::swap(basis_, revised_.basis);
+    has_basis_ = true;
+    if (revised_.warm_started) {
+      ++stats_.warm_solves;
+    } else if (revised_.basis_accepted) {
+      ++stats_.repaired_solves;
     }
-    lp_solution = &revised_.solution;
-  } else {
-    lp::SimplexSolver::Options lp_options = options_.lp;
-    lp_options.backend = lp::SimplexBackend::kDenseTableau;
-    ASSIGN_OR_RETURN(dense_solution,
-                     lp::SimplexSolver::Solve(model_, lp_options));
-    lp_solution = &dense_solution;
   }
   ++stats_.solves;
   stats_.iterations +=
-      lp_solution->phase1_iterations + lp_solution->phase2_iterations;
-  if (lp_solution->status != lp::SolveStatus::kOptimal) {
+      lp_solution.phase1_iterations + lp_solution.phase2_iterations;
+  if (lp_solution.status != lp::SolveStatus::kOptimal) {
     return util::InternalError(
         std::string("game LP not optimal: ") +
-        lp::SolveStatusToString(lp_solution->status));
+        lp::SolveStatusToString(lp_solution.status));
   }
 
-  result.objective = lp_solution->objective;
+  result.objective = lp_solution.objective;
   result.ordering_probs.resize(po_vars_.size());
   for (size_t o = 0; o < po_vars_.size(); ++o) {
-    result.ordering_probs[o] = std::max(0.0, lp_solution->primal[po_vars_[o]]);
+    result.ordering_probs[o] = std::max(0.0, lp_solution.primal[po_vars_[o]]);
   }
   const size_t num_groups = game_.groups.size();
   result.group_utilities.resize(num_groups);
   result.victim_duals.resize(num_groups);
   for (size_t g = 0; g < num_groups; ++g) {
-    result.group_utilities[g] = lp_solution->primal[u_vars_[g]];
+    result.group_utilities[g] = lp_solution.primal[u_vars_[g]];
     result.victim_duals[g].resize(victim_rows_[g].size());
     for (size_t v = 0; v < victim_rows_[g].size(); ++v) {
-      result.victim_duals[g][v] = lp_solution->dual[victim_rows_[g][v]];
+      result.victim_duals[g][v] = lp_solution.dual[victim_rows_[g][v]];
     }
   }
-  result.convexity_dual = lp_solution->dual[convexity_row_];
+  result.convexity_dual = lp_solution.dual[convexity_row_];
   return util::OkStatus();
 }
 

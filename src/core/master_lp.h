@@ -6,8 +6,8 @@
 #include "core/detection.h"
 #include "core/game.h"
 #include "core/game_lp.h"
+#include "lp/model.h"
 #include "lp/revised_simplex.h"
-#include "lp/simplex.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -38,15 +38,9 @@ namespace auditgame::core {
 class RestrictedMasterLp {
  public:
   struct Options {
-    /// LP backend for the master solves. The revised simplex supports
-    /// basis warm starts; the dense tableau is the cold reference path.
-    lp::SimplexBackend backend = lp::SimplexBackend::kRevised;
-    /// Re-solve from the previous basis (kRevised only). With false, every
-    /// Solve() is a cold start even on the revised backend.
-    bool incremental = true;
-    /// Tolerances and iteration caps for the underlying solver; the
-    /// `backend` field above wins over lp.backend.
-    lp::SimplexSolver::Options lp;
+    /// Tolerances, iteration caps and scratch arena for the revised
+    /// simplex that solves the master.
+    lp::RevisedSimplex::Options lp;
     /// Expected number of AddOrdering calls over the master's lifetime —
     /// an allocation hint only (CGGS passes its column cap): the model's
     /// row storage is reserved once in the constructor so appending
@@ -87,8 +81,7 @@ class RestrictedMasterLp {
   bool HasOrdering(const std::vector<int>& ordering) const;
 
   /// Solves the current restricted master; requires at least one ordering.
-  /// Incremental mode re-solves from the previous optimal basis when one
-  /// is available.
+  /// Re-solves from the previous optimal basis when one is available.
   util::StatusOr<RestrictedLpSolution> Solve();
 
   /// Allocation-reusing form for the pricing loop: `out`'s vectors are
@@ -98,6 +91,9 @@ class RestrictedMasterLp {
   util::Status SolveInto(RestrictedLpSolution& out);
 
   const Stats& stats() const { return stats_; }
+
+  /// The master LP as currently built (tests hand it to an oracle solver).
+  const lp::LpModel& model() const { return model_; }
 
  private:
   const CompiledGame& game_;
@@ -120,7 +116,7 @@ class RestrictedMasterLp {
   void WriteUtilities(int var);
 
   // Reused across solves/additions so the steady-state pricing loop is
-  // allocation-free: the revised backend refills `revised_` in place (its
+  // allocation-free: the revised simplex refills `revised_` in place (its
   // basis buffers swap with `basis_` each accepted solve), and AddOrdering
   // and Reprice evaluate Pal into `pal_prefix_`/`pal_scratch_`.
   lp::RevisedSolution revised_;

@@ -22,7 +22,7 @@ inline constexpr double kInfinity = std::numeric_limits<double>::infinity();
 ///                 lb_j <= x_j <= ub_j         for each variable j
 ///
 /// Rows are stored sparsely. The model is a plain builder: it performs no
-/// solving itself (see SimplexSolver). Maximization problems should be
+/// solving itself (see RevisedSimplex). Maximization problems should be
 /// expressed by negating the objective.
 class LpModel {
  public:

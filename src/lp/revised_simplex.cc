@@ -28,17 +28,17 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 //
 // Memory: every engine buffer — bounds, costs, the LU factors and their
 // transpose, the eta file's d-vectors, all Ftran/Btran scratch — is drawn
-// from one arena (the caller's WorkspacePool slot 0 when provided, a local
+// from one arena (the caller's workspace arena when provided, a local
 // arena otherwise) under a single RAII scope, so a caller that solves in a
 // loop (the incremental master LP) pays heap allocations only on its first
 // solve. Dense inner loops (forward/backward substitution, elimination,
-// reduced-cost dots) run on math/kernels, so they vectorize while staying
-// bit-identical across kernel backends; Btran substitutes against a
+// reduced-cost dots) run on math/kernels and follow its canonical blocked
+// summation order; Btran substitutes against a
 // transposed copy of the LU factors refreshed at each factorization, which
 // turns its column-strided traversal into contiguous kernel dots.
 class Engine {
  public:
-  Engine(const LpModel& model, const SimplexSolver::Options& options)
+  Engine(const LpModel& model, const RevisedSimplex::Options& options)
       : model_(model),
         options_(options),
         ns_(model.num_variables()),
@@ -47,7 +47,7 @@ class Engine {
         owned_arena_(options.workspace == nullptr
                          ? std::make_unique<util::Arena>()
                          : nullptr),
-        arena_(options.workspace != nullptr ? options.workspace->Get(0)
+        arena_(options.workspace != nullptr ? *options.workspace
                                             : *owned_arena_),
         scope_(arena_),
         col_starts_(arena_),
@@ -550,8 +550,8 @@ class Engine {
         return PhaseOutcome::kDone;
       }
       // The already-optimal case is handled above, so hitting the budget
-      // here means real work remains (see the dense RunPhase for the same
-      // contract).
+      // here means real work remains: an already-optimal basis with a zero
+      // remaining budget is reported optimal.
       if (*used >= iteration_budget) return PhaseOutcome::kIterationLimit;
 
       DenseColumnInto(entering, col_);
@@ -697,13 +697,13 @@ class Engine {
   }
 
   const LpModel& model_;
-  const SimplexSolver::Options& options_;
+  const RevisedSimplex::Options& options_;
   const int ns_;  // structural columns
   const int m_;   // rows
   const int n_;   // structural + logical columns
 
-  // Arena backing for everything below: the caller's workspace slot 0 or a
-  // locally owned arena. `scope_` must precede every ArenaVector member so
+  // Arena backing for everything below: the caller's workspace or a locally
+  // owned arena. `scope_` must precede every ArenaVector member so
   // its rewind (to the pre-solve mark) runs after their (trivial) cleanup.
   std::unique_ptr<util::Arena> owned_arena_;
   util::Arena& arena_;
@@ -728,9 +728,9 @@ class Engine {
   util::ArenaVector<double> cb_, y_, w_, col_;
 };
 
-// No constraints: every variable sits at its cost-minimizing bound. Kept in
-// sync with the dense backend's m == 0 path, including the convention that
-// a variable resting at a bound keeps its cost as its reduced cost.
+// No constraints: every variable sits at its cost-minimizing bound. A
+// variable resting at a bound keeps its cost as its reduced cost (there are
+// no duals to subtract).
 util::Status SolveUnconstrained(const LpModel& model,
                                 RevisedSolution& result) {
   LpSolution& solution = result.solution;
@@ -783,8 +783,22 @@ util::Status SolveUnconstrained(const LpModel& model,
 
 }  // namespace
 
+const char* SolveStatusToString(SolveStatus status) {
+  switch (status) {
+    case SolveStatus::kOptimal:
+      return "OPTIMAL";
+    case SolveStatus::kInfeasible:
+      return "INFEASIBLE";
+    case SolveStatus::kUnbounded:
+      return "UNBOUNDED";
+    case SolveStatus::kIterationLimit:
+      return "ITERATION_LIMIT";
+  }
+  return "UNKNOWN";
+}
+
 util::StatusOr<RevisedSolution> RevisedSimplex::Solve(
-    const LpModel& model, const SimplexSolver::Options& options,
+    const LpModel& model, const RevisedSimplex::Options& options,
     const Basis* warm_start) {
   RevisedSolution result;
   RETURN_IF_ERROR(SolveInto(model, options, warm_start, result));
@@ -792,7 +806,7 @@ util::StatusOr<RevisedSolution> RevisedSimplex::Solve(
 }
 
 util::Status RevisedSimplex::SolveInto(const LpModel& model,
-                                       const SimplexSolver::Options& options,
+                                       const RevisedSimplex::Options& options,
                                        const Basis* warm_start,
                                        RevisedSolution& out) {
   RETURN_IF_ERROR(model.Validate());

@@ -5,10 +5,50 @@
 #include <vector>
 
 #include "lp/model.h"
-#include "lp/simplex.h"
+#include "util/status.h"
 #include "util/statusor.h"
 
+namespace auditgame::util {
+class Arena;
+}  // namespace auditgame::util
+
 namespace auditgame::lp {
+
+/// Termination status of a solve.
+enum class SolveStatus {
+  kOptimal,
+  kInfeasible,
+  kUnbounded,
+  kIterationLimit,
+};
+
+const char* SolveStatusToString(SolveStatus status);
+
+/// Result of solving an LpModel.
+struct LpSolution {
+  SolveStatus status = SolveStatus::kIterationLimit;
+
+  /// c'x* + objective constant (meaningful when status == kOptimal).
+  double objective = 0.0;
+
+  /// Optimal primal values, one per model variable.
+  std::vector<double> primal;
+
+  /// Dual values (shadow prices), one per model constraint, oriented for
+  /// the original row: dual[i] = d(objective)/d(rhs[i]). For a minimization
+  /// problem, duals of >= rows are >= 0 and duals of <= rows are <= 0 at
+  /// optimality.
+  std::vector<double> dual;
+
+  /// Reduced costs in the original variable space:
+  ///   rc[j] = c[j] - sum_i dual[i] * a[i][j].
+  /// For a non-basic variable at its lower bound rc[j] >= 0 (minimization).
+  std::vector<double> reduced_cost;
+
+  /// Simplex iterations used in each phase.
+  int phase1_iterations = 0;
+  int phase2_iterations = 0;
+};
 
 /// Where a column rests relative to the current basis. Nonbasic variables
 /// sit at a finite bound (or at zero when free in both directions); basic
@@ -59,30 +99,50 @@ struct RevisedSolution {
   bool basis_accepted = false;
 };
 
-/// Bounded-variable revised simplex.
+/// Bounded-variable revised simplex: the library's LP solver.
 ///
-/// Unlike the dense tableau backend, variables live at their bounds
-/// directly: doubly-bounded variables cost no extra rows, and free
-/// variables are not split into differences of nonnegatives. The basis is
-/// held as a dense LU factorization with product-form (eta) updates and
-/// periodic refactorization, so a pivot costs O(m^2 + nnz) instead of a
-/// full O(m*n) tableau sweep, and a warm re-solve after appending columns
-/// reuses the previous basis instead of restarting phase 1.
+/// Variables live at their bounds directly: doubly-bounded variables cost
+/// no extra rows, and free variables are not split into differences of
+/// nonnegatives. The basis is held as a dense LU factorization with
+/// product-form (eta) updates and periodic refactorization, so a pivot
+/// costs O(m^2 + nnz) instead of a full O(m*n) tableau sweep, and a warm
+/// re-solve after appending columns reuses the previous basis instead of
+/// restarting phase 1.
 ///
 /// Phase 1 minimizes the sum of bound violations of the basic variables
 /// (composite objective, recomputed every iteration); when the starting
 /// basis — the all-logical basis on a cold start, the snapshot on a warm
 /// start — is already primal-feasible, phase 1 performs zero pivots.
+///
+/// Solve returns an error status only for malformed models; infeasible,
+/// unbounded and iteration-capped outcomes are reported in
+/// LpSolution::status.
 class RevisedSimplex {
  public:
-  /// Solves `model` with the given options (SimplexSolver::Options is
-  /// shared between backends; `options.backend` is ignored here). When
-  /// `warm_start` is non-null and compatible, the solve resumes from it.
+  struct Options {
+    /// Hard cap on total pivots across both phases.
+    int max_iterations = 200000;
+    /// Pivot magnitude tolerance.
+    double pivot_tolerance = 1e-9;
+    /// Feasibility / optimality tolerance on reduced costs and residuals.
+    double tolerance = 1e-8;
+    /// Basis pivots between LU refactorizations.
+    int refactor_interval = 64;
+    /// Optional non-owning arena (util/arena.h) the solve draws its working
+    /// memory from (LU factors, eta d-vectors, Ftran/Btran scratch); must
+    /// outlive every Solve using these options. Null = each solve allocates
+    /// its own scratch. Callers that solve in a loop (the CGGS master LP)
+    /// share one arena here so steady-state re-solves never touch the heap.
+    util::Arena* workspace = nullptr;
+  };
+
+  /// Solves `model`. When `warm_start` is non-null and compatible, the
+  /// solve resumes from it.
   static util::StatusOr<RevisedSolution> Solve(const LpModel& model,
-                                               const SimplexSolver::Options& options,
+                                               const Options& options,
                                                const Basis* warm_start = nullptr);
   static util::StatusOr<RevisedSolution> Solve(const LpModel& model) {
-    return Solve(model, SimplexSolver::Options(), nullptr);
+    return Solve(model, Options(), nullptr);
   }
 
   /// Allocation-reusing form for re-solve loops (the CGGS master): `out`'s
@@ -90,8 +150,7 @@ class RevisedSimplex {
   /// caller that keeps one RevisedSolution across rounds solves without
   /// touching the heap once the buffers reach steady-state size. `out` may
   /// not alias `warm_start`'s basis.
-  static util::Status SolveInto(const LpModel& model,
-                                const SimplexSolver::Options& options,
+  static util::Status SolveInto(const LpModel& model, const Options& options,
                                 const Basis* warm_start, RevisedSolution& out);
 };
 

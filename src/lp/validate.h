@@ -2,7 +2,7 @@
 #define AUDIT_GAME_LP_VALIDATE_H_
 
 #include "lp/model.h"
-#include "lp/simplex.h"
+#include "lp/revised_simplex.h"
 #include "util/status.h"
 
 namespace auditgame::lp {

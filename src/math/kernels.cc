@@ -2,80 +2,12 @@
 
 #include <cmath>
 
-#include "math/kernels_internal.h"
-
-#if defined(AUDIT_ENABLE_SIMD) && defined(__SSE2__)
-#include <emmintrin.h>
-#define AUDIT_HAVE_SSE2 1
-#endif
-
 namespace auditgame::math {
 namespace {
 
-using detail::Ops;
-
-// ---- Scalar reference backend -------------------------------------------
-//
-// The scalar loops spell out the canonical blocked order with four explicit
-// accumulators. They are bit-identical to the SIMD backends because no
-// compiler reassociates floating-point additions without -ffast-math, and
-// base x86-64 has no FMA instruction to contract the mul+add pairs.
-
-double SumScalar(const double* x, size_t n) {
-  double lane[kBlockLanes] = {0.0, 0.0, 0.0, 0.0};
-  size_t i = 0;
-  const size_t n4 = n & ~(kBlockLanes - 1);
-  for (; i < n4; i += 4) {
-    lane[0] += x[i];
-    lane[1] += x[i + 1];
-    lane[2] += x[i + 2];
-    lane[3] += x[i + 3];
-  }
-  for (; i < n; ++i) lane[i & 3] += x[i];
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-double DotScalar(const double* x, const double* y, size_t n) {
-  double lane[kBlockLanes] = {0.0, 0.0, 0.0, 0.0};
-  size_t i = 0;
-  const size_t n4 = n & ~(kBlockLanes - 1);
-  for (; i < n4; i += 4) {
-    lane[0] += x[i] * y[i];
-    lane[1] += x[i + 1] * y[i + 1];
-    lane[2] += x[i + 2] * y[i + 2];
-    lane[3] += x[i + 3] * y[i + 3];
-  }
-  for (; i < n; ++i) lane[i & 3] += x[i] * y[i];
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-double AbsDiffSumScalar(const double* x, const double* y, size_t n) {
-  double lane[kBlockLanes] = {0.0, 0.0, 0.0, 0.0};
-  size_t i = 0;
-  const size_t n4 = n & ~(kBlockLanes - 1);
-  for (; i < n4; i += 4) {
-    lane[0] += std::fabs(x[i] - y[i]);
-    lane[1] += std::fabs(x[i + 1] - y[i + 1]);
-    lane[2] += std::fabs(x[i + 2] - y[i + 2]);
-    lane[3] += std::fabs(x[i + 3] - y[i + 3]);
-  }
-  for (; i < n; ++i) lane[i & 3] += std::fabs(x[i] - y[i]);
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-void AxpyScalar(double a, const double* x, double* y, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-
-void AddScalar(const double* x, double* y, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] += x[i];
-}
-
-void ScaleScalar(double a, double* x, size_t n) {
-  for (size_t i = 0; i < n; ++i) x[i] *= a;
-}
-
-double ScaledSumScalar(double a, const double* x, size_t n) {
+// Blocked-order sum of a * x[i]: each term rounded once, then summed in the
+// canonical order — the saturating tail of ConvolveShiftSaturate.
+double ScaledSum(double a, const double* x, size_t n) {
   double lane[kBlockLanes] = {0.0, 0.0, 0.0, 0.0};
   size_t i = 0;
   const size_t n4 = n & ~(kBlockLanes - 1);
@@ -89,212 +21,81 @@ double ScaledSumScalar(double a, const double* x, size_t n) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-constexpr Ops kScalarOps = {SumScalar,   DotScalar,   AbsDiffSumScalar,
-                            AxpyScalar,  AddScalar,   ScaleScalar,
-                            ScaledSumScalar};
+}  // namespace
 
-// ---- SSE2 backend -------------------------------------------------------
-//
-// Two 2-lane registers hold lanes {0,1} and {2,3}; the reduce stores all
-// four lanes and adds them in the canonical (l0+l1)+(l2+l3) order, so the
-// result matches the scalar backend bit for bit.
+// The reductions spell out the canonical blocked order with four explicit
+// accumulators. No compiler reassociates floating-point additions without
+// -ffast-math, and -ffp-contract=off keeps it from fusing the mul+add
+// pairs, so these loops compute exactly the order kernels.h documents.
 
-#ifdef AUDIT_HAVE_SSE2
-
-double SumSse2(const double* x, size_t n) {
-  __m128d a01 = _mm_setzero_pd();
-  __m128d a23 = _mm_setzero_pd();
+double Sum(const double* x, size_t n) {
+  double lane[kBlockLanes] = {0.0, 0.0, 0.0, 0.0};
   size_t i = 0;
   const size_t n4 = n & ~(kBlockLanes - 1);
   for (; i < n4; i += 4) {
-    a01 = _mm_add_pd(a01, _mm_loadu_pd(x + i));
-    a23 = _mm_add_pd(a23, _mm_loadu_pd(x + i + 2));
+    lane[0] += x[i];
+    lane[1] += x[i + 1];
+    lane[2] += x[i + 2];
+    lane[3] += x[i + 3];
   }
-  double lane[kBlockLanes];
-  _mm_storeu_pd(lane, a01);
-  _mm_storeu_pd(lane + 2, a23);
   for (; i < n; ++i) lane[i & 3] += x[i];
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-double DotSse2(const double* x, const double* y, size_t n) {
-  __m128d a01 = _mm_setzero_pd();
-  __m128d a23 = _mm_setzero_pd();
+double Dot(const double* x, const double* y, size_t n) {
+  double lane[kBlockLanes] = {0.0, 0.0, 0.0, 0.0};
   size_t i = 0;
   const size_t n4 = n & ~(kBlockLanes - 1);
   for (; i < n4; i += 4) {
-    a01 = _mm_add_pd(a01, _mm_mul_pd(_mm_loadu_pd(x + i), _mm_loadu_pd(y + i)));
-    a23 = _mm_add_pd(
-        a23, _mm_mul_pd(_mm_loadu_pd(x + i + 2), _mm_loadu_pd(y + i + 2)));
+    lane[0] += x[i] * y[i];
+    lane[1] += x[i + 1] * y[i + 1];
+    lane[2] += x[i + 2] * y[i + 2];
+    lane[3] += x[i + 3] * y[i + 3];
   }
-  double lane[kBlockLanes];
-  _mm_storeu_pd(lane, a01);
-  _mm_storeu_pd(lane + 2, a23);
   for (; i < n; ++i) lane[i & 3] += x[i] * y[i];
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-double AbsDiffSumSse2(const double* x, const double* y, size_t n) {
-  const __m128d sign_mask = _mm_set1_pd(-0.0);
-  __m128d a01 = _mm_setzero_pd();
-  __m128d a23 = _mm_setzero_pd();
+double AbsDiffSum(const double* x, const double* y, size_t n) {
+  double lane[kBlockLanes] = {0.0, 0.0, 0.0, 0.0};
   size_t i = 0;
   const size_t n4 = n & ~(kBlockLanes - 1);
   for (; i < n4; i += 4) {
-    a01 = _mm_add_pd(
-        a01, _mm_andnot_pd(sign_mask, _mm_sub_pd(_mm_loadu_pd(x + i),
-                                                 _mm_loadu_pd(y + i))));
-    a23 = _mm_add_pd(
-        a23, _mm_andnot_pd(sign_mask, _mm_sub_pd(_mm_loadu_pd(x + i + 2),
-                                                 _mm_loadu_pd(y + i + 2))));
+    lane[0] += std::fabs(x[i] - y[i]);
+    lane[1] += std::fabs(x[i + 1] - y[i + 1]);
+    lane[2] += std::fabs(x[i + 2] - y[i + 2]);
+    lane[3] += std::fabs(x[i + 3] - y[i + 3]);
   }
-  double lane[kBlockLanes];
-  _mm_storeu_pd(lane, a01);
-  _mm_storeu_pd(lane + 2, a23);
   for (; i < n; ++i) lane[i & 3] += std::fabs(x[i] - y[i]);
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-void AxpySse2(double a, const double* x, double* y, size_t n) {
-  const __m128d av = _mm_set1_pd(a);
-  size_t i = 0;
-  const size_t n2 = n & ~size_t{1};
-  for (; i < n2; i += 2) {
-    _mm_storeu_pd(
-        y + i, _mm_add_pd(_mm_loadu_pd(y + i),
-                          _mm_mul_pd(av, _mm_loadu_pd(x + i))));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-void AddSse2(const double* x, double* y, size_t n) {
-  size_t i = 0;
-  const size_t n2 = n & ~size_t{1};
-  for (; i < n2; i += 2) {
-    _mm_storeu_pd(y + i, _mm_add_pd(_mm_loadu_pd(y + i), _mm_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) y[i] += x[i];
-}
-
-void ScaleSse2(double a, double* x, size_t n) {
-  const __m128d av = _mm_set1_pd(a);
-  size_t i = 0;
-  const size_t n2 = n & ~size_t{1};
-  for (; i < n2; i += 2) {
-    _mm_storeu_pd(x + i, _mm_mul_pd(av, _mm_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) x[i] *= a;
-}
-
-double ScaledSumSse2(double a, const double* x, size_t n) {
-  const __m128d av = _mm_set1_pd(a);
-  __m128d a01 = _mm_setzero_pd();
-  __m128d a23 = _mm_setzero_pd();
-  size_t i = 0;
-  const size_t n4 = n & ~(kBlockLanes - 1);
-  for (; i < n4; i += 4) {
-    a01 = _mm_add_pd(a01, _mm_mul_pd(av, _mm_loadu_pd(x + i)));
-    a23 = _mm_add_pd(a23, _mm_mul_pd(av, _mm_loadu_pd(x + i + 2)));
-  }
-  double lane[kBlockLanes];
-  _mm_storeu_pd(lane, a01);
-  _mm_storeu_pd(lane + 2, a23);
-  for (; i < n; ++i) lane[i & 3] += a * x[i];
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-constexpr Ops kSse2Ops = {SumSse2,  DotSse2,   AbsDiffSumSse2, AxpySse2,
-                          AddSse2,  ScaleSse2, ScaledSumSse2};
-
-#endif  // AUDIT_HAVE_SSE2
-
-// ---- Dispatch -----------------------------------------------------------
-
-const Ops* g_ops = &kScalarOps;
-Backend g_backend = Backend::kScalar;
-const char* g_backend_name = "scalar";
-
-bool SimdSupported() {
-#ifdef AUDIT_HAVE_SSE2
-  return true;
-#else
-  return false;
-#endif
-}
-
-const bool g_initialized = [] {
-  SetBackend(Backend::kSimd);  // Falls back to scalar when unavailable.
-  return true;
-}();
-
-}  // namespace
-
-Backend ActiveBackend() { return g_backend; }
-
-bool SimdAvailable() { return SimdSupported(); }
-
-const char* BackendName() { return g_backend_name; }
-
-bool SetBackend(Backend backend) {
-  if (backend == Backend::kScalar) {
-    g_ops = &kScalarOps;
-    g_backend = Backend::kScalar;
-    g_backend_name = "scalar";
-    return true;
-  }
-#ifdef AUDIT_HAVE_AVX2
-  if (__builtin_cpu_supports("avx2")) {
-    g_ops = &detail::kAvx2Ops;
-    g_backend = Backend::kSimd;
-    g_backend_name = "avx2";
-    return true;
-  }
-#endif
-#ifdef AUDIT_HAVE_SSE2
-  g_ops = &kSse2Ops;
-  g_backend = Backend::kSimd;
-  g_backend_name = "sse2";
-  return true;
-#else
-  g_ops = &kScalarOps;
-  g_backend = Backend::kScalar;
-  g_backend_name = "scalar";
-  return false;
-#endif
-}
-
-double Sum(const double* x, size_t n) { return g_ops->sum(x, n); }
-
-double Dot(const double* x, const double* y, size_t n) {
-  return g_ops->dot(x, y, n);
-}
-
-double AbsDiffSum(const double* x, const double* y, size_t n) {
-  return g_ops->abs_diff_sum(x, y, n);
-}
-
 void Axpy(double a, const double* x, double* y, size_t n) {
-  g_ops->axpy(a, x, y, n);
+  for (size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
-void Add(const double* x, double* y, size_t n) { g_ops->add(x, y, n); }
+void Add(const double* x, double* y, size_t n) {
+  for (size_t i = 0; i < n; ++i) y[i] += x[i];
+}
 
-void Scale(double a, double* x, size_t n) { g_ops->scale(a, x, n); }
+void Scale(double a, double* x, size_t n) {
+  for (size_t i = 0; i < n; ++i) x[i] *= a;
+}
 
 void ConvolveShiftSaturate(const double* p, size_t n, size_t shift, double q,
                            double* next) {
   if (n == 0) return;
   // Non-saturating range: destinations s + shift land inside [shift, n).
   const size_t dense = n - shift;
-  g_ops->axpy(q, p, next + shift, dense);
+  Axpy(q, p, next + shift, dense);
   // Saturating tail: every remaining source cell folds into next[n - 1],
   // reduced in canonical blocked order.
-  if (shift > 0) next[n - 1] += g_ops->scaled_sum(q, p + dense, shift);
+  if (shift > 0) next[n - 1] += ScaledSum(q, p + dense, shift);
 }
 
 double SparseDot(const std::pair<int, double>* terms, size_t n,
                  const double* y) {
-  // Gather-bound and short: plain sequential order in every backend.
+  // Gather-bound and short: plain sequential order.
   double total = 0.0;
   for (size_t k = 0; k < n; ++k) total += terms[k].second * y[terms[k].first];
   return total;

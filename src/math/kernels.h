@@ -8,49 +8,27 @@ namespace auditgame::math {
 
 /// One home for the solver core's hot inner loops: dot/axpy/scaled-add,
 /// blocked-order sums, the detection prefix convolution, weighted-tail
-/// accumulation, and the sparse dots behind reduced-cost sweeps. Every
-/// kernel has a scalar reference implementation and (behind the
-/// -DAUDIT_ENABLE_SIMD CMake gate) an SSE2/AVX2 implementation selected by
-/// runtime dispatch.
+/// accumulation, and the sparse dots behind reduced-cost sweeps.
 ///
-/// Determinism contract: scalar and SIMD backends produce BIT-IDENTICAL
-/// results. Reductions follow one canonical order — the *blocked* order
-/// with kBlockLanes = 4 independent accumulators:
+/// Determinism contract: reductions follow one canonical order — the
+/// *blocked* order with kBlockLanes = 4 independent accumulators:
 ///
 ///   lane[l] += x[4k + l]          (tail elements continue round-robin)
 ///   total    = (lane[0] + lane[1]) + (lane[2] + lane[3])
 ///
-/// which is exactly what a 4-lane vector register computes, so SIMD is the
-/// blocked order rather than approximating it. The scalar backend
-/// implements the same order with four scalar accumulators. No FMA is ever
-/// used (fused rounding would split the backends). Element-wise kernels
-/// (axpy, scale) have one rounding per element in any backend and are
-/// trivially identical. See docs/DESIGN.md "Numeric kernels and arenas".
+/// The scalar loops in kernels.cc are the definition of that order; there
+/// is no other implementation and no runtime dispatch. No FMA is ever used:
+/// the library builds with -ffp-contract=off, so a compiler targeting an
+/// FMA-capable CPU cannot fuse a mul+add and round once where the
+/// definition rounds twice. Element-wise kernels (axpy, scale) round once
+/// per element. See docs/DESIGN.md "Numeric kernels and arenas".
 ///
 /// The blocked order is the canonical semantics of the library: results
 /// differ from a naive left-to-right sum by the usual reassociation ULPs,
-/// and every caller (and every committed BENCH baseline) is defined
-/// against the blocked order.
+/// and every caller, every committed BENCH baseline and the golden solve
+/// fingerprints in tests/cggs_determinism_test.cc are defined against it.
 
 inline constexpr size_t kBlockLanes = 4;
-
-enum class Backend { kScalar, kSimd };
-
-/// The backend currently serving kernel calls. Defaults to kSimd when the
-/// build gate is on and the CPU qualifies, else kScalar.
-Backend ActiveBackend();
-
-/// Forces a backend (tests, benches, the scalar-vs-SIMD determinism gate).
-/// Returns false — leaving kScalar active — when kSimd is requested but
-/// compiled out or unsupported by this CPU. Not thread-safe: call before
-/// spawning solver threads.
-bool SetBackend(Backend backend);
-
-/// True when a SIMD implementation is compiled in and this CPU supports it.
-bool SimdAvailable();
-
-/// Name of the active implementation: "scalar", "sse2" or "avx2".
-const char* BackendName();
 
 /// ---- Reductions (canonical blocked order) ------------------------------
 
@@ -65,7 +43,7 @@ double Dot(const double* x, const double* y, size_t n);
 /// sum_i |x[i] - y[i]| — the total-variation inner loop.
 double AbsDiffSum(const double* x, const double* y, size_t n);
 
-/// ---- Element-wise (bit-identical in any backend) -----------------------
+/// ---- Element-wise ------------------------------------------------------
 
 /// y[i] += a * x[i].
 void Axpy(double a, const double* x, double* y, size_t n);
@@ -87,8 +65,8 @@ void ConvolveShiftSaturate(const double* p, size_t n, size_t shift, double q,
                            double* next);
 
 /// Sparse dot against a dense vector: sum_k terms[k].second *
-/// y[terms[k].first] — the reduced-cost sweep's per-column dot. Scalar in
-/// every backend (gather-bound), kept here so the sweep has one home.
+/// y[terms[k].first] — the reduced-cost sweep's per-column dot, summed
+/// left to right (gather-bound), kept here so the sweep has one home.
 double SparseDot(const std::pair<int, double>* terms, size_t n,
                  const double* y);
 

@@ -51,10 +51,6 @@ util::Fingerprint FingerprintRequest(const solver::EngineRequest& request) {
   fp.AppendU64(o.ishm.floor_to_audit_cost ? 1 : 0);
   append_doubles(o.ishm.initial_thresholds);
   fp.AppendI64(o.ishm.max_subset_size);
-  // The master mode changes which heuristic path the dual-driven pricing
-  // walks (the modes can reach different degenerate optima), so results
-  // solved under different modes must not share a cache entry.
-  fp.AppendI64(static_cast<int64_t>(o.cggs.master_mode));
   fp.AppendI64(o.cggs.max_columns);
   fp.AppendDouble(o.cggs.reduced_cost_tolerance);
   fp.AppendI64(o.cggs.random_probes);

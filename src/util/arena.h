@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -24,10 +23,9 @@ namespace auditgame::util {
 /// measurable, benchmark-gated quantity (bench/micro_cggs,
 /// bench/micro_detection).
 ///
-/// Threading: an Arena is single-threaded. Parallel workers either get
-/// their own Arena (WorkspacePool::Get(slot), slot preassigned by chunk so
-/// results stay deterministic) or index into buffers carved out before the
-/// parallel region.
+/// Threading: an Arena is single-threaded. Parallel workers index into
+/// buffers carved out before the parallel region (slots preassigned by
+/// chunk, so results stay deterministic) and never allocate themselves.
 ///
 /// Lifetime contract (see docs/DESIGN.md "Numeric kernels and arenas"):
 /// memory obtained from Allocate() is valid until the enclosing
@@ -249,58 +247,6 @@ class ArenaVector {
   T* data_ = nullptr;
   size_t size_ = 0;
   size_t capacity_ = 0;
-};
-
-/// A set of slot-indexed Arenas shared down a solve call tree.
-///
-/// Slot 0 is the solve's main scratch arena; parallel pricing gives worker
-/// chunk `c` exclusive use of slot `c + 1` (slots are preassigned by chunk
-/// index, never by thread identity, so allocation patterns — like every
-/// other reduction in the pricing path — are deterministic and
-/// bit-identical across thread counts).
-///
-/// Call Prepare(n) before handing slots to concurrent workers: Get() may
-/// grow the slot table and is NOT safe to call concurrently; Get() on a
-/// prepared slot only returns a stable reference and is.
-class WorkspacePool {
- public:
-  explicit WorkspacePool(size_t first_block_bytes = 16 * 1024)
-      : first_block_bytes_(first_block_bytes) {}
-
-  /// Ensures slots [0, n) exist.
-  void Prepare(size_t n) {
-    while (arenas_.size() < n) arenas_.emplace_back(first_block_bytes_);
-  }
-
-  Arena& Get(size_t slot) {
-    Prepare(slot + 1);
-    return arenas_[slot];
-  }
-
-  /// Rewinds every slot (between solves; capacity kept).
-  void ResetAll() {
-    for (Arena& arena : arenas_) arena.Reset();
-  }
-
-  size_t num_slots() const { return arenas_.size(); }
-
-  Arena::Stats TotalStats() const {
-    Arena::Stats total;
-    for (const Arena& arena : arenas_) {
-      total.requests += arena.stats().requests;
-      total.heap_blocks += arena.stats().heap_blocks;
-      total.heap_bytes += arena.stats().heap_bytes;
-    }
-    return total;
-  }
-
-  void ResetStats() {
-    for (Arena& arena : arenas_) arena.ResetStats();
-  }
-
- private:
-  const size_t first_block_bytes_;
-  std::deque<Arena> arenas_;  // deque: stable addresses across Prepare()
 };
 
 }  // namespace auditgame::util

@@ -110,26 +110,5 @@ TEST(ArenaVectorTest, ReserveAvoidsGrowthCopies) {
   EXPECT_EQ(v[999], 999);
 }
 
-TEST(WorkspacePoolTest, SlotsAreStableAndResettable) {
-  WorkspacePool pool(/*first_block_bytes=*/512);
-  pool.Prepare(4);
-  EXPECT_EQ(pool.num_slots(), 4u);
-  Arena* slot2 = &pool.Get(2);
-  double* p = slot2->AllocateArray<double>(10);
-  p[0] = 42.0;
-  pool.Prepare(8);  // Growing must not move existing slots.
-  EXPECT_EQ(&pool.Get(2), slot2);
-  EXPECT_EQ(p[0], 42.0);
-
-  pool.ResetAll();
-  double* q = pool.Get(2).AllocateArray<double>(10);
-  EXPECT_EQ(q, p);
-
-  Arena::Stats total = pool.TotalStats();
-  EXPECT_EQ(total.requests, 2u);
-  pool.ResetStats();
-  EXPECT_EQ(pool.TotalStats().requests, 0u);
-}
-
 }  // namespace
 }  // namespace auditgame::util

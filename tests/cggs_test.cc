@@ -112,11 +112,11 @@ TEST(CggsTest, WarmStartColumnsAreUsed) {
   EXPECT_EQ(result->lp_solves, 1);
 }
 
-TEST(CggsTest, IncrementalAndColdDenseMastersAgreeOnSynA) {
-  // The incremental revised-simplex master (default) against the cold
-  // dense-tableau reference path: on the controlled instance both must
-  // land on the same objective, and the incremental run must have warm-
-  // started every re-solve after the first.
+TEST(CggsTest, WarmMasterMatchesColdSolveOfItsColumnsOnSynA) {
+  // The master re-solves warm from the previous basis after every appended
+  // column. A cold one-shot solve over the final column set must land on
+  // the same objective, and every re-solve after the first must have been
+  // warm.
   const auto instance = data::MakeSynA();
   ASSERT_TRUE(instance.ok());
   const auto compiled = Compile(*instance);
@@ -125,17 +125,15 @@ TEST(CggsTest, IncrementalAndColdDenseMastersAgreeOnSynA) {
     auto detection = DetectionModel::Create(*instance, budget);
     ASSERT_TRUE(detection.ok());
     const std::vector<double> thresholds = {3.0, 3.0, 2.0, 2.0};
-    CggsOptions cold_options;
-    cold_options.master_mode = CggsOptions::MasterMode::kColdDense;
-    const auto cold = SolveCggs(*compiled, *detection, thresholds, cold_options);
-    const auto incremental = SolveCggs(*compiled, *detection, thresholds);
+    const auto warm = SolveCggs(*compiled, *detection, thresholds);
+    ASSERT_TRUE(warm.ok());
+    const auto cold =
+        SolveRestrictedGameLp(*compiled, *detection, warm->columns);
     ASSERT_TRUE(cold.ok());
-    ASSERT_TRUE(incremental.ok());
-    EXPECT_NEAR(incremental->objective, cold->objective, 1e-6)
+    EXPECT_NEAR(warm->objective, cold->objective, 1e-9)
         << "budget " << budget;
-    EXPECT_EQ(cold->warm_lp_solves, 0);
-    EXPECT_EQ(incremental->warm_lp_solves, incremental->lp_solves - 1);
-    EXPECT_TRUE(incremental->policy.Validate(4).ok());
+    EXPECT_EQ(warm->warm_lp_solves, warm->lp_solves - 1);
+    EXPECT_TRUE(warm->policy.Validate(4).ok());
   }
 }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 #include <random>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,8 +11,8 @@ namespace auditgame::math {
 namespace {
 
 // Mixed-magnitude values so reassociation would actually change bits: a
-// reduction that merely "approximately agrees" across backends fails these
-// tests, which compare bit patterns.
+// reduction that merely "approximately agrees" with the canonical order
+// fails these tests, which compare bit patterns.
 std::vector<double> RandomVector(size_t n, uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> mantissa(-1.0, 1.0);
@@ -32,13 +31,6 @@ bool SameBits(double a, double b) {
   return ua == ub;
 }
 
-// Restores whatever backend was active when the test started.
-class KernelsTest : public ::testing::Test {
- protected:
-  void TearDown() override { SetBackend(saved_); }
-  Backend saved_ = ActiveBackend();
-};
-
 // The canonical blocked order, written out the slow way.
 double ReferenceBlockedSum(const std::vector<double>& terms) {
   double lane[kBlockLanes] = {0.0, 0.0, 0.0, 0.0};
@@ -46,137 +38,97 @@ double ReferenceBlockedSum(const std::vector<double>& terms) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-TEST_F(KernelsTest, SumFollowsCanonicalBlockedOrder) {
-  for (Backend backend : {Backend::kScalar, Backend::kSimd}) {
-    if (!SetBackend(backend)) continue;
-    for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 63u, 64u, 257u, 1000u}) {
-      const std::vector<double> x = RandomVector(n, 11 + n);
-      EXPECT_TRUE(SameBits(Sum(x.data(), n), ReferenceBlockedSum(x)))
-          << "backend=" << BackendName() << " n=" << n;
-    }
-  }
-}
-
-TEST_F(KernelsTest, ReductionsAreBitIdenticalAcrossBackends) {
-  if (!SimdAvailable()) {
-    GTEST_SKIP() << "SIMD backend compiled out or unsupported";
-  }
-  for (size_t n : {1u, 3u, 4u, 6u, 8u, 17u, 64u, 255u, 1024u, 4097u}) {
-    const std::vector<double> x = RandomVector(n, 101 + n);
-    const std::vector<double> y = RandomVector(n, 202 + n);
-
-    ASSERT_TRUE(SetBackend(Backend::kScalar));
-    const double sum_s = Sum(x.data(), n);
-    const double dot_s = Dot(x.data(), y.data(), n);
-    const double tvd_s = AbsDiffSum(x.data(), y.data(), n);
-
-    ASSERT_TRUE(SetBackend(Backend::kSimd));
-    EXPECT_TRUE(SameBits(Sum(x.data(), n), sum_s)) << "n=" << n;
-    EXPECT_TRUE(SameBits(Dot(x.data(), y.data(), n), dot_s)) << "n=" << n;
-    EXPECT_TRUE(SameBits(AbsDiffSum(x.data(), y.data(), n), tvd_s))
+TEST(KernelsTest, SumFollowsCanonicalBlockedOrder) {
+  for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 63u, 64u, 257u, 1000u}) {
+    const std::vector<double> x = RandomVector(n, 11 + n);
+    EXPECT_TRUE(SameBits(Sum(x.data(), n), ReferenceBlockedSum(x)))
         << "n=" << n;
   }
 }
 
-TEST_F(KernelsTest, ElementwiseKernelsAreBitIdenticalAcrossBackends) {
-  if (!SimdAvailable()) {
-    GTEST_SKIP() << "SIMD backend compiled out or unsupported";
+TEST(KernelsTest, DotAndAbsDiffSumFollowCanonicalBlockedOrder) {
+  for (size_t n : {1u, 3u, 4u, 6u, 8u, 17u, 64u, 255u, 1024u, 4097u}) {
+    const std::vector<double> x = RandomVector(n, 101 + n);
+    const std::vector<double> y = RandomVector(n, 202 + n);
+    std::vector<double> products(n), distances(n);
+    for (size_t i = 0; i < n; ++i) {
+      products[i] = x[i] * y[i];
+      distances[i] = std::fabs(x[i] - y[i]);
+    }
+    EXPECT_TRUE(SameBits(Dot(x.data(), y.data(), n),
+                         ReferenceBlockedSum(products)))
+        << "n=" << n;
+    EXPECT_TRUE(SameBits(AbsDiffSum(x.data(), y.data(), n),
+                         ReferenceBlockedSum(distances)))
+        << "n=" << n;
   }
+}
+
+TEST(KernelsTest, ElementwiseKernelsRoundOncePerElement) {
   for (size_t n : {1u, 2u, 3u, 5u, 8u, 31u, 200u}) {
     const std::vector<double> x = RandomVector(n, 7 + n);
     const std::vector<double> y0 = RandomVector(n, 77 + n);
     const double a = 0.371;
 
-    ASSERT_TRUE(SetBackend(Backend::kScalar));
-    std::vector<double> axpy_s = y0, add_s = y0, scale_s = y0;
-    Axpy(a, x.data(), axpy_s.data(), n);
-    Add(x.data(), add_s.data(), n);
-    Scale(a, scale_s.data(), n);
-
-    ASSERT_TRUE(SetBackend(Backend::kSimd));
-    std::vector<double> axpy_v = y0, add_v = y0, scale_v = y0;
-    Axpy(a, x.data(), axpy_v.data(), n);
-    Add(x.data(), add_v.data(), n);
-    Scale(a, scale_v.data(), n);
+    std::vector<double> axpy = y0, add = y0, scale = y0;
+    Axpy(a, x.data(), axpy.data(), n);
+    Add(x.data(), add.data(), n);
+    Scale(a, scale.data(), n);
 
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(SameBits(axpy_s[i], axpy_v[i])) << "n=" << n << " i=" << i;
-      EXPECT_TRUE(SameBits(add_s[i], add_v[i])) << "n=" << n << " i=" << i;
-      EXPECT_TRUE(SameBits(scale_s[i], scale_v[i])) << "n=" << n << " i=" << i;
+      // Two roundings (product, then sum): a fused multiply-add would
+      // round once and fail this.
+      const double product = a * x[i];
+      EXPECT_TRUE(SameBits(axpy[i], y0[i] + product))
+          << "n=" << n << " i=" << i;
+      EXPECT_TRUE(SameBits(add[i], y0[i] + x[i])) << "n=" << n << " i=" << i;
+      EXPECT_TRUE(SameBits(scale[i], y0[i] * a)) << "n=" << n << " i=" << i;
     }
   }
 }
 
-TEST_F(KernelsTest, ConvolveShiftSaturateMatchesDefinition) {
-  for (Backend backend : {Backend::kScalar, Backend::kSimd}) {
-    if (!SetBackend(backend)) continue;
-    for (size_t n : {1u, 4u, 9u, 33u, 128u}) {
-      for (size_t shift : {size_t{0}, size_t{1}, n / 2, n - 1, n}) {
-        const std::vector<double> p = RandomVector(n, 5 + n + shift);
-        const std::vector<double> base = RandomVector(n, 55 + n + shift);
-        const double q = 0.625;
+TEST(KernelsTest, ConvolveShiftSaturateMatchesDefinition) {
+  for (size_t n : {1u, 4u, 9u, 33u, 128u}) {
+    for (size_t shift : {size_t{0}, size_t{1}, n / 2, n - 1, n}) {
+      const std::vector<double> p = RandomVector(n, 5 + n + shift);
+      const std::vector<double> base = RandomVector(n, 55 + n + shift);
+      const double q = 0.625;
 
-        // Reference: element-wise adds over the non-saturating range, then
-        // one blocked-order reduction of the saturating tail.
-        std::vector<double> expected = base;
-        const size_t dense = n - shift;
-        for (size_t s = 0; s < dense; ++s) expected[s + shift] += q * p[s];
-        std::vector<double> tail_terms;
-        for (size_t s = dense; s < n; ++s) tail_terms.push_back(q * p[s]);
-        expected[n - 1] += ReferenceBlockedSum(tail_terms);
+      // Reference: element-wise adds over the non-saturating range, then
+      // one blocked-order reduction of the saturating tail.
+      std::vector<double> expected = base;
+      const size_t dense = n - shift;
+      for (size_t s = 0; s < dense; ++s) expected[s + shift] += q * p[s];
+      std::vector<double> tail_terms;
+      for (size_t s = dense; s < n; ++s) tail_terms.push_back(q * p[s]);
+      expected[n - 1] += ReferenceBlockedSum(tail_terms);
 
-        std::vector<double> next = base;
-        ConvolveShiftSaturate(p.data(), n, shift, q, next.data());
-        for (size_t i = 0; i < n; ++i) {
-          EXPECT_TRUE(SameBits(next[i], expected[i]))
-              << "backend=" << BackendName() << " n=" << n
-              << " shift=" << shift << " i=" << i;
-        }
+      std::vector<double> next = base;
+      ConvolveShiftSaturate(p.data(), n, shift, q, next.data());
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(SameBits(next[i], expected[i]))
+            << "n=" << n << " shift=" << shift << " i=" << i;
       }
     }
   }
 }
 
-TEST_F(KernelsTest, SparseDotGathersAgainstDenseVector) {
+TEST(KernelsTest, SparseDotGathersAgainstDenseVector) {
   const std::vector<double> y = RandomVector(32, 9);
   const std::vector<std::pair<int, double>> terms = {
       {3, 0.5}, {0, -1.25}, {31, 2.0}, {3, 0.25}};
   double expected = 0.0;
   for (const auto& [index, weight] : terms) expected += weight * y[index];
-  for (Backend backend : {Backend::kScalar, Backend::kSimd}) {
-    if (!SetBackend(backend)) continue;
-    EXPECT_TRUE(
-        SameBits(SparseDot(terms.data(), terms.size(), y.data()), expected))
-        << "backend=" << BackendName();
-  }
+  EXPECT_TRUE(
+      SameBits(SparseDot(terms.data(), terms.size(), y.data()), expected));
 }
 
-TEST_F(KernelsTest, BlockedAccumulatorMatchesSumBitwise) {
-  for (Backend backend : {Backend::kScalar, Backend::kSimd}) {
-    if (!SetBackend(backend)) continue;
-    for (size_t n : {0u, 3u, 4u, 100u, 1001u}) {
-      const std::vector<double> x = RandomVector(n, 31 + n);
-      BlockedAccumulator acc;
-      for (double v : x) acc.Add(v);
-      EXPECT_TRUE(SameBits(acc.Total(), Sum(x.data(), n)))
-          << "backend=" << BackendName() << " n=" << n;
-    }
-  }
-}
-
-TEST_F(KernelsTest, BackendSwitchingReportsConsistently) {
-  ASSERT_TRUE(SetBackend(Backend::kScalar));
-  EXPECT_EQ(ActiveBackend(), Backend::kScalar);
-  EXPECT_STREQ(BackendName(), "scalar");
-
-  const bool simd_ok = SetBackend(Backend::kSimd);
-  EXPECT_EQ(simd_ok, SimdAvailable());
-  if (simd_ok) {
-    EXPECT_EQ(ActiveBackend(), Backend::kSimd);
-    const std::string name = BackendName();
-    EXPECT_TRUE(name == "sse2" || name == "avx2") << name;
-  } else {
-    EXPECT_EQ(ActiveBackend(), Backend::kScalar);
+TEST(KernelsTest, BlockedAccumulatorMatchesSumBitwise) {
+  for (size_t n : {0u, 3u, 4u, 100u, 1001u}) {
+    const std::vector<double> x = RandomVector(n, 31 + n);
+    BlockedAccumulator acc;
+    for (double v : x) acc.Add(v);
+    EXPECT_TRUE(SameBits(acc.Total(), Sum(x.data(), n))) << "n=" << n;
   }
 }
 

@@ -1,10 +1,9 @@
-#include "lp/simplex.h"
+#include "tests/lp_oracle/dense_tableau.h"
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 
-#include "lp/revised_simplex.h"
 #include "util/logging.h"
 
 namespace auditgame::lp {
@@ -37,7 +36,7 @@ struct StandardForm {
 
 class Tableau {
  public:
-  Tableau(StandardForm sf, const SimplexSolver::Options& options)
+  Tableau(StandardForm sf, const DenseTableau::Options& options)
       : sf_(std::move(sf)), options_(options), width_(sf_.n_total + 1) {}
 
   double& At(int row, int col) { return sf_.tableau[row * width_ + col]; }
@@ -210,7 +209,7 @@ class Tableau {
   }
 
   StandardForm sf_;
-  SimplexSolver::Options options_;
+  DenseTableau::Options options_;
   int width_;
   std::vector<double> d_;
 };
@@ -384,37 +383,8 @@ StandardForm BuildStandardForm(const LpModel& model) {
 
 }  // namespace
 
-const char* SimplexBackendToString(SimplexBackend backend) {
-  switch (backend) {
-    case SimplexBackend::kDenseTableau:
-      return "dense-tableau";
-    case SimplexBackend::kRevised:
-      return "revised";
-  }
-  return "UNKNOWN";
-}
-
-const char* SolveStatusToString(SolveStatus status) {
-  switch (status) {
-    case SolveStatus::kOptimal:
-      return "OPTIMAL";
-    case SolveStatus::kInfeasible:
-      return "INFEASIBLE";
-    case SolveStatus::kUnbounded:
-      return "UNBOUNDED";
-    case SolveStatus::kIterationLimit:
-      return "ITERATION_LIMIT";
-  }
-  return "UNKNOWN";
-}
-
-util::StatusOr<LpSolution> SimplexSolver::Solve(const LpModel& model,
+util::StatusOr<LpSolution> DenseTableau::Solve(const LpModel& model,
                                                 const Options& options) {
-  if (options.backend == SimplexBackend::kRevised) {
-    ASSIGN_OR_RETURN(RevisedSolution revised,
-                     RevisedSimplex::Solve(model, options));
-    return std::move(revised.solution);
-  }
   RETURN_IF_ERROR(model.Validate());
 
   LpSolution solution;

@@ -130,7 +130,7 @@ TEST(FingerprintTest, SearchConfigurationChangesTheKey) {
   EXPECT_NE(key, FingerprintRequest(other));
 
   other = cold;
-  other.options.cggs.master_mode = core::CggsOptions::MasterMode::kColdDense;
+  other.options.cggs.max_columns = 50;
   EXPECT_NE(key, FingerprintRequest(other));
 
   // pricing_threads is result-neutral by contract, but it is still part of

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/detection.h"
+#include "core/game.h"
+#include "core/master_lp.h"
+#include "data/syn_a.h"
 #include "lp/model.h"
-#include "lp/simplex.h"
 #include "lp/validate.h"
+#include "tests/lp_oracle/dense_tableau.h"
+#include "util/combinatorics.h"
 #include "util/random.h"
 
 namespace auditgame::lp {
@@ -15,13 +20,13 @@ namespace {
 
 RevisedSolution SolveRevisedOrDie(const LpModel& model,
                                   const Basis* warm = nullptr) {
-  auto solution = RevisedSimplex::Solve(model, SimplexSolver::Options(), warm);
+  auto solution = RevisedSimplex::Solve(model, RevisedSimplex::Options(), warm);
   EXPECT_TRUE(solution.ok()) << solution.status();
   return *solution;
 }
 
 LpSolution SolveDenseOrDie(const LpModel& model) {
-  auto solution = SimplexSolver::Solve(model);
+  auto solution = DenseTableau::Solve(model);
   EXPECT_TRUE(solution.ok()) << solution.status();
   return *solution;
 }
@@ -156,19 +161,6 @@ TEST(RevisedSimplexTest, DegenerateProblemTerminates) {
   EXPECT_TRUE(CheckOptimality(model, result.solution).ok());
 }
 
-TEST(RevisedSimplexTest, BackendDispatchThroughSimplexSolverOptions) {
-  LpModel model;
-  const int x = model.AddVariable(-1.0, 0.0, 3.0);
-  const int row = model.AddConstraint(Sense::kLessEqual, 2.0);
-  model.AddCoefficient(row, x, 1.0);
-  SimplexSolver::Options options;
-  options.backend = SimplexBackend::kRevised;
-  const auto solution = SimplexSolver::Solve(model, options);
-  ASSERT_TRUE(solution.ok());
-  ASSERT_EQ(solution->status, SolveStatus::kOptimal);
-  EXPECT_NEAR(solution->objective, -2.0, 1e-9);
-}
-
 // ---- Warm start ----------------------------------------------------------
 
 TEST(RevisedSimplexTest, WarmStartAfterAppendingColumnSkipsPhase1) {
@@ -234,7 +226,7 @@ TEST(RevisedSimplexTest, WarmStartMatchesColdOnRepeatedSolve) {
   EXPECT_NEAR(warm.solution.objective, cold.solution.objective, 1e-9);
 }
 
-// ---- Randomized dense-vs-revised agreement -------------------------------
+// ---- Agreement with the dense-tableau oracle -----------------------------
 
 // Random bounded LP mixing doubly-bounded, one-sided, and free variables
 // and all three row senses, built around a known interior point so most
@@ -318,6 +310,84 @@ TEST_P(BackendAgreementTest, DenseAndRevisedAgreeOnRandomBoundedLps) {
 
 INSTANTIATE_TEST_SUITE_P(RandomLps, BackendAgreementTest,
                          ::testing::Range(0, 100));
+
+// Random LP with rows constructed around a known feasible point, so every
+// instance is feasible and bounded — the m = n instances the LP
+// microbenchmark times.
+LpModel RandomFeasibleLp(int n, int m, uint64_t seed) {
+  util::Rng rng(seed);
+  LpModel model;
+  std::vector<double> x0(static_cast<size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    x0[static_cast<size_t>(j)] = rng.Uniform(0.0, 5.0);
+    model.AddVariable(rng.Uniform(-2.0, 2.0), 0.0, 10.0);
+  }
+  for (int i = 0; i < m; ++i) {
+    double activity = 0.0;
+    std::vector<double> coeffs(static_cast<size_t>(n));
+    for (int j = 0; j < n; ++j) {
+      coeffs[static_cast<size_t>(j)] = rng.Uniform(-3.0, 3.0);
+      activity += coeffs[static_cast<size_t>(j)] * x0[static_cast<size_t>(j)];
+    }
+    const int row = model.AddConstraint(Sense::kLessEqual,
+                                        activity + rng.Uniform(0.0, 2.0));
+    for (int j = 0; j < n; ++j) {
+      model.AddCoefficient(row, j, coeffs[static_cast<size_t>(j)]);
+    }
+  }
+  return model;
+}
+
+TEST(BackendAgreementTest, RandomFeasibleLpsAtBenchSizes) {
+  for (const int n : {20, 50, 100}) {
+    const LpModel model = RandomFeasibleLp(n, n, 1234);
+    const LpSolution dense = SolveDenseOrDie(model);
+    const RevisedSolution revised = SolveRevisedOrDie(model);
+    ASSERT_EQ(dense.status, SolveStatus::kOptimal) << "n=" << n;
+    ASSERT_EQ(revised.solution.status, SolveStatus::kOptimal) << "n=" << n;
+    EXPECT_NEAR(revised.solution.objective, dense.objective,
+                1e-6 * (1.0 + std::fabs(dense.objective)))
+        << "n=" << n;
+    const auto check = CheckOptimality(model, revised.solution);
+    EXPECT_TRUE(check.ok()) << "n=" << n << ": " << check.ToString();
+  }
+}
+
+// The full Syn A game LP (all 4! = 24 orderings) as the master builds it,
+// at three threshold vectors: the oracle, a cold revised solve of the same
+// model, and the master's own solve must reach one objective.
+TEST(BackendAgreementTest, FullSynAGameLp) {
+  const auto instance = data::MakeSynA();
+  ASSERT_TRUE(instance.ok());
+  const auto compiled = core::Compile(*instance);
+  ASSERT_TRUE(compiled.ok());
+  auto detection = core::DetectionModel::Create(*instance, 10.0);
+  ASSERT_TRUE(detection.ok());
+  const std::vector<std::vector<double>> threshold_vectors = {
+      {3.0, 3.0, 3.0, 3.0}, {3.0, 3.0, 2.0, 2.0}, {1.0, 2.0, 3.0, 4.0}};
+  for (const std::vector<double>& thresholds : threshold_vectors) {
+    ASSERT_TRUE(detection->SetThresholds(thresholds).ok());
+    core::RestrictedMasterLp master(*compiled, *detection);
+    for (const std::vector<int>& ordering : util::AllPermutations(4)) {
+      ASSERT_TRUE(master.AddOrdering(ordering).ok());
+    }
+    const LpSolution dense = SolveDenseOrDie(master.model());
+    const RevisedSolution revised = SolveRevisedOrDie(master.model());
+    const auto served = master.Solve();
+    ASSERT_TRUE(served.ok()) << served.status();
+    ASSERT_EQ(dense.status, SolveStatus::kOptimal);
+    ASSERT_EQ(revised.solution.status, SolveStatus::kOptimal);
+    const double tolerance = 1e-6 * (1.0 + std::fabs(dense.objective));
+    EXPECT_NEAR(revised.solution.objective, dense.objective, tolerance)
+        << "thresholds " << thresholds[0] << "," << thresholds[1] << ","
+        << thresholds[2] << "," << thresholds[3];
+    EXPECT_NEAR(served->objective, dense.objective, tolerance);
+    for (const LpSolution* solution : {&dense, &revised.solution}) {
+      const auto check = CheckOptimality(master.model(), *solution);
+      EXPECT_TRUE(check.ok()) << check.ToString();
+    }
+  }
+}
 
 }  // namespace
 }  // namespace auditgame::lp

