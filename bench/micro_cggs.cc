@@ -257,6 +257,8 @@ int RunSmoke(const std::string& json_path) {
     const core::CggsWork& work = ishm->stats.cggs;
     util::JsonValue::Object sweep;
     sweep["budget"] = budget;
+    // Rows of the master LP: the groups' victim envelopes (context only).
+    sweep["victim_rows"] = uniform_compiled->num_envelope_rows();
     sweep["probes"] = static_cast<double>(ishm->stats.distinct_evaluations);
     sweep["ishm_lp_solves"] = work.lp_solves;
     sweep["ishm_warm_lp_solves"] = work.warm_lp_solves;

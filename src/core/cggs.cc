@@ -20,18 +20,21 @@ namespace {
 
 // Dual-weighted utility sum_{g,v} y_{g,v} * Ua(pal, <g,v>) — the variable
 // part of a column's reduced cost (the full reduced cost subtracts the
-// convexity dual). `pal` holds one entry per type; the pointer form lets
-// pricing score arena-backed candidate buffers without materializing
-// vectors.
+// convexity dual). Only envelope victims can carry a positive dual. `pal`
+// holds one entry per type; the pointer form lets pricing score
+// arena-backed candidate buffers without materializing vectors.
 double DualWeightedUtility(const CompiledGame& game,
                            const std::vector<std::vector<double>>& duals,
                            const double* pal) {
   double total = 0.0;
   for (size_t g = 0; g < game.groups.size(); ++g) {
-    const auto& victims = game.groups[g].victims;
-    for (size_t v = 0; v < victims.size(); ++v) {
-      const double y = duals[g][v];
-      if (y > 0) total += y * AdversaryUtility(victims[v], pal);
+    const AdversaryGroup& group = game.groups[g];
+    for (const int v : group.envelope) {
+      const double y = duals[g][static_cast<size_t>(v)];
+      if (y > 0) {
+        total += y * AdversaryUtility(group.victims[static_cast<size_t>(v)],
+                                      pal);
+      }
     }
   }
   return total;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "math/kernels.h"
@@ -72,9 +73,12 @@ util::StatusOr<DetectionModel> DetectionModel::Create(
             model.distributions_[t].Sample(rng);
       }
     }
+    model.mc_consumption_.resize(model.samples_.size());
   } else {
     model.grid_size_ =
         static_cast<int>(std::floor(budget / options.budget_unit)) + 1;
+    model.consumption_.resize(model.distributions_.size());
+    model.g_.resize(model.distributions_.size());
   }
   return model;
 }
@@ -89,89 +93,88 @@ util::Status DetectionModel::SetThresholds(
       return util::InvalidArgumentError("thresholds must be finite and >= 0");
     }
   }
-  thresholds_ = thresholds;
-  if (options_.mode == Mode::kExact) {
-    PrepareExactTables();
-  } else {
-    PrepareMcTables();
+  // A type's tables depend on its own threshold alone, so only the types
+  // whose threshold changed bitwise are rebuilt (every type on the first
+  // call). An ISHM probe scales one or a few thresholds at a time.
+  for (size_t t = 0; t < thresholds.size(); ++t) {
+    if (tables_ready_ &&
+        std::memcmp(&thresholds[t], &thresholds_[t], sizeof(double)) == 0) {
+      continue;
+    }
+    thresholds_[t] = thresholds[t];
+    if (options_.mode == Mode::kExact) {
+      PrepareExactTable(static_cast<int>(t));
+    } else {
+      PrepareMcTable(static_cast<int>(t));
+    }
   }
+  tables_ready_ = true;
   return util::OkStatus();
 }
 
-void DetectionModel::PrepareExactTables() {
-  const int t_count = num_types();
+void DetectionModel::PrepareExactTable(int t) {
   const double unit = options_.budget_unit;
-  // resize + clear (not assign) keeps every inner vector's capacity across
-  // SetThresholds calls — ISHM sweeps re-threshold the same model in a loop.
-  consumption_.resize(static_cast<size_t>(t_count));
-  g_.resize(static_cast<size_t>(t_count));
-  for (int t = 0; t < t_count; ++t) {
-    const prob::CountDistribution& dist = distributions_[t];
-    const double cost = audit_costs_[t];
-    const double b = thresholds_[t];
-    const int per_type_cap = static_cast<int>(std::floor(b / cost));
+  const prob::CountDistribution& dist = distributions_[t];
+  const double cost = audit_costs_[t];
+  const double b = thresholds_[t];
+  const int per_type_cap = static_cast<int>(std::floor(b / cost));
 
-    // Consumption distribution: cell(min(b, z * C)) aggregated over z.
-    // Once z * C >= b every z consumes exactly b, so the support is small.
-    // Under kReserved the whole threshold is consumed deterministically.
-    cell_prob_scratch_.assign(static_cast<size_t>(grid_size_), 0.0);
-    for (int z = dist.min_value(); z <= dist.max_value(); ++z) {
-      const double consumed =
-          options_.consumption == Consumption::kReserved ? b
-                                                         : std::min(b, z * cost);
-      int cell = static_cast<int>(std::llround(consumed / unit));
-      cell = std::min(cell, grid_size_ - 1);
-      cell_prob_scratch_[static_cast<size_t>(cell)] += dist.Pmf(z);
+  // Consumption distribution: cell(min(b, z * C)) aggregated over z.
+  // Once z * C >= b every z consumes exactly b, so the support is small.
+  // Under kReserved the whole threshold is consumed deterministically.
+  cell_prob_scratch_.assign(static_cast<size_t>(grid_size_), 0.0);
+  for (int z = dist.min_value(); z <= dist.max_value(); ++z) {
+    const double consumed =
+        options_.consumption == Consumption::kReserved ? b
+                                                       : std::min(b, z * cost);
+    int cell = static_cast<int>(std::llround(consumed / unit));
+    cell = std::min(cell, grid_size_ - 1);
+    cell_prob_scratch_[static_cast<size_t>(cell)] += dist.Pmf(z);
+  }
+  auto& sparse = consumption_[t];
+  sparse.clear();
+  for (int cell = 0; cell < grid_size_; ++cell) {
+    if (cell_prob_scratch_[static_cast<size_t>(cell)] > 0) {
+      sparse.emplace_back(cell, cell_prob_scratch_[static_cast<size_t>(cell)]);
     }
-    auto& sparse = consumption_[t];
-    sparse.clear();
-    for (int cell = 0; cell < grid_size_; ++cell) {
-      if (cell_prob_scratch_[static_cast<size_t>(cell)] > 0) {
-        sparse.emplace_back(cell, cell_prob_scratch_[static_cast<size_t>(cell)]);
+  }
+
+  // g_t(consumed_cells) = E_z[DetectionTerm(capacity, z)].
+  auto& g = g_[t];
+  g.assign(static_cast<size_t>(grid_size_), 0.0);
+  for (int s = 0; s < grid_size_; ++s) {
+    const double remaining = budget_ - s * unit;
+    const int budget_cap =
+        std::max(static_cast<int>(std::floor(remaining / cost)), 0);
+    const int capacity = std::min(budget_cap, per_type_cap);
+    double value = 0.0;
+    if (capacity > 0) {
+      // Branchy per-z term, so the expectation reduces through the
+      // canonical blocked accumulator rather than a vector kernel.
+      math::BlockedAccumulator acc;
+      for (int z = dist.min_value(); z <= dist.max_value(); ++z) {
+        acc.Add(dist.Pmf(z) * DetectionTerm(options_.semantics, capacity, z));
+      }
+      value = acc.Total();
+      if (options_.semantics == Semantics::kRatioOfExpectations) {
+        value = std::min(value / mean_z_[static_cast<size_t>(t)], 1.0);
       }
     }
-
-    // g_t(consumed_cells) = E_z[DetectionTerm(capacity, z)].
-    auto& g = g_[t];
-    g.assign(static_cast<size_t>(grid_size_), 0.0);
-    for (int s = 0; s < grid_size_; ++s) {
-      const double remaining = budget_ - s * unit;
-      const int budget_cap =
-          std::max(static_cast<int>(std::floor(remaining / cost)), 0);
-      const int capacity = std::min(budget_cap, per_type_cap);
-      double value = 0.0;
-      if (capacity > 0) {
-        // Branchy per-z term, so the expectation reduces through the
-        // canonical blocked accumulator rather than a vector kernel.
-        math::BlockedAccumulator acc;
-        for (int z = dist.min_value(); z <= dist.max_value(); ++z) {
-          acc.Add(dist.Pmf(z) * DetectionTerm(options_.semantics, capacity, z));
-        }
-        value = acc.Total();
-        if (options_.semantics == Semantics::kRatioOfExpectations) {
-          value = std::min(value / mean_z_[static_cast<size_t>(t)], 1.0);
-        }
-      }
-      g[static_cast<size_t>(s)] = value;
-    }
+    g[static_cast<size_t>(s)] = value;
   }
 }
 
-void DetectionModel::PrepareMcTables() {
-  const int t_count = num_types();
+void DetectionModel::PrepareMcTable(int t) {
   const size_t k_count = static_cast<size_t>(options_.mc_samples);
-  mc_consumption_.resize(samples_.size());
-  for (int t = 0; t < t_count; ++t) {
-    const double b = thresholds_[t];
-    const double cost = audit_costs_[t];
-    const int* z_row = samples_.data() + static_cast<size_t>(t) * k_count;
-    double* out_row = mc_consumption_.data() + static_cast<size_t>(t) * k_count;
-    if (options_.consumption == Consumption::kReserved) {
-      for (size_t k = 0; k < k_count; ++k) out_row[k] = b;
-    } else {
-      for (size_t k = 0; k < k_count; ++k) {
-        out_row[k] = std::min(b, z_row[k] * cost);
-      }
+  const double b = thresholds_[t];
+  const double cost = audit_costs_[t];
+  const int* z_row = samples_.data() + static_cast<size_t>(t) * k_count;
+  double* out_row = mc_consumption_.data() + static_cast<size_t>(t) * k_count;
+  if (options_.consumption == Consumption::kReserved) {
+    for (size_t k = 0; k < k_count; ++k) out_row[k] = b;
+  } else {
+    for (size_t k = 0; k < k_count; ++k) {
+      out_row[k] = std::min(b, z_row[k] * cost);
     }
   }
 }

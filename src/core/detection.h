@@ -76,8 +76,10 @@ class DetectionModel {
   }
 
   /// Installs the threshold vector used by subsequent queries. Negative
-  /// entries are invalid. Cheap enough to call inside search loops
-  /// (O(T * support) precomputation).
+  /// entries are invalid. Cheap enough to call inside search loops: only
+  /// the types whose threshold changed bitwise since the last call are
+  /// re-tabulated (O(support) each; every type on the first call), and the
+  /// tables are identical to a fresh model's.
   util::Status SetThresholds(const std::vector<double>& thresholds);
 
   const std::vector<double>& thresholds() const { return thresholds_; }
@@ -129,8 +131,9 @@ class DetectionModel {
  private:
   DetectionModel() = default;
 
-  void PrepareExactTables();
-  void PrepareMcTables();
+  // Rebuild type t's tables from thresholds_[t].
+  void PrepareExactTable(int t);
+  void PrepareMcTable(int t);
 
   Options options_;
   double budget_ = 0.0;
@@ -157,6 +160,8 @@ class DetectionModel {
   // mc_consumption_[t*K + k] = min(b_t, Z_t C_t).
   std::vector<double> mc_consumption_;
 
+  // False until the first SetThresholds has built every type's tables.
+  bool tables_ready_ = false;
   // SetThresholds scratch (reused across calls; ISHM sweeps call
   // SetThresholds in a loop).
   std::vector<double> cell_prob_scratch_;

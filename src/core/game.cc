@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -29,6 +30,46 @@ std::string VictimKey(const VictimProfile& v) {
   append(v.penalty);
   append(v.attack_cost);
   return key;
+}
+
+// The envelope of a group's victims (AdversaryGroup::envelope). Sorting by
+// (type_probs bytes, Ua at Pat = 0 descending, Ua at Pat = 1 descending,
+// index) places every dominator of a victim before it within its
+// type_probs run, so one sweep that tracks the run's best Pat = 1 utility
+// finds the undominated victims in O(V log V).
+std::vector<int> Envelope(const std::vector<VictimProfile>& victims) {
+  const auto types_cmp = [&victims](int a, int b) {
+    const auto& pa = victims[static_cast<size_t>(a)].type_probs;
+    const auto& pb = victims[static_cast<size_t>(b)].type_probs;
+    return std::memcmp(pa.data(), pb.data(), pa.size() * sizeof(double));
+  };
+  const auto at_zero = [&victims](int v) {
+    const VictimProfile& p = victims[static_cast<size_t>(v)];
+    return p.benefit - p.attack_cost;
+  };
+  const auto at_one = [&victims](int v) {
+    const VictimProfile& p = victims[static_cast<size_t>(v)];
+    return -p.penalty - p.attack_cost;
+  };
+  std::vector<int> order(victims.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    if (const int c = types_cmp(a, b); c != 0) return c < 0;
+    if (at_zero(a) != at_zero(b)) return at_zero(a) > at_zero(b);
+    if (at_one(a) != at_one(b)) return at_one(a) > at_one(b);
+    return a < b;
+  });
+  std::vector<int> envelope;
+  double best_at_one = 0.0;
+  for (size_t k = 0; k < order.size(); ++k) {
+    const int v = order[k];
+    if (k == 0 || types_cmp(order[k - 1], v) != 0 || at_one(v) > best_at_one) {
+      envelope.push_back(v);
+      best_at_one = at_one(v);
+    }
+  }
+  std::sort(envelope.begin(), envelope.end());
+  return envelope;
 }
 
 }  // namespace
@@ -92,6 +133,12 @@ int CompiledGame::num_rows() const {
   return rows;
 }
 
+int CompiledGame::num_envelope_rows() const {
+  int rows = 0;
+  for (const auto& g : groups) rows += static_cast<int>(g.envelope.size());
+  return rows;
+}
+
 util::StatusOr<CompiledGame> Compile(const GameInstance& instance) {
   RETURN_IF_ERROR(instance.Validate());
   CompiledGame compiled;
@@ -124,6 +171,9 @@ util::StatusOr<CompiledGame> Compile(const GameInstance& instance) {
   }
   if (compiled.groups.empty()) {
     return util::InvalidArgumentError("all adversaries have p_e = 0");
+  }
+  for (AdversaryGroup& group : compiled.groups) {
+    group.envelope = Envelope(group.victims);
   }
   return compiled;
 }

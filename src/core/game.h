@@ -68,15 +68,26 @@ struct GameInstance {
 ///
 /// The LP only sees each adversary through the *set* of utility rows their
 /// victims induce. Compiling (1) deduplicates identical victims within an
-/// adversary and (2) merges adversaries with identical victim sets into
-/// weighted groups. On the paper's Rea A instance this shrinks the LP from
-/// 2500 rows to a few dozen without changing its optimum.
+/// adversary, (2) merges adversaries with identical victim sets into
+/// weighted groups and (3) marks each group's *envelope*: the victims no
+/// other victim of the group dominates. On the paper's Rea A instance (1)
+/// and (2) shrink the LP from 2500 rows to a few dozen without changing its
+/// optimum; (3) drops the rows the envelope implies (docs/DESIGN.md "The
+/// incremental master").
 
 struct AdversaryGroup {
   /// Sum of attack probabilities p_e over the merged adversaries.
   double weight = 0.0;
   bool can_opt_out = false;
   std::vector<VictimProfile> victims;
+  /// Ascending indices into `victims` of the rows the master LP builds. A
+  /// victim w dominates v when their type_probs are bitwise equal (so both
+  /// share Pat under every Pal), Ua_w >= Ua_v at Pat = 0 and at Pat = 1
+  /// (so everywhere between, Ua being affine in Pat), and w is strictly
+  /// better at one end or, tying at both, has the lower index. Dominated
+  /// victims are left out; `victims` itself keeps every victim, so best
+  /// response, quantal response and policy evaluation see the full group.
+  std::vector<int> envelope;
   /// Indices of the original adversaries merged into this group.
   std::vector<int> members;
 };
@@ -87,6 +98,8 @@ struct CompiledGame {
 
   /// Total number of (group, victim) utility rows.
   int num_rows() const;
+  /// Number of those rows on the groups' envelopes (the master LP's rows).
+  int num_envelope_rows() const;
 };
 
 /// Compiles `instance`; requires Validate() to pass.

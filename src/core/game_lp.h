@@ -27,7 +27,8 @@ struct RestrictedLpSolution {
   std::vector<double> ordering_probs;
   /// u_g per compiled group.
   std::vector<double> group_utilities;
-  /// Dual y_{g,v} >= 0 per (group, victim) row, indexed [group][victim].
+  /// Dual y_{g,v} >= 0 per (group, victim), indexed [group][victim];
+  /// exactly 0.0 for victims off the group's envelope (they have no row).
   std::vector<std::vector<double>> victim_duals;
   /// Dual of the convexity row sum_o p_o = 1.
   double convexity_dual = 0.0;

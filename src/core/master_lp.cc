@@ -11,8 +11,8 @@ RestrictedMasterLp::RestrictedMasterLp(const CompiledGame& game,
                                        Options options)
     : game_(game), detection_(detection), options_(options) {
   const size_t num_groups = game_.groups.size();
-  size_t num_victim_rows = 0;
-  for (const auto& group : game_.groups) num_victim_rows += group.victims.size();
+  const size_t num_victim_rows =
+      static_cast<size_t>(game_.num_envelope_rows());
   const int expected = std::max(0, options_.expected_orderings);
   model_.Reserve(static_cast<int>(num_groups) + expected,
                  static_cast<int>(num_victim_rows) + 1);
@@ -24,15 +24,17 @@ RestrictedMasterLp::RestrictedMasterLp(const CompiledGame& game,
     u_vars_.push_back(
         model_.AddVariable(game_.groups[g].weight, lb, lp::kInfinity));
   }
+  // One row per envelope victim: u_g at entry 0, then column o at entry
+  // 1 + o (WriteUtilities relies on that layout).
   victim_rows_.resize(num_groups);
   for (size_t g = 0; g < num_groups; ++g) {
-    const auto& victims = game_.groups[g].victims;
-    victim_rows_[g].resize(victims.size());
-    for (size_t v = 0; v < victims.size(); ++v) {
+    const size_t envelope_size = game_.groups[g].envelope.size();
+    victim_rows_[g].resize(envelope_size);
+    for (size_t k = 0; k < envelope_size; ++k) {
       const int row = model_.AddConstraint(lp::Sense::kGreaterEqual, 0.0);
-      victim_rows_[g][v] = row;
+      victim_rows_[g][k] = row;
       model_.ReserveRowEntries(row, 1 + expected);
-      model_.AddCoefficient(row, u_vars_[g], 1.0);
+      model_.AppendCoefficient(row, u_vars_[g], 1.0);
     }
   }
   convexity_row_ = model_.AddConstraint(lp::Sense::kEqual, 1.0);
@@ -55,10 +57,10 @@ util::Status RestrictedMasterLp::AddOrdering(
   RETURN_IF_ERROR(detection_.DetectionProbabilitiesInto(ordering, pal_prefix_,
                                                         pal_scratch_));
   const int var = model_.AddVariable(0.0, 0.0, lp::kInfinity);
-  WriteUtilities(var);
-  model_.AddCoefficient(convexity_row_, var, 1.0);
   po_vars_.push_back(var);
   orderings_.push_back(ordering);
+  WriteUtilities(num_orderings() - 1, /*append=*/true);
+  model_.AppendCoefficient(convexity_row_, var, 1.0);
   return util::OkStatus();
 }
 
@@ -66,7 +68,7 @@ util::Status RestrictedMasterLp::Reprice() {
   for (size_t o = 0; o < orderings_.size(); ++o) {
     RETURN_IF_ERROR(detection_.DetectionProbabilitiesInto(
         orderings_[o], pal_prefix_, pal_scratch_));
-    WriteUtilities(po_vars_[o]);
+    WriteUtilities(static_cast<int>(o), /*append=*/false);
   }
   return util::OkStatus();
 }
@@ -76,12 +78,19 @@ bool RestrictedMasterLp::HasOrdering(const std::vector<int>& ordering) const {
          orderings_.end();
 }
 
-void RestrictedMasterLp::WriteUtilities(int var) {
+void RestrictedMasterLp::WriteUtilities(int column, bool append) {
+  const int var = po_vars_[static_cast<size_t>(column)];
   for (size_t g = 0; g < game_.groups.size(); ++g) {
-    const auto& victims = game_.groups[g].victims;
-    for (size_t v = 0; v < victims.size(); ++v) {
-      model_.SetCoefficient(victim_rows_[g][v], var,
-                            -AdversaryUtility(victims[v], pal_scratch_));
+    const AdversaryGroup& group = game_.groups[g];
+    for (size_t k = 0; k < group.envelope.size(); ++k) {
+      const VictimProfile& victim =
+          group.victims[static_cast<size_t>(group.envelope[k])];
+      const double value = -AdversaryUtility(victim, pal_scratch_);
+      if (append) {
+        model_.AppendCoefficient(victim_rows_[g][k], var, value);
+      } else {
+        model_.SetCoefficientAt(victim_rows_[g][k], 1 + column, value);
+      }
     }
   }
 }
@@ -130,10 +139,14 @@ util::Status RestrictedMasterLp::SolveInto(RestrictedLpSolution& result) {
   result.group_utilities.resize(num_groups);
   result.victim_duals.resize(num_groups);
   for (size_t g = 0; g < num_groups; ++g) {
+    const AdversaryGroup& group = game_.groups[g];
     result.group_utilities[g] = lp_solution.primal[u_vars_[g]];
-    result.victim_duals[g].resize(victim_rows_[g].size());
-    for (size_t v = 0; v < victim_rows_[g].size(); ++v) {
-      result.victim_duals[g][v] = lp_solution.dual[victim_rows_[g][v]];
+    // Victims off the envelope have no row: their constraint is implied,
+    // so its dual is exactly zero.
+    result.victim_duals[g].assign(group.victims.size(), 0.0);
+    for (size_t k = 0; k < group.envelope.size(); ++k) {
+      result.victim_duals[g][static_cast<size_t>(group.envelope[k])] =
+          lp_solution.dual[victim_rows_[g][k]];
     }
   }
   result.convexity_dual = lp_solution.dual[convexity_row_];

@@ -17,8 +17,12 @@ namespace auditgame::core {
 /// a growing candidate set Q), kept *alive across pricing iterations*:
 ///
 ///   min  sum_g w_g u_g
-///   s.t. u_g - sum_{o in Q} p_o Ua(o, b, <g,v>) >= 0   per victim row
+///   s.t. u_g - sum_{o in Q} p_o Ua(o, b, <g,v>) >= 0   per envelope victim
 ///        sum_o p_o = 1,  p_o >= 0
+///
+/// Rows exist only for each group's envelope (AdversaryGroup::envelope):
+/// a dominated victim's constraint is implied by its dominator's, so the
+/// optimum is that of the LP over every victim.
 ///
 /// Each pricing round appends the newly priced ordering as one column
 /// (AddOrdering) and re-solves from the previous optimal basis (Solve).
@@ -70,7 +74,8 @@ class RestrictedMasterLp {
   util::Status AddOrdering(const std::vector<int>& ordering);
 
   /// Re-prices every column against the thresholds now installed in
-  /// `detection`, overwriting its victim-row coefficients in place.
+  /// `detection`, overwriting its victim-row coefficients in place at
+  /// their known entry positions.
   util::Status Reprice();
 
   int num_orderings() const { return static_cast<int>(orderings_.size()); }
@@ -103,6 +108,7 @@ class RestrictedMasterLp {
   lp::LpModel model_;
   std::vector<int> po_vars_;
   std::vector<int> u_vars_;
+  // victim_rows_[g][k]: the row of group g's k-th envelope victim.
   std::vector<std::vector<int>> victim_rows_;
   int convexity_row_ = -1;
   std::vector<std::vector<int>> orderings_;
@@ -111,9 +117,10 @@ class RestrictedMasterLp {
   bool has_basis_ = false;
   Stats stats_;
 
-  // Writes column `var`'s victim-row coefficients from the Pal vector in
-  // `pal_scratch_` (appending the entries on the column's first write).
-  void WriteUtilities(int var);
+  // Writes the victim-row coefficients of column `column` (an index into
+  // orderings_) from the Pal vector in `pal_scratch_`: appended on the
+  // column's first write, overwritten at entry 1 + column after that.
+  void WriteUtilities(int column, bool append);
 
   // Reused across solves/additions so the steady-state pricing loop is
   // allocation-free: the revised simplex refills `revised_` in place (its

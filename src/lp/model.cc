@@ -54,18 +54,6 @@ void LpModel::AddCoefficient(int row, int var, double value) {
   r.coeffs.push_back(value);
 }
 
-void LpModel::SetCoefficient(int row, int var, double value) {
-  Row& r = rows_[row];
-  for (size_t k = 0; k < r.vars.size(); ++k) {
-    if (r.vars[k] == var) {
-      r.coeffs[k] = value;
-      return;
-    }
-  }
-  r.vars.push_back(var);
-  r.coeffs.push_back(value);
-}
-
 double LpModel::RowActivity(int row, const std::vector<double>& x) const {
   const Row& r = rows_[row];
   double activity = 0.0;

@@ -48,11 +48,22 @@ class LpModel {
   /// Sets (accumulates) a coefficient in a row. Requires valid indices.
   void AddCoefficient(int row, int var, double value);
 
-  /// Overwrites a coefficient in a row, appending the entry when the row
-  /// has none for `var` yet. Requires valid indices. Re-pricing callers
-  /// (the column-generation master) use it to rewrite existing entries
-  /// without changing the sparsity pattern.
-  void SetCoefficient(int row, int var, double value);
+  /// Appends an entry for `var`, which must not appear in `row` yet, and
+  /// returns its position among the row's entries. Unlike AddCoefficient
+  /// it does not scan the row: builders that know their sparsity pattern
+  /// (the column-generation master) append each column exactly once.
+  int AppendCoefficient(int row, int var, double value) {
+    rows_[row].vars.push_back(var);
+    rows_[row].coeffs.push_back(value);
+    return static_cast<int>(rows_[row].vars.size()) - 1;
+  }
+
+  /// Overwrites the coefficient of entry `entry` of `row` (a position
+  /// AppendCoefficient returned), keeping the sparsity pattern. Re-pricing
+  /// callers rewrite a column in place this way.
+  void SetCoefficientAt(int row, int entry, double value) {
+    rows_[row].coeffs[static_cast<size_t>(entry)] = value;
+  }
 
   /// Pre-sizes the model-level storage for `variables` variables and
   /// `constraints` rows. Purely an allocation hint for builders that know

@@ -171,5 +171,15 @@ TEST(AuditServiceTest, MeasureDriftIsMaxTotalVariation) {
   EXPECT_EQ(AuditService::MeasureDrift(a, shorter), 1.0);
 }
 
+// Durable snapshots store this fingerprint and recovery refuses a data dir
+// whose fingerprint differs. Any change that makes the same configuration
+// serve different policies (a format break, docs/DESIGN.md) must bump the
+// version string in FingerprintServiceConfig and then this literal, so an
+// old data dir is refused instead of replayed into different policies.
+TEST(AuditServiceTest, DefaultConfigFingerprintIsPinned) {
+  EXPECT_EQ(FingerprintServiceConfig(AuditServiceOptions()).ToHex(),
+            "ed3e4593819e484d91f80f613b2561dd");
+}
+
 }  // namespace
 }  // namespace auditgame::service

@@ -32,22 +32,22 @@ namespace {
 // and of SweepFingerprint(game, 1) for games 0..7. Regenerate them only
 // for a deliberate format break, and say so in the change log.
 constexpr const char* kGoldenCggs[] = {
-    "ccdb3ba0990710ade85c2eafe2a6725d", "c4a43e5efa0124792ecd677f733e2e09",
-    "e234af93bada7d6fd92cf8a4017268df", "157b18825fe0e242f3f7107f2311c4b2",
-    "a48efcf3fc3e849fc379ff9c8821a42f", "26b01adcf84039d3860f88443683aba3",
-    "4cd23e0ce6b53172c7b646b7ff554562", "aed424293376515556b36277d3fb09a5",
-    "45cc5e8105b1445d5cff1074cda390cd", "724a89919f0287ec07d87b9ab7a371fc",
-    "b013bab7c61077edf9a48bae9e84189d", "979b7b1163cf3497594cba4a4b1149c7",
-    "955f859f7e6029139f0f1489acf8a643", "448abf9037cc32760fd270bcce0e6246",
-    "506be9ad421989db27e5e01bf441d08b", "d11300edbabcd6a905e9611706461b39",
-    "abe900b4fd4569db15369ec3ec89c2eb", "fabcba30077a87986e03c222a690e648",
+    "9c91ce4390900929fd7d922014bbd7f9", "cb289e33faaf6eb20638898de8bb73e2",
+    "062186f0ac1661af9f295a236c3721df", "157b18825fe0e242f3f7107f2311c4b2",
+    "aff2cc48df3a355f39a3135f3b1c64af", "36304e773997693084592a9314f34fc0",
+    "4cd23e0ce6b53172c7b646b7ff554562", "836fdb9c16fffbd8f815908b82fed328",
+    "45cc5e8105b1445d5cff1074cda390cd", "fbff17645b78b5656b07156179e1e875",
+    "4a274877d8ca4e1f549816b7a783f6cf", "6fbab538f0e1e2ed52fa9dba7cde0f5d",
+    "51ef0d0da7ed53b66ca7b972669b2fa6", "448abf9037cc32760fd270bcce0e6246",
+    "c41e4ecc088eabed390bee346bfc241d", "bffe146d54d3b82ecf732fbf28390a3e",
+    "abe900b4fd4569db15369ec3ec89c2eb", "d6132797dcca438ec322916ff1291e7e",
     "12ddb000362a0a4a7c96bc5c3077035a", "239ce21146375a9f734a473406da14af",
 };
 constexpr const char* kGoldenSweep[] = {
-    "546be98e044ddecf759b640adc02ed9f", "b18fd820604cbf4c015b1f08d83346fc",
-    "7d7255a4035ebfc406811a1476d849f4", "80546641928cafc43d917a5a80aa2ff4",
-    "fc1e534d3c814bc4daf232aecfe11994", "0857f79fe2f2d48a3b320a3e03434c3a",
-    "de11fde59030c3a8ff1f11204bd79cd8", "392e4922f5f43d0340d57d8a19bc1353",
+    "0965b3101ca806c0e665b9ae0f5c8490", "b18fd820604cbf4c015b1f08d83346fc",
+    "4b3578c041672733dd77d3efe5da9c23", "80546641928cafc43d917a5a80aa2ff4",
+    "5fa930f421d61ce141b44ae9b5a156f1", "0857f79fe2f2d48a3b320a3e03434c3a",
+    "de11fde59030c3a8ff1f11204bd79cd8", "e0de2f66bda323142c0cbacc2fb81404",
 };
 
 scenario::ScenarioSpec SpecForGame(int index) {

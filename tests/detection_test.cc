@@ -1,6 +1,8 @@
 #include "core/detection.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 namespace auditgame::core {
 namespace {
 
+using testutil::MakeMediumGame;
 using testutil::MakeTinyGame;
 
 TEST(DetectionModelTest, ConstantCountsAreExact) {
@@ -212,6 +215,49 @@ TEST(DetectionModelTest, ReservedConsumptionStarvesLaterTypes) {
   EXPECT_NEAR((*pal_realized)[1], 1.0, 1e-12);
   // Reserved: consumed 4 -> 1 left -> type 1 audits 1/2.
   EXPECT_NEAR((*pal_reserved)[1], 0.5, 1e-12);
+}
+
+// SetThresholds re-tabulates only the types whose threshold changed since
+// the last call. After a random walk of calls, each moving a random subset
+// of the types (sometimes none, sometimes all), every ordering's Pal must
+// be bit-identical to a fresh model's given the final vector.
+TEST(DetectionModelTest, IncrementalSetThresholdsMatchesFreshModel) {
+  GameInstance instance = MakeMediumGame();
+  instance.audit_costs = {1.0, 2.0, 1.5};
+  for (const auto mode :
+       {DetectionModel::Mode::kExact, DetectionModel::Mode::kMonteCarlo}) {
+    DetectionModel::Options options;
+    options.mode = mode;
+    options.mc_samples = 300;
+    auto walked = DetectionModel::Create(instance, 7.0, options);
+    ASSERT_TRUE(walked.ok());
+    util::Rng rng(mode == DetectionModel::Mode::kExact ? 11 : 12);
+    std::vector<double> thresholds(3, 0.0);
+    for (int step = 1; step <= 200; ++step) {
+      for (double& b : thresholds) {
+        if (rng.UniformInt(uint64_t{2}) == 0) {
+          b = 0.5 * static_cast<double>(rng.UniformInt(int64_t{0}, int64_t{16}));
+        }
+      }
+      ASSERT_TRUE(walked->SetThresholds(thresholds).ok());
+      if (step % 20 != 0) continue;
+      auto fresh = DetectionModel::Create(instance, 7.0, options);
+      ASSERT_TRUE(fresh.ok());
+      ASSERT_TRUE(fresh->SetThresholds(thresholds).ok());
+      std::vector<int> ordering = {0, 1, 2};
+      do {
+        const auto got = walked->DetectionProbabilities(ordering);
+        const auto want = fresh->DetectionProbabilities(ordering);
+        ASSERT_TRUE(got.ok());
+        ASSERT_TRUE(want.ok());
+        EXPECT_EQ(std::memcmp(got->data(), want->data(),
+                              got->size() * sizeof(double)),
+                  0)
+            << "step " << step << " ordering " << ordering[0] << ordering[1]
+            << ordering[2];
+      } while (std::next_permutation(ordering.begin(), ordering.end()));
+    }
+  }
 }
 
 // Property sweep: for any ordering and thresholds, Pal values are in [0,1]
