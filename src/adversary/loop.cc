@@ -1,10 +1,8 @@
 #include "adversary/loop.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "core/detection.h"
@@ -54,53 +52,40 @@ util::StatusOr<DefenderObservation> InProcessDefender::SolveCycle() {
 
 RemoteDefender::RemoteDefender(net::FrameClient* client, std::string tenant,
                                int max_retries, int retry_backoff_ms)
-    : client_(client),
-      tenant_(std::move(tenant)),
-      max_retries_(max_retries),
-      retry_backoff_ms_(retry_backoff_ms) {}
+    : window_(*client,
+              [&] {
+                server::RequestWindowOptions options;
+                options.max_retries = max_retries;
+                options.retry_backoff_ms = retry_backoff_ms;
+                return options;
+              }()),
+      tenant_(std::move(tenant)) {}
 
-util::StatusOr<util::JsonValue> RemoteDefender::CallWithRetry(
-    const std::string& payload) {
-  for (int attempt = 0; attempt <= max_retries_; ++attempt) {
-    ASSIGN_OR_RETURN(const std::string raw, client_->Call(payload));
-    ASSIGN_OR_RETURN(util::JsonValue doc, util::JsonValue::Parse(raw));
-    ASSIGN_OR_RETURN(const std::string status, doc.GetString("status"));
-    if (status == "ok") return doc;
-    if (status == "overloaded" || status == "backend_down") {
-      // Backpressure: nothing was applied, the retry is safe. Idempotence
-      // matters here — an ingest retried after `overloaded` re-sends the
-      // same distributions, and solve_cycle only advances on "ok".
-      ++overloaded_retries_;
-      if (retry_backoff_ms_ > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(retry_backoff_ms_));
-      }
-      continue;
-    }
-    std::string message = "(no message)";
-    if (const util::JsonValue* msg = doc.Find("message");
-        msg != nullptr && msg->is_string()) {
-      message = msg->as_string();
-    }
-    return util::InternalError("audit server rejected request: " + message);
-  }
-  return util::ResourceExhaustedError(
-      "audit server still overloaded after " + std::to_string(max_retries_) +
-      " retries");
+util::StatusOr<util::JsonValue> RemoteDefender::Call(int64_t id,
+                                                     std::string payload) {
+  // Idempotence matters for the window's re-sends: an ingest retried after
+  // `overloaded` re-sends the same distributions, and solve_cycle only
+  // advances on "ok".
+  window_.Submit(id, std::move(payload), /*tag=*/0);
+  std::vector<server::RequestWindow::Completion> done;
+  while (done.empty()) RETURN_IF_ERROR(window_.Poll(done));
+  RETURN_IF_ERROR(done.front().ToStatus());
+  return util::JsonValue::Parse(done.front().payload);
 }
 
 util::Status RemoteDefender::Ingest(
     const std::vector<prob::CountDistribution>& distributions) {
-  const std::string payload =
-      server::MakeIngestRequest(next_id_++, tenant_, distributions);
-  return CallWithRetry(payload).status();
+  const int64_t id = next_id_++;
+  return Call(id, server::MakeIngestRequest(id, tenant_, distributions))
+      .status();
 }
 
 util::StatusOr<DefenderObservation> RemoteDefender::SolveCycle() {
-  const std::string payload = server::MakeSolveCycleRequest(
-      next_id_++, tenant_, /*observe_policy=*/true);
+  const int64_t id = next_id_++;
   util::Timer timer;
-  ASSIGN_OR_RETURN(util::JsonValue doc, CallWithRetry(payload));
+  ASSIGN_OR_RETURN(util::JsonValue doc,
+                   Call(id, server::MakeSolveCycleRequest(
+                                id, tenant_, /*observe_policy=*/true)));
   const double seconds = timer.ElapsedSeconds();
   ASSIGN_OR_RETURN(server::SolveCycleReply reply,
                    server::ParseSolveCycleReply(doc));
@@ -161,73 +146,61 @@ util::StatusOr<AdversaryLoop> AdversaryLoop::Create(
                        std::move(economics), config, defender, attacker);
 }
 
-util::StatusOr<LoopReport> AdversaryLoop::Run(const LoopSpec& spec) {
-  if (spec.cycles <= 0) {
-    return util::InvalidArgumentError("loop needs at least one cycle");
+util::Status ScoreCycle(const core::GameInstance& instance,
+                        const core::CompiledGame& compiled,
+                        const AttackerEconomics& economics,
+                        const DefenderConfig& config, const LoopSpec& spec,
+                        const DefenderObservation& observation,
+                        LoopReport& report) {
+  CycleMetrics m;
+  m.cycle = static_cast<int>(report.cycles.size()) + 1;
+  m.source = observation.source;
+  m.drift = observation.drift;
+  m.defender_seconds = observation.seconds;
+  m.served_loss = DefenderLossAtDetection(compiled, observation.detection);
+  m.best_attack_utility = BestAttackUtility(economics, observation.detection);
+
+  if (spec.compute_oracle) {
+    util::Timer oracle_timer;
+    solver::EngineRequest request;
+    request.solver = config.solver;
+    request.instance = &instance;
+    request.budget = config.budget;
+    request.detection_options = config.detection_options;
+    request.options = config.solver_options;
+    ASSIGN_OR_RETURN(const solver::SolveResult oracle,
+                     solver::SolverEngine::SolveOne(request));
+    ASSIGN_OR_RETURN(core::DetectionModel model,
+                     core::DetectionModel::Create(instance, config.budget,
+                                                  config.detection_options));
+    ASSIGN_OR_RETURN(const std::vector<double> oracle_pal,
+                     core::MixedDetectionProbabilities(model, oracle.policy));
+    report.oracle_seconds_total += oracle_timer.ElapsedSeconds();
+    m.oracle_loss = DefenderLossAtDetection(compiled, oracle_pal);
+    m.regret_gap = std::max(0.0, m.served_loss - m.oracle_loss);
+    m.exploitability_gap =
+        std::max(0.0, m.best_attack_utility -
+                          BestAttackUtility(economics, oracle_pal));
+    // "Within 2x of the exact-solver floor": for positive losses,
+    // served <= 2 * oracle; phrased additively so zero and negative
+    // oracle losses keep a meaningful absolute band.
+    m.within_2x = (m.served_loss - m.oracle_loss) <=
+                  std::max(spec.tolerance_floor, std::abs(m.oracle_loss));
+    m.lagging = m.regret_gap > std::max(spec.tolerance_floor,
+                                        spec.lag_tolerance *
+                                            std::abs(m.oracle_loss));
   }
-  LoopReport report;
-  report.cycles.reserve(static_cast<size_t>(spec.cycles));
-  std::vector<double> observed;  // empty: nothing observed before cycle 1
+  report.cycles.push_back(std::move(m));
+  return util::OkStatus();
+}
+
+void SummarizeLoop(LoopReport& report) {
   double regret_sum = 0.0;
   double exploit_sum = 0.0;
   double served_sum = 0.0;
   double oracle_sum = 0.0;
   int lag_run = 0;
-
-  for (int cycle = 1; cycle <= spec.cycles; ++cycle) {
-    ASSIGN_OR_RETURN(std::vector<prob::CountDistribution> stream,
-                     attacker_->NextCycle(observed));
-    RETURN_IF_ERROR(defender_->Ingest(stream));
-    ASSIGN_OR_RETURN(DefenderObservation obs, defender_->SolveCycle());
-    if (obs.detection.size() != static_cast<size_t>(instance_.num_types())) {
-      return util::FailedPreconditionError(
-          "defender reported no per-type detection probabilities — a remote "
-          "server must honor observe_policy for the loop to close");
-    }
-    // Ground truth for this cycle's metrics: the stream the attacker just
-    // injected (with a RemoteDefender the server holds a JSON-roundtripped
-    // copy of the same thing; see the class comment on AdversaryLoop).
-    instance_.alert_distributions = std::move(stream);
-
-    CycleMetrics m;
-    m.cycle = cycle;
-    m.source = obs.source;
-    m.drift = obs.drift;
-    m.defender_seconds = obs.seconds;
-    m.served_loss = DefenderLossAtDetection(compiled_, obs.detection);
-    m.best_attack_utility = BestAttackUtility(economics_, obs.detection);
-
-    if (spec.compute_oracle) {
-      util::Timer oracle_timer;
-      solver::EngineRequest request;
-      request.solver = config_.solver;
-      request.instance = &instance_;
-      request.budget = config_.budget;
-      request.detection_options = config_.detection_options;
-      request.options = config_.solver_options;
-      ASSIGN_OR_RETURN(const solver::SolveResult oracle,
-                       solver::SolverEngine::SolveOne(request));
-      ASSIGN_OR_RETURN(core::DetectionModel model,
-                       core::DetectionModel::Create(instance_, config_.budget,
-                                                    config_.detection_options));
-      ASSIGN_OR_RETURN(const std::vector<double> oracle_pal,
-                       core::MixedDetectionProbabilities(model, oracle.policy));
-      report.oracle_seconds_total += oracle_timer.ElapsedSeconds();
-      m.oracle_loss = DefenderLossAtDetection(compiled_, oracle_pal);
-      m.regret_gap = std::max(0.0, m.served_loss - m.oracle_loss);
-      m.exploitability_gap =
-          std::max(0.0, m.best_attack_utility -
-                            BestAttackUtility(economics_, oracle_pal));
-      // "Within 2x of the exact-solver floor": for positive losses,
-      // served <= 2 * oracle; phrased additively so zero and negative
-      // oracle losses keep a meaningful absolute band.
-      m.within_2x = (m.served_loss - m.oracle_loss) <=
-                    std::max(spec.tolerance_floor, std::abs(m.oracle_loss));
-      m.lagging = m.regret_gap > std::max(spec.tolerance_floor,
-                                          spec.lag_tolerance *
-                                              std::abs(m.oracle_loss));
-    }
-
+  for (const CycleMetrics& m : report.cycles) {
     if (m.source == "cache") {
       ++report.cache_hits;
     } else if (m.source == "warm") {
@@ -246,17 +219,43 @@ util::StatusOr<LoopReport> AdversaryLoop::Run(const LoopSpec& spec) {
     report.tracking_lag_max_cycles =
         std::max(report.tracking_lag_max_cycles, lag_run);
     report.tracking_within_2x = report.tracking_within_2x && m.within_2x;
-    report.defender_seconds_total += obs.seconds;
-
-    observed = std::move(obs.detection);
-    report.cycles.push_back(std::move(m));
+    report.defender_seconds_total += m.defender_seconds;
   }
-
+  if (report.cycles.empty()) return;
   const double n = static_cast<double>(report.cycles.size());
   report.regret_gap_mean = regret_sum / n;
   report.exploitability_gap_mean = exploit_sum / n;
   report.served_loss_mean = served_sum / n;
   report.oracle_loss_mean = oracle_sum / n;
+}
+
+util::StatusOr<LoopReport> AdversaryLoop::Run(const LoopSpec& spec) {
+  if (spec.cycles <= 0) {
+    return util::InvalidArgumentError("loop needs at least one cycle");
+  }
+  LoopReport report;
+  report.cycles.reserve(static_cast<size_t>(spec.cycles));
+  std::vector<double> observed;  // empty: nothing observed before cycle 1
+
+  for (int cycle = 1; cycle <= spec.cycles; ++cycle) {
+    ASSIGN_OR_RETURN(std::vector<prob::CountDistribution> stream,
+                     attacker_->NextCycle(observed));
+    RETURN_IF_ERROR(defender_->Ingest(stream));
+    ASSIGN_OR_RETURN(DefenderObservation obs, defender_->SolveCycle());
+    if (obs.detection.size() != static_cast<size_t>(instance_.num_types())) {
+      return util::FailedPreconditionError(
+          "defender reported no per-type detection probabilities — a remote "
+          "server must honor observe_policy for the loop to close");
+    }
+    // Ground truth for this cycle's metrics: the stream the attacker just
+    // injected (with a RemoteDefender the server holds a JSON-roundtripped
+    // copy of the same thing; see the class comment on AdversaryLoop).
+    instance_.alert_distributions = std::move(stream);
+    RETURN_IF_ERROR(ScoreCycle(instance_, compiled_, economics_, config_,
+                               spec, obs, report));
+    observed = std::move(obs.detection);
+  }
+  SummarizeLoop(report);
   return report;
 }
 

@@ -8,6 +8,7 @@
 #include "adversary/attacker.h"
 #include "core/game.h"
 #include "net/client.h"
+#include "server/request_window.h"
 #include "service/audit_service.h"
 #include "solver/engine.h"
 #include "util/json.h"
@@ -81,9 +82,10 @@ class InProcessDefender : public DefenderClient {
 };
 
 /// Defender behind a live audit_server, driven over one FrameClient
-/// (borrowed; one RemoteDefender per connection per thread). `overloaded`
-/// responses are the server's backpressure contract — nothing was applied —
-/// so the client retries them with a small backoff instead of failing.
+/// (borrowed; one RemoteDefender per connection per thread) through a
+/// server::RequestWindow of one. `overloaded` and `backend_down` responses
+/// are the server's backpressure contract — nothing was applied — so the
+/// window re-sends them after a small sit-out instead of failing.
 class RemoteDefender : public DefenderClient {
  public:
   RemoteDefender(net::FrameClient* client, std::string tenant,
@@ -93,18 +95,13 @@ class RemoteDefender : public DefenderClient {
       const std::vector<prob::CountDistribution>& distributions) override;
   util::StatusOr<DefenderObservation> SolveCycle() override;
 
-  int64_t overloaded_retries() const { return overloaded_retries_; }
-
  private:
-  /// One verb round trip, retrying overloaded responses.
-  util::StatusOr<util::JsonValue> CallWithRetry(const std::string& payload);
+  /// One verb round trip; the `ok` response document.
+  util::StatusOr<util::JsonValue> Call(int64_t id, std::string payload);
 
-  net::FrameClient* client_;
+  server::RequestWindow window_;
   std::string tenant_;
-  int max_retries_;
-  int retry_backoff_ms_;
   int64_t next_id_ = 1;
-  int64_t overloaded_retries_ = 0;
 };
 
 /// The defender's expected loss (the paper's Eq. 4 objective) under mixed
@@ -169,6 +166,23 @@ struct LoopSpec {
   /// lag_tolerance * |oracle_loss|).
   double lag_tolerance = 0.05;
 };
+
+/// Scores one served cycle and appends it to `report.cycles` (numbered
+/// from 1 in scoring order): the per-cycle step AdversaryLoop::Run shares
+/// with tools/adversary_replay's burst drill. `instance` holds the cycle's
+/// alert distributions — the ground truth of the loss evaluations and of
+/// the exact cold re-solve `spec.compute_oracle` asks for; `compiled` and
+/// `economics` are derived from the same game.
+util::Status ScoreCycle(const core::GameInstance& instance,
+                        const core::CompiledGame& compiled,
+                        const AttackerEconomics& economics,
+                        const DefenderConfig& config, const LoopSpec& spec,
+                        const DefenderObservation& observation,
+                        LoopReport& report);
+
+/// Folds `report.cycles` into the report's counts, means, maxima and
+/// tracking verdicts; call it once, after the last ScoreCycle.
+void SummarizeLoop(LoopReport& report);
 
 /// Runs the closed loop. The loop owns a copy of the instance whose
 /// alert_distributions it swaps to the attacker's stream each cycle — the

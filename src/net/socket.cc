@@ -36,6 +36,27 @@ util::StatusOr<sockaddr_in> MakeAddress(const std::string& host,
 
 }  // namespace
 
+util::StatusOr<HostPort> ParseHostPort(std::string_view spec) {
+  const size_t colon = spec.rfind(':');
+  const auto bad = [&spec](const char* why) {
+    return util::InvalidArgumentError("bad host:port \"" + std::string(spec) +
+                                      "\": " + why);
+  };
+  if (colon == std::string_view::npos) return bad("no colon");
+  if (colon == 0) return bad("empty host");
+  const std::string_view digits = spec.substr(colon + 1);
+  if (digits.empty()) return bad("empty port");
+  uint32_t port = 0;
+  for (const char c : digits) {
+    if (c < '0' || c > '9') return bad("port is not a number");
+    port = port * 10 + static_cast<uint32_t>(c - '0');
+    if (port > 65535) return bad("port above 65535");
+  }
+  if (port == 0) return bad("port 0");
+  return HostPort{std::string(spec.substr(0, colon)),
+                  static_cast<uint16_t>(port)};
+}
+
 void Socket::Close() {
   if (fd_ >= 0) {
     ::close(fd_);

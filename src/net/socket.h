@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -48,6 +49,17 @@ class Socket {
  private:
   int fd_ = -1;
 };
+
+/// A dial target: numeric IPv4 host and TCP port.
+struct HostPort {
+  std::string host;
+  uint16_t port = 0;
+};
+
+/// Parses a `host:port` address flag (loadgen/adversary_replay `--connect`,
+/// audit_router `--backends`): a non-empty host, then after the last colon
+/// an all-digit port in 1-65535. The host is checked when it is dialed.
+util::StatusOr<HostPort> ParseHostPort(std::string_view spec);
 
 /// Puts `fd` into non-blocking mode.
 util::Status SetNonBlocking(int fd);

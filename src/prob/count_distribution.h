@@ -116,7 +116,7 @@ double TotalVariationDistance(const CountDistribution& p,
 /// Multiplicative pmf jitter on the same support: p'(z) ∝ p(z)(1 + u_z),
 /// u_z ~ U(-amplitude, amplitude), renormalized. Small amplitudes yield
 /// small total-variation drift; used by the serving drivers
-/// (tools/audit_serve, bench/micro_cache) to synthesize drifting alert
+/// (scenario::ScenarioStream, bench/micro_cache) to synthesize drifting alert
 /// streams. Requires amplitude in [0, 1).
 util::StatusOr<CountDistribution> JitterPmf(const CountDistribution& dist,
                                             double amplitude, util::Rng& rng);

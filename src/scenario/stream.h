@@ -15,8 +15,8 @@ namespace auditgame::scenario {
 /// How a stream's per-cycle alert-count distributions evolve away from the
 /// baseline the game was generated with.
 enum class StreamKind {
-  /// Independent per-cycle jitter of the *baseline* pmfs (the audit_serve
-  /// model): drift is bounded, cycles are exchangeable.
+  /// Independent per-cycle jitter of the *baseline* pmfs: drift is
+  /// bounded, cycles are exchangeable.
   kJitter,
   /// Jitter of the *previous* cycle's pmfs: drift accumulates, so warm
   /// starts eventually stop being trusted and the service re-solves cold.

@@ -16,25 +16,6 @@ constexpr int kDrainPollMs = 50;
 unsigned char BinaryVerbOf(Verb verb) {
   return verb == Verb::kIngest ? kBinaryVerbIngest : kBinaryVerbSolveCycle;
 }
-
-/// Splits "host:port"; false on anything unparsable.
-bool ParseHostPort(const std::string& spec, std::string* host,
-                   uint16_t* port) {
-  const size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= spec.size()) {
-    return false;
-  }
-  long value = 0;
-  for (size_t i = colon + 1; i < spec.size(); ++i) {
-    if (spec[i] < '0' || spec[i] > '9') return false;
-    value = value * 10 + (spec[i] - '0');
-    if (value > 65535) return false;
-  }
-  *host = spec.substr(0, colon);
-  *port = static_cast<uint16_t>(value);
-  return true;
-}
 }  // namespace
 
 Router::Router(RouterOptions options) : options_(std::move(options)) {
@@ -66,16 +47,15 @@ util::Status Router::Start() {
     return util::InvalidArgumentError("router needs at least one backend");
   }
 
-  std::vector<std::pair<std::string, uint16_t>> backend_addrs;
+  std::vector<net::HostPort> backend_addrs;
   backend_addrs.reserve(options_.backends.size());
   for (size_t i = 0; i < options_.backends.size(); ++i) {
-    std::string host;
-    uint16_t port = 0;
-    if (!ParseHostPort(options_.backends[i], &host, &port)) {
+    auto address = net::ParseHostPort(options_.backends[i]);
+    if (!address.ok()) {
       return util::InvalidArgumentError("bad backend address: " +
-                                        options_.backends[i]);
+                                        address.status().message());
     }
-    backend_addrs.emplace_back(std::move(host), port);
+    backend_addrs.push_back(std::move(*address));
     backend_names_.push_back(options_.backends[i]);
     full_ring_.AddNode(static_cast<int>(i), options_.backends[i]);
   }
@@ -120,7 +100,7 @@ util::Status Router::Start() {
     };
     events.on_state = [this, i](bool up) { OnBackendState(i, up); };
     channels_.push_back(std::make_unique<net::FrameChannel>(
-        backend_addrs[i].first, backend_addrs[i].second, channel_options,
+        backend_addrs[i].host, backend_addrs[i].port, channel_options,
         std::move(events)));
   }
   for (auto& channel : channels_) {

@@ -11,8 +11,8 @@
 //   real-trace replay    adversary_replay --trace=emr --cycles=12
 //   remote loop / drill  adversary_replay --connect=127.0.0.1:7001 ...
 // With --connect and --tenants > 1 the tool becomes the correlated-burst
-// drill: one pipelined connection drives every tenant per cycle
-// (QueueSend/FlushSends), a BurstGenerator surges a tenant subset together,
+// drill: one pipelined connection (a server::RequestWindow) drives every
+// tenant per cycle, a BurstGenerator surges a tenant subset together,
 // and the report adds burst-fairness numbers — per-tenant `overloaded`
 // retry percentiles, answered ratio, per-tenant cycle-order preservation.
 //
@@ -20,18 +20,15 @@
 // be written, 4 a metric gate tripped (loss ratio, unanswered requests,
 // order violation), 1 infrastructure/solver failure.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -40,19 +37,17 @@
 #include "adversary/loop.h"
 #include "adversary/trace.h"
 #include "bench/exit_codes.h"
-#include "core/detection.h"
-#include "core/policy.h"
 #include "net/client.h"
+#include "net/socket.h"
 #include "prob/count_distribution.h"
 #include "scenario/generator.h"
 #include "scenario/stream.h"
 #include "server/protocol.h"
-#include "solver/engine.h"
+#include "server/request_window.h"
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/percentile.h"
-#include "util/timer.h"
 
 namespace {
 
@@ -148,96 +143,47 @@ int WriteJson(const std::string& path, util::JsonValue::Object summary) {
   return bench::kSmokeExitOk;
 }
 
-/// One pipelined request window over every tenant: queue all frames, flush
-/// once, drain responses, and re-send the `overloaded` subset after a
-/// backoff (backpressure means nothing was applied, so the retry is safe).
-/// Returns the per-tenant "ok" documents; `answered` counts them as they
-/// land and `tenant_retries` accumulates the fairness signal.
-util::StatusOr<std::vector<util::JsonValue>> ExchangeWindow(
-    net::FrameClient& client, int num_tenants,
+/// Sends one request per tenant through `window` and waits for every
+/// answer; the window re-sends `overloaded`/`backend_down` ones (nothing
+/// was applied, so that is safe). Returns the "ok" response payloads by
+/// tenant; `answered` counts them and `tenant_retries` accumulates each
+/// tenant's re-sends, the fairness signal.
+util::StatusOr<std::vector<std::string>> ExchangeAll(
+    server::RequestWindow& window, int num_tenants,
     const std::function<std::string(int tenant, int64_t id)>& make_payload,
-    int64_t& next_id, int max_rounds, int backoff_ms,
-    std::vector<int64_t>& tenant_retries, int64_t& answered) {
-  std::vector<util::JsonValue> docs(static_cast<size_t>(num_tenants));
-  std::vector<int> outstanding;
-  outstanding.reserve(static_cast<size_t>(num_tenants));
-  for (int t = 0; t < num_tenants; ++t) outstanding.push_back(t);
-
-  for (int round = 0; round <= max_rounds && !outstanding.empty(); ++round) {
-    if (round > 0 && backoff_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-    }
-    std::map<int64_t, int> inflight;
-    for (int tenant : outstanding) {
-      const int64_t id = next_id++;
-      inflight.emplace(id, tenant);
-      client.QueueSend(make_payload(tenant, id));
-    }
-    RETURN_IF_ERROR(client.FlushSends());
-    outstanding.clear();
-
-    while (!inflight.empty()) {
-      std::string payload;
-      ASSIGN_OR_RETURN(const bool buffered, client.ReceiveBuffered(&payload));
-      if (!buffered) {
-        ASSIGN_OR_RETURN(payload, client.Receive());
-      }
-      ASSIGN_OR_RETURN(util::JsonValue doc, util::JsonValue::Parse(payload));
-      const int64_t id = server::RequestIdOf(doc);
-      const auto it = inflight.find(id);
-      if (it == inflight.end()) {
-        return util::InternalError("unmatched response id " +
-                                   std::to_string(id));
-      }
-      const int tenant = it->second;
-      inflight.erase(it);
-      ASSIGN_OR_RETURN(const std::string status, doc.GetString("status"));
-      if (status == "ok") {
-        docs[static_cast<size_t>(tenant)] = std::move(doc);
-        ++answered;
-      } else if (status == "overloaded" || status == "backend_down") {
-        ++tenant_retries[static_cast<size_t>(tenant)];
-        outstanding.push_back(tenant);
+    int64_t& next_id, std::vector<int64_t>& tenant_retries,
+    int64_t& answered) {
+  for (int t = 0; t < num_tenants; ++t) {
+    const int64_t id = next_id++;
+    window.Submit(id, make_payload(t, id), static_cast<uint64_t>(t));
+  }
+  std::vector<std::string> payloads(static_cast<size_t>(num_tenants));
+  int64_t given_up = 0;
+  std::vector<server::RequestWindow::Completion> done;
+  while (window.outstanding() > 0) {
+    done.clear();
+    RETURN_IF_ERROR(window.Poll(done));
+    for (server::RequestWindow::Completion& completion : done) {
+      const util::Status status = completion.ToStatus();
+      if (status.code() == util::StatusCode::kResourceExhausted) {
+        ++given_up;
       } else {
-        std::string message = "(no message)";
-        if (const util::JsonValue* msg = doc.Find("message");
-            msg != nullptr && msg->is_string()) {
-          message = msg->as_string();
-        }
-        return util::InternalError("server rejected request: " + message);
+        RETURN_IF_ERROR(status);
+        payloads[completion.tag] = std::move(completion.payload);
+        ++answered;
       }
+      tenant_retries[completion.tag] += completion.retries;
     }
   }
-  if (!outstanding.empty()) {
+  if (given_up > 0) {
     return util::ResourceExhaustedError(
-        std::to_string(outstanding.size()) +
+        std::to_string(given_up) +
         " requests still overloaded after retries");
   }
-  return docs;
+  return payloads;
 }
 
 std::string TenantName(int tenant) { return "tenant-" + std::to_string(tenant); }
-
-struct HostPort {
-  std::string host;
-  uint16_t port = 0;
-};
-
-util::StatusOr<HostPort> ParseHostPort(const std::string& value) {
-  const size_t colon = value.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == value.size()) {
-    return util::InvalidArgumentError("--connect needs host:port, got \"" +
-                                      value + "\"");
-  }
-  HostPort out;
-  out.host = value.substr(0, colon);
-  const int port = std::atoi(value.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) {
-    return util::InvalidArgumentError("bad port in --connect: " + value);
-  }
-  out.port = static_cast<uint16_t>(port);
-  return out;
-}
 
 /// The correlated-burst drill: every cycle, one pipelined window ingests a
 /// per-tenant (burst-tilted) stream into all tenants and a second window
@@ -252,8 +198,15 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
   const int cycles = flags.GetInt("cycles");
   const bool oracle = flags.GetBool("oracle");
   const double max_loss_ratio = flags.GetDouble("max_loss_ratio");
-  const int max_retries = flags.GetInt("max_retries");
-  const int backoff_ms = flags.GetInt("retry_backoff_ms");
+
+  // Every tenant's request of a phase goes out at once.
+  server::RequestWindowOptions window_options;
+  window_options.window = tenants;
+  window_options.max_retries = flags.GetInt("max_retries");
+  window_options.retry_backoff_ms = flags.GetInt("retry_backoff_ms");
+  server::RequestWindow window(client, window_options);
+  adversary::LoopSpec loop_spec;
+  loop_spec.compute_oracle = oracle;
 
   auto compiled = core::Compile(instance);
   if (!compiled.ok()) {
@@ -296,10 +249,6 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
   bool order_preserved = true;
   bool exhausted = false;
   std::vector<double> observed;  // tenant 0's last mixed Pal
-  double regret_sum = 0.0, exploit_sum = 0.0, served_sum = 0.0,
-         oracle_sum = 0.0;
-  int lag_run = 0;
-  int cycles_completed = 0;
 
   for (int cycle = 1; cycle <= cycles; ++cycle) {
     auto stream = attacker->NextCycle(observed);
@@ -307,8 +256,8 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
       std::cerr << "cycle " << cycle << ": " << stream.status() << "\n";
       return 1;
     }
-    // Materialize each tenant's view up front so retries re-send identical
-    // payloads.
+    // Each tenant's view of the cycle; tenant 0's is also the oracle's
+    // ground truth.
     std::vector<std::vector<prob::CountDistribution>> per_tenant(
         static_cast<size_t>(tenants));
     for (int t = 0; t < tenants; ++t) {
@@ -328,18 +277,18 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
                         int64_t{0});
 
     total_requests += tenants;
-    auto ingest_docs = ExchangeWindow(
-        client, tenants,
+    auto ingest_replies = ExchangeAll(
+        window, tenants,
         [&per_tenant](int tenant, int64_t id) {
           return server::MakeIngestRequest(
               id, TenantName(tenant),
               per_tenant[static_cast<size_t>(tenant)]);
         },
-        next_id, max_retries, backoff_ms, tenant_retries, answered);
-    if (!ingest_docs.ok()) {
+        next_id, tenant_retries, answered);
+    if (!ingest_replies.ok()) {
       std::cerr << "cycle " << cycle
-                << " ingest: " << ingest_docs.status() << "\n";
-      if (ingest_docs.status().code() ==
+                << " ingest: " << ingest_replies.status() << "\n";
+      if (ingest_replies.status().code() ==
           util::StatusCode::kResourceExhausted) {
         exhausted = true;
         break;
@@ -348,17 +297,17 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
     }
 
     total_requests += tenants;
-    auto solve_docs = ExchangeWindow(
-        client, tenants,
+    auto solve_replies = ExchangeAll(
+        window, tenants,
         [](int tenant, int64_t id) {
           return server::MakeSolveCycleRequest(id, TenantName(tenant),
                                                /*observe_policy=*/tenant == 0);
         },
-        next_id, max_retries, backoff_ms, tenant_retries, answered);
-    if (!solve_docs.ok()) {
-      std::cerr << "cycle " << cycle << " solve: " << solve_docs.status()
+        next_id, tenant_retries, answered);
+    if (!solve_replies.ok()) {
+      std::cerr << "cycle " << cycle << " solve: " << solve_replies.status()
                 << "\n";
-      if (solve_docs.status().code() ==
+      if (solve_replies.status().code() ==
           util::StatusCode::kResourceExhausted) {
         exhausted = true;
         break;
@@ -368,11 +317,13 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
 
     // Per-tenant cycle order: one tenant lives on one shard FIFO, so its
     // cycle counter must be strictly increasing.
-    adversary::CycleMetrics m;
-    m.cycle = cycle;
+    adversary::DefenderObservation tenant0;
     for (int t = 0; t < tenants; ++t) {
-      auto reply =
-          server::ParseSolveCycleReply((*solve_docs)[static_cast<size_t>(t)]);
+      auto doc =
+          util::JsonValue::Parse((*solve_replies)[static_cast<size_t>(t)]);
+      auto reply = doc.ok() ? server::ParseSolveCycleReply(*doc)
+                            : util::StatusOr<server::SolveCycleReply>(
+                                  doc.status());
       if (!reply.ok()) {
         std::cerr << "cycle " << cycle << ": " << reply.status() << "\n";
         return 1;
@@ -390,52 +341,21 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
         return 1;
       }
       server::SolveCyclePolicy& p = reply->policies[0];
-      m.source = p.source;
-      m.drift = p.drift;
-      m.served_loss =
-          adversary::DefenderLossAtDetection(*compiled, p.detection_probs);
-      m.best_attack_utility =
-          adversary::BestAttackUtility(economics, p.detection_probs);
-      observed = std::move(p.detection_probs);
+      tenant0.source = std::move(p.source);
+      tenant0.drift = p.drift;
+      tenant0.detection = std::move(p.detection_probs);
     }
 
-    if (oracle) {
-      instance.alert_distributions = per_tenant[0];
-      solver::EngineRequest request;
-      request.solver = config.solver;
-      request.instance = &instance;
-      request.budget = config.budget;
-      request.detection_options = config.detection_options;
-      request.options = config.solver_options;
-      auto solved = solver::SolverEngine::SolveOne(request);
-      if (!solved.ok()) {
-        std::cerr << "oracle cycle " << cycle << ": " << solved.status()
-                  << "\n";
-        return 1;
-      }
-      auto model = core::DetectionModel::Create(instance, config.budget,
-                                                config.detection_options);
-      if (!model.ok()) {
-        std::cerr << model.status() << "\n";
-        return 1;
-      }
-      auto oracle_pal =
-          core::MixedDetectionProbabilities(*model, solved->policy);
-      if (!oracle_pal.ok()) {
-        std::cerr << oracle_pal.status() << "\n";
-        return 1;
-      }
-      m.oracle_loss =
-          adversary::DefenderLossAtDetection(*compiled, *oracle_pal);
-      m.regret_gap = std::max(0.0, m.served_loss - m.oracle_loss);
-      m.exploitability_gap = std::max(
-          0.0, m.best_attack_utility -
-                   adversary::BestAttackUtility(economics, *oracle_pal));
-      m.within_2x = (m.served_loss - m.oracle_loss) <=
-                    std::max(1e-9, std::abs(m.oracle_loss));
-      m.lagging =
-          m.regret_gap > std::max(1e-9, 0.05 * std::abs(m.oracle_loss));
+    instance.alert_distributions = per_tenant[0];
+    if (util::Status scored =
+            adversary::ScoreCycle(instance, *compiled, economics, config,
+                                  loop_spec, tenant0, loop);
+        !scored.ok()) {
+      std::cerr << "oracle cycle " << cycle << ": " << scored << "\n";
+      return 1;
     }
+    observed = std::move(tenant0.detection);
+    const adversary::CycleMetrics& m = loop.cycles.back();
 
     const adversary::BurstEvent event =
         burst != nullptr ? burst->EventAt(cycle) : adversary::BurstEvent{};
@@ -450,36 +370,9 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
                   util::CsvWriter::FormatDouble(m.regret_gap),
                   util::CsvWriter::FormatDouble(m.exploitability_gap),
                   std::to_string(retries_now - retries_before)});
-
-    if (m.source == "cache") {
-      ++loop.cache_hits;
-    } else if (m.source == "warm") {
-      ++loop.warm_solves;
-    } else {
-      ++loop.cold_solves;
-    }
-    regret_sum += m.regret_gap;
-    exploit_sum += m.exploitability_gap;
-    served_sum += m.served_loss;
-    oracle_sum += m.oracle_loss;
-    loop.regret_gap_max = std::max(loop.regret_gap_max, m.regret_gap);
-    loop.exploitability_gap_max =
-        std::max(loop.exploitability_gap_max, m.exploitability_gap);
-    lag_run = m.lagging ? lag_run + 1 : 0;
-    loop.tracking_lag_max_cycles =
-        std::max(loop.tracking_lag_max_cycles, lag_run);
-    loop.tracking_within_2x = loop.tracking_within_2x && m.within_2x;
-    loop.cycles.push_back(std::move(m));
-    ++cycles_completed;
   }
-
-  if (cycles_completed > 0) {
-    const double n = static_cast<double>(cycles_completed);
-    loop.regret_gap_mean = regret_sum / n;
-    loop.exploitability_gap_mean = exploit_sum / n;
-    loop.served_loss_mean = served_sum / n;
-    loop.oracle_loss_mean = oracle_sum / n;
-  }
+  adversary::SummarizeLoop(loop);
+  const size_t cycles_completed = loop.cycles.size();
 
   std::vector<double> retries_sorted(tenant_retries.begin(),
                                      tenant_retries.end());
@@ -674,14 +567,12 @@ int Run(int argc, char** argv) {
   const std::string connect = flags.GetString("connect");
   std::unique_ptr<net::FrameClient> client;
   if (!connect.empty()) {
-    auto host_port = ParseHostPort(connect);
-    if (!host_port.ok()) {
-      std::cerr << host_port.status() << "\n";
+    auto target = net::ParseHostPort(connect);
+    if (!target.ok()) {
+      std::cerr << "--connect: " << target.status().message() << "\n";
       return 1;
     }
-    auto connected = net::FrameClient::Connect(host_port->host,
-                                               host_port->port,
-                                               /*connect_wait_ms=*/10000);
+    auto connected = server::RequestWindow::Dial(*target, /*timeout_ms=*/0);
     if (!connected.ok()) {
       std::cerr << "connect " << connect << ": " << connected.status() << "\n";
       return 1;

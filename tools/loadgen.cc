@@ -1,11 +1,11 @@
 // loadgen: socket-level load generator for the audit server. Multiplexes
 // many simulated tenants — tens of thousands, far more than one thread or
 // connection per tenant could reach — over a small set of shared,
-// *pipelined* connections: each connection keeps a window of in-flight
-// requests (at most one per tenant, so per-tenant order stays meaningful),
-// pairs responses back to tenants by correlation id, and batches both
-// directions (one send(2) per window top-up, one recv(2) per response
-// burst). Requests use the compact binary encoding of the hot verbs by
+// *pipelined* connections: each connection runs one server::RequestWindow
+// (at most one request per tenant in it, so per-tenant order stays
+// meaningful), which pairs responses back to tenants by correlation id and
+// batches both directions (one send(2) per window top-up, one recv(2) per
+// response burst). Requests use the compact binary encoding of the hot verbs by
 // default (--encoding=json for the debug path). Each tenant replays a
 // scenario alert stream (src/scenario/) as `ingest` + `solve_cycle`
 // cycles; --solves_per_cycle polls the policy several times per ingest
@@ -20,7 +20,8 @@
 // connection (the tenant sits out while others keep the window full).
 // Exits non-zero when any check fails, when an op is given up after
 // exhausting its `overloaded` or `backend_down` retries (work was dropped),
-// or when --min_throughput is set and not met.
+// or when --min_throughput is set and goodput (successful solve_cycle
+// responses per second) falls below it.
 //
 // With --connect it drives one or more external servers (comma-separated
 // targets; connection c dials target c mod targets) — an audit_server for
@@ -41,7 +42,6 @@
 #include <signal.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -50,16 +50,17 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "net/client.h"
+#include "net/socket.h"
 #include "scenario/generator.h"
 #include "scenario/stream.h"
 #include "server/audit_server.h"
 #include "server/binary_codec.h"
 #include "server/protocol.h"
+#include "server/request_window.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/percentile.h"
@@ -73,21 +74,10 @@ using Clock = std::chrono::steady_clock;
 struct WorkerConfig {
   int cycles = 0;
   int solves_per_cycle = 1;
-  int window = 64;
-  int retries = 0;
-  int retry_backoff_ms = 0;
-  int timeout_ms = 0;
-  /// Transport re-dials allowed per connection before the run aborts.
-  int reconnects = 0;
   bool binary = true;
   scenario::StreamSpec stream_spec;
-};
-
-/// One dial target; with multiple --connect entries, connection c drives
-/// target c mod targets.
-struct Target {
-  std::string host;
-  uint16_t port = 0;
+  /// Every connection's window; its re-dial target is set per connection.
+  server::RequestWindowOptions window;
 };
 
 struct WorkerResult {
@@ -119,7 +109,7 @@ struct WorkerResult {
 };
 
 /// One simulated tenant's replay state machine. At most one request of a
-/// tenant is ever in flight, so its cycle order is checkable even while
+/// tenant is ever outstanding, so its cycle order is checkable even while
 /// the connection interleaves thousands of tenants.
 struct TenantState {
   std::string name;
@@ -127,88 +117,16 @@ struct TenantState {
   enum class Phase { kIngest, kSolve, kDone } phase = Phase::kIngest;
   int cycle = 0;        // completed cycles
   int solves_done = 0;  // solve ops completed within the current cycle
-  int attempts = 0;     // overloaded retries spent on the current op
   int64_t last_cycle = 0;
+  /// The current op is in the window (on the wire or sitting out).
   bool in_flight = false;
-  /// The current op's encoded payload, kept for overloaded retries (the
-  /// retry re-sends the same bytes, same correlation id).
-  std::string pending_payload;
-  int64_t current_id = -1;
   Clock::time_point op_start;
-  Clock::time_point backoff_until;
   /// Ops that reached a terminal answer, plus ops skipped after a failed
   /// ingest — the bookkeeping a transport-failure abort needs to count
   /// exactly the never-answered remainder.
   int64_t ops_terminal = 0;
   int64_t ops_skipped = 0;
 };
-
-/// A decoded terminal response, either encoding.
-struct OpResponse {
-  int64_t id = -1;
-  enum class Status {
-    kOk,
-    kOverloaded,
-    kBackendDown,
-    kError
-  } status = Status::kError;
-  bool has_cycle = false;
-  int64_t cycle = 0;
-  std::string message;
-};
-
-util::StatusOr<OpResponse> DecodeResponse(const std::string& payload,
-                                          bool binary) {
-  OpResponse op;
-  if (binary) {
-    ASSIGN_OR_RETURN(server::BinaryResponse response,
-                     server::DecodeBinaryResponse(payload));
-    op.id = response.correlation_id;
-    switch (response.status) {
-      case server::kBinaryStatusOk:
-        op.status = OpResponse::Status::kOk;
-        break;
-      case server::kBinaryStatusOverloaded:
-        op.status = OpResponse::Status::kOverloaded;
-        break;
-      case server::kBinaryStatusBackendDown:
-        op.status = OpResponse::Status::kBackendDown;
-        break;
-      default:
-        op.status = OpResponse::Status::kError;
-        break;
-    }
-    if (response.verb == server::kBinaryVerbSolveCycle &&
-        response.status == server::kBinaryStatusOk) {
-      op.has_cycle = true;
-      op.cycle = response.cycle;
-    }
-    op.message = std::move(response.message);
-    return op;
-  }
-  ASSIGN_OR_RETURN(util::JsonValue doc, util::JsonValue::Parse(payload));
-  ASSIGN_OR_RETURN(double id, doc.GetNumber("id"));
-  op.id = static_cast<int64_t>(id);
-  ASSIGN_OR_RETURN(std::string status, doc.GetString("status"));
-  if (status == "ok") {
-    op.status = OpResponse::Status::kOk;
-  } else if (status == "overloaded") {
-    op.status = OpResponse::Status::kOverloaded;
-  } else if (status == "backend_down") {
-    op.status = OpResponse::Status::kBackendDown;
-  } else {
-    op.status = OpResponse::Status::kError;
-  }
-  if (auto cycle = doc.GetNumber("cycle"); cycle.ok()) {
-    op.has_cycle = true;
-    op.cycle = static_cast<int64_t>(*cycle);
-  }
-  if (const util::JsonValue* m = doc.Find("message");
-      m != nullptr && m->is_string()) {
-    op.message = m->as_string();
-  }
-  return op;
-}
 
 /// Ops each tenant sends over a full clean replay.
 int64_t PlannedOps(const WorkerConfig& config) {
@@ -219,10 +137,9 @@ int64_t PlannedOps(const WorkerConfig& config) {
 /// Drives every tenant assigned to one shared connection to completion.
 void RunConnection(const std::vector<int>& tenant_indices,
                    const std::vector<prob::CountDistribution>& baseline,
-                   const WorkerConfig& config, const Target& target,
+                   const WorkerConfig& config, const net::HostPort& target,
                    WorkerResult& result) {
-  auto client = net::FrameClient::Connect(target.host, target.port,
-                                          /*connect_wait_ms=*/10000);
+  auto client = server::RequestWindow::Dial(target, config.window.timeout_ms);
   if (!client.ok()) {
     // The whole replay is unanswered: count every request it would have
     // sent as a transport failure rather than silently shrinking the run.
@@ -233,9 +150,9 @@ void RunConnection(const std::vector<int>& tenant_indices,
     result.SampleError(client.status().ToString());
     return;
   }
-  if (config.timeout_ms > 0) {
-    (void)client->SetReceiveTimeout(config.timeout_ms);
-  }
+  server::RequestWindowOptions window_options = config.window;
+  window_options.target = target;
+  server::RequestWindow window(*client, window_options);
 
   std::vector<TenantState> tenants;
   tenants.reserve(tenant_indices.size());
@@ -249,64 +166,9 @@ void RunConnection(const std::vector<int>& tenant_indices,
     tenants.push_back(std::move(state));
   }
 
-  // id -> tenant slot for every in-flight request on this connection.
-  std::unordered_map<int64_t, size_t> outstanding;
-  outstanding.reserve(static_cast<size_t>(config.window) * 2);
   int64_t next_id = 0;
   size_t active = tenants.size();
   size_t cursor = 0;  // round-robin top-up position
-
-  int reconnects_left = config.reconnects;
-
-  // When the transport dies mid-replay, everything already sent but not
-  // answered — and everything the connection's tenants would still have
-  // sent — is counted as unanswered, mirroring the connect-failure path.
-  const auto abort_connection = [&](const util::Status& status) {
-    result.SampleError(status.ToString());
-    result.transport_failures += static_cast<int64_t>(outstanding.size());
-    for (const TenantState& tenant : tenants) {
-      if (tenant.phase == TenantState::Phase::kDone) continue;
-      int64_t remaining =
-          PlannedOps(config) - tenant.ops_terminal - tenant.ops_skipped;
-      if (tenant.in_flight) --remaining;  // counted via `outstanding` above
-      if (remaining > 0) {
-        result.requests += remaining;
-        result.transport_failures += remaining;
-      }
-    }
-  };
-
-  // Bounded transport recovery: re-dial and re-send every in-flight
-  // request byte-identical — same correlation ids, so nothing is double
-  // counted and the pairing/order checks keep running. Safe against the
-  // router because a dropped connection's unanswered requests are exactly
-  // the ones that got no terminal response; re-sending re-routes them.
-  // Returns false (caller aborts) once the budget is spent or the re-dial
-  // itself fails.
-  const auto try_recover = [&](const util::Status& status) -> bool {
-    if (reconnects_left <= 0) return false;
-    --reconnects_left;
-    auto fresh = net::FrameClient::Connect(target.host, target.port,
-                                           /*connect_wait_ms=*/10000);
-    if (!fresh.ok()) {
-      result.SampleError(fresh.status().ToString());
-      return false;
-    }
-    client = std::move(fresh);
-    if (config.timeout_ms > 0) {
-      (void)client->SetReceiveTimeout(config.timeout_ms);
-    }
-    ++result.reconnects;
-    result.SampleError("reconnected after: " + status.ToString());
-    // Everything in flight was lost with the socket; hand the payloads
-    // back to their tenants for the next top-up (requests were already
-    // counted at first send; the re-send counts again, like a retry).
-    for (const auto& [id, slot] : outstanding) {
-      tenants[slot].in_flight = false;
-    }
-    outstanding.clear();
-    return true;
-  };
 
   // Advances one tenant past a terminal response. `ok` distinguishes a
   // served op from an abandoned one (error / gave-up overloaded) — a
@@ -314,8 +176,6 @@ void RunConnection(const std::vector<int>& tenant_indices,
   // stale distributions.
   const auto advance = [&](TenantState& tenant, bool op_ok) {
     ++tenant.ops_terminal;
-    tenant.pending_payload.clear();
-    tenant.attempts = 0;
     const auto finish_cycle = [&] {
       ++tenant.cycle;
       tenant.solves_done = 0;
@@ -326,12 +186,8 @@ void RunConnection(const std::vector<int>& tenant_indices,
     };
     if (tenant.phase == TenantState::Phase::kIngest) {
       if (!op_ok || config.solves_per_cycle == 0) {
-        if (op_ok) {
-          finish_cycle();
-        } else {
-          tenant.ops_skipped += config.solves_per_cycle;
-          finish_cycle();
-        }
+        if (!op_ok) tenant.ops_skipped += config.solves_per_cycle;
+        finish_cycle();
         return;
       }
       tenant.phase = TenantState::Phase::kSolve;
@@ -342,83 +198,58 @@ void RunConnection(const std::vector<int>& tenant_indices,
     if (tenant.solves_done >= config.solves_per_cycle) finish_cycle();
   };
 
-  const auto process_response = [&](const std::string& payload) -> bool {
-    auto op = DecodeResponse(payload, config.binary);
-    if (!op.ok()) {
+  using Completion = server::RequestWindow::Completion;
+  using Status = server::ResponseEnvelope::Status;
+  const auto process = [&](const Completion& done) {
+    if (done.kind == Completion::Kind::kUndecodable) {
       ++result.request_errors;
-      result.SampleError(op.status().ToString());
-      return true;  // undecodable response; the pairing check will catch loss
+      result.SampleError(done.response.message);
+      return;
     }
-    const auto it = outstanding.find(op->id);
-    if (it == outstanding.end()) {
+    if (done.kind == Completion::Kind::kUnmatched) {
       ++result.unmatched_responses;
-      result.SampleError("unmatched response id " + std::to_string(op->id));
-      return true;
+      result.SampleError("unmatched response id " +
+                         std::to_string(done.response.id));
+      return;
     }
-    TenantState& tenant = tenants[it->second];
-    outstanding.erase(it);
+    TenantState& tenant = tenants[done.tag];
     tenant.in_flight = false;
-
-    // `overloaded` and `backend_down` both mean nothing-was-applied, so
-    // re-sending the same payload (same id) is safe; `backend_down`
-    // additionally implies a cluster failover is in progress and the
-    // retry will re-route to the tenant's new owner.
-    if ((op->status == OpResponse::Status::kOverloaded ||
-         op->status == OpResponse::Status::kBackendDown) &&
-        tenant.attempts < config.retries) {
-      ++tenant.attempts;
-      if (op->status == OpResponse::Status::kOverloaded) {
-        ++result.overloaded_retries;
-      } else {
-        ++result.backend_down_retries;
-      }
-      tenant.backoff_until =
-          Clock::now() +
-          std::chrono::milliseconds(config.retry_backoff_ms);
-      return true;  // same payload re-queued by the next top-up
-    }
-
     result.latency_seconds.push_back(
         std::chrono::duration<double>(Clock::now() - tenant.op_start)
             .count());
-    if (op->status == OpResponse::Status::kOverloaded) {
-      ++result.gave_up_overloaded;
+    if (done.response.status != Status::kOk) {
+      if (done.response.status == Status::kOverloaded) {
+        ++result.gave_up_overloaded;
+      } else if (done.response.status == Status::kBackendDown) {
+        ++result.gave_up_backend_down;
+      } else {
+        ++result.request_errors;
+        if (!done.response.message.empty()) {
+          result.SampleError(done.response.message);
+        }
+      }
       advance(tenant, /*op_ok=*/false);
-      return true;
-    }
-    if (op->status == OpResponse::Status::kBackendDown) {
-      ++result.gave_up_backend_down;
-      advance(tenant, /*op_ok=*/false);
-      return true;
-    }
-    if (op->status == OpResponse::Status::kError) {
-      ++result.request_errors;
-      if (!op->message.empty()) result.SampleError(op->message);
-      advance(tenant, /*op_ok=*/false);
-      return true;
+      return;
     }
     if (tenant.phase == TenantState::Phase::kSolve) {
       ++result.ok;
-      if (!op->has_cycle || op->cycle <= tenant.last_cycle) {
+      if (!done.response.has_cycle ||
+          done.response.cycle <= tenant.last_cycle) {
         ++result.order_violations;
       } else {
-        tenant.last_cycle = op->cycle;
+        tenant.last_cycle = done.response.cycle;
       }
     }
     advance(tenant, /*op_ok=*/true);
-    return true;
   };
 
+  util::Status transport = util::OkStatus();
+  std::vector<Completion> completed;
   while (active > 0) {
-    // Top up the window: walk the tenants round-robin, queueing one op per
-    // ready tenant until the window is full, then flush everything queued
-    // with one send.
-    const Clock::time_point now = Clock::now();
-    Clock::time_point earliest_backoff = Clock::time_point::max();
-    bool queued_any = false;
+    // Top up the window: walk the tenants round-robin, submitting one op
+    // per idle tenant until the window is full.
     size_t scanned = 0;
-    while (outstanding.size() < static_cast<size_t>(config.window) &&
-           scanned < tenants.size()) {
+    while (window.HasRoom() && scanned < tenants.size()) {
       const size_t slot = cursor;
       TenantState& tenant = tenants[slot];
       cursor = (cursor + 1) % tenants.size();
@@ -426,86 +257,55 @@ void RunConnection(const std::vector<int>& tenant_indices,
       if (tenant.phase == TenantState::Phase::kDone || tenant.in_flight) {
         continue;
       }
-      if (tenant.backoff_until > now) {
-        earliest_backoff = std::min(earliest_backoff, tenant.backoff_until);
-        continue;
-      }
-      if (tenant.pending_payload.empty()) {
-        const int64_t id = ++next_id;
-        if (tenant.phase == TenantState::Phase::kIngest) {
-          auto dists = tenant.stream->Next();
-          if (!dists.ok()) {
-            ++result.request_errors;
-            result.SampleError(dists.status().ToString());
-            tenant.phase = TenantState::Phase::kDone;
-            --active;
-            continue;
-          }
-          tenant.pending_payload =
-              config.binary
-                  ? server::EncodeBinaryIngestRequest(id, tenant.name,
-                                                      *dists)
-                  : server::MakeIngestRequest(id, tenant.name, *dists);
-        } else {
-          tenant.pending_payload =
-              config.binary
-                  ? server::EncodeBinarySolveCycleRequest(id, tenant.name)
-                  : server::MakeSolveCycleRequest(id, tenant.name);
+      const int64_t id = ++next_id;
+      std::string payload;
+      if (tenant.phase == TenantState::Phase::kIngest) {
+        auto dists = tenant.stream->Next();
+        if (!dists.ok()) {
+          ++result.request_errors;
+          result.SampleError(dists.status().ToString());
+          tenant.phase = TenantState::Phase::kDone;
+          --active;
+          continue;
         }
-        tenant.op_start = now;
-        tenant.current_id = id;
+        payload = config.binary
+                      ? server::EncodeBinaryIngestRequest(id, tenant.name,
+                                                          *dists)
+                      : server::MakeIngestRequest(id, tenant.name, *dists);
+      } else {
+        payload = config.binary
+                      ? server::EncodeBinarySolveCycleRequest(id, tenant.name)
+                      : server::MakeSolveCycleRequest(id, tenant.name);
       }
-      client->QueueSend(tenant.pending_payload);
-      outstanding.emplace(tenant.current_id, slot);
+      tenant.op_start = Clock::now();
       tenant.in_flight = true;
-      ++result.requests;
-      queued_any = true;
+      window.Submit(id, std::move(payload), slot);
     }
-    if (queued_any) {
-      if (util::Status sent = client->FlushSends(); !sent.ok()) {
-        if (!try_recover(sent)) {
-          abort_connection(sent);
-          return;
-        }
-        continue;
-      }
-    }
+    completed.clear();
+    transport = window.Poll(completed);
+    for (const Completion& done : completed) process(done);
+    if (!transport.ok()) break;
+  }
 
-    if (outstanding.empty()) {
-      if (active == 0) break;
-      if (earliest_backoff != Clock::time_point::max()) {
-        std::this_thread::sleep_until(earliest_backoff);
-      }
-      continue;
+  result.requests += window.frames_sent();
+  result.overloaded_retries += window.overloaded_retries();
+  result.backend_down_retries += window.backend_down_retries();
+  result.reconnects += window.reconnects();
+  if (transport.ok()) return;
+  // The transport died with the re-dial budget spent: everything still in
+  // the window — and everything the connection's tenants would still have
+  // sent — is counted as unanswered, mirroring the connect-failure path.
+  result.SampleError(transport.ToString());
+  result.transport_failures += static_cast<int64_t>(window.outstanding());
+  for (const TenantState& tenant : tenants) {
+    if (tenant.phase == TenantState::Phase::kDone) continue;
+    int64_t remaining =
+        PlannedOps(config) - tenant.ops_terminal - tenant.ops_skipped;
+    if (tenant.in_flight) --remaining;  // counted via outstanding() above
+    if (remaining > 0) {
+      result.requests += remaining;
+      result.transport_failures += remaining;
     }
-
-    // One blocking receive, then drain every response already buffered —
-    // a burst of pipelined responses costs one recv(2).
-    auto response = client->Receive();
-    if (!response.ok()) {
-      if (!try_recover(response.status())) {
-        abort_connection(response.status());
-        return;
-      }
-      continue;
-    }
-    process_response(*response);
-    bool recovered = false;
-    for (;;) {
-      std::string buffered;
-      auto more = client->ReceiveBuffered(&buffered);
-      if (!more.ok()) {
-        if (!try_recover(more.status())) {
-          abort_connection(more.status());
-          return;
-        }
-        recovered = true;
-        break;
-      }
-      if (!*more) break;
-      process_response(buffered);
-    }
-    if (recovered) continue;
   }
 }
 
@@ -539,7 +339,7 @@ int Run(int argc, char** argv) {
   flags.Define("timeout_ms", "30000", "per-response receive timeout");
   flags.Define("min_throughput", "0",
                "fail (and report throughput_floor_met=false) below this "
-               "many requests/s (0 = no floor)");
+               "goodput: successful solve_cycle responses/s (0 = no floor)");
   // Scenario flags must match the server's so ingest type counts line up.
   scenario::DefineScenarioFlags(flags, /*default_scenario=*/"uniform",
                                 /*default_types=*/"5");
@@ -604,12 +404,12 @@ int Run(int argc, char** argv) {
   WorkerConfig config;
   config.cycles = flags.GetInt("cycles");
   config.solves_per_cycle = std::max(0, flags.GetInt("solves_per_cycle"));
-  config.window = std::max(1, flags.GetInt("window"));
-  config.retries = flags.GetInt("retries");
-  config.retry_backoff_ms = flags.GetInt("retry_backoff_ms");
-  config.timeout_ms = flags.GetInt("timeout_ms");
-  config.reconnects = std::max(0, flags.GetInt("reconnects"));
   config.binary = encoding == "binary";
+  config.window.window = std::max(1, flags.GetInt("window"));
+  config.window.max_retries = flags.GetInt("retries");
+  config.window.retry_backoff_ms = flags.GetInt("retry_backoff_ms");
+  config.window.reconnects = std::max(0, flags.GetInt("reconnects"));
+  config.window.timeout_ms = flags.GetInt("timeout_ms");
   config.stream_spec.kind = *stream_kind;
   config.stream_spec.drift_amplitude = flags.GetDouble("drift");
   config.stream_spec.revisit_period = flags.GetInt("revisit");
@@ -618,7 +418,7 @@ int Run(int argc, char** argv) {
 
   // Targets: external servers/routers, or an in-process server on an
   // ephemeral port.
-  std::vector<Target> targets;
+  std::vector<net::HostPort> targets;
   std::unique_ptr<server::AuditServer> local_server;
   std::thread server_thread;
   const std::string connect = flags.GetString("connect");
@@ -641,7 +441,7 @@ int Run(int argc, char** argv) {
       std::cerr << started << "\n";
       return 1;
     }
-    targets.push_back(Target{"127.0.0.1", local_server->port()});
+    targets.push_back(net::HostPort{"127.0.0.1", local_server->port()});
     server_thread = std::thread([&local_server] {
       if (util::Status run = local_server->Run(); !run.ok()) {
         std::cerr << "in-process server: " << run << "\n";
@@ -652,18 +452,12 @@ int Run(int argc, char** argv) {
     std::stringstream list(connect);
     while (std::getline(list, entry, ',')) {
       if (entry.empty()) continue;
-      const size_t colon = entry.rfind(':');
-      if (colon == std::string::npos) {
-        std::cerr << "--connect entries must be host:port\n";
+      auto target = net::ParseHostPort(entry);
+      if (!target.ok()) {
+        std::cerr << "--connect: " << target.status().message() << "\n";
         return 1;
       }
-      auto port = util::ParseFullInt(entry.substr(colon + 1));
-      if (!port.ok() || *port < 1 || *port > 65535) {
-        std::cerr << "--connect entry has an invalid port: " << entry << "\n";
-        return 1;
-      }
-      targets.push_back(
-          Target{entry.substr(0, colon), static_cast<uint16_t>(*port)});
+      targets.push_back(std::move(*target));
     }
     if (targets.empty()) {
       std::cerr << "--connect must name at least one host:port\n";
@@ -686,7 +480,7 @@ int Run(int argc, char** argv) {
   workers.reserve(static_cast<size_t>(connections));
   util::Timer wall;
   for (int c = 0; c < connections; ++c) {
-    const Target& target =
+    const net::HostPort& target =
         targets[static_cast<size_t>(c) % targets.size()];
     workers.emplace_back(RunConnection, std::cref(partition[c]),
                          std::cref(baseline), std::cref(config),
@@ -751,16 +545,21 @@ int Run(int argc, char** argv) {
       wall_seconds > 0.0
           ? static_cast<double>(total.requests) / wall_seconds
           : 0.0;
+  // Goodput: successful solve_cycle responses per second. Ingests,
+  // retries and rejected attempts do not count, so the floor cannot be met
+  // by a server that mostly answers `overloaded`.
+  const double goodput =
+      wall_seconds > 0.0 ? static_cast<double>(total.ok) / wall_seconds : 0.0;
   const double min_throughput = flags.GetDouble("min_throughput");
-  const bool floor_met =
-      min_throughput <= 0.0 || throughput >= min_throughput;
+  const bool floor_met = min_throughput <= 0.0 || goodput >= min_throughput;
 
   std::cerr << "loadgen: " << tenants << " tenants x " << config.cycles
             << " cycles (" << config.solves_per_cycle
             << " solves/cycle) over " << connections
-            << " connections (window " << config.window << ", " << encoding
-            << ") -> " << total.requests << " requests in " << wall_seconds
-            << "s (" << throughput << " req/s)\n"
+            << " connections (window " << config.window.window << ", "
+            << encoding << ") -> " << total.requests << " requests in "
+            << wall_seconds << "s (" << throughput << " req/s, goodput "
+            << goodput << " ok/s)\n"
             << "  ok " << total.ok << ", errors " << total.request_errors
             << ", unanswered " << total.transport_failures
             << ", unmatched " << total.unmatched_responses
@@ -773,8 +572,8 @@ int Run(int argc, char** argv) {
             << "  latency: p50 " << p50 << "s p90 " << p90 << "s p99 " << p99
             << "s max " << worst << "s\n";
   if (min_throughput > 0.0) {
-    std::cerr << "  throughput floor " << min_throughput
-              << " req/s: " << (floor_met ? "met" : "NOT MET") << "\n";
+    std::cerr << "  goodput floor " << min_throughput
+              << " ok/s: " << (floor_met ? "met" : "NOT MET") << "\n";
   }
   for (const std::string& sample : total.error_samples) {
     std::cerr << "  error: " << sample << "\n";
@@ -791,7 +590,7 @@ int Run(int argc, char** argv) {
     summary["cycles"] = config.cycles;
     summary["solves_per_cycle"] = config.solves_per_cycle;
     summary["connections"] = connections;
-    summary["window"] = config.window;
+    summary["window"] = config.window.window;
     summary["encoding"] = encoding;
     summary["shards"] = flags.GetInt("shards");
     summary["scenario"] = flags.GetString("scenario");
@@ -826,6 +625,7 @@ int Run(int argc, char** argv) {
     // Timing fields ride along ungated (machine-dependent).
     summary["wall_seconds"] = wall_seconds;
     summary["throughput_rps"] = throughput;
+    summary["goodput_rps"] = goodput;
     summary["latency_seconds_p50"] = p50;
     summary["latency_seconds_p90"] = p90;
     summary["latency_seconds_p99"] = p99;

@@ -1,10 +1,10 @@
 // workload_replay: streams generated scenario workloads through the
 // serving layer end to end. Picks a game family from the scenario catalog
-// (or a custom spec via flags), builds a drifting multi-cycle alert stream
-// (jitter / random-walk / seasonal), replays it through
-// service::AuditService across a budget sweep, and reports the
-// cache-hit / warm-solve / cold-solve split plus per-cycle latency
-// percentiles — the serving-side view of what a scenario costs.
+// (or a custom spec via flags, or a game JSON file via --game), builds a
+// drifting multi-cycle alert stream (jitter / random-walk / seasonal),
+// replays it through service::AuditService across a budget sweep, and
+// reports the cache-hit / warm-solve / cold-solve split plus per-cycle
+// latency percentiles — the serving-side view of what a scenario costs.
 //
 // SIGINT/SIGTERM interrupt the replay gracefully: the current cycle
 // finishes, the summary and (if requested) the JSON report are still
@@ -13,16 +13,19 @@
 //   workload_replay --scenario=zipf --stream=walk --cycles=40 --drift=0.08
 //   workload_replay --scenario=correlated --budget_lo=6 --budget_hi=18 \
 //       --budget_steps=4 --pricing_threads=4 --json=replay.json
+//   workload_replay --game=game.json --cycles=50 --budget_steps=1
 #include <signal.h>
 
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/exit_codes.h"
+#include "core/game_io.h"
 #include "prob/count_distribution.h"
 #include "scenario/generator.h"
 #include "scenario/stream.h"
@@ -46,6 +49,9 @@ int Run(int argc, char** argv) {
   util::FlagParser flags;
   scenario::DefineScenarioFlags(flags, /*default_scenario=*/"zipf",
                                 /*default_types=*/"0");
+  flags.Define("game", "",
+               "game instance JSON replayed instead of the scenario catalog "
+               "(e.g. from export_game)");
   flags.Define("stream", "jitter",
                "alert-stream evolution: jitter, walk, seasonal");
   flags.Define("cycles", "30", "audit cycles to replay");
@@ -75,12 +81,22 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  auto spec = scenario::SpecFromFlags(flags);
-  if (!spec.ok()) {
-    std::cerr << spec.status() << "\n";
-    return 1;
-  }
-  auto instance = scenario::Generate(*spec);
+  const std::string game_path = flags.GetString("game");
+  util::StatusOr<core::GameInstance> instance = [&]() {
+    if (game_path.empty()) {
+      auto spec = scenario::SpecFromFlags(flags);
+      if (!spec.ok()) return util::StatusOr<core::GameInstance>(spec.status());
+      return scenario::Generate(*spec);
+    }
+    std::ifstream in(game_path);
+    if (!in) {
+      return util::StatusOr<core::GameInstance>(
+          util::NotFoundError("cannot open " + game_path));
+    }
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return core::ParseGame(buffer.str());
+  }();
   if (!instance.ok()) {
     std::cerr << instance.status() << "\n";
     return 1;
@@ -191,7 +207,9 @@ int Run(int argc, char** argv) {
     std::cerr << "interrupted after " << cycles_completed << "/" << cycles
               << " cycles; writing partial report\n";
   }
-  std::cerr << "scenario " << flags.GetString("scenario") << ": "
+  std::cerr << (game_path.empty() ? "scenario " + flags.GetString("scenario")
+                                  : "game " + game_path)
+            << ": "
             << cycles_completed << " cycles x " << options.budgets.size()
             << " budgets in " << stats.total_cycle_seconds << "s — "
             << stats.served_from_cache << " cache hits, "
@@ -211,7 +229,11 @@ int Run(int argc, char** argv) {
   if (!json_path.empty()) {
     util::JsonValue::Object summary;
     summary["tool"] = "workload_replay";
-    summary["scenario"] = flags.GetString("scenario");
+    if (game_path.empty()) {
+      summary["scenario"] = flags.GetString("scenario");
+    } else {
+      summary["game"] = game_path;
+    }
     summary["stream"] = flags.GetString("stream");
     summary["cycles"] = cycles;
     summary["cycles_completed"] = cycles_completed;
