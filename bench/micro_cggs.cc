@@ -234,9 +234,10 @@ int RunSmoke(const std::string& json_path) {
   }
 
   // Cold ishm-cggs sweeps as the server runs them (uniform scenario,
-  // 5 types, eps 0.25): one master LP re-priced across every probe. Master
-  // solves, warm resumes and pivots per sweep are deterministic, so CI
-  // gates them; losing the master reuse shows up here first.
+  // 5 types, eps 0.25): one master LP re-priced across every probe, and
+  // probes the weak-duality bound rules out never solved. Master solves,
+  // warm resumes and pivots per sweep are deterministic, so CI gates them;
+  // losing the master reuse or the pruning shows up here first.
   util::JsonValue::Array sweeps;
   auto uniform_spec = scenario::SpecByName("uniform");
   uniform_spec->num_types = 5;
@@ -260,16 +261,20 @@ int RunSmoke(const std::string& json_path) {
     // Rows of the master LP: the groups' victim envelopes (context only).
     sweep["victim_rows"] = uniform_compiled->num_envelope_rows();
     sweep["probes"] = static_cast<double>(ishm->stats.distinct_evaluations);
+    sweep["pruned"] = static_cast<double>(ishm->stats.pruned);
+    sweep["cold_retries"] = work.cold_retries;
     sweep["ishm_lp_solves"] = work.lp_solves;
     sweep["ishm_warm_lp_solves"] = work.warm_lp_solves;
     sweep["ishm_master_iterations"] =
         static_cast<double>(work.master_lp_iterations);
     sweep["ishm_objective"] = ishm->objective;
-    std::printf("ishm-cggs sweep budget=%.0f probes %lld lp_solves %d "
-                "(warm %d) pivots %ld obj %.9f\n",
+    std::printf("ishm-cggs sweep budget=%.0f probes %lld pruned %lld "
+                "lp_solves %d (warm %d, cold retries %d) pivots %ld "
+                "obj %.9f\n",
                 budget, static_cast<long long>(ishm->stats.distinct_evaluations),
-                work.lp_solves, work.warm_lp_solves, work.master_lp_iterations,
-                ishm->objective);
+                static_cast<long long>(ishm->stats.pruned), work.lp_solves,
+                work.warm_lp_solves, work.cold_retries,
+                work.master_lp_iterations, ishm->objective);
     sweeps.push_back(std::move(sweep));
   }
 

@@ -9,6 +9,7 @@
 
 #include "core/game_lp.h"
 #include "core/master_lp.h"
+#include "math/kernels.h"
 #include "util/arena.h"
 #include "util/hash.h"
 #include "util/random.h"
@@ -207,9 +208,10 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
   RestrictedMasterLp master(game, detection,
                             CggsMasterOptions(options, workspace));
   RETURN_IF_ERROR(AddSeedOrderings(game, options.initial_orderings, master));
-  ASSIGN_OR_RETURN(CggsResult result, SolveCggsOnMaster(game, detection,
-                                                        options, *workspace,
-                                                        master));
+  RestrictedLpSolution solution;
+  ASSIGN_OR_RETURN(CggsResult result,
+                   SolveCggsOnMaster(game, detection, options, *workspace,
+                                     master, solution));
   result.columns = master.orderings();
   return result;
 }
@@ -218,7 +220,8 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
                                              const DetectionModel& detection,
                                              const CggsOptions& options,
                                              util::Arena& arena,
-                                             RestrictedMasterLp& master_lp) {
+                                             RestrictedMasterLp& master_lp,
+                                             RestrictedLpSolution& master) {
   // One pool for the whole loop — the caller's shared pool when provided,
   // a locally owned one otherwise; null selects the inline serial path.
   // Work is chunked by pricing_threads (never by pool size), and every
@@ -243,7 +246,6 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
   const RestrictedMasterLp::Stats stats_before = master_lp.stats();
 
   CggsResult result;
-  RestrictedLpSolution master;
 
   // Round-persistent scratch: candidate orderings, their reduced-cost
   // slots, and one (prefix, pal) evaluation scratch per candidate slot —
@@ -330,6 +332,8 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
       master_lp.stats().warm_solves - stats_before.warm_solves;
   result.master_lp_iterations =
       master_lp.stats().iterations - stats_before.iterations;
+  result.cold_retries =
+      master_lp.stats().cold_retries - stats_before.cold_retries;
   result.policy.budget = detection.budget();
   result.policy.thresholds = detection.thresholds();
   const std::vector<std::vector<int>>& columns = master_lp.orderings();
@@ -345,6 +349,61 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
     for (double& p : result.policy.probabilities) p /= total;
   }
   return result;
+}
+
+void ProjectDualUtility(const CompiledGame& game,
+                        const std::vector<std::vector<double>>& victim_duals,
+                        DualUtility& out) {
+  out.constant = 0.0;
+  out.slope.assign(static_cast<size_t>(game.num_types), 0.0);
+  for (size_t g = 0; g < game.groups.size(); ++g) {
+    const AdversaryGroup& group = game.groups[g];
+    if (group.envelope.empty()) continue;
+    const std::vector<double>& duals = victim_duals[g];
+    double sum = 0.0;
+    for (const int v : group.envelope) {
+      sum += std::max(0.0, duals[static_cast<size_t>(v)]);
+    }
+    // Scale so sum_v y_gv = w_g: then u_g drops out of the Lagrangian. An
+    // opt-out group's u_g >= 0 also allows any sum below w_g.
+    double scale = 1.0;
+    if (sum > 0.0 && (!group.can_opt_out || sum > group.weight)) {
+      scale = group.weight / sum;
+    }
+    for (const int v : group.envelope) {
+      const double y =
+          sum > 0.0
+              ? std::max(0.0, duals[static_cast<size_t>(v)]) * scale
+              : group.weight / static_cast<double>(group.envelope.size());
+      if (y == 0.0) continue;
+      const VictimProfile& victim = group.victims[static_cast<size_t>(v)];
+      out.constant += y * (victim.benefit - victim.attack_cost);
+      math::Axpy(y * (victim.penalty + victim.benefit),
+                 victim.type_probs.data(), out.slope.data(),
+                 out.slope.size());
+    }
+  }
+}
+
+double MinOverOrderings(const DetectionModel& detection, const DualUtility& f,
+                        std::vector<double>& best) {
+  const int t_count = detection.num_types();
+  const uint32_t full = (uint32_t{1} << t_count) - 1;
+  const double* table = detection.subset_table().data();
+  best.resize(static_cast<size_t>(full) + 1);
+  best[0] = 0.0;
+  for (uint32_t set = 1; set <= full; ++set) {
+    double value = -std::numeric_limits<double>::infinity();
+    for (int t = 0; t < t_count; ++t) {
+      if (((set >> t) & 1u) == 0) continue;
+      const uint32_t before = set & ~(uint32_t{1} << t);
+      const double pal = table[static_cast<size_t>(before) * t_count + t];
+      value = std::max(value,
+                       best[before] + f.slope[static_cast<size_t>(t)] * pal);
+    }
+    best[set] = value;
+  }
+  return f.constant - best[full];
 }
 
 }  // namespace auditgame::core

@@ -79,6 +79,9 @@ struct CggsResult {
   int warm_lp_solves = 0;
   /// Simplex iterations summed over all master solves.
   long master_lp_iterations = 0;
+  /// Master solves re-run from the cold basis after their warm optimum
+  /// failed the primal-residual check (RestrictedMasterLp::SolveInto).
+  int cold_retries = 0;
   /// Wall-clock spent in the pricing rounds (greedy growth + probe
   /// generation + reduced-cost evaluation) — the part pricing_threads
   /// parallelizes; bench/scenario_suite reports the speedup.
@@ -116,12 +119,44 @@ util::Status AddSeedOrderings(const CompiledGame& game,
 /// scratch shares that workspace. Ignores options.initial_orderings (seed
 /// the master instead) and options.workspace. The counters in the result
 /// are this call's share of the master's lifetime stats, and `columns`
-/// stays empty: Q is master.orderings().
+/// stays empty: Q is master.orderings(). `solution` receives every master
+/// solve in place and ends holding the last one, duals included; a caller
+/// that keeps it across calls reuses its buffers.
 util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
                                              const DetectionModel& detection,
                                              const CggsOptions& options,
                                              util::Arena& workspace,
-                                             RestrictedMasterLp& master);
+                                             RestrictedMasterLp& master,
+                                             RestrictedLpSolution& solution);
+
+/// The dual-weighted adversary utility sum_{g,v} y_gv Ua(Pal, <g,v>) of a
+/// set of victim duals, written as an affine function of Pal:
+///   constant - sum_t slope[t] * Pal[t],
+/// since Ua = R - K - Pat (M + R) and Pat is linear in Pal.
+struct DualUtility {
+  double constant = 0.0;
+  std::vector<double> slope;
+};
+
+/// Projects `victim_duals` (indexed like RestrictedLpSolution's) onto the
+/// master LP's dual-feasible set and writes their DualUtility into `out`,
+/// resizing its slope in place. Only envelope victims count; their duals
+/// are clamped at 0 and scaled so each group's sum is its weight w_g (at
+/// most w_g for a group that can opt out). A group whose duals sum to 0
+/// gets w_g spread evenly over its envelope.
+void ProjectDualUtility(const CompiledGame& game,
+                        const std::vector<std::vector<double>>& victim_duals,
+                        DualUtility& out);
+
+/// The minimum of `f` over every ordering of the types, at the thresholds
+/// of the subset table `detection` last built (BuildSubsetTable), by a DP
+/// over type sets: best(S) = max over t in S of best(S \ t) +
+/// slope[t] * Pal(t | S \ t). With `f` from ProjectDualUtility, this is a
+/// lower bound on the LP optimum over all orderings at those thresholds,
+/// and so on any CGGS objective there (weak duality). `best` is scratch,
+/// resized in place to 2^T entries.
+double MinOverOrderings(const DetectionModel& detection, const DualUtility& f,
+                        std::vector<double>& best);
 
 }  // namespace auditgame::core
 

@@ -229,23 +229,69 @@ double DetectionModel::PalGivenPrefix(const Prefix& prefix, int type) const {
 
 void DetectionModel::ExtendPrefix(Prefix& prefix, int type) const {
   if (options_.mode == Mode::kExact) {
-    // The consumption pmf is sparse; each support point (cell, q) is one
-    // shifted-axpy pass over the whole prefix with saturation at the last
-    // grid cell. Double-buffered through prefix.scratch so repeated
-    // extensions never allocate after the first.
-    const size_t n = static_cast<size_t>(grid_size_);
-    prefix.scratch.assign(n, 0.0);
-    for (const auto& [cell, q] : consumption_[type]) {
-      math::ConvolveShiftSaturate(prefix.data.data(), n,
-                                  static_cast<size_t>(cell), q,
-                                  prefix.scratch.data());
-    }
+    // Double-buffered through prefix.scratch so repeated extensions never
+    // allocate after the first.
+    prefix.scratch.resize(static_cast<size_t>(grid_size_));
+    ConvolveInto(prefix.data.data(), type, prefix.scratch.data());
     prefix.data.swap(prefix.scratch);
     return;
   }
   const size_t k_count = static_cast<size_t>(options_.mc_samples);
   math::Add(mc_consumption_.data() + static_cast<size_t>(type) * k_count,
             prefix.data.data(), k_count);
+}
+
+void DetectionModel::ConvolveInto(const double* prefix, int type,
+                                  double* next) const {
+  // The consumption pmf is sparse; each support point (cell, q) is one
+  // shifted-axpy pass over the whole prefix with saturation at the last
+  // grid cell.
+  const size_t n = static_cast<size_t>(grid_size_);
+  std::fill(next, next + n, 0.0);
+  for (const auto& [cell, q] : consumption_[type]) {
+    math::ConvolveShiftSaturate(prefix, n, static_cast<size_t>(cell), q,
+                                next);
+  }
+}
+
+util::Status DetectionModel::BuildSubsetTable() {
+  if (options_.mode != Mode::kExact) {
+    return util::FailedPreconditionError(
+        "the subset table needs exact detection");
+  }
+  const int t_count = num_types();
+  if (t_count > kMaxSubsetTableTypes) {
+    return util::InvalidArgumentError("too many types for a subset table");
+  }
+  if (!tables_ready_) {
+    return util::FailedPreconditionError("no thresholds installed");
+  }
+  const size_t n = static_cast<size_t>(grid_size_);
+  subset_table_.assign(static_cast<size_t>(t_count) << t_count, 0.0);
+  subset_prefixes_.resize(static_cast<size_t>(t_count) * n);
+  std::fill(subset_prefixes_.begin(), subset_prefixes_.begin() + n, 0.0);
+  subset_prefixes_[0] = 1.0;
+  WalkSubsets(0, 0, 0);
+  return util::OkStatus();
+}
+
+void DetectionModel::WalkSubsets(uint32_t placed, int depth, int next) {
+  const int t_count = num_types();
+  const size_t n = static_cast<size_t>(grid_size_);
+  const double* prefix =
+      subset_prefixes_.data() + static_cast<size_t>(depth) * n;
+  double* row = subset_table_.data() + static_cast<size_t>(placed) * t_count;
+  for (int t = 0; t < t_count; ++t) {
+    if ((placed >> t) & 1u) continue;
+    row[t] = math::Dot(prefix, g_[static_cast<size_t>(t)].data(), n);
+  }
+  // The full set has no type left to price, so its prefix is never built.
+  if (depth + 1 >= t_count) return;
+  for (int t = next; t < t_count; ++t) {
+    ConvolveInto(prefix, t,
+                 subset_prefixes_.data() + static_cast<size_t>(depth + 1) * n);
+    WalkSubsets(placed | (1u << t), depth + 1, t + 1);
+  }
 }
 
 util::StatusOr<std::vector<double>> DetectionModel::DetectionProbabilities(

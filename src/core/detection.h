@@ -128,12 +128,38 @@ class DetectionModel {
                                           Prefix& prefix,
                                           std::vector<double>& pal) const;
 
+  /// ---- Subset table -----------------------------------------------------
+  /// A type's Pal depends only on the *set* of types placed before it: a
+  /// prefix is a saturating convolution, and convolution commutes. The
+  /// subset table holds Pal(t | S) for the installed thresholds, for every
+  /// set S of types (a bit mask) and every type t outside it, at index
+  /// S * num_types() + t (entries with t in S are 0).
+  static constexpr int kMaxSubsetTableTypes = 16;
+
+  /// Builds the subset table for the installed thresholds: one depth-first
+  /// walk that extends one prefix per subset, 2^T - 2 extensions and
+  /// T * 2^(T-1) Pal dots. kExact only, at most kMaxSubsetTableTypes types.
+  /// The buffers are sized by the first call and reused after it.
+  util::Status BuildSubsetTable();
+
+  /// The table the last BuildSubsetTable built (empty before the first).
+  const std::vector<double>& subset_table() const { return subset_table_; }
+
  private:
   DetectionModel() = default;
 
   // Rebuild type t's tables from thresholds_[t].
   void PrepareExactTable(int t);
   void PrepareMcTable(int t);
+
+  // kExact: writes the grid distribution of `prefix` followed by `type`
+  // into `next` (grid_size_ cells, distinct from `prefix`).
+  void ConvolveInto(const double* prefix, int type, double* next) const;
+
+  // BuildSubsetTable's walk below the set `placed`, whose prefix is
+  // subset_prefixes_[depth]; adds only types >= `next`, so each set is
+  // reached once.
+  void WalkSubsets(uint32_t placed, int depth, int next);
 
   Options options_;
   double budget_ = 0.0;
@@ -165,6 +191,12 @@ class DetectionModel {
   // SetThresholds scratch (reused across calls; ISHM sweeps call
   // SetThresholds in a loop).
   std::vector<double> cell_prob_scratch_;
+
+  // Subset table and its walk's prefix stack: subset_prefixes_[d] is the
+  // grid distribution of the d types placed so far, at offset
+  // d * grid_size_.
+  std::vector<double> subset_table_;
+  std::vector<double> subset_prefixes_;
 };
 
 }  // namespace auditgame::core

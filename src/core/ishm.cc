@@ -58,24 +58,42 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
 
   // Memoized evaluation of a raw threshold vector. The effective/key
   // buffers persist across the sweep's hundreds of candidate evaluations;
-  // only a cache miss materializes a stored key.
-  std::map<std::vector<int64_t>, ThresholdEvaluation> cache;
+  // only a new vector materializes a stored key. A vector the bound
+  // skipped is memoized with its bound until it is evaluated.
+  struct MemoEntry {
+    bool evaluated = false;
+    double bound = -std::numeric_limits<double>::infinity();
+    ThresholdEvaluation eval;
+  };
+  std::map<std::vector<int64_t>, MemoEntry> cache;
+  ObjectiveBound lower_bound;
   std::vector<double> effective_buf;
   std::vector<int64_t> key_buf;
-  auto evaluate =
-      [&](const std::vector<double>& raw) -> util::StatusOr<ThresholdEvaluation> {
+  // Returns null when the bound proves the vector's objective is at least
+  // `cutoff`; otherwise its evaluation, owned by the memo (std::map nodes
+  // never move).
+  auto evaluate = [&](const std::vector<double>& raw, double cutoff)
+      -> util::StatusOr<const ThresholdEvaluation*> {
     ++result.stats.evaluations;
     EffectiveThresholdsInto(raw, instance.audit_costs,
                             options.floor_to_audit_cost, effective_buf);
     CacheKeyInto(effective_buf, key_buf);
-    auto it = cache.find(key_buf);
-    if (it != cache.end()) return it->second;
+    auto [it, inserted] = cache.try_emplace(key_buf);
+    MemoEntry& entry = it->second;
+    if (entry.evaluated) return &entry.eval;
+    if (inserted && lower_bound) entry.bound = lower_bound(effective_buf);
+    if (entry.bound >= cutoff) {
+      ++result.stats.pruned;
+      return nullptr;
+    }
     ++result.stats.distinct_evaluations;
-    ASSIGN_OR_RETURN(ThresholdEvaluation eval, evaluator(effective_buf));
-    result.stats.cggs.Add(eval.work);
-    cache.emplace(key_buf, eval);
-    return eval;
+    ASSIGN_OR_RETURN(entry.eval, evaluator(effective_buf));
+    entry.evaluated = true;
+    result.stats.cggs.Add(entry.eval.work);
+    if (entry.eval.lower_bound) lower_bound = entry.eval.lower_bound;
+    return &entry.eval;
   };
+  constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
 
   // Line 1: initialize with the full-coverage upper bounds, or — warm
   // start — with the caller-provided seed clamped into [0, upper bound].
@@ -100,15 +118,13 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
                                   : t_count;
 
   double best_objective = std::numeric_limits<double>::infinity();
-  ThresholdEvaluation best_eval;
-  bool have_best = false;
+  const ThresholdEvaluation* best_eval = nullptr;
   if (warm_started) {
     // The seed is (near-)optimal already; evaluating it first means shrinks
     // must strictly beat it, where a cold start accepts the best first-round
     // shrink unconditionally.
-    ASSIGN_OR_RETURN(best_eval, evaluate(thresholds));
-    best_objective = best_eval.objective;
-    have_best = true;
+    ASSIGN_OR_RETURN(best_eval, evaluate(thresholds, kNoCutoff));
+    best_objective = best_eval->objective;
   }
 
   int lh = 1;
@@ -121,18 +137,25 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
       const double ratio = std::max(0.0, 1.0 - i * options.step_size);
       double round_best = std::numeric_limits<double>::infinity();
       int round_best_combo = -1;
-      ThresholdEvaluation round_best_eval;
+      const ThresholdEvaluation* round_best_eval = nullptr;
       std::vector<double> temp;
       for (size_t j = 0; j < combos.size(); ++j) {
         temp.assign(thresholds.begin(), thresholds.end());
         for (int idx : combos[j]) temp[idx] *= ratio;
-        ASSIGN_OR_RETURN(ThresholdEvaluation eval, evaluate(temp));
-        // The first combo is taken explicitly: round_best starts at +inf,
-        // and the tolerance term would turn inf - inf into NaN.
-        if (round_best_combo < 0 ||
-            eval.objective <
-                round_best - 1e-9 * (1.0 + std::fabs(round_best))) {
-          round_best = eval.objective;
+        // The first evaluated combo is taken explicitly: round_best starts
+        // at +inf, and the tolerance term would turn inf - inf into NaN.
+        // A probe bounded at or above the cutoff could neither replace the
+        // round's best nor beat the incumbent.
+        const double win_by =
+            round_best_combo < 0
+                ? kNoCutoff
+                : round_best - 1e-9 * (1.0 + std::fabs(round_best));
+        ASSIGN_OR_RETURN(
+            const ThresholdEvaluation* eval,
+            evaluate(temp, std::min(win_by, best_objective - 1e-12)));
+        if (eval != nullptr && (round_best_combo < 0 ||
+                                eval->objective < win_by)) {
+          round_best = eval->objective;
           round_best_combo = static_cast<int>(j);
           round_best_eval = eval;
         }
@@ -140,7 +163,6 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
       if (round_best < best_objective - 1e-12) {
         best_objective = round_best;
         best_eval = round_best_eval;
-        have_best = true;
         ++result.stats.improvements;
         for (int idx : combos[static_cast<size_t>(round_best_combo)]) {
           thresholds[idx] *= ratio;
@@ -161,10 +183,10 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
     }
   }
 
-  if (!have_best) {
+  if (best_eval == nullptr) {
     // Degenerate epsilon (ratio list empty); evaluate the initial vector.
-    ASSIGN_OR_RETURN(best_eval, evaluate(thresholds));
-    best_objective = best_eval.objective;
+    ASSIGN_OR_RETURN(best_eval, evaluate(thresholds, kNoCutoff));
+    best_objective = best_eval->objective;
   }
 
   result.objective = best_objective;
@@ -172,7 +194,7 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
   EffectiveThresholdsInto(thresholds, instance.audit_costs,
                           options.floor_to_audit_cost,
                           result.effective_thresholds);
-  result.policy = best_eval.policy;
+  result.policy = best_eval->policy;
   return result;
 }
 
@@ -206,6 +228,10 @@ CggsSweep::CggsSweep(const CompiledGame& game, DetectionModel& detection,
     owned_workspace_ = std::make_unique<util::Arena>();
     options_.workspace = owned_workspace_.get();
   }
+  if (detection_.mode() == DetectionModel::Mode::kExact &&
+      game_.num_types <= kMaxBoundTypes) {
+    dual_ring_.resize(kDualRing);
+  }
 }
 
 CggsSweep::~CggsSweep() = default;
@@ -226,9 +252,30 @@ util::StatusOr<CggsResult> CggsSweep::Solve(
   }
   ASSIGN_OR_RETURN(CggsResult result,
                    SolveCggsOnMaster(game_, detection_, options_,
-                                     *options_.workspace, *master_));
+                                     *options_.workspace, *master_,
+                                     solution_));
   support_ = result.policy.orderings;
+  if (bounded()) {
+    ProjectDualUtility(game_, solution_.victim_duals,
+                       dual_ring_[static_cast<size_t>(ring_next_)]);
+    ring_next_ = (ring_next_ + 1) % kDualRing;
+    ring_filled_ = std::min(ring_filled_ + 1, kDualRing);
+  }
   return result;
+}
+
+double CggsSweep::LowerBound(const std::vector<double>& thresholds) {
+  double bound = -std::numeric_limits<double>::infinity();
+  if (ring_filled_ == 0 || !detection_.SetThresholds(thresholds).ok() ||
+      !detection_.BuildSubsetTable().ok()) {
+    return bound;
+  }
+  for (int k = 0; k < ring_filled_; ++k) {
+    bound = std::max(bound, MinOverOrderings(detection_,
+                                             dual_ring_[static_cast<size_t>(k)],
+                                             dp_scratch_));
+  }
+  return bound;
 }
 
 ThresholdEvaluator MakeCggsEvaluator(const CompiledGame& game,
@@ -236,16 +283,26 @@ ThresholdEvaluator MakeCggsEvaluator(const CompiledGame& game,
                                      CggsOptions options) {
   auto sweep =
       std::make_shared<CggsSweep>(game, detection, std::move(options));
-  return [sweep](const std::vector<double>& thresholds)
+  // A raw pointer keeps the bound a trivially copyable std::function, so
+  // copying evaluations never allocates; the evaluator owns the sweep.
+  ObjectiveBound lower_bound;
+  if (sweep->bounded()) {
+    lower_bound = [raw = sweep.get()](const std::vector<double>& thresholds) {
+      return raw->LowerBound(thresholds);
+    };
+  }
+  return [sweep, lower_bound](const std::vector<double>& thresholds)
              -> util::StatusOr<ThresholdEvaluation> {
     ASSIGN_OR_RETURN(CggsResult cggs, sweep->Solve(thresholds));
     ThresholdEvaluation eval;
+    eval.lower_bound = lower_bound;
     eval.objective = cggs.objective;
     eval.policy = std::move(cggs.policy);
     eval.work.lp_solves = cggs.lp_solves;
     eval.work.warm_lp_solves = cggs.warm_lp_solves;
     eval.work.columns_generated = cggs.columns_generated;
     eval.work.master_lp_iterations = cggs.master_lp_iterations;
+    eval.work.cold_retries = cggs.cold_retries;
     eval.work.pricing_seconds = cggs.pricing_seconds;
     return eval;
   };

@@ -26,6 +26,8 @@ struct CggsWork {
   int columns_generated = 0;
   /// Simplex pivots summed over the master solves.
   long master_lp_iterations = 0;
+  /// Master solves re-run cold after failing the primal-residual check.
+  int cold_retries = 0;
   double pricing_seconds = 0.0;
 
   void Add(const CggsWork& other) {
@@ -33,15 +35,25 @@ struct CggsWork {
     warm_lp_solves += other.warm_lp_solves;
     columns_generated += other.columns_generated;
     master_lp_iterations += other.master_lp_iterations;
+    cold_retries += other.cold_retries;
     pricing_seconds += other.pricing_seconds;
   }
 };
+
+/// A lower bound on an evaluator's objective at a threshold vector, or
+/// -infinity when it has none.
+using ObjectiveBound = std::function<double(const std::vector<double>&)>;
 
 /// What an ISHM threshold-vector probe returns.
 struct ThresholdEvaluation {
   double objective = 0.0;
   AuditPolicy policy;
   CggsWork work;
+  /// Optional lower bound on the evaluator's objective at *any* threshold
+  /// vector, valid while the evaluator that returned it lives. SolveIshm
+  /// takes it from the results, so it survives wrappers that pass them
+  /// through unchanged, and skips probes it proves cannot win.
+  ObjectiveBound lower_bound;
 };
 
 /// Pluggable evaluator: given a threshold vector, produce the (approximate)
@@ -80,6 +92,10 @@ struct IshmStats {
   int64_t evaluations = 0;
   /// Distinct effective vectors actually evaluated (cache misses).
   int64_t distinct_evaluations = 0;
+  /// Submissions skipped, without calling the evaluator, because the
+  /// evaluator's lower bound showed they could not win (counted in
+  /// `evaluations`, never in `distinct_evaluations`).
+  int64_t pruned = 0;
   /// Accepted improvements.
   int improvements = 0;
   /// Evaluator work summed over the distinct evaluations (memo hits cost
@@ -106,6 +122,12 @@ struct IshmResult {
 /// more than 1e-9 * (1 + |best|): near-ties go to the first subset in the
 /// fixed order, so rounding noise in the evaluator (a warm-started LP, a
 /// pmf that went through JSON) cannot steer the search path.
+///
+/// When an evaluation carries a lower_bound, a probe whose bound is at
+/// least min(round best - 1e-9 * (1 + |round best|), incumbent - 1e-12)
+/// is skipped: it could neither replace the round's best nor beat the
+/// incumbent. The skip is memoized with its bound and re-tested against
+/// the cutoff of the moment when the vector comes up again.
 util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
                                      const ThresholdEvaluator& evaluator,
                                      const IshmOptions& options = {});
@@ -125,6 +147,11 @@ ThresholdEvaluator MakeFullLpEvaluator(const CompiledGame& game,
 /// rebuilt from the previous probe's policy support plus the seed
 /// orderings in CggsOptions::initial_orderings. Results depend only on the
 /// sequence of probes, never on pricing_threads.
+///
+/// With exact detection and at most kMaxBoundTypes types, the sweep also
+/// bounds probes before solving them (LowerBound): the duals of its last
+/// kDualRing solved probes, projected to dual feasibility, give lower
+/// bounds on any vector's LP optimum (MinOverOrderings).
 class CggsSweep {
  public:
   /// `game` and `detection` must outlive the sweep; `detection`'s
@@ -133,7 +160,24 @@ class CggsSweep {
             CggsOptions options);
   ~CggsSweep();
 
+  /// Above this many types the per-probe subset table costs more than
+  /// the probes the bound skips.
+  static constexpr int kMaxBoundTypes = 7;
+  /// Solved probes whose duals LowerBound tries.
+  static constexpr int kDualRing = 4;
+
   util::StatusOr<CggsResult> Solve(const std::vector<double>& thresholds);
+
+  /// True when LowerBound can return finite bounds (exact detection, at
+  /// most kMaxBoundTypes types).
+  bool bounded() const { return !dual_ring_.empty(); }
+
+  /// A lower bound on the LP optimum over all orderings at `thresholds`,
+  /// hence on Solve's objective there: the largest MinOverOrderings over
+  /// the duals of the last kDualRing solves. -infinity before the first
+  /// solve or when !bounded(). Installs `thresholds` in `detection`, which
+  /// does not change what a later Solve computes.
+  double LowerBound(const std::vector<double>& thresholds);
 
   /// Columns in the live master (0 before the first Solve).
   int num_columns() const {
@@ -151,14 +195,23 @@ class CggsSweep {
   std::unique_ptr<util::ThreadPool> owned_pricing_pool_;
   std::unique_ptr<util::Arena> owned_workspace_;
   std::optional<RestrictedMasterLp> master_;
+  // The last master solution, kept so its buffers persist across probes.
+  RestrictedLpSolution solution_;
   // The previous probe's policy support: the rebuild seed.
   std::vector<std::vector<int>> support_;
   int rebuilds_ = 0;
+  // The projected duals of the last solves, oldest overwritten first;
+  // sized once (kDualRing entries) when the sweep is bounded, else empty.
+  std::vector<DualUtility> dual_ring_;
+  int ring_filled_ = 0;
+  int ring_next_ = 0;
+  std::vector<double> dp_scratch_;
 };
 
 /// Evaluator running CGGS through one CggsSweep, so every probe of an ISHM
 /// search reuses the previous probe's master LP. Reports each probe's
-/// CGGS counters in ThresholdEvaluation::work.
+/// CGGS counters in ThresholdEvaluation::work, and the sweep's LowerBound
+/// as ThresholdEvaluation::lower_bound when the sweep is bounded.
 ThresholdEvaluator MakeCggsEvaluator(const CompiledGame& game,
                                      DetectionModel& detection,
                                      CggsOptions options = {});

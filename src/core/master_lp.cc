@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "lp/validate.h"
+
 namespace auditgame::core {
 
 RestrictedMasterLp::RestrictedMasterLp(const CompiledGame& game,
@@ -110,6 +112,27 @@ util::Status RestrictedMasterLp::SolveInto(RestrictedLpSolution& result) {
   RETURN_IF_ERROR(
       lp::RevisedSimplex::SolveInto(model_, options_.lp, warm, revised_));
   const lp::LpSolution& lp_solution = revised_.solution;
+  const auto verify = [&] {
+    return lp_solution.status == lp::SolveStatus::kOptimal
+               ? lp::CheckPrimalFeasibility(model_, lp_solution)
+               : util::OkStatus();
+  };
+  util::Status verified = verify();
+  if (!verified.ok() && warm != nullptr) {
+    // A warm factorization that passed the singularity test can still be
+    // too ill-conditioned to trust. Pay one cold solve instead of serving
+    // a wrong optimum.
+    ++stats_.cold_retries;
+    stats_.iterations +=
+        lp_solution.phase1_iterations + lp_solution.phase2_iterations;
+    RETURN_IF_ERROR(
+        lp::RevisedSimplex::SolveInto(model_, options_.lp, nullptr, revised_));
+    verified = verify();
+  }
+  if (!verified.ok()) {
+    ++stats_.solves;
+    return verified;
+  }
   if (lp_solution.status == lp::SolveStatus::kOptimal) {
     // Swap, not move: the displaced previous basis becomes next solve's
     // reusable buffer (SolveInto refills it in place).

@@ -59,7 +59,11 @@ class RestrictedMasterLp {
     /// Solves that resumed from the previous basis but paid phase-1
     /// pivots to restore primal feasibility (typical after a Reprice).
     int repaired_solves = 0;
-    /// Simplex iterations summed over all solves (both phases).
+    /// Warm solves whose optimum failed the primal-residual check and
+    /// were re-solved from the cold basis (see SolveInto).
+    int cold_retries = 0;
+    /// Simplex iterations summed over all solves (both phases, and both
+    /// attempts of a cold retry).
     long iterations = 0;
   };
 
@@ -92,7 +96,11 @@ class RestrictedMasterLp {
   /// Allocation-reusing form for the pricing loop: `out`'s vectors are
   /// resized in place, so a caller that keeps one RestrictedLpSolution
   /// across rounds (CGGS) re-solves without touching the heap once the
-  /// buffers reach steady-state size.
+  /// buffers reach steady-state size. Every optimum is checked against
+  /// the model's rows and bounds in O(nnz) (lp::CheckPrimalFeasibility);
+  /// a warm solve that fails the check is retried once from the cold
+  /// basis (Stats::cold_retries), and a cold one that fails it is an
+  /// error.
   util::Status SolveInto(RestrictedLpSolution& out);
 
   const Stats& stats() const { return stats_; }

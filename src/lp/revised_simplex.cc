@@ -16,6 +16,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// A warm basis whose LU pivot falls below this fraction of its largest
+// entry is treated as singular and replaced by the cold basis. Re-pricing
+// a master in place can make its basic columns nearly dependent: an
+// absolute test then accepts pivots around 1e-9 against entries near 10,
+// and every solve from that factorization is wrong.
+constexpr double kWarmPivotTolerance = 1e-7;
+
 // The solver works on the model columns directly plus one logical (slack)
 // column per row, turning every row into an equality:
 //
@@ -149,9 +156,10 @@ class Engine {
     result.basis_accepted = false;
     bool installed = InstallBasis(warm_start);
     if (!installed) InstallColdBasis();
-    if (installed && !Factorize()) {
-      // A recorded basic set can be singular after the model changed under
-      // it; the cold all-logical basis is the identity and never is.
+    if (installed && !Factorize(kWarmPivotTolerance)) {
+      // A recorded basic set can be singular, or nearly so, after the
+      // model changed under it; the cold all-logical basis is the identity
+      // and never is.
       InstallColdBasis();
       installed = false;
     }
@@ -297,7 +305,10 @@ class Engine {
     return lu_[static_cast<size_t>(i) * m_ + j];
   }
 
-  bool Factorize() {
+  // Factorizes the basis; false when it is singular: some pivot falls
+  // below pivot_tolerance, or below `relative_tolerance` times the largest
+  // basis entry.
+  bool Factorize(double relative_tolerance = 0.0) {
     etas_.clear();
     lu_.assign(static_cast<size_t>(m_) * m_, 0.0);
     for (int k = 0; k < m_; ++k) {
@@ -310,6 +321,10 @@ class Engine {
         Lu(col - ns_, k) += 1.0;
       }
     }
+    double largest = 0.0;
+    for (const double a : lu_) largest = std::max(largest, std::fabs(a));
+    const double singular_below =
+        std::max(options_.pivot_tolerance, relative_tolerance * largest);
     perm_.resize(static_cast<size_t>(m_));
     for (int i = 0; i < m_; ++i) perm_[i] = i;
     for (int k = 0; k < m_; ++k) {
@@ -322,7 +337,7 @@ class Engine {
           p = i;
         }
       }
-      if (best < options_.pivot_tolerance) return false;  // singular
+      if (best < singular_below) return false;  // singular
       if (p != k) {
         for (int j = 0; j < m_; ++j) std::swap(Lu(k, j), Lu(p, j));
         std::swap(perm_[k], perm_[p]);

@@ -72,9 +72,10 @@ enum class VarStatus : uint8_t {
 /// start nonbasic at their lower bound when finite, else their upper bound,
 /// else at zero.
 /// The constraint set must be unchanged; if the snapshot does not fit the
-/// model, or the recorded basic set is singular, the solver silently falls
-/// back to a cold start — a warm start never changes what is solved, only
-/// where the search begins.
+/// model, or the recorded basic set is singular — some LU pivot below
+/// 1e-7 times the basis's largest entry — the solver silently falls back
+/// to a cold start: a warm start never changes what is solved, only where
+/// the search begins.
 struct Basis {
   std::vector<VarStatus> structural;
   std::vector<VarStatus> logical;

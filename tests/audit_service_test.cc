@@ -178,7 +178,7 @@ TEST(AuditServiceTest, MeasureDriftIsMaxTotalVariation) {
 // old data dir is refused instead of replayed into different policies.
 TEST(AuditServiceTest, DefaultConfigFingerprintIsPinned) {
   EXPECT_EQ(FingerprintServiceConfig(AuditServiceOptions()).ToHex(),
-            "ed3e4593819e484d91f80f613b2561dd");
+            "8b226991f4d1fd7e1b4da2832bd543ce");
 }
 
 }  // namespace

@@ -44,10 +44,10 @@ constexpr const char* kGoldenCggs[] = {
     "12ddb000362a0a4a7c96bc5c3077035a", "239ce21146375a9f734a473406da14af",
 };
 constexpr const char* kGoldenSweep[] = {
-    "0965b3101ca806c0e665b9ae0f5c8490", "b18fd820604cbf4c015b1f08d83346fc",
-    "4b3578c041672733dd77d3efe5da9c23", "80546641928cafc43d917a5a80aa2ff4",
-    "5fa930f421d61ce141b44ae9b5a156f1", "0857f79fe2f2d48a3b320a3e03434c3a",
-    "de11fde59030c3a8ff1f11204bd79cd8", "e0de2f66bda323142c0cbacc2fb81404",
+    "006a6201023f45493f5894981c0d9179", "0ecff53f473d3409ef3875b44fe2c8f9",
+    "582b1ad2892ba678687ca989778321a8", "80546641928cafc43d917a5a80aa2ff4",
+    "d04484547ab61d6e6b6a008b680939fe", "23a6ef39de6dfc3bb30d1b009774648b",
+    "ef71780a476700205910cd5fa606f3d0", "e0de2f66bda323142c0cbacc2fb81404",
 };
 
 scenario::ScenarioSpec SpecForGame(int index) {

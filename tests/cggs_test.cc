@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
+#include <string>
+
 #include "core/game_lp.h"
 #include "data/syn_a.h"
+#include "scenario/generator.h"
 #include "tests/test_util.h"
+#include "util/random.h"
 
 namespace auditgame::core {
 namespace {
@@ -163,6 +171,91 @@ TEST(CggsTest, MaxColumnsCapRespected) {
   const auto result = SolveCggs(*compiled, *detection, {3.0, 3.0, 3.0}, options);
   ASSERT_TRUE(result.ok());
   EXPECT_LE(result->columns.size(), 2u);
+}
+
+// The bound's oracle: projects `raw` the way ProjectDualUtility documents
+// (envelope victims only, clamped at 0, each group scaled to sum to w_g,
+// or to at most w_g when it can opt out; a zero group spread evenly), then
+// enumerates all |T|! orderings for the least dual-weighted utility.
+double EnumeratedMinimum(const CompiledGame& game, DetectionModel& detection,
+                         const std::vector<std::vector<double>>& raw) {
+  std::vector<std::vector<double>> duals(game.groups.size());
+  for (size_t g = 0; g < game.groups.size(); ++g) {
+    const AdversaryGroup& group = game.groups[g];
+    duals[g].assign(group.victims.size(), 0.0);
+    double sum = 0.0;
+    for (const int v : group.envelope) sum += std::max(0.0, raw[g][v]);
+    for (const int v : group.envelope) {
+      double y = sum > 0.0 ? std::max(0.0, raw[g][v])
+                           : group.weight / group.envelope.size();
+      if (sum > 0.0 && (!group.can_opt_out || sum > group.weight)) {
+        y *= group.weight / sum;
+      }
+      duals[g][static_cast<size_t>(v)] = y;
+    }
+  }
+  std::vector<int> ordering(static_cast<size_t>(game.num_types));
+  std::iota(ordering.begin(), ordering.end(), 0);
+  double best = std::numeric_limits<double>::infinity();
+  do {
+    const auto pal = detection.DetectionProbabilities(ordering);
+    EXPECT_TRUE(pal.ok());
+    double total = 0.0;
+    for (size_t g = 0; g < game.groups.size(); ++g) {
+      const auto& victims = game.groups[g].victims;
+      for (size_t v = 0; v < victims.size(); ++v) {
+        total += duals[g][v] * AdversaryUtility(victims[v], *pal);
+      }
+    }
+    best = std::min(best, total);
+  } while (std::next_permutation(ordering.begin(), ordering.end()));
+  return best;
+}
+
+// The subset DP over the detection model's table finds the same minimum
+// as enumerating every ordering, for raw duals of any sign and scale and
+// for groups with and without an opt-out.
+TEST(CggsTest, MinOverOrderingsMatchesEnumeration) {
+  const char* families[] = {"uniform", "zipf", "correlated"};
+  for (int types = 3; types <= 7; ++types) {
+    auto spec = scenario::SpecByName(families[types % 3]);
+    ASSERT_TRUE(spec.ok());
+    spec->num_types = types;
+    spec->seed = static_cast<uint64_t>(70 + types);
+    auto instance = scenario::Generate(*spec);
+    ASSERT_TRUE(instance.ok());
+    for (size_t e = 0; e < instance->adversaries.size(); e += 2) {
+      instance->adversaries[e].can_opt_out = false;
+    }
+    const auto game = Compile(*instance);
+    ASSERT_TRUE(game.ok());
+    auto detection = DetectionModel::Create(*instance, 1.5 * types);
+    ASSERT_TRUE(detection.ok());
+    util::Rng rng(static_cast<uint64_t>(types) * 13);
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<double> thresholds;
+      for (int t = 0; t < types; ++t) {
+        thresholds.push_back(
+            static_cast<double>(rng.UniformInt(int64_t{0}, int64_t{8})));
+      }
+      ASSERT_TRUE(detection->SetThresholds(thresholds).ok());
+      ASSERT_TRUE(detection->BuildSubsetTable().ok());
+      std::vector<std::vector<double>> raw(game->groups.size());
+      for (size_t g = 0; g < raw.size(); ++g) {
+        for (size_t v = 0; v < game->groups[g].victims.size(); ++v) {
+          // The last trial zeroes every group: the even-spread case.
+          raw[g].push_back(trial == 2 ? 0.0 : rng.Uniform(-0.5, 2.0));
+        }
+      }
+      DualUtility f;
+      ProjectDualUtility(*game, raw, f);
+      std::vector<double> scratch;
+      const double dp = MinOverOrderings(*detection, f, scratch);
+      const double oracle = EnumeratedMinimum(*game, *detection, raw);
+      EXPECT_NEAR(dp, oracle, 1e-12 * (1.0 + std::fabs(oracle)))
+          << types << " types, trial " << trial;
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "audit/executor.h"
 #include "prob/count_distribution.h"
+#include "scenario/generator.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -258,6 +259,65 @@ TEST(DetectionModelTest, IncrementalSetThresholdsMatchesFreshModel) {
       } while (std::next_permutation(ordering.begin(), ordering.end()));
     }
   }
+}
+
+// Pal(t | S) from the subset table is the Pal of t after *any* ordering
+// of S: on every ordering of every type count up to 6, each position's
+// Pal matches the table entry of the set placed before it.
+TEST(DetectionModelTest, SubsetTableMatchesEveryOrdering) {
+  for (int types = 2; types <= 6; ++types) {
+    auto spec = scenario::SpecByName(types % 2 == 0 ? "uniform" : "zipf");
+    ASSERT_TRUE(spec.ok());
+    spec->num_types = types;
+    spec->seed = static_cast<uint64_t>(40 + types);
+    const auto instance = scenario::Generate(*spec);
+    ASSERT_TRUE(instance.ok());
+    auto model = DetectionModel::Create(*instance, 1.5 * types);
+    ASSERT_TRUE(model.ok());
+    util::Rng rng(static_cast<uint64_t>(types));
+    std::vector<double> thresholds;
+    for (int t = 0; t < types; ++t) {
+      const auto& dist = instance->alert_distributions[static_cast<size_t>(t)];
+      thresholds.push_back(instance->audit_costs[static_cast<size_t>(t)] *
+                           static_cast<double>(rng.UniformInt(
+                               int64_t{0}, int64_t{dist.max_value()})));
+    }
+    ASSERT_TRUE(model->SetThresholds(thresholds).ok());
+    ASSERT_TRUE(model->BuildSubsetTable().ok());
+    const std::vector<double>& table = model->subset_table();
+    ASSERT_EQ(table.size(), static_cast<size_t>(types) << types);
+
+    std::vector<int> ordering(static_cast<size_t>(types));
+    std::iota(ordering.begin(), ordering.end(), 0);
+    double worst = 0.0;
+    do {
+      const auto pal = model->DetectionProbabilities(ordering);
+      ASSERT_TRUE(pal.ok());
+      uint32_t placed = 0;
+      for (const int t : ordering) {
+        const double entry =
+            table[static_cast<size_t>(placed) * types + static_cast<size_t>(t)];
+        worst = std::max(worst,
+                         std::fabs(entry - (*pal)[static_cast<size_t>(t)]));
+        placed |= uint32_t{1} << t;
+      }
+    } while (std::next_permutation(ordering.begin(), ordering.end()));
+    EXPECT_LE(worst, 1e-12) << types << " types";
+  }
+}
+
+TEST(DetectionModelTest, SubsetTableNeedsExactModeAndThresholds) {
+  const GameInstance instance = MakeMediumGame();
+  auto exact = DetectionModel::Create(instance, 4.0);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_FALSE(exact->BuildSubsetTable().ok());  // no thresholds yet
+  DetectionModel::Options options;
+  options.mode = DetectionModel::Mode::kMonteCarlo;
+  options.mc_samples = 50;
+  auto sampled = DetectionModel::Create(instance, 4.0, options);
+  ASSERT_TRUE(sampled.ok());
+  ASSERT_TRUE(sampled->SetThresholds({1.0, 1.0, 1.0}).ok());
+  EXPECT_FALSE(sampled->BuildSubsetTable().ok());
 }
 
 // Property sweep: for any ordering and thresholds, Pal values are in [0,1]

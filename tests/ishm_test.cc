@@ -1,13 +1,20 @@
 #include "core/ishm.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/brute_force.h"
 #include "core/game_lp.h"
 #include "data/syn_a.h"
+#include "scenario/generator.h"
 #include "tests/test_util.h"
+#include "util/combinatorics.h"
 
 namespace auditgame::core {
 namespace {
@@ -243,6 +250,162 @@ TEST(IshmTest, PolicyMatchesReportedObjective) {
   const auto eval = EvaluatePolicy(*compiled, *detection, result->policy);
   ASSERT_TRUE(eval.ok());
   EXPECT_NEAR(eval->auditor_loss, result->objective, 1e-6);
+}
+
+GameInstance UniformGame(int types, uint64_t seed) {
+  auto spec = scenario::SpecByName("uniform");
+  EXPECT_TRUE(spec.ok());
+  spec->num_types = types;
+  spec->seed = seed;
+  auto instance = scenario::Generate(*spec);
+  EXPECT_TRUE(instance.ok());
+  return *instance;
+}
+
+// A bounded probe's bound is a lower bound on the evaluator's objective at
+// that probe: checked before each CGGS solve, with the duals the sweep
+// held at that moment (the bound SolveIshm prunes with), and after it,
+// when the probe's own duals have joined the ring.
+TEST(IshmTest, SweepBoundNeverExceedsAnEvaluatedObjective) {
+  int64_t pruned = 0;
+  int checked = 0;
+  for (const int types : {4, 5, 6}) {
+    for (const uint64_t seed : {3, 8}) {
+      const GameInstance instance = UniformGame(types, seed);
+      const auto game = Compile(instance);
+      ASSERT_TRUE(game.ok());
+      for (const double budget : {6.0, 10.0}) {
+        auto detection = DetectionModel::Create(instance, budget);
+        ASSERT_TRUE(detection.ok());
+        const ThresholdEvaluator sweep = MakeCggsEvaluator(*game, *detection);
+        ObjectiveBound bound;
+        auto bounded = [&](const std::vector<double>& thresholds)
+            -> util::StatusOr<ThresholdEvaluation> {
+          const double before =
+              bound ? bound(thresholds)
+                    : -std::numeric_limits<double>::infinity();
+          ASSIGN_OR_RETURN(ThresholdEvaluation eval, sweep(thresholds));
+          bound = eval.lower_bound;
+          EXPECT_TRUE(bound) << types << " types: the sweep is bounded";
+          if (!bound) return eval;
+          const double margin = 1e-9 * (1.0 + std::fabs(eval.objective));
+          EXPECT_LE(before, eval.objective + margin);
+          EXPECT_LE(bound(thresholds), eval.objective + margin);
+          ++checked;
+          return eval;
+        };
+        IshmOptions options;
+        options.step_size = 0.25;
+        const auto result = SolveIshm(instance, bounded, options);
+        ASSERT_TRUE(result.ok()) << result.status();
+        pruned += result->stats.pruned;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+  EXPECT_GT(pruned, 0);
+}
+
+// The exact LP over all |T|! orderings, with a weak-duality bound from the
+// duals of its last four probes, as CggsSweep bounds its probes. The exact
+// LP does not depend on which probes came before, so pruning can change
+// only which vectors are solved, never what they are worth.
+class BoundedFullLp {
+ public:
+  BoundedFullLp(const CompiledGame& game, DetectionModel& detection)
+      : game_(game),
+        detection_(detection),
+        orderings_(util::AllPermutations(game.num_types)) {}
+
+  util::StatusOr<ThresholdEvaluation> Evaluate(
+      const std::vector<double>& thresholds) {
+    RETURN_IF_ERROR(detection_.SetThresholds(thresholds));
+    ASSIGN_OR_RETURN(RestrictedLpSolution lp,
+                     SolveRestrictedGameLp(game_, detection_, orderings_));
+    ThresholdEvaluation eval;
+    eval.objective = lp.objective;
+    eval.policy.thresholds = thresholds;
+    eval.policy.budget = detection_.budget();
+    for (size_t o = 0; o < orderings_.size(); ++o) {
+      if (lp.ordering_probs[o] > 1e-9) {
+        eval.policy.orderings.push_back(orderings_[o]);
+        eval.policy.probabilities.push_back(lp.ordering_probs[o]);
+      }
+    }
+    ProjectDualUtility(game_, lp.victim_duals, ring_[next_]);
+    next_ = (next_ + 1) % ring_.size();
+    filled_ = std::min(filled_ + 1, ring_.size());
+    eval.lower_bound = [this](const std::vector<double>& at) {
+      return Bound(at);
+    };
+    return eval;
+  }
+
+ private:
+  double Bound(const std::vector<double>& thresholds) {
+    double bound = -std::numeric_limits<double>::infinity();
+    if (!detection_.SetThresholds(thresholds).ok() ||
+        !detection_.BuildSubsetTable().ok()) {
+      return bound;
+    }
+    std::vector<double> scratch;
+    for (size_t k = 0; k < filled_; ++k) {
+      bound = std::max(bound, MinOverOrderings(detection_, ring_[k], scratch));
+    }
+    return bound;
+  }
+
+  const CompiledGame& game_;
+  DetectionModel& detection_;
+  const std::vector<std::vector<int>> orderings_;
+  std::array<DualUtility, 4> ring_;
+  size_t next_ = 0;
+  size_t filled_ = 0;
+};
+
+TEST(IshmTest, PruningLeavesExactLpSweepsUnchanged) {
+  for (const int types : {4, 5, 6}) {
+    for (const uint64_t seed : {2, 9}) {
+      const GameInstance instance = UniformGame(types, seed);
+      const auto game = Compile(instance);
+      ASSERT_TRUE(game.ok());
+      const double budget = seed == 2 ? 6.0 : 10.0;
+      const std::string where = std::to_string(types) + " types, seed " +
+                                std::to_string(seed);
+      auto detection = DetectionModel::Create(instance, budget);
+      ASSERT_TRUE(detection.ok());
+      IshmOptions options;
+      options.step_size = 0.25;
+
+      BoundedFullLp lp(*game, *detection);
+      const auto pruned = SolveIshm(
+          instance,
+          [&lp](const std::vector<double>& thresholds) {
+            return lp.Evaluate(thresholds);
+          },
+          options);
+      const auto unpruned = SolveIshm(
+          instance,
+          [&lp](const std::vector<double>& thresholds)
+              -> util::StatusOr<ThresholdEvaluation> {
+            ASSIGN_OR_RETURN(ThresholdEvaluation eval, lp.Evaluate(thresholds));
+            eval.lower_bound = nullptr;
+            return eval;
+          },
+          options);
+      ASSERT_TRUE(pruned.ok() && unpruned.ok()) << where;
+      EXPECT_GT(pruned->stats.pruned, 0) << where;
+      EXPECT_EQ(unpruned->stats.pruned, 0) << where;
+      EXPECT_EQ(pruned->stats.evaluations, unpruned->stats.evaluations)
+          << where;
+      EXPECT_LT(pruned->stats.distinct_evaluations,
+                unpruned->stats.distinct_evaluations)
+          << where;
+      EXPECT_EQ(pruned->objective, unpruned->objective) << where;
+      EXPECT_EQ(pruned->effective_thresholds, unpruned->effective_thresholds)
+          << where;
+    }
+  }
 }
 
 }  // namespace

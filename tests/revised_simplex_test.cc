@@ -204,6 +204,37 @@ TEST(RevisedSimplexTest, IncompatibleWarmStartFallsBackToCold) {
   EXPECT_NEAR(result.solution.objective, -2.0, 1e-9);
 }
 
+// Overwriting coefficients in place can leave the recorded basic columns
+// nearly dependent. A pivot of 1e-8 against entries near 1 clears an
+// absolute 1e-9 test, but a factorization that ill-conditioned corrupts
+// every later solve, so the warm basis must be refused for a cold one.
+TEST(RevisedSimplexTest, NearlySingularWarmBasisFallsBackToCold) {
+  // min x + y  s.t.  x + y >= 2,  x + 2y >= 3: optimal basis {x, y}.
+  LpModel model;
+  const int x = model.AddNonNegativeVariable(1.0);
+  const int y = model.AddNonNegativeVariable(1.0);
+  const int first = model.AddConstraint(Sense::kGreaterEqual, 2.0);
+  model.AppendCoefficient(first, x, 1.0);
+  model.AppendCoefficient(first, y, 1.0);
+  const int second = model.AddConstraint(Sense::kGreaterEqual, 3.0);
+  model.AppendCoefficient(second, x, 1.0);
+  const int y_entry = model.AppendCoefficient(second, y, 2.0);
+  const RevisedSolution optimal = SolveRevisedOrDie(model);
+  ASSERT_EQ(optimal.solution.status, SolveStatus::kOptimal);
+  ASSERT_EQ(optimal.basis.structural[x], VarStatus::kBasic);
+  ASSERT_EQ(optimal.basis.structural[y], VarStatus::kBasic);
+
+  // y's column becomes (1, 1 + 1e-8): the basis's U ends in a 1e-8 pivot.
+  model.SetCoefficientAt(second, y_entry, 1.0 + 1e-8);
+  const RevisedSolution warm = SolveRevisedOrDie(model, &optimal.basis);
+  ASSERT_EQ(warm.solution.status, SolveStatus::kOptimal);
+  EXPECT_FALSE(warm.basis_accepted);
+  EXPECT_FALSE(warm.warm_started);
+  const RevisedSolution cold = SolveRevisedOrDie(model);
+  EXPECT_EQ(warm.solution.objective, cold.solution.objective);
+  EXPECT_TRUE(CheckOptimality(model, warm.solution).ok());
+}
+
 TEST(RevisedSimplexTest, WarmStartMatchesColdOnRepeatedSolve) {
   util::Rng rng(99);
   LpModel model;
