@@ -22,6 +22,7 @@
 #include "bench/smoke_common.h"
 #include "core/cggs.h"
 #include "core/detection.h"
+#include "core/game_lp.h"
 #include "core/ishm.h"
 #include "data/syn_a.h"
 #include "prob/count_distribution.h"
@@ -278,11 +279,75 @@ int RunSmoke(const std::string& json_path) {
     sweeps.push_back(std::move(sweep));
   }
 
+  // Pricing quality: how far CGGS's heuristic pricing stops above the
+  // exact LP over all 5! orderings, on uniform 5-type games (seeds 1-20,
+  // budgets 6/10) at fixed thresholds — each type's full-coverage bound
+  // C_t * max(F_t) times 0.25 and 0.5, floored to whole audits. The
+  // relative gap is >= 0 by construction and independent of the ISHM
+  // path, so CI gates it; the mean cold ishm-cggs objective over the same
+  // games is context.
+  double gap_total = 0.0;
+  double ishm_total = 0.0;
+  int gap_count = 0;
+  int ishm_count = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    auto spec = scenario::SpecByName("uniform");
+    spec->num_types = 5;
+    spec->seed = seed;
+    const auto game = scenario::Generate(*spec);
+    const auto compiled = core::Compile(*game);
+    for (const double budget : {6.0, 10.0}) {
+      auto detection = core::DetectionModel::Create(*game, budget);
+      for (const double fraction : {0.25, 0.5}) {
+        std::vector<double> thresholds;
+        for (int t = 0; t < game->num_types(); ++t) {
+          const double cost = game->audit_costs[static_cast<size_t>(t)];
+          thresholds.push_back(
+              std::floor(fraction *
+                         game->alert_distributions[static_cast<size_t>(t)]
+                             .max_value()) *
+              cost);
+        }
+        const auto cggs = core::SolveCggs(*compiled, *detection, thresholds);
+        const auto full =
+            core::SolveFullGameLp(*compiled, *detection, thresholds);
+        if (!cggs.ok() || !full.ok()) {
+          std::fprintf(stderr, "pricing-quality solve failed (seed %llu)\n",
+                       static_cast<unsigned long long>(seed));
+          std::exit(1);
+        }
+        gap_total += (cggs->objective - full->objective) /
+                     std::max(std::abs(full->objective), 1e-12);
+        ++gap_count;
+      }
+      core::IshmOptions ishm_options;
+      ishm_options.step_size = 0.25;
+      const auto ishm = core::SolveIshm(
+          *game, core::MakeCggsEvaluator(*compiled, *detection),
+          ishm_options);
+      if (!ishm.ok()) {
+        std::fprintf(stderr, "pricing-quality sweep failed (seed %llu)\n",
+                     static_cast<unsigned long long>(seed));
+        std::exit(1);
+      }
+      ishm_total += ishm->objective;
+      ++ishm_count;
+    }
+  }
+  util::JsonValue::Object quality;
+  quality["games"] = ishm_count;
+  quality["cggs_gap_to_lp_mean"] = gap_total / gap_count;
+  quality["ishm_cggs_objective_mean"] = ishm_total / ishm_count;
+  std::printf("pricing quality: cggs gap to lp mean %.3e over %d solves, "
+              "ishm-cggs objective mean %.9f\n",
+              gap_total / gap_count, gap_count, ishm_total / ishm_count);
+
   util::JsonValue::Object report;
   report["bench"] = "micro_cggs";
   report["mode"] = "smoke";
   report["cases"] = std::move(cases);
   report["ishm_sweeps"] = std::move(sweeps);
+  report["pricing_quality"] = std::move(quality);
   return bench::WriteSmokeReport(json_path, std::move(report));
 }
 
