@@ -235,8 +235,9 @@ int RunSmoke(const std::string& json_path) {
   }
 
   // Cold ishm-cggs sweeps as the server runs them (uniform scenario,
-  // 5 types, eps 0.25): one master LP re-priced across every probe, and
-  // probes the weak-duality bound rules out never solved. Master solves,
+  // 5 types, eps 0.25): one master LP re-priced across every probe from
+  // one incrementally refreshed subset table, and probes the weak-duality
+  // bound rules out never solved. Master solves,
   // warm resumes and pivots per sweep are deterministic, so CI gates them;
   // losing the master reuse or the pruning shows up here first.
   util::JsonValue::Array sweeps;
@@ -264,6 +265,12 @@ int RunSmoke(const std::string& json_path) {
     sweep["probes"] = static_cast<double>(ishm->stats.distinct_evaluations);
     sweep["pruned"] = static_cast<double>(ishm->stats.pruned);
     sweep["cold_retries"] = work.cold_retries;
+    // Detection-table work (context only): subset-table refreshes that
+    // recomputed anything, and per-type tables the memo had to tabulate.
+    sweep["table_refreshes"] =
+        static_cast<double>(detection->stats().table_refreshes);
+    sweep["types_retabulated"] =
+        static_cast<double>(detection->stats().types_retabulated);
     sweep["ishm_lp_solves"] = work.lp_solves;
     sweep["ishm_warm_lp_solves"] = work.warm_lp_solves;
     sweep["ishm_master_iterations"] =
@@ -271,11 +278,14 @@ int RunSmoke(const std::string& json_path) {
     sweep["ishm_objective"] = ishm->objective;
     std::printf("ishm-cggs sweep budget=%.0f probes %lld pruned %lld "
                 "lp_solves %d (warm %d, cold retries %d) pivots %ld "
-                "obj %.9f\n",
+                "table refreshes %lld retabulated %lld obj %.9f\n",
                 budget, static_cast<long long>(ishm->stats.distinct_evaluations),
                 static_cast<long long>(ishm->stats.pruned), work.lp_solves,
                 work.warm_lp_solves, work.cold_retries,
-                work.master_lp_iterations, ishm->objective);
+                work.master_lp_iterations,
+                static_cast<long long>(detection->stats().table_refreshes),
+                static_cast<long long>(detection->stats().types_retabulated),
+                ishm->objective);
     sweeps.push_back(std::move(sweep));
   }
 

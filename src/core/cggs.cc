@@ -19,26 +19,11 @@
 namespace auditgame::core {
 namespace {
 
-// Dual-weighted utility sum_{g,v} y_{g,v} * Ua(pal, <g,v>) — the variable
-// part of a column's reduced cost (the full reduced cost subtracts the
-// convexity dual). Only envelope victims can carry a positive dual. `pal`
-// holds one entry per type; the pointer form lets pricing score
-// arena-backed candidate buffers without materializing vectors.
-double DualWeightedUtility(const CompiledGame& game,
-                           const std::vector<std::vector<double>>& duals,
-                           const double* pal) {
-  double total = 0.0;
-  for (size_t g = 0; g < game.groups.size(); ++g) {
-    const AdversaryGroup& group = game.groups[g];
-    for (const int v : group.envelope) {
-      const double y = duals[g][static_cast<size_t>(v)];
-      if (y > 0) {
-        total += y * AdversaryUtility(group.victims[static_cast<size_t>(v)],
-                                      pal);
-      }
-    }
-  }
-  return total;
+// Adds y times envelope row r's utility form to `f`.
+void AddUtilityRow(const UtilityRows& rows, size_t r, double y,
+                   DualUtility& f) {
+  f.constant += y * rows.constant(r);
+  math::Axpy(y, rows.slope(r), f.slope.data(), f.slope.size());
 }
 
 // True iff `ordering` is a permutation of {0 .. t_count-1}. Warm-start
@@ -96,24 +81,21 @@ void RunChunks(util::ThreadPool* pool, int num_chunks, const Fn& fn) {
 
 // Greedy pricing (Algorithm 1, lines 4-7): grow an ordering one type at a
 // time, always appending the type that minimizes the dual-weighted utility
-// of the partial ordering (un-placed types contribute Pal = 0). Each step's
-// per-type candidate scores are independent; with a pool they are computed
-// in contiguous chunks into per-type slots (each chunk scoring against its
-// own copy of the placed-prefix Pal vector, so the arithmetic per candidate
-// is exactly the serial path's), then reduced to the minimum score with
-// ties broken by the smallest type index.
-// Every buffer is carved from `arena` up front (and rewound on return), so
-// steady-state pricing rounds run with zero heap allocations: the chunk-
-// local Pal copies live in rows of one block preassigned by chunk index —
-// never by thread identity — which keeps the arithmetic, and therefore the
-// result, bit-identical across thread counts. `prefix` and `ordering_out`
-// are caller-owned scratch reused across rounds.
-void GreedyOrdering(const CompiledGame& game, const DetectionModel& detection,
-                    const std::vector<std::vector<double>>& duals,
+// `f` of the partial ordering (un-placed types contribute Pal = 0). `f` is
+// affine in Pal, so appending t lowers it by slope[t] * Pal(t | placed):
+// each step appends the type with the largest such product, ties to the
+// smallest type index. A step's per-type products are independent; with a
+// pool they are computed in contiguous chunks into per-type slots, each
+// one multiply, so the result is bit-identical across thread counts.
+// `placed` and `scores` are carved from `arena` up front (and rewound on
+// return), so steady-state pricing rounds run with zero heap allocations;
+// `prefix` and `ordering_out` are caller-owned scratch reused across
+// rounds.
+void GreedyOrdering(const DualUtility& f, const DetectionModel& detection,
                     util::ThreadPool* pool, int max_chunks,
                     util::Arena& arena, DetectionModel::Prefix& prefix,
                     std::vector<int>& ordering_out) {
-  const int t_count = game.num_types;
+  const int t_count = detection.num_types();
   ordering_out.clear();
   ordering_out.reserve(static_cast<size_t>(t_count));
   const int num_chunks = pool == nullptr ? 1 : std::min(max_chunks, t_count);
@@ -121,43 +103,26 @@ void GreedyOrdering(const CompiledGame& game, const DetectionModel& detection,
   util::ArenaScope scope(arena);
   const size_t t_size = static_cast<size_t>(t_count);
   uint8_t* placed = arena.AllocateArray<uint8_t>(t_size);
-  double* pal = arena.AllocateArray<double>(t_size);
   double* scores = arena.AllocateArray<double>(t_size);
-  double* candidate_pals = arena.AllocateArray<double>(t_size);
-  // Chunk-local Pal rows, carved before the parallel region; workers never
-  // call Allocate.
-  double* chunk_pals =
-      arena.AllocateArray<double>(static_cast<size_t>(num_chunks) * t_size);
   std::memset(placed, 0, t_size * sizeof(uint8_t));
-  for (size_t t = 0; t < t_size; ++t) pal[t] = 0.0;
 
   detection.ResetPrefix(prefix);
   for (int step = 0; step < t_count; ++step) {
     RunChunks(pool, num_chunks, [&](int chunk) {
       const int begin = chunk * t_count / num_chunks;
       const int end = (chunk + 1) * t_count / num_chunks;
-      double* local_pal = chunk_pals + static_cast<size_t>(chunk) * t_size;
-      std::memcpy(local_pal, pal, t_size * sizeof(double));
       for (int t = begin; t < end; ++t) {
         if (placed[t]) continue;
-        const double candidate_pal = detection.PalGivenPrefix(prefix, t);
-        candidate_pals[t] = candidate_pal;
-        local_pal[t] = candidate_pal;
-        scores[t] = DualWeightedUtility(game, duals, local_pal);
-        local_pal[t] = 0.0;
+        scores[t] = f.slope[static_cast<size_t>(t)] *
+                    detection.PalGivenPrefix(prefix, t);
       }
     });
     int best_type = -1;
-    double best_score = std::numeric_limits<double>::infinity();
     for (int t = 0; t < t_count; ++t) {
       if (placed[t]) continue;
-      if (scores[t] < best_score) {
-        best_score = scores[t];
-        best_type = t;
-      }
+      if (best_type < 0 || scores[t] > scores[best_type]) best_type = t;
     }
     placed[best_type] = 1;
-    pal[best_type] = candidate_pals[best_type];
     ordering_out.push_back(best_type);
     if (step + 1 < t_count) detection.ExtendPrefix(prefix, best_type);
   }
@@ -262,6 +227,7 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
   };
   std::vector<CandidateScratch> eval_scratch(num_candidates);
   DetectionModel::Prefix greedy_prefix;
+  DualUtility pricing;
 
   for (int round = 0;; ++round) {
     RETURN_IF_ERROR(master_lp.SolveInto(master));
@@ -271,9 +237,10 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
     // Price candidates: the greedy ordering plus a few random probes, each
     // probe shuffled by its own pre-seeded Rng.
     util::Timer pricing_timer;
-    GreedyOrdering(game, detection, master.victim_duals, pool,
-                   options.pricing_threads, arena, greedy_prefix,
-                   candidates[0]);
+    PricingDualUtility(game, master_lp.utility_rows(), master.victim_duals,
+                       pricing);
+    GreedyOrdering(pricing, detection, pool, options.pricing_threads, arena,
+                   greedy_prefix, candidates[0]);
     for (int r = 0; r < options.random_probes; ++r) {
       std::vector<int>& random_ordering = candidates[static_cast<size_t>(r) + 1];
       random_ordering.resize(static_cast<size_t>(game.num_types));
@@ -300,9 +267,7 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
         return;
       }
       reduced_costs[slot] =
-          DualWeightedUtility(game, master.victim_duals,
-                              scratch.pal.data()) -
-          master.convexity_dual;
+          pricing.Value(scratch.pal.data()) - master.convexity_dual;
     });
     for (const util::Status& status : statuses) RETURN_IF_ERROR(status);
 
@@ -351,14 +316,33 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
   return result;
 }
 
-void ProjectDualUtility(const CompiledGame& game,
+double DualUtility::Value(const double* pal) const {
+  return constant - math::Dot(slope.data(), pal, slope.size());
+}
+
+void PricingDualUtility(const CompiledGame& game, const UtilityRows& rows,
                         const std::vector<std::vector<double>>& victim_duals,
                         DualUtility& out) {
   out.constant = 0.0;
   out.slope.assign(static_cast<size_t>(game.num_types), 0.0);
+  size_t r = 0;
+  for (size_t g = 0; g < game.groups.size(); ++g) {
+    for (const int v : game.groups[g].envelope) {
+      const double y = victim_duals[g][static_cast<size_t>(v)];
+      if (y > 0) AddUtilityRow(rows, r, y, out);
+      ++r;
+    }
+  }
+}
+
+void ProjectDualUtility(const CompiledGame& game, const UtilityRows& rows,
+                        const std::vector<std::vector<double>>& victim_duals,
+                        DualUtility& out) {
+  out.constant = 0.0;
+  out.slope.assign(static_cast<size_t>(game.num_types), 0.0);
+  size_t r = 0;
   for (size_t g = 0; g < game.groups.size(); ++g) {
     const AdversaryGroup& group = game.groups[g];
-    if (group.envelope.empty()) continue;
     const std::vector<double>& duals = victim_duals[g];
     double sum = 0.0;
     for (const int v : group.envelope) {
@@ -375,12 +359,8 @@ void ProjectDualUtility(const CompiledGame& game,
           sum > 0.0
               ? std::max(0.0, duals[static_cast<size_t>(v)]) * scale
               : group.weight / static_cast<double>(group.envelope.size());
-      if (y == 0.0) continue;
-      const VictimProfile& victim = group.victims[static_cast<size_t>(v)];
-      out.constant += y * (victim.benefit - victim.attack_cost);
-      math::Axpy(y * (victim.penalty + victim.benefit),
-                 victim.type_probs.data(), out.slope.data(),
-                 out.slope.size());
+      if (y != 0.0) AddUtilityRow(rows, r, y, out);
+      ++r;
     }
   }
 }

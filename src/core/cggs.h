@@ -132,25 +132,37 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
 /// The dual-weighted adversary utility sum_{g,v} y_gv Ua(Pal, <g,v>) of a
 /// set of victim duals, written as an affine function of Pal:
 ///   constant - sum_t slope[t] * Pal[t],
-/// since Ua = R - K - Pat (M + R) and Pat is linear in Pal.
+/// the y-weighted sum of a UtilityRows' rows.
 struct DualUtility {
   double constant = 0.0;
   std::vector<double> slope;
+
+  /// constant - slope . pal, for one Pal entry per type.
+  double Value(const double* pal) const;
 };
 
+/// The DualUtility of the positive entries of `victim_duals` (indexed
+/// like RestrictedLpSolution's) over `rows` (the game's), written into
+/// `out` with its slope resized in place: CGGS pricing builds one per
+/// round, and a column's reduced cost is out.Value(Pal) minus the
+/// convexity dual.
+void PricingDualUtility(const CompiledGame& game, const UtilityRows& rows,
+                        const std::vector<std::vector<double>>& victim_duals,
+                        DualUtility& out);
+
 /// Projects `victim_duals` (indexed like RestrictedLpSolution's) onto the
-/// master LP's dual-feasible set and writes their DualUtility into `out`,
-/// resizing its slope in place. Only envelope victims count; their duals
+/// master LP's dual-feasible set and writes their DualUtility over `rows`
+/// (the game's) into `out`, resizing its slope in place. Only envelope victims count; their duals
 /// are clamped at 0 and scaled so each group's sum is its weight w_g (at
 /// most w_g for a group that can opt out). A group whose duals sum to 0
 /// gets w_g spread evenly over its envelope.
-void ProjectDualUtility(const CompiledGame& game,
+void ProjectDualUtility(const CompiledGame& game, const UtilityRows& rows,
                         const std::vector<std::vector<double>>& victim_duals,
                         DualUtility& out);
 
 /// The minimum of `f` over every ordering of the types, at the thresholds
-/// of the subset table `detection` last built (BuildSubsetTable), by a DP
-/// over type sets: best(S) = max over t in S of best(S \ t) +
+/// of the subset table `detection` last refreshed (RefreshSubsetTable), by
+/// a DP over type sets: best(S) = max over t in S of best(S \ t) +
 /// slope[t] * Pal(t | S \ t). With `f` from ProjectDualUtility, this is a
 /// lower bound on the LP optimum over all orderings at those thresholds,
 /// and so on any CGGS objective there (weak duality). `best` is scratch,

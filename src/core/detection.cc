@@ -7,6 +7,7 @@
 #include <string>
 
 #include "math/kernels.h"
+#include "util/logging.h"
 #include "util/random.h"
 
 namespace auditgame::core {
@@ -77,8 +78,7 @@ util::StatusOr<DetectionModel> DetectionModel::Create(
   } else {
     model.grid_size_ =
         static_cast<int>(std::floor(budget / options.budget_unit)) + 1;
-    model.consumption_.resize(model.distributions_.size());
-    model.g_.resize(model.distributions_.size());
+    model.type_tables_.resize(model.distributions_.size());
   }
   return model;
 }
@@ -94,7 +94,7 @@ util::Status DetectionModel::SetThresholds(
     }
   }
   // A type's tables depend on its own threshold alone, so only the types
-  // whose threshold changed bitwise are rebuilt (every type on the first
+  // whose threshold changed bitwise are touched (every type on the first
   // call). An ISHM probe scales one or a few thresholds at a time.
   for (size_t t = 0; t < thresholds.size(); ++t) {
     if (tables_ready_ &&
@@ -102,14 +102,44 @@ util::Status DetectionModel::SetThresholds(
       continue;
     }
     thresholds_[t] = thresholds[t];
+    if (t < kMaxSubsetTableTypes) stale_types_ |= uint32_t{1} << t;
     if (options_.mode == Mode::kExact) {
-      PrepareExactTable(static_cast<int>(t));
+      SelectExactTable(static_cast<int>(t));
     } else {
       PrepareMcTable(static_cast<int>(t));
+      ++stats_.types_retabulated;
     }
   }
   tables_ready_ = true;
+  table_epoch_ = 0;
   return util::OkStatus();
+}
+
+void DetectionModel::SelectExactTable(int t) {
+  TypeTables& tables = type_tables_[static_cast<size_t>(t)];
+  uint64_t bits;
+  std::memcpy(&bits, &thresholds_[static_cast<size_t>(t)], sizeof(bits));
+  const int slots = static_cast<int>(tables.threshold_bits.size());
+  for (int slot = 0; slot < slots; ++slot) {
+    if (tables.threshold_bits[static_cast<size_t>(slot)] == bits) {
+      tables.current = slot;
+      return;
+    }
+  }
+  if (slots < kTypeTableMemo) {
+    tables.current = slots;
+    const size_t n = static_cast<size_t>(grid_size_);
+    tables.threshold_bits.push_back(bits);
+    tables.consumption_size.push_back(0);
+    tables.consumption.resize((static_cast<size_t>(slots) + 1) * n);
+    tables.g.resize((static_cast<size_t>(slots) + 1) * n);
+  } else {
+    tables.current = tables.next_evict;
+    tables.next_evict = (tables.next_evict + 1) % kTypeTableMemo;
+    tables.threshold_bits[static_cast<size_t>(tables.current)] = bits;
+  }
+  PrepareExactTable(t);
+  ++stats_.types_retabulated;
 }
 
 void DetectionModel::PrepareExactTable(int t) {
@@ -131,17 +161,21 @@ void DetectionModel::PrepareExactTable(int t) {
     cell = std::min(cell, grid_size_ - 1);
     cell_prob_scratch_[static_cast<size_t>(cell)] += dist.Pmf(z);
   }
-  auto& sparse = consumption_[t];
-  sparse.clear();
+  TypeTables& tables = type_tables_[static_cast<size_t>(t)];
+  const size_t offset =
+      static_cast<size_t>(tables.current) * static_cast<size_t>(grid_size_);
+  std::pair<int, double>* sparse = tables.consumption.data() + offset;
+  int sparse_size = 0;
   for (int cell = 0; cell < grid_size_; ++cell) {
     if (cell_prob_scratch_[static_cast<size_t>(cell)] > 0) {
-      sparse.emplace_back(cell, cell_prob_scratch_[static_cast<size_t>(cell)]);
+      sparse[sparse_size++] = {cell,
+                               cell_prob_scratch_[static_cast<size_t>(cell)]};
     }
   }
+  tables.consumption_size[static_cast<size_t>(tables.current)] = sparse_size;
 
   // g_t(consumed_cells) = E_z[DetectionTerm(capacity, z)].
-  auto& g = g_[t];
-  g.assign(static_cast<size_t>(grid_size_), 0.0);
+  double* g = tables.g.data() + offset;
   for (int s = 0; s < grid_size_; ++s) {
     const double remaining = budget_ - s * unit;
     const int budget_cap =
@@ -160,7 +194,7 @@ void DetectionModel::PrepareExactTable(int t) {
         value = std::min(value / mean_z_[static_cast<size_t>(t)], 1.0);
       }
     }
-    g[static_cast<size_t>(s)] = value;
+    g[s] = value;
   }
 }
 
@@ -186,6 +220,9 @@ DetectionModel::Prefix DetectionModel::EmptyPrefix() const {
 }
 
 void DetectionModel::ResetPrefix(Prefix& prefix) const {
+  prefix.placed = 0;
+  prefix.table_epoch = table_epoch_;
+  if (table_epoch_ != 0) return;
   if (options_.mode == Mode::kExact) {
     prefix.data.assign(static_cast<size_t>(grid_size_), 0.0);
     prefix.data[0] = 1.0;
@@ -194,11 +231,22 @@ void DetectionModel::ResetPrefix(Prefix& prefix) const {
   }
 }
 
+void DetectionModel::CheckTableEpoch(const Prefix& prefix) const {
+  CHECK(prefix.table_epoch == table_epoch_)
+      << "table-backed prefix used after SetThresholds";
+}
+
 double DetectionModel::PalGivenPrefix(const Prefix& prefix, int type) const {
+  if (prefix.table_epoch != 0) {
+    CheckTableEpoch(prefix);
+    return subset_table_[static_cast<size_t>(prefix.placed) *
+                             static_cast<size_t>(num_types()) +
+                         static_cast<size_t>(type)];
+  }
   if (options_.mode == Mode::kExact) {
     // Weighted-tail accumulation: prefix probability x conditional
     // detection, one dense kernel dot over the budget grid.
-    return math::Dot(prefix.data.data(), g_[type].data(),
+    return math::Dot(prefix.data.data(), g(type),
                      static_cast<size_t>(grid_size_));
   }
   // Monte Carlo: average the detection term over samples. The per-sample
@@ -228,6 +276,11 @@ double DetectionModel::PalGivenPrefix(const Prefix& prefix, int type) const {
 }
 
 void DetectionModel::ExtendPrefix(Prefix& prefix, int type) const {
+  if (prefix.table_epoch != 0) {
+    CheckTableEpoch(prefix);
+    prefix.placed |= uint32_t{1} << type;
+    return;
+  }
   if (options_.mode == Mode::kExact) {
     // Double-buffered through prefix.scratch so repeated extensions never
     // allocate after the first.
@@ -248,13 +301,19 @@ void DetectionModel::ConvolveInto(const double* prefix, int type,
   // grid cell.
   const size_t n = static_cast<size_t>(grid_size_);
   std::fill(next, next + n, 0.0);
-  for (const auto& [cell, q] : consumption_[type]) {
-    math::ConvolveShiftSaturate(prefix, n, static_cast<size_t>(cell), q,
-                                next);
+  const TypeTables& tables = type_tables_[static_cast<size_t>(type)];
+  const std::pair<int, double>* sparse =
+      tables.consumption.data() + static_cast<size_t>(tables.current) * n;
+  const int sparse_size =
+      tables.consumption_size[static_cast<size_t>(tables.current)];
+  for (int k = 0; k < sparse_size; ++k) {
+    math::ConvolveShiftSaturate(prefix, n,
+                                static_cast<size_t>(sparse[k].first),
+                                sparse[k].second, next);
   }
 }
 
-util::Status DetectionModel::BuildSubsetTable() {
+util::Status DetectionModel::RefreshSubsetTable() {
   if (options_.mode != Mode::kExact) {
     return util::FailedPreconditionError(
         "the subset table needs exact detection");
@@ -267,31 +326,40 @@ util::Status DetectionModel::BuildSubsetTable() {
     return util::FailedPreconditionError("no thresholds installed");
   }
   const size_t n = static_cast<size_t>(grid_size_);
-  subset_table_.assign(static_cast<size_t>(t_count) << t_count, 0.0);
-  subset_prefixes_.resize(static_cast<size_t>(t_count) * n);
-  std::fill(subset_prefixes_.begin(), subset_prefixes_.begin() + n, 0.0);
-  subset_prefixes_[0] = 1.0;
-  WalkSubsets(0, 0, 0);
+  const uint32_t full = (uint32_t{1} << t_count) - 1;
+  uint32_t moved = stale_types_;
+  if (subset_table_.empty()) {
+    // First build: every set is new. The full set has no type left to
+    // price, so its prefix is never stored.
+    subset_table_.assign(static_cast<size_t>(t_count) << t_count, 0.0);
+    subset_prefixes_.assign(static_cast<size_t>(full) * n, 0.0);
+    subset_prefixes_[0] = 1.0;
+    moved = full;
+  }
+  stale_types_ = 0;
+  if (table_epoch_ == 0) table_epoch_ = ++last_epoch_;
+  if (moved == 0) return util::OkStatus();
+  ++stats_.table_refreshes;
+  // Ascending set order builds S \ {max S} before S, and convolves each
+  // set's types in ascending order: the order of a full rebuild.
+  int top = 0;  // max S
+  for (uint32_t set = 1; set < full; ++set) {
+    if (set == uint32_t{2} << top) ++top;
+    if ((set & moved) == 0) continue;
+    const uint32_t rest = set & ~(uint32_t{1} << top);
+    ConvolveInto(subset_prefixes_.data() + static_cast<size_t>(rest) * n, top,
+                 subset_prefixes_.data() + static_cast<size_t>(set) * n);
+  }
+  for (uint32_t set = 0; set < full; ++set) {
+    const uint32_t redo = (set & moved) != 0 ? full & ~set : moved & ~set;
+    if (redo == 0) continue;
+    const double* prefix = subset_prefixes_.data() + static_cast<size_t>(set) * n;
+    double* row = subset_table_.data() + static_cast<size_t>(set) * t_count;
+    for (int t = 0; t < t_count; ++t) {
+      if ((redo >> t) & 1u) row[t] = math::Dot(prefix, g(t), n);
+    }
+  }
   return util::OkStatus();
-}
-
-void DetectionModel::WalkSubsets(uint32_t placed, int depth, int next) {
-  const int t_count = num_types();
-  const size_t n = static_cast<size_t>(grid_size_);
-  const double* prefix =
-      subset_prefixes_.data() + static_cast<size_t>(depth) * n;
-  double* row = subset_table_.data() + static_cast<size_t>(placed) * t_count;
-  for (int t = 0; t < t_count; ++t) {
-    if ((placed >> t) & 1u) continue;
-    row[t] = math::Dot(prefix, g_[static_cast<size_t>(t)].data(), n);
-  }
-  // The full set has no type left to price, so its prefix is never built.
-  if (depth + 1 >= t_count) return;
-  for (int t = next; t < t_count; ++t) {
-    ConvolveInto(prefix, t,
-                 subset_prefixes_.data() + static_cast<size_t>(depth + 1) * n);
-    WalkSubsets(placed | (1u << t), depth + 1, t + 1);
-  }
 }
 
 util::StatusOr<std::vector<double>> DetectionModel::DetectionProbabilities(

@@ -31,7 +31,8 @@ namespace auditgame::core {
 /// element of the bin), else 0; see docs/DESIGN.md "The Z_t = 0 convention".
 ///
 /// The incremental *prefix* API lets CGGS grow an ordering one type at a
-/// time in O(grid) per candidate instead of recomputing full orderings.
+/// time in O(grid) per candidate instead of recomputing full orderings, and
+/// in O(1) while the subset table is current (RefreshSubsetTable).
 class DetectionModel {
  public:
   enum class Mode { kExact, kMonteCarlo };
@@ -78,8 +79,10 @@ class DetectionModel {
   /// Installs the threshold vector used by subsequent queries. Negative
   /// entries are invalid. Cheap enough to call inside search loops: only
   /// the types whose threshold changed bitwise since the last call are
-  /// re-tabulated (O(support) each; every type on the first call), and the
-  /// tables are identical to a fresh model's.
+  /// touched, and a (type, threshold) pair tabulated before in this model
+  /// reuses its tables (kExact; at most kTypeTableMemo per type, oldest
+  /// replaced first). The tables are identical to a fresh model's. The
+  /// subset table stops being current until the next RefreshSubsetTable.
   util::Status SetThresholds(const std::vector<double>& thresholds);
 
   const std::vector<double>& thresholds() const { return thresholds_; }
@@ -97,13 +100,21 @@ class DetectionModel {
   /// ---- Incremental prefix API -----------------------------------------
   /// A Prefix represents the distribution of budget consumed by an ordered
   /// set of already-placed types. kExact: probability vector over the
-  /// budget grid. kMonteCarlo: consumed budget per sample.
+  /// budget grid. kMonteCarlo: consumed budget per sample. A prefix reset
+  /// while the subset table is current is *table-backed* instead: it keeps
+  /// only the set of placed types and reads Pal(t | set) from the table.
+  /// It is valid until the next SetThresholds; using it after that is a
+  /// fatal CHECK failure.
   struct Prefix {
     std::vector<double> data;
     /// Convolution double-buffer: ExtendPrefix writes into `scratch` and
     /// swaps, so repeated extensions reuse the same two allocations for the
     /// life of the prefix (CGGS holds prefixes across whole pricing rounds).
     std::vector<double> scratch;
+    /// Table-backed only: the placed types as a bit mask, and the table
+    /// epoch the prefix reads (0 for a grid- or sample-backed prefix).
+    uint32_t placed = 0;
+    uint64_t table_epoch = 0;
   };
 
   /// Prefix of the empty ordering (no budget consumed).
@@ -133,33 +144,59 @@ class DetectionModel {
   /// prefix is a saturating convolution, and convolution commutes. The
   /// subset table holds Pal(t | S) for the installed thresholds, for every
   /// set S of types (a bit mask) and every type t outside it, at index
-  /// S * num_types() + t (entries with t in S are 0).
-  static constexpr int kMaxSubsetTableTypes = 16;
+  /// S * num_types() + t (entries with t in S are 0). Its memory grows as
+  /// 2^T times the budget grid, hence the cap.
+  static constexpr int kMaxSubsetTableTypes = 12;
 
-  /// Builds the subset table for the installed thresholds: one depth-first
-  /// walk that extends one prefix per subset, 2^T - 2 extensions and
-  /// T * 2^(T-1) Pal dots. kExact only, at most kMaxSubsetTableTypes types.
-  /// The buffers are sized by the first call and reused after it.
-  util::Status BuildSubsetTable();
+  /// Brings the subset table up to the installed thresholds and makes it
+  /// current, so prefixes reset from now until the next SetThresholds are
+  /// table-backed. The table keeps one grid prefix per set, built as
+  /// prefix(S) = prefix(S \ {max S}) convolved with max S; a refresh
+  /// recomputes only the prefixes of sets holding a type whose threshold
+  /// moved since the last refresh, and only the entries (S, t) where t
+  /// moved or S holds a moved type. The result is bitwise equal to a full
+  /// rebuild (the first call builds everything); with nothing moved it is
+  /// a no-op. kExact only, at most kMaxSubsetTableTypes types.
+  util::Status RefreshSubsetTable();
 
-  /// The table the last BuildSubsetTable built (empty before the first).
+  /// The table the last RefreshSubsetTable left (empty before the first).
   const std::vector<double>& subset_table() const { return subset_table_; }
+
+  /// Per-model work counters.
+  struct Stats {
+    /// RefreshSubsetTable calls that recomputed any part of the table.
+    int64_t table_refreshes = 0;
+    /// Per-type tables tabulated by SetThresholds (memo misses).
+    int64_t types_retabulated = 0;
+  };
+  const Stats& stats() const { return stats_; }
+
+  /// Tabulated thresholds kept per type for SetThresholds to reuse.
+  static constexpr int kTypeTableMemo = 32;
 
  private:
   DetectionModel() = default;
 
-  // Rebuild type t's tables from thresholds_[t].
+  // kExact: points type t at the memoized tables of thresholds_[t],
+  // tabulating them (PrepareExactTable) on a miss.
+  void SelectExactTable(int t);
+  // Tabulate type t's tables for thresholds_[t] into its current slot.
   void PrepareExactTable(int t);
   void PrepareMcTable(int t);
+
+  // kExact: type t's g row for the installed threshold.
+  const double* g(int t) const {
+    const TypeTables& tables = type_tables_[static_cast<size_t>(t)];
+    return tables.g.data() +
+           static_cast<size_t>(tables.current) * static_cast<size_t>(grid_size_);
+  }
 
   // kExact: writes the grid distribution of `prefix` followed by `type`
   // into `next` (grid_size_ cells, distinct from `prefix`).
   void ConvolveInto(const double* prefix, int type, double* next) const;
 
-  // BuildSubsetTable's walk below the set `placed`, whose prefix is
-  // subset_prefixes_[depth]; adds only types >= `next`, so each set is
-  // reached once.
-  void WalkSubsets(uint32_t placed, int depth, int next);
+  // Aborts unless the table-backed `prefix` reads the current table.
+  void CheckTableEpoch(const Prefix& prefix) const;
 
   Options options_;
   double budget_ = 0.0;
@@ -170,11 +207,20 @@ class DetectionModel {
 
   // --- kExact state ---
   int grid_size_ = 0;  // number of cells: floor(B/unit) + 1
-  // consumption_[t]: sparse distribution of round(min(b_t, Z_t C_t)/unit),
-  // stored as (cell, probability) pairs.
-  std::vector<std::vector<std::pair<int, double>>> consumption_;
-  // g_[t][cells_consumed] = E_z[detection | remaining budget].
-  std::vector<std::vector<double>> g_;
+  // One type's tables for up to kTypeTableMemo thresholds, slot-major with
+  // grid_size_ entries per slot:
+  //  * consumption: sparse distribution of round(min(b_t, Z_t C_t)/unit)
+  //    as (cell, probability) pairs, consumption_size[slot] of them;
+  //  * g[cells_consumed] = E_z[detection | remaining budget].
+  struct TypeTables {
+    std::vector<uint64_t> threshold_bits;
+    std::vector<int> consumption_size;
+    std::vector<std::pair<int, double>> consumption;
+    std::vector<double> g;
+    int current = 0;     // slot of thresholds_[t]
+    int next_evict = 0;  // slot a miss overwrites once the memo is full
+  };
+  std::vector<TypeTables> type_tables_;
 
   // --- kMonteCarlo state ---
   // Type-major layout so the per-type hot loops (PalGivenPrefix,
@@ -192,11 +238,17 @@ class DetectionModel {
   // SetThresholds in a loop).
   std::vector<double> cell_prob_scratch_;
 
-  // Subset table and its walk's prefix stack: subset_prefixes_[d] is the
-  // grid distribution of the d types placed so far, at offset
-  // d * grid_size_.
+  // Subset table and one grid prefix per set S (all but the full set) at
+  // offset S * grid_size_.
   std::vector<double> subset_table_;
   std::vector<double> subset_prefixes_;
+  // Types whose threshold moved since the last refresh.
+  uint32_t stale_types_ = 0;
+  // Nonzero while the table is current: the epoch table-backed prefixes
+  // carry. Every refresh after a SetThresholds starts a new epoch.
+  uint64_t table_epoch_ = 0;
+  uint64_t last_epoch_ = 0;
+  Stats stats_;
 };
 
 }  // namespace auditgame::core

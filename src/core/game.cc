@@ -178,6 +178,19 @@ util::StatusOr<CompiledGame> Compile(const GameInstance& instance) {
   return compiled;
 }
 
+UtilityRows::UtilityRows(const CompiledGame& game)
+    : stride_(1 + static_cast<size_t>(game.num_types)) {
+  rows_.reserve(static_cast<size_t>(game.num_envelope_rows()) * stride_);
+  for (const AdversaryGroup& group : game.groups) {
+    for (const int v : group.envelope) {
+      const VictimProfile& victim = group.victims[static_cast<size_t>(v)];
+      rows_.push_back(victim.benefit - victim.attack_cost);
+      const double scale = victim.penalty + victim.benefit;
+      for (const double p : victim.type_probs) rows_.push_back(scale * p);
+    }
+  }
+}
+
 double AdversaryUtility(const VictimProfile& victim, const double* pal) {
   const double pat =
       math::Dot(victim.type_probs.data(), pal, victim.type_probs.size());

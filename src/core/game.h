@@ -105,6 +105,29 @@ struct CompiledGame {
 /// Compiles `instance`; requires Validate() to pass.
 util::StatusOr<CompiledGame> Compile(const GameInstance& instance);
 
+/// The envelope victims' utilities as one linear form in Pal. Row r is the
+/// r-th envelope victim, groups in order and each group's envelope
+/// ascending (the master LP's row order):
+///   Ua = constant(r) - slope(r) . Pal,
+/// with slope(r) = (M + R) * type_probs and constant(r) = R - K. Each
+/// master LP builds its own (RestrictedMasterLp::utility_rows) instead of
+/// the CompiledGame keeping them: a serving engine caches one compiled
+/// game per tenant, and the rows would grow every one of them.
+class UtilityRows {
+ public:
+  explicit UtilityRows(const CompiledGame& game);
+
+  double constant(size_t r) const { return rows_[r * stride_]; }
+  /// num_types entries.
+  const double* slope(size_t r) const {
+    return rows_.data() + r * stride_ + 1;
+  }
+
+ private:
+  size_t stride_ = 1;  // 1 + num_types: the constant, then the slope
+  std::vector<double> rows_;
+};
+
 /// Ua for one victim under per-type detection probabilities `pal`. The
 /// Pal-weighted attack probability reduces through the canonical kernel dot
 /// (math/kernels.h), so the value is bit-identical in any kernel backend.

@@ -239,6 +239,9 @@ CggsSweep::~CggsSweep() = default;
 util::StatusOr<CggsResult> CggsSweep::Solve(
     const std::vector<double>& thresholds) {
   RETURN_IF_ERROR(detection_.SetThresholds(thresholds));
+  // The bound's subset table doubles as the probe's Pal source: Reprice,
+  // new columns and pricing all read it through table-backed prefixes.
+  if (bounded()) RETURN_IF_ERROR(detection_.RefreshSubsetTable());
   const int cap = 4 * game_.num_types + 8;
   if (master_.has_value() && master_->num_orderings() <= cap) {
     RETURN_IF_ERROR(master_->Reprice());
@@ -256,7 +259,7 @@ util::StatusOr<CggsResult> CggsSweep::Solve(
                                      solution_));
   support_ = result.policy.orderings;
   if (bounded()) {
-    ProjectDualUtility(game_, solution_.victim_duals,
+    ProjectDualUtility(game_, master_->utility_rows(), solution_.victim_duals,
                        dual_ring_[static_cast<size_t>(ring_next_)]);
     ring_next_ = (ring_next_ + 1) % kDualRing;
     ring_filled_ = std::min(ring_filled_ + 1, kDualRing);
@@ -267,7 +270,7 @@ util::StatusOr<CggsResult> CggsSweep::Solve(
 double CggsSweep::LowerBound(const std::vector<double>& thresholds) {
   double bound = -std::numeric_limits<double>::infinity();
   if (ring_filled_ == 0 || !detection_.SetThresholds(thresholds).ok() ||
-      !detection_.BuildSubsetTable().ok()) {
+      !detection_.RefreshSubsetTable().ok()) {
     return bound;
   }
   for (int k = 0; k < ring_filled_; ++k) {

@@ -151,7 +151,9 @@ ThresholdEvaluator MakeFullLpEvaluator(const CompiledGame& game,
 /// With exact detection and at most kMaxBoundTypes types, the sweep also
 /// bounds probes before solving them (LowerBound): the duals of its last
 /// kDualRing solved probes, projected to dual feasibility, give lower
-/// bounds on any vector's LP optimum (MinOverOrderings).
+/// bounds on any vector's LP optimum (MinOverOrderings). Every probe then
+/// refreshes the detection model's subset table (only the sets a moved
+/// threshold touches), and the master and pricing read Pal from it.
 class CggsSweep {
  public:
   /// `game` and `detection` must outlive the sweep; `detection`'s
@@ -164,7 +166,7 @@ class CggsSweep {
   /// the probes the bound skips.
   static constexpr int kMaxBoundTypes = 7;
   /// Solved probes whose duals LowerBound tries.
-  static constexpr int kDualRing = 4;
+  static constexpr int kDualRing = 8;
 
   util::StatusOr<CggsResult> Solve(const std::vector<double>& thresholds);
 

@@ -5,13 +5,14 @@
 #include <utility>
 
 #include "lp/validate.h"
+#include "math/kernels.h"
 
 namespace auditgame::core {
 
 RestrictedMasterLp::RestrictedMasterLp(const CompiledGame& game,
                                        const DetectionModel& detection,
                                        Options options)
-    : game_(game), detection_(detection), options_(options) {
+    : game_(game), detection_(detection), options_(options), rows_(game) {
   const size_t num_groups = game_.groups.size();
   const size_t num_victim_rows =
       static_cast<size_t>(game_.num_envelope_rows());
@@ -82,12 +83,13 @@ bool RestrictedMasterLp::HasOrdering(const std::vector<int>& ordering) const {
 
 void RestrictedMasterLp::WriteUtilities(int column, bool append) {
   const int var = po_vars_[static_cast<size_t>(column)];
+  const size_t t_count = static_cast<size_t>(game_.num_types);
+  size_t r = 0;
   for (size_t g = 0; g < game_.groups.size(); ++g) {
-    const AdversaryGroup& group = game_.groups[g];
-    for (size_t k = 0; k < group.envelope.size(); ++k) {
-      const VictimProfile& victim =
-          group.victims[static_cast<size_t>(group.envelope[k])];
-      const double value = -AdversaryUtility(victim, pal_scratch_);
+    for (size_t k = 0; k < victim_rows_[g].size(); ++k, ++r) {
+      const double value =
+          math::Dot(rows_.slope(r), pal_scratch_.data(), t_count) -
+          rows_.constant(r);
       if (append) {
         model_.AppendCoefficient(victim_rows_[g][k], var, value);
       } else {

@@ -33,11 +33,12 @@ namespace auditgame::core {
 ///
 /// A master also outlives a threshold change: after
 /// DetectionModel::SetThresholds, Reprice() recomputes every column's Pal
-/// vector and overwrites its victim-row coefficients in place. The
-/// sparsity pattern and the basis are kept, so the next Solve starts from
-/// the previous optimum — phase 1 repairs it when the new coefficients
-/// made it primal-infeasible, and the solver falls back to a cold start
-/// when they made it singular. The ISHM evaluator (core/ishm.h) keeps one
+/// vector (read from the subset table when it is current) and overwrites
+/// its victim-row coefficients in place. The sparsity pattern and the
+/// basis are kept, so the next Solve starts from the previous optimum —
+/// phase 1 repairs it when the new coefficients made it
+/// primal-infeasible, and the solver falls back to a cold start when they
+/// made it singular. The ISHM evaluator (core/ishm.h) keeps one
 /// master for a whole threshold sweep this way.
 class RestrictedMasterLp {
  public:
@@ -108,10 +109,14 @@ class RestrictedMasterLp {
   /// The master LP as currently built (tests hand it to an oracle solver).
   const lp::LpModel& model() const { return model_; }
 
+  /// The linear utility form of the master's victim rows, in row order.
+  const UtilityRows& utility_rows() const { return rows_; }
+
  private:
   const CompiledGame& game_;
   const DetectionModel& detection_;
   Options options_;
+  UtilityRows rows_;
 
   lp::LpModel model_;
   std::vector<int> po_vars_;
@@ -125,9 +130,10 @@ class RestrictedMasterLp {
   bool has_basis_ = false;
   Stats stats_;
 
-  // Writes the victim-row coefficients of column `column` (an index into
-  // orderings_) from the Pal vector in `pal_scratch_`: appended on the
-  // column's first write, overwritten at entry 1 + column after that.
+  // Writes the victim-row coefficients -Ua = slope(r) . Pal - constant(r)
+  // of column `column` (an index into orderings_) from the Pal vector in
+  // `pal_scratch_`: appended on the column's first write, overwritten at
+  // entry 1 + column after that.
   void WriteUtilities(int column, bool append);
 
   // Reused across solves/additions so the steady-state pricing loop is

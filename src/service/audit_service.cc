@@ -162,7 +162,7 @@ AuditService::Stats AuditService::stats() const {
 
 util::Fingerprint FingerprintServiceConfig(const AuditServiceOptions& options) {
   util::FingerprintBuilder fp;
-  fp.AppendString("audit-service-config-v3");
+  fp.AppendString("audit-service-config-v4");
   // Reuse the request fingerprint per budget (instance-free: the null
   // instance gets its own marker) so any option FingerprintRequest treats
   // as solve-relevant is automatically config-relevant here too.

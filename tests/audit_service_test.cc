@@ -178,7 +178,7 @@ TEST(AuditServiceTest, MeasureDriftIsMaxTotalVariation) {
 // old data dir is refused instead of replayed into different policies.
 TEST(AuditServiceTest, DefaultConfigFingerprintIsPinned) {
   EXPECT_EQ(FingerprintServiceConfig(AuditServiceOptions()).ToHex(),
-            "8b226991f4d1fd7e1b4da2832bd543ce");
+            "ee5a472e918d3543ed0010e254de77d3");
 }
 
 }  // namespace

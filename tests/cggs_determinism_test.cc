@@ -32,22 +32,22 @@ namespace {
 // and of SweepFingerprint(game, 1) for games 0..7. Regenerate them only
 // for a deliberate format break, and say so in the change log.
 constexpr const char* kGoldenCggs[] = {
-    "9c91ce4390900929fd7d922014bbd7f9", "cb289e33faaf6eb20638898de8bb73e2",
-    "062186f0ac1661af9f295a236c3721df", "157b18825fe0e242f3f7107f2311c4b2",
-    "aff2cc48df3a355f39a3135f3b1c64af", "36304e773997693084592a9314f34fc0",
-    "4cd23e0ce6b53172c7b646b7ff554562", "836fdb9c16fffbd8f815908b82fed328",
-    "45cc5e8105b1445d5cff1074cda390cd", "fbff17645b78b5656b07156179e1e875",
-    "4a274877d8ca4e1f549816b7a783f6cf", "6fbab538f0e1e2ed52fa9dba7cde0f5d",
-    "51ef0d0da7ed53b66ca7b972669b2fa6", "448abf9037cc32760fd270bcce0e6246",
-    "c41e4ecc088eabed390bee346bfc241d", "bffe146d54d3b82ecf732fbf28390a3e",
-    "abe900b4fd4569db15369ec3ec89c2eb", "d6132797dcca438ec322916ff1291e7e",
-    "12ddb000362a0a4a7c96bc5c3077035a", "239ce21146375a9f734a473406da14af",
+    "a6b0c7e78a795a98de929a6547a28d48", "a59b85b8db480e2a19c2d1cf7b35f11a",
+    "d98855d6e21185538d786e58a8410203", "413f6410f20e75d95ce25cdf9b0de029",
+    "77b3ea3c31e3fa526e890d072ed45522", "8f91ca0ea1b75508697287c12d379978",
+    "b7e48459ca120a8d4cc68044a0bcbb5d", "28b91611ae70a29a950d63a2ea0ac58a",
+    "73fdf44a23b51c58c637ef8cbdb654e8", "da3dea7716c0dd6993b82792492f0a39",
+    "3d722907e2f4689e2154efe1863a324e", "5075b3187933fa4881b05f8d19c14458",
+    "9cf7d060925a271efb9d90aa21d690ae", "508a445c04fc3362b2f71198d4df12f2",
+    "be10a5f9a401a2c5c0dd0f8d213f5675", "97a9efe9f02d76b138369327431f8a81",
+    "4067189f5cf4449cc2e9e3849adb486c", "ae779abaa3e4ac97d961c251f015f2e7",
+    "eb1a2cbaeede817de3bc9cc8fbcc65cd", "1e4ec96ac81d4748227941a6504379d8",
 };
 constexpr const char* kGoldenSweep[] = {
-    "006a6201023f45493f5894981c0d9179", "0ecff53f473d3409ef3875b44fe2c8f9",
-    "582b1ad2892ba678687ca989778321a8", "80546641928cafc43d917a5a80aa2ff4",
-    "d04484547ab61d6e6b6a008b680939fe", "23a6ef39de6dfc3bb30d1b009774648b",
-    "ef71780a476700205910cd5fa606f3d0", "e0de2f66bda323142c0cbacc2fb81404",
+    "3be6262440e6220b8466e41011f5ccfb", "f3723c92ee207925e80180360e1ef195",
+    "272341cc308c232c56e6aaee5000287c", "cde8780668f2f19f9f4ec985fe23d96f",
+    "8ff54a6e5a8cd707ce11f0a152dc8fd7", "b661370bc917fc9b386ca8331008d72b",
+    "a1c7d67ea07e95975ef8929a0afb7dc7", "aa25ab3d38017795ccb8f231c35cae25",
 };
 
 scenario::ScenarioSpec SpecForGame(int index) {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "core/game_lp.h"
+#include "core/master_lp.h"
 #include "data/syn_a.h"
 #include "scenario/generator.h"
 #include "tests/test_util.h"
@@ -239,7 +240,7 @@ TEST(CggsTest, MinOverOrderingsMatchesEnumeration) {
             static_cast<double>(rng.UniformInt(int64_t{0}, int64_t{8})));
       }
       ASSERT_TRUE(detection->SetThresholds(thresholds).ok());
-      ASSERT_TRUE(detection->BuildSubsetTable().ok());
+      ASSERT_TRUE(detection->RefreshSubsetTable().ok());
       std::vector<std::vector<double>> raw(game->groups.size());
       for (size_t g = 0; g < raw.size(); ++g) {
         for (size_t v = 0; v < game->groups[g].victims.size(); ++v) {
@@ -248,12 +249,97 @@ TEST(CggsTest, MinOverOrderingsMatchesEnumeration) {
         }
       }
       DualUtility f;
-      ProjectDualUtility(*game, raw, f);
+      ProjectDualUtility(*game, UtilityRows(*game), raw, f);
       std::vector<double> scratch;
       const double dp = MinOverOrderings(*detection, f, scratch);
+      // Re-installing the thresholds retires the table, so the oracle's
+      // Pal comes from convolving each ordering.
+      ASSERT_TRUE(detection->SetThresholds(thresholds).ok());
       const double oracle = EnumeratedMinimum(*game, *detection, raw);
       EXPECT_NEAR(dp, oracle, 1e-12 * (1.0 + std::fabs(oracle)))
           << types << " types, trial " << trial;
+    }
+  }
+}
+
+// Pricing and the master read adversary utilities through one linear form
+// per envelope victim (UtilityRows). On seeded games, a
+// round's reduced cost and every master coefficient must equal the sums
+// of per-victim AdversaryUtility values they replace.
+TEST(CggsTest, LinearFormMatchesPerVictimUtilities) {
+  const char* families[] = {"uniform", "zipf", "correlated"};
+  for (int game_index = 0; game_index < 6; ++game_index) {
+    auto spec = scenario::SpecByName(families[game_index % 3]);
+    ASSERT_TRUE(spec.ok());
+    spec->num_types = 4 + game_index % 3;
+    spec->seed = static_cast<uint64_t>(70 + game_index);
+    const auto instance = scenario::Generate(*spec);
+    ASSERT_TRUE(instance.ok());
+    const auto game = Compile(*instance);
+    ASSERT_TRUE(game.ok());
+    const int types = game->num_types;
+    auto detection = DetectionModel::Create(*instance, 1.5 * types);
+    ASSERT_TRUE(detection.ok());
+    util::Rng rng(static_cast<uint64_t>(game_index) + 3);
+    std::vector<double> thresholds;
+    for (int t = 0; t < types; ++t) {
+      thresholds.push_back(
+          static_cast<double>(rng.UniformInt(int64_t{0}, int64_t{8})));
+    }
+    ASSERT_TRUE(detection->SetThresholds(thresholds).ok());
+
+    RestrictedMasterLp master(*game, *detection);
+    std::vector<std::vector<double>> pals;
+    std::vector<int> ordering(static_cast<size_t>(types));
+    std::iota(ordering.begin(), ordering.end(), 0);
+    for (int o = 0; o < 6; ++o) {
+      rng.Shuffle(ordering);
+      if (master.HasOrdering(ordering)) continue;
+      ASSERT_TRUE(master.AddOrdering(ordering).ok());
+      const auto pal = detection->DetectionProbabilities(ordering);
+      ASSERT_TRUE(pal.ok());
+      pals.push_back(*pal);
+    }
+
+    // Master coefficients: row r of the envelope holds -Ua of each column.
+    int row = 0;
+    for (const AdversaryGroup& group : game->groups) {
+      for (const int v : group.envelope) {
+        const std::vector<double>& coeffs = master.model().row_coeffs(row);
+        ASSERT_EQ(coeffs.size(), pals.size() + 1);
+        for (size_t o = 0; o < pals.size(); ++o) {
+          const double want = -AdversaryUtility(
+              group.victims[static_cast<size_t>(v)], pals[o]);
+          EXPECT_NEAR(coeffs[o + 1], want, 1e-12 * (1.0 + std::fabs(want)))
+              << "game " << game_index << " row " << row << " column " << o;
+        }
+        ++row;
+      }
+    }
+
+    // Reduced costs: the pricing form of raw duals of either sign.
+    std::vector<std::vector<double>> duals(game->groups.size());
+    for (size_t g = 0; g < duals.size(); ++g) {
+      for (size_t v = 0; v < game->groups[g].victims.size(); ++v) {
+        duals[g].push_back(rng.Uniform(-0.5, 2.0));
+      }
+    }
+    DualUtility f;
+    PricingDualUtility(*game, master.utility_rows(), duals, f);
+    for (const std::vector<double>& pal : pals) {
+      double want = 0.0;
+      for (size_t g = 0; g < duals.size(); ++g) {
+        const AdversaryGroup& group = game->groups[g];
+        for (const int v : group.envelope) {
+          const double y = duals[g][static_cast<size_t>(v)];
+          if (y > 0) {
+            want += y * AdversaryUtility(
+                            group.victims[static_cast<size_t>(v)], pal);
+          }
+        }
+      }
+      EXPECT_NEAR(f.Value(pal.data()), want, 1e-12 * (1.0 + std::fabs(want)))
+          << "game " << game_index;
     }
   }
 }

@@ -283,9 +283,12 @@ TEST(DetectionModelTest, SubsetTableMatchesEveryOrdering) {
                                int64_t{0}, int64_t{dist.max_value()})));
     }
     ASSERT_TRUE(model->SetThresholds(thresholds).ok());
-    ASSERT_TRUE(model->BuildSubsetTable().ok());
+    ASSERT_TRUE(model->RefreshSubsetTable().ok());
     const std::vector<double>& table = model->subset_table();
     ASSERT_EQ(table.size(), static_cast<size_t>(types) << types);
+    // Re-installing the thresholds retires the table, so the Pal below
+    // comes from convolving each ordering.
+    ASSERT_TRUE(model->SetThresholds(thresholds).ok());
 
     std::vector<int> ordering(static_cast<size_t>(types));
     std::iota(ordering.begin(), ordering.end(), 0);
@@ -310,14 +313,212 @@ TEST(DetectionModelTest, SubsetTableNeedsExactModeAndThresholds) {
   const GameInstance instance = MakeMediumGame();
   auto exact = DetectionModel::Create(instance, 4.0);
   ASSERT_TRUE(exact.ok());
-  EXPECT_FALSE(exact->BuildSubsetTable().ok());  // no thresholds yet
+  EXPECT_FALSE(exact->RefreshSubsetTable().ok());  // no thresholds yet
   DetectionModel::Options options;
   options.mode = DetectionModel::Mode::kMonteCarlo;
   options.mc_samples = 50;
   auto sampled = DetectionModel::Create(instance, 4.0, options);
   ASSERT_TRUE(sampled.ok());
   ASSERT_TRUE(sampled->SetThresholds({1.0, 1.0, 1.0}).ok());
-  EXPECT_FALSE(sampled->BuildSubsetTable().ok());
+  EXPECT_FALSE(sampled->RefreshSubsetTable().ok());
+}
+
+// Whole-audit thresholds for `instance`, each type drawn from its support.
+std::vector<double> RandomThresholds(const GameInstance& instance,
+                                     util::Rng& rng) {
+  std::vector<double> thresholds;
+  for (int t = 0; t < instance.num_types(); ++t) {
+    const auto& dist = instance.alert_distributions[static_cast<size_t>(t)];
+    thresholds.push_back(instance.audit_costs[static_cast<size_t>(t)] *
+                         static_cast<double>(rng.UniformInt(
+                             int64_t{0}, int64_t{dist.max_value()})));
+  }
+  return thresholds;
+}
+
+GameInstance SeededGame(int types) {
+  auto spec = scenario::SpecByName(types % 2 == 0 ? "uniform" : "zipf");
+  EXPECT_TRUE(spec.ok());
+  spec->num_types = types;
+  spec->seed = static_cast<uint64_t>(60 + types);
+  auto instance = scenario::Generate(*spec);
+  EXPECT_TRUE(instance.ok());
+  return *std::move(instance);
+}
+
+// A refresh recomputes only the sets and entries a moved threshold
+// touches; after any sequence of moves the table must be bitwise the one
+// a fresh model builds from scratch, and a refresh with nothing moved must
+// do no work.
+TEST(DetectionModelTest, RefreshedSubsetTableMatchesFullRebuild) {
+  for (int types = 2; types <= 7; ++types) {
+    const GameInstance instance = SeededGame(types);
+    auto walked = DetectionModel::Create(instance, 1.5 * types);
+    ASSERT_TRUE(walked.ok());
+    util::Rng rng(static_cast<uint64_t>(100 + types));
+    std::vector<double> thresholds = RandomThresholds(instance, rng);
+    ASSERT_TRUE(walked->SetThresholds(thresholds).ok());
+    ASSERT_TRUE(walked->RefreshSubsetTable().ok());
+    for (int step = 0; step < 40; ++step) {
+      // Move 1-3 types to fresh values from the same draw as the start.
+      const std::vector<double> draw = RandomThresholds(instance, rng);
+      const int moves = 1 + static_cast<int>(rng.UniformInt(uint64_t{3}));
+      for (int m = 0; m < moves; ++m) {
+        const size_t t = rng.UniformInt(static_cast<uint64_t>(types));
+        thresholds[t] = draw[t];
+      }
+      ASSERT_TRUE(walked->SetThresholds(thresholds).ok());
+      ASSERT_TRUE(walked->RefreshSubsetTable().ok());
+
+      auto fresh = DetectionModel::Create(instance, 1.5 * types);
+      ASSERT_TRUE(fresh.ok());
+      ASSERT_TRUE(fresh->SetThresholds(thresholds).ok());
+      ASSERT_TRUE(fresh->RefreshSubsetTable().ok());
+      const std::vector<double>& got = walked->subset_table();
+      const std::vector<double>& want = fresh->subset_table();
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(double)),
+                0)
+          << types << " types, step " << step;
+    }
+    const int64_t refreshes = walked->stats().table_refreshes;
+    ASSERT_TRUE(walked->SetThresholds(thresholds).ok());
+    ASSERT_TRUE(walked->RefreshSubsetTable().ok());
+    EXPECT_EQ(walked->stats().table_refreshes, refreshes);
+  }
+}
+
+// While the table is current, prefixes read Pal(t | placed) from it: the
+// Pal of every ordering, and of every candidate greedy pricing scores at
+// every step, must match the convolution path.
+TEST(DetectionModelTest, TableBackedPrefixesMatchConvolution) {
+  for (int types = 2; types <= 6; ++types) {
+    const GameInstance instance = SeededGame(types);
+    util::Rng rng(static_cast<uint64_t>(200 + types));
+    const std::vector<double> thresholds = RandomThresholds(instance, rng);
+    auto table = DetectionModel::Create(instance, 1.5 * types);
+    auto convolved = DetectionModel::Create(instance, 1.5 * types);
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(convolved.ok());
+    ASSERT_TRUE(table->SetThresholds(thresholds).ok());
+    ASSERT_TRUE(table->RefreshSubsetTable().ok());
+    ASSERT_TRUE(convolved->SetThresholds(thresholds).ok());
+
+    DetectionModel::Prefix table_prefix;
+    DetectionModel::Prefix grid_prefix;
+    std::vector<double> table_pal;
+    std::vector<double> grid_pal;
+    std::vector<int> ordering(static_cast<size_t>(types));
+    std::iota(ordering.begin(), ordering.end(), 0);
+    double worst = 0.0;
+    do {
+      ASSERT_TRUE(table->DetectionProbabilitiesInto(ordering, table_prefix,
+                                                    table_pal)
+                      .ok());
+      ASSERT_NE(table_prefix.table_epoch, 0u);
+      ASSERT_TRUE(convolved
+                      ->DetectionProbabilitiesInto(ordering, grid_prefix,
+                                                   grid_pal)
+                      .ok());
+      ASSERT_EQ(grid_prefix.table_epoch, 0u);
+      for (int t = 0; t < types; ++t) {
+        worst = std::max(worst, std::fabs(table_pal[t] - grid_pal[t]));
+      }
+      // Greedy's view: every unplaced candidate after each prefix.
+      table->ResetPrefix(table_prefix);
+      convolved->ResetPrefix(grid_prefix);
+      uint32_t placed = 0;
+      for (const int next : ordering) {
+        for (int t = 0; t < types; ++t) {
+          if ((placed >> t) & 1u) continue;
+          worst = std::max(
+              worst, std::fabs(table->PalGivenPrefix(table_prefix, t) -
+                               convolved->PalGivenPrefix(grid_prefix, t)));
+        }
+        table->ExtendPrefix(table_prefix, next);
+        convolved->ExtendPrefix(grid_prefix, next);
+        placed |= uint32_t{1} << next;
+      }
+    } while (std::next_permutation(ordering.begin(), ordering.end()));
+    EXPECT_LE(worst, 1e-12) << types << " types";
+  }
+}
+
+// A table-backed prefix is only valid until the next SetThresholds.
+TEST(DetectionModelDeathTest, TableBackedPrefixAfterThresholdMoveAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const GameInstance instance = MakeMediumGame();
+  auto model = DetectionModel::Create(instance, 4.0);
+  ASSERT_TRUE(model.ok());
+  ASSERT_TRUE(model->SetThresholds({1.0, 2.0, 1.0}).ok());
+  ASSERT_TRUE(model->RefreshSubsetTable().ok());
+  DetectionModel::Prefix prefix = model->EmptyPrefix();
+  ASSERT_NE(prefix.table_epoch, 0u);
+  model->ExtendPrefix(prefix, 0);
+  ASSERT_TRUE(model->SetThresholds({1.0, 3.0, 1.0}).ok());
+  EXPECT_DEATH(model->PalGivenPrefix(prefix, 1), "table-backed prefix");
+  EXPECT_DEATH(model->ExtendPrefix(prefix, 1), "table-backed prefix");
+  // Refreshing does not revive it either: the table moved on.
+  ASSERT_TRUE(model->RefreshSubsetTable().ok());
+  EXPECT_DEATH(model->PalGivenPrefix(prefix, 1), "table-backed prefix");
+}
+
+// SetThresholds reuses a type's tables for a threshold it has tabulated
+// before, and replaces the oldest slot once kTypeTableMemo are held. A
+// walk over more distinct values than the memo holds, revisiting often,
+// must leave every Pal and the subset table bitwise equal to a fresh
+// model's.
+TEST(DetectionModelTest, MemoizedTablesMatchFreshModel) {
+  GameInstance instance = MakeMediumGame();
+  instance.audit_costs = {1.0, 2.0, 1.5};
+  auto walked = DetectionModel::Create(instance, 9.0);
+  ASSERT_TRUE(walked.ok());
+  util::Rng rng(17);
+  std::vector<double> thresholds(3, 0.0);
+  const int values = DetectionModel::kTypeTableMemo + 8;
+  int64_t retabulated = 0;
+  for (int step = 1; step <= 400; ++step) {
+    const size_t t = rng.UniformInt(uint64_t{3});
+    // Early steps revisit a few values (memo hits); later ones range
+    // over more values than the memo holds (evictions).
+    const int64_t range = step <= 100 ? 4 : values;
+    thresholds[t] = 0.25 * static_cast<double>(
+                               rng.UniformInt(int64_t{0}, range - 1));
+    ASSERT_TRUE(walked->SetThresholds(thresholds).ok());
+    if (step == 100) {
+      retabulated = walked->stats().types_retabulated;
+      // At most 4 values of 3 types, plus the first call's 3 tables.
+      EXPECT_LE(retabulated, 3 + 3 * 4);
+    }
+    if (step % 25 != 0) continue;
+    ASSERT_TRUE(walked->RefreshSubsetTable().ok());
+    auto fresh = DetectionModel::Create(instance, 9.0);
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_TRUE(fresh->SetThresholds(thresholds).ok());
+    ASSERT_TRUE(fresh->RefreshSubsetTable().ok());
+    EXPECT_EQ(std::memcmp(walked->subset_table().data(),
+                          fresh->subset_table().data(),
+                          fresh->subset_table().size() * sizeof(double)),
+              0)
+        << "step " << step;
+    // Convolution path: retire both tables.
+    ASSERT_TRUE(walked->SetThresholds(thresholds).ok());
+    ASSERT_TRUE(fresh->SetThresholds(thresholds).ok());
+    std::vector<int> ordering = {0, 1, 2};
+    do {
+      const auto got = walked->DetectionProbabilities(ordering);
+      const auto want = fresh->DetectionProbabilities(ordering);
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(std::memcmp(got->data(), want->data(),
+                            got->size() * sizeof(double)),
+                0)
+          << "step " << step;
+    } while (std::next_permutation(ordering.begin(), ordering.end()));
+  }
+  EXPECT_GT(walked->stats().types_retabulated,
+            retabulated + DetectionModel::kTypeTableMemo);
 }
 
 // Property sweep: for any ordering and thresholds, Pal values are in [0,1]

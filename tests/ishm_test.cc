@@ -315,6 +315,7 @@ class BoundedFullLp {
   BoundedFullLp(const CompiledGame& game, DetectionModel& detection)
       : game_(game),
         detection_(detection),
+        rows_(game),
         orderings_(util::AllPermutations(game.num_types)) {}
 
   util::StatusOr<ThresholdEvaluation> Evaluate(
@@ -332,7 +333,7 @@ class BoundedFullLp {
         eval.policy.probabilities.push_back(lp.ordering_probs[o]);
       }
     }
-    ProjectDualUtility(game_, lp.victim_duals, ring_[next_]);
+    ProjectDualUtility(game_, rows_, lp.victim_duals, ring_[next_]);
     next_ = (next_ + 1) % ring_.size();
     filled_ = std::min(filled_ + 1, ring_.size());
     eval.lower_bound = [this](const std::vector<double>& at) {
@@ -345,7 +346,7 @@ class BoundedFullLp {
   double Bound(const std::vector<double>& thresholds) {
     double bound = -std::numeric_limits<double>::infinity();
     if (!detection_.SetThresholds(thresholds).ok() ||
-        !detection_.BuildSubsetTable().ok()) {
+        !detection_.RefreshSubsetTable().ok()) {
       return bound;
     }
     std::vector<double> scratch;
@@ -357,6 +358,7 @@ class BoundedFullLp {
 
   const CompiledGame& game_;
   DetectionModel& detection_;
+  const UtilityRows rows_;
   const std::vector<std::vector<int>> orderings_;
   std::array<DualUtility, 4> ring_;
   size_t next_ = 0;
