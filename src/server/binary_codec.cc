@@ -293,6 +293,18 @@ std::string EncodeBinaryBackendDownResponse(int64_t correlation_id,
   return out;
 }
 
+std::string OverloadedResponseFor(bool binary, Verb verb, int64_t id,
+                                  const std::string& tenant, int shard) {
+  return binary ? EncodeBinaryOverloadedResponse(id, shard, BinaryVerbOf(verb))
+                : MakeOverloadedResponse(id, tenant, shard);
+}
+
+std::string BackendDownResponseFor(bool binary, Verb verb, int64_t id,
+                                   const std::string& tenant) {
+  return binary ? EncodeBinaryBackendDownResponse(id, BinaryVerbOf(verb))
+                : MakeBackendDownResponse(id, tenant);
+}
+
 bool RewriteBinaryCorrelationId(std::string* payload, int64_t correlation_id) {
   // magic(1) version(1) kind(1) verb(1) id(8): the id spans bytes 4..11 of
   // every binary frame, request or response.

@@ -103,6 +103,20 @@ std::string EncodeBinaryBackendDownResponse(int64_t correlation_id,
 std::string EncodeBinaryErrorResponse(int64_t correlation_id,
                                       std::string_view message);
 
+/// The binary verb byte of a hot verb (`ingest` or `solve_cycle`).
+inline unsigned char BinaryVerbOf(Verb verb) {
+  return verb == Verb::kIngest ? kBinaryVerbIngest : kBinaryVerbSolveCycle;
+}
+
+/// The retryable refusals, in the request's encoding (`binary`) — the one
+/// builder the server and the router answer a not-applied request with.
+/// `shard` is -1 where no shard was chosen (router-originated); the
+/// `backend_down` envelope carries none.
+std::string OverloadedResponseFor(bool binary, Verb verb, int64_t id,
+                                  const std::string& tenant, int shard);
+std::string BackendDownResponseFor(bool binary, Verb verb, int64_t id,
+                                   const std::string& tenant);
+
 /// --- router-side helpers ---
 ///
 /// The correlation id sits at a fixed offset (bytes 4..11, big-endian) in

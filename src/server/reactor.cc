@@ -16,7 +16,7 @@ constexpr int kDrainPollMs = 50;
 constexpr int kMinIdleSweepMs = 100;
 }  // namespace
 
-Reactor::Reactor(int index, ReactorOptions options, FrameHandler handler)
+Reactor::Reactor(int index, FrontEndOptions options, FrameHandler handler)
     : index_(index),
       options_(std::move(options)),
       handler_(std::move(handler)) {}

@@ -17,22 +17,11 @@
 #include "net/frame.h"
 #include "net/poller.h"
 #include "net/socket.h"
+#include "server/front_end.h"
 #include "server/shard.h"
 #include "util/status.h"
 
 namespace auditgame::server {
-
-struct ReactorOptions {
-  size_t max_frame_payload = net::kDefaultMaxFramePayload;
-  /// Per-connection write-buffer bound; a peer further behind than this is
-  /// disconnected (slow-consumer close) rather than buffered forever.
-  size_t max_write_buffer = 4u << 20;
-  /// Connections with no traffic for this long — and nothing owed to them
-  /// (no in-flight shard work, no unflushed output) — are reaped. 0
-  /// disables the timer.
-  int idle_timeout_ms = 0;
-  net::PollerBackend poller_backend = net::PollerBackend::kDefault;
-};
 
 /// One IO thread of the server's reactor pool: an event loop (epoll where
 /// available, poll(2) otherwise — see net/poller.h) owning a disjoint set
@@ -65,7 +54,9 @@ class Reactor {
   using FrameHandler = std::function<bool(
       Reactor& reactor, uint64_t conn_id, const std::string& payload)>;
 
-  Reactor(int index, ReactorOptions options, FrameHandler handler);
+  /// Reads the frame cap, the write-buffer bound, the idle timeout and the
+  /// poller backend from `options`.
+  Reactor(int index, FrontEndOptions options, FrameHandler handler);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -182,7 +173,7 @@ class Reactor {
   bool AnyPendingWrite() const;
 
   const int index_;
-  const ReactorOptions options_;
+  const FrontEndOptions options_;
   const FrameHandler handler_;
   const char* backend_name_ = "unstarted";
 

@@ -9,17 +9,8 @@
 
 namespace auditgame::server {
 
-namespace {
-constexpr int kAcceptorPollMs = 250;
-constexpr int kDrainPollMs = 50;
-
-unsigned char BinaryVerbOf(Verb verb) {
-  return verb == Verb::kIngest ? kBinaryVerbIngest : kBinaryVerbSolveCycle;
-}
-}  // namespace
-
-Router::Router(RouterOptions options) : options_(std::move(options)) {
-  if (options_.num_reactors < 1) options_.num_reactors = 1;
+Router::Router(RouterOptions options)
+    : options_(std::move(options)), front_(options_.front, MakeHooks()) {
   if (options_.virtual_nodes < 1) options_.virtual_nodes = 1;
   if (options_.replica_retries < 0) options_.replica_retries = 0;
   if (options_.replica_retry_backoff_ms < 1)
@@ -29,20 +20,39 @@ Router::Router(RouterOptions options) : options_(std::move(options)) {
 }
 
 Router::~Router() {
-  // Channel threads call back into this object (and post into reactor
-  // inboxes), so they must be gone before anything else is torn down.
-  for (auto& channel : channels_) {
-    if (channel) channel->BeginShutdown();
+  // Channel threads call back into this object and post into reactor
+  // inboxes, so they stop while the reactors (destroyed with front_) are
+  // still alive.
+  StopChannels();
+}
+
+FrontEndHooks Router::MakeHooks() {
+  FrontEndHooks hooks;
+  hooks.on_request = [this](Reactor& reactor, uint64_t conn_id,
+                            Request request, const std::string& payload) {
+    Route(reactor, conn_id, std::move(request), payload);
+  };
+  hooks.stats_body = [this] { return StatsBody(); };
+  // No drain hooks: Route() refuses new work itself once the front end is
+  // draining, and ops already forwarded settle through their channels.
+  if (options_.ping_interval_ms > 0) {
+    hooks.on_tick = [this] { PingBackends(); };
+    hooks.tick_ms = options_.ping_interval_ms;
   }
-  for (auto& channel : channels_) {
-    if (channel) channel->Join();
-  }
-  for (auto& reactor : reactors_) reactor->Kill();
-  for (auto& reactor : reactors_) reactor->Join();
+  hooks.stop_workers = [this] { StopChannels(); };
+  return hooks;
+}
+
+void Router::StopChannels() {
+  for (auto& channel : channels_) channel->BeginShutdown();
+  for (auto& channel : channels_) channel->Join();
 }
 
 util::Status Router::Start() {
-  if (started_) return util::FailedPreconditionError("already started");
+  return front_.Start([this] { return StartChannels(); });
+}
+
+util::Status Router::StartChannels() {
   if (options_.backends.empty()) {
     return util::InvalidArgumentError("router needs at least one backend");
   }
@@ -60,38 +70,9 @@ util::Status Router::Start() {
     full_ring_.AddNode(static_cast<int>(i), options_.backends[i]);
   }
 
-  ASSIGN_OR_RETURN(listener_, net::ListenTcp(options_.host, options_.port));
-  ASSIGN_OR_RETURN(port_, net::LocalPort(listener_));
-  ASSIGN_OR_RETURN(wake_, net::WakeChannel::Make());
-  acceptor_poller_ = net::MakePoller(options_.poller_backend);
-  if (!acceptor_poller_) {
-    return util::InvalidArgumentError(
-        "requested poller backend unavailable on this platform");
-  }
-  acceptor_poller_->Watch(listener_.fd(), /*read=*/true, /*write=*/false);
-  acceptor_poller_->Watch(wake_.read_fd(), /*read=*/true, /*write=*/false);
-
-  ReactorOptions reactor_options;
-  reactor_options.max_frame_payload = options_.max_frame_payload;
-  reactor_options.max_write_buffer = options_.max_write_buffer;
-  reactor_options.idle_timeout_ms = options_.idle_timeout_ms;
-  reactor_options.poller_backend = options_.poller_backend;
-  reactors_.reserve(static_cast<size_t>(options_.num_reactors));
-  for (int i = 0; i < options_.num_reactors; ++i) {
-    reactors_.push_back(std::make_unique<Reactor>(
-        i, reactor_options,
-        [this](Reactor& reactor, uint64_t conn_id,
-               const std::string& payload) {
-          return HandleFrame(reactor, conn_id, payload);
-        }));
-  }
-  for (auto& reactor : reactors_) {
-    RETURN_IF_ERROR(reactor->Start());
-  }
-
   net::FrameChannelOptions channel_options = options_.channel;
-  channel_options.max_frame_payload = options_.max_frame_payload;
-  channel_options.poller_backend = options_.poller_backend;
+  channel_options.max_frame_payload = options_.front.max_frame_payload;
+  channel_options.poller_backend = options_.front.poller_backend;
   channels_.reserve(backend_addrs.size());
   for (size_t i = 0; i < backend_addrs.size(); ++i) {
     net::FrameChannel::Events events;
@@ -119,16 +100,10 @@ util::Status Router::Start() {
     if (all_up) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-
-  last_ping_ = std::chrono::steady_clock::now();
-  started_ = true;
   return util::OkStatus();
 }
 
-void Router::RequestStop() {
-  stop_requested_.store(true, std::memory_order_release);
-  wake_.Notify();
-}
+util::Status Router::Run() { return front_.Run(); }
 
 int Router::PrimaryBackendFor(const std::string& tenant) {
   const uint64_t point = HashRing::PointForTenant(tenant);
@@ -142,51 +117,7 @@ int Router::SuccessorBackendFor(const std::string& tenant) {
   return live_ring_.SuccessorFor(point);
 }
 
-int64_t Router::LiveConnectionEstimate() const {
-  int64_t closed = 0;
-  for (const auto& reactor : reactors_) closed += reactor->closed_connections();
-  return accepted_connections_.load(std::memory_order_relaxed) - closed;
-}
-
-void Router::AdmitConnections(std::vector<net::Socket> sockets,
-                              bool enforce_cap) {
-  int64_t live = LiveConnectionEstimate();
-  for (net::Socket& socket : sockets) {
-    if (enforce_cap && options_.max_connections > 0 &&
-        live >= static_cast<int64_t>(options_.max_connections)) {
-      accept_rejections_.fetch_add(1, std::memory_order_relaxed);
-      socket.Close();
-      continue;
-    }
-    const uint64_t conn_id = ++next_conn_id_;
-    accepted_connections_.fetch_add(1, std::memory_order_relaxed);
-    ++live;
-    reactors_[conn_id % reactors_.size()]->Adopt(std::move(socket), conn_id);
-  }
-}
-
-void Router::BeginDrain() {
-  draining_.store(true, std::memory_order_release);
-  if (listener_.valid()) {
-    // Same RST-avoidance as AuditServer: accept the already-handshaken
-    // backlog so the drain can answer it instead of resetting it.
-    if (auto accepted = net::AcceptAll(listener_); accepted.ok()) {
-      AdmitConnections(std::move(*accepted), /*enforce_cap=*/false);
-    }
-    acceptor_poller_->Forget(listener_.fd());
-    listener_.Close();
-  }
-  for (auto& reactor : reactors_) reactor->BeginDrain();
-}
-
-void Router::MaybePing() {
-  if (options_.ping_interval_ms <= 0) return;
-  const auto now = std::chrono::steady_clock::now();
-  if (now - last_ping_ <
-      std::chrono::milliseconds(options_.ping_interval_ms)) {
-    return;
-  }
-  last_ping_ = now;
+void Router::PingBackends() {
   for (auto& channel : channels_) {
     if (channel->up()) {
       // Correlation id 0 is reserved for pings; OnBackendFrame swallows
@@ -197,123 +128,17 @@ void Router::MaybePing() {
   }
 }
 
-util::Status Router::Run() {
-  if (!started_) return util::FailedPreconditionError("Start() first");
-  std::chrono::steady_clock::time_point drain_deadline;
-  bool killed = false;
-
-  for (;;) {
-    if (stop_requested_.load(std::memory_order_acquire) &&
-        !draining_.load(std::memory_order_relaxed)) {
-      BeginDrain();
-      drain_deadline = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(options_.drain_timeout_ms);
-    }
-    if (draining_.load(std::memory_order_relaxed)) {
-      const bool all_drained =
-          std::all_of(reactors_.begin(), reactors_.end(),
-                      [](const auto& reactor) { return reactor->drained(); });
-      if (all_drained) break;
-      if (!killed && std::chrono::steady_clock::now() >= drain_deadline) {
-        for (auto& reactor : reactors_) reactor->Kill();
-        killed = true;
-      }
-    }
-
-    auto events =
-        acceptor_poller_->Wait(draining_.load(std::memory_order_relaxed)
-                               ? kDrainPollMs
-                               : kAcceptorPollMs);
-    RETURN_IF_ERROR(events.status());
-    for (const net::PollEvent& event : *events) {
-      if (event.fd == wake_.read_fd()) {
-        wake_.Drain();
-        continue;
-      }
-      if (listener_.valid() && event.fd == listener_.fd()) {
-        auto accepted = net::AcceptAll(listener_);
-        if (!accepted.ok()) continue;
-        AdmitConnections(std::move(*accepted), /*enforce_cap=*/true);
-      }
-    }
-
-    if (!draining_.load(std::memory_order_relaxed)) MaybePing();
-  }
-
-  // Channels first (stops the response stream into reactor inboxes), then
-  // the reactors.
-  for (auto& channel : channels_) channel->BeginShutdown();
-  for (auto& channel : channels_) channel->Join();
-  for (auto& reactor : reactors_) reactor->Kill();
-  util::Status status = util::OkStatus();
-  for (auto& reactor : reactors_) {
-    reactor->Join();
-    if (status.ok()) status = reactor->status();
-    reactor->DrainLeftovers();
-  }
-  return status;
-}
-
-bool Router::HandleFrame(Reactor& reactor, uint64_t conn_id,
-                         const std::string& payload) {
-  if (IsBinaryFrame(payload)) {
-    reactor.SetBinaryMode(conn_id);
-    auto request = DecodeBinaryRequest(payload);
-    if (!request.ok()) {
-      reactor.CountProtocolError();
-      reactor.Reply(conn_id,
-                    EncodeBinaryErrorResponse(BinaryCorrelationIdOf(payload),
-                                              request.status().ToString()));
-      reactor.Poison(conn_id);
-      return false;
-    }
-    Route(reactor, conn_id, *std::move(request), payload);
-    return true;
-  }
-
-  auto doc = util::JsonValue::Parse(payload);
-  if (!doc.ok()) {
-    reactor.CountProtocolError();
-    if (reactor.binary_mode(conn_id)) {
-      reactor.Reply(conn_id,
-                    EncodeBinaryErrorResponse(-1, doc.status().ToString()));
-      reactor.Poison(conn_id);
-      return false;
-    }
-    reactor.Reply(conn_id, MakeErrorResponse(-1, doc.status().ToString()));
-    return true;
-  }
-  auto request = ParseRequest(*doc);
-  if (!request.ok()) {
-    reactor.CountProtocolError();
-    reactor.Reply(conn_id, MakeErrorResponse(RequestIdOf(*doc),
-                                             request.status().ToString()));
-    return true;
-  }
-
-  if (request->verb == Verb::kStats) {
-    reactor.Reply(conn_id, MakeStatsResponse(request->id, StatsBody()));
-    return true;
-  }
-
-  Route(reactor, conn_id, *std::move(request), payload);
-  return true;
-}
-
 void Router::Route(Reactor& reactor, uint64_t conn_id, Request request,
                    const std::string& payload) {
   const int64_t client_id = request.id;
   const bool binary = request.binary;
-  const unsigned char binary_verb = BinaryVerbOf(request.verb);
 
-  if (draining_.load(std::memory_order_acquire)) {
+  if (front_.draining()) {
     // Same retryable refusal a draining AuditServer produces.
     reactor.CountOverloaded();
-    reactor.Reply(conn_id,
-                  binary ? EncodeBinaryOverloadedResponse(client_id, -1,
-                                                          binary_verb)
-                         : MakeOverloadedResponse(client_id, request.tenant,
-                                                  -1));
+    reactor.Reply(conn_id, OverloadedResponseFor(binary, request.verb,
+                                                 client_id, request.tenant,
+                                                 -1));
     return;
   }
 
@@ -324,10 +149,8 @@ void Router::Route(Reactor& reactor, uint64_t conn_id, Request request,
   if (primary < 0) {
     lock.unlock();
     backend_down_replies_.fetch_add(1, std::memory_order_relaxed);
-    reactor.Reply(conn_id,
-                  binary ? EncodeBinaryBackendDownResponse(client_id,
-                                                           binary_verb)
-                         : MakeBackendDownResponse(client_id, request.tenant));
+    reactor.Reply(conn_id, BackendDownResponseFor(binary, request.verb,
+                                                  client_id, request.tenant));
     return;
   }
 
@@ -387,10 +210,8 @@ void Router::Route(Reactor& reactor, uint64_t conn_id, Request request,
       lock.unlock();
       replication_rejected_.fetch_add(1, std::memory_order_relaxed);
       reactor.CountOverloaded();
-      reactor.Reply(conn_id,
-                    binary ? EncodeBinaryOverloadedResponse(client_id, -1,
-                                                            binary_verb)
-                           : MakeOverloadedResponse(client_id, op.tenant, -1));
+      reactor.Reply(conn_id, OverloadedResponseFor(binary, op.verb, client_id,
+                                                   op.tenant, -1));
       return;
     } else {
       // Successor unreachable: serve unmirrored rather than not at all.
@@ -403,12 +224,8 @@ void Router::Route(Reactor& reactor, uint64_t conn_id, Request request,
   if (submitted != net::FrameChannel::Submit::kAccepted) {
     const bool full = submitted == net::FrameChannel::Submit::kFull;
     std::string reply =
-        binary ? (full ? EncodeBinaryOverloadedResponse(client_id, -1,
-                                                        binary_verb)
-                       : EncodeBinaryBackendDownResponse(client_id,
-                                                         binary_verb))
-               : (full ? MakeOverloadedResponse(client_id, op.tenant, -1)
-                       : MakeBackendDownResponse(client_id, op.tenant));
+        full ? OverloadedResponseFor(binary, op.verb, client_id, op.tenant, -1)
+             : BackendDownResponseFor(binary, op.verb, client_id, op.tenant);
     if (op.replica_backend >= 0) {
       // The mirror is already on its way; keep the op (released) so its
       // response has a home, then answer the client right now.
@@ -570,7 +387,7 @@ void Router::OnBackendFrame(size_t backend, std::string payload) {
       ops_.erase(it);
     }
   }
-  PostReleases(std::move(releases));
+  front_.PostResponses(std::move(releases));
 }
 
 void Router::OnBackendState(size_t backend, bool up) {
@@ -585,7 +402,7 @@ void Router::OnBackendState(size_t backend, bool up) {
     live_ring_.RemoveNode(static_cast<int>(backend));
     // Channels are torn down as part of the router's own graceful stop;
     // only a live backend lost mid-service counts as a failover.
-    if (was_live && !draining_.load(std::memory_order_relaxed)) {
+    if (was_live && !front_.draining()) {
       failovers_.fetch_add(1, std::memory_order_relaxed);
     }
 
@@ -603,10 +420,8 @@ void Router::OnBackendState(size_t backend, bool up) {
       if (op.primary_backend == static_cast<int>(backend) &&
           !op.primary_done) {
         op.primary_done = true;
-        op.primary_response =
-            op.binary ? EncodeBinaryBackendDownResponse(op.client_id,
-                                                        BinaryVerbOf(op.verb))
-                      : MakeBackendDownResponse(op.client_id, op.tenant);
+        op.primary_response = BackendDownResponseFor(op.binary, op.verb,
+                                                     op.client_id, op.tenant);
         backend_down_replies_.fetch_add(1, std::memory_order_relaxed);
       }
       if (op.primary_done && op.replica_done) {
@@ -620,60 +435,13 @@ void Router::OnBackendState(size_t backend, bool up) {
       }
     }
   }
-  PostReleases(std::move(releases));
-}
-
-void Router::PostReleases(std::vector<Shard::Response> releases) {
-  if (releases.empty()) return;
-  const size_t n = reactors_.size();
-  if (n == 1) {
-    reactors_[0]->PostResponses(std::move(releases));
-    return;
-  }
-  std::vector<std::vector<Shard::Response>> per_reactor(n);
-  for (Shard::Response& response : releases) {
-    per_reactor[response.conn_id % n].push_back(std::move(response));
-  }
-  for (size_t r = 0; r < n; ++r) {
-    if (!per_reactor[r].empty()) {
-      reactors_[r]->PostResponses(std::move(per_reactor[r]));
-    }
-  }
+  front_.PostResponses(std::move(releases));
 }
 
 util::JsonValue::Object Router::StatsBody() {
-  int64_t active = 0, frames_in = 0, frames_out = 0, protocol_errors = 0;
-  int64_t overloaded = 0, slow_closes = 0, orphaned = 0, idle_closes = 0;
-  for (const auto& reactor : reactors_) {
-    active += reactor->active_connections();
-    frames_in += reactor->frames_in();
-    frames_out += reactor->frames_out();
-    protocol_errors += reactor->protocol_errors();
-    overloaded += reactor->overloaded();
-    slow_closes += reactor->slow_consumer_closes();
-    orphaned += reactor->orphaned_responses();
-    idle_closes += reactor->idle_closes();
-  }
-
-  util::JsonValue::Object body;
-  util::JsonValue::Object server;
+  util::JsonValue::Object server = front_.ServerStats();
   server["role"] = "router";
-  server["active_connections"] = static_cast<double>(active);
-  server["accepted_connections"] = static_cast<double>(
-      accepted_connections_.load(std::memory_order_relaxed));
-  server["accept_rejections"] = static_cast<double>(
-      accept_rejections_.load(std::memory_order_relaxed));
-  server["frames_in"] = static_cast<double>(frames_in);
-  server["frames_out"] = static_cast<double>(frames_out);
-  server["protocol_errors"] = static_cast<double>(protocol_errors);
-  server["overloaded"] = static_cast<double>(overloaded);
-  server["slow_consumer_closes"] = static_cast<double>(slow_closes);
-  server["orphaned_responses"] = static_cast<double>(orphaned);
-  server["idle_closes"] = static_cast<double>(idle_closes);
-  server["reactors"] = static_cast<int>(reactors_.size());
-  server["poller"] = std::string(
-      reactors_.empty() ? "none" : reactors_.front()->backend_name());
-  server["draining"] = draining_.load(std::memory_order_relaxed);
+  util::JsonValue::Object body;
   body["server"] = std::move(server);
 
   util::JsonValue::Object router = ReportBody();

@@ -2,7 +2,6 @@
 #define AUDIT_GAME_SERVER_ROUTER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -12,9 +11,7 @@
 #include <vector>
 
 #include "net/channel.h"
-#include "net/frame.h"
-#include "net/poller.h"
-#include "net/socket.h"
+#include "server/front_end.h"
 #include "server/hash_ring.h"
 #include "server/protocol.h"
 #include "server/reactor.h"
@@ -25,16 +22,13 @@
 namespace auditgame::server {
 
 struct RouterOptions {
-  /// Numeric IPv4 bind address of the client-facing listener.
-  std::string host = "127.0.0.1";
-  /// 0 binds an ephemeral port; read it back with port() after Start().
-  uint16_t port = 0;
+  /// The client-facing listener, reactors, limits and drain budget (the
+  /// same front door as AuditServer's).
+  FrontEndOptions front;
   /// Backend audit_server addresses, "host:port" each. Index order is the
   /// node identity on the hash ring, so a restarted router with the same
   /// list reproduces the same placement.
   std::vector<std::string> backends;
-  /// Client-facing IO threads (same reactor pool as AuditServer).
-  int num_reactors = 1;
   /// Ring points per backend; more points = smoother spread, slower
   /// membership changes.
   int virtual_nodes = 128;
@@ -57,19 +51,14 @@ struct RouterOptions {
   int backend_connect_wait_ms = 10000;
   /// Per-backend channel tuning (window, queue bound, response timeout,
   /// reconnect backoff). max_frame_payload and poller_backend are
-  /// propagated from the fields below.
+  /// propagated from `front`.
   net::FrameChannelOptions channel;
-  size_t max_frame_payload = net::kDefaultMaxFramePayload;
-  size_t max_write_buffer = 4u << 20;
-  int idle_timeout_ms = 300000;
-  size_t max_connections = 0;
-  net::PollerBackend poller_backend = net::PollerBackend::kDefault;
-  int drain_timeout_ms = 10000;
 };
 
-/// The cluster front door: speaks the same JSON/binary frame protocol as
-/// AuditServer on the client side and fans requests out to N backend
-/// audit_server processes over pipelined FrameChannels. Placement is
+/// The cluster front door: the same client front end as AuditServer
+/// (server/front_end.h: the same JSON/binary protocol, limits and drain)
+/// on the client side, fanning requests out to N backend audit_server
+/// processes over pipelined FrameChannels. Placement is
 /// consistent hashing (HashRing) over the same FNV-1a tenant hash the
 /// in-process shard routing uses; correlation ids are remapped per op
 /// (client id ↔ router sub-id) so any number of client connections can
@@ -102,10 +91,10 @@ class Router {
   util::Status Run();
 
   /// Signals Run() to begin the graceful drain. Async-signal-safe.
-  void RequestStop();
+  void RequestStop() { front_.RequestStop(); }
 
   /// The bound client-facing port (valid after Start()).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return front_.port(); }
 
   /// Current live-ring owner of a tenant (-1 when no backend is up) and
   /// its replication target — test and capacity-planning hooks.
@@ -147,41 +136,31 @@ class Router {
     int replica_attempts = 0;
   };
 
-  bool HandleFrame(Reactor& reactor, uint64_t conn_id,
-                   const std::string& payload);
+  FrontEndHooks MakeHooks();
+  /// Validates the backend list and starts one channel per backend.
+  util::Status StartChannels();
+  /// Shuts down and joins every backend channel.
+  void StopChannels();
   void Route(Reactor& reactor, uint64_t conn_id, Request request,
              const std::string& payload);
   /// Response from backend `backend` (channel thread).
   void OnBackendFrame(size_t backend, std::string payload);
   /// Up/down transition of backend `backend` (channel thread).
   void OnBackendState(size_t backend, bool up);
-  /// Routes released responses to their owning reactors.
-  void PostReleases(std::vector<Shard::Response> releases);
   /// Tallies the policy sources of a rerouted solve's ok response — the
   /// warm-failover evidence.
   void CountRerouteSources(const PendingOp& op, const std::string& payload,
                            const util::JsonValue* doc);
-  void AdmitConnections(std::vector<net::Socket> sockets, bool enforce_cap);
-  void BeginDrain();
-  void MaybePing();
-  int64_t LiveConnectionEstimate() const;
+  /// One `stats` ping per live backend (the on_tick hook).
+  void PingBackends();
 
   RouterOptions options_;
 
-  net::Socket listener_;
-  net::WakeChannel wake_;
-  std::unique_ptr<net::Poller> acceptor_poller_;
-  uint16_t port_ = 0;
-  bool started_ = false;
-
-  /// Reactors are declared before channels_ so channel threads (whose
-  /// callbacks post responses into reactor inboxes) are destroyed first.
-  std::vector<std::unique_ptr<Reactor>> reactors_;
+  /// Declared before channels_ so the reactors (whose inboxes the channel
+  /// callbacks post into) outlive the channel threads.
+  FrontEnd front_;
   std::vector<std::unique_ptr<net::FrameChannel>> channels_;
   std::vector<std::string> backend_names_;
-
-  uint64_t next_conn_id_ = 0;
-  std::chrono::steady_clock::time_point last_ping_;
 
   /// Guards the live ring and the pending-op table; ordered before any
   /// channel's internal lock (Route submits while holding it) and never
@@ -193,14 +172,7 @@ class Router {
   std::unordered_map<int64_t, PendingOp> ops_;
   int64_t next_op_id_ = 1;  // sub-ids start at 2; 0 is the ping id
 
-  std::atomic<bool> stop_requested_{false};
-  /// Written by the acceptor thread, read by reactor threads (drain
-  /// refusal) — hence atomic, unlike AuditServer's acceptor-only flag.
-  std::atomic<bool> draining_{false};
-
   // Router counters (atomic; reported by stats and ReportBody).
-  std::atomic<int64_t> accepted_connections_{0};
-  std::atomic<int64_t> accept_rejections_{0};
   std::atomic<int64_t> forwarded_{0};
   std::atomic<int64_t> replicated_{0};
   std::atomic<int64_t> replica_retries_{0};

@@ -115,7 +115,7 @@ class RemoteLoopTest : public ::testing::Test {
  protected:
   void StartServer(core::GameInstance instance) {
     server::AuditServerOptions options;
-    options.port = 0;  // ephemeral
+    options.front.port = 0;  // ephemeral
     options.service.budgets = {6.0};
     options.service.solver_options.ishm.step_size = 0.25;
     options.service.num_threads = 1;

@@ -3,6 +3,8 @@
 // cycle ordering under concurrent clients, protocol error handling
 // (malformed JSON answered, not disconnected; oversized frames
 // disconnected), ingest validation, backpressure, and graceful shutdown.
+// The front-door cases (FrontDoorTest) also run against a Router in front
+// of one server: both serve clients through one server::FrontEnd.
 #include "server/audit_server.h"
 
 #include <sys/socket.h>
@@ -11,6 +13,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "scenario/generator.h"
 #include "server/binary_codec.h"
 #include "server/protocol.h"
+#include "server/router.h"
 #include "util/json.h"
 
 namespace auditgame::server {
@@ -36,12 +40,13 @@ class AuditServerTest : public ::testing::Test {
     ASSERT_TRUE(instance.ok());
     baseline_ = instance->alert_distributions;
 
-    options.port = 0;  // ephemeral
+    options.front.port = 0;  // ephemeral
     options.service.budgets = {6.0};
     options.service.solver_options.ishm.step_size = 0.25;
     options.service.num_threads = 1;
     server_ = std::make_unique<AuditServer>(*std::move(instance), options);
     ASSERT_TRUE(server_->Start().ok());
+    front_port_ = server_->port();
     thread_ = std::thread([this] {
       util::Status run = server_->Run();
       EXPECT_TRUE(run.ok()) << run;
@@ -57,8 +62,7 @@ class AuditServerTest : public ::testing::Test {
   }
 
   net::FrameClient Connect() {
-    auto client =
-        net::FrameClient::Connect("127.0.0.1", server_->port(), 5000);
+    auto client = net::FrameClient::Connect("127.0.0.1", front_port_, 5000);
     EXPECT_TRUE(client.ok()) << client.status();
     EXPECT_TRUE(client->SetReceiveTimeout(30000).ok());
     return std::move(client).value();
@@ -82,7 +86,79 @@ class AuditServerTest : public ::testing::Test {
   std::vector<prob::CountDistribution> baseline_;
   std::unique_ptr<AuditServer> server_;
   std::thread thread_;
+  /// Where Connect() dials: the server, or the router in front of it.
+  uint16_t front_port_ = 0;
 };
+
+/// The `server` stats block every front door reports
+/// (FrontEnd::ServerStats); AuditServer adds `shards`, Router adds `role`.
+const std::set<std::string> kFrontEndServerKeys = {
+    "accept_rejections", "accepted_connections", "active_connections",
+    "draining",          "frames_in",            "frames_out",
+    "idle_closes",       "orphaned_responses",   "overloaded",
+    "poller",            "protocol_errors",      "reactors",
+    "slow_consumer_closes"};
+
+std::set<std::string> ServerBlockKeys(const util::JsonValue& stats) {
+  std::set<std::string> keys;
+  const util::JsonValue* server = stats.Find("server");
+  if (server == nullptr || !server->is_object()) return keys;
+  for (const auto& [key, value] : server->as_object()) keys.insert(key);
+  return keys;
+}
+
+enum class FrontDoor { kServer, kRouter };
+
+/// Front-door behavior — decode errors, the poison rule, the accept cap,
+/// idle reaping — checked on an AuditServer and on a Router in front of
+/// one, with the same client-facing options.
+class FrontDoorTest : public AuditServerTest,
+                      public ::testing::WithParamInterface<FrontDoor> {
+ protected:
+  void StartFrontDoor(FrontEndOptions front = {}) {
+    AuditServerOptions options;
+    if (GetParam() == FrontDoor::kServer) options.front = front;
+    StartServer(options);
+    if (GetParam() == FrontDoor::kServer) return;
+
+    RouterOptions router_options;
+    router_options.front = front;
+    router_options.front.port = 0;
+    router_options.backends = {"127.0.0.1:" +
+                               std::to_string(server_->port())};
+    router_ = std::make_unique<Router>(std::move(router_options));
+    ASSERT_TRUE(router_->Start().ok());
+    front_port_ = router_->port();
+    router_thread_ = std::thread([this] {
+      util::Status run = router_->Run();
+      EXPECT_TRUE(run.ok()) << run;
+    });
+  }
+
+  void TearDown() override {
+    if (router_ != nullptr) {
+      router_->RequestStop();
+      if (router_thread_.joinable()) router_thread_.join();
+    }
+    AuditServerTest::TearDown();
+  }
+
+  /// The key the front door's owner adds to the `server` block.
+  std::string OwnerServerKey() const {
+    return GetParam() == FrontDoor::kServer ? "shards" : "role";
+  }
+
+  std::unique_ptr<Router> router_;
+  std::thread router_thread_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Doors, FrontDoorTest,
+    ::testing::Values(FrontDoor::kServer, FrontDoor::kRouter),
+    [](const ::testing::TestParamInfo<FrontDoor>& info) {
+      return std::string(info.param == FrontDoor::kServer ? "Server"
+                                                          : "Router");
+    });
 
 TEST(ShardRoutingTest, DeterministicAndInRange) {
   for (int i = 0; i < 200; ++i) {
@@ -144,8 +220,8 @@ TEST_F(AuditServerTest, SolveCyclesAreOrderedUnderConcurrentClients) {
   EXPECT_EQ(*all.rbegin(), kClients * kSolvesEach);
 }
 
-TEST_F(AuditServerTest, MalformedJsonGetsErrorResponseNotDisconnect) {
-  StartServer();
+TEST_P(FrontDoorTest, MalformedJsonGetsErrorResponseNotDisconnect) {
+  StartFrontDoor();
   auto client = Connect();
   util::JsonValue doc = Call(client, "this is not json {");
   EXPECT_EQ(StatusOf(doc), "error");
@@ -159,6 +235,10 @@ TEST_F(AuditServerTest, MalformedJsonGetsErrorResponseNotDisconnect) {
   auto echoed = doc.GetNumber("id");
   ASSERT_TRUE(echoed.ok());
   EXPECT_EQ(static_cast<int>(*echoed), 7);
+
+  std::set<std::string> expected = kFrontEndServerKeys;
+  expected.insert(OwnerServerKey());
+  EXPECT_EQ(ServerBlockKeys(doc), expected);
 }
 
 TEST_F(AuditServerTest, AbsurdNumbersAreRejectedNotUndefined) {
@@ -213,7 +293,7 @@ TEST_F(AuditServerTest, IngestValidatesAndApplies) {
 
 TEST_F(AuditServerTest, OversizedFrameDisconnectsButServerSurvives) {
   AuditServerOptions options;
-  options.max_frame_payload = 256;
+  options.front.max_frame_payload = 256;
   StartServer(options);
 
   auto victim = Connect();
@@ -304,6 +384,9 @@ TEST_F(AuditServerTest, StatsReportsShardsAndTenants) {
   auto reactors = server_stats->GetNumber("reactors");
   ASSERT_TRUE(reactors.ok());
   EXPECT_GE(*reactors, 1.0);
+  std::set<std::string> expected = kFrontEndServerKeys;
+  expected.insert("shards");
+  EXPECT_EQ(ServerBlockKeys(doc), expected);
 }
 
 TEST_F(AuditServerTest, PipelinedBinaryRequestsInterleaveAcrossTenants) {
@@ -370,8 +453,8 @@ TEST_F(AuditServerTest, JsonAndBinaryCoexistOnOneConnection) {
   EXPECT_EQ(StatusOf(doc), "ok");
 }
 
-TEST_F(AuditServerTest, MalformedBinaryFrameAnswersThenDisconnects) {
-  StartServer();
+TEST_P(FrontDoorTest, MalformedBinaryFrameAnswersThenDisconnects) {
+  StartFrontDoor();
   auto client = Connect();
 
   // A payload that claims to be binary (magic byte) but fails to decode
@@ -394,10 +477,10 @@ TEST_F(AuditServerTest, MalformedBinaryFrameAnswersThenDisconnects) {
   EXPECT_EQ(StatusOf(Call(fresh, MakeStatsRequest(1))), "ok");
 }
 
-TEST_F(AuditServerTest, IdleConnectionsAreReaped) {
-  AuditServerOptions options;
-  options.idle_timeout_ms = 50;
-  StartServer(options);
+TEST_P(FrontDoorTest, IdleConnectionsAreReaped) {
+  FrontEndOptions front;
+  front.idle_timeout_ms = 50;
+  StartFrontDoor(front);
   auto idle = Connect();
   // No request ever sent: the reactor's idle sweep must close the
   // connection (EOF on our side) instead of holding the fd forever.
@@ -411,10 +494,10 @@ TEST_F(AuditServerTest, IdleConnectionsAreReaped) {
   }
 }
 
-TEST_F(AuditServerTest, MaxConnectionsCapClosesExcessAccepts) {
-  AuditServerOptions options;
-  options.max_connections = 1;
-  StartServer(options);
+TEST_P(FrontDoorTest, MaxConnectionsCapClosesExcessAccepts) {
+  FrontEndOptions front;
+  front.max_connections = 1;
+  StartFrontDoor(front);
 
   auto first = Connect();
   ASSERT_EQ(StatusOf(Call(first, MakeStatsRequest(1))), "ok");
@@ -431,8 +514,8 @@ TEST_F(AuditServerTest, MaxConnectionsCapClosesExcessAccepts) {
 
 TEST_F(AuditServerTest, PollBackendServesLikeTheDefault) {
   AuditServerOptions options;
-  options.poller_backend = net::PollerBackend::kPoll;
-  options.num_reactors = 2;
+  options.front.poller_backend = net::PollerBackend::kPoll;
+  options.front.num_reactors = 2;
   StartServer(options);
   auto client = Connect();
   EXPECT_EQ(StatusOf(Call(client, MakeSolveCycleRequest(1, "t"))), "ok");

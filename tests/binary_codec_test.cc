@@ -209,6 +209,33 @@ TEST(BinaryCodecTest, OverloadedAndErrorResponseRoundTrips) {
     EXPECT_EQ(response->shard, 2);
   }
   {
+    // The shared refusal builders: the binary flag picks the encoding, the
+    // verb travels as its binary byte, a router's shard -1 as "none".
+    const std::string overloaded = server::OverloadedResponseFor(
+        /*binary=*/true, server::Verb::kIngest, 56, "t", -1);
+    auto response = server::DecodeBinaryResponse(overloaded);
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->correlation_id, 56);
+    EXPECT_EQ(response->status, server::kBinaryStatusOverloaded);
+    EXPECT_EQ(response->verb, server::kBinaryVerbIngest);
+    EXPECT_EQ(response->shard, -1);
+    const std::string down = server::BackendDownResponseFor(
+        /*binary=*/true, server::Verb::kSolveCycle, 57, "t");
+    response = server::DecodeBinaryResponse(down);
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->correlation_id, 57);
+    EXPECT_EQ(response->status, server::kBinaryStatusBackendDown);
+    EXPECT_EQ(response->verb, server::kBinaryVerbSolveCycle);
+    EXPECT_EQ(server::OverloadedResponseFor(/*binary=*/false,
+                                            server::Verb::kSolveCycle, 58,
+                                            "acme", 3),
+              server::MakeOverloadedResponse(58, "acme", 3));
+    EXPECT_EQ(server::BackendDownResponseFor(/*binary=*/false,
+                                             server::Verb::kIngest, 59,
+                                             "acme"),
+              server::MakeBackendDownResponse(59, "acme"));
+  }
+  {
     const std::string payload =
         server::EncodeBinaryErrorResponse(-1, "unknown tenant");
     auto response = server::DecodeBinaryResponse(payload);

@@ -83,7 +83,7 @@ class WindowAgainstServerTest : public ::testing::TestWithParam<bool> {
     // One shard with a one-slot queue: a pipelined burst of 64 tenants
     // is mostly answered `overloaded`.
     AuditServerOptions options;
-    options.port = 0;
+    options.front.port = 0;
     options.num_shards = 1;
     options.queue_capacity = 1;
     options.max_batch = 1;

@@ -121,7 +121,7 @@ class RouterTest : public ::testing::Test {
       auto instance = scenario::Generate(*spec);
       ASSERT_TRUE(instance.ok());
       AuditServerOptions options;
-      options.port = 0;
+      options.front.port = 0;
       options.num_shards = 2;
       options.service.budgets = {6.0};
       options.service.solver_options.ishm.step_size = 0.25;
@@ -137,7 +137,7 @@ class RouterTest : public ::testing::Test {
           "127.0.0.1:" + std::to_string(backends_.back()->port()));
     }
 
-    router_options.port = 0;
+    router_options.front.port = 0;
     // Tight retry cadence keeps the failover tests fast.
     router_options.channel.reconnect_backoff_min_ms = 10;
     router_options.channel.reconnect_backoff_max_ms = 100;
@@ -248,7 +248,7 @@ TEST_F(RouterTest, RequestsToDeadClusterAnswerBackendDown) {
   RouterOptions options;
   options.backend_connect_wait_ms = 200;
   options.backends.push_back("127.0.0.1:1");
-  options.port = 0;
+  options.front.port = 0;
   router_ = std::make_unique<Router>(std::move(options));
   ASSERT_TRUE(router_->Start().ok());
   router_thread_ = std::thread([this] {

@@ -52,14 +52,10 @@ std::vector<std::string> SplitCommaList(const std::string& text) {
 
 int Run(int argc, char** argv) {
   util::FlagParser flags;
-  flags.Define("host", "127.0.0.1", "numeric IPv4 bind address");
-  flags.Define("port", "7450", "TCP port (0 = ephemeral, printed on start)");
+  server::DefineFrontEndFlags(flags, /*default_port=*/7450);
   flags.Define("backends", "",
                "comma-separated backend audit_server addresses "
                "(host:port,host:port,...); list order is the ring identity");
-  flags.Define("reactors", "1", "client-facing IO event-loop threads");
-  flags.Define("poller", "default",
-               "event backend: default (epoll on Linux), epoll, poll");
   flags.Define("vnodes", "128", "virtual nodes per backend on the hash ring");
   flags.Define("replicate", "1",
                "mirror ingest/solve_cycle to each tenant's ring successor "
@@ -82,13 +78,6 @@ int Run(int argc, char** argv) {
                "health check armed); 0 = off");
   flags.Define("backend_wait_ms", "10000",
                "startup grace for backends to come up before serving");
-  flags.Define("max_frame_kb", "1024", "frame payload cap in KiB");
-  flags.Define("idle_timeout_ms", "300000",
-               "close client connections idle this long (0 = never)");
-  flags.Define("max_connections", "0",
-               "live client-connection cap (0 = unlimited)");
-  flags.Define("drain_timeout_ms", "10000",
-               "graceful-stop budget for flushing in-flight responses");
   flags.Define("json", "",
                "write the cluster BENCH report (ReportBody) here on clean "
                "drain");
@@ -105,24 +94,16 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
+  auto front = server::FrontEndOptionsFromFlags(flags);
+  if (!front.ok()) {
+    std::cerr << front.status() << "\n";
+    return 1;
+  }
   server::RouterOptions options;
-  options.host = flags.GetString("host");
-  options.port = static_cast<uint16_t>(flags.GetInt("port"));
+  options.front = *std::move(front);
   options.backends = SplitCommaList(flags.GetString("backends"));
   if (options.backends.empty()) {
     std::cerr << "--backends must name at least one host:port\n";
-    return 1;
-  }
-  options.num_reactors = flags.GetInt("reactors");
-  const std::string poller = flags.GetString("poller");
-  if (poller == "default") {
-    options.poller_backend = net::PollerBackend::kDefault;
-  } else if (poller == "epoll") {
-    options.poller_backend = net::PollerBackend::kEpoll;
-  } else if (poller == "poll") {
-    options.poller_backend = net::PollerBackend::kPoll;
-  } else {
-    std::cerr << "--poller must be default, epoll, or poll\n";
     return 1;
   }
   options.virtual_nodes = flags.GetInt("vnodes");
@@ -135,12 +116,6 @@ int Run(int argc, char** argv) {
   options.channel.queue_capacity =
       static_cast<size_t>(std::max(1, flags.GetInt("backend_queue")));
   options.channel.response_timeout_ms = flags.GetInt("backend_timeout_ms");
-  options.max_frame_payload =
-      static_cast<size_t>(flags.GetInt("max_frame_kb")) * 1024;
-  options.idle_timeout_ms = flags.GetInt("idle_timeout_ms");
-  options.max_connections =
-      static_cast<size_t>(std::max(0, flags.GetInt("max_connections")));
-  options.drain_timeout_ms = flags.GetInt("drain_timeout_ms");
 
   server::Router router(options);
   if (util::Status started = router.Start(); !started.ok()) {
@@ -157,7 +132,7 @@ int Run(int argc, char** argv) {
   sigaction(SIGTERM, &action, nullptr);
   signal(SIGPIPE, SIG_IGN);
 
-  std::cerr << "audit_router: listening on " << options.host << ":"
+  std::cerr << "audit_router: listening on " << options.front.host << ":"
             << router.port() << " routing "
             << static_cast<int>(options.backends.size()) << " backends ("
             << options.virtual_nodes << " vnodes, replicate="

@@ -41,28 +41,14 @@ void HandleStopSignal(int /*signum*/) {
 
 int Run(int argc, char** argv) {
   util::FlagParser flags;
-  flags.Define("host", "127.0.0.1", "numeric IPv4 bind address");
-  flags.Define("port", "7353", "TCP port (0 = ephemeral, printed on start)");
+  server::DefineFrontEndFlags(flags, /*default_port=*/7353);
   flags.Define("shards", "4", "shard worker threads");
-  flags.Define("reactors", "1",
-               "IO event-loop threads (each connection is pinned to one)");
-  flags.Define("poller", "default",
-               "event backend: default (epoll on Linux), epoll, poll");
   flags.Define("queue_capacity", "128",
                "per-shard request-queue bound (full queue => overloaded)");
   flags.Define("batch", "16", "max requests drained per shard wakeup");
-  flags.Define("max_frame_kb", "1024", "frame payload cap in KiB");
-  flags.Define("idle_timeout_ms", "300000",
-               "close connections idle this long with nothing in flight "
-               "(0 = never)");
-  flags.Define("max_connections", "0",
-               "live-connection cap; excess accepts are closed immediately "
-               "(0 = unlimited)");
   flags.Define("stats_refresh_ms", "250",
                "stats-snapshot refresh period (the `stats` verb reads the "
                "snapshot, never the live shards)");
-  flags.Define("drain_timeout_ms", "10000",
-               "graceful-stop budget for draining shards and flushing");
   flags.Define("data_dir", "",
                "durability root: per-shard snapshots + ingest WAL under "
                "<data_dir>/shard-<i>/; startup recovers from it (empty = "
@@ -113,31 +99,17 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  const std::string poller = flags.GetString("poller");
-  server::AuditServerOptions options;
-  options.host = flags.GetString("host");
-  options.port = static_cast<uint16_t>(flags.GetInt("port"));
-  options.num_shards = flags.GetInt("shards");
-  options.num_reactors = flags.GetInt("reactors");
-  if (poller == "default") {
-    options.poller_backend = net::PollerBackend::kDefault;
-  } else if (poller == "epoll") {
-    options.poller_backend = net::PollerBackend::kEpoll;
-  } else if (poller == "poll") {
-    options.poller_backend = net::PollerBackend::kPoll;
-  } else {
-    std::cerr << "--poller must be default, epoll, or poll\n";
+  auto front = server::FrontEndOptionsFromFlags(flags);
+  if (!front.ok()) {
+    std::cerr << front.status() << "\n";
     return 1;
   }
-  options.idle_timeout_ms = flags.GetInt("idle_timeout_ms");
-  options.max_connections =
-      static_cast<size_t>(std::max(0, flags.GetInt("max_connections")));
+  server::AuditServerOptions options;
+  options.front = *std::move(front);
+  options.num_shards = flags.GetInt("shards");
   options.stats_refresh_ms = flags.GetInt("stats_refresh_ms");
   options.queue_capacity = static_cast<size_t>(flags.GetInt("queue_capacity"));
   options.max_batch = static_cast<size_t>(flags.GetInt("batch"));
-  options.max_frame_payload =
-      static_cast<size_t>(flags.GetInt("max_frame_kb")) * 1024;
-  options.drain_timeout_ms = flags.GetInt("drain_timeout_ms");
   options.service.budgets = flags.GetDoubleList("budgets");
   options.service.solver_options.ishm.step_size = flags.GetDouble("eps");
   options.service.solver_options.cggs.pricing_threads =
@@ -185,9 +157,9 @@ int Run(int argc, char** argv) {
   sigaction(SIGTERM, &action, nullptr);
   signal(SIGPIPE, SIG_IGN);
 
-  std::cerr << "audit_server: listening on " << options.host << ":"
+  std::cerr << "audit_server: listening on " << options.front.host << ":"
             << server.port() << " with " << options.num_shards << " shards, "
-            << options.num_reactors << " reactors (queue capacity "
+            << options.front.num_reactors << " reactors (queue capacity "
             << static_cast<int>(options.queue_capacity) << ", batch "
             << static_cast<int>(options.max_batch) << ")\n";
   if (options.durability.enabled()) {

@@ -424,9 +424,9 @@ int Run(int argc, char** argv) {
   const std::string connect = flags.GetString("connect");
   if (connect.empty()) {
     server::AuditServerOptions options;
-    options.port = 0;
+    options.front.port = 0;
     options.num_shards = flags.GetInt("shards");
-    options.num_reactors = flags.GetInt("reactors");
+    options.front.num_reactors = flags.GetInt("reactors");
     options.queue_capacity =
         static_cast<size_t>(flags.GetInt("queue_capacity"));
     options.max_batch = static_cast<size_t>(flags.GetInt("batch"));
