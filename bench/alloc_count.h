@@ -8,8 +8,9 @@ namespace auditgame::bench {
 /// Number of global operator-new calls since process start. Linking
 /// bench/alloc_count.cc into a binary replaces the global allocation
 /// functions with counting versions; the smoke benches read a delta around
-/// a measured loop to report allocations-per-solve — the metric the arena
-/// refactor gates (see docs/DESIGN.md "Numeric kernels and arenas").
+/// a measured loop to report allocations-per-solve — the steady-state
+/// allocation gate (see docs/DESIGN.md "Numeric kernels and solver
+/// scratch").
 /// Thread-safe (relaxed atomic).
 uint64_t HeapAllocationCount();
 

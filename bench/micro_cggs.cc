@@ -28,7 +28,6 @@
 #include "prob/count_distribution.h"
 #include "scenario/generator.h"
 #include "solver/registry.h"
-#include "util/arena.h"
 #include "util/json.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -144,8 +143,8 @@ struct CggsRun {
   int lp_solves = 0;
   int warm_lp_solves = 0;
   long master_iterations = 0;
-  /// Steady-state heap allocations per SolveCggs call with a shared
-  /// workspace arena (the serving configuration) — the arena gate.
+  /// Steady-state heap allocations per SolveCggs call — the allocation
+  /// gate.
   double allocations_per_solve = 0.0;
 };
 
@@ -159,12 +158,10 @@ CggsRun TimeCggs(const core::GameInstance& instance,
                  detection.status().ToString().c_str());
     std::exit(1);
   }
-  core::CggsOptions options;
-  // One workspace across the reps, like a serving loop (result-neutral;
-  // see CggsOptions::workspace). The first solve sizes the arena — warm
-  // up before counting so the reported number is the steady state.
-  util::Arena workspace;
-  options.workspace = &workspace;
+  const core::CggsOptions options;
+  // The first solve sizes the thread's simplex workspace, as a serving
+  // loop's first solve does — warm up before counting so the reported
+  // number is the steady state.
   auto solve_once = [&]() {
     auto result = core::SolveCggs(compiled, *detection, thresholds, options);
     if (!result.ok()) {

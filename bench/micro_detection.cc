@@ -6,8 +6,8 @@
 //  * Google Benchmark (default): timing curves.
 //  * --smoke_json=PATH: runs the detection hot path (the Into-style calls
 //    CGGS prices with) and writes a BENCH_*.json report —
-//    allocations-per-solve in steady state (the arena/kernel refactor
-//    gate) and timings for the archive.
+//    allocations-per-solve in steady state (the allocation gate) and
+//    timings for the archive.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

@@ -22,7 +22,6 @@
 #include "data/syn_a.h"
 #include "lp/model.h"
 #include "lp/revised_simplex.h"
-#include "util/arena.h"
 #include "util/combinatorics.h"
 #include "util/json.h"
 #include "util/random.h"
@@ -93,13 +92,11 @@ struct SolveRun {
 };
 
 SolveRun TimeRevised(const lp::LpModel& model, int reps) {
-  // The solve draws its working memory from a caller workspace — the
-  // serving configuration (the master LP shares one across re-solves). The
-  // measured loop is then the steady state: the warmup solve sizes the
-  // arena, the counted solves reuse it.
-  util::Arena workspace;
-  lp::RevisedSimplex::Options options;
-  options.workspace = &workspace;
+  // The solve draws its working memory from the thread's simplex
+  // workspace, as a shard's re-solves do. The measured loop is then the
+  // steady state: the warmup solve sizes the workspace, the counted solves
+  // reuse it.
+  const lp::RevisedSimplex::Options options;
   SolveRun run;
   auto solve_once = [&]() {
     const auto solution = lp::RevisedSimplex::Solve(model, options);

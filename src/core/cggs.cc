@@ -1,7 +1,6 @@
 #include "core/cggs.h"
 
 #include <algorithm>
-#include <cstring>
 #include <future>
 #include <limits>
 #include <memory>
@@ -10,7 +9,6 @@
 #include "core/game_lp.h"
 #include "core/master_lp.h"
 #include "math/kernels.h"
-#include "util/arena.h"
 #include "util/hash.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -87,24 +85,20 @@ void RunChunks(util::ThreadPool* pool, int num_chunks, const Fn& fn) {
 // smallest type index. A step's per-type products are independent; with a
 // pool they are computed in contiguous chunks into per-type slots, each
 // one multiply, so the result is bit-identical across thread counts.
-// `placed` and `scores` are carved from `arena` up front (and rewound on
-// return), so steady-state pricing rounds run with zero heap allocations;
-// `prefix` and `ordering_out` are caller-owned scratch reused across
-// rounds.
+// `placed`, `scores`, `prefix` and `ordering_out` are caller-owned scratch
+// reused across rounds, so steady-state pricing rounds run with zero heap
+// allocations.
 void GreedyOrdering(const DualUtility& f, const DetectionModel& detection,
                     util::ThreadPool* pool, int max_chunks,
-                    util::Arena& arena, DetectionModel::Prefix& prefix,
+                    std::vector<uint8_t>& placed, std::vector<double>& scores,
+                    DetectionModel::Prefix& prefix,
                     std::vector<int>& ordering_out) {
   const int t_count = detection.num_types();
   ordering_out.clear();
   ordering_out.reserve(static_cast<size_t>(t_count));
   const int num_chunks = pool == nullptr ? 1 : std::min(max_chunks, t_count);
-
-  util::ArenaScope scope(arena);
-  const size_t t_size = static_cast<size_t>(t_count);
-  uint8_t* placed = arena.AllocateArray<uint8_t>(t_size);
-  double* scores = arena.AllocateArray<double>(t_size);
-  std::memset(placed, 0, t_size * sizeof(uint8_t));
+  placed.assign(static_cast<size_t>(t_count), 0);
+  scores.resize(static_cast<size_t>(t_count));
 
   detection.ResetPrefix(prefix);
   for (int step = 0; step < t_count; ++step) {
@@ -130,10 +124,8 @@ void GreedyOrdering(const DualUtility& f, const DetectionModel& detection,
 
 }  // namespace
 
-RestrictedMasterLp::Options CggsMasterOptions(const CggsOptions& options,
-                                              util::Arena* workspace) {
+RestrictedMasterLp::Options CggsMasterOptions(const CggsOptions& options) {
   RestrictedMasterLp::Options master_options;
-  master_options.lp.workspace = workspace;
   master_options.expected_orderings = options.max_columns;
   return master_options;
 }
@@ -155,28 +147,16 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
                                      const CggsOptions& options) {
   RETURN_IF_ERROR(detection.SetThresholds(thresholds));
 
-  // Scratch arena for the whole solve — shared (caller-provided) or owned.
-  // It backs the serial sections: greedy pricing buffers and the master
-  // LP's revised-simplex working memory, which alternate and nest their
-  // ArenaScopes LIFO.
-  util::Arena* workspace = options.workspace;
-  std::unique_ptr<util::Arena> owned_workspace;
-  if (workspace == nullptr) {
-    owned_workspace = std::make_unique<util::Arena>();
-    workspace = owned_workspace.get();
-  }
-
   // The restricted master lives across all pricing iterations: Q starts
   // from the valid, deduplicated warm-start set, every new column is
   // appended to it, and each re-solve resumes from the previous optimal
   // basis instead of paying a cold two-phase solve per round.
-  RestrictedMasterLp master(game, detection,
-                            CggsMasterOptions(options, workspace));
+  RestrictedMasterLp master(game, detection, CggsMasterOptions(options));
   RETURN_IF_ERROR(AddSeedOrderings(game, options.initial_orderings, master));
   RestrictedLpSolution solution;
   ASSIGN_OR_RETURN(CggsResult result,
-                   SolveCggsOnMaster(game, detection, options, *workspace,
-                                     master, solution));
+                   SolveCggsOnMaster(game, detection, options, master,
+                                     solution));
   result.columns = master.orderings();
   return result;
 }
@@ -184,7 +164,6 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
 util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
                                              const DetectionModel& detection,
                                              const CggsOptions& options,
-                                             util::Arena& arena,
                                              RestrictedMasterLp& master_lp,
                                              RestrictedLpSolution& master) {
   // One pool for the whole loop — the caller's shared pool when provided,
@@ -226,6 +205,8 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
     std::vector<double> pal;
   };
   std::vector<CandidateScratch> eval_scratch(num_candidates);
+  std::vector<uint8_t> greedy_placed;
+  std::vector<double> greedy_scores;
   DetectionModel::Prefix greedy_prefix;
   DualUtility pricing;
 
@@ -239,8 +220,8 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
     util::Timer pricing_timer;
     PricingDualUtility(game, master_lp.utility_rows(), master.victim_duals,
                        pricing);
-    GreedyOrdering(pricing, detection, pool, options.pricing_threads, arena,
-                   greedy_prefix, candidates[0]);
+    GreedyOrdering(pricing, detection, pool, options.pricing_threads,
+                   greedy_placed, greedy_scores, greedy_prefix, candidates[0]);
     for (int r = 0; r < options.random_probes; ++r) {
       std::vector<int>& random_ordering = candidates[static_cast<size_t>(r) + 1];
       random_ordering.resize(static_cast<size_t>(game.num_types));

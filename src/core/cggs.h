@@ -12,7 +12,6 @@
 #include "util/statusor.h"
 
 namespace auditgame::util {
-class Arena;
 class ThreadPool;
 }  // namespace auditgame::util
 
@@ -50,15 +49,6 @@ struct CggsOptions {
   /// chunked by pricing_threads, never by pool size) and therefore
   /// excluded from policy-cache fingerprints.
   util::ThreadPool* pricing_pool = nullptr;
-  /// Optional non-owning scratch arena (util/arena.h) for the solve's hot
-  /// paths: greedy-pricing candidate buffers and the master LP's revised
-  /// simplex draw from it instead of the heap, so repeated solves (ISHM
-  /// sweeps, serving loops) run allocation-free in steady state. Must
-  /// outlive the solve. Null = the solve creates its own. Only the serial
-  /// sections allocate (pricing workers write into buffers carved before
-  /// the parallel region), so — like pricing_pool — this is result-neutral
-  /// and excluded from policy-cache fingerprints.
-  util::Arena* workspace = nullptr;
   /// Optional warm start: orderings to seed Q with (e.g. the support of a
   /// previously served policy). The ISHM sweep re-seeds its master with
   /// them whenever it rebuilds it (see CggsSweep).
@@ -98,11 +88,10 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
                                      const std::vector<double>& thresholds,
                                      const CggsOptions& options = {});
 
-/// The options SolveCggs builds its master with: `workspace` for the
-/// simplex scratch and max_columns as the column hint. Callers that keep
-/// their own master use it to solve the same LPs.
-RestrictedMasterLp::Options CggsMasterOptions(const CggsOptions& options,
-                                              util::Arena* workspace);
+/// The options SolveCggs builds its master with: max_columns as the
+/// column hint. Callers that keep their own master use it to solve the
+/// same LPs.
+RestrictedMasterLp::Options CggsMasterOptions(const CggsOptions& options);
 
 /// Appends to `master` each ordering of `seeds` that is a permutation of
 /// the game's types and not already a column. Seeds arrive from cached
@@ -115,17 +104,15 @@ util::Status AddSeedOrderings(const CompiledGame& game,
 /// Algorithm 1's pricing loop on a caller-supplied master whose columns
 /// are priced against the thresholds installed in `detection` (seeded
 /// with the identity ordering when it has none). `master` must have been
-/// built with CggsMasterOptions(options, &workspace); the loop's pricing
-/// scratch shares that workspace. Ignores options.initial_orderings (seed
-/// the master instead) and options.workspace. The counters in the result
-/// are this call's share of the master's lifetime stats, and `columns`
-/// stays empty: Q is master.orderings(). `solution` receives every master
-/// solve in place and ends holding the last one, duals included; a caller
-/// that keeps it across calls reuses its buffers.
+/// built with CggsMasterOptions(options). Ignores options.initial_orderings
+/// (seed the master instead). The counters in the result are this call's
+/// share of the master's lifetime stats, and `columns` stays empty: Q is
+/// master.orderings(). `solution` receives every master solve in place and
+/// ends holding the last one, duals included; a caller that keeps it across
+/// calls reuses its buffers.
 util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
                                              const DetectionModel& detection,
                                              const CggsOptions& options,
-                                             util::Arena& workspace,
                                              RestrictedMasterLp& master,
                                              RestrictedLpSolution& solution);
 

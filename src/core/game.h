@@ -131,7 +131,7 @@ class UtilityRows {
 /// Ua for one victim under per-type detection probabilities `pal`. The
 /// Pal-weighted attack probability reduces through the canonical kernel dot
 /// (math/kernels.h), so the value is bit-identical in any kernel backend.
-/// The pointer form serves arena-backed hot loops (CGGS pricing); `pal`
+/// The pointer form serves hot loops over raw Pal buffers; `pal`
 /// must hold one entry per type in `victim.type_probs`.
 double AdversaryUtility(const VictimProfile& victim, const double* pal);
 double AdversaryUtility(const VictimProfile& victim,

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/game_lp.h"
-#include "util/arena.h"
 #include "util/combinatorics.h"
 #include "util/thread_pool.h"
 
@@ -222,12 +221,6 @@ CggsSweep::CggsSweep(const CompiledGame& game, DetectionModel& detection,
         std::make_unique<util::ThreadPool>(options_.pricing_threads);
     options_.pricing_pool = owned_pricing_pool_.get();
   }
-  // Likewise one scratch arena: the first probe sizes it, every later one
-  // reuses it on the pricing and simplex hot paths.
-  if (options_.workspace == nullptr) {
-    owned_workspace_ = std::make_unique<util::Arena>();
-    options_.workspace = owned_workspace_.get();
-  }
   if (detection_.mode() == DetectionModel::Mode::kExact &&
       game_.num_types <= kMaxBoundTypes) {
     dual_ring_.resize(kDualRing);
@@ -247,15 +240,13 @@ util::StatusOr<CggsResult> CggsSweep::Solve(
     RETURN_IF_ERROR(master_->Reprice());
   } else {
     if (master_.has_value()) ++rebuilds_;
-    master_.emplace(game_, detection_,
-                    CggsMasterOptions(options_, options_.workspace));
+    master_.emplace(game_, detection_, CggsMasterOptions(options_));
     RETURN_IF_ERROR(
         AddSeedOrderings(game_, options_.initial_orderings, *master_));
     RETURN_IF_ERROR(AddSeedOrderings(game_, support_, *master_));
   }
   ASSIGN_OR_RETURN(CggsResult result,
-                   SolveCggsOnMaster(game_, detection_, options_,
-                                     *options_.workspace, *master_,
+                   SolveCggsOnMaster(game_, detection_, options_, *master_,
                                      solution_));
   support_ = result.policy.orderings;
   if (bounded()) {

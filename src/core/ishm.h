@@ -191,11 +191,10 @@ class CggsSweep {
  private:
   const CompiledGame& game_;
   DetectionModel& detection_;
-  // pricing_pool and workspace point at the members below unless the
-  // caller supplied its own.
+  // pricing_pool points at the member below unless the caller supplied
+  // its own.
   CggsOptions options_;
   std::unique_ptr<util::ThreadPool> owned_pricing_pool_;
-  std::unique_ptr<util::Arena> owned_workspace_;
   std::optional<RestrictedMasterLp> master_;
   // The last master solution, kept so its buffers persist across probes.
   RestrictedLpSolution solution_;

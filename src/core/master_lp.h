@@ -43,8 +43,8 @@ namespace auditgame::core {
 class RestrictedMasterLp {
  public:
   struct Options {
-    /// Tolerances, iteration caps and scratch arena for the revised
-    /// simplex that solves the master.
+    /// Tolerances and iteration caps for the revised simplex that solves
+    /// the master.
     lp::RevisedSimplex::Options lp;
     /// Expected number of AddOrdering calls over the master's lifetime —
     /// an allocation hint only (CGGS passes its column cap): the model's

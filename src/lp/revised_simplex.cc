@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
-#include <memory>
 #include <utility>
+#include <vector>
 
 #include "math/kernels.h"
-#include "util/arena.h"
 #include "util/logging.h"
 
 namespace auditgame::lp {
@@ -34,110 +32,127 @@ constexpr double kWarmPivotTolerance = 1e-7;
 // and every nonbasic column rests at a bound (or at zero when free).
 //
 // Memory: every engine buffer — bounds, costs, the LU factors and their
-// transpose, the eta file's d-vectors, all Ftran/Btran scratch — is drawn
-// from one arena (the caller's workspace arena when provided, a local
-// arena otherwise) under a single RAII scope, so a caller that solves in a
-// loop (the incremental master LP) pays heap allocations only on its first
-// solve. Dense inner loops (forward/backward substitution, elimination,
-// reduced-cost dots) run on math/kernels and follow its canonical blocked
-// summation order; Btran substitutes against a
-// transposed copy of the LU factors refreshed at each factorization, which
-// turns its column-strided traversal into contiguous kernel dots.
+// transpose, the eta file's d-vectors, all Ftran/Btran scratch — lives in
+// a Workspace of vectors that each thread keeps across solves (SolveInto),
+// so a thread that solves in a loop (a shard's ISHM sweep) pays heap
+// allocations only while its LPs grow. Dense inner loops (forward/backward
+// substitution, elimination, reduced-cost dots) run on math/kernels and
+// follow its canonical blocked summation order; Btran substitutes against
+// a transposed copy of the LU factors refreshed at each factorization,
+// which turns its column-strided traversal into contiguous kernel dots.
+struct ColEntry {
+  int row;
+  double value;
+};
+
+struct Workspace {
+  // Structural columns, CSR over columns (entries row-ordered).
+  std::vector<int> col_starts;
+  std::vector<ColEntry> col_entries;
+  std::vector<int> cursor;  // CSR build scratch
+  std::vector<double> lower, upper, cost, b;
+
+  std::vector<VarStatus> status;  // per column
+  std::vector<int> basic;         // basis position -> column
+  std::vector<double> x;          // per column
+
+  std::vector<double> lu;   // packed L (unit lower) / U factors of B
+  std::vector<double> lut;  // transposed factors, for Btran
+  std::vector<int> perm;    // row permutation of the factorization
+  // The eta file since the last factorization: eta e replaced basis
+  // position eta_rows[e], and its d-vector B_old^{-1} a_entering
+  // (position-indexed) is eta_d[e*m, (e+1)*m).
+  std::vector<int> eta_rows;
+  std::vector<double> eta_d;
+
+  // Per-iteration scratch.
+  std::vector<double> work_v, work_w;  // ComputeBasicValues / Btran
+  std::vector<double> cb, y, w, col;
+
+  // Empties every buffer, keeping its capacity, so no state carries from
+  // one solve to the next.
+  void Clear() {
+    auto clear = [](auto&... v) { (v.clear(), ...); };
+    clear(col_starts, col_entries, cursor, lower, upper, cost, b, status,
+          basic, x, lu, lut, perm, eta_rows, eta_d, work_v, work_w, cb, y, w,
+          col);
+  }
+};
+
 class Engine {
  public:
-  Engine(const LpModel& model, const RevisedSimplex::Options& options)
+  Engine(const LpModel& model, const RevisedSimplex::Options& options,
+         Workspace& workspace)
       : model_(model),
         options_(options),
         ns_(model.num_variables()),
         m_(model.num_constraints()),
         n_(ns_ + m_),
-        owned_arena_(options.workspace == nullptr
-                         ? std::make_unique<util::Arena>()
-                         : nullptr),
-        arena_(options.workspace != nullptr ? *options.workspace
-                                            : *owned_arena_),
-        scope_(arena_),
-        col_starts_(arena_),
-        col_entries_(arena_),
-        lower_(arena_),
-        upper_(arena_),
-        cost_(arena_),
-        b_(arena_),
-        status_(arena_),
-        basic_(arena_),
-        x_(arena_),
-        lu_(arena_),
-        lut_(arena_),
-        perm_(arena_),
-        etas_(arena_),
-        work_v_(arena_),
-        work_w_(arena_),
-        cb_(arena_),
-        y_(arena_),
-        w_(arena_),
-        col_(arena_) {
+        ws_(workspace) {
+    ws_.Clear();
     // Structural columns in CSR-like form, entries ordered by row within
     // each column (the build traverses rows in order).
-    col_starts_.assign(static_cast<size_t>(ns_) + 1, 0);
+    ws_.col_starts.assign(static_cast<size_t>(ns_) + 1, 0);
     for (int i = 0; i < m_; ++i) {
       for (int var : model.row_vars(i)) {
-        ++col_starts_[static_cast<size_t>(var) + 1];
+        ++ws_.col_starts[static_cast<size_t>(var) + 1];
       }
     }
     for (int j = 0; j < ns_; ++j) {
-      col_starts_[static_cast<size_t>(j) + 1] +=
-          col_starts_[static_cast<size_t>(j)];
+      ws_.col_starts[static_cast<size_t>(j) + 1] +=
+          ws_.col_starts[static_cast<size_t>(j)];
     }
-    col_entries_.resize(col_starts_[static_cast<size_t>(ns_)]);
-    {
-      util::ArenaScope cursor_scope(arena_);
-      int* cursor = arena_.AllocateArray<int>(static_cast<size_t>(ns_));
-      for (int j = 0; j < ns_; ++j) cursor[j] = col_starts_[j];
-      for (int i = 0; i < m_; ++i) {
-        const auto& vars = model.row_vars(i);
-        const auto& coeffs = model.row_coeffs(i);
-        for (size_t k = 0; k < vars.size(); ++k) {
-          col_entries_[static_cast<size_t>(cursor[vars[k]]++)] = {i, coeffs[k]};
-        }
-      }
-    }
-    lower_.resize(static_cast<size_t>(n_));
-    upper_.resize(static_cast<size_t>(n_));
-    cost_.assign(static_cast<size_t>(n_), 0.0);
-    for (int j = 0; j < ns_; ++j) {
-      lower_[j] = model.lower_bound(j);
-      upper_[j] = model.upper_bound(j);
-      cost_[j] = model.cost(j);
-    }
-    b_.resize(static_cast<size_t>(m_));
+    ws_.col_entries.resize(ws_.col_starts[static_cast<size_t>(ns_)]);
+    std::vector<int>& cursor = ws_.cursor;
+    cursor.assign(ws_.col_starts.begin(), ws_.col_starts.end() - 1);
     for (int i = 0; i < m_; ++i) {
-      b_[i] = model.rhs(i);
+      const auto& vars = model.row_vars(i);
+      const auto& coeffs = model.row_coeffs(i);
+      for (size_t k = 0; k < vars.size(); ++k) {
+        const int at = cursor[vars[k]]++;
+        ws_.col_entries[static_cast<size_t>(at)] = {i, coeffs[k]};
+      }
+    }
+    ws_.lower.resize(static_cast<size_t>(n_));
+    ws_.upper.resize(static_cast<size_t>(n_));
+    ws_.cost.assign(static_cast<size_t>(n_), 0.0);
+    for (int j = 0; j < ns_; ++j) {
+      ws_.lower[j] = model.lower_bound(j);
+      ws_.upper[j] = model.upper_bound(j);
+      ws_.cost[j] = model.cost(j);
+    }
+    ws_.b.resize(static_cast<size_t>(m_));
+    for (int i = 0; i < m_; ++i) {
+      ws_.b[i] = model.rhs(i);
       const int col = ns_ + i;
       switch (model.sense(i)) {
         case Sense::kLessEqual:
-          lower_[col] = 0.0;
-          upper_[col] = kInf;
+          ws_.lower[col] = 0.0;
+          ws_.upper[col] = kInf;
           break;
         case Sense::kGreaterEqual:
-          lower_[col] = -kInf;
-          upper_[col] = 0.0;
+          ws_.lower[col] = -kInf;
+          ws_.upper[col] = 0.0;
           break;
         case Sense::kEqual:
-          lower_[col] = 0.0;
-          upper_[col] = 0.0;
+          ws_.lower[col] = 0.0;
+          ws_.upper[col] = 0.0;
           break;
       }
     }
     // Size the solve scratch once; nothing below reallocates mid-solve.
     const size_t ms = static_cast<size_t>(m_);
-    x_.assign(static_cast<size_t>(n_), 0.0);
-    work_v_.reserve(ms);
-    work_w_.reserve(ms);
-    cb_.reserve(ms);
-    y_.reserve(ms);
-    w_.reserve(ms);
-    col_.reserve(ms);
-    etas_.reserve(static_cast<size_t>(std::max(1, options_.refactor_interval)));
+    ws_.x.assign(static_cast<size_t>(n_), 0.0);
+    ws_.work_v.reserve(ms);
+    ws_.work_w.reserve(ms);
+    ws_.cb.reserve(ms);
+    ws_.y.reserve(ms);
+    ws_.w.reserve(ms);
+    ws_.col.reserve(ms);
+    const size_t max_etas =
+        static_cast<size_t>(std::max(1, options_.refactor_interval));
+    ws_.eta_rows.reserve(max_etas);
+    ws_.eta_d.reserve(max_etas * ms);
   }
 
   util::Status Run(const Basis* warm_start, RevisedSolution& result) {
@@ -229,15 +244,10 @@ class Engine {
     kNumericalFailure,
   };
 
-  struct Eta {
-    int r;      // basis position replaced
-    double* d;  // B_old^{-1} a_entering (position-indexed), arena-owned
-  };
-
-  struct ColEntry {
-    int row;
-    double value;
-  };
+  // The d-vector of eta e (see Workspace::eta_d).
+  const double* EtaD(size_t e) const {
+    return ws_.eta_d.data() + e * static_cast<size_t>(m_);
+  }
 
   double FeasTol(double bound) const {
     return options_.tolerance * (1.0 + std::fabs(bound));
@@ -246,18 +256,18 @@ class Engine {
   // ---- Basis installation ----------------------------------------------
 
   void InstallColdBasis() {
-    status_.assign(static_cast<size_t>(n_), VarStatus::kAtLower);
-    for (int j = 0; j < ns_; ++j) status_[j] = DefaultNonbasicStatus(j);
-    basic_.resize(static_cast<size_t>(m_));
+    ws_.status.assign(static_cast<size_t>(n_), VarStatus::kAtLower);
+    for (int j = 0; j < ns_; ++j) ws_.status[j] = DefaultNonbasicStatus(j);
+    ws_.basic.resize(static_cast<size_t>(m_));
     for (int i = 0; i < m_; ++i) {
-      basic_[i] = ns_ + i;
-      status_[ns_ + i] = VarStatus::kBasic;
+      ws_.basic[i] = ns_ + i;
+      ws_.status[ns_ + i] = VarStatus::kBasic;
     }
   }
 
   VarStatus DefaultNonbasicStatus(int col) const {
-    if (lower_[col] != -kInf) return VarStatus::kAtLower;
-    if (upper_[col] != kInf) return VarStatus::kAtUpper;
+    if (ws_.lower[col] != -kInf) return VarStatus::kAtLower;
+    if (ws_.upper[col] != kInf) return VarStatus::kAtUpper;
     return VarStatus::kNonbasicFree;
   }
 
@@ -269,8 +279,8 @@ class Engine {
         static_cast<int>(warm->structural.size()) > ns_) {
       return false;
     }
-    status_.assign(static_cast<size_t>(n_), VarStatus::kAtLower);
-    basic_.clear();
+    ws_.status.assign(static_cast<size_t>(n_), VarStatus::kAtLower);
+    ws_.basic.clear();
     for (int j = 0; j < n_; ++j) {
       VarStatus s;
       if (j < ns_) {
@@ -281,52 +291,53 @@ class Engine {
         s = warm->logical[j - ns_];
       }
       if (s == VarStatus::kBasic) {
-        basic_.push_back(j);
+        ws_.basic.push_back(j);
       } else {
         // Repair statuses pointing at bounds the column does not have.
-        if (s == VarStatus::kAtLower && lower_[j] == -kInf) {
+        if (s == VarStatus::kAtLower && ws_.lower[j] == -kInf) {
           s = DefaultNonbasicStatus(j);
-        } else if (s == VarStatus::kAtUpper && upper_[j] == kInf) {
+        } else if (s == VarStatus::kAtUpper && ws_.upper[j] == kInf) {
           s = DefaultNonbasicStatus(j);
         } else if (s == VarStatus::kNonbasicFree &&
-                   (lower_[j] != -kInf || upper_[j] != kInf)) {
+                   (ws_.lower[j] != -kInf || ws_.upper[j] != kInf)) {
           s = DefaultNonbasicStatus(j);
         }
       }
-      status_[j] = s;
+      ws_.status[j] = s;
     }
-    return static_cast<int>(basic_.size()) == m_;
+    return static_cast<int>(ws_.basic.size()) == m_;
   }
 
   // ---- Factorization: dense LU with partial pivoting + eta file --------
 
-  double& Lu(int i, int j) { return lu_[static_cast<size_t>(i) * m_ + j]; }
+  double& Lu(int i, int j) { return ws_.lu[static_cast<size_t>(i) * m_ + j]; }
   double Lu(int i, int j) const {
-    return lu_[static_cast<size_t>(i) * m_ + j];
+    return ws_.lu[static_cast<size_t>(i) * m_ + j];
   }
 
   // Factorizes the basis; false when it is singular: some pivot falls
   // below pivot_tolerance, or below `relative_tolerance` times the largest
   // basis entry.
   bool Factorize(double relative_tolerance = 0.0) {
-    etas_.clear();
-    lu_.assign(static_cast<size_t>(m_) * m_, 0.0);
+    ws_.eta_rows.clear();
+    ws_.eta_d.clear();
+    ws_.lu.assign(static_cast<size_t>(m_) * m_, 0.0);
     for (int k = 0; k < m_; ++k) {
-      const int col = basic_[k];
+      const int col = ws_.basic[k];
       if (col < ns_) {
-        for (int e = col_starts_[col]; e < col_starts_[col + 1]; ++e) {
-          Lu(col_entries_[e].row, k) += col_entries_[e].value;
+        for (int e = ws_.col_starts[col]; e < ws_.col_starts[col + 1]; ++e) {
+          Lu(ws_.col_entries[e].row, k) += ws_.col_entries[e].value;
         }
       } else {
         Lu(col - ns_, k) += 1.0;
       }
     }
     double largest = 0.0;
-    for (const double a : lu_) largest = std::max(largest, std::fabs(a));
+    for (const double a : ws_.lu) largest = std::max(largest, std::fabs(a));
     const double singular_below =
         std::max(options_.pivot_tolerance, relative_tolerance * largest);
-    perm_.resize(static_cast<size_t>(m_));
-    for (int i = 0; i < m_; ++i) perm_[i] = i;
+    ws_.perm.resize(static_cast<size_t>(m_));
+    for (int i = 0; i < m_; ++i) ws_.perm[i] = i;
     for (int k = 0; k < m_; ++k) {
       int p = k;
       double best = std::fabs(Lu(k, k));
@@ -340,7 +351,7 @@ class Engine {
       if (best < singular_below) return false;  // singular
       if (p != k) {
         for (int j = 0; j < m_; ++j) std::swap(Lu(k, j), Lu(p, j));
-        std::swap(perm_[k], perm_[p]);
+        std::swap(ws_.perm[k], ws_.perm[p]);
       }
       const double inv = 1.0 / Lu(k, k);
       for (int i = k + 1; i < m_; ++i) {
@@ -348,106 +359,113 @@ class Engine {
         if (factor == 0.0) continue;
         Lu(i, k) = factor;
         // Row update: one contiguous axpy over the trailing submatrix row.
-        math::Axpy(-factor, &lu_[static_cast<size_t>(k) * m_ + k + 1],
-                   &lu_[static_cast<size_t>(i) * m_ + k + 1],
+        math::Axpy(-factor, LuRow(k) + k + 1, LuRow(i) + k + 1,
                    static_cast<size_t>(m_ - k - 1));
       }
     }
     // Transposed copy: Btran substitutes along LU *columns*, which stride
-    // by m in lu_; lut_(i, j) = Lu(j, i) makes those traversals contiguous
+    // by m in lu; lut(i, j) = Lu(j, i) makes those traversals contiguous
     // kernel dots. Refreshed with every factorization.
-    lut_.resize(static_cast<size_t>(m_) * m_);
+    ws_.lut.resize(static_cast<size_t>(m_) * m_);
     for (int i = 0; i < m_; ++i) {
       for (int j = 0; j < m_; ++j) {
-        lut_[static_cast<size_t>(i) * m_ + j] = Lu(j, i);
+        ws_.lut[static_cast<size_t>(i) * m_ + j] = Lu(j, i);
       }
     }
     return true;
   }
 
   double Lut(int i, int j) const {
-    return lut_[static_cast<size_t>(i) * m_ + j];
+    return ws_.lut[static_cast<size_t>(i) * m_ + j];
+  }
+
+  // Row k of the factors and of their transpose. Pointer arithmetic, not
+  // operator[]: the trailing part of the last row starts one past the end.
+  double* LuRow(int k) { return ws_.lu.data() + static_cast<size_t>(k) * m_; }
+  const double* LuRow(int k) const {
+    return ws_.lu.data() + static_cast<size_t>(k) * m_;
+  }
+  const double* LutRow(int k) const {
+    return ws_.lut.data() + static_cast<size_t>(k) * m_;
   }
 
   // Solves B w = v into `w`. Input indexed by row, output by basis
   // position. `v` and `w` must be distinct buffers.
-  void Ftran(const util::ArenaVector<double>& v,
-             util::ArenaVector<double>& w) const {
+  void Ftran(const std::vector<double>& v, std::vector<double>& w) const {
     w.resize(static_cast<size_t>(m_));
-    for (int k = 0; k < m_; ++k) w[k] = v[perm_[k]];
+    for (int k = 0; k < m_; ++k) w[k] = v[ws_.perm[k]];
     for (int k = 1; k < m_; ++k) {
-      // Forward substitution: L rows are contiguous prefixes of lu_ rows.
-      w[k] -= math::Dot(&lu_[static_cast<size_t>(k) * m_], w.data(),
-                        static_cast<size_t>(k));
+      // Forward substitution: L rows are contiguous prefixes of lu rows.
+      w[k] -= math::Dot(LuRow(k), w.data(), static_cast<size_t>(k));
     }
     for (int k = m_ - 1; k >= 0; --k) {
       const double sum =
-          w[k] - math::Dot(&lu_[static_cast<size_t>(k) * m_ + k + 1],
-                           w.data() + k + 1, static_cast<size_t>(m_ - k - 1));
+          w[k] - math::Dot(LuRow(k) + k + 1, w.data() + k + 1,
+                           static_cast<size_t>(m_ - k - 1));
       w[k] = sum / Lu(k, k);
     }
-    for (size_t e = 0; e < etas_.size(); ++e) {
-      const Eta& eta = etas_[e];
-      const double t = w[eta.r] / eta.d[eta.r];
-      math::Axpy(-t, eta.d, w.data(), static_cast<size_t>(m_));
-      w[eta.r] = t;
+    for (size_t e = 0; e < ws_.eta_rows.size(); ++e) {
+      const int r = ws_.eta_rows[e];
+      const double* d = EtaD(e);
+      const double t = w[r] / d[r];
+      math::Axpy(-t, d, w.data(), static_cast<size_t>(m_));
+      w[r] = t;
     }
   }
 
   // Solves B'y = c into `y`, consuming `c` as scratch. Inputs indexed by
   // basis position, output by row.
-  void Btran(util::ArenaVector<double>& c, util::ArenaVector<double>& y) {
-    for (size_t e = etas_.size(); e-- > 0;) {
-      const Eta& eta = etas_[e];
-      const double dot =
-          math::Dot(c.data(), eta.d, static_cast<size_t>(m_));
-      c[eta.r] = (c[eta.r] - (dot - c[eta.r] * eta.d[eta.r])) / eta.d[eta.r];
+  void Btran(std::vector<double>& c, std::vector<double>& y) {
+    for (size_t e = ws_.eta_rows.size(); e-- > 0;) {
+      const int r = ws_.eta_rows[e];
+      const double* d = EtaD(e);
+      const double dot = math::Dot(c.data(), d, static_cast<size_t>(m_));
+      c[r] = (c[r] - (dot - c[r] * d[r])) / d[r];
     }
-    work_v_.resize(static_cast<size_t>(m_));
-    util::ArenaVector<double>& a = work_v_;
+    ws_.work_v.resize(static_cast<size_t>(m_));
+    std::vector<double>& a = ws_.work_v;
     for (int k = 0; k < m_; ++k) {
       // U' is lower triangular; its rows are contiguous in the transposed
       // factors.
       const double sum =
-          c[k] - math::Dot(&lut_[static_cast<size_t>(k) * m_], a.data(),
-                           static_cast<size_t>(k));
+          c[k] - math::Dot(LutRow(k), a.data(), static_cast<size_t>(k));
       a[k] = sum / Lut(k, k);
     }
     for (int k = m_ - 1; k >= 0; --k) {
-      a[k] -= math::Dot(&lut_[static_cast<size_t>(k) * m_ + k + 1],
-                        a.data() + k + 1, static_cast<size_t>(m_ - k - 1));
+      a[k] -= math::Dot(LutRow(k) + k + 1, a.data() + k + 1,
+                        static_cast<size_t>(m_ - k - 1));
     }
     y.resize(static_cast<size_t>(m_));
-    for (int k = 0; k < m_; ++k) y[perm_[k]] = a[k];
+    for (int k = 0; k < m_; ++k) y[ws_.perm[k]] = a[k];
   }
 
   // Column `col` of the constraint matrix, densified by row into `a`.
-  void DenseColumnInto(int col, util::ArenaVector<double>& a) const {
+  void DenseColumnInto(int col, std::vector<double>& a) const {
     a.assign(static_cast<size_t>(m_), 0.0);
     if (col < ns_) {
-      for (int e = col_starts_[col]; e < col_starts_[col + 1]; ++e) {
-        a[col_entries_[e].row] += col_entries_[e].value;
+      for (int e = ws_.col_starts[col]; e < ws_.col_starts[col + 1]; ++e) {
+        a[ws_.col_entries[e].row] += ws_.col_entries[e].value;
       }
     } else {
       a[col - ns_] = 1.0;
     }
   }
 
-  double DotColumn(const util::ArenaVector<double>& y, int col) const {
+  double DotColumn(const std::vector<double>& y, int col) const {
     if (col >= ns_) return y[col - ns_];
     double dot = 0.0;
-    for (int e = col_starts_[col]; e < col_starts_[col + 1]; ++e) {
-      dot += y[col_entries_[e].row] * col_entries_[e].value;
+    for (int e = ws_.col_starts[col]; e < ws_.col_starts[col + 1]; ++e) {
+      dot += y[ws_.col_entries[e].row] * ws_.col_entries[e].value;
     }
     return dot;
   }
 
   double NonbasicValue(int col) const {
-    switch (status_[col]) {
+    switch (ws_.status[col]) {
       case VarStatus::kAtLower:
-        return lower_[col];
+        return ws_.lower[col];
       case VarStatus::kAtUpper:
-        return upper_[col];
+        return ws_.upper[col];
       default:
         return 0.0;
     }
@@ -456,38 +474,38 @@ class Engine {
   // Recomputes x_B = B^{-1}(b - N x_N) from the factorization, clearing
   // the drift of the incremental updates.
   void ComputeBasicValues() {
-    x_.assign(static_cast<size_t>(n_), 0.0);
-    work_v_.assign(b_.begin(), b_.end());
+    ws_.x.assign(static_cast<size_t>(n_), 0.0);
+    ws_.work_v.assign(ws_.b.begin(), ws_.b.end());
     for (int j = 0; j < n_; ++j) {
-      if (status_[j] == VarStatus::kBasic) continue;
+      if (ws_.status[j] == VarStatus::kBasic) continue;
       const double xj = NonbasicValue(j);
-      x_[j] = xj;
+      ws_.x[j] = xj;
       if (xj == 0.0) continue;
       if (j < ns_) {
-        for (int e = col_starts_[j]; e < col_starts_[j + 1]; ++e) {
-          work_v_[col_entries_[e].row] -= col_entries_[e].value * xj;
+        for (int e = ws_.col_starts[j]; e < ws_.col_starts[j + 1]; ++e) {
+          ws_.work_v[ws_.col_entries[e].row] -= ws_.col_entries[e].value * xj;
         }
       } else {
-        work_v_[j - ns_] -= xj;
+        ws_.work_v[j - ns_] -= xj;
       }
     }
-    Ftran(work_v_, work_w_);
-    for (int k = 0; k < m_; ++k) x_[basic_[k]] = work_w_[k];
+    Ftran(ws_.work_v, ws_.work_w);
+    for (int k = 0; k < m_; ++k) ws_.x[ws_.basic[k]] = ws_.work_w[k];
   }
 
   // Sum of bound violations over the basic variables (the phase-1
   // objective) and, via `cb`, its gradient on the basis.
-  double Infeasibility(util::ArenaVector<double>* cb) const {
+  double Infeasibility(std::vector<double>* cb) const {
     double total = 0.0;
     if (cb != nullptr) cb->assign(static_cast<size_t>(m_), 0.0);
     for (int k = 0; k < m_; ++k) {
-      const int col = basic_[k];
-      const double x = x_[col];
-      if (x < lower_[col] - FeasTol(lower_[col])) {
-        total += lower_[col] - x;
+      const int col = ws_.basic[k];
+      const double x = ws_.x[col];
+      if (x < ws_.lower[col] - FeasTol(ws_.lower[col])) {
+        total += ws_.lower[col] - x;
         if (cb != nullptr) (*cb)[k] = -1.0;
-      } else if (x > upper_[col] + FeasTol(upper_[col])) {
-        total += x - upper_[col];
+      } else if (x > ws_.upper[col] + FeasTol(ws_.upper[col])) {
+        total += x - ws_.upper[col];
         if (cb != nullptr) (*cb)[k] = 1.0;
       }
     }
@@ -504,13 +522,13 @@ class Engine {
     for (;;) {
       double objective;
       if (phase1) {
-        objective = Infeasibility(&cb_);
+        objective = Infeasibility(&ws_.cb);
         if (objective <= options_.tolerance * 10) return PhaseOutcome::kDone;
       } else {
-        cb_.resize(static_cast<size_t>(m_));
-        for (int k = 0; k < m_; ++k) cb_[k] = cost_[basic_[k]];
+        ws_.cb.resize(static_cast<size_t>(m_));
+        for (int k = 0; k < m_; ++k) ws_.cb[k] = ws_.cost[ws_.basic[k]];
         objective =
-            math::Dot(cost_.data(), x_.data(), static_cast<size_t>(n_));
+            math::Dot(ws_.cost.data(), ws_.x.data(), static_cast<size_t>(n_));
       }
       if (objective < last_objective - 1e-12) {
         last_objective = objective;
@@ -520,25 +538,25 @@ class Engine {
         bland = true;  // Bland's rule escapes degenerate cycling
       }
 
-      Btran(cb_, y_);
+      Btran(ws_.cb, ws_.y);
       int entering = -1;
       double entering_dir = 0.0;
       double best_violation = options_.tolerance;
       for (int j = 0; j < n_; ++j) {
-        if (status_[j] == VarStatus::kBasic) continue;
-        if (upper_[j] - lower_[j] <= 0.0) continue;  // fixed, cannot move
-        const double phase_cost = phase1 ? 0.0 : cost_[j];
-        const double d = phase_cost - DotColumn(y_, j);
+        if (ws_.status[j] == VarStatus::kBasic) continue;
+        if (ws_.upper[j] - ws_.lower[j] <= 0.0) continue;  // fixed, cannot move
+        const double phase_cost = phase1 ? 0.0 : ws_.cost[j];
+        const double d = phase_cost - DotColumn(ws_.y, j);
         double violation = 0.0;
         double dir = 0.0;
-        if (status_[j] == VarStatus::kAtLower && d < -options_.tolerance) {
+        if (ws_.status[j] == VarStatus::kAtLower && d < -options_.tolerance) {
           violation = -d;
           dir = 1.0;
-        } else if (status_[j] == VarStatus::kAtUpper &&
+        } else if (ws_.status[j] == VarStatus::kAtUpper &&
                    d > options_.tolerance) {
           violation = d;
           dir = -1.0;
-        } else if (status_[j] == VarStatus::kNonbasicFree &&
+        } else if (ws_.status[j] == VarStatus::kNonbasicFree &&
                    std::fabs(d) > options_.tolerance) {
           violation = std::fabs(d);
           dir = d < 0 ? 1.0 : -1.0;
@@ -569,10 +587,10 @@ class Engine {
       // remaining budget is reported optimal.
       if (*used >= iteration_budget) return PhaseOutcome::kIterationLimit;
 
-      DenseColumnInto(entering, col_);
-      Ftran(col_, w_);
+      DenseColumnInto(entering, ws_.col);
+      Ftran(ws_.col, ws_.w);
       const PhaseOutcome step =
-          Step(phase1, entering, entering_dir, w_, bland);
+          Step(phase1, entering, entering_dir, ws_.w, bland);
       if (step != PhaseOutcome::kDone) return step;
       ++*used;
     }
@@ -581,9 +599,9 @@ class Engine {
   // One ratio test + update (bound flip or basis change). Returns kDone on
   // a completed step, or a terminal outcome.
   PhaseOutcome Step(bool phase1, int entering, double dir,
-                    const util::ArenaVector<double>& w, bool bland) {
+                    const std::vector<double>& w, bool bland) {
     constexpr double kTieTol = 1e-9;
-    const double flip_t = upper_[entering] - lower_[entering];  // inf ok
+    const double flip_t = ws_.upper[entering] - ws_.lower[entering];  // inf ok
 
     // Pass 1: the tightest blocking ratio.
     double best_t = kInf;
@@ -596,11 +614,11 @@ class Engine {
       if (flip_t == kInf) return PhaseOutcome::kUnbounded;
       // Bound flip: the entering variable traverses to its opposite bound
       // without any basis change.
-      for (int k = 0; k < m_; ++k) x_[basic_[k]] += -dir * w[k] * flip_t;
-      status_[entering] = status_[entering] == VarStatus::kAtLower
+      for (int k = 0; k < m_; ++k) ws_.x[ws_.basic[k]] += -dir * w[k] * flip_t;
+      ws_.status[entering] = ws_.status[entering] == VarStatus::kAtLower
                               ? VarStatus::kAtUpper
                               : VarStatus::kAtLower;
-      x_[entering] = NonbasicValue(entering);
+      ws_.x[entering] = NonbasicValue(entering);
       return PhaseOutcome::kDone;
     }
 
@@ -617,10 +635,10 @@ class Engine {
       const double pivot = std::fabs(w[k]);
       const bool better =
           leaving < 0 ||
-          (bland ? basic_[k] < basic_[leaving]
+          (bland ? ws_.basic[k] < ws_.basic[leaving]
                  : (pivot > best_pivot + kTieTol ||
                     (pivot > best_pivot - kTieTol &&
-                     basic_[k] < basic_[leaving])));
+                     ws_.basic[k] < ws_.basic[leaving])));
       if (better) {
         leaving = k;
         to_upper = hits_upper;
@@ -631,20 +649,18 @@ class Engine {
 
     // Update primal values along the direction, then swap the basis.
     const double t = std::max(0.0, best_t);
-    for (int k = 0; k < m_; ++k) x_[basic_[k]] += -dir * w[k] * t;
-    x_[entering] = NonbasicValue(entering) + dir * t;
-    const int leaving_col = basic_[leaving];
-    status_[leaving_col] = to_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
-    x_[leaving_col] = NonbasicValue(leaving_col);
-    status_[entering] = VarStatus::kBasic;
-    basic_[leaving] = entering;
-    // The eta d-vector is a bump allocation, not a heap vector: the whole
-    // eta file is reclaimed when the engine's arena scope unwinds (or
-    // logically discarded at the next refactorization).
-    double* d = arena_.AllocateArray<double>(static_cast<size_t>(m_));
-    std::memcpy(d, w.data(), static_cast<size_t>(m_) * sizeof(double));
-    etas_.push_back(Eta{leaving, d});
-    if (static_cast<int>(etas_.size()) >=
+    for (int k = 0; k < m_; ++k) ws_.x[ws_.basic[k]] += -dir * w[k] * t;
+    ws_.x[entering] = NonbasicValue(entering) + dir * t;
+    const int leaving_col = ws_.basic[leaving];
+    ws_.status[leaving_col] =
+        to_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
+    ws_.x[leaving_col] = NonbasicValue(leaving_col);
+    ws_.status[entering] = VarStatus::kBasic;
+    ws_.basic[leaving] = entering;
+    // eta_d was reserved for a full eta file, so this never reallocates.
+    ws_.eta_rows.push_back(leaving);
+    ws_.eta_d.insert(ws_.eta_d.end(), w.begin(), w.begin() + m_);
+    if (static_cast<int>(ws_.eta_rows.size()) >=
         std::max(1, options_.refactor_interval)) {
       if (!Factorize()) return PhaseOutcome::kNumericalFailure;
       ComputeBasicValues();
@@ -660,10 +676,10 @@ class Engine {
   double BlockingRatio(bool phase1, int k, double delta,
                        bool* hits_upper) const {
     if (std::fabs(delta) <= options_.pivot_tolerance) return kInf;
-    const int col = basic_[k];
-    const double x = x_[col];
-    const double l = lower_[col];
-    const double u = upper_[col];
+    const int col = ws_.basic[k];
+    const double x = ws_.x[col];
+    const double l = ws_.lower[col];
+    const double u = ws_.upper[col];
     double bound;
     bool upper;
     if (phase1 && x < l - FeasTol(l)) {
@@ -693,22 +709,23 @@ class Engine {
     LpSolution& solution = result.solution;
     solution.status = SolveStatus::kOptimal;
     solution.primal.assign(static_cast<size_t>(ns_), 0.0);
-    for (int j = 0; j < ns_; ++j) solution.primal[j] = x_[j];
+    for (int j = 0; j < ns_; ++j) solution.primal[j] = ws_.x[j];
     solution.objective =
         model_.objective_constant() +
-        math::Dot(cost_.data(), x_.data(), static_cast<size_t>(ns_));
+        math::Dot(ws_.cost.data(), ws_.x.data(), static_cast<size_t>(ns_));
 
-    cb_.resize(static_cast<size_t>(m_));
-    for (int k = 0; k < m_; ++k) cb_[k] = cost_[basic_[k]];
-    Btran(cb_, y_);
-    solution.dual.assign(y_.begin(), y_.end());
+    ws_.cb.resize(static_cast<size_t>(m_));
+    for (int k = 0; k < m_; ++k) ws_.cb[k] = ws_.cost[ws_.basic[k]];
+    Btran(ws_.cb, ws_.y);
+    solution.dual.assign(ws_.y.begin(), ws_.y.end());
     solution.reduced_cost.assign(static_cast<size_t>(ns_), 0.0);
     for (int j = 0; j < ns_; ++j) {
-      solution.reduced_cost[j] = cost_[j] - DotColumn(y_, j);
+      solution.reduced_cost[j] = ws_.cost[j] - DotColumn(ws_.y, j);
     }
 
-    result.basis.structural.assign(status_.begin(), status_.begin() + ns_);
-    result.basis.logical.assign(status_.begin() + ns_, status_.end());
+    result.basis.structural.assign(ws_.status.begin(),
+                                   ws_.status.begin() + ns_);
+    result.basis.logical.assign(ws_.status.begin() + ns_, ws_.status.end());
   }
 
   const LpModel& model_;
@@ -717,30 +734,7 @@ class Engine {
   const int m_;   // rows
   const int n_;   // structural + logical columns
 
-  // Arena backing for everything below: the caller's workspace or a locally
-  // owned arena. `scope_` must precede every ArenaVector member so
-  // its rewind (to the pre-solve mark) runs after their (trivial) cleanup.
-  std::unique_ptr<util::Arena> owned_arena_;
-  util::Arena& arena_;
-  util::ArenaScope scope_;
-
-  // Structural columns, CSR over columns (entries row-ordered).
-  util::ArenaVector<int> col_starts_;
-  util::ArenaVector<ColEntry> col_entries_;
-  util::ArenaVector<double> lower_, upper_, cost_, b_;
-
-  util::ArenaVector<VarStatus> status_;  // per column
-  util::ArenaVector<int> basic_;         // basis position -> column
-  util::ArenaVector<double> x_;          // per column
-
-  util::ArenaVector<double> lu_;   // packed L (unit lower) / U factors of B
-  util::ArenaVector<double> lut_;  // transposed factors, for Btran
-  util::ArenaVector<int> perm_;    // row permutation of the factorization
-  util::ArenaVector<Eta> etas_;
-
-  // Per-iteration scratch, sized once in the constructor.
-  util::ArenaVector<double> work_v_, work_w_;  // ComputeBasicValues / Btran
-  util::ArenaVector<double> cb_, y_, w_, col_;
+  Workspace& ws_;
 };
 
 // No constraints: every variable sits at its cost-minimizing bound. A
@@ -826,7 +820,10 @@ util::Status RevisedSimplex::SolveInto(const LpModel& model,
                                        RevisedSolution& out) {
   RETURN_IF_ERROR(model.Validate());
   if (model.num_constraints() == 0) return SolveUnconstrained(model, out);
-  Engine engine(model, options);
+  // One workspace per thread: shard threads and engine workers each solve
+  // in a loop, and no solve re-enters another on the same thread.
+  thread_local Workspace workspace;
+  Engine engine(model, options, workspace);
   return engine.Run(warm_start, out);
 }
 

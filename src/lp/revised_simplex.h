@@ -8,10 +8,6 @@
 #include "util/status.h"
 #include "util/statusor.h"
 
-namespace auditgame::util {
-class Arena;
-}  // namespace auditgame::util
-
 namespace auditgame::lp {
 
 /// Termination status of a solve.
@@ -129,12 +125,6 @@ class RevisedSimplex {
     double tolerance = 1e-8;
     /// Basis pivots between LU refactorizations.
     int refactor_interval = 64;
-    /// Optional non-owning arena (util/arena.h) the solve draws its working
-    /// memory from (LU factors, eta d-vectors, Ftran/Btran scratch); must
-    /// outlive every Solve using these options. Null = each solve allocates
-    /// its own scratch. Callers that solve in a loop (the CGGS master LP)
-    /// share one arena here so steady-state re-solves never touch the heap.
-    util::Arena* workspace = nullptr;
   };
 
   /// Solves `model`. When `warm_start` is non-null and compatible, the
@@ -149,8 +139,10 @@ class RevisedSimplex {
   /// Allocation-reusing form for re-solve loops (the CGGS master): `out`'s
   /// solution and basis buffers are cleared and refilled in place, so a
   /// caller that keeps one RevisedSolution across rounds solves without
-  /// touching the heap once the buffers reach steady-state size. `out` may
-  /// not alias `warm_start`'s basis.
+  /// touching the heap once the buffers reach steady-state size. The
+  /// solver's own working memory is per thread and keeps its capacity
+  /// across solves, so it stops allocating once the thread's LPs stop
+  /// growing. `out` may not alias `warm_start`'s basis.
   static util::Status SolveInto(const LpModel& model, const Options& options,
                                 const Basis* warm_start, RevisedSolution& out);
 };

@@ -21,7 +21,7 @@ namespace auditgame::math {
 /// the library builds with -ffp-contract=off, so a compiler targeting an
 /// FMA-capable CPU cannot fuse a mul+add and round once where the
 /// definition rounds twice. Element-wise kernels (axpy, scale) round once
-/// per element. See docs/DESIGN.md "Numeric kernels and arenas".
+/// per element. See docs/DESIGN.md "Numeric kernels and solver scratch".
 ///
 /// The blocked order is the canonical semantics of the library: results
 /// differ from a naive left-to-right sum by the usual reassociation ULPs,

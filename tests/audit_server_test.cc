@@ -212,7 +212,9 @@ TEST_F(AuditServerTest, SolveCyclesAreOrderedUnderConcurrentClients) {
   for (const std::vector<int>& s : seen) {
     for (size_t i = 0; i < s.size(); ++i) {
       EXPECT_TRUE(all.insert(s[i]).second) << "duplicate cycle " << s[i];
-      if (i > 0) EXPECT_LT(s[i - 1], s[i]);
+      if (i > 0) {
+        EXPECT_LT(s[i - 1], s[i]);
+      }
     }
   }
   ASSERT_EQ(all.size(), static_cast<size_t>(kClients * kSolvesEach));

@@ -97,6 +97,26 @@ class BenchCompareTest(unittest.TestCase):
                               "--require", "router.failovers")
         self.assertEqual(missing.returncode, 1)
 
+    def test_require_list_index(self):
+        report = {"cases": [{"n": 20, "allocations_per_solve": 5},
+                            {"n": 50, "allocations_per_solve": 5}]}
+        ok = run_compare(report, report,
+                         "--require", "cases[1].allocations_per_solve")
+        self.assertEqual(ok.returncode, 0, ok.stdout + ok.stderr)
+        dropped = {"cases": [{"n": 20, "allocations_per_solve": 5},
+                             {"n": 50}]}
+        missing = run_compare(dropped, dropped,
+                              "--require", "cases[1].allocations_per_solve")
+        self.assertEqual(missing.returncode, 1)
+        self.assertIn("missing from baseline", missing.stdout)
+        out_of_range = run_compare(report, report,
+                                   "--require", "cases[2].n")
+        self.assertEqual(out_of_range.returncode, 1)
+        not_a_list = run_compare(report, report, "--require", "cases.n[0]")
+        self.assertEqual(not_a_list.returncode, 1)
+        malformed = run_compare(report, report, "--require", "cases[x].n")
+        self.assertEqual(malformed.returncode, 2)
+
     def test_unreadable_report_exits_2(self):
         result = subprocess.run(
             [sys.executable, SCRIPT, "/nonexistent/a.json",

@@ -8,7 +8,6 @@
 // decoding that gives the same request. Crashes, sanitizer reports and
 // round-trip drift fail the test.
 #include <cstdint>
-#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "prob/count_distribution.h"
 #include "server/binary_codec.h"
 #include "server/protocol.h"
+#include "tests/byte_mutator.h"
 #include "util/json.h"
 
 namespace auditgame::server {
@@ -33,16 +33,10 @@ std::vector<prob::CountDistribution> Distributions() {
   return out;
 }
 
-/// A byte range holding a big-endian length or count in a binary payload.
-struct LengthField {
-  size_t offset;
-  size_t width;
-};
-
 /// The tenant length, the distribution count and every pmf length of a
 /// binary request (fixed layout, see server/binary_codec.h).
-std::vector<LengthField> LengthFieldsOf(const std::string& payload) {
-  std::vector<LengthField> fields = {{12, 2}};
+std::vector<testutil::Field> LengthFieldsOf(const std::string& payload) {
+  std::vector<testutil::Field> fields = {{12, 2}};
   const auto u16 = [&payload](size_t at) {
     return static_cast<size_t>(static_cast<unsigned char>(payload[at])) << 8 |
            static_cast<unsigned char>(payload[at + 1]);
@@ -60,63 +54,24 @@ std::vector<LengthField> LengthFieldsOf(const std::string& payload) {
   return fields;
 }
 
-class Mutator {
- public:
-  explicit Mutator(uint64_t seed) : rng_(seed) {}
-
-  std::string Mutate(const std::string& payload, bool binary) {
-    std::string out = payload;
-    switch (Below(4)) {
-      case 0:  // flip one to three bits
-        for (size_t n = 1 + Below(3); n > 0; --n) {
-          out[Below(out.size())] ^= static_cast<char>(1u << Below(8));
-        }
-        break;
-      case 1:  // truncate
-        out.resize(Below(out.size()));
-        break;
-      case 2:  // insert one to eight random bytes
-        out.insert(Below(out.size() + 1), RandomBytes(1 + Below(8)));
-        break;
-      default:
-        if (binary) {
-          RewriteLengthField(&out);
-        } else {
-          static const std::string kStructural = "{}[]\":,-.0e\\";
-          out[Below(out.size())] = kStructural[Below(kStructural.size())];
-        }
-        break;
-    }
-    return out;
+/// One mutant of `payload`: a bit flip, truncation or insertion, else a
+/// rewritten length field (binary) or structural character (JSON).
+std::string Mutate(testutil::ByteMutator& mutator, const std::string& payload,
+                   bool binary) {
+  std::string out = payload;
+  const size_t kind = mutator.Below(4);
+  if (kind < 3) {
+    mutator.Apply(kind, &out);
+  } else if (binary) {
+    const std::vector<testutil::Field> fields = LengthFieldsOf(out);
+    mutator.RewriteField(fields[mutator.Below(fields.size())], &out);
+  } else {
+    static const std::string kStructural = "{}[]\":,-.0e\\";
+    out[mutator.Below(out.size())] =
+        kStructural[mutator.Below(kStructural.size())];
   }
-
- private:
-  size_t Below(size_t n) { return static_cast<size_t>(rng_() % n); }
-
-  std::string RandomBytes(size_t n) {
-    std::string bytes(n, '\0');
-    for (char& c : bytes) c = static_cast<char>(rng_() & 0xff);
-    return bytes;
-  }
-
-  void RewriteLengthField(std::string* payload) {
-    const std::vector<LengthField> fields = LengthFieldsOf(*payload);
-    const LengthField field = fields[Below(fields.size())];
-    uint64_t value = 0;
-    for (size_t i = 0; i < field.width; ++i) {
-      value = value << 8 |
-              static_cast<unsigned char>((*payload)[field.offset + i]);
-    }
-    const uint64_t max = (uint64_t{1} << (8 * field.width)) - 1;
-    const uint64_t choices[] = {0, 1, value - 1, value + 1, max, rng_() & max};
-    value = choices[Below(6)] & max;
-    for (size_t i = field.width; i > 0; --i, value >>= 8) {
-      (*payload)[field.offset + i - 1] = static_cast<char>(value & 0xff);
-    }
-  }
-
-  std::mt19937_64 rng_;
-};
+  return out;
+}
 
 void ExpectSameRequest(const Request& a, const Request& b) {
   EXPECT_EQ(a.verb, b.verb);
@@ -146,9 +101,9 @@ struct Outcomes {
 
 void MutateBinary(const std::string& payload, uint64_t seed,
                   Outcomes* outcomes) {
-  Mutator mutator(seed);
+  testutil::ByteMutator mutator(seed);
   for (int i = 0; i < kMutantsPerPayload; ++i) {
-    const std::string mutant = mutator.Mutate(payload, /*binary=*/true);
+    const std::string mutant = Mutate(mutator, payload, /*binary=*/true);
     auto request = DecodeBinaryRequest(mutant);
     if (!request.ok()) {
       ++outcomes->rejected;
@@ -175,9 +130,9 @@ util::StatusOr<Request> DecodeJson(const std::string& payload) {
 
 void MutateJson(const std::string& payload, uint64_t seed,
                 Outcomes* outcomes) {
-  Mutator mutator(seed);
+  testutil::ByteMutator mutator(seed);
   for (int i = 0; i < kMutantsPerPayload; ++i) {
-    const std::string mutant = mutator.Mutate(payload, /*binary=*/false);
+    const std::string mutant = Mutate(mutator, payload, /*binary=*/false);
     auto request = DecodeJson(mutant);
     if (!request.ok()) {
       ++outcomes->rejected;

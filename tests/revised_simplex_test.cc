@@ -1,6 +1,11 @@
 #include "lp/revised_simplex.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -418,6 +423,82 @@ TEST(BackendAgreementTest, FullSynAGameLp) {
       EXPECT_TRUE(check.ok()) << check.ToString();
     }
   }
+}
+
+// ---- Per-thread working memory -------------------------------------------
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits(values.size());
+  if (!values.empty()) {
+    std::memcpy(bits.data(), values.data(), values.size() * sizeof(double));
+  }
+  return bits;
+}
+
+void ExpectBitIdentical(const RevisedSolution& got,
+                        const RevisedSolution& want) {
+  EXPECT_EQ(got.solution.status, want.solution.status);
+  EXPECT_EQ(Bits({got.solution.objective}), Bits({want.solution.objective}));
+  EXPECT_EQ(Bits(got.solution.primal), Bits(want.solution.primal));
+  EXPECT_EQ(Bits(got.solution.dual), Bits(want.solution.dual));
+  EXPECT_EQ(Bits(got.solution.reduced_cost),
+            Bits(want.solution.reduced_cost));
+  EXPECT_EQ(got.solution.phase1_iterations, want.solution.phase1_iterations);
+  EXPECT_EQ(got.solution.phase2_iterations, want.solution.phase2_iterations);
+  EXPECT_EQ(got.basis.structural, want.basis.structural);
+  EXPECT_EQ(got.basis.logical, want.basis.logical);
+  EXPECT_EQ(got.warm_started, want.warm_started);
+  EXPECT_EQ(got.basis_accepted, want.basis_accepted);
+}
+
+// A new thread starts with an empty simplex workspace.
+RevisedSolution SolveOnFreshThread(const LpModel& model,
+                                   const RevisedSimplex::Options& options,
+                                   const Basis* warm) {
+  RevisedSolution result;
+  util::Status status;
+  std::thread([&] {
+    status = RevisedSimplex::SolveInto(model, options, warm, result);
+  }).join();
+  EXPECT_TRUE(status.ok()) << status;
+  return result;
+}
+
+// One thread solves LPs whose rows and columns grow and then shrink, so
+// most solves run in buffers a different-sized LP left behind. Each solve,
+// cold and warm, must match bit for bit the same solve on a new thread.
+TEST(RevisedSimplexTest, ReusedThreadWorkspaceMatchesFreshThread) {
+  const std::vector<std::pair<int, int>> shapes = {
+      {3, 2},   {6, 5},   {12, 9}, {24, 18}, {40, 30},
+      {20, 26}, {10, 14}, {5, 3},  {2, 1}};
+  RevisedSolution reused;  // one output object across the sequence
+  int warm_accepted = 0;
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    const auto [n, m] = shapes[s];
+    SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m));
+    RevisedSimplex::Options options;
+    // A short eta file makes the larger solves refactorize mid-phase.
+    options.refactor_interval = s % 2 == 0 ? 64 : 3;
+    LpModel model = RandomBoundedLp(1000 + s, n, m);
+
+    const RevisedSolution cold = SolveOnFreshThread(model, options, nullptr);
+    ASSERT_TRUE(
+        RevisedSimplex::SolveInto(model, options, nullptr, reused).ok());
+    ExpectBitIdentical(reused, cold);
+
+    // Warm: append a column and resume from the cold optimum's basis.
+    const Basis basis = cold.basis;
+    const int var = model.AddVariable(-1.0, 0.0, 3.0);
+    for (int i = 0; i < m; ++i) {
+      model.AddCoefficient(i, var, i % 2 == 0 ? 1.0 : -0.5);
+    }
+    const RevisedSolution warm = SolveOnFreshThread(model, options, &basis);
+    ASSERT_TRUE(
+        RevisedSimplex::SolveInto(model, options, &basis, reused).ok());
+    ExpectBitIdentical(reused, warm);
+    warm_accepted += warm.basis_accepted ? 1 : 0;
+  }
+  EXPECT_GT(warm_accepted, 0);
 }
 
 }  // namespace

@@ -15,8 +15,8 @@ Metrics are classified by key name:
   is better, gated at ``current > baseline * (1 + threshold)`` (gaps get
   a 1e-9 absolute floor so exact-zero baselines don't trip on rounding
   noise);
-* ``*alloc*`` / ``*heap_block*`` — allocation counters from the arena
-  refactor, lower is better; exact-zero baselines get a small absolute
+* ``*alloc*`` / ``*heap_block*`` — allocation counters, lower is
+  better; exact-zero baselines get a small absolute
   floor (an occasional one-off allocation in a thousand solves is not a
   regression);
 * ``*seconds*`` / ``*speedup*`` — wall-clock measurements: machine- and
@@ -27,11 +27,12 @@ Metrics are classified by key name:
 * everything else (objectives, sweep configuration) is context, not a
   gate.
 
-``--require KEY`` (repeatable, dotted path for nesting) insists the key
-exists in *both* reports: the walk above only gates keys present in the
-baseline, so a metric that silently vanishes from a regenerated baseline
-— or was never produced because the drill that feeds it didn't run —
-would otherwise pass unchecked. The cluster smoke uses it to make
+``--require KEY`` (repeatable; a dotted path for nesting with ``[i]`` for
+list elements, e.g. ``cases[0].revised_allocations_per_solve``) insists
+the key exists in *both* reports: the walk above only gates keys present
+in the baseline, so a metric that silently vanishes from a regenerated
+baseline — or was never produced because the drill that feeds it didn't
+run — would otherwise pass unchecked. The cluster smoke uses it to make
 ``warm_hit_after_failover`` and ``backend_failover_observed`` mandatory,
 not merely non-regressing.
 
@@ -40,6 +41,7 @@ Exit codes: 0 ok, 1 regression, 2 usage / unreadable report.
 
 import argparse
 import json
+import re
 import sys
 
 GAP_ABSOLUTE_FLOOR = 1e-9
@@ -139,13 +141,31 @@ class Comparison:
                             f"is {cur!r}")
 
 
-def lookup(report, dotted):
-    """Resolves a dotted path ('router.failovers') in nested dicts."""
+PATH_PART = re.compile(r"([^.\[\]]+)((?:\[\d+\])*)")
+
+
+def parse_path(path):
+    """Splits 'cases[0].n' into ['cases', 0, 'n']; None if malformed."""
+    steps = []
+    for part in path.split("."):
+        match = PATH_PART.fullmatch(part)
+        if match is None:
+            return None
+        steps.append(match.group(1))
+        steps.extend(int(i) for i in re.findall(r"\d+", match.group(2)))
+    return steps
+
+
+def lookup(report, steps):
+    """Resolves parse_path steps in nested dicts and lists."""
     node = report
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
+    for step in steps:
+        if isinstance(step, int):
+            if not isinstance(node, list) or step >= len(node):
+                return False, None
+        elif not isinstance(node, dict) or step not in node:
             return False, None
-        node = node[part]
+        node = node[step]
     return True, node
 
 
@@ -181,21 +201,30 @@ def main():
         action="append",
         default=[],
         metavar="KEY",
-        help="dotted key that must exist in both reports (repeatable); a "
-        "missing required key fails the gate even if nothing regressed",
+        help="key path that must exist in both reports (repeatable; dotted, "
+        "with [i] for list elements); a missing required key fails the gate "
+        "even if nothing regressed",
     )
     args = parser.parse_args()
     if not 0 <= args.threshold < 1:
         print("bench_compare: --threshold must be in [0, 1)", file=sys.stderr)
         sys.exit(2)
+    required = []
+    for key in args.require:
+        steps = parse_path(key)
+        if steps is None:
+            print(f"bench_compare: malformed --require path {key!r}",
+                  file=sys.stderr)
+            sys.exit(2)
+        required.append((key, steps))
 
     baseline = load(args.baseline)
     current = load(args.current)
     comparison = Comparison(args.threshold, args.gate_timing)
     comparison.walk("", baseline, current)
-    for key in args.require:
+    for key, steps in required:
         for label, report in (("baseline", baseline), ("current", current)):
-            found, _ = lookup(report, key)
+            found, _ = lookup(report, steps)
             if not found:
                 comparison.fail(key, f"required key missing from {label}")
         comparison.checked += 1

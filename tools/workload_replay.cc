@@ -11,7 +11,7 @@
 // written with `interrupted: true` and the cycles actually completed.
 //
 //   workload_replay --scenario=zipf --stream=walk --cycles=40 --drift=0.08
-//   workload_replay --scenario=correlated --budget_lo=6 --budget_hi=18 \
+//   workload_replay --scenario=correlated --budget_lo=6 --budget_hi=18
 //       --budget_steps=4 --pricing_threads=4 --json=replay.json
 //   workload_replay --game=game.json --cycles=50 --budget_steps=1
 #include <signal.h>
