@@ -7,8 +7,8 @@
 //  * --smoke_json=PATH: a quick run that writes a BENCH_*.json report
 //    (master iteration counts, warm-start coverage and steady-state
 //    allocations of the incremental master, Syn A objectives), plus the
-//    work counters of fixed cold ISHM sweeps over CGGS — the form CI runs
-//    and archives per PR.
+//    work counters and median time of fixed cold ISHM sweeps over CGGS —
+//    the form CI runs and archives per PR.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/alloc_count.h"
 #include "bench/smoke_common.h"
@@ -242,18 +243,33 @@ int RunSmoke(const std::string& json_path) {
   uniform_spec->num_types = 5;
   const auto uniform = scenario::Generate(*uniform_spec);
   const auto uniform_compiled = core::Compile(*uniform);
+  // Every sweep starts from a fresh detection model, as a server's cold
+  // solve does; the timed repeats report the median (ungated context).
+  constexpr int kSweepRepeats = 9;
   for (const double budget : {6.0, 10.0}) {
-    auto detection = core::DetectionModel::Create(*uniform, budget);
     core::IshmOptions ishm_options;
     ishm_options.step_size = 0.25;
-    const auto ishm = core::SolveIshm(
-        *uniform, core::MakeCggsEvaluator(*uniform_compiled, *detection),
-        ishm_options);
-    if (!ishm.ok()) {
-      std::fprintf(stderr, "ishm-cggs sweep failed: %s\n",
-                   ishm.status().ToString().c_str());
-      std::exit(1);
+    auto cold_sweep = [&](core::DetectionModel& detection) {
+      auto ishm = core::SolveIshm(
+          *uniform, core::MakeCggsEvaluator(*uniform_compiled, detection),
+          ishm_options);
+      if (!ishm.ok()) {
+        std::fprintf(stderr, "ishm-cggs sweep failed: %s\n",
+                     ishm.status().ToString().c_str());
+        std::exit(1);
+      }
+      return ishm;
+    };
+    auto detection = core::DetectionModel::Create(*uniform, budget);
+    const auto ishm = cold_sweep(*detection);
+    std::vector<double> sweep_seconds;
+    for (int r = 0; r < kSweepRepeats; ++r) {
+      auto fresh = core::DetectionModel::Create(*uniform, budget);
+      util::Timer timer;
+      cold_sweep(*fresh);
+      sweep_seconds.push_back(timer.ElapsedSeconds());
     }
+    std::sort(sweep_seconds.begin(), sweep_seconds.end());
     const core::CggsWork& work = ishm->stats.cggs;
     util::JsonValue::Object sweep;
     sweep["budget"] = budget;
@@ -273,16 +289,18 @@ int RunSmoke(const std::string& json_path) {
     sweep["ishm_master_iterations"] =
         static_cast<double>(work.master_lp_iterations);
     sweep["ishm_objective"] = ishm->objective;
+    sweep["ishm_sweep_seconds"] = sweep_seconds[kSweepRepeats / 2];
     std::printf("ishm-cggs sweep budget=%.0f probes %lld pruned %lld "
                 "lp_solves %d (warm %d, cold retries %d) pivots %ld "
-                "table refreshes %lld retabulated %lld obj %.9f\n",
+                "table refreshes %lld retabulated %lld obj %.9f "
+                "%.0f us/sweep\n",
                 budget, static_cast<long long>(ishm->stats.distinct_evaluations),
                 static_cast<long long>(ishm->stats.pruned), work.lp_solves,
                 work.warm_lp_solves, work.cold_retries,
                 work.master_lp_iterations,
                 static_cast<long long>(detection->stats().table_refreshes),
                 static_cast<long long>(detection->stats().types_retabulated),
-                ishm->objective);
+                ishm->objective, 1e6 * sweep_seconds[kSweepRepeats / 2]);
     sweeps.push_back(std::move(sweep));
   }
 

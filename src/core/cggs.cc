@@ -346,25 +346,47 @@ void ProjectDualUtility(const CompiledGame& game, const UtilityRows& rows,
   }
 }
 
-double MinOverOrderings(const DetectionModel& detection, const DualUtility& f,
-                        std::vector<double>& best) {
+double MinOverOrderings(const DetectionModel& detection,
+                        const DualUtility* ring, size_t count,
+                        std::vector<double>& scratch) {
+  double bound = -std::numeric_limits<double>::infinity();
+  if (count == 0) return bound;
   const int t_count = detection.num_types();
   const uint32_t full = (uint32_t{1} << t_count) - 1;
   const double* table = detection.subset_table().data();
-  best.resize(static_cast<size_t>(full) + 1);
-  best[0] = 0.0;
+  // scratch = slopes (type-major) then best (set-major), entries innermost
+  // in both, so the inner loop runs over contiguous entries.
+  scratch.resize((static_cast<size_t>(t_count) + full + 1) * count);
+  double* slopes = scratch.data();
+  double* best = slopes + static_cast<size_t>(t_count) * count;
+  for (int t = 0; t < t_count; ++t) {
+    for (size_t k = 0; k < count; ++k) {
+      slopes[static_cast<size_t>(t) * count + k] =
+          ring[k].slope[static_cast<size_t>(t)];
+    }
+  }
+  for (size_t k = 0; k < count; ++k) best[k] = 0.0;
   for (uint32_t set = 1; set <= full; ++set) {
-    double value = -std::numeric_limits<double>::infinity();
+    double* value = best + static_cast<size_t>(set) * count;
+    for (size_t k = 0; k < count; ++k) {
+      value[k] = -std::numeric_limits<double>::infinity();
+    }
     for (int t = 0; t < t_count; ++t) {
       if (((set >> t) & 1u) == 0) continue;
       const uint32_t before = set & ~(uint32_t{1} << t);
       const double pal = table[static_cast<size_t>(before) * t_count + t];
-      value = std::max(value,
-                       best[before] + f.slope[static_cast<size_t>(t)] * pal);
+      const double* prior = best + static_cast<size_t>(before) * count;
+      const double* slope = slopes + static_cast<size_t>(t) * count;
+      for (size_t k = 0; k < count; ++k) {
+        value[k] = std::max(value[k], prior[k] + slope[k] * pal);
+      }
     }
-    best[set] = value;
   }
-  return f.constant - best[full];
+  const double* at_full = best + static_cast<size_t>(full) * count;
+  for (size_t k = 0; k < count; ++k) {
+    bound = std::max(bound, ring[k].constant - at_full[k]);
+  }
+  return bound;
 }
 
 }  // namespace auditgame::core

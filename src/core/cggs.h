@@ -147,15 +147,19 @@ void ProjectDualUtility(const CompiledGame& game, const UtilityRows& rows,
                         const std::vector<std::vector<double>>& victim_duals,
                         DualUtility& out);
 
-/// The minimum of `f` over every ordering of the types, at the thresholds
-/// of the subset table `detection` last refreshed (RefreshSubsetTable), by
-/// a DP over type sets: best(S) = max over t in S of best(S \ t) +
-/// slope[t] * Pal(t | S \ t). With `f` from ProjectDualUtility, this is a
-/// lower bound on the LP optimum over all orderings at those thresholds,
-/// and so on any CGGS objective there (weak duality). `best` is scratch,
-/// resized in place to 2^T entries.
-double MinOverOrderings(const DetectionModel& detection, const DualUtility& f,
-                        std::vector<double>& best);
+/// The largest, over the `count` entries of `ring`, of each entry's
+/// minimum over every ordering of the types, at the thresholds of the
+/// subset table `detection` last refreshed (RefreshSubsetTable). One DP
+/// pass over the type sets serves every entry f:
+/// best_f(S) = max over t in S of best_f(S \ t) + f.slope[t] * Pal(t | S \ t),
+/// and f's minimum is f.constant - best_f(all types). With entries from
+/// ProjectDualUtility, each minimum is a lower bound on the LP optimum over
+/// all orderings at those thresholds, and so on any CGGS objective there
+/// (weak duality). -infinity when `count` is 0. `scratch` is resized in
+/// place to (T + 2^T) * count entries.
+double MinOverOrderings(const DetectionModel& detection,
+                        const DualUtility* ring, size_t count,
+                        std::vector<double>& scratch);
 
 }  // namespace auditgame::core
 

@@ -259,17 +259,12 @@ util::StatusOr<CggsResult> CggsSweep::Solve(
 }
 
 double CggsSweep::LowerBound(const std::vector<double>& thresholds) {
-  double bound = -std::numeric_limits<double>::infinity();
   if (ring_filled_ == 0 || !detection_.SetThresholds(thresholds).ok() ||
       !detection_.RefreshSubsetTable().ok()) {
-    return bound;
+    return -std::numeric_limits<double>::infinity();
   }
-  for (int k = 0; k < ring_filled_; ++k) {
-    bound = std::max(bound, MinOverOrderings(detection_,
-                                             dual_ring_[static_cast<size_t>(k)],
-                                             dp_scratch_));
-  }
-  return bound;
+  return MinOverOrderings(detection_, dual_ring_.data(),
+                          static_cast<size_t>(ring_filled_), dp_scratch_);
 }
 
 ThresholdEvaluator MakeCggsEvaluator(const CompiledGame& game,

@@ -208,7 +208,10 @@ class Engine {
         return util::InternalError(
             "revised simplex: singular basis during phase 1");
     }
-    ComputeBasicValues();
+    // x_B is recomputed only after a phase that moved: a phase that made
+    // no step left the factors, the statuses and x exactly as the last
+    // recompute wrote them, so another would return the same bits.
+    if (used > 0) ComputeBasicValues();
 
     int used2 = 0;
     const PhaseOutcome phase2 =
@@ -230,7 +233,7 @@ class Engine {
         return util::InternalError(
             "revised simplex: singular basis during phase 2");
     }
-    ComputeBasicValues();
+    if (used2 > 0) ComputeBasicValues();
     ExtractSolution(result);
     return util::OkStatus();
   }
@@ -714,9 +717,8 @@ class Engine {
         model_.objective_constant() +
         math::Dot(ws_.cost.data(), ws_.x.data(), static_cast<size_t>(ns_));
 
-    ws_.cb.resize(static_cast<size_t>(m_));
-    for (int k = 0; k < m_; ++k) ws_.cb[k] = ws_.cost[ws_.basic[k]];
-    Btran(ws_.cb, ws_.y);
+    // Phase 2 ended on a pricing pass that found no entering column: its y
+    // is B'^{-1} c_B for this basis and eta file, so no second Btran.
     solution.dual.assign(ws_.y.begin(), ws_.y.end());
     solution.reduced_cost.assign(static_cast<size_t>(ns_), 0.0);
     for (int j = 0; j < ns_; ++j) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -251,7 +252,7 @@ TEST(CggsTest, MinOverOrderingsMatchesEnumeration) {
       DualUtility f;
       ProjectDualUtility(*game, UtilityRows(*game), raw, f);
       std::vector<double> scratch;
-      const double dp = MinOverOrderings(*detection, f, scratch);
+      const double dp = MinOverOrderings(*detection, &f, 1, scratch);
       // Re-installing the thresholds retires the table, so the oracle's
       // Pal comes from convolving each ordering.
       ASSERT_TRUE(detection->SetThresholds(thresholds).ok());
@@ -259,6 +260,104 @@ TEST(CggsTest, MinOverOrderingsMatchesEnumeration) {
       EXPECT_NEAR(dp, oracle, 1e-12 * (1.0 + std::fabs(oracle)))
           << types << " types, trial " << trial;
     }
+  }
+}
+
+// One entry's subset DP written out on its own, as a reference for the
+// fused pass: best(S) = max over t in S of best(S \ t) + slope_t *
+// Pal(t | S \ t), in increasing t.
+double SingleEntryDp(const DetectionModel& detection, const DualUtility& f) {
+  const int t_count = detection.num_types();
+  const uint32_t full = (uint32_t{1} << t_count) - 1;
+  const std::vector<double>& table = detection.subset_table();
+  std::vector<double> best(static_cast<size_t>(full) + 1);
+  for (uint32_t set = 1; set <= full; ++set) {
+    double value = -std::numeric_limits<double>::infinity();
+    for (int t = 0; t < t_count; ++t) {
+      if (((set >> t) & 1u) == 0) continue;
+      const uint32_t before = set & ~(uint32_t{1} << t);
+      const double pal = table[static_cast<size_t>(before) * t_count + t];
+      value = std::max(value,
+                       best[before] + f.slope[static_cast<size_t>(t)] * pal);
+    }
+    best[set] = value;
+  }
+  return f.constant - best[full];
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The fused DP over a whole dual ring returns, bit for bit, the largest of
+// the entries' single-entry minima, for every ring fill CggsSweep can
+// reach: projected duals from raw duals with zero and negative entries,
+// and unprojected forms whose slopes are zero or negative. Each
+// single-entry call must in turn match the DP written out above.
+TEST(CggsTest, MinOverOrderingsRingEqualsMaxOfSingleEntries) {
+  for (int types = 3; types <= 7; ++types) {
+    auto spec = scenario::SpecByName("uniform");
+    ASSERT_TRUE(spec.ok());
+    spec->num_types = types;
+    spec->seed = static_cast<uint64_t>(90 + types);
+    auto instance = scenario::Generate(*spec);
+    ASSERT_TRUE(instance.ok());
+    const auto game = Compile(*instance);
+    ASSERT_TRUE(game.ok());
+    const UtilityRows rows(*game);
+    auto detection = DetectionModel::Create(*instance, 1.5 * types);
+    ASSERT_TRUE(detection.ok());
+    util::Rng rng(static_cast<uint64_t>(types) * 31);
+    std::vector<DualUtility> ring(8);
+    for (size_t k = 0; k < ring.size(); ++k) {
+      if (k % 2 == 0) {
+        std::vector<std::vector<double>> raw(game->groups.size());
+        for (size_t g = 0; g < raw.size(); ++g) {
+          for (size_t v = 0; v < game->groups[g].victims.size(); ++v) {
+            // Entry 4 is all zero: the even-spread case.
+            const int64_t pick = rng.UniformInt(int64_t{0}, int64_t{2});
+            raw[g].push_back(k == 4 || pick == 0 ? 0.0
+                             : pick == 1         ? -rng.Uniform(0.0, 1.0)
+                                                 : rng.Uniform(0.0, 2.0));
+          }
+        }
+        ProjectDualUtility(*game, rows, raw, ring[k]);
+      } else {
+        ring[k].constant = rng.Uniform(-5.0, 5.0);
+        ring[k].slope.clear();
+        for (int t = 0; t < types; ++t) {
+          ring[k].slope.push_back(t % 3 == 0 ? 0.0 : rng.Uniform(-2.0, 2.0));
+        }
+      }
+    }
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<double> thresholds;
+      for (int t = 0; t < types; ++t) {
+        thresholds.push_back(
+            static_cast<double>(rng.UniformInt(int64_t{0}, int64_t{8})));
+      }
+      ASSERT_TRUE(detection->SetThresholds(thresholds).ok());
+      ASSERT_TRUE(detection->RefreshSubsetTable().ok());
+      std::vector<double> scratch;
+      for (size_t fill = 1; fill <= ring.size(); ++fill) {
+        double expected = -std::numeric_limits<double>::infinity();
+        for (size_t k = 0; k < fill; ++k) {
+          const double single =
+              MinOverOrderings(*detection, &ring[k], 1, scratch);
+          EXPECT_TRUE(SameBits(single, SingleEntryDp(*detection, ring[k])))
+              << types << " types, trial " << trial << ", entry " << k;
+          expected = std::max(expected, single);
+        }
+        const double fused =
+            MinOverOrderings(*detection, ring.data(), fill, scratch);
+        EXPECT_TRUE(SameBits(fused, expected))
+            << types << " types, trial " << trial << ", fill " << fill
+            << ": " << fused << " vs " << expected;
+      }
+    }
+    std::vector<double> scratch;
+    EXPECT_EQ(MinOverOrderings(*detection, ring.data(), 0, scratch),
+              -std::numeric_limits<double>::infinity());
   }
 }
 

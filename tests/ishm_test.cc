@@ -344,16 +344,12 @@ class BoundedFullLp {
 
  private:
   double Bound(const std::vector<double>& thresholds) {
-    double bound = -std::numeric_limits<double>::infinity();
     if (!detection_.SetThresholds(thresholds).ok() ||
         !detection_.RefreshSubsetTable().ok()) {
-      return bound;
+      return -std::numeric_limits<double>::infinity();
     }
     std::vector<double> scratch;
-    for (size_t k = 0; k < filled_; ++k) {
-      bound = std::max(bound, MinOverOrderings(detection_, ring_[k], scratch));
-    }
-    return bound;
+    return MinOverOrderings(detection_, ring_.data(), filled_, scratch);
   }
 
   const CompiledGame& game_;

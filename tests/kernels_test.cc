@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,8 +39,18 @@ double ReferenceBlockedSum(const std::vector<double>& terms) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
+// Every n in 0-19 (each tail length after 0-4 full blocks), then large.
+std::vector<size_t> ReductionSizes() {
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n < 20; ++n) sizes.push_back(n);
+  for (size_t n : {63u, 64u, 255u, 257u, 1000u, 1024u, 4097u}) {
+    sizes.push_back(n);
+  }
+  return sizes;
+}
+
 TEST(KernelsTest, SumFollowsCanonicalBlockedOrder) {
-  for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 63u, 64u, 257u, 1000u}) {
+  for (size_t n : ReductionSizes()) {
     const std::vector<double> x = RandomVector(n, 11 + n);
     EXPECT_TRUE(SameBits(Sum(x.data(), n), ReferenceBlockedSum(x)))
         << "n=" << n;
@@ -47,7 +58,7 @@ TEST(KernelsTest, SumFollowsCanonicalBlockedOrder) {
 }
 
 TEST(KernelsTest, DotAndAbsDiffSumFollowCanonicalBlockedOrder) {
-  for (size_t n : {1u, 3u, 4u, 6u, 8u, 17u, 64u, 255u, 1024u, 4097u}) {
+  for (size_t n : ReductionSizes()) {
     const std::vector<double> x = RandomVector(n, 101 + n);
     const std::vector<double> y = RandomVector(n, 202 + n);
     std::vector<double> products(n), distances(n);
@@ -87,28 +98,41 @@ TEST(KernelsTest, ElementwiseKernelsRoundOncePerElement) {
   }
 }
 
-TEST(KernelsTest, ConvolveShiftSaturateMatchesDefinition) {
-  for (size_t n : {1u, 4u, 9u, 33u, 128u}) {
+// Every shift up to n for n < 20 covers each saturating-tail length in
+// 0-19; the large n keep their spot checks.
+std::vector<std::pair<size_t, size_t>> ConvolveCases() {
+  std::vector<std::pair<size_t, size_t>> cases;
+  for (size_t n = 1; n < 20; ++n) {
+    for (size_t shift = 0; shift <= n; ++shift) cases.emplace_back(n, shift);
+  }
+  for (size_t n : {33u, 128u}) {
     for (size_t shift : {size_t{0}, size_t{1}, n / 2, n - 1, n}) {
-      const std::vector<double> p = RandomVector(n, 5 + n + shift);
-      const std::vector<double> base = RandomVector(n, 55 + n + shift);
-      const double q = 0.625;
+      cases.emplace_back(n, shift);
+    }
+  }
+  return cases;
+}
 
-      // Reference: element-wise adds over the non-saturating range, then
-      // one blocked-order reduction of the saturating tail.
-      std::vector<double> expected = base;
-      const size_t dense = n - shift;
-      for (size_t s = 0; s < dense; ++s) expected[s + shift] += q * p[s];
-      std::vector<double> tail_terms;
-      for (size_t s = dense; s < n; ++s) tail_terms.push_back(q * p[s]);
-      expected[n - 1] += ReferenceBlockedSum(tail_terms);
+TEST(KernelsTest, ConvolveShiftSaturateMatchesDefinition) {
+  for (const auto& [n, shift] : ConvolveCases()) {
+    const std::vector<double> p = RandomVector(n, 5 + n + shift);
+    const std::vector<double> base = RandomVector(n, 55 + n + shift);
+    const double q = 0.625;
 
-      std::vector<double> next = base;
-      ConvolveShiftSaturate(p.data(), n, shift, q, next.data());
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_TRUE(SameBits(next[i], expected[i]))
-            << "n=" << n << " shift=" << shift << " i=" << i;
-      }
+    // Reference: element-wise adds over the non-saturating range, then
+    // one blocked-order reduction of the saturating tail.
+    std::vector<double> expected = base;
+    const size_t dense = n - shift;
+    for (size_t s = 0; s < dense; ++s) expected[s + shift] += q * p[s];
+    std::vector<double> tail_terms;
+    for (size_t s = dense; s < n; ++s) tail_terms.push_back(q * p[s]);
+    expected[n - 1] += ReferenceBlockedSum(tail_terms);
+
+    std::vector<double> next = base;
+    ConvolveShiftSaturate(p.data(), n, shift, q, next.data());
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(SameBits(next[i], expected[i]))
+          << "n=" << n << " shift=" << shift << " i=" << i;
     }
   }
 }

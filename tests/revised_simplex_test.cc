@@ -262,6 +262,82 @@ TEST(RevisedSimplexTest, WarmStartMatchesColdOnRepeatedSolve) {
   EXPECT_NEAR(warm.solution.objective, cold.solution.objective, 1e-9);
 }
 
+// ---- Pivot-free phases ---------------------------------------------------
+
+// min 3a + 2b + 4c + 5d  s.t.  a + b + 2d >= r0,  b + c + d >= r1,
+// a + c + d >= r2,  all >= 0. A phase that makes no pivot leaves x_B as the
+// solve's first recompute wrote it, and the duals come from phase 2's last
+// pricing pass; each case below must still pass the optimality checks.
+LpModel CoveringLp(double r0, double r1, double r2) {
+  LpModel model;
+  for (const double cost : {3.0, 2.0, 4.0, 5.0}) {
+    model.AddNonNegativeVariable(cost);
+  }
+  const double a[3][4] = {{1, 1, 0, 2}, {0, 1, 1, 1}, {1, 0, 1, 1}};
+  const double rhs[3] = {r0, r1, r2};
+  for (int i = 0; i < 3; ++i) {
+    const int row = model.AddConstraint(Sense::kGreaterEqual, rhs[i]);
+    for (int j = 0; j < 4; ++j) {
+      if (a[i][j] != 0.0) model.AddCoefficient(row, j, a[i][j]);
+    }
+  }
+  return model;
+}
+
+void ExpectOptimalLike(const LpModel& model, const RevisedSolution& got,
+                       const RevisedSolution& cold) {
+  ASSERT_EQ(got.solution.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(CheckPrimalFeasibility(model, got.solution).ok())
+      << CheckPrimalFeasibility(model, got.solution);
+  EXPECT_TRUE(CheckOptimality(model, got.solution).ok())
+      << CheckOptimality(model, got.solution);
+  EXPECT_NEAR(got.solution.objective, cold.solution.objective, 1e-9);
+}
+
+TEST(RevisedSimplexTest, PivotFreePhasesKeepPrimalsAndDualsCurrent) {
+  LpModel model = CoveringLp(2.0, 3.0, 1.0);
+  const RevisedSolution optimal = SolveRevisedOrDie(model);
+  ASSERT_EQ(optimal.solution.status, SolveStatus::kOptimal);
+
+  {
+    SCOPED_TRACE("neither phase pivots");
+    // A column too expensive to enter: the optimal basis is re-verified.
+    LpModel grown = model;
+    const int dear = grown.AddNonNegativeVariable(50.0);
+    for (int i = 0; i < 3; ++i) grown.AddCoefficient(i, dear, 1.0);
+    const RevisedSolution warm = SolveRevisedOrDie(grown, &optimal.basis);
+    EXPECT_TRUE(warm.warm_started);
+    EXPECT_EQ(warm.solution.phase1_iterations, 0);
+    EXPECT_EQ(warm.solution.phase2_iterations, 0);
+    ExpectOptimalLike(grown, warm, SolveRevisedOrDie(grown));
+  }
+  {
+    SCOPED_TRACE("phase 1 does not pivot, phase 2 does");
+    // A column cheap enough to enter: the basis stays feasible.
+    LpModel grown = model;
+    const int cheap = grown.AddNonNegativeVariable(1.0);
+    for (int i = 0; i < 3; ++i) grown.AddCoefficient(i, cheap, 1.0);
+    const RevisedSolution warm = SolveRevisedOrDie(grown, &optimal.basis);
+    EXPECT_TRUE(warm.warm_started);
+    EXPECT_EQ(warm.solution.phase1_iterations, 0);
+    EXPECT_GT(warm.solution.phase2_iterations, 0);
+    ExpectOptimalLike(grown, warm, SolveRevisedOrDie(grown));
+  }
+  {
+    SCOPED_TRACE("phase 1 pivots, phase 2 does not");
+    // The optimum of a slack problem (every logical basic) is infeasible
+    // once the rows tighten; phase 1's first feasible basis is optimal.
+    const RevisedSolution slack = SolveRevisedOrDie(CoveringLp(-1.0, -1.0, -1.0));
+    ASSERT_EQ(slack.solution.status, SolveStatus::kOptimal);
+    const LpModel tight = CoveringLp(0.0, 1.0, 0.0);
+    const RevisedSolution warm = SolveRevisedOrDie(tight, &slack.basis);
+    EXPECT_TRUE(warm.basis_accepted);
+    EXPECT_GT(warm.solution.phase1_iterations, 0);
+    EXPECT_EQ(warm.solution.phase2_iterations, 0);
+    ExpectOptimalLike(tight, warm, SolveRevisedOrDie(tight));
+  }
+}
+
 // ---- Agreement with the dense-tableau oracle -----------------------------
 
 // Random bounded LP mixing doubly-bounded, one-sided, and free variables
