@@ -232,76 +232,87 @@ int RunSmoke(const std::string& json_path) {
     cases.push_back(std::move(json_case));
   }
 
-  // Cold ishm-cggs sweeps as the server runs them (uniform scenario,
-  // 5 types, eps 0.25): one master LP re-priced across every probe from
-  // one incrementally refreshed subset table, and probes the weak-duality
-  // bound rules out never solved. Master solves,
-  // warm resumes and pivots per sweep are deterministic, so CI gates them;
-  // losing the master reuse or the pruning shows up here first.
+  // Cold ishm-cggs sweeps as the server runs them (eps 0.25): one master
+  // LP re-priced across every probe from one incrementally refreshed subset
+  // table, and probes the weak-duality bound rules out never solved. The
+  // uniform scenario at 5 types is the served path; the catalog's zipf at
+  // 8 and 10 types is past kMaxBoundTypes, where nothing is pruned. Master
+  // solves, warm resumes and pivots per sweep are deterministic, so CI
+  // gates them; losing the master reuse or the pruning shows up here first.
   util::JsonValue::Array sweeps;
-  auto uniform_spec = scenario::SpecByName("uniform");
-  uniform_spec->num_types = 5;
-  const auto uniform = scenario::Generate(*uniform_spec);
-  const auto uniform_compiled = core::Compile(*uniform);
   // Every sweep starts from a fresh detection model, as a server's cold
   // solve does; the timed repeats report the median (ungated context).
   constexpr int kSweepRepeats = 9;
-  for (const double budget : {6.0, 10.0}) {
-    core::IshmOptions ishm_options;
-    ishm_options.step_size = 0.25;
-    auto cold_sweep = [&](core::DetectionModel& detection) {
-      auto ishm = core::SolveIshm(
-          *uniform, core::MakeCggsEvaluator(*uniform_compiled, detection),
-          ishm_options);
-      if (!ishm.ok()) {
-        std::fprintf(stderr, "ishm-cggs sweep failed: %s\n",
-                     ishm.status().ToString().c_str());
-        std::exit(1);
+  struct SweepGame {
+    const char* scenario;
+    int types;
+  };
+  for (const SweepGame& game : {SweepGame{"uniform", 5}, SweepGame{"zipf", 8},
+                                SweepGame{"zipf", 10}}) {
+    auto spec = scenario::SpecByName(game.scenario);
+    spec->num_types = game.types;
+    const auto instance = scenario::Generate(*spec);
+    const auto compiled = core::Compile(*instance);
+    for (const double budget : {6.0, 10.0}) {
+      core::IshmOptions ishm_options;
+      ishm_options.step_size = 0.25;
+      auto cold_sweep = [&](core::DetectionModel& detection) {
+        auto ishm = core::SolveIshm(
+            *instance, core::MakeCggsEvaluator(*compiled, detection),
+            ishm_options);
+        if (!ishm.ok()) {
+          std::fprintf(stderr, "ishm-cggs sweep failed: %s\n",
+                       ishm.status().ToString().c_str());
+          std::exit(1);
+        }
+        return ishm;
+      };
+      auto detection = core::DetectionModel::Create(*instance, budget);
+      const auto ishm = cold_sweep(*detection);
+      std::vector<double> sweep_seconds;
+      for (int r = 0; r < kSweepRepeats; ++r) {
+        auto fresh = core::DetectionModel::Create(*instance, budget);
+        util::Timer timer;
+        cold_sweep(*fresh);
+        sweep_seconds.push_back(timer.ElapsedSeconds());
       }
-      return ishm;
-    };
-    auto detection = core::DetectionModel::Create(*uniform, budget);
-    const auto ishm = cold_sweep(*detection);
-    std::vector<double> sweep_seconds;
-    for (int r = 0; r < kSweepRepeats; ++r) {
-      auto fresh = core::DetectionModel::Create(*uniform, budget);
-      util::Timer timer;
-      cold_sweep(*fresh);
-      sweep_seconds.push_back(timer.ElapsedSeconds());
+      std::sort(sweep_seconds.begin(), sweep_seconds.end());
+      const core::CggsWork& work = ishm->stats.cggs;
+      util::JsonValue::Object sweep;
+      sweep["scenario"] = game.scenario;
+      sweep["types"] = game.types;
+      sweep["budget"] = budget;
+      // Rows of the master LP: the groups' victim envelopes (context only).
+      sweep["victim_rows"] = compiled->num_envelope_rows();
+      sweep["probes"] = static_cast<double>(ishm->stats.distinct_evaluations);
+      sweep["pruned"] = static_cast<double>(ishm->stats.pruned);
+      sweep["cold_retries"] = work.cold_retries;
+      // Detection-table work (context only): subset-table refreshes that
+      // recomputed anything, and per-type tables the memo had to tabulate.
+      sweep["table_refreshes"] =
+          static_cast<double>(detection->stats().table_refreshes);
+      sweep["types_retabulated"] =
+          static_cast<double>(detection->stats().types_retabulated);
+      sweep["ishm_lp_solves"] = work.lp_solves;
+      sweep["ishm_warm_lp_solves"] = work.warm_lp_solves;
+      sweep["ishm_master_iterations"] =
+          static_cast<double>(work.master_lp_iterations);
+      sweep["ishm_objective"] = ishm->objective;
+      sweep["ishm_sweep_seconds"] = sweep_seconds[kSweepRepeats / 2];
+      std::printf("ishm-cggs sweep %s T=%d budget=%.0f probes %lld pruned "
+                  "%lld lp_solves %d (warm %d, cold retries %d) pivots %ld "
+                  "table refreshes %lld retabulated %lld obj %.9f "
+                  "%.0f us/sweep\n",
+                  game.scenario, game.types, budget,
+                  static_cast<long long>(ishm->stats.distinct_evaluations),
+                  static_cast<long long>(ishm->stats.pruned), work.lp_solves,
+                  work.warm_lp_solves, work.cold_retries,
+                  work.master_lp_iterations,
+                  static_cast<long long>(detection->stats().table_refreshes),
+                  static_cast<long long>(detection->stats().types_retabulated),
+                  ishm->objective, 1e6 * sweep_seconds[kSweepRepeats / 2]);
+      sweeps.push_back(std::move(sweep));
     }
-    std::sort(sweep_seconds.begin(), sweep_seconds.end());
-    const core::CggsWork& work = ishm->stats.cggs;
-    util::JsonValue::Object sweep;
-    sweep["budget"] = budget;
-    // Rows of the master LP: the groups' victim envelopes (context only).
-    sweep["victim_rows"] = uniform_compiled->num_envelope_rows();
-    sweep["probes"] = static_cast<double>(ishm->stats.distinct_evaluations);
-    sweep["pruned"] = static_cast<double>(ishm->stats.pruned);
-    sweep["cold_retries"] = work.cold_retries;
-    // Detection-table work (context only): subset-table refreshes that
-    // recomputed anything, and per-type tables the memo had to tabulate.
-    sweep["table_refreshes"] =
-        static_cast<double>(detection->stats().table_refreshes);
-    sweep["types_retabulated"] =
-        static_cast<double>(detection->stats().types_retabulated);
-    sweep["ishm_lp_solves"] = work.lp_solves;
-    sweep["ishm_warm_lp_solves"] = work.warm_lp_solves;
-    sweep["ishm_master_iterations"] =
-        static_cast<double>(work.master_lp_iterations);
-    sweep["ishm_objective"] = ishm->objective;
-    sweep["ishm_sweep_seconds"] = sweep_seconds[kSweepRepeats / 2];
-    std::printf("ishm-cggs sweep budget=%.0f probes %lld pruned %lld "
-                "lp_solves %d (warm %d, cold retries %d) pivots %ld "
-                "table refreshes %lld retabulated %lld obj %.9f "
-                "%.0f us/sweep\n",
-                budget, static_cast<long long>(ishm->stats.distinct_evaluations),
-                static_cast<long long>(ishm->stats.pruned), work.lp_solves,
-                work.warm_lp_solves, work.cold_retries,
-                work.master_lp_iterations,
-                static_cast<long long>(detection->stats().table_refreshes),
-                static_cast<long long>(detection->stats().types_retabulated),
-                ishm->objective, 1e6 * sweep_seconds[kSweepRepeats / 2]);
-    sweeps.push_back(std::move(sweep));
   }
 
   // Pricing quality: how far CGGS's heuristic pricing stops above the

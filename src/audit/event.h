@@ -32,9 +32,6 @@ struct AccessEvent {
     return it == numeric_attrs.end() ? fallback : it->second;
   }
 
-  bool HasString(const std::string& key) const {
-    return string_attrs.count(key) > 0;
-  }
   bool HasNumeric(const std::string& key) const {
     return numeric_attrs.count(key) > 0;
   }

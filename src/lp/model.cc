@@ -5,39 +5,18 @@
 
 namespace auditgame::lp {
 
-int LpModel::AddVariable(double cost, double lower, double upper,
-                         std::string name) {
+int LpModel::AddVariable(double cost, double lower, double upper) {
   costs_.push_back(cost);
   lower_.push_back(lower);
   upper_.push_back(upper);
-  if (!name.empty()) {
-    var_names_.resize(costs_.size());
-    var_names_.back() = std::move(name);
-  }
   return num_variables() - 1;
 }
 
-int LpModel::AddConstraint(Sense sense, double rhs, std::string name) {
+int LpModel::AddConstraint(Sense sense, double rhs) {
   rows_.emplace_back();
   senses_.push_back(sense);
   rhs_.push_back(rhs);
-  if (!name.empty()) {
-    row_names_.resize(rows_.size());
-    row_names_.back() = std::move(name);
-  }
   return num_constraints() - 1;
-}
-
-std::string LpModel::variable_name(int var) const {
-  const size_t j = static_cast<size_t>(var);
-  if (j < var_names_.size() && !var_names_[j].empty()) return var_names_[j];
-  return "x" + std::to_string(var);
-}
-
-std::string LpModel::constraint_name(int row) const {
-  const size_t i = static_cast<size_t>(row);
-  if (i < row_names_.size() && !row_names_[i].empty()) return row_names_[i];
-  return "c" + std::to_string(row);
 }
 
 void LpModel::AddCoefficient(int row, int var, double value) {

@@ -29,21 +29,20 @@ class LpModel {
   /// Adds a variable with objective coefficient `cost` and bounds
   /// [lower, upper]; use -kInfinity / kInfinity for free directions.
   /// Returns the variable index.
-  int AddVariable(double cost, double lower, double upper,
-                  std::string name = "");
+  int AddVariable(double cost, double lower, double upper);
 
   /// Convenience: non-negative variable.
-  int AddNonNegativeVariable(double cost, std::string name = "") {
-    return AddVariable(cost, 0.0, kInfinity, std::move(name));
+  int AddNonNegativeVariable(double cost) {
+    return AddVariable(cost, 0.0, kInfinity);
   }
 
   /// Convenience: free variable.
-  int AddFreeVariable(double cost, std::string name = "") {
-    return AddVariable(cost, -kInfinity, kInfinity, std::move(name));
+  int AddFreeVariable(double cost) {
+    return AddVariable(cost, -kInfinity, kInfinity);
   }
 
   /// Starts a new empty constraint row `a'x sense rhs`; returns its index.
-  int AddConstraint(Sense sense, double rhs, std::string name = "");
+  int AddConstraint(Sense sense, double rhs);
 
   /// Sets (accumulates) a coefficient in a row. Requires valid indices.
   void AddCoefficient(int row, int var, double value);
@@ -95,10 +94,13 @@ class LpModel {
   double cost(int var) const { return costs_[var]; }
   double lower_bound(int var) const { return lower_[var]; }
   double upper_bound(int var) const { return upper_[var]; }
-  /// The name given at creation, or "x<var>" / "c<row>" built on demand
-  /// for unnamed entries (only diagnostics and LP-format export read them).
-  std::string variable_name(int var) const;
-  std::string constraint_name(int row) const;
+  /// Index labels "x<var>" / "c<row>" for validation messages.
+  static std::string variable_name(int var) {
+    return "x" + std::to_string(var);
+  }
+  static std::string constraint_name(int row) {
+    return "c" + std::to_string(row);
+  }
   Sense sense(int row) const { return senses_[row]; }
   double rhs(int row) const { return rhs_[row]; }
 
@@ -126,13 +128,9 @@ class LpModel {
   std::vector<double> costs_;
   std::vector<double> lower_;
   std::vector<double> upper_;
-  // Names are stored only when a caller passes one: these are sized up to
-  // the last named entry, and unnamed entries hold the empty string.
-  std::vector<std::string> var_names_;
   std::vector<Row> rows_;
   std::vector<Sense> senses_;
   std::vector<double> rhs_;
-  std::vector<std::string> row_names_;
   double objective_constant_ = 0.0;
 };
 

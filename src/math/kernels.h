@@ -3,13 +3,12 @@
 
 #include <cmath>
 #include <cstddef>
-#include <utility>
 
 namespace auditgame::math {
 
 /// One home for the solver core's hot inner loops: dot/axpy/scaled-add,
-/// blocked-order sums, the detection prefix convolution, weighted-tail
-/// accumulation, and the sparse dots behind reduced-cost sweeps.
+/// blocked-order sums, the detection prefix convolution and weighted-tail
+/// accumulation.
 ///
 /// Determinism contract: reductions follow one canonical order — the
 /// *blocked* order with kBlockLanes = 4 independent accumulators:
@@ -113,16 +112,6 @@ inline void ConvolveShiftSaturate(const double* p, size_t n, size_t shift,
     next[n - 1] +=
         internal::BlockedSum(shift, [q, tail](size_t i) { return q * tail[i]; });
   }
-}
-
-/// Sparse dot against a dense vector: sum_k terms[k].second *
-/// y[terms[k].first] — the reduced-cost sweep's per-column dot, summed
-/// left to right (gather-bound), kept here so the sweep has one home.
-inline double SparseDot(const std::pair<int, double>* terms, size_t n,
-                        const double* y) {
-  double total = 0.0;
-  for (size_t k = 0; k < n; ++k) total += terms[k].second * y[terms[k].first];
-  return total;
 }
 
 /// ---- Canonical-order helper for data-dependent loops --------------------

@@ -40,8 +40,6 @@ class FrameClient {
   /// it). No-op when nothing is queued.
   util::Status FlushSends();
 
-  size_t queued_send_bytes() const { return send_buffer_.size(); }
-
   /// Decodes one frame from bytes already buffered by a previous Receive()
   /// — never reads the socket, never blocks. Returns true with *payload
   /// filled, or false when draining the buffer needs more socket data.

@@ -1,6 +1,7 @@
 #include "server/audit_server.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "server/binary_codec.h"
@@ -15,7 +16,53 @@ AuditServerOptions Normalized(AuditServerOptions options) {
   options.stats_refresh_ms = std::max(1, options.stats_refresh_ms);
   return options;
 }
+
+util::StatusOr<int> AtLeastOne(const util::FlagParser& flags,
+                               const std::string& name) {
+  const int value = flags.GetInt(name);
+  if (value < 1) {
+    return util::InvalidArgumentError("--" + name +
+                                      " must be at least 1, got " +
+                                      std::to_string(value));
+  }
+  return value;
+}
 }  // namespace
+
+void DefineAuditServerFlags(util::FlagParser& flags) {
+  flags.Define("shards", "4", "shard worker threads");
+  flags.Define("queue_capacity", "128",
+               "per-shard request-queue bound (full queue => overloaded)");
+  flags.Define("batch", "16", "max requests drained per shard wakeup");
+  flags.Define("budgets", "6,10", "budgets served per solve_cycle");
+  flags.Define("eps", "0.25", "ISHM step size, in (0, 1)");
+  flags.Define("warm_max_drift", "0.25",
+               "drift threshold above which re-solves are cold");
+}
+
+util::StatusOr<AuditServerOptions> AuditServerOptionsFromFlags(
+    const util::FlagParser& flags) {
+  AuditServerOptions options;
+  ASSIGN_OR_RETURN(options.num_shards, AtLeastOne(flags, "shards"));
+  ASSIGN_OR_RETURN(const int queue_capacity,
+                   AtLeastOne(flags, "queue_capacity"));
+  options.queue_capacity = static_cast<size_t>(queue_capacity);
+  ASSIGN_OR_RETURN(const int batch, AtLeastOne(flags, "batch"));
+  options.max_batch = static_cast<size_t>(batch);
+  options.service.budgets = flags.GetDoubleList("budgets");
+  if (options.service.budgets.empty()) {
+    return util::InvalidArgumentError(
+        "--budgets must name at least one budget");
+  }
+  const double eps = flags.GetDouble("eps");
+  if (!(eps > 0.0 && eps < 1.0)) {
+    return util::InvalidArgumentError("--eps must be in (0, 1), got " +
+                                      flags.GetString("eps"));
+  }
+  options.service.solver_options.ishm.step_size = eps;
+  options.service.warm_start_max_drift = flags.GetDouble("warm_max_drift");
+  return options;
+}
 
 AuditServer::AuditServer(core::GameInstance base_instance,
                          AuditServerOptions options)

@@ -14,8 +14,10 @@
 #include "server/reactor.h"
 #include "server/shard.h"
 #include "service/audit_service.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/status.h"
+#include "util/statusor.h"
 
 namespace auditgame::server {
 
@@ -41,6 +43,21 @@ struct AuditServerOptions {
   /// from disk before the server accepts a single connection.
   DurabilityOptions durability;
 };
+
+/// Defines the shard and service flags of every tool that starts an
+/// AuditServer: --shards, --queue_capacity, --batch, --budgets, --eps and
+/// --warm_max_drift.
+void DefineAuditServerFlags(util::FlagParser& flags);
+
+/// Resolves the flags defined by DefineAuditServerFlags into num_shards,
+/// queue_capacity, max_batch and the service's budgets, ISHM step size and
+/// warm-start gate; every other field keeps its default. Rejects
+/// --shards, --queue_capacity or --batch below 1 (a negative capacity
+/// would wrap to an unbounded queue that never answers `overloaded`), an
+/// empty --budgets, and an --eps outside (0, 1), which would fail every
+/// solve_cycle instead of the start.
+util::StatusOr<AuditServerOptions> AuditServerOptionsFromFlags(
+    const util::FlagParser& flags);
 
 /// The wire-serving layer over the paper's audit loop: N shards, each a
 /// single-writer AuditService host on its own thread, behind the shared

@@ -118,6 +118,58 @@ util::StatusOr<WalSync> WalSyncFromName(std::string_view name) {
                                     "' (none|batch|always)");
 }
 
+void DefineDurabilityFlags(util::FlagParser& flags) {
+  flags.Define("data_dir", "",
+               "durability root: per-shard snapshots + ingest WAL under "
+               "<data_dir>/shard-<i>/; startup recovers from it (empty = "
+               "no durability)");
+  flags.Define("wal_sync", "batch",
+               "WAL fsync policy: none (page cache only), batch (one "
+               "fdatasync per shard micro-batch — the group commit), "
+               "always (per record)");
+  flags.Define("snapshot_interval", "30",
+               "seconds between per-shard background snapshots (0 = never "
+               "by time)");
+  flags.Define("snapshot_every", "4096",
+               "WAL records between per-shard snapshots (0 = never by "
+               "count)");
+  flags.Define("wal_segment_mb", "64", "WAL segment rotation size in MiB");
+  flags.Define("snapshot_on_drain", "1",
+               "take a final snapshot on clean drain (0 forces the next "
+               "start through WAL replay)");
+}
+
+util::StatusOr<DurabilityOptions> DurabilityOptionsFromFlags(
+    const util::FlagParser& flags) {
+  DurabilityOptions options;
+  options.data_dir = flags.GetString("data_dir");
+  ASSIGN_OR_RETURN(options.wal_sync,
+                   WalSyncFromName(flags.GetString("wal_sync")));
+  const double interval = flags.GetDouble("snapshot_interval");
+  if (!(interval >= 0.0)) {
+    return util::InvalidArgumentError(
+        "--snapshot_interval must be >= 0 (0 = never by time), got " +
+        flags.GetString("snapshot_interval"));
+  }
+  options.snapshot_interval_seconds = interval;
+  const int every = flags.GetInt("snapshot_every");
+  if (every < 0) {
+    return util::InvalidArgumentError(
+        "--snapshot_every must be >= 0 (0 = never by count), got " +
+        std::to_string(every));
+  }
+  options.snapshot_every_records = static_cast<uint64_t>(every);
+  const int segment_mb = flags.GetInt("wal_segment_mb");
+  if (segment_mb < 1) {
+    return util::InvalidArgumentError(
+        "--wal_segment_mb must be at least 1, got " +
+        std::to_string(segment_mb));
+  }
+  options.wal_segment_bytes = static_cast<uint64_t>(segment_mb) << 20;
+  options.snapshot_on_drain = flags.GetInt("snapshot_on_drain") != 0;
+  return options;
+}
+
 util::Status WriteSnapshotFile(const std::string& path, uint32_t shard,
                                uint64_t seq, uint64_t wal_lsn,
                                std::string_view body) {

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/flags.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -54,6 +55,18 @@ struct DurabilityOptions {
 
   bool enabled() const { return !data_dir.empty(); }
 };
+
+/// Defines the durability flags of the serving tools: --data_dir,
+/// --wal_sync, --snapshot_interval, --snapshot_every, --wal_segment_mb and
+/// --snapshot_on_drain, with DurabilityOptions' defaults.
+void DefineDurabilityFlags(util::FlagParser& flags);
+
+/// Resolves the flags defined by DefineDurabilityFlags. Rejects an unknown
+/// --wal_sync, a negative --snapshot_interval or --snapshot_every (0 keeps
+/// its "never" meaning) and a --wal_segment_mb below 1, instead of
+/// clamping them into a different policy.
+util::StatusOr<DurabilityOptions> DurabilityOptionsFromFlags(
+    const util::FlagParser& flags);
 
 /// ---- File formats (shared with tools/audit_state) ----------------------
 ///
@@ -183,8 +196,8 @@ struct PersistenceStats {
 /// snapshot's write+fsync), and the startup recovery scan.
 ///
 /// Threading: Recover() runs before the shard thread starts. AppendWal()/
-/// CommitBatch()/MaybeSnapshot()/FinalSnapshot() are shard-thread-only.
-/// Stats() is safe from any thread.
+/// CommitBatch()/ShouldSnapshot()/SnapshotAsync()/FinalSnapshot() are
+/// shard-thread-only. Stats() is safe from any thread.
 class ShardPersistence {
  public:
   ShardPersistence(int shard_index, DurabilityOptions options);

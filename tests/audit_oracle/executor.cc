@@ -1,4 +1,4 @@
-#include "audit/executor.h"
+#include "tests/audit_oracle/executor.h"
 
 #include <algorithm>
 #include <cmath>

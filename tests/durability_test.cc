@@ -1,7 +1,7 @@
 // File-format and recovery-invariant tests for the durability layer:
 // atomic snapshots, WAL segment scan, torn-tail truncation (every
 // byte-truncation of the final record must recover cleanly), segment
-// rotation, and snapshot/WAL pruning.
+// rotation, snapshot/WAL pruning, and the durability flags.
 #include "server/durability.h"
 
 #include <fcntl.h>
@@ -14,6 +14,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/flags.h"
 
 namespace auditgame::server {
 namespace {
@@ -431,6 +433,66 @@ TEST(ShardPersistenceTest, CorruptNonFinalSegmentRefusesRecovery) {
                    },
                             [](const WalRecord&) { return util::OkStatus(); })
                    .ok());
+}
+
+util::StatusOr<DurabilityOptions> ParseDurability(
+    std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  util::FlagParser flags;
+  DefineDurabilityFlags(flags);
+  RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  return DurabilityOptionsFromFlags(flags);
+}
+
+TEST(DurabilityFlagsTest, DefaultsMatchTheOptionsStruct) {
+  auto options = ParseDurability({});
+  ASSERT_TRUE(options.ok()) << options.status();
+  const DurabilityOptions defaults;
+  EXPECT_EQ(options->data_dir, "");
+  EXPECT_FALSE(options->enabled());
+  EXPECT_EQ(options->wal_sync, defaults.wal_sync);
+  EXPECT_EQ(options->snapshot_interval_seconds,
+            defaults.snapshot_interval_seconds);
+  EXPECT_EQ(options->snapshot_every_records, defaults.snapshot_every_records);
+  EXPECT_EQ(options->wal_segment_bytes, defaults.wal_segment_bytes);
+  EXPECT_EQ(options->snapshot_on_drain, defaults.snapshot_on_drain);
+}
+
+TEST(DurabilityFlagsTest, ExplicitValuesPassThrough) {
+  auto options = ParseDurability(
+      {"--data_dir=/var/lib/audit", "--wal_sync=always",
+       "--snapshot_interval=2.5", "--snapshot_every=7", "--wal_segment_mb=1",
+       "--snapshot_on_drain=0"});
+  ASSERT_TRUE(options.ok()) << options.status();
+  EXPECT_EQ(options->data_dir, "/var/lib/audit");
+  EXPECT_EQ(options->wal_sync, WalSync::kAlways);
+  EXPECT_EQ(options->snapshot_interval_seconds, 2.5);
+  EXPECT_EQ(options->snapshot_every_records, 7u);
+  EXPECT_EQ(options->wal_segment_bytes, 1ull << 20);
+  EXPECT_FALSE(options->snapshot_on_drain);
+}
+
+TEST(DurabilityFlagsTest, ZeroStillMeansNeverForBothTriggers) {
+  auto options =
+      ParseDurability({"--snapshot_interval=0", "--snapshot_every=0"});
+  ASSERT_TRUE(options.ok()) << options.status();
+  EXPECT_EQ(options->snapshot_interval_seconds, 0.0);
+  EXPECT_EQ(options->snapshot_every_records, 0u);
+}
+
+TEST(DurabilityFlagsTest, BadValuesAreRejectedNotClamped) {
+  // A sign typo used to turn snapshots off (every restart replays the whole
+  // WAL), and a segment size <= 0 silently became 1 MiB.
+  for (const char* bad :
+       {"--snapshot_interval=-1", "--snapshot_every=-1", "--wal_segment_mb=0",
+        "--wal_segment_mb=-64", "--wal_sync=sometimes"}) {
+    auto options = ParseDurability({bad});
+    EXPECT_FALSE(options.ok()) << bad;
+    EXPECT_EQ(options.status().code(), util::StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 TEST(ShardPersistenceTest, WalSyncNames) {

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "audit/executor.h"
 #include "core/brute_force.h"
 #include "core/cggs.h"
 #include "core/detection.h"
@@ -16,6 +15,7 @@
 #include "data/credit.h"
 #include "data/emr.h"
 #include "data/syn_a.h"
+#include "tests/audit_oracle/executor.h"
 #include "util/random.h"
 
 namespace auditgame {

@@ -137,16 +137,6 @@ TEST(KernelsTest, ConvolveShiftSaturateMatchesDefinition) {
   }
 }
 
-TEST(KernelsTest, SparseDotGathersAgainstDenseVector) {
-  const std::vector<double> y = RandomVector(32, 9);
-  const std::vector<std::pair<int, double>> terms = {
-      {3, 0.5}, {0, -1.25}, {31, 2.0}, {3, 0.25}};
-  double expected = 0.0;
-  for (const auto& [index, weight] : terms) expected += weight * y[index];
-  EXPECT_TRUE(
-      SameBits(SparseDot(terms.data(), terms.size(), y.data()), expected));
-}
-
 TEST(KernelsTest, BlockedAccumulatorMatchesSumBitwise) {
   for (size_t n : {0u, 3u, 4u, 100u, 1001u}) {
     const std::vector<double> x = RandomVector(n, 31 + n);

@@ -1,5 +1,7 @@
 #include "lp/model.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace auditgame::lp {
@@ -7,12 +9,11 @@ namespace {
 
 TEST(LpModelTest, VariableAccessors) {
   LpModel model;
-  const int x = model.AddVariable(2.5, -1.0, 4.0, "x");
+  const int x = model.AddVariable(2.5, -1.0, 4.0);
   EXPECT_EQ(model.num_variables(), 1);
   EXPECT_DOUBLE_EQ(model.cost(x), 2.5);
   EXPECT_DOUBLE_EQ(model.lower_bound(x), -1.0);
   EXPECT_DOUBLE_EQ(model.upper_bound(x), 4.0);
-  EXPECT_EQ(model.variable_name(x), "x");
 }
 
 TEST(LpModelTest, DefaultNamesAreGenerated) {
@@ -59,14 +60,18 @@ TEST(LpModelTest, ValidateAcceptsWellFormed) {
 TEST(LpModelTest, ValidateRejectsInvertedBounds) {
   LpModel model;
   model.AddVariable(0.0, 2.0, 1.0);
-  EXPECT_FALSE(model.Validate().ok());
+  const util::Status status = model.Validate();
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("variable x0 "), std::string::npos);
 }
 
 TEST(LpModelTest, ValidateRejectsNonFiniteRhs) {
   LpModel model;
   model.AddNonNegativeVariable(1.0);
   model.AddConstraint(Sense::kLessEqual, kInfinity);
-  EXPECT_FALSE(model.Validate().ok());
+  const util::Status status = model.Validate();
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("constraint c0 "), std::string::npos);
 }
 
 TEST(LpModelTest, ValidateRejectsNonFiniteCoefficient) {

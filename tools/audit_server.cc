@@ -42,37 +42,13 @@ void HandleStopSignal(int /*signum*/) {
 int Run(int argc, char** argv) {
   util::FlagParser flags;
   server::DefineFrontEndFlags(flags, /*default_port=*/7353);
-  flags.Define("shards", "4", "shard worker threads");
-  flags.Define("queue_capacity", "128",
-               "per-shard request-queue bound (full queue => overloaded)");
-  flags.Define("batch", "16", "max requests drained per shard wakeup");
+  server::DefineAuditServerFlags(flags);
+  server::DefineDurabilityFlags(flags);
   flags.Define("stats_refresh_ms", "250",
                "stats-snapshot refresh period (the `stats` verb reads the "
                "snapshot, never the live shards)");
-  flags.Define("data_dir", "",
-               "durability root: per-shard snapshots + ingest WAL under "
-               "<data_dir>/shard-<i>/; startup recovers from it (empty = "
-               "no durability)");
-  flags.Define("wal_sync", "batch",
-               "WAL fsync policy: none (page cache only), batch (one "
-               "fdatasync per shard micro-batch — the group commit), "
-               "always (per record)");
-  flags.Define("snapshot_interval", "30",
-               "seconds between per-shard background snapshots (0 = never "
-               "by time)");
-  flags.Define("snapshot_every", "4096",
-               "WAL records between per-shard snapshots (0 = never by "
-               "count)");
-  flags.Define("wal_segment_mb", "64", "WAL segment rotation size in MiB");
-  flags.Define("snapshot_on_drain", "1",
-               "take a final snapshot on clean drain (0 forces the next "
-               "start through WAL replay)");
   scenario::DefineScenarioFlags(flags, /*default_scenario=*/"uniform",
                                 /*default_types=*/"5");
-  flags.Define("budgets", "6,10", "budgets served per solve_cycle");
-  flags.Define("eps", "0.25", "ISHM step size");
-  flags.Define("warm_max_drift", "0.25",
-               "drift threshold above which re-solves are cold");
   flags.Define("threads", "-1",
                "engine workers per tenant service; -1 = inline mode (solve "
                "on the shard thread, no per-tenant pool — the only mode "
@@ -99,44 +75,23 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
+  auto parsed_options = server::AuditServerOptionsFromFlags(flags);
   auto front = server::FrontEndOptionsFromFlags(flags);
-  if (!front.ok()) {
-    std::cerr << front.status() << "\n";
-    return 1;
+  auto durability = server::DurabilityOptionsFromFlags(flags);
+  for (const util::Status& resolved :
+       {parsed_options.status(), front.status(), durability.status()}) {
+    if (!resolved.ok()) {
+      std::cerr << resolved << "\n";
+      return 1;
+    }
   }
-  server::AuditServerOptions options;
+  server::AuditServerOptions options = *std::move(parsed_options);
   options.front = *std::move(front);
-  options.num_shards = flags.GetInt("shards");
+  options.durability = *std::move(durability);
   options.stats_refresh_ms = flags.GetInt("stats_refresh_ms");
-  options.queue_capacity = static_cast<size_t>(flags.GetInt("queue_capacity"));
-  options.max_batch = static_cast<size_t>(flags.GetInt("batch"));
-  options.service.budgets = flags.GetDoubleList("budgets");
-  options.service.solver_options.ishm.step_size = flags.GetDouble("eps");
   options.service.solver_options.cggs.pricing_threads =
       flags.GetInt("pricing_threads");
-  options.service.warm_start_max_drift = flags.GetDouble("warm_max_drift");
   options.service.num_threads = flags.GetInt("threads");
-  if (options.service.budgets.empty()) {
-    std::cerr << "--budgets must name at least one budget\n";
-    return 1;
-  }
-  options.durability.data_dir = flags.GetString("data_dir");
-  if (auto sync = server::WalSyncFromName(flags.GetString("wal_sync"));
-      sync.ok()) {
-    options.durability.wal_sync = *sync;
-  } else {
-    std::cerr << sync.status() << "\n";
-    return 1;
-  }
-  options.durability.snapshot_interval_seconds =
-      flags.GetDouble("snapshot_interval");
-  options.durability.snapshot_every_records =
-      static_cast<uint64_t>(std::max(0, flags.GetInt("snapshot_every")));
-  options.durability.wal_segment_bytes =
-      static_cast<uint64_t>(std::max(1, flags.GetInt("wal_segment_mb")))
-      << 20;
-  options.durability.snapshot_on_drain =
-      flags.GetInt("snapshot_on_drain") != 0;
 
   server::AuditServer server(std::move(*instance), options);
   if (util::Status started = server.Start(); !started.ok()) {

@@ -352,20 +352,12 @@ int Run(int argc, char** argv) {
   flags.Define("stream_seed", "1",
                "stream RNG seed (tenant i uses stream_seed + i)");
   flags.Define("json", "", "BENCH_server.json output path (empty = none)");
-  // In-process-server configuration (with --connect only the reported
-  // `shards` label is taken from here — pass the external server's real
-  // value so the BENCH report describes the right topology).
-  flags.Define("shards", "4",
-               "in-process server: shard worker threads (with --connect: "
-               "label-only, set to the server's value)");
+  // In-process-server configuration, the audit_server's own flags. With
+  // --connect only the reported `shards` label is taken from here — pass
+  // the external server's real value so the BENCH report describes the
+  // right topology.
+  server::DefineAuditServerFlags(flags);
   flags.Define("reactors", "1", "in-process server: reactor IO threads");
-  flags.Define("queue_capacity", "128",
-               "in-process server: per-shard queue bound");
-  flags.Define("batch", "16", "in-process server: max batch per wakeup");
-  flags.Define("budgets", "6,10", "in-process server: budgets per cycle");
-  flags.Define("eps", "0.25", "in-process server: ISHM step size");
-  flags.Define("warm_max_drift", "0.25",
-               "in-process server: warm-start drift threshold");
   auto status = flags.Parse(argc, argv);
   if (!status.ok()) {
     std::cerr << status << "\n" << flags.HelpString(argv[0]);
@@ -423,20 +415,17 @@ int Run(int argc, char** argv) {
   std::thread server_thread;
   const std::string connect = flags.GetString("connect");
   if (connect.empty()) {
-    server::AuditServerOptions options;
-    options.front.port = 0;
-    options.num_shards = flags.GetInt("shards");
-    options.front.num_reactors = flags.GetInt("reactors");
-    options.queue_capacity =
-        static_cast<size_t>(flags.GetInt("queue_capacity"));
-    options.max_batch = static_cast<size_t>(flags.GetInt("batch"));
-    options.service.budgets = flags.GetDoubleList("budgets");
-    options.service.solver_options.ishm.step_size = flags.GetDouble("eps");
-    options.service.warm_start_max_drift = flags.GetDouble("warm_max_drift");
+    auto options = server::AuditServerOptionsFromFlags(flags);
+    if (!options.ok()) {
+      std::cerr << options.status() << "\n";
+      return 1;
+    }
+    options->front.port = 0;
+    options->front.num_reactors = flags.GetInt("reactors");
     // Inline engines: tenant count is unbounded, per-tenant threads are not.
-    options.service.num_threads = -1;
+    options->service.num_threads = -1;
     local_server = std::make_unique<server::AuditServer>(
-        core::GameInstance(*instance), options);
+        core::GameInstance(*instance), *options);
     if (util::Status started = local_server->Start(); !started.ok()) {
       std::cerr << started << "\n";
       return 1;
