@@ -10,11 +10,9 @@
 //   5. Replay 2000 simulated audit days with strategic insiders
 //      best-responding to the policy and report the empirical detection
 //      rate against the analytic prediction.
-#include <algorithm>
-#include <cmath>
 #include <iostream>
-#include <vector>
 
+#include "audit/executor.h"
 #include "core/detection.h"
 #include "core/policy.h"
 #include "data/emr.h"
@@ -22,32 +20,6 @@
 #include "util/random.h"
 
 using namespace auditgame;  // NOLINT
-
-namespace {
-
-// Alerts of `type` audited on one realized day, under the paper's recourse
-// semantics: walking the ordering, each type audits
-// min(floor(remaining budget / C_t), floor(b_t / C_t), Z_t) alerts and
-// consumes min(b_t, Z_t C_t) of the budget.
-int AuditedAlerts(const std::vector<int>& ordering,
-                  const std::vector<double>& thresholds,
-                  const std::vector<double>& audit_costs, double budget,
-                  const std::vector<int>& alert_counts, int type) {
-  double consumed = 0.0;
-  for (int t : ordering) {
-    const double cost = audit_costs[t];
-    const double remaining =
-        std::max(std::floor((budget - consumed) / cost), 0.0);
-    const double audited =
-        std::min({remaining, std::floor(thresholds[t] / cost),
-                  static_cast<double>(alert_counts[t])});
-    if (t == type) return static_cast<int>(audited);
-    consumed += std::min(thresholds[t], alert_counts[t] * cost);
-  }
-  return 0;
-}
-
-}  // namespace
 
 int main() {
   data::EmrConfig config;
@@ -143,17 +115,15 @@ int main() {
   for (int day = 0; day < days; ++day) {
     // Draw an ordering from the mixture, then realize the day.
     const size_t o = rng.Categorical(policy->policy.probabilities);
-    std::vector<int> alerts = prob::SampleJoint(game->alert_distributions, rng);
-    alerts[static_cast<size_t>(attack_type)] += 1;  // the attack's own alert
-    const int audited = AuditedAlerts(
-        policy->policy.orderings[o], policy->policy.thresholds,
-        game->audit_costs, budget, alerts, attack_type);
-    // Each bin's audited subset is uniform, so the attack alert is
-    // inspected with probability audited / bin size.
-    if (rng.Uniform() < static_cast<double>(audited) /
-                            alerts[static_cast<size_t>(attack_type)]) {
-      ++detected;
-    }
+    audit::AuditConfiguration audit_config;
+    audit_config.ordering = policy->policy.orderings[o];
+    audit_config.thresholds = policy->policy.thresholds;
+    audit_config.audit_costs = game->audit_costs;
+    audit_config.budget = budget;
+    const std::vector<int> benign =
+        prob::SampleJoint(game->alert_distributions, rng);
+    auto outcome = audit::SimulateDay(audit_config, benign, attack_type, rng);
+    if (outcome.ok() && outcome->attack_detected) ++detected;
   }
   std::cout << "\n=== Adversarial replay (" << days << " days) ===\n"
             << "Best-response attack raises alert type " << attack_type + 1

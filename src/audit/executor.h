@@ -1,5 +1,5 @@
-#ifndef AUDIT_GAME_TESTS_AUDIT_ORACLE_EXECUTOR_H_
-#define AUDIT_GAME_TESTS_AUDIT_ORACLE_EXECUTOR_H_
+#ifndef AUDIT_GAME_AUDIT_EXECUTOR_H_
+#define AUDIT_GAME_AUDIT_EXECUTOR_H_
 
 #include <vector>
 
@@ -7,9 +7,6 @@
 #include "util/status.h"
 #include "util/statusor.h"
 
-// A direct, per-day simulation of the paper's recourse semantics. It shares
-// no code with core::DetectionModel: the detection, integration and property
-// tests check the analytic tables against it.
 namespace auditgame::audit {
 
 /// One concrete auditing pure strategy: inspect alert bins in `ordering`,
@@ -53,4 +50,4 @@ util::StatusOr<DayOutcome> SimulateDay(const AuditConfiguration& config,
 
 }  // namespace auditgame::audit
 
-#endif  // AUDIT_GAME_TESTS_AUDIT_ORACLE_EXECUTOR_H_
+#endif  // AUDIT_GAME_AUDIT_EXECUTOR_H_

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/executor.h"
 #include "prob/count_distribution.h"
 #include "scenario/generator.h"
-#include "tests/audit_oracle/executor.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 

@@ -11,10 +11,12 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tests/test_util.h"
 #include "util/flags.h"
 
 namespace auditgame::server {
@@ -437,12 +439,9 @@ TEST(ShardPersistenceTest, CorruptNonFinalSegmentRefusesRecovery) {
 
 util::StatusOr<DurabilityOptions> ParseDurability(
     std::vector<std::string> args) {
-  args.insert(args.begin(), "prog");
-  std::vector<char*> argv;
-  for (std::string& arg : args) argv.push_back(arg.data());
   util::FlagParser flags;
   DefineDurabilityFlags(flags);
-  RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  RETURN_IF_ERROR(testutil::ParseArgs(flags, std::move(args)));
   return DurabilityOptionsFromFlags(flags);
 }
 

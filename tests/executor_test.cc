@@ -1,4 +1,4 @@
-#include "tests/audit_oracle/executor.h"
+#include "audit/executor.h"
 
 #include <gtest/gtest.h>
 

@@ -12,29 +12,23 @@
 
 #include "gtest/gtest.h"
 #include "server/audit_server.h"
+#include "tests/test_util.h"
 #include "util/flags.h"
 
 namespace auditgame::server {
 namespace {
 
-util::Status ParseArgs(util::FlagParser& flags, std::vector<std::string> args) {
-  args.insert(args.begin(), "prog");
-  std::vector<char*> argv;
-  for (std::string& arg : args) argv.push_back(arg.data());
-  return flags.Parse(static_cast<int>(argv.size()), argv.data());
-}
-
 util::StatusOr<FrontEndOptions> Parse(std::vector<std::string> args) {
   util::FlagParser flags;
   DefineFrontEndFlags(flags, /*default_port=*/7353);
-  RETURN_IF_ERROR(ParseArgs(flags, std::move(args)));
+  RETURN_IF_ERROR(testutil::ParseArgs(flags, std::move(args)));
   return FrontEndOptionsFromFlags(flags);
 }
 
 util::StatusOr<AuditServerOptions> ParseServer(std::vector<std::string> args) {
   util::FlagParser flags;
   DefineAuditServerFlags(flags);
-  RETURN_IF_ERROR(ParseArgs(flags, std::move(args)));
+  RETURN_IF_ERROR(testutil::ParseArgs(flags, std::move(args)));
   return AuditServerOptionsFromFlags(flags);
 }
 

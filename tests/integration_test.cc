@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/executor.h"
 #include "core/brute_force.h"
 #include "core/cggs.h"
 #include "core/detection.h"
@@ -15,7 +16,6 @@
 #include "data/credit.h"
 #include "data/emr.h"
 #include "data/syn_a.h"
-#include "tests/audit_oracle/executor.h"
 #include "util/random.h"
 
 namespace auditgame {

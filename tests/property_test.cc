@@ -6,13 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/executor.h"
 #include "core/cggs.h"
 #include "core/detection.h"
 #include "core/game_io.h"
 #include "core/game_lp.h"
 #include "core/policy.h"
 #include "prob/count_distribution.h"
-#include "tests/audit_oracle/executor.h"
 #include "util/random.h"
 
 namespace auditgame {

@@ -1,14 +1,27 @@
 #ifndef AUDIT_GAME_TESTS_TEST_UTIL_H_
 #define AUDIT_GAME_TESTS_TEST_UTIL_H_
 
-// Shared fixtures for core/ tests: small hand-analyzable game instances.
+// Shared fixtures: small hand-analyzable game instances for core/ tests, and
+// a command-line helper for the tools' flag parsers.
 
+#include <string>
 #include <vector>
 
 #include "core/game.h"
 #include "prob/count_distribution.h"
+#include "util/flags.h"
+#include "util/status.h"
 
 namespace auditgame::testutil {
+
+/// Parses `args` (without the program name) as a tool's command line.
+inline util::Status ParseArgs(util::FlagParser& flags,
+                              std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return flags.Parse(static_cast<int>(argv.size()), argv.data());
+}
 
 /// A 2-type game with constant alert counts (Z = [2, 2]), unit audit costs,
 /// and one adversary who can attack a type-0 victim (benefit 4), a type-1

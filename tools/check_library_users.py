@@ -5,8 +5,7 @@ Every header under ``src/`` must be directly included by at least one file
 outside ``tests/`` — a library file, a tool, a bench driver, the perfbench
 client or an example — not counting the header's own ``.cc``. A header
 with no such includer is code no shipped binary runs: delete it, or move it
-under ``tests/`` next to the oracles it serves (``tests/lp_oracle/``,
-``tests/audit_oracle/``).
+under ``tests/`` next to the oracle it serves (``tests/lp_oracle/``).
 
     python3 tools/check_library_users.py [--root REPO]
 
