@@ -16,7 +16,7 @@
 #include "core/detection.h"
 #include "core/game_lp.h"
 #include "data/syn_a.h"
-#include "solver/registry.h"
+#include "solver/solver.h"
 #include "util/combinatorics.h"
 #include "util/flags.h"
 #include "util/random.h"
@@ -104,22 +104,15 @@ int Run(int argc, char** argv) {
     }
 
     // The greedy variants are the "cggs" backend with random probes off/on.
-    solver::SolveRequest request;
+    solver::EngineRequest request;
+    request.solver = "cggs";
+    request.instance = &*instance;
+    request.budget = budget;
     request.thresholds = thresholds;
-    solver::SolverOptions greedy;
-    greedy.cggs.random_probes = 0;
-    auto greedy_solver = solver::Create("cggs", greedy);
-    solver::SolverOptions greedy_random;
-    greedy_random.cggs.random_probes = 2;
-    auto greedy_random_solver = solver::Create("cggs", greedy_random);
-    if (!greedy_solver.ok() || !greedy_random_solver.ok()) {
-      std::cerr << greedy_solver.status() << " / "
-                << greedy_random_solver.status() << "\n";
-      return 1;
-    }
-    auto greedy_result = (*greedy_solver)->Solve(*compiled, *detection, request);
-    auto greedy_random_result =
-        (*greedy_random_solver)->Solve(*compiled, *detection, request);
+    request.options.cggs.random_probes = 0;
+    auto greedy_result = solver::Solve(request, *compiled);
+    request.options.cggs.random_probes = 2;
+    auto greedy_random_result = solver::Solve(request, *compiled);
     auto exact = ExactColumnGeneration(*compiled, *detection, thresholds);
     if (!greedy_result.ok() || !greedy_random_result.ok() || !exact.ok()) {
       std::cerr << greedy_result.status() << " / "

@@ -13,7 +13,7 @@
 #include "core/detection.h"
 #include "core/extensions.h"
 #include "data/syn_a.h"
-#include "solver/engine.h"
+#include "solver/solver.h"
 #include "util/flags.h"
 
 namespace {
@@ -27,8 +27,7 @@ util::StatusOr<core::AuditPolicy> SolveProposed(
   request.instance = &instance;
   request.budget = budget;
   request.options.ishm.step_size = 0.1;
-  ASSIGN_OR_RETURN(solver::SolveResult result,
-                   solver::SolverEngine::SolveOne(request));
+  ASSIGN_OR_RETURN(solver::SolveResult result, solver::Solve(request));
   return result.policy;
 }
 

@@ -77,7 +77,7 @@ int Run(int argc, char** argv) {
   // Cold solve of the baseline: the pre-drift policy every later variant
   // seeds from.
   const solver::EngineRequest base_request = make_request(*baseline);
-  auto pre_drift = solver::SolverEngine::SolveOne(base_request);
+  auto pre_drift = solver::Solve(base_request);
   if (!pre_drift.ok()) {
     std::cerr << pre_drift.status() << "\n";
     return 1;
@@ -101,7 +101,7 @@ int Run(int argc, char** argv) {
   util::StatusOr<solver::SolveResult> cold = util::InternalError("never ran");
   for (int r = 0; r < reps; ++r) {
     util::Timer timer;
-    cold = solver::SolverEngine::SolveOne(cold_request);
+    cold = solver::Solve(cold_request);
     cold_seconds += timer.ElapsedSeconds();
     if (!cold.ok()) {
       std::cerr << cold.status() << "\n";
@@ -119,7 +119,7 @@ int Run(int argc, char** argv) {
   util::StatusOr<solver::SolveResult> warm = util::InternalError("never ran");
   for (int r = 0; r < reps; ++r) {
     util::Timer timer;
-    warm = solver::SolverEngine::SolveOne(warm_request);
+    warm = solver::Solve(warm_request);
     warm_seconds += timer.ElapsedSeconds();
     if (!warm.ok()) {
       std::cerr << warm.status() << "\n";

@@ -28,7 +28,6 @@
 #include "data/syn_a.h"
 #include "prob/count_distribution.h"
 #include "scenario/generator.h"
-#include "solver/registry.h"
 #include "util/json.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -82,26 +81,25 @@ void BM_CggsByTypeCount(benchmark::State& state, int pricing_threads) {
   const auto compiled = core::Compile(instance);
   auto detection =
       core::DetectionModel::Create(instance, 2.0 * num_types);
-  solver::SolverOptions options;
-  options.cggs.pricing_threads = pricing_threads;
+  core::CggsOptions options;
+  options.pricing_threads = pricing_threads;
   // Pool spawn/join stays outside the timed region so the parallel
   // variant measures pricing, not thread startup.
   std::unique_ptr<util::ThreadPool> pricing_pool;
   if (pricing_threads > 1) {
     pricing_pool = std::make_unique<util::ThreadPool>(pricing_threads);
-    options.cggs.pricing_pool = pricing_pool.get();
+    options.pricing_pool = pricing_pool.get();
   }
-  auto cggs = solver::Create("cggs", options);
-  solver::SolveRequest request;
-  request.thresholds = MeanThresholds(instance);
+  const std::vector<double> thresholds = MeanThresholds(instance);
   double objective = 0.0;
   int columns = 0;
   int warm = 0;
   for (auto _ : state) {
-    auto result = (*cggs)->Solve(*compiled, *detection, request);
+    auto result =
+        core::SolveCggs(*compiled, *detection, thresholds, options);
     objective = result->objective;
-    columns = result->stats.columns_generated;
-    warm = result->stats.warm_lp_solves;
+    columns = result->columns_generated;
+    warm = result->warm_lp_solves;
     benchmark::DoNotOptimize(result);
   }
   state.counters["objective"] = objective;
@@ -120,12 +118,10 @@ void BM_FullLpByTypeCount(benchmark::State& state) {
   const auto compiled = core::Compile(instance);
   auto detection =
       core::DetectionModel::Create(instance, 2.0 * num_types);
-  auto full = solver::Create("full-lp");
-  solver::SolveRequest request;
-  request.thresholds = MeanThresholds(instance);
+  const std::vector<double> thresholds = MeanThresholds(instance);
   double objective = 0.0;
   for (auto _ : state) {
-    auto result = (*full)->Solve(*compiled, *detection, request);
+    auto result = core::SolveFullGameLp(*compiled, *detection, thresholds);
     objective = result->objective;
     benchmark::DoNotOptimize(result);
   }

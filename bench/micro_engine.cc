@@ -64,7 +64,7 @@ int Run(int argc, char** argv) {
   std::vector<util::StatusOr<solver::SolveResult>> serial;
   serial.reserve(requests.size());
   for (const auto& request : requests) {
-    serial.push_back(solver::SolverEngine::SolveOne(request));
+    serial.push_back(solver::Solve(request));
   }
   const double serial_seconds = serial_timer.ElapsedSeconds();
 

@@ -10,7 +10,7 @@
 
 #include "core/detection.h"
 #include "data/syn_a.h"
-#include "solver/registry.h"
+#include "solver/solver.h"
 #include "util/flags.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -83,27 +83,14 @@ int Run(int argc, char** argv) {
           ? core::DetectionModel::Consumption::kReserved
           : core::DetectionModel::Consumption::kRealized;
 
-  auto brute = solver::Create("brute-force");
-  if (!brute.ok()) {
-    std::cerr << brute.status() << "\n";
-    return 1;
-  }
-  auto compiled = core::Compile(*instance);
-  if (!compiled.ok()) {
-    std::cerr << compiled.status() << "\n";
-    return 1;
-  }
   for (int budget : flags.GetIntList("budgets")) {
     util::Timer timer;
-    auto detection =
-        core::DetectionModel::Create(*instance, budget, detection_options);
-    if (!detection.ok()) {
-      std::cerr << detection.status() << "\n";
-      return 1;
-    }
-    solver::SolveRequest request;
+    solver::EngineRequest request;
+    request.solver = "brute-force";
     request.instance = &*instance;
-    auto result = (*brute)->Solve(*compiled, *detection, request);
+    request.budget = budget;
+    request.detection_options = detection_options;
+    auto result = solver::Solve(request);
     if (!result.ok()) {
       std::cerr << "budget " << budget << ": " << result.status() << "\n";
       return 1;

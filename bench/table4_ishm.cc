@@ -7,10 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "core/detection.h"
-#include "core/game.h"
 #include "data/syn_a.h"
-#include "solver/registry.h"
+#include "solver/solver.h"
 #include "util/flags.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -39,33 +37,19 @@ int Run(int argc, char** argv) {
     std::cerr << instance.status() << "\n";
     return 1;
   }
-  auto compiled = core::Compile(*instance);
-  if (!compiled.ok()) {
-    std::cerr << compiled.status() << "\n";
-    return 1;
-  }
 
   std::cout << "# Table IV: ISHM (exact LP evaluator) on Syn A\n";
   std::cout << "budget,eps,objective,thresholds,evaluations,"
                "distinct_evaluations,improvements,seconds\n";
   for (int budget : flags.GetIntList("budgets")) {
-    auto detection = core::DetectionModel::Create(*instance, budget);
-    if (!detection.ok()) {
-      std::cerr << detection.status() << "\n";
-      return 1;
-    }
     for (double eps : flags.GetDoubleList("eps")) {
       util::Timer timer;
-      solver::SolverOptions options;
-      options.ishm.step_size = eps;
-      auto ishm = solver::Create("ishm-full", options);
-      if (!ishm.ok()) {
-        std::cerr << ishm.status() << "\n";
-        return 1;
-      }
-      solver::SolveRequest request;
+      solver::EngineRequest request;
+      request.solver = "ishm-full";
       request.instance = &*instance;
-      auto result = (*ishm)->Solve(*compiled, *detection, request);
+      request.budget = budget;
+      request.options.ishm.step_size = eps;
+      auto result = solver::Solve(request);
       if (!result.ok()) {
         std::cerr << "B=" << budget << " eps=" << eps << ": "
                   << result.status() << "\n";

@@ -9,9 +9,8 @@
 #include "audit/event.h"
 #include "audit/log.h"
 #include "audit/rules.h"
-#include "core/detection.h"
 #include "core/game.h"
-#include "solver/registry.h"
+#include "solver/solver.h"
 #include "util/random.h"
 
 using namespace auditgame;  // NOLINT
@@ -104,22 +103,12 @@ int main() {
   game.adversaries.assign(10, insider);
 
   const double budget = 40.0;
-  auto compiled = core::Compile(game);
-  auto detection = core::DetectionModel::Create(game, budget);
-  if (!compiled.ok() || !detection.ok()) {
-    std::cerr << compiled.status() << " / " << detection.status() << "\n";
-    return 1;
-  }
-  solver::SolverOptions solver_options;
-  solver_options.ishm.step_size = 0.1;
-  auto ishm = solver::Create("ishm-cggs", solver_options);
-  if (!ishm.ok()) {
-    std::cerr << ishm.status() << "\n";
-    return 1;
-  }
-  solver::SolveRequest request;
+  solver::EngineRequest request;
+  request.solver = "ishm-cggs";
   request.instance = &game;
-  auto result = (*ishm)->Solve(*compiled, *detection, request);
+  request.budget = budget;
+  request.options.ishm.step_size = 0.1;
+  auto result = solver::Solve(request);
   if (!result.ok()) {
     std::cerr << result.status() << "\n";
     return 1;

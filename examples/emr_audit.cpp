@@ -16,7 +16,7 @@
 #include "core/detection.h"
 #include "core/policy.h"
 #include "data/emr.h"
-#include "solver/registry.h"
+#include "solver/solver.h"
 #include "util/random.h"
 
 using namespace auditgame;  // NOLINT
@@ -63,16 +63,12 @@ int main() {
     std::cerr << compiled.status() << " / " << detection.status() << "\n";
     return 1;
   }
-  solver::SolverOptions solver_options;
-  solver_options.ishm.step_size = 0.2;
-  auto ishm = solver::Create("ishm-cggs", solver_options);
-  if (!ishm.ok()) {
-    std::cerr << ishm.status() << "\n";
-    return 1;
-  }
-  solver::SolveRequest request;
+  solver::EngineRequest request;
+  request.solver = "ishm-cggs";
   request.instance = &*game;
-  auto policy = (*ishm)->Solve(*compiled, *detection, request);
+  request.budget = budget;
+  request.options.ishm.step_size = 0.2;
+  auto policy = solver::Solve(request, *compiled);
   if (!policy.ok()) {
     std::cerr << policy.status() << "\n";
     return 1;
@@ -123,7 +119,11 @@ int main() {
     const std::vector<int> benign =
         prob::SampleJoint(game->alert_distributions, rng);
     auto outcome = audit::SimulateDay(audit_config, benign, attack_type, rng);
-    if (outcome.ok() && outcome->attack_detected) ++detected;
+    if (!outcome.ok()) {
+      std::cerr << outcome.status() << "\n";
+      return 1;
+    }
+    if (outcome->attack_detected) ++detected;
   }
   std::cout << "\n=== Adversarial replay (" << days << " days) ===\n"
             << "Best-response attack raises alert type " << attack_type + 1

@@ -10,7 +10,7 @@
 #include "core/game.h"
 #include "core/policy.h"
 #include "prob/count_distribution.h"
-#include "solver/registry.h"
+#include "solver/solver.h"
 #include "util/string_util.h"
 
 using namespace auditgame;  // NOLINT
@@ -58,31 +58,16 @@ int main() {
   const core::GameInstance game = BuildClinicGame();
   const double budget = 6.0;
 
-  auto compiled = core::Compile(game);
-  if (!compiled.ok()) {
-    std::cerr << compiled.status() << "\n";
-    return 1;
-  }
-  auto detection = core::DetectionModel::Create(game, budget);
-  if (!detection.ok()) {
-    std::cerr << detection.status() << "\n";
-    return 1;
-  }
-
   // The "ishm-cggs" backend: ISHM searches the per-type budget thresholds,
   // CGGS finds the optimal randomized ordering for each candidate vector.
   // Swap the name for "brute-force" (exact, small games only) or
   // "ishm-full" without touching the rest of this program.
-  solver::SolverOptions solver_options;
-  solver_options.ishm.step_size = 0.1;
-  auto ishm = solver::Create("ishm-cggs", solver_options);
-  if (!ishm.ok()) {
-    std::cerr << ishm.status() << "\n";
-    return 1;
-  }
-  solver::SolveRequest request;
+  solver::EngineRequest request;
+  request.solver = "ishm-cggs";
   request.instance = &game;
-  auto result = (*ishm)->Solve(*compiled, *detection, request);
+  request.budget = budget;
+  request.options.ishm.step_size = 0.1;
+  auto result = solver::Solve(request);
   if (!result.ok()) {
     std::cerr << result.status() << "\n";
     return 1;
@@ -105,13 +90,20 @@ int main() {
   }
 
   // How likely is each alert type to be audited under the mixture?
+  auto detection = core::DetectionModel::Create(game, budget);
+  if (!detection.ok()) {
+    std::cerr << detection.status() << "\n";
+    return 1;
+  }
   auto mixed = core::MixedDetectionProbabilities(*detection, result->policy);
-  if (mixed.ok()) {
-    std::cout << "Detection probability per alert type:\n";
-    for (int t = 0; t < game.num_types(); ++t) {
-      std::cout << "  " << game.type_names[static_cast<size_t>(t)] << ": "
-                << (*mixed)[static_cast<size_t>(t)] << "\n";
-    }
+  if (!mixed.ok()) {
+    std::cerr << mixed.status() << "\n";
+    return 1;
+  }
+  std::cout << "Detection probability per alert type:\n";
+  for (int t = 0; t < game.num_types(); ++t) {
+    std::cout << "  " << game.type_names[static_cast<size_t>(t)] << ": "
+              << (*mixed)[static_cast<size_t>(t)] << "\n";
   }
   return 0;
 }

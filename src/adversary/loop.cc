@@ -169,7 +169,7 @@ util::Status ScoreCycle(const core::GameInstance& instance,
     request.detection_options = config.detection_options;
     request.options = config.solver_options;
     ASSIGN_OR_RETURN(const solver::SolveResult oracle,
-                     solver::SolverEngine::SolveOne(request));
+                     solver::Solve(request));
     ASSIGN_OR_RETURN(core::DetectionModel model,
                      core::DetectionModel::Create(instance, config.budget,
                                                   config.detection_options));

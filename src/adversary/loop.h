@@ -10,7 +10,7 @@
 #include "net/client.h"
 #include "server/request_window.h"
 #include "service/audit_service.h"
-#include "solver/engine.h"
+#include "solver/solver.h"
 #include "util/json.h"
 #include "util/statusor.h"
 

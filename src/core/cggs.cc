@@ -124,12 +124,6 @@ void GreedyOrdering(const DualUtility& f, const DetectionModel& detection,
 
 }  // namespace
 
-RestrictedMasterLp::Options CggsMasterOptions(const CggsOptions& options) {
-  RestrictedMasterLp::Options master_options;
-  master_options.expected_orderings = options.max_columns;
-  return master_options;
-}
-
 util::Status AddSeedOrderings(const CompiledGame& game,
                               const std::vector<std::vector<int>>& seeds,
                               RestrictedMasterLp& master) {
@@ -151,7 +145,7 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
   // from the valid, deduplicated warm-start set, every new column is
   // appended to it, and each re-solve resumes from the previous optimal
   // basis instead of paying a cold two-phase solve per round.
-  RestrictedMasterLp master(game, detection, CggsMasterOptions(options));
+  RestrictedMasterLp master(game, detection, options.max_columns);
   RETURN_IF_ERROR(AddSeedOrderings(game, options.initial_orderings, master));
   RestrictedLpSolution solution;
   ASSIGN_OR_RETURN(CggsResult result,

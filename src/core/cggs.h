@@ -88,11 +88,6 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
                                      const std::vector<double>& thresholds,
                                      const CggsOptions& options = {});
 
-/// The options SolveCggs builds its master with: max_columns as the
-/// column hint. Callers that keep their own master use it to solve the
-/// same LPs.
-RestrictedMasterLp::Options CggsMasterOptions(const CggsOptions& options);
-
 /// Appends to `master` each ordering of `seeds` that is a permutation of
 /// the game's types and not already a column. Seeds arrive from cached
 /// policies that may predate an instance reshape; anything else would
@@ -103,13 +98,13 @@ util::Status AddSeedOrderings(const CompiledGame& game,
 
 /// Algorithm 1's pricing loop on a caller-supplied master whose columns
 /// are priced against the thresholds installed in `detection` (seeded
-/// with the identity ordering when it has none). `master` must have been
-/// built with CggsMasterOptions(options). Ignores options.initial_orderings
-/// (seed the master instead). The counters in the result are this call's
-/// share of the master's lifetime stats, and `columns` stays empty: Q is
-/// master.orderings(). `solution` receives every master solve in place and
-/// ends holding the last one, duals included; a caller that keeps it across
-/// calls reuses its buffers.
+/// with the identity ordering when it has none). Callers build `master`
+/// with options.max_columns as its column hint, as SolveCggs does.
+/// Ignores options.initial_orderings (seed the master instead). The
+/// counters in the result are this call's share of the master's lifetime
+/// stats, and `columns` stays empty: Q is master.orderings(). `solution`
+/// receives every master solve in place and ends holding the last one,
+/// duals included; a caller that keeps it across calls reuses its buffers.
 util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
                                              const DetectionModel& detection,
                                              const CggsOptions& options,

@@ -14,13 +14,14 @@ util::StatusOr<RestrictedLpSolution> SolveRestrictedGameLp(
   if (orderings.empty()) {
     return util::InvalidArgumentError("no candidate orderings");
   }
-  RestrictedMasterLp::Options options;
-  options.expected_orderings = static_cast<int>(orderings.size());
-  RestrictedMasterLp master(game, detection, options);
+  RestrictedMasterLp master(game, detection,
+                            static_cast<int>(orderings.size()));
   for (const auto& ordering : orderings) {
     RETURN_IF_ERROR(master.AddOrdering(ordering));
   }
-  return master.Solve();
+  RestrictedLpSolution solution;
+  RETURN_IF_ERROR(master.SolveInto(solution));
+  return solution;
 }
 
 util::StatusOr<FullLpResult> SolveFullGameLp(

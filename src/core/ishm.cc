@@ -240,7 +240,7 @@ util::StatusOr<CggsResult> CggsSweep::Solve(
     RETURN_IF_ERROR(master_->Reprice());
   } else {
     if (master_.has_value()) ++rebuilds_;
-    master_.emplace(game_, detection_, CggsMasterOptions(options_));
+    master_.emplace(game_, detection_, options_.max_columns);
     RETURN_IF_ERROR(
         AddSeedOrderings(game_, options_.initial_orderings, *master_));
     RETURN_IF_ERROR(AddSeedOrderings(game_, support_, *master_));

@@ -11,12 +11,12 @@ namespace auditgame::core {
 
 RestrictedMasterLp::RestrictedMasterLp(const CompiledGame& game,
                                        const DetectionModel& detection,
-                                       Options options)
-    : game_(game), detection_(detection), options_(options), rows_(game) {
+                                       int expected_orderings)
+    : game_(game), detection_(detection), rows_(game) {
   const size_t num_groups = game_.groups.size();
   const size_t num_victim_rows =
       static_cast<size_t>(game_.num_envelope_rows());
-  const int expected = std::max(0, options_.expected_orderings);
+  const int expected = std::max(0, expected_orderings);
   model_.Reserve(static_cast<int>(num_groups) + expected,
                  static_cast<int>(num_victim_rows) + 1);
   po_vars_.reserve(static_cast<size_t>(expected));
@@ -99,20 +99,15 @@ void RestrictedMasterLp::WriteUtilities(int column, bool append) {
   }
 }
 
-util::StatusOr<RestrictedLpSolution> RestrictedMasterLp::Solve() {
-  RestrictedLpSolution result;
-  RETURN_IF_ERROR(SolveInto(result));
-  return result;
-}
-
 util::Status RestrictedMasterLp::SolveInto(RestrictedLpSolution& result) {
   if (po_vars_.empty()) {
     return util::InvalidArgumentError("no candidate orderings");
   }
 
+  const lp::RevisedSimplex::Options lp_options;
   const lp::Basis* warm = has_basis_ ? &basis_ : nullptr;
   RETURN_IF_ERROR(
-      lp::RevisedSimplex::SolveInto(model_, options_.lp, warm, revised_));
+      lp::RevisedSimplex::SolveInto(model_, lp_options, warm, revised_));
   const lp::LpSolution& lp_solution = revised_.solution;
   const auto verify = [&] {
     return lp_solution.status == lp::SolveStatus::kOptimal
@@ -128,7 +123,7 @@ util::Status RestrictedMasterLp::SolveInto(RestrictedLpSolution& result) {
     stats_.iterations +=
         lp_solution.phase1_iterations + lp_solution.phase2_iterations;
     RETURN_IF_ERROR(
-        lp::RevisedSimplex::SolveInto(model_, options_.lp, nullptr, revised_));
+        lp::RevisedSimplex::SolveInto(model_, lp_options, nullptr, revised_));
     verified = verify();
   }
   if (!verified.ok()) {

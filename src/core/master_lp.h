@@ -25,7 +25,7 @@ namespace auditgame::core {
 /// optimum is that of the LP over every victim.
 ///
 /// Each pricing round appends the newly priced ordering as one column
-/// (AddOrdering) and re-solves from the previous optimal basis (Solve).
+/// (AddOrdering) and re-solves from the previous optimal basis (SolveInto).
 /// Appending a column cannot break primal feasibility of the old basis —
 /// the new variable enters nonbasic at zero — so the warm re-solve skips
 /// phase 1 entirely and typically needs a handful of pivots, where the
@@ -35,24 +35,13 @@ namespace auditgame::core {
 /// DetectionModel::SetThresholds, Reprice() recomputes every column's Pal
 /// vector (read from the subset table when it is current) and overwrites
 /// its victim-row coefficients in place. The sparsity pattern and the
-/// basis are kept, so the next Solve starts from the previous optimum —
+/// basis are kept, so the next SolveInto starts from the previous optimum —
 /// phase 1 repairs it when the new coefficients made it
 /// primal-infeasible, and the solver falls back to a cold start when they
 /// made it singular. The ISHM evaluator (core/ishm.h) keeps one
 /// master for a whole threshold sweep this way.
 class RestrictedMasterLp {
  public:
-  struct Options {
-    /// Tolerances and iteration caps for the revised simplex that solves
-    /// the master.
-    lp::RevisedSimplex::Options lp;
-    /// Expected number of AddOrdering calls over the master's lifetime —
-    /// an allocation hint only (CGGS passes its column cap): the model's
-    /// row storage is reserved once in the constructor so appending
-    /// columns never regrows it. Appending beyond the hint stays correct.
-    int expected_orderings = 0;
-  };
-
   struct Stats {
     int solves = 0;
     /// Solves that resumed from the previous basis with no phase-1 pivot.
@@ -68,11 +57,13 @@ class RestrictedMasterLp {
     long iterations = 0;
   };
 
-  /// `game` and `detection` must outlive the master.
+  /// `game` and `detection` must outlive the master. `expected_orderings`
+  /// is the expected number of AddOrdering calls over the master's
+  /// lifetime — an allocation hint only (CGGS passes its column cap): the
+  /// model's row storage is reserved once here so appending columns never
+  /// regrows it. Appending beyond the hint stays correct.
   RestrictedMasterLp(const CompiledGame& game, const DetectionModel& detection,
-                     Options options);
-  RestrictedMasterLp(const CompiledGame& game, const DetectionModel& detection)
-      : RestrictedMasterLp(game, detection, Options()) {}
+                     int expected_orderings = 0);
 
   /// Appends `ordering` as a new master column. The caller is responsible
   /// for deduplication (a duplicate column is harmless but wasteful).
@@ -90,18 +81,16 @@ class RestrictedMasterLp {
   /// True iff `ordering` is already a column (linear scan: Q stays small).
   bool HasOrdering(const std::vector<int>& ordering) const;
 
-  /// Solves the current restricted master; requires at least one ordering.
-  /// Re-solves from the previous optimal basis when one is available.
-  util::StatusOr<RestrictedLpSolution> Solve();
-
-  /// Allocation-reusing form for the pricing loop: `out`'s vectors are
-  /// resized in place, so a caller that keeps one RestrictedLpSolution
-  /// across rounds (CGGS) re-solves without touching the heap once the
-  /// buffers reach steady-state size. Every optimum is checked against
-  /// the model's rows and bounds in O(nnz) (lp::CheckPrimalFeasibility);
-  /// a warm solve that fails the check is retried once from the cold
-  /// basis (Stats::cold_retries), and a cold one that fails it is an
-  /// error.
+  /// Solves the current restricted master into `out`; requires at least
+  /// one ordering. Re-solves from the previous optimal basis when one is
+  /// available, with the revised simplex's default options. `out`'s
+  /// vectors are resized in place, so a caller that keeps one
+  /// RestrictedLpSolution across rounds (CGGS) re-solves without touching
+  /// the heap once the buffers reach steady-state size. Every optimum is
+  /// checked against the model's rows and bounds in O(nnz)
+  /// (lp::CheckPrimalFeasibility); a warm solve that fails the check is
+  /// retried once from the cold basis (Stats::cold_retries), and a cold
+  /// one that fails it is an error.
   util::Status SolveInto(RestrictedLpSolution& out);
 
   const Stats& stats() const { return stats_; }
@@ -115,7 +104,6 @@ class RestrictedMasterLp {
  private:
   const CompiledGame& game_;
   const DetectionModel& detection_;
-  Options options_;
   UtilityRows rows_;
 
   lp::LpModel model_;

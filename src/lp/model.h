@@ -31,16 +31,6 @@ class LpModel {
   /// Returns the variable index.
   int AddVariable(double cost, double lower, double upper);
 
-  /// Convenience: non-negative variable.
-  int AddNonNegativeVariable(double cost) {
-    return AddVariable(cost, 0.0, kInfinity);
-  }
-
-  /// Convenience: free variable.
-  int AddFreeVariable(double cost) {
-    return AddVariable(cost, -kInfinity, kInfinity);
-  }
-
   /// Starts a new empty constraint row `a'x sense rhs`; returns its index.
   int AddConstraint(Sense sense, double rhs);
 

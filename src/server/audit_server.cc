@@ -29,15 +29,43 @@ util::StatusOr<int> AtLeastOne(const util::FlagParser& flags,
 }
 }  // namespace
 
+void DefineServiceFlags(util::FlagParser& flags) {
+  flags.Define("budgets", "6,10", "budgets served per solve_cycle, each >= 0");
+  flags.Define("eps", "0.25", "ISHM step size, in (0, 1)");
+  flags.Define("warm_max_drift", "0.25",
+               "drift threshold above which re-solves are cold");
+}
+
+util::StatusOr<service::AuditServiceOptions> ServiceOptionsFromFlags(
+    const util::FlagParser& flags) {
+  service::AuditServiceOptions options;
+  options.budgets = flags.GetDoubleList("budgets");
+  if (options.budgets.empty()) {
+    return util::InvalidArgumentError(
+        "--budgets must name at least one budget");
+  }
+  for (const double budget : options.budgets) {
+    if (!(budget >= 0.0)) {
+      return util::InvalidArgumentError("--budgets must be >= 0, got " +
+                                        flags.GetString("budgets"));
+    }
+  }
+  const double eps = flags.GetDouble("eps");
+  if (!(eps > 0.0 && eps < 1.0)) {
+    return util::InvalidArgumentError("--eps must be in (0, 1), got " +
+                                      flags.GetString("eps"));
+  }
+  options.solver_options.ishm.step_size = eps;
+  options.warm_start_max_drift = flags.GetDouble("warm_max_drift");
+  return options;
+}
+
 void DefineAuditServerFlags(util::FlagParser& flags) {
   flags.Define("shards", "4", "shard worker threads");
   flags.Define("queue_capacity", "128",
                "per-shard request-queue bound (full queue => overloaded)");
   flags.Define("batch", "16", "max requests drained per shard wakeup");
-  flags.Define("budgets", "6,10", "budgets served per solve_cycle");
-  flags.Define("eps", "0.25", "ISHM step size, in (0, 1)");
-  flags.Define("warm_max_drift", "0.25",
-               "drift threshold above which re-solves are cold");
+  DefineServiceFlags(flags);
 }
 
 util::StatusOr<AuditServerOptions> AuditServerOptionsFromFlags(
@@ -49,18 +77,7 @@ util::StatusOr<AuditServerOptions> AuditServerOptionsFromFlags(
   options.queue_capacity = static_cast<size_t>(queue_capacity);
   ASSIGN_OR_RETURN(const int batch, AtLeastOne(flags, "batch"));
   options.max_batch = static_cast<size_t>(batch);
-  options.service.budgets = flags.GetDoubleList("budgets");
-  if (options.service.budgets.empty()) {
-    return util::InvalidArgumentError(
-        "--budgets must name at least one budget");
-  }
-  const double eps = flags.GetDouble("eps");
-  if (!(eps > 0.0 && eps < 1.0)) {
-    return util::InvalidArgumentError("--eps must be in (0, 1), got " +
-                                      flags.GetString("eps"));
-  }
-  options.service.solver_options.ishm.step_size = eps;
-  options.service.warm_start_max_drift = flags.GetDouble("warm_max_drift");
+  ASSIGN_OR_RETURN(options.service, ServiceOptionsFromFlags(flags));
   return options;
 }
 

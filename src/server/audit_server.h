@@ -44,18 +44,30 @@ struct AuditServerOptions {
   DurabilityOptions durability;
 };
 
-/// Defines the shard and service flags of every tool that starts an
-/// AuditServer: --shards, --queue_capacity, --batch, --budgets, --eps and
+/// Defines the per-tenant service flags of every tool that configures a
+/// tenant's AuditService the way audit_server does: --budgets, --eps and
 /// --warm_max_drift.
+void DefineServiceFlags(util::FlagParser& flags);
+
+/// Resolves the flags defined by DefineServiceFlags into the service's
+/// budgets, ISHM step size and warm-start gate; every other field keeps
+/// its default. Rejects an empty --budgets, a negative budget and an --eps
+/// outside (0, 1), each of which would fail every solve_cycle instead of
+/// the start.
+util::StatusOr<service::AuditServiceOptions> ServiceOptionsFromFlags(
+    const util::FlagParser& flags);
+
+/// Defines the shard flags of every tool that starts an AuditServer
+/// (--shards, --queue_capacity, --batch) and the service flags of
+/// DefineServiceFlags.
 void DefineAuditServerFlags(util::FlagParser& flags);
 
 /// Resolves the flags defined by DefineAuditServerFlags into num_shards,
-/// queue_capacity, max_batch and the service's budgets, ISHM step size and
-/// warm-start gate; every other field keeps its default. Rejects
+/// queue_capacity, max_batch and the service options of
+/// ServiceOptionsFromFlags; every other field keeps its default. Rejects
 /// --shards, --queue_capacity or --batch below 1 (a negative capacity
-/// would wrap to an unbounded queue that never answers `overloaded`), an
-/// empty --budgets, and an --eps outside (0, 1), which would fail every
-/// solve_cycle instead of the start.
+/// would wrap to an unbounded queue that never answers `overloaded`) and
+/// every value ServiceOptionsFromFlags rejects.
 util::StatusOr<AuditServerOptions> AuditServerOptionsFromFlags(
     const util::FlagParser& flags);
 

@@ -18,7 +18,7 @@ namespace auditgame::service {
 /// Configuration of an AuditService (fixed for the service's lifetime;
 /// per-cycle variation comes from the ingested alert distributions).
 struct AuditServiceOptions {
-  /// Registry name of the backend used for every solve.
+  /// Name of the backend used for every solve (see solver/solver.h).
   std::string solver = "ishm-cggs";
   solver::SolverOptions solver_options;
   core::DetectionModel::Options detection_options;

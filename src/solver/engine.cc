@@ -6,37 +6,8 @@
 #include <utility>
 
 #include "core/game_io.h"
-#include "solver/registry.h"
 
 namespace auditgame::solver {
-namespace {
-
-// The per-request work once the compiled game is in hand.
-util::StatusOr<SolveResult> SolveCompiled(const EngineRequest& request,
-                                          const core::CompiledGame& game) {
-  ASSIGN_OR_RETURN(std::unique_ptr<Solver> solver,
-                   Create(request.solver, request.options));
-  ASSIGN_OR_RETURN(core::DetectionModel detection,
-                   core::DetectionModel::Create(*request.instance,
-                                                request.budget,
-                                                request.detection_options));
-  SolveRequest solve_request;
-  solve_request.instance = request.instance;
-  solve_request.thresholds = request.thresholds;
-  solve_request.warm_start = request.warm_start;
-  return solver->Solve(game, detection, solve_request);
-}
-
-}  // namespace
-
-util::StatusOr<SolveResult> SolverEngine::SolveOne(
-    const EngineRequest& request) {
-  if (request.instance == nullptr) {
-    return util::InvalidArgumentError("EngineRequest::instance is null");
-  }
-  ASSIGN_OR_RETURN(core::CompiledGame game, core::Compile(*request.instance));
-  return SolveCompiled(request, game);
-}
 
 SolverEngine::CompiledPtr SolverEngine::CompileCached(
     const core::GameInstance& instance) {
@@ -111,7 +82,7 @@ std::vector<util::StatusOr<SolveResult>> SolverEngine::SolveAll(
         }
         const auto& game = *compiled.at(request.instance);
         slot = std::make_unique<util::StatusOr<SolveResult>>(
-            game.ok() ? SolveCompiled(request, *game)
+            game.ok() ? Solve(request, *game)
                       : util::StatusOr<SolveResult>(game.status()));
       } catch (const std::exception& e) {
         slot = std::make_unique<util::StatusOr<SolveResult>>(

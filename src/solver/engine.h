@@ -4,10 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
-#include "core/detection.h"
 #include "core/game.h"
 #include "solver/solver.h"
 #include "util/hash.h"
@@ -17,36 +15,12 @@
 
 namespace auditgame::solver {
 
-/// One self-contained unit of work for the engine: everything needed to
-/// compile the game, bind a detection model, build a solver by name, and
-/// run it. Each request gets its own DetectionModel (the models are mutated
-/// during a solve), so requests never share mutable state and a batch is
-/// safe to run on any number of threads.
-struct EngineRequest {
-  /// Registry name of the backend ("ishm-cggs", ...).
-  std::string solver;
-  /// The game to solve. Must outlive the SolveAll() call.
-  const core::GameInstance* instance = nullptr;
-  /// Audit budget B for this request.
-  double budget = 0.0;
-  /// Detection-model configuration (semantics, mode, ...).
-  core::DetectionModel::Options detection_options;
-  /// Thresholds for fixed-threshold backends (full-lp, cggs); ignored by
-  /// the searching backends.
-  std::vector<double> thresholds;
-  /// Backend configuration (step size, CGGS seed, ...).
-  SolverOptions options;
-  /// Optional search seed from a previous nearby solve (ISHM thresholds,
-  /// CGGS orderings); empty fields mean cold start.
-  WarmStart warm_start;
-};
-
-/// Fans a batch of independent solve requests across a util::ThreadPool.
-/// Typical batches: one instance at several budgets (a sweep), one budget
-/// at several step sizes, or independent instances. Results come back in
-/// request order regardless of completion order, and each result is
-/// bit-for-bit identical to running the same request serially (per-request
-/// RNG state, no sharing).
+/// Fans a batch of independent solver::Solve requests across a
+/// util::ThreadPool. Typical batches: one instance at several budgets (a
+/// sweep), one budget at several step sizes, or independent instances.
+/// Results come back in request order regardless of completion order, and
+/// each result is bit-for-bit identical to solver::Solve on the same
+/// request (per-request RNG state, no sharing).
 ///
 /// Compilation is cached across the engine's lifetime, keyed by the game's
 /// structure fingerprint (type count + adversaries — the only content
@@ -83,11 +57,6 @@ class SolverEngine {
   /// error) are reported per-slot; one bad request never aborts the batch.
   std::vector<util::StatusOr<SolveResult>> SolveAll(
       const std::vector<EngineRequest>& requests);
-
-  /// Runs a single request on the calling thread (the serial baseline the
-  /// engine's parallel results are compared against). Does not touch the
-  /// compile cache.
-  static util::StatusOr<SolveResult> SolveOne(const EngineRequest& request);
 
   CompileCacheStats compile_cache_stats() const;
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/brute_force.h"
@@ -21,7 +20,7 @@ class Serializer;
 
 namespace auditgame::solver {
 
-/// The unified solver seam. The paper's algorithms form a family of
+/// One entry point for the paper's algorithms. They form a family of
 /// interchangeable backends for the same problem — find the auditor's
 /// optimal (thresholds, ordering-mixture) policy — differing only in what
 /// they search and how exactly:
@@ -34,13 +33,13 @@ namespace auditgame::solver {
 ///   ishm-full     ISHM (Alg. 2)         full LP               heuristic
 ///   ishm-cggs     ISHM (Alg. 2)         CGGS (Alg. 1)         heuristic
 ///
-/// Callers select a backend by name through the registry
-/// (solver::Create("ishm-cggs", options)) instead of hand-wiring the free
-/// functions in core/; see docs/DESIGN.md "Solver layer".
+/// Callers name a backend in an EngineRequest and call solver::Solve()
+/// instead of hand-wiring the free functions in core/; see docs/DESIGN.md
+/// "Solver layer".
 
-/// Construction-time configuration. Every backend reads only its slice;
-/// unused fields are ignored, so one options object can configure a whole
-/// batch of heterogeneous solvers.
+/// Backend configuration. Every backend reads only its slice; unused
+/// fields are ignored, so one options object can configure a whole batch
+/// of heterogeneous solves.
 struct SolverOptions {
   core::IshmOptions ishm;
   core::CggsOptions cggs;
@@ -61,17 +60,27 @@ struct WarmStart {
   std::vector<std::vector<int>> orderings;
 };
 
-/// Per-call inputs. The budget and the detection configuration live in the
-/// DetectionModel passed to Solve().
-struct SolveRequest {
-  /// Required by threshold-searching backends (brute-force, ishm-*): the
-  /// uncompiled instance, for threshold upper bounds and validation. Must
-  /// be the instance `game` was compiled from.
+/// One self-contained solve: everything needed to compile the game, bind a
+/// detection model and run a backend by name. Solve() builds its own
+/// DetectionModel per request (the models are mutated during a solve), so
+/// requests never share mutable state and a batch is safe to run on any
+/// number of threads (see SolverEngine).
+struct EngineRequest {
+  /// Backend name ("ishm-cggs", ...; see the table above).
+  std::string solver;
+  /// The game to solve. Must outlive the solve.
   const core::GameInstance* instance = nullptr;
-  /// Required by fixed-threshold backends (full-lp, cggs): the threshold
-  /// vector b to evaluate.
+  /// Audit budget B for this request.
+  double budget = 0.0;
+  /// Detection-model configuration (semantics, mode, ...).
+  core::DetectionModel::Options detection_options;
+  /// Thresholds for fixed-threshold backends (full-lp, cggs); ignored by
+  /// the searching backends.
   std::vector<double> thresholds;
-  /// Optional warm start for the heuristic backends.
+  /// Backend configuration (step size, CGGS seed, ...).
+  SolverOptions options;
+  /// Optional search seed from a previous nearby solve (ISHM thresholds,
+  /// CGGS orderings); empty fields mean cold start.
   WarmStart warm_start;
 };
 
@@ -100,7 +109,8 @@ struct SolveStats {
   uint64_t vectors_evaluated = 0;
   /// Brute force: size of the full search space prod_t (J_t + 1).
   uint64_t search_space = 0;
-  /// Wall-clock time of the Solve() call.
+  /// Wall-clock time of the backend call (compile and detection-model
+  /// setup excluded).
   double seconds = 0.0;
 
   /// Timing fields stream as TimingF64 — skipped by state fingerprints,
@@ -111,7 +121,7 @@ struct SolveStats {
 /// What every backend returns: the objective (expected auditor loss), the
 /// assembled policy, the effective thresholds it commits to, and stats.
 struct SolveResult {
-  /// Registry name of the backend that produced this result.
+  /// Name of the backend that produced this result.
   std::string solver;
   double objective = 0.0;
   core::AuditPolicy policy;
@@ -123,27 +133,19 @@ struct SolveResult {
   void StreamState(util::Serializer& s);
 };
 
-/// Abstract polymorphic solver. Implementations are stateless between
-/// Solve() calls except for deliberate warm-start state (ishm-cggs keeps
-/// its sweep's master LP per *call*, not per solver object, so repeated
-/// Solve() calls are independent and deterministic).
-///
-/// Thread-safety: a Solver object may be used from one thread at a time;
-/// `detection` is mutated (SetThresholds) during the solve. For parallel
-/// batches give each request its own DetectionModel — SolverEngine does.
-class Solver {
- public:
-  virtual ~Solver() = default;
+/// Runs the backend named `request.solver` on `*request.instance` at
+/// `request.budget`: compiles the game, binds a fresh DetectionModel and
+/// forwards to the core/ algorithm with the request's options and seeds
+/// unchanged, so results are bit-for-bit those of a direct call. An unknown
+/// name is kNotFound (the message lists the five); a null instance, and a
+/// fixed-threshold backend without one threshold per type, are
+/// kInvalidArgument.
+util::StatusOr<SolveResult> Solve(const EngineRequest& request);
 
-  /// The registry name ("ishm-cggs", ...).
-  virtual std::string_view Name() const = 0;
-
-  /// Solves the game. `detection` must be bound to the same instance and
-  /// carries the budget; its thresholds are overwritten.
-  virtual util::StatusOr<SolveResult> Solve(const core::CompiledGame& game,
-                                            core::DetectionModel& detection,
-                                            const SolveRequest& request) = 0;
-};
+/// The same on `game`, which must be compiled from `*request.instance`
+/// (SolverEngine passes the game from its compile cache).
+util::StatusOr<SolveResult> Solve(const EngineRequest& request,
+                                  const core::CompiledGame& game);
 
 }  // namespace auditgame::solver
 

@@ -15,7 +15,7 @@
 #include "core/policy.h"
 #include "gtest/gtest.h"
 #include "scenario/generator.h"
-#include "solver/engine.h"
+#include "solver/solver.h"
 
 namespace auditgame::adversary {
 namespace {
@@ -270,9 +270,9 @@ TEST(ExploitabilityOracleTest, OptimalPolicyHasZeroExploitabilityGap) {
     return std::move(*pal);
   };
 
-  auto first = solver::SolverEngine::SolveOne(request);
+  auto first = solver::Solve(request);
   ASSERT_TRUE(first.ok()) << first.status();
-  auto second = solver::SolverEngine::SolveOne(request);
+  auto second = solver::Solve(request);
   ASSERT_TRUE(second.ok()) << second.status();
 
   const std::vector<double> pal_first = MixedPal(*first);

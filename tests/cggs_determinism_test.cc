@@ -21,7 +21,6 @@
 #include "core/ishm.h"
 #include "core/policy.h"
 #include "scenario/generator.h"
-#include "solver/registry.h"
 #include "solver/solver.h"
 #include "util/serializer.h"
 
@@ -85,29 +84,21 @@ std::vector<double> FlooredMeanThresholds(const core::GameInstance& instance) {
 util::Fingerprint SolveFingerprint(int index, int pricing_threads) {
   const auto instance = scenario::Generate(SpecForGame(index));
   EXPECT_TRUE(instance.ok()) << index;
-  const auto compiled = core::Compile(*instance);
-  EXPECT_TRUE(compiled.ok()) << index;
-  const double budget = 1.5 * instance->num_types();
 
-  core::DetectionModel::Options detection_options;
+  solver::EngineRequest request;
+  request.solver = "cggs";
+  request.instance = &*instance;
+  request.budget = 1.5 * instance->num_types();
   if (index % 4 == 3) {
     // Every fourth game prices through the Monte-Carlo estimator, whose
     // detection terms take the branchy blocked-accumulator path rather
     // than the dense kernel reductions.
-    detection_options.mode = core::DetectionModel::Mode::kMonteCarlo;
-    detection_options.mc_samples = 400;
+    request.detection_options.mode = core::DetectionModel::Mode::kMonteCarlo;
+    request.detection_options.mc_samples = 400;
   }
-  auto detection =
-      core::DetectionModel::Create(*instance, budget, detection_options);
-  EXPECT_TRUE(detection.ok()) << index;
-
-  solver::SolverOptions options;
-  options.cggs.pricing_threads = pricing_threads;
-  auto cggs = solver::Create("cggs", options);
-  EXPECT_TRUE(cggs.ok());
-  solver::SolveRequest request;
   request.thresholds = FlooredMeanThresholds(*instance);
-  auto result = (*cggs)->Solve(*compiled, *detection, request);
+  request.options.cggs.pricing_threads = pricing_threads;
+  auto result = solver::Solve(request);
   EXPECT_TRUE(result.ok()) << index;
   return util::FingerprintState(*result);
 }
@@ -126,25 +117,18 @@ TEST(CggsDeterminismTest, FingerprintsMatchGoldenAcrossThreads) {
 util::Fingerprint SweepFingerprint(int index, int pricing_threads) {
   const auto instance = scenario::Generate(SpecForGame(index));
   EXPECT_TRUE(instance.ok()) << index;
-  const auto compiled = core::Compile(*instance);
-  EXPECT_TRUE(compiled.ok()) << index;
-  core::DetectionModel::Options detection_options;
-  if (index % 4 == 3) {
-    detection_options.mode = core::DetectionModel::Mode::kMonteCarlo;
-    detection_options.mc_samples = 400;
-  }
-  auto detection = core::DetectionModel::Create(
-      *instance, 1.5 * instance->num_types(), detection_options);
-  EXPECT_TRUE(detection.ok()) << index;
 
-  solver::SolverOptions options;
-  options.ishm.step_size = 0.25;
-  options.cggs.pricing_threads = pricing_threads;
-  auto ishm = solver::Create("ishm-cggs", options);
-  EXPECT_TRUE(ishm.ok());
-  solver::SolveRequest request;
+  solver::EngineRequest request;
+  request.solver = "ishm-cggs";
   request.instance = &*instance;
-  auto result = (*ishm)->Solve(*compiled, *detection, request);
+  request.budget = 1.5 * instance->num_types();
+  if (index % 4 == 3) {
+    request.detection_options.mode = core::DetectionModel::Mode::kMonteCarlo;
+    request.detection_options.mc_samples = 400;
+  }
+  request.options.ishm.step_size = 0.25;
+  request.options.cggs.pricing_threads = pricing_threads;
+  auto result = solver::Solve(request);
   EXPECT_TRUE(result.ok()) << index;
   return util::FingerprintState(*result);
 }

@@ -1,6 +1,7 @@
 // Tests for the flags the serving tools share: the front door
 // (server::DefineFrontEndFlags / FrontEndOptionsFromFlags) and the shard and
-// service knobs (DefineAuditServerFlags / AuditServerOptionsFromFlags). The
+// service knobs (DefineAuditServerFlags / AuditServerOptionsFromFlags and
+// the DefineServiceFlags / ServiceOptionsFromFlags pair they share). The
 // defaults resolve to the documented options, and out-of-range values are
 // rejected instead of wrapping into a different port, no frame cap or an
 // unbounded queue.
@@ -115,12 +116,14 @@ TEST(AuditServerFlagsTest, ExplicitValuesPassThrough) {
 }
 
 TEST(AuditServerFlagsTest, OutOfRangeValuesAreRejectedNotWrapped) {
-  // -1 would wrap to a SIZE_MAX queue that never answers `overloaded`; an
-  // --eps outside (0, 1) would fail every solve_cycle instead of the start.
+  // -1 would wrap to a SIZE_MAX queue that never answers `overloaded`; a
+  // negative budget or an --eps outside (0, 1) would fail every solve_cycle
+  // instead of the start.
   for (const char* bad :
        {"--shards=0", "--shards=-1", "--queue_capacity=0",
         "--queue_capacity=-1", "--batch=0", "--batch=-1", "--budgets=",
-        "--eps=0", "--eps=1", "--eps=-0.25", "--eps=1.5"}) {
+        "--budgets=-5", "--budgets=6,-1", "--eps=0", "--eps=1", "--eps=-0.25",
+        "--eps=1.5"}) {
     auto options = ParseServer({bad});
     EXPECT_FALSE(options.ok()) << bad;
     EXPECT_EQ(options.status().code(), util::StatusCode::kInvalidArgument)

@@ -266,20 +266,20 @@ TEST(RestrictedMasterLpTest, IncrementalMatchesOneShotAtEveryPrefix) {
   const std::vector<std::vector<int>> orderings = {
       {0, 1, 2}, {2, 1, 0}, {1, 0, 2}, {0, 2, 1}, {2, 0, 1}, {1, 2, 0}};
   RestrictedMasterLp master(*compiled, *detection);
+  RestrictedLpSolution incremental;
   std::vector<std::vector<int>> prefix;
   for (const auto& ordering : orderings) {
     ASSERT_TRUE(master.AddOrdering(ordering).ok());
     prefix.push_back(ordering);
-    const auto incremental = master.Solve();
+    ASSERT_TRUE(master.SolveInto(incremental).ok());
     const auto one_shot = SolveRestrictedGameLp(*compiled, *detection, prefix);
-    ASSERT_TRUE(incremental.ok());
     ASSERT_TRUE(one_shot.ok());
-    EXPECT_NEAR(incremental->objective, one_shot->objective, 1e-8)
+    EXPECT_NEAR(incremental.objective, one_shot->objective, 1e-8)
         << "after " << prefix.size() << " columns";
-    EXPECT_NEAR(incremental->convexity_dual, one_shot->convexity_dual, 1e-6)
+    EXPECT_NEAR(incremental.convexity_dual, one_shot->convexity_dual, 1e-6)
         << "after " << prefix.size() << " columns";
     double total = 0.0;
-    for (double p : incremental->ordering_probs) total += p;
+    for (double p : incremental.ordering_probs) total += p;
     EXPECT_NEAR(total, 1.0, 1e-8);
   }
   EXPECT_EQ(master.stats().solves, static_cast<int>(orderings.size()));
@@ -311,9 +311,7 @@ class RepriceTest : public ::testing::Test {
     for (const auto& ordering : orderings_) {
       ASSERT_TRUE(master_->AddOrdering(ordering).ok());
     }
-    const auto at_b1 = master_->Solve();
-    ASSERT_TRUE(at_b1.ok());
-    b1_solution_ = *at_b1;
+    ASSERT_TRUE(master_->SolveInto(b1_solution_).ok());
   }
 
   // Moves the master to `b2`, re-solves it, and checks the objective
@@ -323,13 +321,14 @@ class RepriceTest : public ::testing::Test {
     EXPECT_TRUE(detection_->SetThresholds(b2).ok());
     EXPECT_TRUE(master_->Reprice().ok());
     const RestrictedMasterLp::Stats before = master_->stats();
-    const auto repriced = master_->Solve();
+    RestrictedLpSolution repriced;
+    const util::Status solved = master_->SolveInto(repriced);
     const auto fresh =
         SolveRestrictedGameLp(compiled_, *detection_, orderings_);
-    EXPECT_TRUE(repriced.ok());
+    EXPECT_TRUE(solved.ok());
     EXPECT_TRUE(fresh.ok());
-    if (repriced.ok() && fresh.ok()) {
-      EXPECT_NEAR(repriced->objective, fresh->objective, 1e-9);
+    if (solved.ok() && fresh.ok()) {
+      EXPECT_NEAR(repriced.objective, fresh->objective, 1e-9);
     }
     EXPECT_EQ(master_->stats().solves, before.solves + 1);
     return before;
@@ -389,12 +388,13 @@ TEST(RestrictedMasterLpTest, RepricedModelMatchesFreshBuild) {
       ASSERT_TRUE(master.AddOrdering(ordering).ok());
     }
   }
+  RestrictedLpSolution solution;
   for (int step = 0; step < 30; ++step) {
     thresholds[rng.UniformInt(uint64_t{5})] =
         static_cast<double>(rng.UniformInt(int64_t{0}, int64_t{8}));
     ASSERT_TRUE(detection->SetThresholds(thresholds).ok());
     ASSERT_TRUE(master.Reprice().ok());
-    ASSERT_TRUE(master.Solve().ok());
+    ASSERT_TRUE(master.SolveInto(solution).ok());
   }
 
   RestrictedMasterLp fresh(*compiled, *detection);
@@ -432,7 +432,8 @@ TEST(RestrictedMasterLpTest, SolveWithoutColumnsIsRejected) {
   ASSERT_TRUE(detection.ok());
   ASSERT_TRUE(detection->SetThresholds({2.0, 2.0}).ok());
   RestrictedMasterLp master(*compiled, *detection);
-  EXPECT_FALSE(master.Solve().ok());
+  RestrictedLpSolution solution;
+  EXPECT_FALSE(master.SolveInto(solution).ok());
 }
 
 TEST(FullLpTest, PolicyEvaluationAgreesWithLpObjective) {

@@ -18,8 +18,8 @@ TEST(LpModelTest, VariableAccessors) {
 
 TEST(LpModelTest, DefaultNamesAreGenerated) {
   LpModel model;
-  model.AddNonNegativeVariable(0.0);
-  model.AddFreeVariable(1.0);
+  model.AddVariable(0.0, 0.0, kInfinity);
+  model.AddVariable(1.0, -kInfinity, kInfinity);
   EXPECT_EQ(model.variable_name(0), "x0");
   EXPECT_EQ(model.variable_name(1), "x1");
   model.AddConstraint(Sense::kEqual, 1.0);
@@ -28,7 +28,7 @@ TEST(LpModelTest, DefaultNamesAreGenerated) {
 
 TEST(LpModelTest, CoefficientsAccumulate) {
   LpModel model;
-  const int x = model.AddNonNegativeVariable(1.0);
+  const int x = model.AddVariable(1.0, 0.0, kInfinity);
   const int row = model.AddConstraint(Sense::kLessEqual, 5.0);
   model.AddCoefficient(row, x, 2.0);
   model.AddCoefficient(row, x, 3.0);
@@ -51,7 +51,7 @@ TEST(LpModelTest, RowActivityAndObjective) {
 
 TEST(LpModelTest, ValidateAcceptsWellFormed) {
   LpModel model;
-  const int x = model.AddNonNegativeVariable(1.0);
+  const int x = model.AddVariable(1.0, 0.0, kInfinity);
   const int row = model.AddConstraint(Sense::kGreaterEqual, 1.0);
   model.AddCoefficient(row, x, 1.0);
   EXPECT_TRUE(model.Validate().ok());
@@ -67,7 +67,7 @@ TEST(LpModelTest, ValidateRejectsInvertedBounds) {
 
 TEST(LpModelTest, ValidateRejectsNonFiniteRhs) {
   LpModel model;
-  model.AddNonNegativeVariable(1.0);
+  model.AddVariable(1.0, 0.0, kInfinity);
   model.AddConstraint(Sense::kLessEqual, kInfinity);
   const util::Status status = model.Validate();
   EXPECT_FALSE(status.ok());
@@ -76,7 +76,7 @@ TEST(LpModelTest, ValidateRejectsNonFiniteRhs) {
 
 TEST(LpModelTest, ValidateRejectsNonFiniteCoefficient) {
   LpModel model;
-  const int x = model.AddNonNegativeVariable(1.0);
+  const int x = model.AddVariable(1.0, 0.0, kInfinity);
   const int row = model.AddConstraint(Sense::kLessEqual, 1.0);
   model.AddCoefficient(row, x, kInfinity);
   EXPECT_FALSE(model.Validate().ok());

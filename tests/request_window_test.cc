@@ -35,7 +35,7 @@ using Status = ResponseEnvelope::Status;
 
 std::string TenantName(int tenant) { return "t" + std::to_string(tenant); }
 
-std::string SolveRequest(bool binary, int64_t id, int tenant) {
+std::string SolveCycleRequest(bool binary, int64_t id, int tenant) {
   return binary ? EncodeBinarySolveCycleRequest(id, TenantName(tenant))
                 : MakeSolveCycleRequest(id, TenantName(tenant));
 }
@@ -134,7 +134,7 @@ TEST_P(WindowAgainstServerTest, RetriesOverloadedUntilEveryOpIsOk) {
     const int64_t id = ++next_id;
     std::string payload =
         tenants[t].solving
-            ? SolveRequest(binary, id, t)
+            ? SolveCycleRequest(binary, id, t)
             : (binary ? EncodeBinaryIngestRequest(id, TenantName(t), baseline_)
                       : MakeIngestRequest(id, TenantName(t), baseline_));
     window.Submit(id, std::move(payload), static_cast<uint64_t>(t));
@@ -280,7 +280,7 @@ TEST_P(WindowAgainstPeerTest, RedialResendsInFlightFramesByteIdentical) {
   constexpr size_t kReadBeforeClose = 3;
   std::vector<std::string> payloads;
   for (int i = 0; i < kRequests; ++i) {
-    payloads.push_back(SolveRequest(binary, 100 + i, i));
+    payloads.push_back(SolveCycleRequest(binary, 100 + i, i));
   }
 
   std::vector<std::string> first_connection;
@@ -355,7 +355,7 @@ TEST_P(WindowAgainstPeerTest, ReportsUnknownIdsAndGarbageWithoutPairing) {
   auto client = RequestWindow::Dial(peer.address(), 10000);
   ASSERT_TRUE(client.ok()) << client.status();
   RequestWindow window(*client, RequestWindowOptions{});
-  window.Submit(kId, SolveRequest(binary, kId, 0), /*tag=*/42);
+  window.Submit(kId, SolveCycleRequest(binary, kId, 0), /*tag=*/42);
   const std::vector<Completion> done = Drain(window);
 
   ASSERT_EQ(done.size(), 3u);
@@ -373,8 +373,8 @@ TEST_P(WindowAgainstPeerTest, ReportsUnknownIdsAndGarbageWithoutPairing) {
 TEST_P(WindowAgainstPeerTest, SitOutDoesNotBlockTheWindowAndRetriesRunOut) {
   const bool binary = GetParam();
   constexpr int kBackoffMs = 600;
-  const std::string stuck = SolveRequest(binary, 1, 0);
-  const std::string served = SolveRequest(binary, 2, 1);
+  const std::string stuck = SolveCycleRequest(binary, 1, 0);
+  const std::string served = SolveCycleRequest(binary, 2, 1);
   std::vector<std::string> seen;
   {
     ScriptedPeer peer([&](ScriptedPeer& self) {

@@ -77,7 +77,7 @@ TEST(RevisedSimplexTest, SimpleTwoVariableMin) {
 TEST(RevisedSimplexTest, EqualityAndFreeVariable) {
   // min u s.t. u >= 3 - x, u >= x - 1, 0 <= x <= 10, u free.
   LpModel model;
-  const int u = model.AddFreeVariable(1.0);
+  const int u = model.AddVariable(1.0, -kInfinity, kInfinity);
   const int x = model.AddVariable(0.0, 0.0, 10.0);
   const int r1 = model.AddConstraint(Sense::kGreaterEqual, 3.0);
   model.AddCoefficient(r1, u, 1.0);
@@ -96,7 +96,7 @@ TEST(RevisedSimplexTest, EqualityAndFreeVariable) {
 
 TEST(RevisedSimplexTest, DetectsInfeasible) {
   LpModel model;
-  const int x = model.AddNonNegativeVariable(1.0);
+  const int x = model.AddVariable(1.0, 0.0, kInfinity);
   const int r1 = model.AddConstraint(Sense::kGreaterEqual, 2.0);
   model.AddCoefficient(r1, x, 1.0);
   const int r2 = model.AddConstraint(Sense::kLessEqual, 1.0);
@@ -108,7 +108,7 @@ TEST(RevisedSimplexTest, DetectsInfeasible) {
 
 TEST(RevisedSimplexTest, DetectsUnbounded) {
   LpModel model;
-  const int x = model.AddNonNegativeVariable(-1.0);
+  const int x = model.AddVariable(-1.0, 0.0, kInfinity);
   const int row = model.AddConstraint(Sense::kGreaterEqual, 1.0);
   model.AddCoefficient(row, x, 1.0);
 
@@ -143,10 +143,10 @@ TEST(RevisedSimplexTest, NoConstraintsZeroCostRespectsNegativeBounds) {
 
 TEST(RevisedSimplexTest, DegenerateProblemTerminates) {
   LpModel model;
-  const int x = model.AddNonNegativeVariable(-0.75);
-  const int y = model.AddNonNegativeVariable(150.0);
-  const int z = model.AddNonNegativeVariable(-0.02);
-  const int w = model.AddNonNegativeVariable(6.0);
+  const int x = model.AddVariable(-0.75, 0.0, kInfinity);
+  const int y = model.AddVariable(150.0, 0.0, kInfinity);
+  const int z = model.AddVariable(-0.02, 0.0, kInfinity);
+  const int w = model.AddVariable(6.0, 0.0, kInfinity);
   const int r1 = model.AddConstraint(Sense::kLessEqual, 0.0);
   model.AddCoefficient(r1, x, 0.25);
   model.AddCoefficient(r1, y, -60.0);
@@ -171,8 +171,8 @@ TEST(RevisedSimplexTest, DegenerateProblemTerminates) {
 TEST(RevisedSimplexTest, WarmStartAfterAppendingColumnSkipsPhase1) {
   // A convexity-constrained LP in the column-generation shape.
   LpModel model;
-  const int p0 = model.AddNonNegativeVariable(2.0);
-  const int p1 = model.AddNonNegativeVariable(1.0);
+  const int p0 = model.AddVariable(2.0, 0.0, kInfinity);
+  const int p1 = model.AddVariable(1.0, 0.0, kInfinity);
   const int conv = model.AddConstraint(Sense::kEqual, 1.0);
   model.AddCoefficient(conv, p0, 1.0);
   model.AddCoefficient(conv, p1, 1.0);
@@ -183,7 +183,7 @@ TEST(RevisedSimplexTest, WarmStartAfterAppendingColumnSkipsPhase1) {
 
   // Append a cheaper column and re-solve from the previous basis: the old
   // basis stays primal-feasible, so phase 1 does no work.
-  const int p2 = model.AddNonNegativeVariable(0.5);
+  const int p2 = model.AddVariable(0.5, 0.0, kInfinity);
   model.AddCoefficient(conv, p2, 1.0);
   const RevisedSolution warm = SolveRevisedOrDie(model, &first.basis);
   ASSERT_EQ(warm.solution.status, SolveStatus::kOptimal);
@@ -216,8 +216,8 @@ TEST(RevisedSimplexTest, IncompatibleWarmStartFallsBackToCold) {
 TEST(RevisedSimplexTest, NearlySingularWarmBasisFallsBackToCold) {
   // min x + y  s.t.  x + y >= 2,  x + 2y >= 3: optimal basis {x, y}.
   LpModel model;
-  const int x = model.AddNonNegativeVariable(1.0);
-  const int y = model.AddNonNegativeVariable(1.0);
+  const int x = model.AddVariable(1.0, 0.0, kInfinity);
+  const int y = model.AddVariable(1.0, 0.0, kInfinity);
   const int first = model.AddConstraint(Sense::kGreaterEqual, 2.0);
   model.AppendCoefficient(first, x, 1.0);
   model.AppendCoefficient(first, y, 1.0);
@@ -271,7 +271,7 @@ TEST(RevisedSimplexTest, WarmStartMatchesColdOnRepeatedSolve) {
 LpModel CoveringLp(double r0, double r1, double r2) {
   LpModel model;
   for (const double cost : {3.0, 2.0, 4.0, 5.0}) {
-    model.AddNonNegativeVariable(cost);
+    model.AddVariable(cost, 0.0, kInfinity);
   }
   const double a[3][4] = {{1, 1, 0, 2}, {0, 1, 1, 1}, {1, 0, 1, 1}};
   const double rhs[3] = {r0, r1, r2};
@@ -303,7 +303,7 @@ TEST(RevisedSimplexTest, PivotFreePhasesKeepPrimalsAndDualsCurrent) {
     SCOPED_TRACE("neither phase pivots");
     // A column too expensive to enter: the optimal basis is re-verified.
     LpModel grown = model;
-    const int dear = grown.AddNonNegativeVariable(50.0);
+    const int dear = grown.AddVariable(50.0, 0.0, kInfinity);
     for (int i = 0; i < 3; ++i) grown.AddCoefficient(i, dear, 1.0);
     const RevisedSolution warm = SolveRevisedOrDie(grown, &optimal.basis);
     EXPECT_TRUE(warm.warm_started);
@@ -315,7 +315,7 @@ TEST(RevisedSimplexTest, PivotFreePhasesKeepPrimalsAndDualsCurrent) {
     SCOPED_TRACE("phase 1 does not pivot, phase 2 does");
     // A column cheap enough to enter: the basis stays feasible.
     LpModel grown = model;
-    const int cheap = grown.AddNonNegativeVariable(1.0);
+    const int cheap = grown.AddVariable(1.0, 0.0, kInfinity);
     for (int i = 0; i < 3; ++i) grown.AddCoefficient(i, cheap, 1.0);
     const RevisedSolution warm = SolveRevisedOrDie(grown, &optimal.basis);
     EXPECT_TRUE(warm.warm_started);
@@ -357,7 +357,7 @@ LpModel RandomBoundedLp(uint64_t seed, int n, int m) {
     } else if (kind == 2) {
       model.AddVariable(c, -2.0, 6.0);
     } else {
-      model.AddFreeVariable(c);
+      model.AddVariable(c, -kInfinity, kInfinity);
     }
     const double lb = model.lower_bound(j);
     const double ub = model.upper_bound(j);
@@ -485,15 +485,16 @@ TEST(BackendAgreementTest, FullSynAGameLp) {
     }
     const LpSolution dense = SolveDenseOrDie(master.model());
     const RevisedSolution revised = SolveRevisedOrDie(master.model());
-    const auto served = master.Solve();
-    ASSERT_TRUE(served.ok()) << served.status();
+    core::RestrictedLpSolution served;
+    const util::Status status = master.SolveInto(served);
+    ASSERT_TRUE(status.ok()) << status;
     ASSERT_EQ(dense.status, SolveStatus::kOptimal);
     ASSERT_EQ(revised.solution.status, SolveStatus::kOptimal);
     const double tolerance = 1e-6 * (1.0 + std::fabs(dense.objective));
     EXPECT_NEAR(revised.solution.objective, dense.objective, tolerance)
         << "thresholds " << thresholds[0] << "," << thresholds[1] << ","
         << thresholds[2] << "," << thresholds[3];
-    EXPECT_NEAR(served->objective, dense.objective, tolerance);
+    EXPECT_NEAR(served.objective, dense.objective, tolerance);
     for (const LpSolution* solution : {&dense, &revised.solution}) {
       const auto check = CheckOptimality(master.model(), *solution);
       EXPECT_TRUE(check.ok()) << check.ToString();

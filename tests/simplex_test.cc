@@ -38,8 +38,8 @@ TEST(SimplexTest, SimpleTwoVariableMin) {
 TEST(SimplexTest, EqualityConstraint) {
   // min x + y s.t. x + 2y = 3, x,y >= 0  ->  y = 1.5, x = 0, obj 1.5.
   LpModel model;
-  const int x = model.AddNonNegativeVariable(1.0);
-  const int y = model.AddNonNegativeVariable(1.0);
+  const int x = model.AddVariable(1.0, 0.0, kInfinity);
+  const int y = model.AddVariable(1.0, 0.0, kInfinity);
   const int row = model.AddConstraint(Sense::kEqual, 3.0);
   model.AddCoefficient(row, x, 1.0);
   model.AddCoefficient(row, y, 2.0);
@@ -55,7 +55,7 @@ TEST(SimplexTest, FreeVariable) {
   // min u s.t. u >= 3 - x, u >= x - 1, 0 <= x <= 10, u free.
   // Optimum: x = 2, u = 1.
   LpModel model;
-  const int u = model.AddFreeVariable(1.0);
+  const int u = model.AddVariable(1.0, -kInfinity, kInfinity);
   const int x = model.AddVariable(0.0, 0.0, 10.0);
   const int r1 = model.AddConstraint(Sense::kGreaterEqual, 3.0);
   model.AddCoefficient(r1, u, 1.0);
@@ -75,7 +75,7 @@ TEST(SimplexTest, FreeVariable) {
 TEST(SimplexTest, NegativeObjectiveValue) {
   // min x with x >= -5 (free direction blocked by constraint).
   LpModel model;
-  const int x = model.AddFreeVariable(1.0);
+  const int x = model.AddVariable(1.0, -kInfinity, kInfinity);
   const int row = model.AddConstraint(Sense::kGreaterEqual, -5.0);
   model.AddCoefficient(row, x, 1.0);
 
@@ -87,7 +87,7 @@ TEST(SimplexTest, NegativeObjectiveValue) {
 TEST(SimplexTest, DetectsInfeasible) {
   // x >= 2 and x <= 1.
   LpModel model;
-  const int x = model.AddNonNegativeVariable(1.0);
+  const int x = model.AddVariable(1.0, 0.0, kInfinity);
   const int r1 = model.AddConstraint(Sense::kGreaterEqual, 2.0);
   model.AddCoefficient(r1, x, 1.0);
   const int r2 = model.AddConstraint(Sense::kLessEqual, 1.0);
@@ -100,7 +100,7 @@ TEST(SimplexTest, DetectsInfeasible) {
 TEST(SimplexTest, DetectsUnbounded) {
   // min -x, x >= 0, only constraint x >= 1.
   LpModel model;
-  const int x = model.AddNonNegativeVariable(-1.0);
+  const int x = model.AddVariable(-1.0, 0.0, kInfinity);
   const int row = model.AddConstraint(Sense::kGreaterEqual, 1.0);
   model.AddCoefficient(row, x, 1.0);
 
@@ -111,10 +111,10 @@ TEST(SimplexTest, DetectsUnbounded) {
 TEST(SimplexTest, DegenerateProblemTerminates) {
   // Classic degenerate LP (multiple constraints active at the origin).
   LpModel model;
-  const int x = model.AddNonNegativeVariable(-0.75);
-  const int y = model.AddNonNegativeVariable(150.0);
-  const int z = model.AddNonNegativeVariable(-0.02);
-  const int w = model.AddNonNegativeVariable(6.0);
+  const int x = model.AddVariable(-0.75, 0.0, kInfinity);
+  const int y = model.AddVariable(150.0, 0.0, kInfinity);
+  const int z = model.AddVariable(-0.02, 0.0, kInfinity);
+  const int w = model.AddVariable(6.0, 0.0, kInfinity);
   const int r1 = model.AddConstraint(Sense::kLessEqual, 0.0);
   model.AddCoefficient(r1, x, 0.25);
   model.AddCoefficient(r1, y, -60.0);
@@ -138,9 +138,9 @@ TEST(SimplexTest, DualsOfZeroSumGameAreCorrect) {
   // Matching pennies as an LP: min_u u s.t. u >= payoff of each pure column
   // response; value is 0 with uniform mixing.
   LpModel model;
-  const int u = model.AddFreeVariable(1.0);
-  const int p0 = model.AddNonNegativeVariable(0.0);
-  const int p1 = model.AddNonNegativeVariable(0.0);
+  const int u = model.AddVariable(1.0, -kInfinity, kInfinity);
+  const int p0 = model.AddVariable(0.0, 0.0, kInfinity);
+  const int p1 = model.AddVariable(0.0, 0.0, kInfinity);
   // u >= p0 - p1 and u >= p1 - p0 (payoffs +/-1).
   const int r1 = model.AddConstraint(Sense::kGreaterEqual, 0.0);
   model.AddCoefficient(r1, u, 1.0);
@@ -167,7 +167,7 @@ TEST(SimplexTest, DualsOfZeroSumGameAreCorrect) {
 
 TEST(SimplexTest, ObjectiveConstantIsReported) {
   LpModel model;
-  const int x = model.AddNonNegativeVariable(1.0);
+  const int x = model.AddVariable(1.0, 0.0, kInfinity);
   model.AddObjectiveConstant(10.0);
   const int row = model.AddConstraint(Sense::kGreaterEqual, 2.0);
   model.AddCoefficient(row, x, 1.0);
@@ -195,7 +195,7 @@ TEST(SimplexTest, NoConstraintsKeepsCostsAsReducedCosts) {
   LpModel model;
   const int x = model.AddVariable(1.0, -2.0, 5.0);
   const int y = model.AddVariable(-1.0, 0.0, 3.0);
-  const int z = model.AddFreeVariable(0.0);
+  const int z = model.AddVariable(0.0, -kInfinity, kInfinity);
   const LpSolution solution = SolveOrDie(model);
   ASSERT_EQ(solution.status, SolveStatus::kOptimal);
   EXPECT_EQ(solution.reduced_cost[x], 1.0);
@@ -256,7 +256,7 @@ TEST(SimplexTest, LeavingRowTiesBreakByLowestBasisIndex) {
   // must pivot out the slack with the smallest column index (the first
   // row), leaving the binding dual on row 1 and zero on row 2.
   LpModel model;
-  const int x = model.AddNonNegativeVariable(-1.0);
+  const int x = model.AddVariable(-1.0, 0.0, kInfinity);
   const int r1 = model.AddConstraint(Sense::kLessEqual, 2.0);
   model.AddCoefficient(r1, x, 1.0);
   const int r2 = model.AddConstraint(Sense::kLessEqual, 2.0);

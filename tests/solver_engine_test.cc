@@ -45,7 +45,7 @@ TEST(SolverEngineTest, BatchMatchesSerialBitForBit) {
 
   std::vector<util::StatusOr<SolveResult>> serial;
   for (const auto& request : requests) {
-    serial.push_back(SolverEngine::SolveOne(request));
+    serial.push_back(Solve(request));
   }
 
   SolverEngine engine(4);
@@ -101,12 +101,12 @@ TEST(SolverEngineTest, AllNullInstancesFailPerSlot) {
   }
 }
 
-TEST(SolverEngineTest, SolverCreateFailureMidBatchIsIsolated) {
+TEST(SolverEngineTest, UnknownSolverMidBatchIsIsolated) {
   const core::GameInstance tiny = testutil::MakeTinyGame();
   std::vector<EngineRequest> requests;
   requests.push_back(IshmCggsRequest(tiny, 2.0, 0.25));
   EngineRequest bad = IshmCggsRequest(tiny, 2.0, 0.25);
-  bad.solver = "not-a-registered-backend";  // Create() fails mid-batch
+  bad.solver = "not-a-backend";  // fails mid-batch
   requests.push_back(bad);
   requests.push_back(IshmCggsRequest(tiny, 3.0, 0.25));
 
@@ -181,7 +181,7 @@ TEST(SolverEngineTest, CachedBatchesStayBitForBitEqualToColdSolves) {
   }
   std::vector<util::StatusOr<SolveResult>> cold;
   for (const auto& request : requests) {
-    cold.push_back(SolverEngine::SolveOne(request));
+    cold.push_back(Solve(request));
   }
 
   SolverEngine engine(4);

@@ -1,7 +1,7 @@
-#include "solver/registry.h"
+#include "solver/solver.h"
 
-#include <algorithm>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -23,73 +23,68 @@ void ExpectSamePolicy(const core::AuditPolicy& actual,
   EXPECT_EQ(actual.budget, expected.budget);
 }
 
-TEST(SolverRegistryTest, AllBuiltinNamesResolve) {
-  const std::vector<std::string> names = RegisteredNames();
-  for (const char* expected :
+EngineRequest TinyRequest(const core::GameInstance& instance,
+                          const char* name) {
+  EngineRequest request;
+  request.solver = name;
+  request.instance = &instance;
+  request.budget = 2.0;
+  request.options.ishm.step_size = 0.25;
+  return request;
+}
+
+TEST(SolverTest, AllBackendNamesResolve) {
+  const core::GameInstance instance = testutil::MakeTinyGame();
+  for (const char* name :
        {"brute-force", "full-lp", "cggs", "ishm-full", "ishm-cggs"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected << " not registered";
-    auto created = Create(expected);
-    ASSERT_TRUE(created.ok()) << created.status();
-    EXPECT_EQ((*created)->Name(), expected);
+    EngineRequest request = TinyRequest(instance, name);
+    request.thresholds = {1.0, 1.0};  // read by full-lp and cggs only
+    const auto result = Solve(request);
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status();
+    EXPECT_EQ(result->solver, name);
   }
 }
 
-TEST(SolverRegistryTest, UnknownNameIsNotFound) {
-  const auto result = Create("no-such-solver");
+TEST(SolverTest, UnknownNameIsNotFound) {
+  const core::GameInstance instance = testutil::MakeTinyGame();
+  const auto result = Solve(TinyRequest(instance, "no-such-solver"));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kNotFound);
-  // The error lists the registered names to make typos self-diagnosing.
+  // The error lists the backend names to make typos self-diagnosing.
   EXPECT_NE(result.status().message().find("ishm-cggs"), std::string::npos);
 }
 
-TEST(SolverRegistryTest, DuplicateRegistrationFails) {
-  auto factory = [](const SolverOptions&) -> std::unique_ptr<Solver> {
-    return nullptr;
-  };
-  EXPECT_FALSE(Register("ishm-cggs", factory).ok());
-  EXPECT_FALSE(Register("", factory).ok());
-}
-
-TEST(SolverRegistryTest, SearchingBackendsRequireInstance) {
+TEST(SolverTest, SearchingBackendsRequireInstance) {
   const core::GameInstance instance = testutil::MakeTinyGame();
   const auto compiled = core::Compile(instance);
   ASSERT_TRUE(compiled.ok());
-  auto detection = core::DetectionModel::Create(instance, 2.0);
-  ASSERT_TRUE(detection.ok());
   for (const char* name : {"brute-force", "ishm-full", "ishm-cggs"}) {
-    auto created = Create(name);
-    ASSERT_TRUE(created.ok());
-    const auto result =
-        (*created)->Solve(*compiled, *detection, SolveRequest());
-    ASSERT_FALSE(result.ok()) << name;
-    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+    EngineRequest request = TinyRequest(instance, name);
+    request.instance = nullptr;
+    for (const auto& result : {Solve(request), Solve(request, *compiled)}) {
+      ASSERT_FALSE(result.ok()) << name;
+      EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+    }
   }
 }
 
-TEST(SolverRegistryTest, FixedThresholdBackendsRequireThresholds) {
+TEST(SolverTest, FixedThresholdBackendsRequireThresholds) {
   const core::GameInstance instance = testutil::MakeTinyGame();
-  const auto compiled = core::Compile(instance);
-  ASSERT_TRUE(compiled.ok());
-  auto detection = core::DetectionModel::Create(instance, 2.0);
-  ASSERT_TRUE(detection.ok());
   for (const char* name : {"full-lp", "cggs"}) {
-    auto created = Create(name);
-    ASSERT_TRUE(created.ok());
-    SolveRequest request;
+    EngineRequest request = TinyRequest(instance, name);
     request.thresholds = {1.0};  // wrong arity
-    const auto result = (*created)->Solve(*compiled, *detection, request);
+    const auto result = Solve(request);
     ASSERT_FALSE(result.ok()) << name;
     EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
   }
 }
 
-// ---- Adapter-vs-direct equivalence on Syn A ------------------------------
-// The adapters forward to the free functions with identical options and
+// ---- Backend-vs-direct equivalence on Syn A ------------------------------
+// The backends forward to the free functions with identical options and
 // seeds, so every number must match bit-for-bit (EXPECT_EQ on doubles, not
 // EXPECT_NEAR).
 
-class AdapterEquivalenceTest : public ::testing::Test {
+class BackendEquivalenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto instance = data::MakeSynA();
@@ -106,21 +101,24 @@ class AdapterEquivalenceTest : public ::testing::Test {
     return *std::move(detection);
   }
 
+  EngineRequest MakeRequest(const char* name, double budget) {
+    EngineRequest request;
+    request.solver = name;
+    request.instance = &instance_;
+    request.budget = budget;
+    return request;
+  }
+
   core::GameInstance instance_;
   core::CompiledGame compiled_;
 };
 
-TEST_F(AdapterEquivalenceTest, BruteForceMatchesDirectCall) {
+TEST_F(BackendEquivalenceTest, BruteForceMatchesDirectCall) {
   const double budget = 6.0;
   const auto direct = core::SolveBruteForce(instance_, budget);
   ASSERT_TRUE(direct.ok());
 
-  auto adapter = Create("brute-force");
-  ASSERT_TRUE(adapter.ok());
-  core::DetectionModel detection = MakeDetection(budget);
-  SolveRequest request;
-  request.instance = &instance_;
-  const auto result = (*adapter)->Solve(compiled_, detection, request);
+  const auto result = Solve(MakeRequest("brute-force", budget));
   ASSERT_TRUE(result.ok()) << result.status();
 
   EXPECT_EQ(result->objective, direct->objective);
@@ -129,7 +127,7 @@ TEST_F(AdapterEquivalenceTest, BruteForceMatchesDirectCall) {
   ExpectSamePolicy(result->policy, direct->policy);
 }
 
-TEST_F(AdapterEquivalenceTest, FullLpMatchesDirectCall) {
+TEST_F(BackendEquivalenceTest, FullLpMatchesDirectCall) {
   const double budget = 8.0;
   const std::vector<double> thresholds = {3.0, 2.0, 2.0, 1.0};
   core::DetectionModel direct_detection = MakeDetection(budget);
@@ -137,19 +135,16 @@ TEST_F(AdapterEquivalenceTest, FullLpMatchesDirectCall) {
       core::SolveFullGameLp(compiled_, direct_detection, thresholds);
   ASSERT_TRUE(direct.ok());
 
-  auto adapter = Create("full-lp");
-  ASSERT_TRUE(adapter.ok());
-  core::DetectionModel detection = MakeDetection(budget);
-  SolveRequest request;
+  EngineRequest request = MakeRequest("full-lp", budget);
   request.thresholds = thresholds;
-  const auto result = (*adapter)->Solve(compiled_, detection, request);
+  const auto result = Solve(request);
   ASSERT_TRUE(result.ok()) << result.status();
 
   EXPECT_EQ(result->objective, direct->objective);
   ExpectSamePolicy(result->policy, direct->policy);
 }
 
-TEST_F(AdapterEquivalenceTest, CggsMatchesDirectCall) {
+TEST_F(BackendEquivalenceTest, CggsMatchesDirectCall) {
   const double budget = 8.0;
   const std::vector<double> thresholds = {3.0, 2.0, 2.0, 1.0};
   core::CggsOptions cggs_options;  // defaults, including seed = 7
@@ -158,14 +153,10 @@ TEST_F(AdapterEquivalenceTest, CggsMatchesDirectCall) {
       core::SolveCggs(compiled_, direct_detection, thresholds, cggs_options);
   ASSERT_TRUE(direct.ok());
 
-  SolverOptions options;
-  options.cggs = cggs_options;
-  auto adapter = Create("cggs", options);
-  ASSERT_TRUE(adapter.ok());
-  core::DetectionModel detection = MakeDetection(budget);
-  SolveRequest request;
+  EngineRequest request = MakeRequest("cggs", budget);
+  request.options.cggs = cggs_options;
   request.thresholds = thresholds;
-  const auto result = (*adapter)->Solve(compiled_, detection, request);
+  const auto result = Solve(request);
   ASSERT_TRUE(result.ok()) << result.status();
 
   EXPECT_EQ(result->objective, direct->objective);
@@ -174,7 +165,7 @@ TEST_F(AdapterEquivalenceTest, CggsMatchesDirectCall) {
   ExpectSamePolicy(result->policy, direct->policy);
 }
 
-TEST_F(AdapterEquivalenceTest, IshmFullMatchesDirectCall) {
+TEST_F(BackendEquivalenceTest, IshmFullMatchesDirectCall) {
   const double budget = 6.0;
   core::IshmOptions ishm_options;
   ishm_options.step_size = 0.25;
@@ -184,14 +175,9 @@ TEST_F(AdapterEquivalenceTest, IshmFullMatchesDirectCall) {
       ishm_options);
   ASSERT_TRUE(direct.ok());
 
-  SolverOptions options;
-  options.ishm = ishm_options;
-  auto adapter = Create("ishm-full", options);
-  ASSERT_TRUE(adapter.ok());
-  core::DetectionModel detection = MakeDetection(budget);
-  SolveRequest request;
-  request.instance = &instance_;
-  const auto result = (*adapter)->Solve(compiled_, detection, request);
+  EngineRequest request = MakeRequest("ishm-full", budget);
+  request.options.ishm = ishm_options;
+  const auto result = Solve(request);
   ASSERT_TRUE(result.ok()) << result.status();
 
   EXPECT_EQ(result->objective, direct->objective);
@@ -203,7 +189,7 @@ TEST_F(AdapterEquivalenceTest, IshmFullMatchesDirectCall) {
   ExpectSamePolicy(result->policy, direct->policy);
 }
 
-TEST_F(AdapterEquivalenceTest, IshmCggsMatchesDirectCall) {
+TEST_F(BackendEquivalenceTest, IshmCggsMatchesDirectCall) {
   const double budget = 10.0;
   core::IshmOptions ishm_options;
   ishm_options.step_size = 0.25;
@@ -215,15 +201,10 @@ TEST_F(AdapterEquivalenceTest, IshmCggsMatchesDirectCall) {
       ishm_options);
   ASSERT_TRUE(direct.ok());
 
-  SolverOptions options;
-  options.ishm = ishm_options;
-  options.cggs = cggs_options;
-  auto adapter = Create("ishm-cggs", options);
-  ASSERT_TRUE(adapter.ok());
-  core::DetectionModel detection = MakeDetection(budget);
-  SolveRequest request;
-  request.instance = &instance_;
-  const auto result = (*adapter)->Solve(compiled_, detection, request);
+  EngineRequest request = MakeRequest("ishm-cggs", budget);
+  request.options.ishm = ishm_options;
+  request.options.cggs = cggs_options;
+  const auto result = Solve(request);
   ASSERT_TRUE(result.ok()) << result.status();
 
   EXPECT_EQ(result->objective, direct->objective);

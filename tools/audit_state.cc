@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "scenario/generator.h"
+#include "server/audit_server.h"
 #include "server/binary_codec.h"
 #include "server/durability.h"
 #include "server/shard.h"
@@ -224,10 +225,7 @@ int Run(int argc, char** argv) {
                "(the CI gate rides in one file)");
   scenario::DefineScenarioFlags(flags, /*default_scenario=*/"uniform",
                                 /*default_types=*/"5");
-  flags.Define("budgets", "6,10", "budgets served per solve_cycle");
-  flags.Define("eps", "0.25", "ISHM step size");
-  flags.Define("warm_max_drift", "0.25",
-               "drift threshold above which re-solves are cold");
+  server::DefineServiceFlags(flags);
   flags.Define("threads", "-1", "engine workers per tenant service");
   flags.Define("pricing_threads", "1", "CGGS pricing threads per solve");
   auto status = flags.Parse(argc, argv);
@@ -274,16 +272,17 @@ int Run(int argc, char** argv) {
       std::cerr << instance.status() << "\n";
       return 1;
     }
-    service::AuditServiceOptions service_options;
-    service_options.budgets = flags.GetDoubleList("budgets");
-    service_options.solver_options.ishm.step_size = flags.GetDouble("eps");
-    service_options.solver_options.cggs.pricing_threads =
+    auto service_options = server::ServiceOptionsFromFlags(flags);
+    if (!service_options.ok()) {
+      std::cerr << service_options.status() << "\n";
+      return 1;
+    }
+    service_options->solver_options.cggs.pricing_threads =
         flags.GetInt("pricing_threads");
-    service_options.warm_start_max_drift = flags.GetDouble("warm_max_drift");
-    service_options.num_threads = flags.GetInt("threads");
+    service_options->num_threads = flags.GetInt("threads");
 
     if (util::Status replayed =
-            ReplayShards(data_dir, num_shards, *instance, service_options,
+            ReplayShards(data_dir, num_shards, *instance, *service_options,
                          reports);
         !replayed.ok()) {
       std::cerr << "audit_state: replay of " << data_dir
@@ -302,7 +301,7 @@ int Run(int argc, char** argv) {
         compare_reports.push_back(InspectShard(compare_dir, i, /*dump=*/false));
       }
       if (util::Status replayed =
-              ReplayShards(compare_dir, num_shards, *instance, service_options,
+              ReplayShards(compare_dir, num_shards, *instance, *service_options,
                            compare_reports);
           !replayed.ok()) {
         std::cerr << "audit_state: replay of " << compare_dir

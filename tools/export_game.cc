@@ -16,7 +16,7 @@
 #include "data/credit.h"
 #include "data/emr.h"
 #include "data/syn_a.h"
-#include "solver/engine.h"
+#include "solver/solver.h"
 #include "util/flags.h"
 #include "util/string_util.h"
 
@@ -76,7 +76,7 @@ int Run(int argc, char** argv) {
     request.instance = &*game;
     request.budget = flags.GetDouble("budget");
     request.options.ishm.step_size = flags.GetDouble("eps");
-    auto result = solver::SolverEngine::SolveOne(request);
+    auto result = solver::Solve(request);
     if (!result.ok()) {
       std::cerr << result.status() << "\n";
       return 1;

@@ -7,9 +7,9 @@
 //
 //   solve_policy --game=game.json --budget=20 --eps=0.1 --out=policy.json
 //
-// The solver backend is picked by registry name (--solver=ishm-cggs,
-// ishm-full, cggs, full-lp, brute-force); fixed-threshold backends take the
-// vector via --thresholds=2,3,1.
+// The solver backend is picked by name (--solver=ishm-cggs, ishm-full,
+// cggs, full-lp, brute-force); fixed-threshold backends take the vector via
+// --thresholds=2,3,1.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -17,7 +17,7 @@
 
 #include "core/detection.h"
 #include "core/game_io.h"
-#include "solver/registry.h"
+#include "solver/solver.h"
 #include "util/flags.h"
 #include "util/string_util.h"
 
@@ -32,8 +32,7 @@ int Run(int argc, char** argv) {
   flags.Define("eps", "0.1", "ISHM step size");
   flags.Define("solver", "ishm-cggs",
                "solver backend: ishm-cggs | ishm-full | cggs | full-lp | "
-               "brute-force (legacy aliases: cggs -> ishm-cggs via --eps, "
-               "full -> ishm-full)");
+               "brute-force");
   flags.Define("thresholds", "",
                "comma-separated thresholds b_t for the fixed-threshold "
                "backends (cggs, full-lp)");
@@ -50,6 +49,12 @@ int Run(int argc, char** argv) {
     return flags.help_requested() ? 0 : 1;
   }
 
+  const int mc_samples = flags.GetInt("mc_samples");
+  if (mc_samples < 0) {
+    std::cerr << "--mc_samples must be >= 0 (0 = exact detection)\n";
+    return 1;
+  }
+
   std::ifstream in(flags.GetString("game"));
   if (!in) {
     std::cerr << "cannot open " << flags.GetString("game") << "\n";
@@ -63,51 +68,17 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  auto compiled = core::Compile(*game);
-  if (!compiled.ok()) {
-    std::cerr << compiled.status() << "\n";
-    return 1;
-  }
-  core::DetectionModel::Options detection_options;
-  if (flags.GetInt("mc_samples") > 0) {
-    detection_options.mode = core::DetectionModel::Mode::kMonteCarlo;
-    detection_options.mc_samples = flags.GetInt("mc_samples");
-  }
-  auto detection = core::DetectionModel::Create(
-      *game, flags.GetDouble("budget"), detection_options);
-  if (!detection.ok()) {
-    std::cerr << detection.status() << "\n";
-    return 1;
-  }
-
-  solver::SolveRequest request;
+  solver::EngineRequest request;
+  request.solver = flags.GetString("solver");
   request.instance = &*game;
-  const std::string threshold_list = flags.GetString("thresholds");
-  if (!threshold_list.empty()) {
-    request.thresholds = flags.GetDoubleList("thresholds");
+  request.budget = flags.GetDouble("budget");
+  if (mc_samples > 0) {
+    request.detection_options.mode = core::DetectionModel::Mode::kMonteCarlo;
+    request.detection_options.mc_samples = mc_samples;
   }
-
-  // Legacy aliases: --solver named the ISHM evaluator before the registry
-  // existed. Without --thresholds, "full"/"cggs" keep their old
-  // ISHM-wrapped meaning; with --thresholds they select the
-  // fixed-threshold backend the user is clearly asking for.
-  std::string solver_name = flags.GetString("solver");
-  if (solver_name == "full") {
-    solver_name = request.thresholds.empty() ? "ishm-full" : "full-lp";
-  } else if (solver_name == "cggs" && request.thresholds.empty()) {
-    std::cerr << "note: --solver=cggs without --thresholds runs ishm-cggs "
-                 "(the pre-registry meaning)\n";
-    solver_name = "ishm-cggs";
-  }
-
-  solver::SolverOptions solver_options;
-  solver_options.ishm.step_size = flags.GetDouble("eps");
-  auto backend = solver::Create(solver_name, solver_options);
-  if (!backend.ok()) {
-    std::cerr << backend.status() << "\n";
-    return 1;
-  }
-  auto result = (*backend)->Solve(*compiled, *detection, request);
+  request.thresholds = flags.GetDoubleList("thresholds");
+  request.options.ishm.step_size = flags.GetDouble("eps");
+  auto result = solver::Solve(request);
   if (!result.ok()) {
     std::cerr << result.status() << "\n";
     return 1;
