@@ -16,17 +16,6 @@ AuditServerOptions Normalized(AuditServerOptions options) {
   options.stats_refresh_ms = std::max(1, options.stats_refresh_ms);
   return options;
 }
-
-util::StatusOr<int> AtLeastOne(const util::FlagParser& flags,
-                               const std::string& name) {
-  const int value = flags.GetInt(name);
-  if (value < 1) {
-    return util::InvalidArgumentError("--" + name +
-                                      " must be at least 1, got " +
-                                      std::to_string(value));
-  }
-  return value;
-}
 }  // namespace
 
 void DefineServiceFlags(util::FlagParser& flags) {
@@ -71,11 +60,11 @@ void DefineAuditServerFlags(util::FlagParser& flags) {
 util::StatusOr<AuditServerOptions> AuditServerOptionsFromFlags(
     const util::FlagParser& flags) {
   AuditServerOptions options;
-  ASSIGN_OR_RETURN(options.num_shards, AtLeastOne(flags, "shards"));
+  ASSIGN_OR_RETURN(options.num_shards, flags.GetIntAtLeast("shards", 1));
   ASSIGN_OR_RETURN(const int queue_capacity,
-                   AtLeastOne(flags, "queue_capacity"));
+                   flags.GetIntAtLeast("queue_capacity", 1));
   options.queue_capacity = static_cast<size_t>(queue_capacity);
-  ASSIGN_OR_RETURN(const int batch, AtLeastOne(flags, "batch"));
+  ASSIGN_OR_RETURN(const int batch, flags.GetIntAtLeast("batch", 1));
   options.max_batch = static_cast<size_t>(batch);
   ASSIGN_OR_RETURN(options.service, ServiceOptionsFromFlags(flags));
   return options;
@@ -239,10 +228,10 @@ util::JsonValue::Object AuditServer::StatsBody() {
     compile["hits"] = static_cast<double>(s.compile.hits);
     compile["misses"] = static_cast<double>(s.compile.misses);
     obj["compile_cache"] = std::move(compile);
-    obj["solve_seconds_p50"] = s.solve_seconds_p50;
-    obj["solve_seconds_p90"] = s.solve_seconds_p90;
-    obj["solve_seconds_p99"] = s.solve_seconds_p99;
-    obj["solve_seconds_max"] = s.solve_seconds_max;
+    obj["solve_seconds_p50"] = s.solve_seconds.p50;
+    obj["solve_seconds_p90"] = s.solve_seconds.p90;
+    obj["solve_seconds_p99"] = s.solve_seconds.p99;
+    obj["solve_seconds_max"] = s.solve_seconds.max;
     obj["solve_samples"] = static_cast<double>(s.solve_samples);
     obj["durability"] = s.durability;
     if (s.durability) {
@@ -258,10 +247,10 @@ util::JsonValue::Object AuditServer::StatsBody() {
       persistence["snapshots_written"] =
           static_cast<double>(s.persistence.snapshots_written);
       persistence["wal_syncs"] = static_cast<double>(s.persistence.wal_syncs);
-      persistence["fsync_seconds_p50"] = s.persistence.fsync_seconds_p50;
-      persistence["fsync_seconds_p90"] = s.persistence.fsync_seconds_p90;
-      persistence["fsync_seconds_p99"] = s.persistence.fsync_seconds_p99;
-      persistence["fsync_seconds_max"] = s.persistence.fsync_seconds_max;
+      persistence["fsync_seconds_p50"] = s.persistence.fsync_seconds.p50;
+      persistence["fsync_seconds_p90"] = s.persistence.fsync_seconds.p90;
+      persistence["fsync_seconds_p99"] = s.persistence.fsync_seconds.p99;
+      persistence["fsync_seconds_max"] = s.persistence.fsync_seconds.max;
       persistence["recovery_replayed"] =
           static_cast<double>(s.persistence.recovery_replayed);
       persistence["recovery_seconds"] = s.persistence.recovery_seconds;
@@ -275,15 +264,6 @@ util::JsonValue::Object AuditServer::StatsBody() {
   }
   body["shards"] = std::move(shards);
   return body;
-}
-
-std::vector<std::string> AuditServer::StateFingerprints() {
-  std::vector<std::string> fingerprints;
-  fingerprints.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    fingerprints.push_back(shard->StateFingerprint().ToHex());
-  }
-  return fingerprints;
 }
 
 }  // namespace auditgame::server

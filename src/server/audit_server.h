@@ -117,11 +117,6 @@ class AuditServer {
   /// stats request never locks a shard from a reactor thread.
   util::JsonValue::Object StatsBody();
 
-  /// Per-shard timing-free state fingerprints (hex). Test/inspection hook:
-  /// call only while the shards are quiescent (before Run() or after it
-  /// returned) — it serializes live tenant state.
-  std::vector<std::string> StateFingerprints();
-
  private:
   FrontEndHooks MakeHooks();
   /// Creates and recovers the shards, then starts them.

@@ -15,7 +15,6 @@
 #include <fstream>
 #include <utility>
 
-#include "util/percentile.h"
 #include "util/serializer.h"
 
 namespace auditgame::server {
@@ -159,12 +158,8 @@ util::StatusOr<DurabilityOptions> DurabilityOptionsFromFlags(
         std::to_string(every));
   }
   options.snapshot_every_records = static_cast<uint64_t>(every);
-  const int segment_mb = flags.GetInt("wal_segment_mb");
-  if (segment_mb < 1) {
-    return util::InvalidArgumentError(
-        "--wal_segment_mb must be at least 1, got " +
-        std::to_string(segment_mb));
-  }
+  ASSIGN_OR_RETURN(const int segment_mb,
+                   flags.GetIntAtLeast("wal_segment_mb", 1));
   options.wal_segment_bytes = static_cast<uint64_t>(segment_mb) << 20;
   options.snapshot_on_drain = flags.GetInt("snapshot_on_drain") != 0;
   return options;
@@ -533,13 +528,7 @@ util::Status ShardPersistence::WriteAndMaybeSync(std::string_view bytes,
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.wal_syncs;
-    if (fsync_window_.size() < kFsyncWindow) {
-      fsync_window_.push_back(seconds);
-    } else {
-      fsync_window_[fsync_next_] = seconds;
-      fsync_next_ = (fsync_next_ + 1) % kFsyncWindow;
-    }
+    fsync_seconds_.Add(seconds);
   }
   return util::OkStatus();
 }
@@ -714,20 +703,12 @@ void ShardPersistence::SetRecoveryFingerprint(std::string hex) {
 }
 
 PersistenceStats ShardPersistence::Stats() const {
-  PersistenceStats stats;
-  std::vector<double> window;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats = stats_;
-    window = fsync_window_;
-  }
-  if (!window.empty()) {
-    std::sort(window.begin(), window.end());
-    stats.fsync_seconds_p50 = util::NearestRankPercentileSorted(window, 0.50);
-    stats.fsync_seconds_p90 = util::NearestRankPercentileSorted(window, 0.90);
-    stats.fsync_seconds_p99 = util::NearestRankPercentileSorted(window, 0.99);
-    stats.fsync_seconds_max = window.back();
-  }
+  std::unique_lock<std::mutex> lock(stats_mutex_);
+  PersistenceStats stats = stats_;
+  const util::LatencyWindow fsync_seconds = fsync_seconds_;
+  lock.unlock();
+  stats.wal_syncs = static_cast<uint64_t>(fsync_seconds.count());
+  stats.fsync_seconds = fsync_seconds.Summary();
   return stats;
 }
 

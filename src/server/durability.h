@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "util/flags.h"
+#include "util/percentile.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -175,11 +176,8 @@ struct PersistenceStats {
   /// Group-commit fsync latency percentiles (seconds) over a bounded
   /// window of the most recent WAL syncs — the cost each committed batch
   /// pays under --wal_sync=batch (and each record under always). Zero
-  /// until the first sync; `wal_syncs` counts all syncs ever.
-  double fsync_seconds_p50 = 0.0;
-  double fsync_seconds_p90 = 0.0;
-  double fsync_seconds_p99 = 0.0;
-  double fsync_seconds_max = 0.0;
+  /// until the first sync; `wal_syncs` counts every sync of this process.
+  util::Percentiles fsync_seconds;
   uint64_t recovery_replayed = 0;
   double recovery_seconds = 0.0;
   /// LSN of the last record reflected in the recovered state (snapshot or
@@ -273,13 +271,11 @@ class ShardPersistence {
   std::chrono::steady_clock::time_point last_snapshot_time_;
   uint64_t next_snapshot_seq_ = 1;
 
-  // Shared counters (stats_mutex_). The fsync window is a ring of the most
-  // recent sync durations; Stats() sorts a copy to report percentiles.
+  // Shared counters (stats_mutex_). Stats() summarizes a copy of the
+  // fsync window and reads `wal_syncs` from its count.
   mutable std::mutex stats_mutex_;
   PersistenceStats stats_;
-  static constexpr size_t kFsyncWindow = 1024;
-  std::vector<double> fsync_window_;
-  size_t fsync_next_ = 0;
+  util::LatencyWindow fsync_seconds_{1024};
 
   // Snapshot writer thread. `job_` is a latest-wins mailbox: a newer
   // snapshot replaces a queued-but-unstarted older one.

@@ -48,7 +48,7 @@ util::StatusOr<FrontEndOptions> FrontEndOptionsFromFlags(
                                       std::to_string(port));
   }
   options.port = static_cast<uint16_t>(port);
-  options.num_reactors = flags.GetInt("reactors");
+  ASSIGN_OR_RETURN(options.num_reactors, flags.GetIntAtLeast("reactors", 1));
   static const std::map<std::string, net::PollerBackend> kPollers = {
       {"default", net::PollerBackend::kDefault},
       {"epoll", net::PollerBackend::kEpoll},
@@ -60,16 +60,16 @@ util::StatusOr<FrontEndOptions> FrontEndOptionsFromFlags(
         "--poller must be default, epoll, or poll, got '" + poller + "'");
   }
   options.poller_backend = backend->second;
-  const int max_frame_kb = flags.GetInt("max_frame_kb");
-  if (max_frame_kb < 1) {
-    return util::InvalidArgumentError("--max_frame_kb must be at least 1, got " +
-                                      std::to_string(max_frame_kb));
-  }
+  ASSIGN_OR_RETURN(const int max_frame_kb,
+                   flags.GetIntAtLeast("max_frame_kb", 1));
   options.max_frame_payload = static_cast<size_t>(max_frame_kb) * 1024;
-  options.idle_timeout_ms = flags.GetInt("idle_timeout_ms");
-  options.max_connections =
-      static_cast<size_t>(std::max(0, flags.GetInt("max_connections")));
-  options.drain_timeout_ms = flags.GetInt("drain_timeout_ms");
+  ASSIGN_OR_RETURN(options.idle_timeout_ms,
+                   flags.GetIntAtLeast("idle_timeout_ms", 0));
+  ASSIGN_OR_RETURN(const int max_connections,
+                   flags.GetIntAtLeast("max_connections", 0));
+  options.max_connections = static_cast<size_t>(max_connections);
+  ASSIGN_OR_RETURN(options.drain_timeout_ms,
+                   flags.GetIntAtLeast("drain_timeout_ms", 0));
   return options;
 }
 

@@ -57,8 +57,10 @@ struct FrontEndOptions {
 void DefineFrontEndFlags(util::FlagParser& flags, uint16_t default_port);
 
 /// Resolves the flags defined by DefineFrontEndFlags. Rejects a port
-/// outside 0–65535, --max_frame_kb below 1 and an unknown --poller name
-/// instead of wrapping them into a different (or no) limit.
+/// outside 0–65535, --reactors and --max_frame_kb below 1, a negative
+/// --idle_timeout_ms, --max_connections or --drain_timeout_ms, and an
+/// unknown --poller name instead of clamping or wrapping them into a
+/// different (or no) limit.
 util::StatusOr<FrontEndOptions> FrontEndOptionsFromFlags(
     const util::FlagParser& flags);
 

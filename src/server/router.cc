@@ -2,12 +2,71 @@
 
 #include <algorithm>
 #include <chrono>
+#include <sstream>
 #include <thread>
 #include <utility>
 
 #include "server/binary_codec.h"
 
 namespace auditgame::server {
+
+void DefineRouterFlags(util::FlagParser& flags) {
+  flags.Define("backends", "",
+               "comma-separated backend audit_server addresses "
+               "(host:port,host:port,...); list order is the ring identity");
+  flags.Define("vnodes", "128", "virtual nodes per backend on the hash ring");
+  flags.Define("replicate", "1",
+               "mirror ingest/solve_cycle to each tenant's ring successor "
+               "(warm failover); 0 = route only");
+  flags.Define("replica_retries", "200",
+               "overloaded-mirror retry budget per op (the client response "
+               "is held until the mirror applied)");
+  flags.Define("replica_retry_backoff_ms", "2",
+               "delay between overloaded-mirror retries");
+  flags.Define("window", "256",
+               "per-backend in-flight frame window (pipelining depth)");
+  flags.Define("backend_queue", "4096",
+               "per-backend accepted-but-unanswered bound (beyond it new "
+               "requests answer overloaded)");
+  flags.Define("backend_timeout_ms", "5000",
+               "no response from a backend for this long => drop the "
+               "connection and fail over");
+  flags.Define("ping_interval_ms", "500",
+               "stats-ping period per backend (keeps the response-timeout "
+               "health check armed); 0 = off");
+  flags.Define("backend_wait_ms", "10000",
+               "startup grace for backends to come up before serving");
+}
+
+util::StatusOr<RouterOptions> RouterOptionsFromFlags(
+    const util::FlagParser& flags) {
+  RouterOptions options;
+  std::stringstream backends(flags.GetString("backends"));
+  for (std::string item; std::getline(backends, item, ',');) {
+    if (!item.empty()) options.backends.push_back(item);
+  }
+  if (options.backends.empty()) {
+    return util::InvalidArgumentError(
+        "--backends must name at least one host:port");
+  }
+  ASSIGN_OR_RETURN(options.virtual_nodes, flags.GetIntAtLeast("vnodes", 1));
+  options.replicate = flags.GetInt("replicate") != 0;
+  ASSIGN_OR_RETURN(options.replica_retries,
+                   flags.GetIntAtLeast("replica_retries", 0));
+  ASSIGN_OR_RETURN(options.replica_retry_backoff_ms,
+                   flags.GetIntAtLeast("replica_retry_backoff_ms", 1));
+  ASSIGN_OR_RETURN(options.ping_interval_ms,
+                   flags.GetIntAtLeast("ping_interval_ms", 0));
+  ASSIGN_OR_RETURN(options.backend_connect_wait_ms,
+                   flags.GetIntAtLeast("backend_wait_ms", 0));
+  ASSIGN_OR_RETURN(options.channel.window, flags.GetIntAtLeast("window", 1));
+  ASSIGN_OR_RETURN(const int backend_queue,
+                   flags.GetIntAtLeast("backend_queue", 1));
+  options.channel.queue_capacity = static_cast<size_t>(backend_queue);
+  ASSIGN_OR_RETURN(options.channel.response_timeout_ms,
+                   flags.GetIntAtLeast("backend_timeout_ms", 1));
+  return options;
+}
 
 Router::Router(RouterOptions options)
     : options_(std::move(options)), front_(options_.front, MakeHooks()) {

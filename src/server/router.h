@@ -16,8 +16,10 @@
 #include "server/protocol.h"
 #include "server/reactor.h"
 #include "server/shard.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/status.h"
+#include "util/statusor.h"
 
 namespace auditgame::server {
 
@@ -54,6 +56,22 @@ struct RouterOptions {
   /// propagated from `front`.
   net::FrameChannelOptions channel;
 };
+
+/// Defines the router's backend, ring, replication and channel flags
+/// (--backends, --vnodes, --replicate, --replica_retries,
+/// --replica_retry_backoff_ms, --window, --backend_queue,
+/// --backend_timeout_ms, --ping_interval_ms, --backend_wait_ms). The
+/// front-door flags come from DefineFrontEndFlags.
+void DefineRouterFlags(util::FlagParser& flags);
+
+/// Resolves the flags defined by DefineRouterFlags (`front` keeps its
+/// defaults; resolve it with FrontEndOptionsFromFlags). Rejects an empty
+/// --backends list, --vnodes, --window, --backend_queue,
+/// --backend_timeout_ms and --replica_retry_backoff_ms below 1, and a
+/// negative --replica_retries, --ping_interval_ms or --backend_wait_ms,
+/// instead of clamping them or letting a zero timeout drop every backend.
+util::StatusOr<RouterOptions> RouterOptionsFromFlags(
+    const util::FlagParser& flags);
 
 /// The cluster front door: the same client front end as AuditServer
 /// (server/front_end.h: the same JSON/binary protocol, limits and drain)

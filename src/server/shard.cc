@@ -1,19 +1,13 @@
 #include "server/shard.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
 #include "core/game_io.h"
 #include "server/binary_codec.h"
-#include "util/percentile.h"
 #include "util/serializer.h"
 
 namespace auditgame::server {
-
-namespace {
-constexpr size_t kSolveSecondsWindow = 4096;
-}  // namespace
 
 Shard::Shard(int index, core::GameInstance base_instance,
              service::AuditServiceOptions service_options,
@@ -115,7 +109,7 @@ util::Fingerprint Shard::ConfigFingerprint() const {
 
 void Shard::StreamState(util::Serializer& s) {
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  s.Section("shard", 1);
+  s.Section("shard", 2);
   util::Fingerprint config = ConfigFingerprint();
   const util::Fingerprint expected = config;
   s.Object(config);
@@ -126,20 +120,6 @@ void Shard::StreamState(util::Serializer& s) {
         "base game (snapshot config " + config.ToHex() + ", this server " +
         expected.ToHex() + ") — refusing to restore"));
   }
-  s.I64(processed_);
-  // Batch count is a scheduling artifact (micro-batch sizes depend on queue
-  // timing) and WAL replay applies records one-by-one, so it is persisted
-  // but kept out of the state fingerprint.
-  s.TimingI64(batches_);
-  s.I64(ingests_);
-  s.I64(solves_);
-  s.I64(request_errors_);
-  s.I64(policies_from_cache_);
-  s.I64(warm_solves_);
-  s.I64(cold_solves_);
-  s.I64(solve_samples_);
-  s.VecTimingF64(solve_seconds_window_);
-  s.SizeT(solve_seconds_next_);
   uint64_t num_tenants = tenants_.size();
   s.U64(num_tenants);
   if (s.reading()) {
@@ -168,10 +148,8 @@ std::string Shard::SerializeState() {
 }
 
 util::Fingerprint Shard::StateFingerprint() {
-  util::Serializer s = util::Serializer::Fingerprinter();
-  StreamState(s);
   util::FingerprintBuilder fp;
-  fp.Append(s.buffer());
+  fp.Append(SerializeState());
   return fp.Build();
 }
 
@@ -184,8 +162,7 @@ util::Status Shard::ReplayWalPayload(const std::string& payload) {
     ASSIGN_OR_RETURN(request, ParseRequest(doc));
   }
   // The original execution's response is gone with the crash; replay only
-  // rebuilds state. A request that failed then fails identically now, so
-  // even the error counters line up.
+  // rebuilds state. A request that failed then fails identically now.
   std::vector<Response> discarded;
   Process(ShardTask{0, std::move(request), {}}, &discarded);
   return util::OkStatus();
@@ -298,14 +275,7 @@ void Shard::Process(const ShardTask& task, std::vector<Response>* responses) {
               break;
           }
         }
-        ++solve_samples_;
-        if (solve_seconds_window_.size() < kSolveSecondsWindow) {
-          solve_seconds_window_.push_back(report->seconds);
-        } else {
-          solve_seconds_window_[solve_seconds_next_] = report->seconds;
-          solve_seconds_next_ =
-              (solve_seconds_next_ + 1) % kSolveSecondsWindow;
-        }
+        solve_seconds_.Add(report->seconds);
       } else {
         ++request_errors_;
       }
@@ -332,42 +302,34 @@ ShardStatsSnapshot Shard::Snapshot() const {
     snapshot.durability = true;
     snapshot.persistence = persistence_->Stats();
   }
-  std::vector<double> window;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    snapshot.tenants = static_cast<int64_t>(tenants_.size());
-    snapshot.processed = processed_;
-    snapshot.batches = batches_;
-    snapshot.ingests = ingests_;
-    snapshot.solves = solves_;
-    snapshot.request_errors = request_errors_;
-    snapshot.wal_errors = wal_errors_;
-    snapshot.policies_from_cache = policies_from_cache_;
-    snapshot.warm_solves = warm_solves_;
-    snapshot.cold_solves = cold_solves_;
-    snapshot.solve_samples = solve_samples_;
-    window = solve_seconds_window_;
-    // PolicyCache / compile-cache stats are internally synchronized; the
-    // map iteration is what stats_mutex_ protects here.
-    for (const auto& [tenant, service] : tenants_) {
-      const service::PolicyCache::Stats cache = service->cache_stats();
-      snapshot.cache.hits += cache.hits;
-      snapshot.cache.misses += cache.misses;
-      snapshot.cache.insertions += cache.insertions;
-      snapshot.cache.evictions += cache.evictions;
-      const solver::SolverEngine::CompileCacheStats compile =
-          service->compile_cache_stats();
-      snapshot.compile.hits += compile.hits;
-      snapshot.compile.misses += compile.misses;
-    }
+  std::unique_lock<std::mutex> lock(stats_mutex_);
+  snapshot.tenants = static_cast<int64_t>(tenants_.size());
+  snapshot.processed = processed_;
+  snapshot.batches = batches_;
+  snapshot.ingests = ingests_;
+  snapshot.solves = solves_;
+  snapshot.request_errors = request_errors_;
+  snapshot.wal_errors = wal_errors_;
+  snapshot.policies_from_cache = policies_from_cache_;
+  snapshot.warm_solves = warm_solves_;
+  snapshot.cold_solves = cold_solves_;
+  // PolicyCache / compile-cache stats are internally synchronized; the
+  // map iteration is what stats_mutex_ protects here.
+  for (const auto& [tenant, service] : tenants_) {
+    const service::PolicyCache::Stats cache = service->cache_stats();
+    snapshot.cache.hits += cache.hits;
+    snapshot.cache.misses += cache.misses;
+    snapshot.cache.insertions += cache.insertions;
+    snapshot.cache.evictions += cache.evictions;
+    const solver::SolverEngine::CompileCacheStats compile =
+        service->compile_cache_stats();
+    snapshot.compile.hits += compile.hits;
+    snapshot.compile.misses += compile.misses;
   }
-  if (!window.empty()) {
-    std::sort(window.begin(), window.end());
-    snapshot.solve_seconds_p50 = util::NearestRankPercentileSorted(window, 0.50);
-    snapshot.solve_seconds_p90 = util::NearestRankPercentileSorted(window, 0.90);
-    snapshot.solve_seconds_p99 = util::NearestRankPercentileSorted(window, 0.99);
-    snapshot.solve_seconds_max = window.back();
-  }
+  const util::LatencyWindow solve_seconds = solve_seconds_;
+  lock.unlock();
+  snapshot.solve_seconds = solve_seconds.Summary();
+  snapshot.solve_samples = solve_seconds.count();
   return snapshot;
 }
 

@@ -19,6 +19,7 @@
 #include "service/policy_cache.h"
 #include "solver/engine.h"
 #include "util/hash.h"
+#include "util/percentile.h"
 
 namespace auditgame::util {
 class Serializer;
@@ -41,7 +42,9 @@ struct ShardTask {
 };
 
 /// A point-in-time copy of one shard's counters, taken from the IO thread
-/// for the `stats` verb while the shard keeps working.
+/// for the `stats` verb while the shard keeps working. The counters are
+/// not durable state: they count what this process applied, WAL replay
+/// included, and restart with it.
 struct ShardStatsSnapshot {
   int shard = 0;
   size_t queue_depth = 0;
@@ -61,11 +64,8 @@ struct ShardStatsSnapshot {
   service::PolicyCache::Stats cache;
   solver::SolverEngine::CompileCacheStats compile;
   /// Percentiles over the most recent solve-cycle wall times (bounded
-  /// window; `solve_samples` counts all solves ever).
-  double solve_seconds_p50 = 0.0;
-  double solve_seconds_p90 = 0.0;
-  double solve_seconds_p99 = 0.0;
-  double solve_seconds_max = 0.0;
+  /// window; `solve_samples` counts every solve of this process).
+  util::Percentiles solve_seconds;
   int64_t solve_samples = 0;
   /// Durability (zero/empty when the shard runs without a data_dir).
   bool durability = false;
@@ -148,18 +148,19 @@ class Shard {
 
   /// Streams the shard's full durable state: a configuration-fingerprint
   /// guard (service options + base instance — state recorded under one
-  /// configuration must not silently replay under another), the counters,
-  /// and every tenant's AuditService. Thread-contract: shard thread, or
-  /// any thread while the worker is not running (locks stats_mutex_
-  /// against Snapshot()).
+  /// configuration must not silently replay under another) and every
+  /// tenant's AuditService. No counter or measurement is streamed.
+  /// Thread-contract: shard thread, or any thread while the worker is not
+  /// running (locks stats_mutex_ against Snapshot()).
   void StreamState(util::Serializer& s);
 
   /// Serialized StreamState bytes (the snapshot body).
   std::string SerializeState();
 
-  /// Timing-free content fingerprint of the shard state — equal across two
-  /// independent recoveries of the same snapshot+WAL, the bit-for-bit
-  /// verification hook. Same thread contract as StreamState().
+  /// Fingerprint of SerializeState(), the exact bytes a snapshot stores —
+  /// equal across two independent recoveries of the same snapshot+WAL,
+  /// the bit-for-bit verification hook. Same thread contract as
+  /// StreamState().
   util::Fingerprint StateFingerprint();
 
   ShardPersistence* persistence() const { return persistence_.get(); }
@@ -193,6 +194,7 @@ class Shard {
   /// Snapshot() (IO thread) never races the worker.
   mutable std::mutex stats_mutex_;
   std::map<std::string, std::unique_ptr<service::AuditService>> tenants_;
+  // In-memory counters of this process (never streamed).
   int64_t processed_ = 0;
   int64_t batches_ = 0;
   int64_t ingests_ = 0;
@@ -205,11 +207,8 @@ class Shard {
   int64_t policies_from_cache_ = 0;
   int64_t warm_solves_ = 0;
   int64_t cold_solves_ = 0;
-  int64_t solve_samples_ = 0;
-  /// Ring of recent solve-cycle wall times (bounded so stats stay O(1)
-  /// memory on long runs).
-  std::vector<double> solve_seconds_window_;
-  size_t solve_seconds_next_ = 0;
+  /// Recent solve-cycle wall times.
+  util::LatencyWindow solve_seconds_{4096};
 };
 
 }  // namespace auditgame::server

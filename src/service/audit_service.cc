@@ -187,11 +187,6 @@ void AuditService::StreamState(util::Serializer& s) {
   s.Section("audit_service", 1);
   s.Object(instance_);
   s.I64(cycles_run_);
-  s.I64(served_from_cache_);
-  s.I64(warm_solves_);
-  s.I64(cold_solves_);
-  s.TimingF64(total_cycle_seconds_);
-  s.TimingF64(last_cycle_seconds_);
   uint64_t num_baselines = last_solves_.size();
   s.U64(num_baselines);
   if (s.reading()) {

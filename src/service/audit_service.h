@@ -96,13 +96,15 @@ class AuditService {
     double seconds = 0.0;
   };
 
-  /// Lifetime counters of the serving loop, for operational reporting (the
-  /// audit server's `stats` verb, the replay tools' summaries) — callers
-  /// read real served/warm/cold splits here instead of recomputing them
-  /// from per-cycle reports. Single-writer like the service itself: read
-  /// from the thread that runs the cycles (the embedded cache/compile
-  /// stats are additionally safe to read from anywhere, see PolicyCache).
+  /// Counters of the serving loop, for operational reporting (the replay
+  /// tools' summaries) — callers read real served/warm/cold splits here
+  /// instead of recomputing them from per-cycle reports. Everything but
+  /// `cycles` counts this process only: a restored service starts them at
+  /// zero. Single-writer like the service itself: read from the thread
+  /// that runs the cycles (the embedded cache/compile stats are
+  /// additionally safe to read from anywhere, see PolicyCache).
   struct Stats {
+    /// The last cycle number, restored with the state.
     int64_t cycles = 0;
     /// Policies by source, summed over all cycles and budgets.
     int64_t served_from_cache = 0;
@@ -156,10 +158,11 @@ class AuditService {
                              const std::vector<prob::CountDistribution>& b);
 
   /// Streams the full serving state: the current instance (validated on
-  /// read), lifetime counters, per-budget warm-start baselines, and the
+  /// read), the cycle number, per-budget warm-start baselines, and the
   /// policy cache. The engine's compile cache is deliberately NOT streamed
-  /// — it is derived state, rebuilt on demand from the instance. Call from
-  /// the service's single-writer thread.
+  /// — it is derived state, rebuilt on demand from the instance — and
+  /// neither are the stats() counters, which count this process's cycles
+  /// and restart with it. Call from the service's single-writer thread.
   void StreamState(util::Serializer& s);
 
  private:
@@ -177,9 +180,11 @@ class AuditService {
   PolicyCache cache_;
   /// Previous solved state per budget: warm-start seed + drift baseline.
   std::map<double, LastSolve> last_solves_;
+  /// Numbers the responses, so it is state (streamed) — unlike the
+  /// counters below.
   int64_t cycles_run_ = 0;
-  /// Lifetime counters behind stats() (cache/compile stats live in their
-  /// owners).
+  /// This process's counters behind stats() (cache/compile stats live in
+  /// their owners); not streamed.
   int64_t served_from_cache_ = 0;
   int64_t warm_solves_ = 0;
   int64_t cold_solves_ = 0;

@@ -111,16 +111,10 @@ void PolicyCache::StreamState(util::Serializer& s) {
         "PolicyCache: snapshot capacity " + std::to_string(capacity) +
         " != configured capacity " + std::to_string(cache_.capacity())));
   }
-  s.I64(stats_.hits);
-  s.I64(stats_.misses);
-  s.I64(stats_.insertions);
-  int64_t evictions = cache_.evictions();
-  s.I64(evictions);
   uint64_t count = cache_.size();
   s.U64(count);
   if (s.ok() && s.reading()) {
     cache_.Clear();
-    cache_.SetEvictions(evictions);
     for (uint64_t i = 0; i < count; ++i) {
       util::Fingerprint key;
       solver::SolveResult result;

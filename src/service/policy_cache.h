@@ -63,10 +63,11 @@ class PolicyCache {
   size_t capacity() const;
 
   /// Streams every entry (oldest-first, so restore reproduces the LRU
-  /// order), the hit/miss/insertion/eviction counters, and the capacity as
-  /// a guard (a snapshot taken under one capacity must not be restored
-  /// into a differently sized cache — recency-dependent eviction would
-  /// diverge from the original process). Takes the cache lock.
+  /// order) and the capacity as a guard (a snapshot taken under one
+  /// capacity must not be restored into a differently sized cache —
+  /// recency-dependent eviction would diverge from the original process).
+  /// The stats() counters are not state: they count this process's
+  /// lookups and restart with it. Takes the cache lock.
   void StreamState(util::Serializer& s);
 
  private:

@@ -113,8 +113,9 @@ struct SolveStats {
   /// setup excluded).
   double seconds = 0.0;
 
-  /// Timing fields stream as TimingF64 — skipped by state fingerprints,
-  /// since two bit-identical recoveries measure different wall-clocks.
+  /// Streams the deterministic counters only: `pricing_seconds` and
+  /// `seconds` are measurements, never on the wire, and read 0 on a
+  /// restored result.
   void StreamState(util::Serializer& s);
 };
 

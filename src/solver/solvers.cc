@@ -194,10 +194,8 @@ void SolveStats::StreamState(util::Serializer& s) {
   s.I32(lp_solves);
   s.I32(warm_lp_solves);
   s.I32(columns_generated);
-  s.TimingF64(pricing_seconds);
   s.U64(vectors_evaluated);
   s.U64(search_space);
-  s.TimingF64(seconds);
 }
 
 void SolveResult::StreamState(util::Serializer& s) {

@@ -158,6 +158,17 @@ bool FlagParser::GetBool(const std::string& name) const {
   return v == "true" || v == "1" || v == "yes";
 }
 
+StatusOr<int> FlagParser::GetIntAtLeast(const std::string& name,
+                                        int min) const {
+  const int value = GetInt(name);
+  if (value < min) {
+    return InvalidArgumentError("--" + name + " must be at least " +
+                                std::to_string(min) + ", got " +
+                                std::to_string(value));
+  }
+  return value;
+}
+
 std::vector<double> FlagParser::GetDoubleList(const std::string& name) const {
   std::vector<double> result;
   for (const std::string& part : SplitComma(GetString(name))) {

@@ -46,6 +46,11 @@ class FlagParser {
   double GetDouble(const std::string& name) const;
   bool GetBool(const std::string& name) const;
 
+  /// GetInt with a lower bound: InvalidArgument naming the flag when the
+  /// value is below `min`, so a tool refuses an out-of-range setting at
+  /// start instead of clamping or wrapping it.
+  StatusOr<int> GetIntAtLeast(const std::string& name, int min) const;
+
   /// Parses a comma-separated list of doubles (e.g. "--eps=0.1,0.2,0.3").
   /// An empty value yields an empty list; malformed elements exit(2).
   std::vector<double> GetDoubleList(const std::string& name) const;

@@ -72,10 +72,6 @@ class LruCache {
     }
   }
 
-  /// Restores the lifetime eviction counter after a snapshot load (Insert()
-  /// keeps incrementing it from here).
-  void SetEvictions(int64_t evictions) { evictions_ = evictions; }
-
  private:
   size_t capacity_;
   int64_t evictions_ = 0;

@@ -176,16 +176,6 @@ void Serializer::F64(double& v) {
   if (reading()) std::memcpy(&v, &bits, sizeof(v));
 }
 
-void Serializer::TimingF64(double& v) {
-  if (fingerprinting()) return;
-  F64(v);
-}
-
-void Serializer::TimingI64(int64_t& v) {
-  if (fingerprinting()) return;
-  I64(v);
-}
-
 uint64_t Serializer::Length(size_t size) {
   uint64_t n = size;
   U64(n);
@@ -223,11 +213,6 @@ void Serializer::VecF64(std::vector<double>& v) {
     F64(x);
     if (!ok()) return;
   }
-}
-
-void Serializer::VecTimingF64(std::vector<double>& v) {
-  if (fingerprinting()) return;
-  VecF64(v);
 }
 
 void Serializer::VecI32(std::vector<int>& v) {

@@ -29,16 +29,17 @@ uint32_t Crc32Update(uint32_t crc, std::string_view data);
 /// renormalization — because snapshot/WAL replay must reproduce solver
 /// state exactly); strings and vectors length-prefixed.
 ///
+/// Only logical state is streamed — what replay needs to reproduce later
+/// responses and state. Counters and wall-clock measurements stay in
+/// memory and restart with the process, so the bytes a Writer produces are
+/// also the state's content fingerprint (see FingerprintState).
+///
 /// Modes:
 ///   - Writer(): appends to an internal buffer (never fails).
 ///   - Reader(data): consumes `data` with sticky error handling — any
 ///     bounds violation, tag mismatch, or version mismatch sets status()
 ///     and every later operation no-ops with zeroed outputs, so callers
 ///     check ok() once at the end instead of after every field.
-///   - Fingerprinter(): a writer whose TimingF64 fields are skipped, for
-///     content fingerprints of state where wall-clock measurements must
-///     not perturb equality (two bit-identical recoveries measure
-///     different solve times; see FingerprintState).
 ///
 /// Versioning: each composite type opens its block with
 /// Section("tag", kVersion). On read the tag must match and the stored
@@ -48,16 +49,14 @@ uint32_t Crc32Update(uint32_t crc, std::string_view data);
 class Serializer {
  public:
   static Serializer Writer() { return Serializer(Mode::kWrite); }
-  static Serializer Fingerprinter() { return Serializer(Mode::kFingerprint); }
   static Serializer Reader(std::string_view data) {
     Serializer s(Mode::kRead);
     s.input_ = data;
     return s;
   }
 
-  bool writing() const { return mode_ != Mode::kRead; }
+  bool writing() const { return mode_ == Mode::kWrite; }
   bool reading() const { return mode_ == Mode::kRead; }
-  bool fingerprinting() const { return mode_ == Mode::kFingerprint; }
 
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
@@ -79,20 +78,12 @@ class Serializer {
   void SizeT(size_t& v);
   void Bool(bool& v);
   void F64(double& v);
-  /// A wall-clock measurement: streamed like F64 in read/write mode,
-  /// skipped entirely by Fingerprinter() (see class comment).
-  void TimingF64(double& v);
-  /// An operational counter whose value depends on scheduling (e.g. how
-  /// many micro-batches a queue drained), not on logical state: persisted
-  /// like I64, excluded from fingerprints like TimingF64.
-  void TimingI64(int64_t& v);
 
   /// Length-prefixed string. Read rejects lengths beyond the remaining
   /// input, so a corrupt length field can never drive a huge allocation.
   void Str(std::string& v);
 
   void VecF64(std::vector<double>& v);
-  void VecTimingF64(std::vector<double>& v);
   void VecI32(std::vector<int>& v);
   void VecStr(std::vector<std::string>& v);
   void VecVecI32(std::vector<std::vector<int>>& v);
@@ -122,7 +113,7 @@ class Serializer {
     U64(v.lo);
   }
 
-  /// Write modes: the bytes produced so far.
+  /// Write mode: the bytes produced so far.
   const std::string& buffer() const { return buffer_; }
   std::string TakeBuffer() { return std::move(buffer_); }
 
@@ -133,7 +124,7 @@ class Serializer {
   void ExpectExhausted();
 
  private:
-  enum class Mode { kWrite, kRead, kFingerprint };
+  enum class Mode { kWrite, kRead };
 
   explicit Serializer(Mode mode) : mode_(mode) {}
 
@@ -146,18 +137,17 @@ class Serializer {
 
   Mode mode_;
   Status status_ = OkStatus();
-  std::string buffer_;      // write modes
+  std::string buffer_;      // write mode
   std::string_view input_;  // read mode
   size_t pos_ = 0;
 };
 
-/// Content fingerprint of any StreamState-bearing value: streams it in
-/// Fingerprinter mode (timings skipped) and fingerprints the bytes. Used
-/// by recovery verification: two independent recoveries of the same
-/// snapshot + WAL must produce equal fingerprints.
+/// Content fingerprint of any StreamState-bearing value: the fingerprint
+/// of its Writer bytes. Used by recovery verification: two independent
+/// recoveries of the same snapshot + WAL must produce equal fingerprints.
 template <typename T>
 Fingerprint FingerprintState(T& v) {
-  Serializer s = Serializer::Fingerprinter();
+  Serializer s = Serializer::Writer();
   v.StreamState(s);
   FingerprintBuilder fp;
   fp.Append(s.buffer());

@@ -178,5 +178,21 @@ TEST(FlagParserTest, EmptyValueYieldsEmptyLists) {
   EXPECT_TRUE(parser.GetIntList("thresholds").empty());
 }
 
+TEST(FlagParserTest, GetIntAtLeastRejectsValuesBelowTheBound) {
+  FlagParser parser;
+  parser.Define("window", "4", "pipelining depth");
+  std::vector<std::string> args = {"prog", "--window=0"};
+  auto argv = MakeArgv(args);
+  ASSERT_TRUE(parser.Parse(static_cast<int>(argv.size()), argv.data()).ok());
+  auto rejected = parser.GetIntAtLeast("window", 1);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rejected.status().message(),
+            "--window must be at least 1, got 0");
+  auto accepted = parser.GetIntAtLeast("window", 0);
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  EXPECT_EQ(*accepted, 0);
+}
+
 }  // namespace
 }  // namespace auditgame::util

@@ -1,10 +1,11 @@
 // Tests for the flags the serving tools share: the front door
-// (server::DefineFrontEndFlags / FrontEndOptionsFromFlags) and the shard and
+// (server::DefineFrontEndFlags / FrontEndOptionsFromFlags), the shard and
 // service knobs (DefineAuditServerFlags / AuditServerOptionsFromFlags and
-// the DefineServiceFlags / ServiceOptionsFromFlags pair they share). The
-// defaults resolve to the documented options, and out-of-range values are
-// rejected instead of wrapping into a different port, no frame cap or an
-// unbounded queue.
+// the DefineServiceFlags / ServiceOptionsFromFlags pair they share) and the
+// router's (DefineRouterFlags / RouterOptionsFromFlags). The defaults
+// resolve to the documented options, and out-of-range values are rejected
+// instead of wrapping into a different port, no frame cap or an unbounded
+// queue, or clamping into a different limit.
 #include "server/front_end.h"
 
 #include <string>
@@ -13,6 +14,7 @@
 
 #include "gtest/gtest.h"
 #include "server/audit_server.h"
+#include "server/router.h"
 #include "tests/test_util.h"
 #include "util/flags.h"
 
@@ -31,6 +33,15 @@ util::StatusOr<AuditServerOptions> ParseServer(std::vector<std::string> args) {
   DefineAuditServerFlags(flags);
   RETURN_IF_ERROR(testutil::ParseArgs(flags, std::move(args)));
   return AuditServerOptionsFromFlags(flags);
+}
+
+util::StatusOr<RouterOptions> ParseRouter(std::vector<std::string> args) {
+  util::FlagParser flags;
+  DefineRouterFlags(flags);
+  // A backend list is required; a later --backends in `args` overrides it.
+  args.insert(args.begin(), "--backends=127.0.0.1:7451,127.0.0.1:7452");
+  RETURN_IF_ERROR(testutil::ParseArgs(flags, std::move(args)));
+  return RouterOptionsFromFlags(flags);
 }
 
 TEST(FrontEndFlagsTest, DefaultsParseToTheDocumentedOptions) {
@@ -73,10 +84,15 @@ TEST(FrontEndFlagsTest, ExplicitValuesPassThrough) {
 }
 
 TEST(FrontEndFlagsTest, OutOfRangeValuesAreRejectedNotWrapped) {
-  // 70000 would wrap to port 4464; -1 KiB would wrap to a ~SIZE_MAX cap.
-  for (const char* bad : {"--port=70000", "--port=65536", "--port=-1",
-                          "--max_frame_kb=0", "--max_frame_kb=-1",
-                          "--poller=kqueue", "--poller="}) {
+  // 70000 would wrap to port 4464; -1 KiB would wrap to a ~SIZE_MAX cap;
+  // -1 connections used to mean unlimited, 0 reactors one, a negative idle
+  // timeout no reaping, and a negative drain budget abandoned in-flight
+  // work at once.
+  for (const char* bad :
+       {"--port=70000", "--port=65536", "--port=-1", "--max_frame_kb=0",
+        "--max_frame_kb=-1", "--poller=kqueue", "--poller=", "--reactors=0",
+        "--reactors=-1", "--idle_timeout_ms=-1", "--max_connections=-1",
+        "--drain_timeout_ms=-1"}) {
     auto options = Parse({bad});
     EXPECT_FALSE(options.ok()) << bad;
     EXPECT_EQ(options.status().code(), util::StatusCode::kInvalidArgument)
@@ -129,6 +145,50 @@ TEST(AuditServerFlagsTest, OutOfRangeValuesAreRejectedNotWrapped) {
     EXPECT_EQ(options.status().code(), util::StatusCode::kInvalidArgument)
         << bad;
   }
+}
+
+TEST(RouterFlagsTest, DefaultsMatchRouterOptions) {
+  auto options = ParseRouter({});
+  ASSERT_TRUE(options.ok()) << options.status();
+  EXPECT_EQ(options->backends,
+            (std::vector<std::string>{"127.0.0.1:7451", "127.0.0.1:7452"}));
+  // Flags and struct agree on every default but the per-backend queue,
+  // which the tool sizes for many clients sharing one channel.
+  const RouterOptions defaults;
+  EXPECT_EQ(options->virtual_nodes, defaults.virtual_nodes);
+  EXPECT_EQ(options->replicate, defaults.replicate);
+  EXPECT_EQ(options->replica_retries, defaults.replica_retries);
+  EXPECT_EQ(options->replica_retry_backoff_ms,
+            defaults.replica_retry_backoff_ms);
+  EXPECT_EQ(options->ping_interval_ms, defaults.ping_interval_ms);
+  EXPECT_EQ(options->backend_connect_wait_ms,
+            defaults.backend_connect_wait_ms);
+  EXPECT_EQ(options->channel.window, defaults.channel.window);
+  EXPECT_EQ(options->channel.response_timeout_ms,
+            defaults.channel.response_timeout_ms);
+  EXPECT_EQ(options->channel.queue_capacity, 4096u);
+}
+
+TEST(RouterFlagsTest, OutOfRangeValuesAreInvalidArgument) {
+  // A zero --backend_timeout_ms dropped every backend on its first
+  // outstanding request; the others were clamped or passed through.
+  for (const char* bad :
+       {"--backends=", "--backends=,", "--backend_timeout_ms=0",
+        "--backend_timeout_ms=-1", "--vnodes=0", "--window=0",
+        "--backend_queue=0", "--backend_queue=-1", "--replica_retries=-1",
+        "--replica_retry_backoff_ms=0", "--ping_interval_ms=-1",
+        "--backend_wait_ms=-1"}) {
+    auto options = ParseRouter({bad});
+    EXPECT_FALSE(options.ok()) << bad;
+    EXPECT_EQ(options.status().code(), util::StatusCode::kInvalidArgument)
+        << bad;
+  }
+  // The lower bounds themselves are accepted (0 = pings off, no retries).
+  auto edges = ParseRouter({"--replica_retries=0", "--ping_interval_ms=0",
+                            "--backend_wait_ms=0", "--vnodes=1"});
+  ASSERT_TRUE(edges.ok()) << edges.status();
+  EXPECT_EQ(edges->ping_interval_ms, 0);
+  EXPECT_EQ(edges->replica_retries, 0);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // End-to-end durability: a shard that snapshots and WAL-logs its ingest
 // stream, is torn down mid-workload, and is recovered by a fresh shard
-// must (a) reach the exact state fingerprint of an uninterrupted run and
+// must (a) reach the exact snapshot bytes of an uninterrupted run and
 // (b) answer the remaining workload with identical responses (modulo
 // wall-clock timing fields).
 #include <sys/stat.h>
@@ -164,6 +164,7 @@ TEST(PersistenceE2eTest, InterruptedRunRecoversBitForBit) {
   // Reference: one uninterrupted, non-durable shard over the full stream.
   Collector reference_sink;
   util::Fingerprint reference_fp;
+  std::string reference_state;
   std::map<int64_t, std::string> reference_responses;
   {
     Shard reference(0, game, FastOptions(), /*queue_capacity=*/8,
@@ -173,6 +174,7 @@ TEST(PersistenceE2eTest, InterruptedRunRecoversBitForBit) {
     all.insert(all.end(), second_half.begin(), second_half.end());
     RunAll(reference, all, /*durable=*/false);
     reference_fp = reference.StateFingerprint();
+    reference_state = reference.SerializeState();
     reference_responses = reference_sink.Take();
   }
 
@@ -213,7 +215,13 @@ TEST(PersistenceE2eTest, InterruptedRunRecoversBitForBit) {
   EXPECT_EQ(b.persistence()->Stats().recovery_replayed, cycle1.size());
   RunAll(b, second_half, /*durable=*/true);
 
-  // The recovered shard ends in the reference's exact state...
+  // The recovered shard ends in the reference's exact state: the same
+  // snapshot bytes (no counter or timing differs, though this process
+  // batched and replayed differently) and so the same fingerprint...
+  const std::string recovered_state = b.SerializeState();
+  EXPECT_TRUE(recovered_state == reference_state)
+      << "recovered snapshot bytes (" << recovered_state.size()
+      << ") differ from the reference's (" << reference_state.size() << ")";
   EXPECT_EQ(b.StateFingerprint(), reference_fp);
 
   // ...and answered the second half identically (timing fields aside).

@@ -218,33 +218,6 @@ TEST(SerializerTest, BoolRejectsNonCanonicalBytes) {
   EXPECT_FALSE(r.ok());
 }
 
-TEST(SerializerTest, FingerprinterSkipsTimingFields) {
-  struct Timed {
-    double value = 1.0;
-    double seconds = 0.0;
-    void StreamState(Serializer& s) {
-      s.F64(value);
-      s.TimingF64(seconds);
-    }
-  };
-  Timed a{3.5, 0.001};
-  Timed b{3.5, 99.0};  // same content, different wall clock
-  EXPECT_EQ(FingerprintState(a), FingerprintState(b));
-
-  Timed c{3.6, 0.001};
-  EXPECT_NE(FingerprintState(a), FingerprintState(c));
-
-  // In read/write mode TimingF64 is a normal field and round-trips.
-  Serializer w = Serializer::Writer();
-  a.StreamState(w);
-  Timed restored;
-  Serializer r = Serializer::Reader(w.buffer());
-  restored.StreamState(r);
-  r.ExpectExhausted();
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(restored.seconds, a.seconds);
-}
-
 TEST(SerializerTest, VecObjRoundTrip) {
   struct Point {
     int x = 0;

@@ -110,15 +110,13 @@ TEST(StreamStateTest, SolveResultRoundTripFromRealSolve) {
   EXPECT_EQ(restored.thresholds, result.thresholds);
   EXPECT_EQ(restored.policy.probabilities, result.policy.probabilities);
   EXPECT_EQ(restored.stats.evaluations, result.stats.evaluations);
-  // Wall-clock fields are real fields in read/write mode...
-  EXPECT_EQ(restored.stats.seconds, result.stats.seconds);
-  // ...but never part of the content fingerprint.
-  restored.stats.seconds += 1000.0;
-  restored.stats.pricing_seconds += 1000.0;
+  // Wall-clock fields are measurements, never on the wire.
+  EXPECT_EQ(restored.stats.seconds, 0.0);
+  EXPECT_EQ(restored.stats.pricing_seconds, 0.0);
   EXPECT_EQ(util::FingerprintState(restored), util::FingerprintState(result));
 }
 
-TEST(StreamStateTest, PolicyCachePreservesEntriesStatsAndLruOrder) {
+TEST(StreamStateTest, PolicyCachePreservesEntriesAndLruOrder) {
   service::AuditService service(testutil::MakeTinyGame(), FastOptions());
   auto report = service.RunCycle();
   ASSERT_TRUE(report.ok()) << report.status();
@@ -139,7 +137,6 @@ TEST(StreamStateTest, PolicyCachePreservesEntriesStatsAndLruOrder) {
   }
   // Touch key 0 so the recency order is 1 < 2 < 0 (oldest first).
   ASSERT_TRUE(cache.Lookup(key(0)).has_value());
-  ASSERT_FALSE(cache.Lookup(key(9)).has_value());  // one miss for the stats
 
   service::PolicyCache restored(/*capacity=*/3);
   {
@@ -153,12 +150,6 @@ TEST(StreamStateTest, PolicyCachePreservesEntriesStatsAndLruOrder) {
   }
 
   EXPECT_EQ(restored.size(), cache.size());
-  const auto stats = cache.stats();
-  const auto rstats = restored.stats();
-  EXPECT_EQ(rstats.hits, stats.hits);
-  EXPECT_EQ(rstats.misses, stats.misses);
-  EXPECT_EQ(rstats.insertions, stats.insertions);
-  EXPECT_EQ(rstats.evictions, stats.evictions);
   for (uint64_t i = 0; i < 3; ++i) {
     auto entry = restored.Lookup(key(i));
     ASSERT_TRUE(entry.has_value()) << "key " << i;
@@ -213,12 +204,7 @@ TEST(StreamStateTest, AuditServiceRoundTripServesIdenticalCycles) {
     ASSERT_TRUE(r.ok()) << r.status();
   }
   EXPECT_EQ(util::FingerprintState(restored), util::FingerprintState(original));
-  const auto stats = original.stats();
-  const auto rstats = restored.stats();
-  EXPECT_EQ(rstats.cycles, stats.cycles);
-  EXPECT_EQ(rstats.served_from_cache, stats.served_from_cache);
-  EXPECT_EQ(rstats.warm_solves, stats.warm_solves);
-  EXPECT_EQ(rstats.cold_solves, stats.cold_solves);
+  EXPECT_EQ(restored.stats().cycles, original.stats().cycles);
 
   // The restored service must continue exactly where the original would:
   // same sources (cache hits stay hits), same policies, bit-for-bit.
@@ -252,6 +238,26 @@ TEST(StreamStateTest, ShardStateRoundTripsBetweenSameConfigShards) {
   r.ExpectExhausted();
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(b.StateFingerprint(), a.StateFingerprint());
+}
+
+TEST(StreamStateTest, ShardV1BodyIsRefusedAtItsFirstField) {
+  // Shard v1 snapshots carried counters and a latency window; v2 holds
+  // only the config guard and the tenants, and refuses the old layout.
+  Serializer w = Serializer::Writer();
+  w.Section("shard", 1);
+  util::Fingerprint config;
+  w.Object(config);
+  auto no_respond = [](std::vector<server::Shard::Response>) {};
+  server::Shard shard(0, testutil::MakeTinyGame(), FastOptions(),
+                      /*queue_capacity=*/4, /*max_batch=*/2, no_respond,
+                      nullptr);
+  Serializer r = Serializer::Reader(w.buffer());
+  shard.StreamState(r);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("section 'shard' version mismatch"),
+            std::string::npos)
+      << r.status();
 }
 
 TEST(StreamStateTest, ShardConfigMismatchRefusesRestore) {

@@ -374,15 +374,8 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
   adversary::SummarizeLoop(loop);
   const size_t cycles_completed = loop.cycles.size();
 
-  std::vector<double> retries_sorted(tenant_retries.begin(),
-                                     tenant_retries.end());
-  std::sort(retries_sorted.begin(), retries_sorted.end());
-  const double retries_p50 =
-      util::NearestRankPercentileSorted(retries_sorted, 0.50);
-  const double retries_p90 =
-      util::NearestRankPercentileSorted(retries_sorted, 0.90);
-  const double retries_max =
-      retries_sorted.empty() ? 0.0 : retries_sorted.back();
+  const util::Percentiles retries = util::Summarize(
+      std::vector<double>(tenant_retries.begin(), tenant_retries.end()));
   const int64_t retries_total = std::accumulate(
       tenant_retries.begin(), tenant_retries.end(), int64_t{0});
   const bool all_answered = !exhausted && answered == total_requests;
@@ -396,7 +389,7 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
             << "/" << cycles << " cycles — answered " << answered << "/"
             << total_requests << " (ratio " << answered_ratio << "), "
             << retries_total << " overloaded retries (per-tenant p50 "
-            << retries_p50 << " p90 " << retries_p90 << " max " << retries_max
+            << retries.p50 << " p90 " << retries.p90 << " max " << retries.max
             << "), cycle order " << (order_preserved ? "preserved" : "VIOLATED")
             << "\n";
   PrintLoopSummary(loop);
@@ -414,9 +407,9 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
   summary["all_requests_answered"] = all_answered;
   summary["order_preserved"] = order_preserved;
   summary["overloaded_retries_total"] = static_cast<double>(retries_total);
-  summary["tenant_retries_p50"] = retries_p50;
-  summary["tenant_retries_p90"] = retries_p90;
-  summary["tenant_retries_max"] = retries_max;
+  summary["tenant_retries_p50"] = retries.p50;
+  summary["tenant_retries_p90"] = retries.p90;
+  summary["tenant_retries_max"] = retries.max;
   summary["oracle"] = oracle;
   AddLoopSummary(loop, summary);
   const int io = WriteJson(flags.GetString("json"), std::move(summary));

@@ -19,10 +19,9 @@
 //   audit_router --port=7450 --backends=127.0.0.1:7451,127.0.0.1:7452
 #include <signal.h>
 
-#include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -40,44 +39,10 @@ void HandleStopSignal(int /*signum*/) {
   if (g_router != nullptr) g_router->RequestStop();
 }
 
-std::vector<std::string> SplitCommaList(const std::string& text) {
-  std::vector<std::string> out;
-  std::string item;
-  std::stringstream stream(text);
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 int Run(int argc, char** argv) {
   util::FlagParser flags;
   server::DefineFrontEndFlags(flags, /*default_port=*/7450);
-  flags.Define("backends", "",
-               "comma-separated backend audit_server addresses "
-               "(host:port,host:port,...); list order is the ring identity");
-  flags.Define("vnodes", "128", "virtual nodes per backend on the hash ring");
-  flags.Define("replicate", "1",
-               "mirror ingest/solve_cycle to each tenant's ring successor "
-               "(warm failover); 0 = route only");
-  flags.Define("replica_retries", "200",
-               "overloaded-mirror retry budget per op (the client response "
-               "is held until the mirror applied)");
-  flags.Define("replica_retry_backoff_ms", "2",
-               "delay between overloaded-mirror retries");
-  flags.Define("window", "256",
-               "per-backend in-flight frame window (pipelining depth)");
-  flags.Define("backend_queue", "4096",
-               "per-backend accepted-but-unanswered bound (beyond it new "
-               "requests answer overloaded)");
-  flags.Define("backend_timeout_ms", "5000",
-               "no response from a backend for this long => drop the "
-               "connection and fail over");
-  flags.Define("ping_interval_ms", "500",
-               "stats-ping period per backend (keeps the response-timeout "
-               "health check armed); 0 = off");
-  flags.Define("backend_wait_ms", "10000",
-               "startup grace for backends to come up before serving");
+  server::DefineRouterFlags(flags);
   flags.Define("json", "",
                "write the cluster BENCH report (ReportBody) here on clean "
                "drain");
@@ -94,28 +59,17 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
+  auto parsed_options = server::RouterOptionsFromFlags(flags);
   auto front = server::FrontEndOptionsFromFlags(flags);
-  if (!front.ok()) {
-    std::cerr << front.status() << "\n";
-    return 1;
+  for (const util::Status& resolved :
+       {parsed_options.status(), front.status()}) {
+    if (!resolved.ok()) {
+      std::cerr << resolved << "\n";
+      return 1;
+    }
   }
-  server::RouterOptions options;
+  server::RouterOptions options = *std::move(parsed_options);
   options.front = *std::move(front);
-  options.backends = SplitCommaList(flags.GetString("backends"));
-  if (options.backends.empty()) {
-    std::cerr << "--backends must name at least one host:port\n";
-    return 1;
-  }
-  options.virtual_nodes = flags.GetInt("vnodes");
-  options.replicate = flags.GetInt("replicate") != 0;
-  options.replica_retries = flags.GetInt("replica_retries");
-  options.replica_retry_backoff_ms = flags.GetInt("replica_retry_backoff_ms");
-  options.ping_interval_ms = flags.GetInt("ping_interval_ms");
-  options.backend_connect_wait_ms = flags.GetInt("backend_wait_ms");
-  options.channel.window = flags.GetInt("window");
-  options.channel.queue_capacity =
-      static_cast<size_t>(std::max(1, flags.GetInt("backend_queue")));
-  options.channel.response_timeout_ms = flags.GetInt("backend_timeout_ms");
 
   server::Router router(options);
   if (util::Status started = router.Start(); !started.ok()) {

@@ -78,8 +78,10 @@ int Run(int argc, char** argv) {
   auto parsed_options = server::AuditServerOptionsFromFlags(flags);
   auto front = server::FrontEndOptionsFromFlags(flags);
   auto durability = server::DurabilityOptionsFromFlags(flags);
+  auto stats_refresh_ms = flags.GetIntAtLeast("stats_refresh_ms", 1);
   for (const util::Status& resolved :
-       {parsed_options.status(), front.status(), durability.status()}) {
+       {parsed_options.status(), front.status(), durability.status(),
+        stats_refresh_ms.status()}) {
     if (!resolved.ok()) {
       std::cerr << resolved << "\n";
       return 1;
@@ -88,7 +90,7 @@ int Run(int argc, char** argv) {
   server::AuditServerOptions options = *std::move(parsed_options);
   options.front = *std::move(front);
   options.durability = *std::move(durability);
-  options.stats_refresh_ms = flags.GetInt("stats_refresh_ms");
+  options.stats_refresh_ms = *stats_refresh_ms;
   options.service.solver_options.cggs.pricing_threads =
       flags.GetInt("pricing_threads");
   options.service.num_threads = flags.GetInt("threads");

@@ -8,7 +8,8 @@
 //
 // With --replay=1 the tool additionally performs the server's actual
 // recovery (newest snapshot restore + WAL suffix replay through the real
-// Shard code path) and prints each shard's timing-free state fingerprint;
+// Shard code path) and prints each shard's state fingerprint (the hash of
+// the shard's snapshot bytes, which hold no counters or timings);
 // the scenario/service flags must then match the server that wrote the
 // state, or the config guard refuses the snapshot exactly as a restart
 // would. Replay truncates torn tails just like a server restart.

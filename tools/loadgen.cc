@@ -525,11 +525,7 @@ int Run(int argc, char** argv) {
       total.requests == 0
           ? 0.0
           : static_cast<double>(answered) / static_cast<double>(total.requests);
-  std::sort(latencies.begin(), latencies.end());
-  const double p50 = util::NearestRankPercentileSorted(latencies, 0.50);
-  const double p90 = util::NearestRankPercentileSorted(latencies, 0.90);
-  const double p99 = util::NearestRankPercentileSorted(latencies, 0.99);
-  const double worst = latencies.empty() ? 0.0 : latencies.back();
+  const util::Percentiles latency = util::Summarize(std::move(latencies));
   const double throughput =
       wall_seconds > 0.0
           ? static_cast<double>(total.requests) / wall_seconds
@@ -558,8 +554,8 @@ int Run(int argc, char** argv) {
             << " (gave up " << total.gave_up_backend_down << ")"
             << ", reconnects " << total.reconnects
             << ", order violations " << total.order_violations << "\n"
-            << "  latency: p50 " << p50 << "s p90 " << p90 << "s p99 " << p99
-            << "s max " << worst << "s\n";
+            << "  latency: p50 " << latency.p50 << "s p90 " << latency.p90
+            << "s p99 " << latency.p99 << "s max " << latency.max << "s\n";
   if (min_throughput > 0.0) {
     std::cerr << "  goodput floor " << min_throughput
               << " ok/s: " << (floor_met ? "met" : "NOT MET") << "\n";
@@ -615,10 +611,10 @@ int Run(int argc, char** argv) {
     summary["wall_seconds"] = wall_seconds;
     summary["throughput_rps"] = throughput;
     summary["goodput_rps"] = goodput;
-    summary["latency_seconds_p50"] = p50;
-    summary["latency_seconds_p90"] = p90;
-    summary["latency_seconds_p99"] = p99;
-    summary["latency_seconds_max"] = worst;
+    summary["latency_seconds_p50"] = latency.p50;
+    summary["latency_seconds_p90"] = latency.p90;
+    summary["latency_seconds_p99"] = latency.p99;
+    summary["latency_seconds_max"] = latency.max;
     std::ofstream out(json_path);
     if (!out) {
       std::cerr << "cannot write " << json_path << "\n";

@@ -16,7 +16,6 @@
 //   workload_replay --game=game.json --cycles=50 --budget_steps=1
 #include <signal.h>
 
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -188,18 +187,8 @@ int Run(int argc, char** argv) {
     }
   }
 
-  std::sort(cycle_seconds.begin(), cycle_seconds.end());
-  const double p50 = util::NearestRankPercentileSorted(cycle_seconds, 0.50);
-  const double p90 = util::NearestRankPercentileSorted(cycle_seconds, 0.90);
-  const double p99 = util::NearestRankPercentileSorted(cycle_seconds, 0.99);
-  const double worst = cycle_seconds.empty() ? 0.0 : cycle_seconds.back();
-  std::sort(observed_drifts.begin(), observed_drifts.end());
-  const double drift_p50 =
-      util::NearestRankPercentileSorted(observed_drifts, 0.50);
-  const double drift_p90 =
-      util::NearestRankPercentileSorted(observed_drifts, 0.90);
-  const double drift_max =
-      observed_drifts.empty() ? 0.0 : observed_drifts.back();
+  const util::Percentiles latency = util::Summarize(std::move(cycle_seconds));
+  const util::Percentiles drift = util::Summarize(std::move(observed_drifts));
   // The split and wall time come from the service's own counters —
   // the same numbers the audit server's `stats` verb serves.
   const service::AuditService::Stats stats = service.stats();
@@ -215,10 +204,10 @@ int Run(int argc, char** argv) {
             << stats.served_from_cache << " cache hits, "
             << stats.warm_solves << " warm, " << stats.cold_solves
             << " cold\n"
-            << "cycle latency: p50 " << p50 << "s p90 " << p90 << "s p99 "
-            << p99 << "s max " << worst << "s\n"
-            << "observed drift (cycle-over-cycle TV): p50 " << drift_p50
-            << " p90 " << drift_p90 << " max " << drift_max << "\n"
+            << "cycle latency: p50 " << latency.p50 << "s p90 " << latency.p90
+            << "s p99 " << latency.p99 << "s max " << latency.max << "s\n"
+            << "observed drift (cycle-over-cycle TV): p50 " << drift.p50
+            << " p90 " << drift.p90 << " max " << drift.max << "\n"
             << "policy cache: " << stats.cache.hits << " hits / "
             << stats.cache.misses << " misses, " << stats.cache.insertions
             << " insertions, " << stats.cache.evictions << " evictions; "
@@ -243,13 +232,13 @@ int Run(int argc, char** argv) {
     summary["warm_solves"] = static_cast<double>(stats.warm_solves);
     summary["cold_solves"] = static_cast<double>(stats.cold_solves);
     summary["total_seconds"] = stats.total_cycle_seconds;
-    summary["cycle_seconds_p50"] = p50;
-    summary["cycle_seconds_p90"] = p90;
-    summary["cycle_seconds_p99"] = p99;
-    summary["cycle_seconds_max"] = worst;
-    summary["observed_drift_p50"] = drift_p50;
-    summary["observed_drift_p90"] = drift_p90;
-    summary["observed_drift_max"] = drift_max;
+    summary["cycle_seconds_p50"] = latency.p50;
+    summary["cycle_seconds_p90"] = latency.p90;
+    summary["cycle_seconds_p99"] = latency.p99;
+    summary["cycle_seconds_max"] = latency.max;
+    summary["observed_drift_p50"] = drift.p50;
+    summary["observed_drift_p90"] = drift.p90;
+    summary["observed_drift_max"] = drift.max;
     // Report-I/O failures get the dedicated smoke exit code so CI can
     // tell them from metric failures (bench/exit_codes.h).
     std::ofstream out(json_path);
