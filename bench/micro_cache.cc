@@ -11,17 +11,27 @@
 // distribution update must be served from the PolicyCache with a
 // bit-for-bit identical policy.
 //
+// A second case times the cache hit itself on the served setting (uniform
+// scenario, 5 types, budgets 6 and 10, inline engine): repeated cycles with
+// no ingest in between, the poll that dominates a live deployment's
+// traffic. It reports heap allocations per cycle (deterministic, the
+// gated counter) and microseconds per cycle (context only).
+//
 // Measured numbers land in BENCH_cache.json so the cold/warm trajectory is
 // trackable across commits.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench/alloc_count.h"
 #include "data/syn_a.h"
 #include "prob/count_distribution.h"
+#include "scenario/generator.h"
 #include "service/audit_service.h"
 #include "solver/engine.h"
 #include "util/flags.h"
@@ -32,6 +42,47 @@
 namespace {
 
 using namespace auditgame;  // NOLINT
+
+/// Cycles in the timed cache-hit loop.
+constexpr int kCacheHitCycles = 2000;
+
+struct CacheHitCase {
+  double allocations_per_cycle = 0.0;
+  double cycle_us = 0.0;
+};
+
+/// Serves one cold cycle, then kCacheHitCycles cycles that must all be
+/// cache hits.
+util::StatusOr<CacheHitCase> MeasureCacheHits() {
+  scenario::ScenarioSpec spec;
+  spec.num_types = 5;
+  ASSIGN_OR_RETURN(core::GameInstance instance, scenario::Generate(spec));
+  service::AuditServiceOptions options;
+  options.budgets = {6.0, 10.0};
+  options.solver_options.ishm.step_size = 0.25;
+  options.num_threads = -1;
+  service::AuditService service(std::move(instance), options);
+  RETURN_IF_ERROR(service.RunCycle().status());
+
+  const uint64_t allocations_before = bench::HeapAllocationCount();
+  util::Timer timer;
+  for (int i = 0; i < kCacheHitCycles; ++i) {
+    ASSIGN_OR_RETURN(const service::AuditService::CycleReport report,
+                     service.RunCycle());
+    for (const auto& policy : report.policies) {
+      if (policy.source != service::AuditService::Source::kCache) {
+        return util::InternalError("cycle " + std::to_string(report.cycle) +
+                                   " was not served from the cache");
+      }
+    }
+  }
+  CacheHitCase result;
+  result.cycle_us = timer.ElapsedSeconds() * 1e6 / kCacheHitCycles;
+  result.allocations_per_cycle =
+      static_cast<double>(bench::HeapAllocationCount() - allocations_before) /
+      kCacheHitCycles;
+  return result;
+}
 
 int Run(int argc, char** argv) {
   util::FlagParser flags;
@@ -152,6 +203,12 @@ int Run(int argc, char** argv) {
         a.result.policy.probabilities == b.result.policy.probabilities;
   }
 
+  const util::StatusOr<CacheHitCase> hits = MeasureCacheHits();
+  if (!hits.ok()) {
+    std::cerr << hits.status() << "\n";
+    return 1;
+  }
+
   std::cout << "# cold vs warm re-solve after drift, ishm-cggs on Syn A\n";
   std::cout << "budget,eps,drift,cold_seconds,warm_seconds,speedup,"
                "cold_objective,warm_objective,quality_gap,"
@@ -162,6 +219,10 @@ int Run(int argc, char** argv) {
             << warm->objective << "," << quality_gap << ","
             << cold->stats.evaluations << "," << warm->stats.evaluations << ","
             << (identity_ok ? "ok" : "FAIL") << "\n";
+  std::cout << "# cache-hit cycle, uniform T = 5, budgets 6 and 10\n";
+  std::cout << "cycles,allocations_per_cycle,cycle_us\n";
+  std::cout << kCacheHitCycles << "," << hits->allocations_per_cycle << ","
+            << hits->cycle_us << "\n";
 
   const std::string json_path = flags.GetString("json");
   if (!json_path.empty()) {
@@ -176,6 +237,8 @@ int Run(int argc, char** argv) {
     report["warm_objective"] = warm->objective;
     report["quality_gap"] = quality_gap;
     report["zero_drift_identity"] = identity_ok;
+    report["cache_hit_allocations_per_cycle"] = hits->allocations_per_cycle;
+    report["cache_hit_cycle_us"] = hits->cycle_us;
     std::ofstream out(json_path);
     if (!out) {
       std::cerr << "cannot write " << json_path << "\n";

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "util/serializer.h"
@@ -63,12 +62,39 @@ util::Status SyncDir(const std::string& dir) {
   return status;
 }
 
+/// The file's bytes: one read sized by fstat (looped only if the kernel
+/// returns less). A file that ends before its stat size is an error.
 util::StatusOr<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::NotFoundError("cannot open " + path);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  if (in.bad()) return util::InternalError("read failed: " + path);
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) return util::NotFoundError("cannot open " + path);
+    return ErrnoError("open " + path);
+  }
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const util::Status err = ErrnoError("fstat " + path);
+    ::close(fd);
+    return err;
+  }
+  std::string contents(static_cast<size_t>(st.st_size), '\0');
+  size_t got = 0;
+  while (got < contents.size()) {
+    const ssize_t n =
+        ::read(fd, contents.data() + got, contents.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      const util::Status err =
+          n < 0 ? ErrnoError("read " + path)
+                : util::InternalError("read " + path + ": got " +
+                                      std::to_string(got) + " of " +
+                                      std::to_string(contents.size()) +
+                                      " bytes");
+      ::close(fd);
+      return err;
+    }
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
   return contents;
 }
 
@@ -243,10 +269,13 @@ util::StatusOr<SnapshotContents> ReadSnapshotFile(const std::string& path) {
         std::to_string(body_len) + ", file has " +
         std::to_string(data.size() - kSnapshotHeader) + ")");
   }
-  contents.body = data.substr(kSnapshotHeader);
-  if (util::Crc32(contents.body) != body_crc) {
+  if (util::Crc32(std::string_view(data).substr(kSnapshotHeader)) !=
+      body_crc) {
     return util::InvalidArgumentError(path + ": snapshot body CRC mismatch");
   }
+  // Shift the body down in place rather than copy it into a new buffer.
+  data.erase(0, kSnapshotHeader);
+  contents.body = std::move(data);
   return contents;
 }
 

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "core/game_io.h"
 #include "core/policy.h"
 #include "util/serializer.h"
 #include "util/timer.h"
@@ -33,6 +34,7 @@ util::Status AuditService::UpdateAlertDistributions(
     std::swap(instance_.alert_distributions, distributions);
     return valid;
   }
+  keys_current_ = false;
   return util::OkStatus();
 }
 
@@ -65,6 +67,19 @@ solver::EngineRequest AuditService::BaseRequest(double budget) const {
   return request;
 }
 
+const std::vector<util::Fingerprint>& AuditService::RequestKeys() {
+  if (!keys_current_) {
+    const util::Fingerprint game = core::FingerprintGame(instance_);
+    request_keys_.resize(options_.budgets.size());
+    for (size_t i = 0; i < options_.budgets.size(); ++i) {
+      request_keys_[i] =
+          FingerprintRequestForGame(game, BaseRequest(options_.budgets[i]));
+    }
+    keys_current_ = true;
+  }
+  return request_keys_;
+}
+
 util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
   util::Timer timer;
   CycleReport report;
@@ -74,36 +89,41 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
   // Pass 1: serve fingerprint hits from the cache; queue the rest as one
   // engine batch (the workers then share the compile cache, and any other
   // thread reading this PolicyCache sees each configuration solved once).
-  struct Pending {
-    size_t slot = 0;
-    util::Fingerprint key;
-  };
-  std::vector<Pending> pending;
+  std::vector<size_t> pending;  // the budget slot of each queued solve
   std::vector<solver::EngineRequest> to_solve;
+  const std::vector<util::Fingerprint>& keys = RequestKeys();
   for (size_t i = 0; i < options_.budgets.size(); ++i) {
     const double budget = options_.budgets[i];
+    const util::Fingerprint& key = keys[i];
     CyclePolicy& policy = report.policies[i];
     policy.budget = budget;
 
     const auto last = last_solves_.find(budget);
-    policy.drift = last == last_solves_.end()
+    // The key hashes the distributions bit for bit, so a baseline served
+    // under this same key has identical ones: MeasureDrift would return
+    // exactly 0.
+    const bool same_key_baseline =
+        last != last_solves_.end() && last->second.key == key;
+    policy.drift = last == last_solves_.end() || same_key_baseline
                        ? 0.0
                        : MeasureDrift(last->second.distributions,
                                       instance_.alert_distributions);
 
-    solver::EngineRequest request = BaseRequest(budget);
-    const util::Fingerprint key = FingerprintRequest(request);
     if (std::optional<solver::SolveResult> cached = cache_.Lookup(key)) {
       policy.source = Source::kCache;
       ++served_from_cache_;
       policy.result = *std::move(cached);
       // The served policy becomes the drift baseline and warm seed for the
-      // next cycle, exactly as if it had been re-solved.
-      last_solves_[budget] =
-          LastSolve{instance_.alert_distributions, policy.result};
+      // next cycle, exactly as if it had been re-solved. A same-key
+      // baseline already holds it.
+      if (!same_key_baseline) {
+        last_solves_[budget] =
+            LastSolve{instance_.alert_distributions, policy.result, key};
+      }
       continue;
     }
 
+    solver::EngineRequest request = BaseRequest(budget);
     // warm_start_max_drift = 0 disables warm solves outright (the
     // documented only-cold-results-cached mode) — without the > 0 guard a
     // zero-drift re-solve after a cache eviction would still warm-start.
@@ -118,7 +138,7 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
     } else {
       policy.source = Source::kColdSolve;
     }
-    pending.push_back(Pending{i, key});
+    pending.push_back(i);
     to_solve.push_back(std::move(request));
   }
 
@@ -127,7 +147,8 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
       engine_.SolveAll(to_solve);
   for (size_t j = 0; j < pending.size(); ++j) {
     if (!solved[j].ok()) return solved[j].status();
-    CyclePolicy& policy = report.policies[pending[j].slot];
+    const size_t slot = pending[j];
+    CyclePolicy& policy = report.policies[slot];
     // Counted here, not at queue time, so stats() only reflects solves
     // that actually completed (a failed batch aborts the cycle above).
     if (policy.source == Source::kWarmSolve) {
@@ -136,9 +157,9 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
       ++cold_solves_;
     }
     policy.result = *solved[j];
-    cache_.Insert(pending[j].key, policy.result);
+    cache_.Insert(keys[slot], policy.result);
     last_solves_[policy.budget] =
-        LastSolve{instance_.alert_distributions, policy.result};
+        LastSolve{instance_.alert_distributions, policy.result, keys[slot]};
   }
 
   report.seconds = timer.ElapsedSeconds();
@@ -185,6 +206,7 @@ util::Fingerprint FingerprintServiceConfig(const AuditServiceOptions& options) {
 
 void AuditService::StreamState(util::Serializer& s) {
   s.Section("audit_service", 1);
+  if (s.reading()) keys_current_ = false;
   s.Object(instance_);
   s.I64(cycles_run_);
   uint64_t num_baselines = last_solves_.size();

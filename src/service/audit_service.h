@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -169,9 +170,17 @@ class AuditService {
   /// The cold request for one budget under the current instance.
   solver::EngineRequest BaseRequest(double budget) const;
 
+  /// Each budget's cache key (FingerprintRequest of its BaseRequest), one
+  /// per options_.budgets entry. Computed on the first cycle after the
+  /// instance changes, from one hash of the instance.
+  const std::vector<util::Fingerprint>& RequestKeys();
+
   struct LastSolve {
     std::vector<prob::CountDistribution> distributions;
     solver::SolveResult result;
+    /// The key `result` was served under; unknown after a restore (keys
+    /// are derived state and not streamed).
+    std::optional<util::Fingerprint> key;
   };
 
   AuditServiceOptions options_;
@@ -180,6 +189,10 @@ class AuditService {
   PolicyCache cache_;
   /// Previous solved state per budget: warm-start seed + drift baseline.
   std::map<double, LastSolve> last_solves_;
+  /// RequestKeys() for the current instance_, valid while keys_current_.
+  /// Cleared by every accepted ingest and every state read.
+  std::vector<util::Fingerprint> request_keys_;
+  bool keys_current_ = false;
   /// Numbers the responses, so it is state (streamed) — unlike the
   /// counters below.
   int64_t cycles_run_ = 0;

@@ -8,17 +8,12 @@
 
 namespace auditgame::service {
 
-util::Fingerprint FingerprintRequest(const solver::EngineRequest& request) {
-  util::FingerprintBuilder fp;
-  // Game content. A null instance is a (rejected) request in its own right;
-  // give it a distinct marker rather than crashing the fingerprinter.
-  if (request.instance == nullptr) {
-    fp.AppendString("null-instance");
-  } else {
-    const util::Fingerprint game = core::FingerprintGame(*request.instance);
-    fp.AppendU64(game.hi);
-    fp.AppendU64(game.lo);
-  }
+namespace {
+
+/// Everything FingerprintRequest hashes after the game: the request's
+/// configuration.
+void AppendRequestConfig(util::FingerprintBuilder& fp,
+                         const solver::EngineRequest& request) {
   fp.AppendDouble(request.budget);
 
   const core::DetectionModel::Options& d = request.detection_options;
@@ -63,6 +58,29 @@ util::Fingerprint FingerprintRequest(const solver::EngineRequest& request) {
   fp.AppendU64(o.brute_force.require_sum_at_least_budget ? 1 : 0);
   append_doubles(request.warm_start.thresholds);
   append_orderings(request.warm_start.orderings);
+}
+
+}  // namespace
+
+util::Fingerprint FingerprintRequestForGame(
+    const util::Fingerprint& game, const solver::EngineRequest& request) {
+  util::FingerprintBuilder fp;
+  fp.AppendU64(game.hi);
+  fp.AppendU64(game.lo);
+  AppendRequestConfig(fp, request);
+  return fp.Build();
+}
+
+util::Fingerprint FingerprintRequest(const solver::EngineRequest& request) {
+  if (request.instance != nullptr) {
+    return FingerprintRequestForGame(core::FingerprintGame(*request.instance),
+                                     request);
+  }
+  // A null instance is a (rejected) request in its own right; give it a
+  // distinct marker rather than crashing the fingerprinter.
+  util::FingerprintBuilder fp;
+  fp.AppendString("null-instance");
+  AppendRequestConfig(fp, request);
   return fp.Build();
 }
 

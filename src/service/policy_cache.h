@@ -32,6 +32,13 @@ namespace auditgame::service {
 /// sound.
 util::Fingerprint FingerprintRequest(const solver::EngineRequest& request);
 
+/// FingerprintRequest(request), bit for bit, with `game` standing in for
+/// core::FingerprintGame(*request.instance) (request.instance is not
+/// read). Lets a caller that serves one instance under several
+/// configurations hash the instance once per change, not once per key.
+util::Fingerprint FingerprintRequestForGame(
+    const util::Fingerprint& game, const solver::EngineRequest& request);
+
 /// Thread-safe LRU cache of solved policies, keyed by request fingerprint.
 /// Shared by every worker of an AuditService (and safe to share across
 /// several services serving the same corpus): each distinct configuration

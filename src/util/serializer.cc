@@ -6,30 +6,57 @@
 namespace auditgame::util {
 namespace {
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slicing-by-8 tables: table[0] is the classic bytewise table, and
+/// table[k][i] is the CRC of byte i followed by k zero bytes, so eight
+/// lookups advance the CRC over eight bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables BuildCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < tables.size(); ++k) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
-const std::array<uint32_t, 256>& CrcTable() {
-  static const std::array<uint32_t, 256> table = BuildCrcTable();
-  return table;
+const CrcTables& SharedCrcTables() {
+  static const CrcTables tables = BuildCrcTables();
+  return tables;
+}
+
+/// Bytes p[0..3] as a little-endian word, assembled byte by byte so the
+/// result does not depend on the host's byte order.
+uint32_t LoadLe32(const unsigned char* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+         uint32_t{p[3]} << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32Update(uint32_t crc, std::string_view data) {
-  const std::array<uint32_t, 256>& table = CrcTable();
+  const CrcTables& t = SharedCrcTables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   crc = ~crc;
-  for (unsigned char byte : data) {
-    crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -13,8 +13,9 @@ namespace auditgame::util {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`, the checksum the
 /// durability file formats frame every payload with. `Crc32Update` chains
-/// incrementally: Crc32(ab) == Crc32Update(Crc32(a-as-seed...)) — use the
-/// one-shot form unless streaming.
+/// incrementally: Crc32(a + b) == Crc32Update(Crc32(a), b). Computed
+/// eight bytes per step (slicing-by-8); the values are the bytewise
+/// algorithm's on every host.
 uint32_t Crc32(std::string_view data);
 uint32_t Crc32Update(uint32_t crc, std::string_view data);
 

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/game_io.h"
 #include "data/syn_a.h"
 #include "tests/test_util.h"
+#include "util/serializer.h"
 
 namespace auditgame::service {
 namespace {
@@ -169,6 +171,145 @@ TEST(AuditServiceTest, MeasureDriftIsMaxTotalVariation) {
   EXPECT_NEAR(AuditService::MeasureDrift(a, b), 1.0, 1e-12);
   std::vector<prob::CountDistribution> shorter(a.begin(), a.begin() + 1);
   EXPECT_EQ(AuditService::MeasureDrift(a, shorter), 1.0);
+}
+
+// Request keys are computed once per instance change and reused by every
+// later cycle; these pin when they are recomputed.
+TEST(AuditServiceKeyCacheTest, NewIngestMissesTheCache) {
+  AuditService service(testutil::MakeMediumGame(), FastOptions());
+  ASSERT_TRUE(service.RunCycle().ok());
+  ASSERT_TRUE(service.RunCycle().ok());
+  EXPECT_EQ(service.cache_stats().misses, 2);
+
+  ASSERT_TRUE(service
+                  .UpdateAlertDistributions(
+                      Perturb(service.instance().alert_distributions, 0.1))
+                  .ok());
+  const auto cycle = service.RunCycle();
+  ASSERT_TRUE(cycle.ok()) << cycle.status();
+  for (const auto& policy : cycle->policies) {
+    EXPECT_NE(policy.source, Source::kCache);
+    EXPECT_GT(policy.drift, 0.0);
+  }
+  EXPECT_EQ(service.cache_stats().misses, 4);
+}
+
+TEST(AuditServiceKeyCacheTest, ReingestingTheSameDistributionsHits) {
+  AuditService service(testutil::MakeMediumGame(), FastOptions());
+  const auto first = service.RunCycle();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(service
+                  .UpdateAlertDistributions(
+                      service.instance().alert_distributions)
+                  .ok());
+  const auto second = service.RunCycle();
+  ASSERT_TRUE(second.ok());
+  for (size_t i = 0; i < second->policies.size(); ++i) {
+    EXPECT_EQ(second->policies[i].source, Source::kCache);
+    EXPECT_EQ(second->policies[i].result.objective,
+              first->policies[i].result.objective);
+  }
+  EXPECT_EQ(service.cache_stats().hits, 2);
+}
+
+TEST(AuditServiceKeyCacheTest, RejectedIngestStillHitsWithThePreviousPolicy) {
+  AuditService service(testutil::MakeMediumGame(), FastOptions());
+  const auto first = service.RunCycle();
+  ASSERT_TRUE(first.ok());
+  ASSERT_FALSE(service
+                   .UpdateAlertDistributions(
+                       {prob::CountDistribution::Constant(2)})
+                   .ok());
+  const auto second = service.RunCycle();
+  ASSERT_TRUE(second.ok());
+  for (size_t i = 0; i < second->policies.size(); ++i) {
+    EXPECT_EQ(second->policies[i].source, Source::kCache);
+    EXPECT_EQ(second->policies[i].drift, 0.0);
+    EXPECT_EQ(second->policies[i].result.thresholds,
+              first->policies[i].result.thresholds);
+  }
+}
+
+TEST(AuditServiceKeyCacheTest, RestoreRecomputesKeysOfAServiceThatServed) {
+  const AuditServiceOptions options = FastOptions();
+  // The snapshot's service serves a drifted instance, so every key differs
+  // from those of the service it is restored into.
+  AuditService source(testutil::MakeMediumGame(), options);
+  ASSERT_TRUE(source
+                  .UpdateAlertDistributions(
+                      Perturb(source.instance().alert_distributions, 0.3))
+                  .ok());
+  const auto solved = source.RunCycle();
+  ASSERT_TRUE(solved.ok());
+  util::Serializer w = util::Serializer::Writer();
+  source.StreamState(w);
+
+  AuditService restored(testutil::MakeMediumGame(), options);
+  ASSERT_TRUE(restored.RunCycle().ok());
+  ASSERT_TRUE(restored.RunCycle().ok());
+  util::Serializer r = util::Serializer::Reader(w.buffer());
+  restored.StreamState(r);
+  r.ExpectExhausted();
+  ASSERT_TRUE(r.ok()) << r.status();
+
+  const auto expected = source.RunCycle();
+  const auto cycle = restored.RunCycle();
+  ASSERT_TRUE(expected.ok());
+  ASSERT_TRUE(cycle.ok()) << cycle.status();
+  EXPECT_EQ(cycle->cycle, expected->cycle);
+  for (size_t i = 0; i < cycle->policies.size(); ++i) {
+    EXPECT_EQ(cycle->policies[i].source, Source::kCache);
+    EXPECT_EQ(cycle->policies[i].drift, expected->policies[i].drift);
+    EXPECT_EQ(cycle->policies[i].result.objective,
+              solved->policies[i].result.objective);
+  }
+}
+
+TEST(AuditServiceKeyCacheTest, SameKeyHitReportsExactlyZeroDrift) {
+  AuditService service(testutil::MakeMediumGame(), FastOptions());
+  const auto baseline = service.instance().alert_distributions;
+  EXPECT_EQ(AuditService::MeasureDrift(baseline, baseline), 0.0);
+  ASSERT_TRUE(service.RunCycle().ok());
+  for (int i = 0; i < 3; ++i) {
+    const auto cycle = service.RunCycle();
+    ASSERT_TRUE(cycle.ok());
+    for (const auto& policy : cycle->policies) {
+      EXPECT_EQ(policy.source, Source::kCache);
+      EXPECT_EQ(policy.drift, 0.0);
+    }
+  }
+  // A hit under a key other than the baseline's still measures its drift.
+  const auto drifted = Perturb(baseline, 0.1);
+  ASSERT_TRUE(service.UpdateAlertDistributions(drifted).ok());
+  ASSERT_TRUE(service.RunCycle().ok());
+  ASSERT_TRUE(service.UpdateAlertDistributions(baseline).ok());
+  const auto revisit = service.RunCycle();
+  ASSERT_TRUE(revisit.ok());
+  for (const auto& policy : revisit->policies) {
+    EXPECT_EQ(policy.source, Source::kCache);
+    EXPECT_EQ(policy.drift, AuditService::MeasureDrift(drifted, baseline));
+  }
+}
+
+TEST(AuditServiceKeyCacheTest, SplitKeyEqualsFingerprintRequest) {
+  const core::GameInstance game = testutil::MakeMediumGame();
+  const util::Fingerprint game_key = core::FingerprintGame(game);
+  solver::EngineRequest request;
+  request.solver = "ishm-cggs";
+  request.instance = &game;
+  request.budget = 3.0;
+  EXPECT_EQ(FingerprintRequestForGame(game_key, request),
+            FingerprintRequest(request));
+  request.options.ishm.step_size = 0.25;
+  request.options.cggs.initial_orderings = {{0, 1, 2}, {2, 1, 0}};
+  request.warm_start.thresholds = {1.0, 2.0, 0.5};
+  request.warm_start.orderings = {{1, 0, 2}};
+  request.thresholds = {3.0, 2.0, 1.0};
+  const util::Fingerprint key = FingerprintRequest(request);
+  EXPECT_EQ(FingerprintRequestForGame(game_key, request), key);
+  // The split function reads the game only through its fingerprint.
+  request.instance = nullptr;
+  EXPECT_EQ(FingerprintRequestForGame(game_key, request), key);
 }
 
 // Durable snapshots store this fingerprint and recovery refuses a data dir

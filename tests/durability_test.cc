@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -112,6 +113,47 @@ TEST(SnapshotFileTest, CorruptionIsDetected) {
   // Intact bytes still verify (the writer-side data was fine all along).
   WriteFile(path, data);
   EXPECT_TRUE(ReadSnapshotFile(path).ok());
+}
+
+TEST(SnapshotFileTest, ZeroLengthFileIsAShortHeader) {
+  TempDir dir("snapshot_empty");
+  const std::string path = dir.path() + "/snapshot-00000000000000000001.snap";
+  WriteFile(path, "");
+  const auto contents = ReadSnapshotFile(path);
+  ASSERT_FALSE(contents.ok());
+  EXPECT_EQ(contents.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(contents.status().message().find("short snapshot header"),
+            std::string::npos)
+      << contents.status();
+}
+
+TEST(SnapshotFileTest, MissingFileIsNotFound) {
+  TempDir dir("snapshot_missing");
+  const auto contents =
+      ReadSnapshotFile(dir.path() + "/snapshot-00000000000000000009.snap");
+  ASSERT_FALSE(contents.ok());
+  EXPECT_EQ(contents.status().code(), util::StatusCode::kNotFound);
+}
+
+TEST(SnapshotFileTest, MultiMebibyteBodyRoundTrips) {
+  TempDir dir("snapshot_large");
+  const std::string path = dir.path() + "/snapshot-00000000000000000002.snap";
+  // 3 MiB plus an odd tail, so the read and the CRC both end mid-block.
+  std::string body((3u << 20) + 13, '\0');
+  uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (char& c : body) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    c = static_cast<char>(x);
+  }
+  ASSERT_TRUE(WriteSnapshotFile(path, /*shard=*/2, /*seq=*/2, /*wal_lsn=*/9,
+                                body)
+                  .ok());
+  const auto contents = ReadSnapshotFile(path);
+  ASSERT_TRUE(contents.ok()) << contents.status();
+  EXPECT_EQ(contents->wal_lsn, 9u);
+  EXPECT_TRUE(contents->body == body);
 }
 
 std::string MakeSegment(uint32_t shard, uint64_t start_lsn,
@@ -231,6 +273,87 @@ DurabilityOptions TestOptions(const std::string& data_dir) {
   options.snapshot_every_records = 0;
   options.snapshot_interval_seconds = 0;
   return options;
+}
+
+/// `n` deterministic bytes; the fixtures below were made from these.
+std::string FixtureBytes(size_t n, int seed) {
+  std::string bytes;
+  for (size_t i = 0; i < n; ++i) {
+    bytes.push_back(static_cast<char>((i * 37 + seed * 11 + 5) & 0xFF));
+  }
+  return bytes;
+}
+
+// A shard-1 data dir written by a build whose CRC-32 ran one byte per
+// step: a snapshot (seq 1, wal_lsn 2, a 77-byte body) and a WAL segment
+// holding LSNs 1-4 with 1-, 8-, 13- and 64-byte payloads, so the CRCs
+// cover short inputs, whole 8-byte blocks and block tails. Recovering it
+// shows the slicing-by-8 CRC kept every value.
+constexpr std::string_view kBytewiseSnapshot{
+    "\x41\x47\x53\x4e\x41\x50\x31\x0a\x00\x00\x00\x01\x00\x00\x00\x01"
+    "\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x02"
+    "\x00\x00\x00\x00\x00\x00\x00\x4d\x00\x2c\x20\xac\xc7\x47\x6f\x3f"
+    "\x10\x35\x5a\x7f\xa4\xc9\xee\x13\x38\x5d\x82\xa7\xcc\xf1\x16\x3b"
+    "\x60\x85\xaa\xcf\xf4\x19\x3e\x63\x88\xad\xd2\xf7\x1c\x41\x66\x8b"
+    "\xb0\xd5\xfa\x1f\x44\x69\x8e\xb3\xd8\xfd\x22\x47\x6c\x91\xb6\xdb"
+    "\x00\x25\x4a\x6f\x94\xb9\xde\x03\x28\x4d\x72\x97\xbc\xe1\x06\x2b"
+    "\x50\x75\x9a\xbf\xe4\x09\x2e\x53\x78\x9d\xc2\xe7\x0c",
+    125};
+constexpr std::string_view kBytewiseWal{
+    "\x41\x47\x57\x41\x4c\x31\x0a\x00\x00\x00\x00\x01\x00\x00\x00\x01"
+    "\x00\x00\x00\x00\x00\x00\x00\x01\xb1\x95\x25\xe1\x00\x00\x00\x01"
+    "\xe2\xa5\x35\x8b\x00\x00\x00\x00\x00\x00\x00\x01\x10\x00\x00\x00"
+    "\x08\x6c\x6a\x7a\xf3\x00\x00\x00\x00\x00\x00\x00\x02\x5d\x82\xa7"
+    "\xcc\xf1\x16\x3b\x60\x00\x00\x00\x0d\xe4\xaf\x11\xd9\x00\x00\x00"
+    "\x00\x00\x00\x00\x03\x94\xb9\xde\x03\x28\x4d\x72\x97\xbc\xe1\x06"
+    "\x2b\x50\x00\x00\x00\x40\x68\x65\x7a\xec\x00\x00\x00\x00\x00\x00"
+    "\x00\x04\xc5\xea\x0f\x34\x59\x7e\xa3\xc8\xed\x12\x37\x5c\x81\xa6"
+    "\xcb\xf0\x15\x3a\x5f\x84\xa9\xce\xf3\x18\x3d\x62\x87\xac\xd1\xf6"
+    "\x1b\x40\x65\x8a\xaf\xd4\xf9\x1e\x43\x68\x8d\xb2\xd7\xfc\x21\x46"
+    "\x6b\x90\xb5\xda\xff\x24\x49\x6e\x93\xb8\xdd\x02\x27\x4c\x71\x96"
+    "\xbb\xe0",
+    178};
+
+TEST(ShardPersistenceTest, DataDirFromTheBytewiseCrcBuildRecovers) {
+  TempDir dir("persist_bytewise");
+  const std::string shard_dir = dir.path() + "/shard-1";
+  ::mkdir(shard_dir.c_str(), 0777);
+  WriteFile(shard_dir + "/snapshot-00000000000000000001.snap",
+            std::string(kBytewiseSnapshot));
+  WriteFile(shard_dir + "/wal-00000000000000000001.wal",
+            std::string(kBytewiseWal));
+
+  std::string restored_body;
+  std::vector<std::string> replayed;
+  ShardPersistence persistence(1, TestOptions(dir.path()));
+  ASSERT_TRUE(persistence
+                  .Recover(
+                      [&](const SnapshotContents& snapshot) {
+                        restored_body = snapshot.body;
+                        return util::OkStatus();
+                      },
+                      [&](const WalRecord& record) {
+                        replayed.push_back(record.payload);
+                        return util::OkStatus();
+                      })
+                  .ok());
+  EXPECT_EQ(restored_body, FixtureBytes(77, 1));
+  EXPECT_EQ(replayed, (std::vector<std::string>{FixtureBytes(13, 13),
+                                                FixtureBytes(64, 64)}));
+  EXPECT_EQ(persistence.next_lsn(), 5u);
+
+  // This build writes the same bytes, CRCs included.
+  const std::string path = dir.path() + "/snapshot-00000000000000000001.snap";
+  ASSERT_TRUE(WriteSnapshotFile(path, /*shard=*/1, /*seq=*/1, /*wal_lsn=*/2,
+                                FixtureBytes(77, 1))
+                  .ok());
+  EXPECT_EQ(ReadFile(path), kBytewiseSnapshot);
+  std::string wal = EncodeWalSegmentHeader(/*shard=*/1, /*start_lsn=*/1);
+  uint64_t lsn = 1;
+  for (size_t len : {1, 8, 13, 64}) {
+    wal += EncodeWalRecord(lsn++, FixtureBytes(len, static_cast<int>(len)));
+  }
+  EXPECT_EQ(wal, kBytewiseWal);
 }
 
 TEST(ShardPersistenceTest, AppendCommitRecoverRoundTrip) {

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,52 @@ TEST(Crc32Test, UpdateChainsIncrementally) {
   uint32_t chained = Crc32(text.substr(0, 7));
   chained = Crc32Update(chained, text.substr(7));
   EXPECT_EQ(chained, Crc32(text));
+}
+
+/// The textbook bitwise CRC-32: the definition the table-driven one must
+/// reproduce.
+uint32_t ReferenceCrc32(std::string_view data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (unsigned char byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::string PseudoRandomBytes(size_t n) {
+  std::string bytes(n, '\0');
+  uint32_t x = 0x12345678u;
+  for (char& c : bytes) {
+    x = x * 1664525u + 1013904223u;
+    c = static_cast<char>(x >> 24);
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesTheBitwiseReferenceAtEveryLengthAndAlignment) {
+  const std::string buffer = PseudoRandomBytes(1024 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 1024; ++length) {
+      const std::string_view data =
+          std::string_view(buffer).substr(offset, length);
+      ASSERT_EQ(Crc32(data), ReferenceCrc32(data))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, UpdateChainsAtEverySplit) {
+  const std::string buffer = PseudoRandomBytes(64);
+  const std::string_view data(buffer);
+  const uint32_t one_shot = Crc32(data);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    EXPECT_EQ(Crc32Update(Crc32(data.substr(0, split)), data.substr(split)),
+              one_shot)
+        << "split at " << split;
+  }
 }
 
 TEST(SerializerTest, ScalarRoundTrip) {
