@@ -46,11 +46,7 @@ util::Status FrameChannel::Start() {
   if (thread_.joinable()) {
     return util::FailedPreconditionError("already started");
   }
-  ASSIGN_OR_RETURN(wake_, WakeChannel::Make());
-  if (!MakePoller(options_.poller_backend)) {
-    return util::InvalidArgumentError(
-        "requested poller backend unavailable on this platform");
-  }
+  ASSIGN_OR_RETURN(poller_, Poller::Create());
   thread_ = std::thread([this] { Run(); });
   return util::OkStatus();
 }
@@ -71,7 +67,7 @@ FrameChannel::Submit FrameChannel::TrySubmit(std::string payload) {
                        std::memory_order_relaxed);
     inbox_.push_back(std::move(payload));
   }
-  wake_.Notify();
+  poller_.Notify();
   return Submit::kAccepted;
 }
 
@@ -95,7 +91,7 @@ FrameChannel::Submit FrameChannel::TrySubmitAfter(std::string payload,
                        std::memory_order_relaxed);
     delayed_.push_back(DelayedFrame{std::move(payload), due});
   }
-  wake_.Notify();
+  poller_.Notify();
   return Submit::kAccepted;
 }
 
@@ -104,7 +100,7 @@ void FrameChannel::BeginShutdown() {
     std::lock_guard<std::mutex> lock(mutex_);
     shutdown_ = true;
   }
-  wake_.Notify();
+  poller_.Notify();
 }
 
 void FrameChannel::Join() {
@@ -129,10 +125,6 @@ void FrameChannel::DropOutstanding() {
 }
 
 void FrameChannel::Run() {
-  auto poller = MakePoller(options_.poller_backend);
-  if (!poller) return;  // checked in Start(); kDefault never fails
-  poller->Watch(wake_.read_fd(), /*read=*/true, /*write=*/false);
-
   int backoff_ms = options_.reconnect_backoff_min_ms;
   for (;;) {
     {
@@ -142,12 +134,7 @@ void FrameChannel::Run() {
     auto socket = ConnectTcp(host_, port_);
     if (!socket.ok()) {
       // Backoff, interruptible by BeginShutdown's wake.
-      auto events = poller->Wait(backoff_ms);
-      if (events.ok()) {
-        for (const PollEvent& event : *events) {
-          if (event.fd == wake_.read_fd()) wake_.Drain();
-        }
-      }
+      (void)poller_.Wait(backoff_ms);
       backoff_ms =
           std::min(backoff_ms * 2, options_.reconnect_backoff_max_ms);
       continue;
@@ -163,7 +150,7 @@ void FrameChannel::Run() {
     up_.store(true, std::memory_order_release);
     if (events_.on_state) events_.on_state(true);
 
-    PumpConnection(std::move(*socket), *poller);
+    PumpConnection(std::move(*socket));
 
     up_.store(false, std::memory_order_release);
     bool shutting_down;
@@ -181,10 +168,8 @@ void FrameChannel::Run() {
   }
 }
 
-void FrameChannel::PumpConnection(Socket socket, Poller& poller) {
+void FrameChannel::PumpConnection(Socket socket) {
   FrameDecoder decoder(options_.max_frame_payload);
-  poller.Watch(socket.fd(), /*read=*/true, /*write=*/false);
-  bool write_interest = false;
   std::vector<std::string> received;
 
   for (;;) {
@@ -198,7 +183,7 @@ void FrameChannel::PumpConnection(Socket socket, Poller& poller) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (shutdown_) {
-        poller.Forget(socket.fd());
+        poller_.Forget(socket.fd());
         return;
       }
       while (!inbox_.empty()) {
@@ -240,13 +225,16 @@ void FrameChannel::PumpConnection(Socket socket, Poller& poller) {
       dead = true;
       break;
     }
-    if (dead) {
-      poller.Forget(socket.fd());
-      return;
+    if (!dead) {
+      // An unchanged interest set costs no syscall; a socket the poller
+      // refuses would never be served, so it is dropped like a dead one.
+      dead = !poller_.Watch(socket.fd(), /*read=*/true,
+                            /*write=*/!write_buffer_.empty())
+                  .ok();
     }
-    if (write_buffer_.empty() == write_interest) {
-      write_interest = !write_buffer_.empty();
-      poller.Watch(socket.fd(), /*read=*/true, write_interest);
+    if (dead) {
+      poller_.Forget(socket.fd());
+      return;
     }
 
     int timeout_ms = kPumpPollMs;
@@ -258,17 +246,13 @@ void FrameChannel::PumpConnection(Socket socket, Poller& poller) {
     }
     if (have_due) timeout_ms = std::min(timeout_ms, MillisUntil(now, next_due));
 
-    auto events = poller.Wait(timeout_ms);
-    if (!events.ok()) {
-      poller.Forget(socket.fd());
+    auto polled = poller_.Wait(timeout_ms);
+    if (!polled.ok()) {
+      poller_.Forget(socket.fd());
       return;
     }
     received.clear();
-    for (const PollEvent& event : *events) {
-      if (event.fd == wake_.read_fd()) {
-        wake_.Drain();
-        continue;
-      }
+    for (const PollEvent& event : polled->events) {
       if (event.fd != socket.fd()) continue;
       if (event.readable || event.hangup) {
         // Drain the kernel buffer even on hangup: responses written before
@@ -328,7 +312,7 @@ void FrameChannel::PumpConnection(Socket socket, Poller& poller) {
       dead = true;
     }
     if (dead) {
-      poller.Forget(socket.fd());
+      poller_.Forget(socket.fd());
       return;
     }
   }

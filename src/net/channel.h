@@ -34,7 +34,6 @@ struct FrameChannelOptions {
   int reconnect_backoff_min_ms = 50;
   int reconnect_backoff_max_ms = 2000;
   size_t max_frame_payload = kDefaultMaxFramePayload;
-  PollerBackend poller_backend = PollerBackend::kDefault;
 };
 
 /// A pipelined frame client owned by its own IO thread: the building block
@@ -48,8 +47,9 @@ struct FrameChannelOptions {
 /// caller owns id matching.
 ///
 /// Lifecycle of a connection: connect (blocking, on the channel thread) →
-/// `on_state(true)` → pump until error/EOF/timeout → drop everything not
-/// yet answered, `on_state(false)` → backoff → reconnect. A down
+/// `on_state(true)` → pump until error/EOF/timeout (or the poller refuses
+/// to watch the socket) → drop everything not yet answered,
+/// `on_state(false)` → backoff → reconnect. A down
 /// transition means every accepted-but-unanswered submission is lost; the
 /// caller resolves them at that moment (the router answers `backend_down`)
 /// — the channel will not replay them.
@@ -75,8 +75,8 @@ class FrameChannel {
   FrameChannel(const FrameChannel&) = delete;
   FrameChannel& operator=(const FrameChannel&) = delete;
 
-  /// Creates the wake channel + poller and spawns the IO thread (which
-  /// starts connecting immediately).
+  /// Creates the poller and spawns the IO thread (which starts connecting
+  /// immediately).
   util::Status Start();
 
   /// Queues one frame payload for transmission. kDown while disconnected
@@ -124,7 +124,7 @@ class FrameChannel {
 
   void Run();
   /// One connection's lifetime; returns when it died or shutdown began.
-  void PumpConnection(Socket socket, Poller& poller);
+  void PumpConnection(Socket socket);
   /// Clears all accepted-but-unanswered state after a connection died.
   void DropOutstanding();
 
@@ -133,7 +133,8 @@ class FrameChannel {
   FrameChannelOptions options_;  // clamped to sane minima in the ctor
   const Events events_;
 
-  WakeChannel wake_;
+  /// The IO thread's event loop; other threads only Notify() it.
+  Poller poller_;
   std::thread thread_;
 
   std::mutex mutex_;

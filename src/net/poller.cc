@@ -1,169 +1,111 @@
 #include "net/poller.h"
 
 #include <errno.h>
-#include <poll.h>
 #include <string.h>
-
-#include <map>
-
-#ifdef __linux__
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
-#define AUDITGAME_HAVE_EPOLL 1
-#endif
+
+#include <string>
 
 namespace auditgame::net {
 
 namespace {
 
-/// Portable poll(2) backend: rebuilds the pollfd array per wait, O(n) in
-/// the watched-set size. Fine for hundreds of descriptors; the reference
-/// semantics the epoll backend must match.
-class PollPoller final : public Poller {
- public:
-  void Watch(int fd, bool read, bool write) override {
-    interest_[fd] = Interest{read, write};
-  }
+constexpr int kMaxEvents = 256;
 
-  void Forget(int fd) override { interest_.erase(fd); }
-
-  size_t watched() const override { return interest_.size(); }
-
-  util::StatusOr<std::vector<PollEvent>> Wait(int timeout_ms) override {
-    std::vector<pollfd> fds;
-    fds.reserve(interest_.size());
-    for (const auto& [fd, interest] : interest_) {
-      pollfd p;
-      p.fd = fd;
-      p.events = 0;
-      if (interest.read) p.events |= POLLIN;
-      if (interest.write) p.events |= POLLOUT;
-      p.revents = 0;
-      fds.push_back(p);
-    }
-
-    int ready;
-    do {
-      ready = ::poll(fds.data(), fds.size(), timeout_ms);
-      // Retry on EINTR rather than reporting an empty set: callers treat an
-      // empty result as "nothing is pending" (the audit server's drain uses
-      // it as the exit proof), which a signal interruption is not. Wakeups
-      // that must interrupt the wait go through a watched descriptor.
-    } while (ready < 0 && errno == EINTR);
-    if (ready < 0) {
-      return util::InternalError("poll: " + std::string(strerror(errno)));
-    }
-
-    std::vector<PollEvent> events;
-    if (ready == 0) return events;
-    events.reserve(static_cast<size_t>(ready));
-    for (const pollfd& p : fds) {
-      if (p.revents == 0) continue;
-      PollEvent event;
-      event.fd = p.fd;
-      event.readable = (p.revents & POLLIN) != 0;
-      event.writable = (p.revents & POLLOUT) != 0;
-      event.hangup = (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-      events.push_back(event);
-    }
-    return events;
-  }
-
-  const char* backend_name() const override { return "poll"; }
-
- private:
-  struct Interest {
-    bool read = false;
-    bool write = false;
-  };
-  std::map<int, Interest> interest_;
-};
-
-#ifdef AUDITGAME_HAVE_EPOLL
-
-/// Linux epoll backend, level-triggered (no EPOLLET) so its semantics are
-/// interchangeable with poll(2): a ready descriptor keeps reporting until
-/// drained, and a missed wakeup costs one loop iteration, never a stall.
-class EpollPoller final : public Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  void Watch(int fd, bool read, bool write) override {
-    epoll_event ev;
-    ev.events = 0;
-    if (read) ev.events |= EPOLLIN;
-    if (write) ev.events |= EPOLLOUT;
-    ev.data.fd = fd;
-    const bool known = interest_.count(fd) != 0;
-    if (::epoll_ctl(epfd_, known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev) ==
-        0) {
-      interest_.emplace(fd, 0);
-      return;
-    }
-    // The kernel's view can disagree with ours after an fd was closed and
-    // its number reused (close() silently deregisters); retry with the
-    // opposite op before giving up.
-    if (::epoll_ctl(epfd_, known ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd, &ev) ==
-        0) {
-      interest_.emplace(fd, 0);
-    }
-  }
-
-  void Forget(int fd) override {
-    if (interest_.erase(fd) == 0) return;
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  size_t watched() const override { return interest_.size(); }
-
-  util::StatusOr<std::vector<PollEvent>> Wait(int timeout_ms) override {
-    epoll_event ready[256];
-    int n;
-    do {
-      n = ::epoll_wait(epfd_, ready, 256, timeout_ms);
-    } while (n < 0 && errno == EINTR);  // same EINTR contract as poll
-    if (n < 0) {
-      return util::InternalError("epoll_wait: " +
-                                 std::string(strerror(errno)));
-    }
-    std::vector<PollEvent> events;
-    events.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      PollEvent event;
-      event.fd = ready[i].data.fd;
-      event.readable = (ready[i].events & EPOLLIN) != 0;
-      event.writable = (ready[i].events & EPOLLOUT) != 0;
-      event.hangup = (ready[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-      events.push_back(event);
-    }
-    return events;
-  }
-
-  const char* backend_name() const override { return "epoll"; }
-
- private:
-  int epfd_ = -1;
-  /// fds we believe the kernel is watching (epoll needs ADD vs MOD).
-  std::map<int, int> interest_;
-};
-
-#endif  // AUDITGAME_HAVE_EPOLL
+util::Status ErrnoError(const std::string& what, int error) {
+  return util::InternalError(what + ": " + std::string(strerror(error)));
+}
 
 }  // namespace
 
-std::unique_ptr<Poller> MakePoller(PollerBackend backend) {
-#ifdef AUDITGAME_HAVE_EPOLL
-  if (backend == PollerBackend::kDefault || backend == PollerBackend::kEpoll) {
-    return std::make_unique<EpollPoller>();
+util::StatusOr<Poller> Poller::Create() {
+  Socket epoll(::epoll_create1(EPOLL_CLOEXEC));
+  if (!epoll.valid()) return ErrnoError("epoll_create1", errno);
+  Socket wake(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+  if (!wake.valid()) return ErrnoError("eventfd", errno);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake.fd();
+  if (::epoll_ctl(epoll.fd(), EPOLL_CTL_ADD, wake.fd(), &ev) != 0) {
+    return ErrnoError("epoll_ctl(eventfd)", errno);
   }
-#else
-  if (backend == PollerBackend::kEpoll) return nullptr;
-#endif
-  return std::make_unique<PollPoller>();
+  return Poller(std::move(epoll), std::move(wake));
+}
+
+util::Status Poller::Watch(int fd, bool read, bool write) {
+  const uint32_t mask = (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u);
+  const auto it = interest_.find(fd);
+  const bool known = it != interest_.end();
+  if (known && it->second == mask) return util::OkStatus();
+
+  epoll_event ev{};
+  ev.events = mask;
+  ev.data.fd = fd;
+  const auto ctl = [&](int op) {
+    return ::epoll_ctl(epoll_.fd(), op, fd, &ev) == 0 ? 0 : errno;
+  };
+  const int first = ctl(known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD);
+  if (first != 0) {
+    // The kernel's view can disagree with ours after an fd was closed and
+    // its number reused (close() silently deregisters); retry with the
+    // opposite op before giving up. Report the ADD's error: the MOD's is
+    // only the ENOENT of an unregistered fd.
+    const int second = ctl(known ? EPOLL_CTL_ADD : EPOLL_CTL_MOD);
+    if (second != 0) {
+      if (known) interest_.erase(it);
+      return ErrnoError("epoll_ctl(fd " + std::to_string(fd) + ")",
+                        known ? second : first);
+    }
+  }
+  interest_[fd] = mask;
+  return util::OkStatus();
+}
+
+void Poller::Forget(int fd) {
+  if (interest_.erase(fd) == 0) return;
+  ::epoll_ctl(epoll_.fd(), EPOLL_CTL_DEL, fd, nullptr);
+}
+
+void Poller::Notify() {
+  // A saturated counter already guarantees a pending wake, so the result
+  // is ignored.
+  const uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_.fd(), &one, sizeof(one));
+}
+
+util::StatusOr<PollResult> Poller::Wait(int timeout_ms) {
+  epoll_event ready[kMaxEvents];
+  int n;
+  do {
+    n = ::epoll_wait(epoll_.fd(), ready, kMaxEvents, timeout_ms);
+    // Retry on EINTR rather than reporting an empty result: callers treat
+    // one as "nothing is pending" (the reactors' drain uses it as the exit
+    // proof), which a signal interruption is not.
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) return ErrnoError("epoll_wait", errno);
+
+  PollResult result;
+  result.events.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    if (ready[i].data.fd == wake_.fd()) {
+      // One read resets the eventfd counter, however many Notify() calls
+      // it coalesced.
+      uint64_t count;
+      [[maybe_unused]] const ssize_t r = ::read(wake_.fd(), &count,
+                                                sizeof(count));
+      result.woken = true;
+      continue;
+    }
+    PollEvent event;
+    event.fd = ready[i].data.fd;
+    event.readable = (ready[i].events & EPOLLIN) != 0;
+    event.writable = (ready[i].events & EPOLLOUT) != 0;
+    event.hangup = (ready[i].events & (EPOLLHUP | EPOLLERR)) != 0;
+    result.events.push_back(event);
+  }
+  return result;
 }
 
 }  // namespace auditgame::net

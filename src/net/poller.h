@@ -1,10 +1,12 @@
 #ifndef AUDIT_GAME_NET_POLLER_H_
 #define AUDIT_GAME_NET_POLLER_H_
 
-#include <cstddef>
-#include <memory>
+#include <cstdint>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "net/socket.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -20,50 +22,60 @@ struct PollEvent {
   bool hangup = false;
 };
 
-/// Readiness notifier: the level-triggered event-loop primitive behind each
-/// reactor. Two backends implement the same interface:
-///
-///  * `kEpoll` (Linux): O(1) dispatch independent of the watched-set size —
-///    the serving backend, where one reactor may own tens of thousands of
-///    pipelined connections.
-///  * `kPoll`: portable POSIX poll(2), O(n) per wait. The fallback for
-///    non-Linux builds and the reference the epoll backend is tested
-///    against; at small fd counts the two are indistinguishable.
-///
-/// `kDefault` picks epoll where compiled in, poll otherwise. Both backends
-/// are level-triggered with identical semantics, so callers never branch on
-/// which one they got.
-///
-/// Not thread-safe: one Poller belongs to one event-loop thread.
-class Poller {
- public:
-  virtual ~Poller() = default;
-
-  /// Registers `fd` or updates its interest set. `read`/`write` select the
-  /// events to wake on (hangup/error always wake).
-  virtual void Watch(int fd, bool read, bool write) = 0;
-
-  /// Stops watching `fd` (no-op if unknown).
-  virtual void Forget(int fd) = 0;
-
-  virtual size_t watched() const = 0;
-
-  /// Blocks until at least one watched descriptor is ready or `timeout_ms`
-  /// elapses (-1 = forever). Returns the ready set; an empty result means
-  /// the timeout genuinely expired with nothing pending (EINTR is retried
-  /// internally — anything that must interrupt the wait writes to a
-  /// watched descriptor, as the reactors' wake channels do).
-  virtual util::StatusOr<std::vector<PollEvent>> Wait(int timeout_ms) = 0;
-
-  /// "epoll" or "poll" — for logs and the stats verb.
-  virtual const char* backend_name() const = 0;
+/// What one Wait() saw: the ready watched descriptors, and whether
+/// Notify() was called since the previous Wait().
+struct PollResult {
+  std::vector<PollEvent> events;
+  bool woken = false;
 };
 
-enum class PollerBackend { kDefault, kPoll, kEpoll };
+/// The event-loop primitive behind every reactor, the acceptor and each
+/// router backend channel: a level-triggered epoll set plus the loop's own
+/// eventfd wake. A ready descriptor keeps reporting until drained, so a
+/// missed wakeup costs one loop iteration, never a stall.
+///
+/// The poller remembers each fd's interest, so a Watch() that changes
+/// nothing makes no syscall. Callers must Forget() an fd before closing
+/// it: close() silently drops the kernel's registration, and a reused fd
+/// number Watched with the remembered interest would never be registered.
+///
+/// One Poller belongs to one event-loop thread; only Notify() may be
+/// called from other threads.
+class Poller {
+ public:
+  /// Not usable until assigned from Create().
+  Poller() = default;
 
-/// Creates a poller. `kEpoll` returns nullptr on platforms without epoll;
-/// `kDefault` never fails.
-std::unique_ptr<Poller> MakePoller(PollerBackend backend = PollerBackend::kDefault);
+  /// Creates the epoll set and the wake eventfd.
+  static util::StatusOr<Poller> Create();
+
+  /// Registers `fd` or updates its interest set. `read`/`write` select the
+  /// events to wake on (hangup/error always wake). An error means the fd
+  /// is not watched — the caller drops it.
+  util::Status Watch(int fd, bool read, bool write);
+
+  /// Stops watching `fd` (no-op if unknown).
+  void Forget(int fd);
+
+  /// Wakes the loop's Wait(). Any thread; async-signal-safe — one write(2)
+  /// to the eventfd, where notifications coalesce into one wake.
+  void Notify();
+
+  /// Blocks until a watched descriptor is ready, Notify() is called, or
+  /// `timeout_ms` elapses (-1 = forever). A result with no events and no
+  /// wake means the timeout genuinely expired with nothing pending (EINTR
+  /// is retried internally).
+  util::StatusOr<PollResult> Wait(int timeout_ms);
+
+ private:
+  Poller(Socket epoll, Socket wake)
+      : epoll_(std::move(epoll)), wake_(std::move(wake)) {}
+
+  Socket epoll_;
+  Socket wake_;
+  /// fd → the epoll event mask the kernel holds for it.
+  std::unordered_map<int, uint32_t> interest_;
+};
 
 }  // namespace auditgame::net
 

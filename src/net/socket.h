@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -12,10 +11,10 @@
 
 namespace auditgame::net {
 
-/// RAII owner of a file descriptor (socket or pipe end). Move-only; the
-/// descriptor is closed on destruction. All networking in this project goes
-/// through plain POSIX descriptors — no external dependencies — so the
-/// serving stack builds anywhere the toolchain does.
+/// RAII owner of a file descriptor (a socket, or a poller's epoll set and
+/// eventfd). Move-only; the descriptor is closed on destruction. All
+/// networking in this project goes through plain Linux descriptors — no
+/// external dependencies.
 class Socket {
  public:
   Socket() = default;
@@ -80,41 +79,6 @@ util::StatusOr<std::vector<Socket>> AcceptAll(const Socket& listener);
 
 /// The locally bound port of a socket (after an ephemeral bind).
 util::StatusOr<uint16_t> LocalPort(const Socket& socket);
-
-/// A cross-thread wakeup channel: other threads (or a signal handler —
-/// Notify() is one async-signal-safe write(2)) call Notify(), the owning
-/// event loop watches read_fd() and calls Drain() when it polls readable.
-/// Backed by eventfd(2) on Linux (one fd, one word, notifications coalesce
-/// in the kernel) and a non-blocking pipe elsewhere; each reactor owns one,
-/// replacing the single shared wake pipe of the one-loop server.
-class WakeChannel {
- public:
-  /// Invalid until assigned from Make() — Notify()/Drain() are no-ops.
-  WakeChannel() = default;
-
-  static util::StatusOr<WakeChannel> Make();
-
-  /// The descriptor the event loop registers for read interest.
-  int read_fd() const { return rx_.fd(); }
-
-  bool valid() const { return rx_.valid(); }
-
-  /// Wakes the owning loop. Async-signal-safe; a full channel already
-  /// guarantees a pending wakeup, so the result is ignored.
-  void Notify();
-
-  /// Consumes pending notifications so the level-triggered poller stops
-  /// reporting the channel readable.
-  void Drain();
-
- private:
-  WakeChannel(Socket rx, Socket tx) : rx_(std::move(rx)), tx_(std::move(tx)) {}
-
-  Socket rx_;
-  /// Pipe write end; invalid when rx_ is an eventfd (which is written and
-  /// read through the same descriptor).
-  Socket tx_;
-};
 
 }  // namespace auditgame::net
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <utility>
 
 #include "server/binary_codec.h"
@@ -24,8 +23,6 @@ void DefineFrontEndFlags(util::FlagParser& flags, uint16_t default_port) {
   flags.Define("reactors", "1",
                "client-facing IO event-loop threads (each connection is "
                "pinned to one)");
-  flags.Define("poller", "default",
-               "event backend: default (epoll on Linux), epoll, poll");
   flags.Define("max_frame_kb", "1024", "frame payload cap in KiB");
   flags.Define("idle_timeout_ms", "300000",
                "close client connections idle this long with nothing in "
@@ -49,17 +46,6 @@ util::StatusOr<FrontEndOptions> FrontEndOptionsFromFlags(
   }
   options.port = static_cast<uint16_t>(port);
   ASSIGN_OR_RETURN(options.num_reactors, flags.GetIntAtLeast("reactors", 1));
-  static const std::map<std::string, net::PollerBackend> kPollers = {
-      {"default", net::PollerBackend::kDefault},
-      {"epoll", net::PollerBackend::kEpoll},
-      {"poll", net::PollerBackend::kPoll}};
-  const std::string poller = flags.GetString("poller");
-  const auto backend = kPollers.find(poller);
-  if (backend == kPollers.end()) {
-    return util::InvalidArgumentError(
-        "--poller must be default, epoll, or poll, got '" + poller + "'");
-  }
-  options.poller_backend = backend->second;
   ASSIGN_OR_RETURN(const int max_frame_kb,
                    flags.GetIntAtLeast("max_frame_kb", 1));
   options.max_frame_payload = static_cast<size_t>(max_frame_kb) * 1024;
@@ -74,9 +60,7 @@ util::StatusOr<FrontEndOptions> FrontEndOptionsFromFlags(
 }
 
 FrontEnd::FrontEnd(FrontEndOptions options, FrontEndHooks hooks)
-    : options_(std::move(options)), hooks_(std::move(hooks)) {
-  if (options_.num_reactors < 1) options_.num_reactors = 1;
-}
+    : options_(std::move(options)), hooks_(std::move(hooks)) {}
 
 FrontEnd::~FrontEnd() {
   for (auto& reactor : reactors_) reactor->Kill();
@@ -86,16 +70,16 @@ FrontEnd::~FrontEnd() {
 util::Status FrontEnd::Start(
     const std::function<util::Status()>& start_workers) {
   if (started_) return util::FailedPreconditionError("already started");
+  if (options_.num_reactors < 1) {
+    return util::InvalidArgumentError(
+        "num_reactors must be at least 1, got " +
+        std::to_string(options_.num_reactors));
+  }
   ASSIGN_OR_RETURN(listener_, net::ListenTcp(options_.host, options_.port));
   ASSIGN_OR_RETURN(port_, net::LocalPort(listener_));
-  ASSIGN_OR_RETURN(wake_, net::WakeChannel::Make());
-  acceptor_poller_ = net::MakePoller(options_.poller_backend);
-  if (!acceptor_poller_) {
-    return util::InvalidArgumentError(
-        "requested poller backend unavailable on this platform");
-  }
-  acceptor_poller_->Watch(listener_.fd(), /*read=*/true, /*write=*/false);
-  acceptor_poller_->Watch(wake_.read_fd(), /*read=*/true, /*write=*/false);
+  ASSIGN_OR_RETURN(poller_, net::Poller::Create());
+  RETURN_IF_ERROR(
+      poller_.Watch(listener_.fd(), /*read=*/true, /*write=*/false));
 
   reactors_.reserve(static_cast<size_t>(options_.num_reactors));
   for (int i = 0; i < options_.num_reactors; ++i) {
@@ -116,7 +100,7 @@ util::Status FrontEnd::Start(
 
 void FrontEnd::RequestStop() {
   stop_requested_.store(true, std::memory_order_release);
-  wake_.Notify();  // one async-signal-safe write(2)
+  poller_.Notify();  // one async-signal-safe write(2)
 }
 
 int64_t FrontEnd::Sum(int64_t (Reactor::*counter)() const) const {
@@ -159,7 +143,7 @@ void FrontEnd::BeginDrain() {
     if (auto accepted = net::AcceptAll(listener_); accepted.ok()) {
       AdmitConnections(std::move(*accepted), /*enforce_cap=*/false);
     }
-    acceptor_poller_->Forget(listener_.fd());
+    poller_.Forget(listener_.fd());
     listener_.Close();
   }
   // The owner stops taking work first: from here on every request a
@@ -196,14 +180,10 @@ util::Status FrontEnd::Run() {
       }
     }
 
-    auto events = acceptor_poller_->Wait(
+    auto polled = poller_.Wait(
         draining ? kDrainPollMs : std::min(kAcceptorPollMs, hooks_.tick_ms));
-    RETURN_IF_ERROR(events.status());
-    for (const net::PollEvent& event : *events) {
-      if (event.fd == wake_.read_fd()) {
-        wake_.Drain();
-        continue;
-      }
+    RETURN_IF_ERROR(polled.status());
+    for (const net::PollEvent& event : polled->events) {
       if (listener_.valid() && event.fd == listener_.fd()) {
         auto accepted = net::AcceptAll(listener_);
         if (!accepted.ok()) continue;  // transient; the listener stays up
@@ -322,8 +302,6 @@ util::JsonValue::Object FrontEnd::ServerStats() const {
   server["orphaned_responses"] = sum(&Reactor::orphaned_responses);
   server["idle_closes"] = sum(&Reactor::idle_closes);
   server["reactors"] = static_cast<int>(reactors_.size());
-  server["poller"] = std::string(
-      reactors_.empty() ? "none" : reactors_.front()->backend_name());
   server["draining"] = draining();
   return server;
 }

@@ -29,9 +29,9 @@ struct FrontEndOptions {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read it back with port() after Start().
   uint16_t port = 0;
-  /// IO threads. Each accepted connection is pinned to one reactor for its
-  /// whole life (conn_id % num_reactors), so reactors share nothing but
-  /// the accept stream and the owner's request sink.
+  /// IO threads, at least 1. Each accepted connection is pinned to one
+  /// reactor for its whole life (conn_id % num_reactors), so reactors
+  /// share nothing but the accept stream and the owner's request sink.
   int num_reactors = 1;
   size_t max_frame_payload = net::kDefaultMaxFramePayload;
   /// Per-connection write-buffer bound; a peer further behind than this is
@@ -43,24 +43,20 @@ struct FrontEndOptions {
   /// Accept cap: beyond this many live connections new accepts are closed
   /// immediately (a graceful refusal, not a hang). 0 = unlimited.
   size_t max_connections = 0;
-  /// Event-loop backend for the acceptor and every reactor (kDefault =
-  /// epoll where available, poll(2) otherwise).
-  net::PollerBackend poller_backend = net::PollerBackend::kDefault;
   /// How long a graceful stop waits for in-flight work to be answered and
   /// flushed before giving up.
   int drain_timeout_ms = 10000;
 };
 
 /// Defines the front-door flags both serving tools share: --host, --port
-/// (default `default_port`), --reactors, --poller, --max_frame_kb,
+/// (default `default_port`), --reactors, --max_frame_kb,
 /// --idle_timeout_ms, --max_connections and --drain_timeout_ms.
 void DefineFrontEndFlags(util::FlagParser& flags, uint16_t default_port);
 
 /// Resolves the flags defined by DefineFrontEndFlags. Rejects a port
 /// outside 0–65535, --reactors and --max_frame_kb below 1, a negative
-/// --idle_timeout_ms, --max_connections or --drain_timeout_ms, and an
-/// unknown --poller name instead of clamping or wrapping them into a
-/// different (or no) limit.
+/// --idle_timeout_ms, --max_connections or --drain_timeout_ms instead of
+/// clamping or wrapping them into a different (or no) limit.
 util::StatusOr<FrontEndOptions> FrontEndOptionsFromFlags(
     const util::FlagParser& flags);
 
@@ -113,16 +109,17 @@ class FrontEnd {
 
   /// Binds the listener and starts the reactors, then runs `start_workers`
   /// (which may start posting responses). Serving state is only marked
-  /// started once both succeed.
+  /// started once both succeed. Fails on num_reactors below 1 and when
+  /// the acceptor's poller cannot be created or cannot watch the listener.
   util::Status Start(const std::function<util::Status()>& start_workers);
   util::Status Run();
 
   /// Signals Run() to begin the graceful drain. Async-signal-safe: one
-  /// atomic store plus a write(2) to the wake channel.
+  /// atomic store plus a write(2) to the acceptor poller's eventfd.
   void RequestStop();
 
   /// Wakes the acceptor loop (any thread) so it re-checks drain progress.
-  void Wake() { wake_.Notify(); }
+  void Wake() { poller_.Notify(); }
 
   /// The bound port (valid after Start()).
   uint16_t port() const { return port_; }
@@ -136,7 +133,7 @@ class FrontEnd {
   void PostResponses(std::vector<Shard::Response> batch);
 
   /// The reactor-summed `server` stats block: connection, frame and error
-  /// counters, reactor count, poller backend and the draining flag.
+  /// counters, reactor count and the draining flag.
   util::JsonValue::Object ServerStats() const;
 
  private:
@@ -151,8 +148,7 @@ class FrontEnd {
   const FrontEndHooks hooks_;
 
   net::Socket listener_;
-  net::WakeChannel wake_;
-  std::unique_ptr<net::Poller> acceptor_poller_;
+  net::Poller poller_;
   uint16_t port_ = 0;
   bool started_ = false;
 

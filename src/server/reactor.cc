@@ -27,14 +27,7 @@ Reactor::~Reactor() {
 }
 
 util::Status Reactor::Start() {
-  poller_ = net::MakePoller(options_.poller_backend);
-  if (!poller_) {
-    return util::InvalidArgumentError(
-        "requested poller backend unavailable on this platform");
-  }
-  backend_name_ = poller_->backend_name();
-  ASSIGN_OR_RETURN(wake_, net::WakeChannel::Make());
-  poller_->Watch(wake_.read_fd(), /*read=*/true, /*write=*/false);
+  ASSIGN_OR_RETURN(poller_, net::Poller::Create());
   last_idle_sweep_ = std::chrono::steady_clock::now();
   thread_ = std::thread([this] { Run(); });
   return util::OkStatus();
@@ -45,7 +38,7 @@ void Reactor::Adopt(net::Socket socket, uint64_t conn_id) {
     std::lock_guard<std::mutex> lock(inbox_mutex_);
     adopted_inbox_.push_back(AdoptedSocket{std::move(socket), conn_id});
   }
-  wake_.Notify();
+  poller_.Notify();
 }
 
 void Reactor::PostResponses(std::vector<Shard::Response> batch) {
@@ -56,17 +49,17 @@ void Reactor::PostResponses(std::vector<Shard::Response> batch) {
                            std::make_move_iterator(batch.begin()),
                            std::make_move_iterator(batch.end()));
   }
-  wake_.Notify();
+  poller_.Notify();
 }
 
 void Reactor::BeginDrain() {
   draining_.store(true, std::memory_order_release);
-  wake_.Notify();
+  poller_.Notify();
 }
 
 void Reactor::Kill() {
   killed_.store(true, std::memory_order_release);
-  wake_.Notify();
+  poller_.Notify();
 }
 
 void Reactor::Join() {
@@ -102,21 +95,13 @@ void Reactor::Run() {
     if (killed_.load(std::memory_order_acquire)) break;
     const bool draining = draining_.load(std::memory_order_acquire);
 
-    auto events = poller_->Wait(draining ? kDrainPollMs : kIdlePollMs);
-    if (!events.ok()) {
+    auto polled = poller_.Wait(draining ? kDrainPollMs : kIdlePollMs);
+    if (!polled.ok()) {
       std::lock_guard<std::mutex> lock(status_mutex_);
-      status_ = events.status();
+      status_ = polled.status();
       break;
     }
-    const bool idle_poll = events->empty();
-
-    bool woke = false;
-    for (const net::PollEvent& event : *events) {
-      if (event.fd == wake_.read_fd()) {
-        wake_.Drain();
-        woke = true;
-        continue;
-      }
+    for (const net::PollEvent& event : polled->events) {
       HandleConnectionEvent(event);
     }
 
@@ -138,8 +123,8 @@ void Reactor::Run() {
     // every shard response came back (in_flight_total_ == 0 — including
     // orphans for connections that died waiting) and every answer was
     // flushed. Nothing accepted is dropped in silence.
-    if (draining && idle_poll && !woke && !inbox_work &&
-        in_flight_total_ == 0 && !AnyPendingWrite()) {
+    if (draining && polled->events.empty() && !polled->woken &&
+        !inbox_work && in_flight_total_ == 0 && !AnyPendingWrite()) {
       bool inbox_empty;
       {
         std::lock_guard<std::mutex> lock(inbox_mutex_);
@@ -152,7 +137,7 @@ void Reactor::Run() {
   // Drop whatever is still open; on a clean drain every buffer is already
   // flushed, on the kill path the deadline decided for us.
   for (auto& [conn_id, state] : connections_) {
-    poller_->Forget(state.conn.fd());
+    poller_.Forget(state.conn.fd());
   }
   Add(closed_connections_, static_cast<int64_t>(connections_.size()));
   connections_.clear();
@@ -179,8 +164,12 @@ bool Reactor::DrainInbox() {
     if (!inserted) continue;  // duplicate id: acceptor bug, drop the socket
     it->second.last_activity = std::chrono::steady_clock::now();
     fd_to_conn_[fd] = entry.conn_id;
-    poller_->Watch(fd, /*read=*/true, /*write=*/false);
     Add(active_connections_);
+    // An fd the poller refuses (e.g. the epoll watch limit) would never be
+    // served: close it now rather than leave it to the idle reaper.
+    if (!poller_.Watch(fd, /*read=*/true, /*write=*/false).ok()) {
+      CloseConnection(entry.conn_id);
+    }
   }
   for (Shard::Response& response : responses) {
     Reply(response.conn_id, response.payload, /*from_shard=*/true);
@@ -288,15 +277,17 @@ void Reactor::UpdateInterest(uint64_t conn_id) {
   if (it == connections_.end()) return;
   const ConnState& state = it->second;
   if (state.read_closed && !state.conn.wants_write()) {
-    // Nothing to poll for — and both backends report hangup/error even for
-    // an empty interest set, so leaving a dead-but-pending connection
+    // Nothing to poll for — and epoll reports hangup/error even for an
+    // empty interest set, so leaving a dead-but-pending connection
     // (in-flight shard responses) registered would busy-spin the loop.
     // Response delivery re-registers write interest when it queues data.
-    poller_->Forget(state.conn.fd());
+    poller_.Forget(state.conn.fd());
     return;
   }
-  poller_->Watch(state.conn.fd(), /*read=*/!state.read_closed,
-                 /*write=*/state.conn.wants_write());
+  const util::Status watched =
+      poller_.Watch(state.conn.fd(), /*read=*/!state.read_closed,
+                    /*write=*/state.conn.wants_write());
+  if (!watched.ok()) CloseConnection(conn_id);
 }
 
 void Reactor::MaybeFinishConnection(uint64_t conn_id) {
@@ -312,7 +303,7 @@ void Reactor::MaybeFinishConnection(uint64_t conn_id) {
 void Reactor::CloseConnection(uint64_t conn_id) {
   auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
-  poller_->Forget(it->second.conn.fd());
+  poller_.Forget(it->second.conn.fd());
   fd_to_conn_.erase(it->second.conn.fd());
   connections_.erase(it);
   Add(active_connections_, -1);

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -23,15 +22,14 @@
 
 namespace auditgame::server {
 
-/// One IO thread of the server's reactor pool: an event loop (epoll where
-/// available, poll(2) otherwise — see net/poller.h) owning a disjoint set
-/// of connections. The acceptor assigns each accepted socket to exactly one
-/// reactor via Adopt() and that affinity never changes, so all per-
-/// connection state (decoder, write buffer, in-flight count, binary-mode
-/// flag) is touched by one thread only — no locks on the hot path. The
-/// cross-thread surface is a mutex-protected inbox (adopted sockets +
-/// shard response batches) plus a wake channel; everything else is
-/// reactor-thread-only.
+/// One IO thread of the server's reactor pool: an event loop (one
+/// net::Poller) owning a disjoint set of connections. The acceptor assigns
+/// each accepted socket to exactly one reactor via Adopt() and that
+/// affinity never changes, so all per-connection state (decoder, write
+/// buffer, in-flight count, binary-mode flag) is touched by one thread
+/// only — no locks on the hot path. The cross-thread surface is a
+/// mutex-protected inbox (adopted sockets + shard response batches) plus
+/// the poller's Notify(); everything else is reactor-thread-only.
 ///
 /// A connection's id encodes its owner — `conn_id % num_reactors` is the
 /// reactor index — so shard responders route response batches back without
@@ -54,21 +52,22 @@ class Reactor {
   using FrameHandler = std::function<bool(
       Reactor& reactor, uint64_t conn_id, const std::string& payload)>;
 
-  /// Reads the frame cap, the write-buffer bound, the idle timeout and the
-  /// poller backend from `options`.
+  /// Reads the frame cap, the write-buffer bound and the idle timeout from
+  /// `options`.
   Reactor(int index, FrontEndOptions options, FrameHandler handler);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Creates the poller + wake channel and spawns the loop thread.
+  /// Creates the poller and spawns the loop thread.
   util::Status Start();
 
   /// --- cross-thread surface ---
 
   /// Hands a freshly accepted socket (with its server-assigned id) to this
-  /// reactor. Called by the acceptor; the loop registers it on next wake.
+  /// reactor. Called by the acceptor; the loop registers it on next wake
+  /// and closes it if it cannot be watched.
   void Adopt(net::Socket socket, uint64_t conn_id);
 
   /// Delivers one shard micro-batch's responses. Called from shard
@@ -92,9 +91,6 @@ class Reactor {
   /// inbox responses as orphaned and discards them (with any unprocessed
   /// adopted sockets). Returns the orphan count.
   size_t DrainLeftovers();
-
-  /// "epoll" or "poll" (valid after Start()).
-  const char* backend_name() const { return backend_name_; }
 
   int index() const { return index_; }
 
@@ -165,6 +161,8 @@ class Reactor {
   /// anything was processed.
   bool DrainInbox();
   void HandleConnectionEvent(const net::PollEvent& event);
+  /// Re-registers the connection's interest; closes it if the poller
+  /// refuses.
   void UpdateInterest(uint64_t conn_id);
   /// Closes a read-closed connection once nothing is owed to it.
   void MaybeFinishConnection(uint64_t conn_id);
@@ -175,10 +173,8 @@ class Reactor {
   const int index_;
   const FrontEndOptions options_;
   const FrameHandler handler_;
-  const char* backend_name_ = "unstarted";
 
-  std::unique_ptr<net::Poller> poller_;
-  net::WakeChannel wake_;
+  net::Poller poller_;
   std::thread thread_;
 
   std::mutex inbox_mutex_;

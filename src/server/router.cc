@@ -131,7 +131,6 @@ util::Status Router::StartChannels() {
 
   net::FrameChannelOptions channel_options = options_.channel;
   channel_options.max_frame_payload = options_.front.max_frame_payload;
-  channel_options.poller_backend = options_.front.poller_backend;
   channels_.reserve(backend_addrs.size());
   for (size_t i = 0; i < backend_addrs.size(); ++i) {
     net::FrameChannel::Events events;

@@ -52,8 +52,7 @@ struct RouterOptions {
   /// `backend_down`).
   int backend_connect_wait_ms = 10000;
   /// Per-backend channel tuning (window, queue bound, response timeout,
-  /// reconnect backoff). max_frame_payload and poller_backend are
-  /// propagated from `front`.
+  /// reconnect backoff). max_frame_payload is propagated from `front`.
   net::FrameChannelOptions channel;
 };
 

@@ -20,7 +20,6 @@
 #include "gtest/gtest.h"
 #include "net/client.h"
 #include "net/frame.h"
-#include "net/poller.h"
 #include "scenario/generator.h"
 #include "server/binary_codec.h"
 #include "server/protocol.h"
@@ -96,8 +95,7 @@ const std::set<std::string> kFrontEndServerKeys = {
     "accept_rejections", "accepted_connections", "active_connections",
     "draining",          "frames_in",            "frames_out",
     "idle_closes",       "orphaned_responses",   "overloaded",
-    "poller",            "protocol_errors",      "reactors",
-    "slow_consumer_closes"};
+    "protocol_errors",   "reactors",             "slow_consumer_closes"};
 
 std::set<std::string> ServerBlockKeys(const util::JsonValue& stats) {
   std::set<std::string> keys;
@@ -514,20 +512,54 @@ TEST_P(FrontDoorTest, MaxConnectionsCapClosesExcessAccepts) {
   EXPECT_EQ(StatusOf(Call(first, MakeStatsRequest(3))), "ok");
 }
 
-TEST_F(AuditServerTest, PollBackendServesLikeTheDefault) {
+TEST_F(AuditServerTest, TwoReactorsServeEveryConnection) {
   AuditServerOptions options;
-  options.front.poller_backend = net::PollerBackend::kPoll;
   options.front.num_reactors = 2;
   StartServer(options);
-  auto client = Connect();
-  EXPECT_EQ(StatusOf(Call(client, MakeSolveCycleRequest(1, "t"))), "ok");
-  util::JsonValue doc = Call(client, MakeStatsRequest(2));
-  ASSERT_EQ(StatusOf(doc), "ok");
-  const util::JsonValue* server_stats = doc.Find("server");
-  ASSERT_NE(server_stats, nullptr);
-  auto poller = server_stats->GetString("poller");
-  ASSERT_TRUE(poller.ok());
-  EXPECT_EQ(*poller, "poll");
+  constexpr int kClients = 4;
+  constexpr int kSolvesEach = 3;
+
+  // Connection ids are assigned in accept order and pinned to reactor
+  // id % 2, so four concurrent connections land on both reactors; each
+  // tenant's cycles still come back in order on its own connection.
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([this, c] {
+      auto client = Connect();
+      const std::string tenant = "reactor-tenant-" + std::to_string(c);
+      for (int i = 0; i < kSolvesEach; ++i) {
+        util::JsonValue doc =
+            Call(client, MakeSolveCycleRequest(c * 100 + i, tenant));
+        ASSERT_EQ(StatusOf(doc), "ok");
+        auto cycle = doc.GetNumber("cycle");
+        ASSERT_TRUE(cycle.ok());
+        EXPECT_EQ(static_cast<int>(*cycle), i + 1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  // Every response has been received, so every frame read was answered.
+  const util::JsonValue::Object body = server_->StatsBody();
+  const util::JsonValue& server_stats = body.at("server");
+  EXPECT_EQ(server_stats.Find("reactors")->as_number(), 2);
+  EXPECT_EQ(server_stats.Find("frames_in")->as_number(),
+            kClients * kSolvesEach);
+  EXPECT_EQ(server_stats.Find("frames_out")->as_number(),
+            kClients * kSolvesEach);
+}
+
+TEST(AuditServerStartTest, FewerThanOneReactorIsRefused) {
+  auto spec = scenario::SpecByName("uniform");
+  ASSERT_TRUE(spec.ok());
+  spec->num_types = 4;
+  auto instance = scenario::Generate(*spec);
+  ASSERT_TRUE(instance.ok());
+  AuditServerOptions options;
+  options.front.port = 0;
+  options.front.num_reactors = 0;
+  AuditServer server(*std::move(instance), options);
+  EXPECT_EQ(server.Start().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST_F(AuditServerTest, HalfClosedClientStillGetsItsResponses) {

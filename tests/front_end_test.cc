@@ -50,7 +50,6 @@ TEST(FrontEndFlagsTest, DefaultsParseToTheDocumentedOptions) {
   EXPECT_EQ(options->host, "127.0.0.1");
   EXPECT_EQ(options->port, 7353);
   EXPECT_EQ(options->num_reactors, 1);
-  EXPECT_EQ(options->poller_backend, net::PollerBackend::kDefault);
   EXPECT_EQ(options->max_frame_payload, 1024u * 1024u);
   EXPECT_EQ(options->idle_timeout_ms, 300000);
   EXPECT_EQ(options->max_connections, 0u);
@@ -65,22 +64,19 @@ TEST(FrontEndFlagsTest, DefaultsParseToTheDocumentedOptions) {
 
 TEST(FrontEndFlagsTest, ExplicitValuesPassThrough) {
   auto options = Parse({"--host=0.0.0.0", "--port=65535", "--reactors=3",
-                        "--poller=poll", "--max_frame_kb=1",
-                        "--idle_timeout_ms=0", "--max_connections=9",
-                        "--drain_timeout_ms=5"});
+                        "--max_frame_kb=1", "--idle_timeout_ms=0",
+                        "--max_connections=9", "--drain_timeout_ms=5"});
   ASSERT_TRUE(options.ok()) << options.status();
   EXPECT_EQ(options->host, "0.0.0.0");
   EXPECT_EQ(options->port, 65535);
   EXPECT_EQ(options->num_reactors, 3);
-  EXPECT_EQ(options->poller_backend, net::PollerBackend::kPoll);
   EXPECT_EQ(options->max_frame_payload, 1024u);
   EXPECT_EQ(options->idle_timeout_ms, 0);
   EXPECT_EQ(options->max_connections, 9u);
   EXPECT_EQ(options->drain_timeout_ms, 5);
-  auto ephemeral = Parse({"--port=0", "--poller=epoll"});
+  auto ephemeral = Parse({"--port=0"});
   ASSERT_TRUE(ephemeral.ok()) << ephemeral.status();
   EXPECT_EQ(ephemeral->port, 0);
-  EXPECT_EQ(ephemeral->poller_backend, net::PollerBackend::kEpoll);
 }
 
 TEST(FrontEndFlagsTest, OutOfRangeValuesAreRejectedNotWrapped) {
@@ -90,8 +86,8 @@ TEST(FrontEndFlagsTest, OutOfRangeValuesAreRejectedNotWrapped) {
   // work at once.
   for (const char* bad :
        {"--port=70000", "--port=65536", "--port=-1", "--max_frame_kb=0",
-        "--max_frame_kb=-1", "--poller=kqueue", "--poller=", "--reactors=0",
-        "--reactors=-1", "--idle_timeout_ms=-1", "--max_connections=-1",
+        "--max_frame_kb=-1", "--reactors=0", "--reactors=-1",
+        "--idle_timeout_ms=-1", "--max_connections=-1",
         "--drain_timeout_ms=-1"}) {
     auto options = Parse({bad});
     EXPECT_FALSE(options.ok()) << bad;

@@ -107,8 +107,9 @@ int Run(int argc, char** argv) {
   struct sigaction action;
   action.sa_handler = HandleStopSignal;
   sigemptyset(&action.sa_mask);
-  // SA_RESTART: the handler's wake-pipe write is what interrupts the
-  // event loop; no blocking call needs to fail with EINTR for it.
+  // SA_RESTART: the handler's eventfd write (Poller::Notify) is what
+  // interrupts the event loop; no blocking call needs to fail with EINTR
+  // for it.
   action.sa_flags = SA_RESTART;
   sigaction(SIGINT, &action, nullptr);
   sigaction(SIGTERM, &action, nullptr);

@@ -393,14 +393,28 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
+  // Out-of-range counts are refused, not clamped into a different run.
+  auto solves_per_cycle = flags.GetIntAtLeast("solves_per_cycle", 0);
+  auto window = flags.GetIntAtLeast("window", 1);
+  auto reconnects = flags.GetIntAtLeast("reconnects", 0);
+  auto reactors = flags.GetIntAtLeast("reactors", 1);
+  for (const util::Status& parsed :
+       {solves_per_cycle.status(), window.status(), reconnects.status(),
+        reactors.status()}) {
+    if (!parsed.ok()) {
+      std::cerr << parsed << "\n";
+      return 1;
+    }
+  }
+
   WorkerConfig config;
   config.cycles = flags.GetInt("cycles");
-  config.solves_per_cycle = std::max(0, flags.GetInt("solves_per_cycle"));
+  config.solves_per_cycle = *solves_per_cycle;
   config.binary = encoding == "binary";
-  config.window.window = std::max(1, flags.GetInt("window"));
+  config.window.window = *window;
   config.window.max_retries = flags.GetInt("retries");
   config.window.retry_backoff_ms = flags.GetInt("retry_backoff_ms");
-  config.window.reconnects = std::max(0, flags.GetInt("reconnects"));
+  config.window.reconnects = *reconnects;
   config.window.timeout_ms = flags.GetInt("timeout_ms");
   config.stream_spec.kind = *stream_kind;
   config.stream_spec.drift_amplitude = flags.GetDouble("drift");
@@ -421,7 +435,7 @@ int Run(int argc, char** argv) {
       return 1;
     }
     options->front.port = 0;
-    options->front.num_reactors = flags.GetInt("reactors");
+    options->front.num_reactors = *reactors;
     // Inline engines: tenant count is unbounded, per-tenant threads are not.
     options->service.num_threads = -1;
     local_server = std::make_unique<server::AuditServer>(
