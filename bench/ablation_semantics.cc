@@ -35,6 +35,11 @@ int Run(int argc, char** argv) {
     std::cout << flags.HelpString(argv[0]);
     return 0;
   }
+  const util::StatusOr<int> threads = flags.GetIntAtLeast("threads", 0);
+  if (!threads.ok()) {
+    std::cerr << threads.status() << "\n";
+    return 1;
+  }
   const std::vector<int> budgets = flags.GetIntList("budgets");
 
   struct SemanticsCase {
@@ -93,7 +98,7 @@ int Run(int argc, char** argv) {
       }
     }
   }
-  solver::SolverEngine engine(flags.GetInt("threads"));
+  solver::SolverEngine engine(*threads);
   const auto cells = engine.SolveAll(requests);
 
   std::cout << "# Ablation: optimal Syn A objective under modeling variants\n";

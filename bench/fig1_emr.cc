@@ -2,61 +2,13 @@
 // (synthetic Rea A; see docs/DESIGN.md for the substitution), comparing the
 // proposed model (ISHM + CGGS at eps = 0.1/0.2/0.3) with the three
 // baselines: random thresholds, random orders, greedy by benefit.
-#include <iostream>
-
 #include "bench/figure_common.h"
 #include "data/emr.h"
-#include "util/flags.h"
 
-namespace {
-
-using namespace auditgame;  // NOLINT
-
-int Run(int argc, char** argv) {
-  util::FlagParser flags;
-  flags.Define("budgets", "10,20,30,40,50,60,70,80,90,100", "audit budgets");
-  flags.Define("eps", "0.1,0.2,0.3", "ISHM step sizes for the proposed model");
-  flags.Define("random_orders", "2000", "orderings in the random-order mix");
-  flags.Define("rt_draws", "100", "random-threshold baseline draws");
-  flags.Define("seed", "20180113", "experiment seed");
-  flags.Define("threads", "0", "solver engine workers (0 = one per core)");
-  flags.Define("json", "BENCH_fig1_emr.json",
-               "machine-readable report path (empty = none)");
-  auto status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::cerr << status << "\n" << flags.HelpString(argv[0]);
-    return 1;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.HelpString(argv[0]);
-    return 0;
-  }
-
-  auto instance = data::MakeEmrGame();
-  if (!instance.ok()) {
-    std::cerr << instance.status() << "\n";
-    return 1;
-  }
-
-  bench::FigureSweepOptions options;
-  options.budgets = flags.GetIntList("budgets");
-  options.step_sizes = flags.GetDoubleList("eps");
-  options.random_orders = flags.GetInt("random_orders");
-  options.random_threshold_draws = flags.GetInt("rt_draws");
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  options.num_threads = flags.GetInt("threads");
-  options.bench_name = "fig1_emr";
-  options.json_path = flags.GetString("json");
-
-  std::cout << "# Figure 1: auditor loss vs budget (EMR / Rea A synthetic)\n";
-  const auto run = bench::RunFigureSweep(*instance, options, std::cout);
-  if (!run.ok()) {
-    std::cerr << run << "\n";
-    return 1;
-  }
-  return 0;
+int main(int argc, char** argv) {
+  return auditgame::bench::RunFigureDriver(
+      argc, argv,
+      {"fig1_emr", "Figure 1: auditor loss vs budget (EMR / Rea A synthetic)",
+       "10,20,30,40,50,60,70,80,90,100", "20180113"},
+      [] { return auditgame::data::MakeEmrGame(); });
 }
-
-}  // namespace
-
-int main(int argc, char** argv) { return Run(argc, argv); }

@@ -1,62 +1,14 @@
 // Reproduces Figure 2: auditor's loss versus audit budget on the credit
 // application game (synthetic Rea B; see docs/DESIGN.md for the substitution),
 // comparing the proposed model (ISHM + CGGS) with the three baselines.
-#include <iostream>
-
 #include "bench/figure_common.h"
 #include "data/credit.h"
-#include "util/flags.h"
 
-namespace {
-
-using namespace auditgame;  // NOLINT
-
-int Run(int argc, char** argv) {
-  util::FlagParser flags;
-  flags.Define("budgets", "10,30,50,70,90,110,130,150,170,190,210,230,250",
-               "audit budgets");
-  flags.Define("eps", "0.1,0.2,0.3", "ISHM step sizes for the proposed model");
-  flags.Define("random_orders", "2000", "orderings in the random-order mix");
-  flags.Define("rt_draws", "100", "random-threshold baseline draws");
-  flags.Define("seed", "20180114", "experiment seed");
-  flags.Define("threads", "0", "solver engine workers (0 = one per core)");
-  flags.Define("json", "BENCH_fig2_credit.json",
-               "machine-readable report path (empty = none)");
-  auto status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::cerr << status << "\n" << flags.HelpString(argv[0]);
-    return 1;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.HelpString(argv[0]);
-    return 0;
-  }
-
-  auto instance = data::MakeCreditGame();
-  if (!instance.ok()) {
-    std::cerr << instance.status() << "\n";
-    return 1;
-  }
-
-  bench::FigureSweepOptions options;
-  options.budgets = flags.GetIntList("budgets");
-  options.step_sizes = flags.GetDoubleList("eps");
-  options.random_orders = flags.GetInt("random_orders");
-  options.random_threshold_draws = flags.GetInt("rt_draws");
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  options.num_threads = flags.GetInt("threads");
-  options.bench_name = "fig2_credit";
-  options.json_path = flags.GetString("json");
-
-  std::cout << "# Figure 2: auditor loss vs budget (credit / Rea B synthetic)\n";
-  const auto run = bench::RunFigureSweep(*instance, options, std::cout);
-  if (!run.ok()) {
-    std::cerr << run << "\n";
-    return 1;
-  }
-  return 0;
+int main(int argc, char** argv) {
+  return auditgame::bench::RunFigureDriver(
+      argc, argv,
+      {"fig2_credit",
+       "Figure 2: auditor loss vs budget (credit / Rea B synthetic)",
+       "10,30,50,70,90,110,130,150,170,190,210,230,250", "20180114"},
+      [] { return auditgame::data::MakeCreditGame(); });
 }
-
-}  // namespace
-
-int main(int argc, char** argv) { return Run(argc, argv); }

@@ -20,8 +20,10 @@
 #include "core/detection.h"
 #include "core/game.h"
 #include "solver/engine.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/status.h"
+#include "util/statusor.h"
 #include "util/timer.h"
 
 namespace auditgame::bench {
@@ -159,6 +161,71 @@ inline util::Status RunFigureSweep(const core::GameInstance& instance,
     json_out << util::JsonValue(std::move(report)).Dump(2) << "\n";
   }
   return util::OkStatus();
+}
+
+/// What sets one figure driver apart from the other.
+struct FigureDriver {
+  /// Recorded in the JSON report, which defaults to BENCH_<name>.json.
+  std::string bench_name;
+  /// First output line, after "# ".
+  std::string title;
+  std::string default_budgets;
+  std::string default_seed;
+};
+
+/// The figure drivers' main(): parses the sweep flags (--threads must be
+/// >= 0), builds the game with `make_game` and runs RunFigureSweep on it.
+/// Returns the process exit code.
+template <typename MakeGame>
+int RunFigureDriver(int argc, char** argv, const FigureDriver& driver,
+                    MakeGame make_game) {
+  util::FlagParser flags;
+  flags.Define("budgets", driver.default_budgets, "audit budgets");
+  flags.Define("eps", "0.1,0.2,0.3", "ISHM step sizes for the proposed model");
+  flags.Define("random_orders", "2000", "orderings in the random-order mix");
+  flags.Define("rt_draws", "100", "random-threshold baseline draws");
+  flags.Define("seed", driver.default_seed, "experiment seed");
+  flags.Define("threads", "0", "solver engine workers (0 = one per core)");
+  flags.Define("json", "BENCH_" + driver.bench_name + ".json",
+               "machine-readable report path (empty = none)");
+  auto status = flags.Parse(argc, argv);
+  if (!status.ok()) {
+    std::cerr << status << "\n" << flags.HelpString(argv[0]);
+    return 1;
+  }
+  if (flags.help_requested()) {
+    std::cout << flags.HelpString(argv[0]);
+    return 0;
+  }
+  const util::StatusOr<int> threads = flags.GetIntAtLeast("threads", 0);
+  if (!threads.ok()) {
+    std::cerr << threads.status() << "\n";
+    return 1;
+  }
+
+  const util::StatusOr<core::GameInstance> instance = make_game();
+  if (!instance.ok()) {
+    std::cerr << instance.status() << "\n";
+    return 1;
+  }
+
+  FigureSweepOptions options;
+  options.budgets = flags.GetIntList("budgets");
+  options.step_sizes = flags.GetDoubleList("eps");
+  options.random_orders = flags.GetInt("random_orders");
+  options.random_threshold_draws = flags.GetInt("rt_draws");
+  options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
+  options.num_threads = *threads;
+  options.bench_name = driver.bench_name;
+  options.json_path = flags.GetString("json");
+
+  std::cout << "# " << driver.title << "\n";
+  const util::Status run = RunFigureSweep(*instance, options, std::cout);
+  if (!run.ok()) {
+    std::cerr << run << "\n";
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace auditgame::bench

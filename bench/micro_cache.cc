@@ -12,10 +12,10 @@
 // bit-for-bit identical policy.
 //
 // A second case times the cache hit itself on the served setting (uniform
-// scenario, 5 types, budgets 6 and 10, inline engine): repeated cycles with
-// no ingest in between, the poll that dominates a live deployment's
-// traffic. It reports heap allocations per cycle (deterministic, the
-// gated counter) and microseconds per cycle (context only).
+// scenario, 5 types, budgets 6 and 10): repeated cycles with no ingest in
+// between, the poll that dominates a live deployment's traffic. It reports
+// heap allocations per cycle (deterministic, the gated counter) and
+// microseconds per cycle (context only).
 //
 // Measured numbers land in BENCH_cache.json so the cold/warm trajectory is
 // trackable across commits.
@@ -33,7 +33,6 @@
 #include "prob/count_distribution.h"
 #include "scenario/generator.h"
 #include "service/audit_service.h"
-#include "solver/engine.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/random.h"
@@ -60,7 +59,6 @@ util::StatusOr<CacheHitCase> MeasureCacheHits() {
   service::AuditServiceOptions options;
   options.budgets = {6.0, 10.0};
   options.solver_options.ishm.step_size = 0.25;
-  options.num_threads = -1;
   service::AuditService service(std::move(instance), options);
   RETURN_IF_ERROR(service.RunCycle().status());
 

@@ -40,6 +40,11 @@ int Run(int argc, char** argv) {
     std::cout << flags.HelpString(argv[0]);
     return 0;
   }
+  const util::StatusOr<int> threads = flags.GetIntAtLeast("threads", 0);
+  if (!threads.ok()) {
+    std::cerr << threads.status() << "\n";
+    return 1;
+  }
 
   auto instance = data::MakeSynA();
   if (!instance.ok()) {
@@ -68,7 +73,7 @@ int Run(int argc, char** argv) {
   }
   const double serial_seconds = serial_timer.ElapsedSeconds();
 
-  solver::SolverEngine engine(flags.GetInt("threads"));
+  solver::SolverEngine engine(*threads);
   util::Timer parallel_timer;
   const auto parallel = engine.SolveAll(requests);
   const double parallel_seconds = parallel_timer.ElapsedSeconds();

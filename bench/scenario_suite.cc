@@ -75,7 +75,7 @@ bool BitIdentical(const core::CggsResult& a, const core::CggsResult& b) {
 /// The closed-loop Stackelberg drill: a best-responding attacker against
 /// the drift-gated serving loop at catalog scale, with an exact re-solve
 /// as the per-cycle oracle. Everything numeric in the result is a
-/// deterministic function of the catalog spec (inline engine, seeded
+/// deterministic function of the catalog spec (serial solves, seeded
 /// attacker), so regret/exploitability gaps and the within-2x bit are
 /// machine-independent and CI gates them via bench_compare --require.
 util::StatusOr<util::JsonValue::Object> RunAdversaryDrill(int cycles) {

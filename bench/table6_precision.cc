@@ -34,6 +34,11 @@ int Run(int argc, char** argv) {
     std::cout << flags.HelpString(argv[0]);
     return 0;
   }
+  const util::StatusOr<int> threads = flags.GetIntAtLeast("threads", 0);
+  if (!threads.ok()) {
+    std::cerr << threads.status() << "\n";
+    return 1;
+  }
 
   auto instance = data::MakeSynA();
   if (!instance.ok()) {
@@ -42,7 +47,7 @@ int Run(int argc, char** argv) {
   }
   const std::vector<int> budgets = flags.GetIntList("budgets");
   const std::vector<double> eps_list = flags.GetDoubleList("eps");
-  solver::SolverEngine engine(flags.GetInt("threads"));
+  solver::SolverEngine engine(*threads);
 
   // Ground truth per budget.
   std::vector<solver::EngineRequest> truth_requests;

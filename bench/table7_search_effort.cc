@@ -29,6 +29,11 @@ int Run(int argc, char** argv) {
     std::cout << flags.HelpString(argv[0]);
     return 0;
   }
+  const util::StatusOr<int> threads = flags.GetIntAtLeast("threads", 0);
+  if (!threads.ok()) {
+    std::cerr << threads.status() << "\n";
+    return 1;
+  }
 
   auto instance = data::MakeSynA();
   if (!instance.ok()) {
@@ -56,7 +61,7 @@ int Run(int argc, char** argv) {
       requests.push_back(std::move(request));
     }
   }
-  solver::SolverEngine engine(flags.GetInt("threads"));
+  solver::SolverEngine engine(*threads);
   const auto cells = engine.SolveAll(requests);
 
   std::cout << "# Table VII: threshold vectors checked by ISHM\n";

@@ -23,8 +23,6 @@ InProcessDefender::InProcessDefender(core::GameInstance instance,
         options.budgets = {config.budget};
         options.warm_start_max_drift = config.warm_start_max_drift;
         options.warm_subset_cap = config.warm_subset_cap;
-        // Inline engine: the loop is single-threaded, a pool would idle.
-        options.num_threads = -1;
         return options;
       }()) {}
 

@@ -111,8 +111,8 @@ util::StatusOr<CompiledGame> Compile(const GameInstance& instance);
 ///   Ua = constant(r) - slope(r) . Pal,
 /// with slope(r) = (M + R) * type_probs and constant(r) = R - K. Each
 /// master LP builds its own (RestrictedMasterLp::utility_rows) instead of
-/// the CompiledGame keeping them: a serving engine caches one compiled
-/// game per tenant, and the rows would grow every one of them.
+/// the CompiledGame keeping them: every tenant's AuditService keeps one
+/// compiled game, and the rows would grow every one of them.
 class UtilityRows {
  public:
   explicit UtilityRows(const CompiledGame& game);

@@ -182,27 +182,6 @@ util::StatusOr<GameInstance> ParseGame(const std::string& json_text) {
   return GameFromJson(json);
 }
 
-namespace {
-
-void AppendAdversaries(util::FingerprintBuilder& fp,
-                       const GameInstance& instance) {
-  fp.AppendI64(static_cast<int64_t>(instance.adversaries.size()));
-  for (const Adversary& adversary : instance.adversaries) {
-    fp.AppendDouble(adversary.attack_probability);
-    fp.AppendU64(adversary.can_opt_out ? 1 : 0);
-    fp.AppendI64(static_cast<int64_t>(adversary.victims.size()));
-    for (const VictimProfile& victim : adversary.victims) {
-      fp.AppendI64(static_cast<int64_t>(victim.type_probs.size()));
-      for (double p : victim.type_probs) fp.AppendDouble(p);
-      fp.AppendDouble(victim.benefit);
-      fp.AppendDouble(victim.penalty);
-      fp.AppendDouble(victim.attack_cost);
-    }
-  }
-}
-
-}  // namespace
-
 util::Fingerprint FingerprintGame(const GameInstance& instance) {
   util::FingerprintBuilder fp;
   fp.AppendI64(instance.num_types());
@@ -217,15 +196,19 @@ util::Fingerprint FingerprintGame(const GameInstance& instance) {
       fp.AppendDouble(dist.Pmf(z));
     }
   }
-  AppendAdversaries(fp, instance);
-  return fp.Build();
-}
-
-util::Fingerprint FingerprintGameStructure(const GameInstance& instance) {
-  util::FingerprintBuilder fp;
-  fp.AppendString("structure");  // never collides with FingerprintGame
-  fp.AppendI64(instance.num_types());
-  AppendAdversaries(fp, instance);
+  fp.AppendI64(static_cast<int64_t>(instance.adversaries.size()));
+  for (const Adversary& adversary : instance.adversaries) {
+    fp.AppendDouble(adversary.attack_probability);
+    fp.AppendU64(adversary.can_opt_out ? 1 : 0);
+    fp.AppendI64(static_cast<int64_t>(adversary.victims.size()));
+    for (const VictimProfile& victim : adversary.victims) {
+      fp.AppendI64(static_cast<int64_t>(victim.type_probs.size()));
+      for (double p : victim.type_probs) fp.AppendDouble(p);
+      fp.AppendDouble(victim.benefit);
+      fp.AppendDouble(victim.penalty);
+      fp.AppendDouble(victim.attack_cost);
+    }
+  }
   return fp.Build();
 }
 

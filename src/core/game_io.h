@@ -45,13 +45,6 @@ std::string SerializeGame(const GameInstance& instance, int indent = 2);
 /// service/policy_cache.h).
 util::Fingerprint FingerprintGame(const GameInstance& instance);
 
-/// Fingerprint of only the compile-relevant content: the type count and
-/// the adversaries (Compile() reads nothing else — CompiledGame carries no
-/// distribution, name or cost data). The engine keys its compiled-game
-/// cache on this, so a serving loop whose alert-count distributions drift
-/// every cycle still compiles the game exactly once.
-util::Fingerprint FingerprintGameStructure(const GameInstance& instance);
-
 /// Policy schema: { "budget", "thresholds": [...],
 ///                  "orderings": [[...]], "probabilities": [...] }.
 util::JsonValue PolicyToJson(const AuditPolicy& policy);

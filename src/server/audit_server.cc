@@ -1,6 +1,5 @@
 #include "server/audit_server.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -8,15 +7,6 @@
 #include "util/hash.h"
 
 namespace auditgame::server {
-
-namespace {
-AuditServerOptions Normalized(AuditServerOptions options) {
-  options.num_shards = std::max(1, options.num_shards);
-  options.queue_capacity = std::max<size_t>(1, options.queue_capacity);
-  options.stats_refresh_ms = std::max(1, options.stats_refresh_ms);
-  return options;
-}
-}  // namespace
 
 void DefineServiceFlags(util::FlagParser& flags) {
   flags.Define("budgets", "6,10", "budgets served per solve_cycle, each >= 0");
@@ -45,7 +35,14 @@ util::StatusOr<service::AuditServiceOptions> ServiceOptionsFromFlags(
                                       flags.GetString("eps"));
   }
   options.solver_options.ishm.step_size = eps;
-  options.warm_start_max_drift = flags.GetDouble("warm_max_drift");
+  // Parsed here, not by GetDouble, so a NaN is refused rather than fatal.
+  const util::StatusOr<double> drift =
+      util::ParseFullDouble(flags.GetString("warm_max_drift"));
+  if (!drift.ok() || !(*drift >= 0.0)) {
+    return util::InvalidArgumentError("--warm_max_drift must be >= 0, got " +
+                                      flags.GetString("warm_max_drift"));
+  }
+  options.warm_start_max_drift = *drift;
   return options;
 }
 
@@ -72,7 +69,7 @@ util::StatusOr<AuditServerOptions> AuditServerOptionsFromFlags(
 
 AuditServer::AuditServer(core::GameInstance base_instance,
                          AuditServerOptions options)
-    : options_(Normalized(std::move(options))),
+    : options_(std::move(options)),
       base_instance_(std::move(base_instance)),
       front_(options_.front, MakeHooks()) {}
 
@@ -119,6 +116,12 @@ size_t AuditServer::ShardForTenant(const std::string& tenant,
 }
 
 util::Status AuditServer::Start() {
+  if (options_.num_shards < 1 || options_.queue_capacity < 1 ||
+      options_.max_batch < 1 || options_.stats_refresh_ms < 1) {
+    return util::InvalidArgumentError(
+        "num_shards, queue_capacity, max_batch and stats_refresh_ms must "
+        "each be at least 1");
+  }
   return front_.Start([this] { return StartShards(); });
 }
 
@@ -224,10 +227,6 @@ util::JsonValue::Object AuditServer::StatsBody() {
     cache["insertions"] = static_cast<double>(s.cache.insertions);
     cache["evictions"] = static_cast<double>(s.cache.evictions);
     obj["policy_cache"] = std::move(cache);
-    util::JsonValue::Object compile;
-    compile["hits"] = static_cast<double>(s.compile.hits);
-    compile["misses"] = static_cast<double>(s.compile.misses);
-    obj["compile_cache"] = std::move(compile);
     obj["solve_seconds_p50"] = s.solve_seconds.p50;
     obj["solve_seconds_p90"] = s.solve_seconds.p90;
     obj["solve_seconds_p99"] = s.solve_seconds.p99;

@@ -21,6 +21,8 @@
 
 namespace auditgame::server {
 
+/// Start() refuses a num_shards, queue_capacity, max_batch or
+/// stats_refresh_ms below 1.
 struct AuditServerOptions {
   /// Listener, reactors, frame and connection limits, drain budget.
   FrontEndOptions front;
@@ -33,10 +35,9 @@ struct AuditServerOptions {
   /// How often the acceptor rebuilds the stats snapshot the `stats` verb
   /// answers from (reactors never lock a shard for it).
   int stats_refresh_ms = 250;
-  /// Per-tenant serving configuration. Set service.num_threads < 0 for
-  /// servers with many tenants (tools/audit_server does): every tenant
-  /// owns a solver engine, and an engine thread pool per tenant does not
-  /// scale — inline mode solves on the shard thread itself.
+  /// Per-tenant serving configuration. Each tenant's service compiles its
+  /// game once and solves on its shard's thread, so tenants cost no
+  /// threads of their own.
   service::AuditServiceOptions service;
   /// Durable state: per-shard snapshots + ingest/solve WAL under
   /// `durability.data_dir` (empty = off). Start() recovers every shard
@@ -53,7 +54,8 @@ void DefineServiceFlags(util::FlagParser& flags);
 /// budgets, ISHM step size and warm-start gate; every other field keeps
 /// its default. Rejects an empty --budgets, a negative budget and an --eps
 /// outside (0, 1), each of which would fail every solve_cycle instead of
-/// the start.
+/// the start, and a --warm_max_drift that is negative (which would turn
+/// warm solves off in silence) or not a finite number.
 util::StatusOr<service::AuditServiceOptions> ServiceOptionsFromFlags(
     const util::FlagParser& flags);
 

@@ -17,7 +17,7 @@ Shard::Shard(int index, core::GameInstance base_instance,
     : index_(index),
       base_instance_(std::move(base_instance)),
       service_options_(std::move(service_options)),
-      max_batch_(max_batch == 0 ? 1 : max_batch),
+      max_batch_(max_batch),
       queue_(queue_capacity),
       responder_(std::move(responder)),
       on_finished_(std::move(on_finished)),
@@ -313,18 +313,14 @@ ShardStatsSnapshot Shard::Snapshot() const {
   snapshot.policies_from_cache = policies_from_cache_;
   snapshot.warm_solves = warm_solves_;
   snapshot.cold_solves = cold_solves_;
-  // PolicyCache / compile-cache stats are internally synchronized; the
-  // map iteration is what stats_mutex_ protects here.
+  // PolicyCache stats are internally synchronized; the map iteration is
+  // what stats_mutex_ protects here.
   for (const auto& [tenant, service] : tenants_) {
     const service::PolicyCache::Stats cache = service->cache_stats();
     snapshot.cache.hits += cache.hits;
     snapshot.cache.misses += cache.misses;
     snapshot.cache.insertions += cache.insertions;
     snapshot.cache.evictions += cache.evictions;
-    const solver::SolverEngine::CompileCacheStats compile =
-        service->compile_cache_stats();
-    snapshot.compile.hits += compile.hits;
-    snapshot.compile.misses += compile.misses;
   }
   const util::LatencyWindow solve_seconds = solve_seconds_;
   lock.unlock();

@@ -17,7 +17,6 @@
 #include "server/protocol.h"
 #include "service/audit_service.h"
 #include "service/policy_cache.h"
-#include "solver/engine.h"
 #include "util/hash.h"
 #include "util/percentile.h"
 
@@ -62,7 +61,6 @@ struct ShardStatsSnapshot {
   int64_t cold_solves = 0;
   /// Cache counters summed over this shard's tenant services.
   service::PolicyCache::Stats cache;
-  solver::SolverEngine::CompileCacheStats compile;
   /// Percentiles over the most recent solve-cycle wall times (bounded
   /// window; `solve_samples` counts every solve of this process).
   util::Percentiles solve_seconds;
@@ -103,7 +101,8 @@ class Shard {
   /// created lazily on its first request with a copy of it, then diverges
   /// through `ingest`. `on_finished` is invoked (on the shard thread) when
   /// the worker exits after a drain, so the server's poll loop can
-  /// re-evaluate shutdown progress.
+  /// re-evaluate shutdown progress. `queue_capacity` and `max_batch` must
+  /// be at least 1 (AuditServer::Start refuses less).
   Shard(int index, core::GameInstance base_instance,
         service::AuditServiceOptions service_options, size_t queue_capacity,
         size_t max_batch, Responder responder,

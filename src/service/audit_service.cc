@@ -15,7 +15,6 @@ AuditService::AuditService(core::GameInstance instance,
                            AuditServiceOptions options)
     : options_(std::move(options)),
       instance_(std::move(instance)),
-      engine_(options_.num_threads),
       cache_(options_.cache_capacity) {}
 
 util::Status AuditService::UpdateAlertDistributions(
@@ -82,13 +81,17 @@ const std::vector<util::Fingerprint>& AuditService::RequestKeys() {
 
 util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
   util::Timer timer;
+  // Compiling also validates the instance, so an invalid game fails here,
+  // before anything hashes it. A failed compile is not kept.
+  if (!compiled_.has_value()) {
+    ASSIGN_OR_RETURN(compiled_, core::Compile(instance_));
+  }
   CycleReport report;
   report.cycle = ++cycles_run_;
   report.policies.resize(options_.budgets.size());
 
-  // Pass 1: serve fingerprint hits from the cache; queue the rest as one
-  // engine batch (the workers then share the compile cache, and any other
-  // thread reading this PolicyCache sees each configuration solved once).
+  // Pass 1: serve fingerprint hits from the cache; queue the rest. Every
+  // request is built before any solve publishes a new warm-start baseline.
   std::vector<size_t> pending;  // the budget slot of each queued solve
   std::vector<solver::EngineRequest> to_solve;
   const std::vector<util::Fingerprint>& keys = RequestKeys();
@@ -142,21 +145,18 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
     to_solve.push_back(std::move(request));
   }
 
-  // Pass 2: batch-solve the misses and publish them.
-  const std::vector<util::StatusOr<solver::SolveResult>> solved =
-      engine_.SolveAll(to_solve);
+  // Pass 2: solve the misses on this thread and publish them.
   for (size_t j = 0; j < pending.size(); ++j) {
-    if (!solved[j].ok()) return solved[j].status();
     const size_t slot = pending[j];
     CyclePolicy& policy = report.policies[slot];
+    ASSIGN_OR_RETURN(policy.result, solver::Solve(to_solve[j], *compiled_));
     // Counted here, not at queue time, so stats() only reflects solves
-    // that actually completed (a failed batch aborts the cycle above).
+    // that actually completed (a failed solve aborts the cycle above).
     if (policy.source == Source::kWarmSolve) {
       ++warm_solves_;
     } else {
       ++cold_solves_;
     }
-    policy.result = *solved[j];
     cache_.Insert(keys[slot], policy.result);
     last_solves_[policy.budget] =
         LastSolve{instance_.alert_distributions, policy.result, keys[slot]};
@@ -177,7 +177,6 @@ AuditService::Stats AuditService::stats() const {
   stats.total_cycle_seconds = total_cycle_seconds_;
   stats.last_cycle_seconds = last_cycle_seconds_;
   stats.cache = cache_.stats();
-  stats.compile = engine_.compile_cache_stats();
   return stats;
 }
 
@@ -206,7 +205,10 @@ util::Fingerprint FingerprintServiceConfig(const AuditServiceOptions& options) {
 
 void AuditService::StreamState(util::Serializer& s) {
   s.Section("audit_service", 1);
-  if (s.reading()) keys_current_ = false;
+  if (s.reading()) {
+    keys_current_ = false;
+    compiled_.reset();
+  }
   s.Object(instance_);
   s.I64(cycles_run_);
   uint64_t num_baselines = last_solves_.size();

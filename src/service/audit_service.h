@@ -10,7 +10,7 @@
 #include "core/game.h"
 #include "prob/count_distribution.h"
 #include "service/policy_cache.h"
-#include "solver/engine.h"
+#include "solver/solver.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -23,8 +23,7 @@ struct AuditServiceOptions {
   std::string solver = "ishm-cggs";
   solver::SolverOptions solver_options;
   core::DetectionModel::Options detection_options;
-  /// Budgets served each cycle — one policy per budget, solved as one
-  /// engine batch so the workers share the policy and compile caches.
+  /// Budgets served each cycle — one policy per budget.
   std::vector<double> budgets = {10.0};
   /// Drift (max per-type total variation distance between the ingested
   /// alert distributions and the ones the previous policy was solved
@@ -39,19 +38,16 @@ struct AuditServiceOptions {
   /// IshmOptions::max_subset_size); 0 keeps the backend's full sweep.
   int warm_subset_cap = 1;
   size_t cache_capacity = 256;
-  /// Engine worker threads; 0 = one per core, < 0 = inline mode (the
-  /// engine solves on the calling thread, spawning nothing — what the
-  /// audit server uses so ten thousand tenant services cost zero threads).
+  /// Read by nothing; kept while perfbench/perf_client.cc assigns it.
   int num_threads = 0;
 };
 
 /// Content fingerprint of everything in `options` that shapes solve results
 /// or cache behaviour (solver + per-budget request configuration, warm-start
-/// gates, cache capacity) — num_threads excluded, since threading is
-/// result-neutral by contract. Durable snapshots store this as a guard:
-/// restoring state produced under one configuration into a service
-/// configured differently would silently change replay, so recovery refuses
-/// on mismatch instead.
+/// gates, cache capacity) — num_threads excluded, since nothing reads it.
+/// Durable snapshots store this as a guard: restoring state produced under
+/// one configuration into a service configured differently would silently
+/// change replay, so recovery refuses on mismatch instead.
 util::Fingerprint FingerprintServiceConfig(const AuditServiceOptions& options);
 
 /// The serving loop of a live auditing deployment: each audit cycle the
@@ -72,10 +68,10 @@ util::Fingerprint FingerprintServiceConfig(const AuditServiceOptions& options);
 /// order-of-magnitude latency win. Deployments that want only cold results
 /// cached can set `warm_start_max_drift = 0`.
 ///
-/// Threading: RunCycle() fans its solves across the internal SolverEngine,
-/// but the service object itself is a single-writer loop — call
-/// UpdateAlertDistributions()/RunCycle() from one thread at a time. The
-/// PolicyCache is thread-safe and may be read concurrently.
+/// Threading: RunCycle() solves on the calling thread, and the service is
+/// a single-writer loop — call UpdateAlertDistributions()/RunCycle() from
+/// one thread at a time. The PolicyCache is thread-safe and may be read
+/// concurrently.
 class AuditService {
  public:
   /// Where a cycle's policy came from.
@@ -102,8 +98,8 @@ class AuditService {
   /// instead of recomputing them from per-cycle reports. Everything but
   /// `cycles` counts this process only: a restored service starts them at
   /// zero. Single-writer like the service itself: read from the thread
-  /// that runs the cycles (the embedded cache/compile stats are
-  /// additionally safe to read from anywhere, see PolicyCache).
+  /// that runs the cycles (the embedded cache stats are additionally safe
+  /// to read from anywhere, see PolicyCache).
   struct Stats {
     /// The last cycle number, restored with the state.
     int64_t cycles = 0;
@@ -115,7 +111,6 @@ class AuditService {
     double total_cycle_seconds = 0.0;
     double last_cycle_seconds = 0.0;
     PolicyCache::Stats cache;
-    solver::SolverEngine::CompileCacheStats compile;
   };
 
   /// Takes the initial game instance (validated on first use) and the
@@ -131,16 +126,17 @@ class AuditService {
 
   /// Serves one cycle: a policy per configured budget, from cache where
   /// the configuration fingerprint is known, re-solved otherwise. The
-  /// first failing solve aborts the cycle with its status.
+  /// first cycle after construction or a state read compiles the game
+  /// (core::Compile, which also validates it); that compiled game serves
+  /// every later cycle, since an ingest changes only the distributions,
+  /// which Compile() does not read. An invalid game or the first failing
+  /// solve aborts the cycle with its status.
   util::StatusOr<CycleReport> RunCycle();
 
   const core::GameInstance& instance() const { return instance_; }
   const AuditServiceOptions& options() const { return options_; }
   Stats stats() const;
   PolicyCache::Stats cache_stats() const { return cache_.stats(); }
-  solver::SolverEngine::CompileCacheStats compile_cache_stats() const {
-    return engine_.compile_cache_stats();
-  }
 
   /// Expected per-type detection probabilities (mixed Pal) of a served
   /// policy, evaluated under the *current* alert distributions — for a
@@ -160,10 +156,10 @@ class AuditService {
 
   /// Streams the full serving state: the current instance (validated on
   /// read), the cycle number, per-budget warm-start baselines, and the
-  /// policy cache. The engine's compile cache is deliberately NOT streamed
-  /// — it is derived state, rebuilt on demand from the instance — and
-  /// neither are the stats() counters, which count this process's cycles
-  /// and restart with it. Call from the service's single-writer thread.
+  /// policy cache. The compiled game is not streamed — it is derived
+  /// state, rebuilt by the next cycle from the instance read — and neither
+  /// are the stats() counters, which count this process's cycles and
+  /// restart with it. Call from the service's single-writer thread.
   void StreamState(util::Serializer& s);
 
  private:
@@ -185,7 +181,9 @@ class AuditService {
 
   AuditServiceOptions options_;
   core::GameInstance instance_;
-  solver::SolverEngine engine_;
+  /// Compile(instance_), made by the first RunCycle() after construction
+  /// or a state read; empty until then.
+  std::optional<core::CompiledGame> compiled_;
   PolicyCache cache_;
   /// Previous solved state per budget: warm-start seed + drift baseline.
   std::map<double, LastSolve> last_solves_;
@@ -196,8 +194,8 @@ class AuditService {
   /// Numbers the responses, so it is state (streamed) — unlike the
   /// counters below.
   int64_t cycles_run_ = 0;
-  /// This process's counters behind stats() (cache/compile stats live in
-  /// their owners); not streamed.
+  /// This process's counters behind stats() (cache stats live in the
+  /// cache); not streamed.
   int64_t served_from_cache_ = 0;
   int64_t warm_solves_ = 0;
   int64_t cold_solves_ = 0;

@@ -6,7 +6,7 @@
 #include <mutex>
 #include <optional>
 
-#include "solver/engine.h"
+#include "solver/solver.h"
 #include "util/hash.h"
 #include "util/lru_cache.h"
 

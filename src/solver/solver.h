@@ -143,8 +143,9 @@ struct SolveResult {
 /// kInvalidArgument.
 util::StatusOr<SolveResult> Solve(const EngineRequest& request);
 
-/// The same on `game`, which must be compiled from `*request.instance`
-/// (SolverEngine passes the game from its compile cache).
+/// The same on `game`, which must be compiled from `*request.instance`:
+/// an AuditService passes the game it compiled once, and SolverEngine the
+/// one it compiled for the batch.
 util::StatusOr<SolveResult> Solve(const EngineRequest& request,
                                   const core::CompiledGame& game);
 

@@ -13,8 +13,7 @@ namespace auditgame::util {
 /// A bounded map with least-recently-used eviction. Lookup() refreshes an
 /// entry's recency; Insert() evicts the coldest entry once `capacity` is
 /// exceeded. Not thread-safe — wrap with a mutex at the call site (see
-/// service::PolicyCache and solver::SolverEngine, which share one lock per
-/// cache instance).
+/// service::PolicyCache, which holds one lock per cache instance).
 template <typename Key, typename Value, typename Compare = std::less<Key>>
 class LruCache {
  public:

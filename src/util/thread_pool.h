@@ -15,8 +15,9 @@
 namespace auditgame::util {
 
 /// A fixed-size worker pool executing queued tasks FIFO. Used by
-/// solver::SolverEngine to fan independent solve requests across cores;
-/// general enough for any embarrassingly parallel batch in this codebase.
+/// solver::SolverEngine to fan the independent solves of a benchmark sweep
+/// across cores, and by CGGS pricing when CggsOptions::pricing_threads > 1.
+/// A served solve otherwise runs on the thread that asked for it.
 ///
 /// Semantics:
 ///  * Tasks run in submission order (each on whichever worker frees first);

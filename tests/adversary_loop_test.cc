@@ -118,7 +118,6 @@ class RemoteLoopTest : public ::testing::Test {
     options.front.port = 0;  // ephemeral
     options.service.budgets = {6.0};
     options.service.solver_options.ishm.step_size = 0.25;
-    options.service.num_threads = 1;
     server_ = std::make_unique<server::AuditServer>(std::move(instance),
                                                     options);
     ASSERT_TRUE(server_->Start().ok());

@@ -42,7 +42,6 @@ class AuditServerTest : public ::testing::Test {
     options.front.port = 0;  // ephemeral
     options.service.budgets = {6.0};
     options.service.solver_options.ishm.step_size = 0.25;
-    options.service.num_threads = 1;
     server_ = std::make_unique<AuditServer>(*std::move(instance), options);
     ASSERT_TRUE(server_->Start().ok());
     front_port_ = server_->port();
@@ -549,17 +548,29 @@ TEST_F(AuditServerTest, TwoReactorsServeEveryConnection) {
             kClients * kSolvesEach);
 }
 
-TEST(AuditServerStartTest, FewerThanOneReactorIsRefused) {
+// Start() refuses each option below 1 instead of clamping it.
+TEST(AuditServerStartTest, ValuesBelowOneAreRefused) {
   auto spec = scenario::SpecByName("uniform");
   ASSERT_TRUE(spec.ok());
   spec->num_types = 4;
   auto instance = scenario::Generate(*spec);
   ASSERT_TRUE(instance.ok());
-  AuditServerOptions options;
-  options.front.port = 0;
-  options.front.num_reactors = 0;
-  AuditServer server(*std::move(instance), options);
-  EXPECT_EQ(server.Start().code(), util::StatusCode::kInvalidArgument);
+  const std::pair<const char*, void (*)(AuditServerOptions&)> zeroes[] = {
+      {"num_reactors", [](AuditServerOptions& o) { o.front.num_reactors = 0; }},
+      {"num_shards", [](AuditServerOptions& o) { o.num_shards = 0; }},
+      {"queue_capacity", [](AuditServerOptions& o) { o.queue_capacity = 0; }},
+      {"max_batch", [](AuditServerOptions& o) { o.max_batch = 0; }},
+      {"stats_refresh_ms",
+       [](AuditServerOptions& o) { o.stats_refresh_ms = 0; }},
+  };
+  for (const auto& [name, zero] : zeroes) {
+    AuditServerOptions options;
+    options.front.port = 0;
+    zero(options);
+    AuditServer server(*instance, options);
+    EXPECT_EQ(server.Start().code(), util::StatusCode::kInvalidArgument)
+        << name;
+  }
 }
 
 TEST_F(AuditServerTest, HalfClosedClientStillGetsItsResponses) {

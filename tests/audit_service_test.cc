@@ -19,7 +19,6 @@ AuditServiceOptions FastOptions() {
   AuditServiceOptions options;
   options.budgets = {2.0, 3.0};
   options.solver_options.ishm.step_size = 0.25;
-  options.num_threads = 2;
   return options;
 }
 
@@ -161,6 +160,32 @@ TEST(AuditServiceTest, RejectsMismatchedDistributionUpdate) {
   // Rejected updates leave the served distributions untouched.
   EXPECT_EQ(service.instance().alert_distributions.size(), before.size());
   EXPECT_TRUE(service.RunCycle().ok());
+}
+
+TEST(AuditServiceTest, InvalidGameFailsTheCycleUntilAnIngestRepairsIt) {
+  core::GameInstance broken = testutil::MakeTinyGame();
+  broken.alert_distributions.pop_back();
+  AuditService service(std::move(broken), FastOptions());
+  const auto failed = service.RunCycle();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), util::StatusCode::kInvalidArgument);
+
+  // The failed compile is not kept: once an ingest makes the game valid,
+  // the service serves what a service built on the valid game serves.
+  const core::GameInstance valid = testutil::MakeTinyGame();
+  ASSERT_TRUE(
+      service.UpdateAlertDistributions(valid.alert_distributions).ok());
+  auto repaired = service.RunCycle();
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  AuditService fresh(valid, FastOptions());
+  auto expected = fresh.RunCycle();
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_EQ(repaired->policies.size(), expected->policies.size());
+  for (size_t i = 0; i < expected->policies.size(); ++i) {
+    EXPECT_EQ(repaired->policies[i].source, expected->policies[i].source);
+    EXPECT_EQ(util::FingerprintState(repaired->policies[i].result),
+              util::FingerprintState(expected->policies[i].result));
+  }
 }
 
 TEST(AuditServiceTest, MeasureDriftIsMaxTotalVariation) {

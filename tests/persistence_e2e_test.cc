@@ -54,7 +54,6 @@ service::AuditServiceOptions FastOptions() {
   service::AuditServiceOptions options;
   options.budgets = {2.0, 3.0};
   options.solver_options.ishm.step_size = 0.25;
-  options.num_threads = -1;
   return options;
 }
 

@@ -89,7 +89,6 @@ class WindowAgainstServerTest : public ::testing::TestWithParam<bool> {
     options.max_batch = 1;
     options.service.budgets = {6.0};
     options.service.solver_options.ishm.step_size = 0.25;
-    options.service.num_threads = -1;
     server_ = std::make_unique<AuditServer>(*std::move(instance), options);
     ASSERT_TRUE(server_->Start().ok());
     thread_ = std::thread([this] {

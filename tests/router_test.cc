@@ -125,7 +125,6 @@ class RouterTest : public ::testing::Test {
       options.num_shards = 2;
       options.service.budgets = {6.0};
       options.service.solver_options.ishm.step_size = 0.25;
-      options.service.num_threads = 1;
       backends_.push_back(
           std::make_unique<AuditServer>(*std::move(instance), options));
       ASSERT_TRUE(backends_.back()->Start().ok());

@@ -84,9 +84,6 @@ TEST(SolverEngineTest, RepeatedBatchesAreDeterministic) {
 TEST(SolverEngineTest, EmptyBatchReturnsEmptyResults) {
   SolverEngine engine(2);
   EXPECT_TRUE(engine.SolveAll({}).empty());
-  const auto stats = engine.compile_cache_stats();
-  EXPECT_EQ(stats.hits, 0);
-  EXPECT_EQ(stats.misses, 0);
 }
 
 TEST(SolverEngineTest, AllNullInstancesFailPerSlot) {
@@ -119,89 +116,6 @@ TEST(SolverEngineTest, UnknownSolverMidBatchIsIsolated) {
   EXPECT_TRUE(results[2].ok()) << results[2].status();
 }
 
-TEST(SolverEngineTest, CompileCachePersistsAcrossBatches) {
-  const core::GameInstance tiny = testutil::MakeTinyGame();
-  // A content-equal copy behind a different pointer must also hit.
-  const core::GameInstance copy = tiny;
-  std::vector<EngineRequest> requests;
-  requests.push_back(IshmCggsRequest(tiny, 2.0, 0.25));
-  requests.push_back(IshmCggsRequest(copy, 3.0, 0.25));
-
-  SolverEngine engine(2);
-  (void)engine.SolveAll(requests);
-  auto stats = engine.compile_cache_stats();
-  EXPECT_EQ(stats.misses, 1);  // compiled once ever, not once per pointer
-  EXPECT_EQ(stats.hits, 1);
-
-  (void)engine.SolveAll(requests);
-  stats = engine.compile_cache_stats();
-  EXPECT_EQ(stats.misses, 1);  // second batch recompiles nothing
-  EXPECT_EQ(stats.hits, 3);
-
-  // Drifted alert-count distributions leave the compiled structure (type
-  // count + adversaries) unchanged, so the serving loop's per-cycle
-  // refits must keep hitting.
-  core::GameInstance drifted = tiny;
-  drifted.alert_distributions = {prob::CountDistribution::Constant(3),
-                                 prob::CountDistribution::Constant(1)};
-  std::vector<EngineRequest> drifted_batch = {
-      IshmCggsRequest(drifted, 2.0, 0.25)};
-  (void)engine.SolveAll(drifted_batch);
-  stats = engine.compile_cache_stats();
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.hits, 4);
-}
-
-TEST(SolverEngineTest, InvalidInstancesAreNeverCached) {
-  core::GameInstance broken = testutil::MakeTinyGame();
-  broken.alert_distributions.pop_back();  // size mismatch -> invalid
-  std::vector<EngineRequest> requests = {IshmCggsRequest(broken, 2.0, 0.25)};
-  SolverEngine engine(2);
-  const auto results = engine.SolveAll(requests);
-  ASSERT_FALSE(results[0].ok());
-  const auto stats = engine.compile_cache_stats();
-  EXPECT_EQ(stats.hits, 0);
-  EXPECT_EQ(stats.misses, 0);
-
-  // The valid game with the same structure must not be poisoned by (or
-  // collide with) the invalid one.
-  const core::GameInstance tiny = testutil::MakeTinyGame();
-  std::vector<EngineRequest> ok_batch = {IshmCggsRequest(tiny, 2.0, 0.25)};
-  EXPECT_TRUE(engine.SolveAll(ok_batch)[0].ok());
-}
-
-// Stress: interleave repeated batches over one instance (every batch after
-// the first is served from the compile cache) and assert each result stays
-// bit-for-bit equal to an uncached serial solve of the same request.
-TEST(SolverEngineTest, CachedBatchesStayBitForBitEqualToColdSolves) {
-  const core::GameInstance tiny = testutil::MakeTinyGame();
-  std::vector<EngineRequest> requests;
-  for (int i = 0; i < 6; ++i) {
-    requests.push_back(IshmCggsRequest(tiny, 1.0 + 0.5 * i, 0.25));
-  }
-  std::vector<util::StatusOr<SolveResult>> cold;
-  for (const auto& request : requests) {
-    cold.push_back(Solve(request));
-  }
-
-  SolverEngine engine(4);
-  for (int round = 0; round < 5; ++round) {
-    const auto batch = engine.SolveAll(requests);
-    ASSERT_EQ(batch.size(), requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      ASSERT_TRUE(cold[i].ok());
-      ASSERT_TRUE(batch[i].ok()) << round << "/" << i << ": "
-                                 << batch[i].status();
-      EXPECT_EQ(batch[i]->objective, cold[i]->objective) << i;
-      EXPECT_EQ(batch[i]->thresholds, cold[i]->thresholds) << i;
-      EXPECT_EQ(batch[i]->policy.orderings, cold[i]->policy.orderings) << i;
-      EXPECT_EQ(batch[i]->policy.probabilities, cold[i]->policy.probabilities)
-          << i;
-    }
-  }
-  EXPECT_EQ(engine.compile_cache_stats().misses, 1);
-}
-
 TEST(SolverEngineTest, FailuresAreIsolatedPerSlot) {
   const core::GameInstance tiny = testutil::MakeTinyGame();
   std::vector<EngineRequest> requests;
@@ -212,15 +126,23 @@ TEST(SolverEngineTest, FailuresAreIsolatedPerSlot) {
   EngineRequest null_instance;
   null_instance.solver = "ishm-cggs";
   requests.push_back(null_instance);  // missing instance
+  core::GameInstance broken = testutil::MakeTinyGame();
+  broken.alert_distributions.pop_back();  // size mismatch -> invalid
+  requests.push_back(IshmCggsRequest(broken, 2.0, 0.25));  // invalid game
+  // The valid game after the invalid one still solves.
+  requests.push_back(IshmCggsRequest(tiny, 3.0, 0.25));
 
   SolverEngine engine(2);
   const auto results = engine.SolveAll(requests);
-  ASSERT_EQ(results.size(), 3u);
+  ASSERT_EQ(results.size(), 5u);
   EXPECT_TRUE(results[0].ok()) << results[0].status();
   ASSERT_FALSE(results[1].ok());
   EXPECT_EQ(results[1].status().code(), util::StatusCode::kNotFound);
   ASSERT_FALSE(results[2].ok());
   EXPECT_EQ(results[2].status().code(), util::StatusCode::kInvalidArgument);
+  ASSERT_FALSE(results[3].ok());
+  EXPECT_EQ(results[3].status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(results[4].ok()) << results[4].status();
 }
 
 }  // namespace

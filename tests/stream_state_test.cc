@@ -23,6 +23,7 @@
 namespace auditgame {
 namespace {
 
+using Source = service::AuditService::Source;
 using util::Serializer;
 
 /// Writer → Reader round trip of any StreamState type; fails the test on
@@ -44,7 +45,6 @@ service::AuditServiceOptions FastOptions() {
   service::AuditServiceOptions options;
   options.budgets = {2.0, 3.0};
   options.solver_options.ishm.step_size = 0.25;
-  options.num_threads = -1;  // inline, deterministic thread-free solves
   return options;
 }
 
@@ -193,7 +193,11 @@ TEST(StreamStateTest, AuditServiceRoundTripServesIdenticalCycles) {
   ASSERT_TRUE(original.UpdateAlertDistributions(perturbed).ok());
   ASSERT_TRUE(original.RunCycle().ok());
 
-  service::AuditService restored(game, FastOptions());
+  // The restored service first serves a different game, so it holds that
+  // game's compiled form when it reads the tiny game's state; a stale
+  // compiled game would change every later solve.
+  service::AuditService restored(testutil::MakeMediumGame(), FastOptions());
+  ASSERT_TRUE(restored.RunCycle().ok());
   {
     Serializer w = Serializer::Writer();
     original.StreamState(w);
@@ -208,19 +212,30 @@ TEST(StreamStateTest, AuditServiceRoundTripServesIdenticalCycles) {
 
   // The restored service must continue exactly where the original would:
   // same sources (cache hits stay hits), same policies, bit-for-bit.
-  auto next_original = original.RunCycle();
-  auto next_restored = restored.RunCycle();
-  ASSERT_TRUE(next_original.ok());
-  ASSERT_TRUE(next_restored.ok());
-  ASSERT_EQ(next_restored->policies.size(), next_original->policies.size());
-  for (size_t i = 0; i < next_original->policies.size(); ++i) {
-    EXPECT_EQ(next_restored->policies[i].source,
-              next_original->policies[i].source);
-    EXPECT_EQ(next_restored->policies[i].drift,
-              next_original->policies[i].drift);
-    EXPECT_EQ(
-        util::FingerprintState(next_restored->policies[i].result),
-        util::FingerprintState(next_original->policies[i].result));
+  // The second cycle follows an ingest the cache has not seen, so it
+  // re-solves on the compiled game.
+  perturbed[1] = prob::CountDistribution::Constant(3);
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      ASSERT_TRUE(original.UpdateAlertDistributions(perturbed).ok());
+      ASSERT_TRUE(restored.UpdateAlertDistributions(perturbed).ok());
+    }
+    auto next_original = original.RunCycle();
+    auto next_restored = restored.RunCycle();
+    ASSERT_TRUE(next_original.ok());
+    ASSERT_TRUE(next_restored.ok()) << next_restored.status();
+    ASSERT_EQ(next_restored->policies.size(), next_original->policies.size());
+    for (size_t i = 0; i < next_original->policies.size(); ++i) {
+      EXPECT_EQ(next_restored->policies[i].source,
+                next_original->policies[i].source);
+      EXPECT_EQ(next_restored->policies[i].source == Source::kCache,
+                round == 0);
+      EXPECT_EQ(next_restored->policies[i].drift,
+                next_original->policies[i].drift);
+      EXPECT_EQ(
+          util::FingerprintState(next_restored->policies[i].result),
+          util::FingerprintState(next_original->policies[i].result));
+    }
   }
 }
 

@@ -49,10 +49,6 @@ int Run(int argc, char** argv) {
                "snapshot, never the live shards)");
   scenario::DefineScenarioFlags(flags, /*default_scenario=*/"uniform",
                                 /*default_types=*/"5");
-  flags.Define("threads", "-1",
-               "engine workers per tenant service; -1 = inline mode (solve "
-               "on the shard thread, no per-tenant pool — the only mode "
-               "that scales to tens of thousands of tenants)");
   flags.Define("pricing_threads", "1", "CGGS pricing threads per solve");
   auto status = flags.Parse(argc, argv);
   if (!status.ok()) {
@@ -93,7 +89,6 @@ int Run(int argc, char** argv) {
   options.stats_refresh_ms = *stats_refresh_ms;
   options.service.solver_options.cggs.pricing_threads =
       flags.GetInt("pricing_threads");
-  options.service.num_threads = flags.GetInt("threads");
 
   server::AuditServer server(std::move(*instance), options);
   if (util::Status started = server.Start(); !started.ok()) {

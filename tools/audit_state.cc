@@ -227,7 +227,6 @@ int Run(int argc, char** argv) {
   scenario::DefineScenarioFlags(flags, /*default_scenario=*/"uniform",
                                 /*default_types=*/"5");
   server::DefineServiceFlags(flags);
-  flags.Define("threads", "-1", "engine workers per tenant service");
   flags.Define("pricing_threads", "1", "CGGS pricing threads per solve");
   auto status = flags.Parse(argc, argv);
   if (!status.ok()) {
@@ -280,7 +279,6 @@ int Run(int argc, char** argv) {
     }
     service_options->solver_options.cggs.pricing_threads =
         flags.GetInt("pricing_threads");
-    service_options->num_threads = flags.GetInt("threads");
 
     if (util::Status replayed =
             ReplayShards(data_dir, num_shards, *instance, *service_options,

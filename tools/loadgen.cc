@@ -436,8 +436,6 @@ int Run(int argc, char** argv) {
     }
     options->front.port = 0;
     options->front.num_reactors = *reactors;
-    // Inline engines: tenant count is unbounded, per-tenant threads are not.
-    options->service.num_threads = -1;
     local_server = std::make_unique<server::AuditServer>(
         core::GameInstance(*instance), *options);
     if (util::Status started = local_server->Start(); !started.ok()) {

@@ -65,7 +65,6 @@ int Run(int argc, char** argv) {
   flags.Define("eps", "0.25", "ISHM step size");
   flags.Define("warm_max_drift", "0.25",
                "drift threshold above which re-solves are cold");
-  flags.Define("threads", "0", "engine workers (0 = one per core)");
   flags.Define("pricing_threads", "1",
                "CGGS pricing threads per solve (results are bit-for-bit "
                "identical for any value)");
@@ -126,7 +125,6 @@ int Run(int argc, char** argv) {
   options.solver_options.ishm.step_size = flags.GetDouble("eps");
   options.solver_options.cggs.pricing_threads = flags.GetInt("pricing_threads");
   options.warm_start_max_drift = flags.GetDouble("warm_max_drift");
-  options.num_threads = flags.GetInt("threads");
   service::AuditService service(std::move(*instance), options);
 
   struct sigaction action;
@@ -210,9 +208,7 @@ int Run(int argc, char** argv) {
             << " p90 " << drift.p90 << " max " << drift.max << "\n"
             << "policy cache: " << stats.cache.hits << " hits / "
             << stats.cache.misses << " misses, " << stats.cache.insertions
-            << " insertions, " << stats.cache.evictions << " evictions; "
-            << "compile cache: " << stats.compile.hits << " hits / "
-            << stats.compile.misses << " misses\n";
+            << " insertions, " << stats.cache.evictions << " evictions\n";
 
   const std::string json_path = flags.GetString("json");
   if (!json_path.empty()) {
