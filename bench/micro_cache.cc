@@ -17,9 +17,14 @@
 // heap allocations per cycle (deterministic, the gated counter) and
 // microseconds per cycle (context only).
 //
+// A third case measures what a tenant keeps: the serialized AuditService
+// bytes (what a shard snapshot copies per tenant, most of it the
+// PolicyCache) after a fixed jitter stream of kStateCycles cycles ×
+// kStatePolls polls on the same setting. The byte count is deterministic
+// and gated, so the cache cannot grow back unnoticed.
+//
 // Measured numbers land in BENCH_cache.json so the cold/warm trajectory is
 // trackable across commits.
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -32,10 +37,12 @@
 #include "data/syn_a.h"
 #include "prob/count_distribution.h"
 #include "scenario/generator.h"
+#include "scenario/stream.h"
 #include "service/audit_service.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/random.h"
+#include "util/serializer.h"
 #include "util/timer.h"
 
 namespace {
@@ -45,6 +52,45 @@ using namespace auditgame;  // NOLINT
 /// Cycles in the timed cache-hit loop.
 constexpr int kCacheHitCycles = 2000;
 
+/// Cycles and polls per cycle of the tenant-state stream.
+constexpr int kStateCycles = 300;
+constexpr int kStatePolls = 20;
+
+/// The served setting both cache cases run: uniform, T = 5, budgets 6 and
+/// 10, eps 0.25.
+util::StatusOr<core::GameInstance> ServedGame() {
+  scenario::ScenarioSpec spec;
+  spec.num_types = 5;
+  return scenario::Generate(spec);
+}
+
+service::AuditServiceOptions ServedOptions() {
+  service::AuditServiceOptions options;
+  options.budgets = {6.0, 10.0};
+  options.solver_options.ishm.step_size = 0.25;
+  return options;
+}
+
+/// Serialized AuditService bytes after kStateCycles jitter-stream cycles
+/// (the stream's defaults: drift 0.05, a baseline revisit every 5 cycles)
+/// of kStatePolls polls each.
+util::StatusOr<size_t> MeasureTenantStateBytes() {
+  ASSIGN_OR_RETURN(core::GameInstance instance, ServedGame());
+  scenario::ScenarioStream stream(instance.alert_distributions,
+                                  scenario::StreamSpec{});
+  service::AuditService service(std::move(instance), ServedOptions());
+  for (int cycle = 0; cycle < kStateCycles; ++cycle) {
+    ASSIGN_OR_RETURN(std::vector<prob::CountDistribution> next, stream.Next());
+    RETURN_IF_ERROR(service.UpdateAlertDistributions(std::move(next)));
+    for (int poll = 0; poll < kStatePolls; ++poll) {
+      RETURN_IF_ERROR(service.RunCycle().status());
+    }
+  }
+  util::Serializer writer = util::Serializer::Writer();
+  service.StreamState(writer);
+  return writer.TakeBuffer().size();
+}
+
 struct CacheHitCase {
   double allocations_per_cycle = 0.0;
   double cycle_us = 0.0;
@@ -53,13 +99,8 @@ struct CacheHitCase {
 /// Serves one cold cycle, then kCacheHitCycles cycles that must all be
 /// cache hits.
 util::StatusOr<CacheHitCase> MeasureCacheHits() {
-  scenario::ScenarioSpec spec;
-  spec.num_types = 5;
-  ASSIGN_OR_RETURN(core::GameInstance instance, scenario::Generate(spec));
-  service::AuditServiceOptions options;
-  options.budgets = {6.0, 10.0};
-  options.solver_options.ishm.step_size = 0.25;
-  service::AuditService service(std::move(instance), options);
+  ASSIGN_OR_RETURN(core::GameInstance instance, ServedGame());
+  service::AuditService service(std::move(instance), ServedOptions());
   RETURN_IF_ERROR(service.RunCycle().status());
 
   const uint64_t allocations_before = bench::HeapAllocationCount();
@@ -112,7 +153,12 @@ int Run(int argc, char** argv) {
     return 1;
   }
   const double budget = flags.GetDouble("budget");
-  const int reps = std::max(1, flags.GetInt("reps"));
+  const util::StatusOr<int> reps_flag = flags.GetIntAtLeast("reps", 1);
+  if (!reps_flag.ok()) {
+    std::cerr << reps_flag.status() << "\n";
+    return 1;
+  }
+  const int reps = *reps_flag;
 
   auto make_request = [&](const core::GameInstance& instance) {
     solver::EngineRequest request;
@@ -206,6 +252,11 @@ int Run(int argc, char** argv) {
     std::cerr << hits.status() << "\n";
     return 1;
   }
+  const util::StatusOr<size_t> state_bytes = MeasureTenantStateBytes();
+  if (!state_bytes.ok()) {
+    std::cerr << state_bytes.status() << "\n";
+    return 1;
+  }
 
   std::cout << "# cold vs warm re-solve after drift, ishm-cggs on Syn A\n";
   std::cout << "budget,eps,drift,cold_seconds,warm_seconds,speedup,"
@@ -221,6 +272,10 @@ int Run(int argc, char** argv) {
   std::cout << "cycles,allocations_per_cycle,cycle_us\n";
   std::cout << kCacheHitCycles << "," << hits->allocations_per_cycle << ","
             << hits->cycle_us << "\n";
+  std::cout << "# tenant state after a jitter stream, same setting\n";
+  std::cout << "cycles,polls,tenant_state_bytes\n";
+  std::cout << kStateCycles << "," << kStatePolls << "," << *state_bytes
+            << "\n";
 
   const std::string json_path = flags.GetString("json");
   if (!json_path.empty()) {
@@ -237,6 +292,7 @@ int Run(int argc, char** argv) {
     report["zero_drift_identity"] = identity_ok;
     report["cache_hit_allocations_per_cycle"] = hits->allocations_per_cycle;
     report["cache_hit_cycle_us"] = hits->cycle_us;
+    report["tenant_state_bytes"] = static_cast<double>(*state_bytes);
     std::ofstream out(json_path);
     if (!out) {
       std::cerr << "cannot write " << json_path << "\n";

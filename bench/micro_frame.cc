@@ -12,7 +12,6 @@
 // throughputs ride along as `*_seconds` fields — archived, not gated.
 //
 // Measured numbers land in BENCH_micro_frame.json.
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -110,10 +109,22 @@ int Run(int argc, char** argv) {
     std::cout << flags.HelpString(argv[0]);
     return 0;
   }
-  const int types = std::max(1, flags.GetInt("types"));
-  const int support = std::max(1, flags.GetInt("support"));
-  const int budgets = std::max(1, flags.GetInt("budgets"));
-  const int reps = std::max(1, flags.GetInt("reps"));
+  // Out-of-range counts are refused, not clamped into a different run.
+  const util::StatusOr<int> types_flag = flags.GetIntAtLeast("types", 1);
+  const util::StatusOr<int> support_flag = flags.GetIntAtLeast("support", 1);
+  const util::StatusOr<int> budgets_flag = flags.GetIntAtLeast("budgets", 1);
+  const util::StatusOr<int> reps_flag = flags.GetIntAtLeast("reps", 1);
+  for (const util::Status& parsed :
+       {types_flag.status(), support_flag.status(), budgets_flag.status(), reps_flag.status()}) {
+    if (!parsed.ok()) {
+      std::cerr << parsed << "\n";
+      return 1;
+    }
+  }
+  const int types = *types_flag;
+  const int support = *support_flag;
+  const int budgets = *budgets_flag;
+  const int reps = *reps_flag;
 
   const auto dists = MakeDistributions(types, support);
   const auto report = MakeReport(budgets, types);

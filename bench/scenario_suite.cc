@@ -185,9 +185,21 @@ int Run(int argc, char** argv) {
     std::printf("%s", flags.HelpString(argv[0]).c_str());
     return 0;
   }
-  const int reps = std::max(1, flags.GetInt("reps"));
-  const int threads = std::max(2, flags.GetInt("threads"));
-  const int mc_samples = std::max(1000, flags.GetInt("mc_samples"));
+  // Out-of-range counts are refused, not clamped into a different run.
+  const util::StatusOr<int> reps_flag = flags.GetIntAtLeast("reps", 1);
+  const util::StatusOr<int> threads_flag = flags.GetIntAtLeast("threads", 2);
+  const util::StatusOr<int> mc_samples_flag =
+      flags.GetIntAtLeast("mc_samples", 1000);
+  for (const util::Status& parsed :
+       {reps_flag.status(), threads_flag.status(), mc_samples_flag.status()}) {
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
+      return 1;
+    }
+  }
+  const int reps = *reps_flag;
+  const int threads = *threads_flag;
+  const int mc_samples = *mc_samples_flag;
 
   util::JsonValue::Array cases;
   bool all_identical = true;

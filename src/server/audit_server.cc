@@ -117,10 +117,13 @@ size_t AuditServer::ShardForTenant(const std::string& tenant,
 
 util::Status AuditServer::Start() {
   if (options_.num_shards < 1 || options_.queue_capacity < 1 ||
-      options_.max_batch < 1 || options_.stats_refresh_ms < 1) {
+      options_.max_batch < 1 || options_.stats_refresh_ms < 1 ||
+      options_.service.cache_entries_per_budget < 1 ||
+      options_.service.budgets.empty()) {
     return util::InvalidArgumentError(
-        "num_shards, queue_capacity, max_batch and stats_refresh_ms must "
-        "each be at least 1");
+        "num_shards, queue_capacity, max_batch, stats_refresh_ms, "
+        "cache_entries_per_budget and the budget count must each be at "
+        "least 1");
   }
   return front_.Start([this] { return StartShards(); });
 }
@@ -226,6 +229,12 @@ util::JsonValue::Object AuditServer::StatsBody() {
     cache["misses"] = static_cast<double>(s.cache.misses);
     cache["insertions"] = static_cast<double>(s.cache.insertions);
     cache["evictions"] = static_cast<double>(s.cache.evictions);
+    util::JsonValue::Object reuse_distance;
+    for (size_t i = 0; i < service::PolicyCache::kReuseBuckets; ++i) {
+      reuse_distance[service::PolicyCache::ReuseBucketLabel(i)] =
+          static_cast<double>(s.cache.reuse_distance[i]);
+    }
+    cache["reuse_distance"] = std::move(reuse_distance);
     obj["policy_cache"] = std::move(cache);
     obj["solve_seconds_p50"] = s.solve_seconds.p50;
     obj["solve_seconds_p90"] = s.solve_seconds.p90;
@@ -238,6 +247,8 @@ util::JsonValue::Object AuditServer::StatsBody() {
       util::JsonValue::Object persistence;
       persistence["last_snapshot_seq"] =
           static_cast<double>(s.persistence.last_snapshot_seq);
+      persistence["last_snapshot_bytes"] =
+          static_cast<double>(s.persistence.last_snapshot_bytes);
       persistence["wal_records"] =
           static_cast<double>(s.persistence.wal_records);
       persistence["wal_bytes"] = static_cast<double>(s.persistence.wal_bytes);

@@ -430,6 +430,7 @@ util::Status ShardPersistence::Recover(
   // wrong configuration.
   uint64_t snapshot_lsn = 0;
   uint64_t snapshot_seq = 0;
+  uint64_t snapshot_bytes = 0;
   std::vector<std::string> snapshots =
       ListNumberedFiles(dir_, "snapshot-", ".snap");
   for (auto it = snapshots.rbegin(); it != snapshots.rend(); ++it) {
@@ -442,6 +443,7 @@ util::Status ShardPersistence::Recover(
     RETURN_IF_ERROR(restore(*contents));
     snapshot_lsn = contents->wal_lsn;
     snapshot_seq = contents->seq;
+    snapshot_bytes = contents->body.size();
     break;
   }
 
@@ -502,6 +504,7 @@ util::Status ShardPersistence::Recover(
 
   std::lock_guard<std::mutex> lock(stats_mutex_);
   stats_.last_snapshot_seq = snapshot_seq;
+  stats_.last_snapshot_bytes = snapshot_bytes;
   stats_.wal_records = live_records;
   stats_.wal_bytes = live_bytes;
   stats_.wal_segments = segments.size();
@@ -676,6 +679,7 @@ util::Status ShardPersistence::WriteSnapshotAndPrune(uint64_t seq,
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.last_snapshot_seq = seq;
+    stats_.last_snapshot_bytes = body.size();
     ++stats_.snapshots_written;
   }
 

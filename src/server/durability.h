@@ -167,6 +167,9 @@ std::vector<std::string> ListNumberedFiles(const std::string& dir,
 /// Point-in-time persistence counters, merged into the shard's stats.
 struct PersistenceStats {
   uint64_t last_snapshot_seq = 0;
+  /// Body bytes (the serialized shard state) of the newest snapshot this
+  /// process wrote or recovered from; 0 before the first.
+  uint64_t last_snapshot_bytes = 0;
   /// Live WAL records: survivors of recovery plus appends since.
   uint64_t wal_records = 0;
   uint64_t wal_bytes = 0;

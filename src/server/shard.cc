@@ -316,11 +316,7 @@ ShardStatsSnapshot Shard::Snapshot() const {
   // PolicyCache stats are internally synchronized; the map iteration is
   // what stats_mutex_ protects here.
   for (const auto& [tenant, service] : tenants_) {
-    const service::PolicyCache::Stats cache = service->cache_stats();
-    snapshot.cache.hits += cache.hits;
-    snapshot.cache.misses += cache.misses;
-    snapshot.cache.insertions += cache.insertions;
-    snapshot.cache.evictions += cache.evictions;
+    snapshot.cache += service->cache_stats();
   }
   const util::LatencyWindow solve_seconds = solve_seconds_;
   lock.unlock();

@@ -15,7 +15,7 @@ AuditService::AuditService(core::GameInstance instance,
                            AuditServiceOptions options)
     : options_(std::move(options)),
       instance_(std::move(instance)),
-      cache_(options_.cache_capacity) {}
+      cache_(options_.cache_entries_per_budget * options_.budgets.size()) {}
 
 util::Status AuditService::UpdateAlertDistributions(
     std::vector<prob::CountDistribution> distributions) {
@@ -182,7 +182,7 @@ AuditService::Stats AuditService::stats() const {
 
 util::Fingerprint FingerprintServiceConfig(const AuditServiceOptions& options) {
   util::FingerprintBuilder fp;
-  fp.AppendString("audit-service-config-v4");
+  fp.AppendString("audit-service-config-v5");
   // Reuse the request fingerprint per budget (instance-free: the null
   // instance gets its own marker) so any option FingerprintRequest treats
   // as solve-relevant is automatically config-relevant here too.
@@ -199,7 +199,7 @@ util::Fingerprint FingerprintServiceConfig(const AuditServiceOptions& options) {
   }
   fp.AppendDouble(options.warm_start_max_drift);
   fp.AppendI64(options.warm_subset_cap);
-  fp.AppendU64(options.cache_capacity);
+  fp.AppendU64(options.cache_entries_per_budget);
   return fp.Build();
 }
 

@@ -37,14 +37,22 @@ struct AuditServiceOptions {
   /// ISHM shrink-subset cap for warm-started re-solves (see
   /// IshmOptions::max_subset_size); 0 keeps the backend's full sweep.
   int warm_subset_cap = 1;
-  size_t cache_capacity = 256;
+  /// PolicyCache entries per served budget: the cache holds this many
+  /// times budgets.size() entries, and the product must not be 0. On a
+  /// drifting stream a policy is served again only by a poll of the same
+  /// cycle or by an exact revisit of earlier distributions. Revisits every
+  /// k cycles hit at recency position budgets × k − 1 at most, so the
+  /// default 8 keeps every hit of a stream whose revisit period is at
+  /// most 8 cycles.
+  size_t cache_entries_per_budget = 8;
   /// Read by nothing; kept while perfbench/perf_client.cc assigns it.
   int num_threads = 0;
 };
 
 /// Content fingerprint of everything in `options` that shapes solve results
 /// or cache behaviour (solver + per-budget request configuration, warm-start
-/// gates, cache capacity) — num_threads excluded, since nothing reads it.
+/// gates, cache entries per budget) — num_threads excluded, since nothing
+/// reads it.
 /// Durable snapshots store this as a guard: restoring state produced under
 /// one configuration into a service configured differently would silently
 /// change replay, so recovery refuses on mismatch instead.

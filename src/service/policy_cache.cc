@@ -84,11 +84,42 @@ util::Fingerprint FingerprintRequest(const solver::EngineRequest& request) {
   return fp.Build();
 }
 
+PolicyCache::Stats& PolicyCache::Stats::operator+=(const Stats& other) {
+  hits += other.hits;
+  misses += other.misses;
+  insertions += other.insertions;
+  evictions += other.evictions;
+  for (size_t i = 0; i < kReuseBuckets; ++i) {
+    reuse_distance[i] += other.reuse_distance[i];
+  }
+  return *this;
+}
+
+size_t PolicyCache::ReuseBucket(size_t position) {
+  // 0 -> 0, then one bucket per power of two: bit_width(position).
+  size_t bucket = 0;
+  while (position > 0 && bucket + 1 < kReuseBuckets) {
+    position >>= 1;
+    ++bucket;
+  }
+  return bucket;
+}
+
+std::string PolicyCache::ReuseBucketLabel(size_t bucket) {
+  if (bucket == 0) return "0";
+  const size_t lo = size_t{1} << (bucket - 1);
+  if (bucket + 1 == kReuseBuckets) return std::to_string(lo) + "+";
+  if (lo == 1) return "1";
+  return std::to_string(lo) + "-" + std::to_string(2 * lo - 1);
+}
+
 std::optional<solver::SolveResult> PolicyCache::Lookup(
     const util::Fingerprint& key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (solver::SolveResult* cached = cache_.Lookup(key)) {
+  size_t position = 0;
+  if (solver::SolveResult* cached = cache_.Lookup(key, &position)) {
     ++stats_.hits;
+    ++stats_.reuse_distance[ReuseBucket(position)];
     return *cached;
   }
   ++stats_.misses;

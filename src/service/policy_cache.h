@@ -1,10 +1,12 @@
 #ifndef AUDIT_GAME_SERVICE_POLICY_CACHE_H_
 #define AUDIT_GAME_SERVICE_POLICY_CACHE_H_
 
-#include <cstdint>
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <optional>
+#include <string>
 
 #include "solver/solver.h"
 #include "util/hash.h"
@@ -40,26 +42,46 @@ util::Fingerprint FingerprintRequestForGame(
     const util::Fingerprint& game, const solver::EngineRequest& request);
 
 /// Thread-safe LRU cache of solved policies, keyed by request fingerprint.
-/// Shared by every worker of an AuditService (and safe to share across
-/// several services serving the same corpus): each distinct configuration
-/// is solved once and then served from memory until evicted.
+/// Each AuditService owns one, sized by AuditServiceOptions (entries per
+/// budget × budgets), and fills it from the service's single writer
+/// thread; the lock lets another thread (a server's stats refresh) read
+/// stats() while the owner serves. Each distinct
+/// configuration is solved once and then served from memory until
+/// evicted.
 class PolicyCache {
  public:
+  /// Hit counts by reuse distance come in kReuseBuckets power-of-two
+  /// buckets: 0, 1, 2-3, 4-7, 8-15, 16-31 and 32 or more.
+  static constexpr size_t kReuseBuckets = 7;
+
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t insertions = 0;
     int64_t evictions = 0;
+    /// Hits by the entry's position in the recency list at lookup (0 =
+    /// the most recently used entry), bucketed by ReuseBucket(). A cache
+    /// of capacity c keeps every hit whose position is below c.
+    std::array<int64_t, kReuseBuckets> reuse_distance{};
+
+    /// Adds `other`'s counters (sums the caches of several services).
+    Stats& operator+=(const Stats& other);
   };
 
-  explicit PolicyCache(size_t capacity = 256) : cache_(capacity) {}
+  /// The reuse_distance bucket of a hit at recency `position`.
+  static size_t ReuseBucket(size_t position);
+  /// Bucket `bucket`'s range as text: "0", "1", "2-3", ..., "32+".
+  static std::string ReuseBucketLabel(size_t bucket);
+
+  explicit PolicyCache(size_t capacity) : cache_(capacity) {}
 
   PolicyCache(const PolicyCache&) = delete;
   PolicyCache& operator=(const PolicyCache&) = delete;
 
   /// Returns a copy of the cached result (copies are cheap next to a solve
   /// and let the caller use it without holding the lock), refreshing the
-  /// entry's recency. std::nullopt on miss.
+  /// entry's recency and counting the hit's reuse distance. std::nullopt
+  /// on miss.
   std::optional<solver::SolveResult> Lookup(const util::Fingerprint& key);
 
   /// Inserts or overwrites the entry for `key`.

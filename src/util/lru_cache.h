@@ -4,30 +4,43 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <list>
 #include <map>
 #include <utility>
+
+#include "util/logging.h"
 
 namespace auditgame::util {
 
 /// A bounded map with least-recently-used eviction. Lookup() refreshes an
 /// entry's recency; Insert() evicts the coldest entry once `capacity` is
-/// exceeded. Not thread-safe — wrap with a mutex at the call site (see
+/// exceeded; a capacity below 1 is a caller bug. Not thread-safe — wrap with a mutex at the call site (see
 /// service::PolicyCache, which holds one lock per cache instance).
 template <typename Key, typename Value, typename Compare = std::less<Key>>
 class LruCache {
  public:
-  explicit LruCache(size_t capacity) : capacity_(capacity < 1 ? 1 : capacity) {}
+  explicit LruCache(size_t capacity) : capacity_(capacity) {
+    CHECK_GE(capacity, size_t{1});
+  }
 
   size_t size() const { return entries_.size(); }
   size_t capacity() const { return capacity_; }
   int64_t evictions() const { return evictions_; }
 
   /// Returns the cached value and marks it most-recently-used, or nullptr.
-  /// The pointer stays valid until the next Insert()/Clear().
-  Value* Lookup(const Key& key) {
+  /// The pointer stays valid until the next Insert()/Clear(). On a hit,
+  /// `position` (if given) receives the entry's place in the recency list
+  /// before the lookup: 0 for the most recently used entry. The hit
+  /// survives at any capacity above it. Finding it walks `position`
+  /// entries, so it costs less than `capacity()` steps.
+  Value* Lookup(const Key& key, size_t* position = nullptr) {
     auto it = index_.find(key);
     if (it == index_.end()) return nullptr;
+    if (position != nullptr) {
+      *position = static_cast<size_t>(
+          std::distance(entries_.begin(), it->second));
+    }
     entries_.splice(entries_.begin(), entries_, it->second);
     return &it->second->second;
   }

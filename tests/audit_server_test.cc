@@ -345,14 +345,16 @@ TEST_F(AuditServerTest, StatsReportsShardsAndTenants) {
   auto client = Connect();
   ASSERT_EQ(StatusOf(Call(client, MakeSolveCycleRequest(1, "t1"))), "ok");
   ASSERT_EQ(StatusOf(Call(client, MakeSolveCycleRequest(2, "t2"))), "ok");
+  // No ingest in between: t1's second cycle hits its most recent entry.
+  ASSERT_EQ(StatusOf(Call(client, MakeSolveCycleRequest(3, "t1"))), "ok");
 
   // The stats verb answers from a periodically refreshed snapshot (it
   // never locks a shard from a reactor thread), so the counters converge
   // to the truth rather than reflecting it instantaneously: poll.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  double tenants = 0.0, solves = 0.0;
-  int64_t id = 3;
+  double tenants = 0.0, solves = 0.0, hits = 0.0, recent_hits = 0.0;
+  int64_t id = 4;
   util::JsonValue doc;
   for (;;) {
     doc = Call(client, MakeStatsRequest(id++));
@@ -363,18 +365,41 @@ TEST_F(AuditServerTest, StatsReportsShardsAndTenants) {
     ASSERT_EQ(shards->as_array().size(), 3u);
     tenants = 0.0;
     solves = 0.0;
+    hits = 0.0;
+    recent_hits = 0.0;
     for (const util::JsonValue& shard : shards->as_array()) {
       auto t = shard.GetNumber("tenants");
       auto s = shard.GetNumber("solves");
       ASSERT_TRUE(t.ok() && s.ok());
       tenants += *t;
       solves += *s;
+      const util::JsonValue* cache = shard.Find("policy_cache");
+      ASSERT_NE(cache, nullptr);
+      auto h = cache->GetNumber("hits");
+      ASSERT_TRUE(h.ok());
+      hits += *h;
+      // Every hit lands in exactly one reuse-distance bucket.
+      const util::JsonValue* reuse = cache->Find("reuse_distance");
+      ASSERT_NE(reuse, nullptr);
+      ASSERT_TRUE(reuse->is_object());
+      std::set<std::string> buckets;
+      double bucketed = 0.0;
+      for (const auto& [label, count] : reuse->as_object()) {
+        buckets.insert(label);
+        bucketed += count.as_number();
+      }
+      EXPECT_EQ(buckets, (std::set<std::string>{"0", "1", "2-3", "4-7",
+                                                "8-15", "16-31", "32+"}));
+      EXPECT_EQ(bucketed, *h);
+      recent_hits += reuse->Find("0")->as_number();
     }
-    if (solves >= 2.0 || std::chrono::steady_clock::now() >= deadline) break;
+    if (solves >= 3.0 || std::chrono::steady_clock::now() >= deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(tenants, 2.0);
-  EXPECT_EQ(solves, 2.0);
+  EXPECT_EQ(solves, 3.0);
+  EXPECT_EQ(hits, 1.0);
+  EXPECT_EQ(recent_hits, 1.0);
   const util::JsonValue* server_stats = doc.Find("server");
   ASSERT_NE(server_stats, nullptr);
   auto protocol_errors = server_stats->GetNumber("protocol_errors");
@@ -562,6 +587,9 @@ TEST(AuditServerStartTest, ValuesBelowOneAreRefused) {
       {"max_batch", [](AuditServerOptions& o) { o.max_batch = 0; }},
       {"stats_refresh_ms",
        [](AuditServerOptions& o) { o.stats_refresh_ms = 0; }},
+      {"cache_entries_per_budget",
+       [](AuditServerOptions& o) { o.service.cache_entries_per_budget = 0; }},
+      {"budgets", [](AuditServerOptions& o) { o.service.budgets.clear(); }},
   };
   for (const auto& [name, zero] : zeroes) {
     AuditServerOptions options;

@@ -7,6 +7,8 @@
 
 #include "core/game_io.h"
 #include "data/syn_a.h"
+#include "scenario/generator.h"
+#include "scenario/stream.h"
 #include "tests/test_util.h"
 #include "util/serializer.h"
 
@@ -137,15 +139,27 @@ TEST(AuditServiceTest, RevisitedDistributionsHitTheCacheDespiteDrift) {
 TEST(AuditServiceTest, ZeroMaxDriftDisablesWarmSolvesEntirely) {
   AuditServiceOptions options = FastOptions();
   options.warm_start_max_drift = 0.0;
-  options.cache_capacity = 1;  // one entry: the second budget evicts the first
   AuditService service(testutil::MakeTinyGame(), options);
   ASSERT_TRUE(service.RunCycle().ok());
-  // Unchanged distributions, but the evicted budget misses the cache with
-  // drift exactly 0 — it must cold-solve, not warm-start.
+  // The same distributions with a zero-mass count appended: drift exactly
+  // 0, but a new fingerprint, so every budget misses the cache. The miss
+  // must cold-solve, not warm-start.
+  std::vector<prob::CountDistribution> padded;
+  for (const auto& dist : service.instance().alert_distributions) {
+    std::vector<double> pmf;
+    for (int z = dist.min_value(); z <= dist.max_value(); ++z) {
+      pmf.push_back(dist.Pmf(z));
+    }
+    pmf.push_back(0.0);
+    padded.push_back(
+        *prob::CountDistribution::FromPmf(dist.min_value(), std::move(pmf)));
+  }
+  ASSERT_TRUE(service.UpdateAlertDistributions(padded).ok());
   const auto cycle = service.RunCycle();
   ASSERT_TRUE(cycle.ok());
   for (const auto& policy : cycle->policies) {
-    EXPECT_NE(policy.source, AuditService::Source::kWarmSolve);
+    EXPECT_EQ(policy.drift, 0.0);
+    EXPECT_EQ(policy.source, AuditService::Source::kColdSolve);
   }
 }
 
@@ -337,6 +351,67 @@ TEST(AuditServiceKeyCacheTest, SplitKeyEqualsFingerprintRequest) {
   EXPECT_EQ(FingerprintRequestForGame(game_key, request), key);
 }
 
+// The default cache keeps every hit a drifting stream has: same-cycle polls
+// and baseline revisits every 5 cycles (recency position below budgets × 5).
+// So a default service serves exactly what a service whose cache never
+// evicts serves, from the same sources, at every budget count.
+TEST(AuditServiceTest, DefaultCacheServesWhatAnUnboundedCacheServes) {
+  scenario::ScenarioSpec spec;
+  spec.num_types = 5;
+  const auto game = scenario::Generate(spec);
+  ASSERT_TRUE(game.ok()) << game.status();
+  constexpr int kCycles = 60;
+  constexpr int kPolls = 5;
+  for (const scenario::StreamKind kind :
+       {scenario::StreamKind::kJitter, scenario::StreamKind::kRandomWalk,
+        scenario::StreamKind::kSeasonal}) {
+    for (const std::vector<double>& budgets :
+         std::vector<std::vector<double>>{{6.0}, {6.0, 10.0},
+                                          {6.0, 8.0, 10.0}}) {
+      SCOPED_TRACE("stream " + std::to_string(static_cast<int>(kind)) +
+                   ", budgets " + std::to_string(budgets.size()));
+      AuditServiceOptions options;
+      options.budgets = budgets;
+      options.solver_options.ishm.step_size = 0.25;
+      AuditService sized(*game, options);
+      options.cache_entries_per_budget = 256;  // never fills in kCycles
+      AuditService unbounded(*game, options);
+
+      scenario::StreamSpec stream_spec;
+      stream_spec.kind = kind;
+      scenario::ScenarioStream stream(game->alert_distributions, stream_spec);
+      for (int cycle = 0; cycle < kCycles; ++cycle) {
+        if (cycle > 0) {
+          const auto next = stream.Next();
+          ASSERT_TRUE(next.ok()) << next.status();
+          ASSERT_TRUE(sized.UpdateAlertDistributions(*next).ok());
+          ASSERT_TRUE(unbounded.UpdateAlertDistributions(*next).ok());
+        }
+        for (int poll = 0; poll < kPolls; ++poll) {
+          const auto a = sized.RunCycle();
+          const auto b = unbounded.RunCycle();
+          ASSERT_TRUE(a.ok()) << a.status();
+          ASSERT_TRUE(b.ok()) << b.status();
+          for (size_t i = 0; i < budgets.size(); ++i) {
+            const AuditService::CyclePolicy& x = a->policies[i];
+            const AuditService::CyclePolicy& y = b->policies[i];
+            ASSERT_EQ(x.source, y.source) << "cycle " << cycle;
+            ASSERT_EQ(x.result.objective, y.result.objective)
+                << "cycle " << cycle;
+            ASSERT_EQ(x.result.thresholds, y.result.thresholds);
+          }
+        }
+      }
+      const PolicyCache::Stats sized_stats = sized.cache_stats();
+      const PolicyCache::Stats unbounded_stats = unbounded.cache_stats();
+      EXPECT_GT(sized_stats.evictions, 0);  // the small cache did fill
+      EXPECT_EQ(unbounded_stats.evictions, 0);
+      EXPECT_EQ(sized_stats.hits, unbounded_stats.hits);
+      EXPECT_EQ(sized_stats.reuse_distance, unbounded_stats.reuse_distance);
+    }
+  }
+}
+
 // Durable snapshots store this fingerprint and recovery refuses a data dir
 // whose fingerprint differs. Any change that makes the same configuration
 // serve different policies (a format break, docs/DESIGN.md) must bump the
@@ -344,7 +419,7 @@ TEST(AuditServiceKeyCacheTest, SplitKeyEqualsFingerprintRequest) {
 // old data dir is refused instead of replayed into different policies.
 TEST(AuditServiceTest, DefaultConfigFingerprintIsPinned) {
   EXPECT_EQ(FingerprintServiceConfig(AuditServiceOptions()).ToHex(),
-            "ee5a472e918d3543ed0010e254de77d3");
+            "23b2d9db57f194e76140c783e64ed377");
 }
 
 }  // namespace

@@ -56,6 +56,17 @@ class BenchCompareTest(unittest.TestCase):
                              {"warm_hit_ratio": 0.9})
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
+    def test_state_bytes_growth_fails(self):
+        result = run_compare({"tenant_state_bytes": 16308},
+                             {"tenant_state_bytes": 146388})
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("tenant_state_bytes", result.stdout)
+
+    def test_state_bytes_shrink_passes(self):
+        result = run_compare({"tenant_state_bytes": 146388},
+                             {"tenant_state_bytes": 16308})
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
     def test_timing_skipped_without_gate_timing(self):
         result = run_compare({"wall_seconds": 0.1}, {"wall_seconds": 10.0})
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)

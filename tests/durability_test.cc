@@ -408,8 +408,10 @@ TEST(ShardPersistenceTest, SnapshotSkipsReplayedPrefix) {
       ASSERT_TRUE(persistence.AppendWal(payload).ok());
       ASSERT_TRUE(persistence.CommitBatch().ok());
     }
+    EXPECT_EQ(persistence.Stats().last_snapshot_bytes, 0u);
     // Snapshot reflecting LSNs 1..3 only.
     ASSERT_TRUE(persistence.FinalSnapshot("state-after-3", 3).ok());
+    EXPECT_EQ(persistence.Stats().last_snapshot_bytes, 13u);
   }
   std::vector<std::string> replayed;
   bool restored = false;
@@ -430,6 +432,8 @@ TEST(ShardPersistenceTest, SnapshotSkipsReplayedPrefix) {
   EXPECT_TRUE(restored);
   EXPECT_EQ(replayed, (std::vector<std::string>{"d"}));
   EXPECT_EQ(persistence.next_lsn(), 5u);
+  // The recovered snapshot's body size, until the next snapshot.
+  EXPECT_EQ(persistence.Stats().last_snapshot_bytes, 13u);
 }
 
 TEST(ShardPersistenceTest, TornTailIsTruncatedOnRecovery) {

@@ -1,5 +1,7 @@
 #include "service/policy_cache.h"
 
+#include <array>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -65,6 +67,28 @@ TEST(LruCacheTest, PeekDoesNotRefresh) {
   cache.Insert(3, 30);                // 1 is still the coldest -> evicted
   EXPECT_EQ(cache.Lookup(1), nullptr);
   EXPECT_NE(cache.Lookup(2), nullptr);
+}
+
+TEST(LruCacheTest, LookupReportsRecencyPosition) {
+  util::LruCache<int, int> cache(4);
+  cache.Insert(1, 10);
+  cache.Insert(2, 20);
+  cache.Insert(3, 30);  // recency list: 3, 2, 1
+  size_t position = 99;
+  ASSERT_NE(cache.Lookup(1, &position), nullptr);
+  EXPECT_EQ(position, 2u);  // now 1, 3, 2
+  ASSERT_NE(cache.Lookup(1, &position), nullptr);
+  EXPECT_EQ(position, 0u);
+  ASSERT_NE(cache.Lookup(2, &position), nullptr);
+  EXPECT_EQ(position, 2u);
+  position = 99;
+  EXPECT_EQ(cache.Lookup(7, &position), nullptr);
+  EXPECT_EQ(position, 99u);  // a miss leaves it alone
+}
+
+TEST(LruCacheDeathTest, ZeroCapacityIsRefused) {
+  using IntCache = util::LruCache<int, int>;
+  EXPECT_DEATH(IntCache cache(0), "capacity");
 }
 
 TEST(FingerprintTest, GameFingerprintIsContentAddressed) {
@@ -175,6 +199,49 @@ TEST(PolicyCacheTest, EvictsBeyondCapacity) {
   EXPECT_EQ(cache.stats().evictions, 2);
   EXPECT_FALSE(cache.Lookup(util::Fingerprint{0, 0}).has_value());
   EXPECT_TRUE(cache.Lookup(util::Fingerprint{3, 0}).has_value());
+}
+
+TEST(PolicyCacheTest, ReuseDistanceBucketsCountEveryHit) {
+  PolicyCache cache(64);
+  const auto key = [](uint64_t i) { return util::Fingerprint{i, 1}; };
+  for (uint64_t i = 0; i < 40; ++i) cache.Insert(key(i), MakeResult(i));
+  // Key k sits at recency position 39 - k. A hit moves its key to the
+  // front and pushes the keys that were ahead of it back by one. After the
+  // two lookups of key 0, each lookup is of a key behind every key looked
+  // up before it, so it finds key k at position 40 - k.
+  for (const uint64_t k : {0,     // position 39: bucket 32+
+                           0,     // 0: bucket 0
+                           39,    // 1: bucket 1
+                           37,    // 3: bucket 2-3
+                           33,    // 7: bucket 4-7
+                           30,    // 10: bucket 8-15
+                           20,    // 20: bucket 16-31
+                           3}) {  // 37: bucket 32+
+    ASSERT_TRUE(cache.Lookup(key(k)).has_value()) << k;
+  }
+  EXPECT_FALSE(cache.Lookup(key(99)).has_value());  // misses are not counted
+  const PolicyCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 8);
+  EXPECT_EQ(stats.misses, 1);
+  const std::array<int64_t, PolicyCache::kReuseBuckets> expected = {
+      1, 1, 1, 1, 1, 1, 2};
+  EXPECT_EQ(stats.reuse_distance, expected);
+
+  const std::vector<std::string> labels = {"0",   "1",     "2-3", "4-7",
+                                           "8-15", "16-31", "32+"};
+  for (size_t i = 0; i < PolicyCache::kReuseBuckets; ++i) {
+    EXPECT_EQ(PolicyCache::ReuseBucketLabel(i), labels[i]);
+  }
+  EXPECT_EQ(PolicyCache::ReuseBucket(0), 0u);
+  EXPECT_EQ(PolicyCache::ReuseBucket(3), 2u);
+  EXPECT_EQ(PolicyCache::ReuseBucket(31), 5u);
+  EXPECT_EQ(PolicyCache::ReuseBucket(32), 6u);
+  EXPECT_EQ(PolicyCache::ReuseBucket(1u << 20), 6u);
+
+  PolicyCache::Stats sum = stats;
+  sum += stats;
+  EXPECT_EQ(sum.hits, 16);
+  EXPECT_EQ(sum.reuse_distance[6], 4);
 }
 
 // Hammer one shared cache from several threads (the engine-worker pattern):

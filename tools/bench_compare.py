@@ -19,6 +19,8 @@ Metrics are classified by key name:
   better; exact-zero baselines get a small absolute
   floor (an occasional one-off allocation in a thousand solves is not a
   regression);
+* ``*state_bytes*`` — deterministic sizes of serialized state (a
+  tenant's snapshot bytes), lower is better;
 * ``*seconds*`` / ``*speedup*`` — wall-clock measurements: machine- and
   noise-dependent (sub-millisecond cases swing far more than 25% between
   identical runs), so they are skipped unless --gate-timing is passed.
@@ -58,6 +60,8 @@ def classify(key):
     if "warm_lp_solves" in k:
         return "higher"
     if "alloc" in k or "heap_block" in k:
+        return "lower"
+    if "state_bytes" in k:
         return "lower"
     if "iterations" in k or "lp_solves" in k or "gap" in k:
         return "lower"

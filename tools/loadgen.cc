@@ -398,13 +398,22 @@ int Run(int argc, char** argv) {
   auto window = flags.GetIntAtLeast("window", 1);
   auto reconnects = flags.GetIntAtLeast("reconnects", 0);
   auto reactors = flags.GetIntAtLeast("reactors", 1);
+  auto tenants_flag = flags.GetIntAtLeast("tenants", 1);
+  auto connections_flag = flags.GetIntAtLeast("connections", 1);
   for (const util::Status& parsed :
        {solves_per_cycle.status(), window.status(), reconnects.status(),
-        reactors.status()}) {
+        reactors.status(), tenants_flag.status(), connections_flag.status()}) {
     if (!parsed.ok()) {
       std::cerr << parsed << "\n";
       return 1;
     }
+  }
+  const int tenants = *tenants_flag;
+  const int connections = *connections_flag;
+  if (connections > tenants) {
+    std::cerr << "--connections must be at most --tenants, got "
+              << connections << " > " << tenants << "\n";
+    return 1;
   }
 
   WorkerConfig config;
@@ -466,9 +475,6 @@ int Run(int argc, char** argv) {
     }
   }
 
-  const int tenants = std::max(1, flags.GetInt("tenants"));
-  const int connections =
-      std::min(std::max(1, flags.GetInt("connections")), tenants);
   // Round-robin tenant partition: connection c drives tenants c, c+C, ...
   std::vector<std::vector<int>> partition(
       static_cast<size_t>(connections));
