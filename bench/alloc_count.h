@@ -14,6 +14,12 @@ namespace auditgame::bench {
 /// Thread-safe (relaxed atomic).
 uint64_t HeapAllocationCount();
 
+/// Bytes requested through global operator new and not yet deleted (the
+/// requested sizes, not the allocator's block sizes). A delta around
+/// building some objects is the heap they keep. Thread-safe (relaxed
+/// atomic).
+int64_t HeapLiveBytes();
+
 }  // namespace auditgame::bench
 
 #endif  // AUDIT_GAME_BENCH_ALLOC_COUNT_H_

@@ -23,12 +23,19 @@
 // kStatePolls polls on the same setting. The byte count is deterministic
 // and gated, so the cache cannot grow back unnoticed.
 //
+// A fourth case measures the heap a tenant keeps on the served path: the
+// live bytes a server::Shard holds per tenant after each of kHeapTenants
+// tenants served one cold cycle. Gated too, so a per-tenant copy of what
+// the shard's tenants share cannot come back unnoticed.
+//
 // Measured numbers land in BENCH_cache.json so the cold/warm trajectory is
 // trackable across commits.
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,6 +45,7 @@
 #include "prob/count_distribution.h"
 #include "scenario/generator.h"
 #include "scenario/stream.h"
+#include "server/shard.h"
 #include "service/audit_service.h"
 #include "util/flags.h"
 #include "util/json.h"
@@ -56,8 +64,11 @@ constexpr int kCacheHitCycles = 2000;
 constexpr int kStateCycles = 300;
 constexpr int kStatePolls = 20;
 
-/// The served setting both cache cases run: uniform, T = 5, budgets 6 and
-/// 10, eps 0.25.
+/// Tenants in the tenant-heap measurement.
+constexpr int kHeapTenants = 64;
+
+/// The served setting the cache, state and heap cases run: uniform,
+/// T = 5, budgets 6 and 10, eps 0.25.
 util::StatusOr<core::GameInstance> ServedGame() {
   scenario::ScenarioSpec spec;
   spec.num_types = 5;
@@ -89,6 +100,57 @@ util::StatusOr<size_t> MeasureTenantStateBytes() {
   util::Serializer writer = util::Serializer::Writer();
   service.StreamState(writer);
   return writer.TakeBuffer().size();
+}
+
+/// Live heap bytes per tenant that one server::Shard keeps after each of
+/// kHeapTenants tenants served one cold cycle. Requests go one at a time,
+/// so the shard's queue and latency window grow the same way in every run
+/// (the window's 64 samples add 8 bytes per tenant), and the shard thread
+/// has exited, freeing its solver scratch, before the second reading.
+util::StatusOr<double> MeasureTenantHeapBytes() {
+  ASSIGN_OR_RETURN(core::GameInstance instance, ServedGame());
+  // One cycle first, so process-wide state built on first use is not
+  // counted.
+  {
+    service::AuditService warmup(instance, ServedOptions());
+    RETURN_IF_ERROR(warmup.RunCycle().status());
+  }
+  std::mutex mutex;
+  std::condition_variable answered_cv;
+  int answered = 0;
+  server::Shard shard(
+      0, std::move(instance), ServedOptions(), /*queue_capacity=*/1,
+      /*max_batch=*/1,
+      [&](std::vector<server::Shard::Response> responses) {
+        std::lock_guard<std::mutex> lock(mutex);
+        answered += static_cast<int>(responses.size());
+        answered_cv.notify_one();
+      },
+      nullptr);
+  const int64_t before = bench::HeapLiveBytes();
+  shard.Start();
+  for (int i = 0; i < kHeapTenants; ++i) {
+    server::ShardTask task;
+    task.request.verb = server::Verb::kSolveCycle;
+    task.request.tenant = "tenant-" + std::to_string(i);
+    task.request.id = i;
+    task.request.binary = true;
+    if (!shard.TrySubmit(std::move(task))) {
+      return util::InternalError("the shard refused a request");
+    }
+    std::unique_lock<std::mutex> lock(mutex);
+    answered_cv.wait(lock, [&] { return answered == i + 1; });
+  }
+  shard.BeginDrain();
+  shard.Join();
+  const int64_t kept = bench::HeapLiveBytes() - before;
+  const server::ShardStatsSnapshot stats = shard.Snapshot();
+  const auto solves = static_cast<int64_t>(kHeapTenants *
+                                          ServedOptions().budgets.size());
+  if (stats.request_errors != 0 || stats.cold_solves != solves) {
+    return util::InternalError("the shard did not cold-solve every tenant");
+  }
+  return static_cast<double>(kept) / kHeapTenants;
 }
 
 struct CacheHitCase {
@@ -257,6 +319,11 @@ int Run(int argc, char** argv) {
     std::cerr << state_bytes.status() << "\n";
     return 1;
   }
+  const util::StatusOr<double> heap_bytes = MeasureTenantHeapBytes();
+  if (!heap_bytes.ok()) {
+    std::cerr << heap_bytes.status() << "\n";
+    return 1;
+  }
 
   std::cout << "# cold vs warm re-solve after drift, ishm-cggs on Syn A\n";
   std::cout << "budget,eps,drift,cold_seconds,warm_seconds,speedup,"
@@ -276,6 +343,10 @@ int Run(int argc, char** argv) {
   std::cout << "cycles,polls,tenant_state_bytes\n";
   std::cout << kStateCycles << "," << kStatePolls << "," << *state_bytes
             << "\n";
+  std::cout << "# live heap per shard tenant after one cold cycle, same "
+               "setting\n";
+  std::cout << "tenants,tenant_heap_bytes\n";
+  std::cout << kHeapTenants << "," << *heap_bytes << "\n";
 
   const std::string json_path = flags.GetString("json");
   if (!json_path.empty()) {
@@ -293,6 +364,7 @@ int Run(int argc, char** argv) {
     report["cache_hit_allocations_per_cycle"] = hits->allocations_per_cycle;
     report["cache_hit_cycle_us"] = hits->cycle_us;
     report["tenant_state_bytes"] = static_cast<double>(*state_bytes);
+    report["tenant_heap_bytes"] = *heap_bytes;
     std::ofstream out(json_path);
     if (!out) {
       std::cerr << "cannot write " << json_path << "\n";

@@ -14,7 +14,8 @@
 namespace auditgame::core {
 namespace {
 
-// Byte-exact serialization of a victim profile, used for deduplication.
+// Byte-exact serialization of a victim profile, used for deduplication
+// and by SameCompileInputs.
 // Victims built from the same parameters are bitwise identical, which is
 // the only case we need to collapse.
 std::string VictimKey(const VictimProfile& v) {
@@ -176,6 +177,24 @@ util::StatusOr<CompiledGame> Compile(const GameInstance& instance) {
     group.envelope = Envelope(group.victims);
   }
   return compiled;
+}
+
+bool SameCompileInputs(const GameInstance& a, const GameInstance& b) {
+  const auto same_victim = [](const VictimProfile& x, const VictimProfile& y) {
+    return VictimKey(x) == VictimKey(y);
+  };
+  const auto same_adversary = [&same_victim](const Adversary& x,
+                                             const Adversary& y) {
+    return std::memcmp(&x.attack_probability, &y.attack_probability,
+                       sizeof(double)) == 0 &&
+           x.can_opt_out == y.can_opt_out &&
+           std::equal(x.victims.begin(), x.victims.end(), y.victims.begin(),
+                      y.victims.end(), same_victim);
+  };
+  return a.num_types() == b.num_types() &&
+         std::equal(a.adversaries.begin(), a.adversaries.end(),
+                    b.adversaries.begin(), b.adversaries.end(),
+                    same_adversary);
 }
 
 UtilityRows::UtilityRows(const CompiledGame& game)

@@ -102,8 +102,13 @@ struct CompiledGame {
   int num_envelope_rows() const;
 };
 
-/// Compiles `instance`; requires Validate() to pass.
+/// Compiles `instance`; requires Validate() to pass. Reads only the type
+/// count and the adversaries (Validate() reads the rest).
 util::StatusOr<CompiledGame> Compile(const GameInstance& instance);
+
+/// True when `a` and `b` have the same type count and bitwise equal
+/// adversaries, so Compile() of either serves both.
+bool SameCompileInputs(const GameInstance& a, const GameInstance& b);
 
 /// The envelope victims' utilities as one linear form in Pal. Row r is the
 /// r-th envelope victim, groups in order and each group's envelope
@@ -111,8 +116,8 @@ util::StatusOr<CompiledGame> Compile(const GameInstance& instance);
 ///   Ua = constant(r) - slope(r) . Pal,
 /// with slope(r) = (M + R) * type_probs and constant(r) = R - K. Each
 /// master LP builds its own (RestrictedMasterLp::utility_rows) instead of
-/// the CompiledGame keeping them: every tenant's AuditService keeps one
-/// compiled game, and the rows would grow every one of them.
+/// the CompiledGame keeping them: a shard's tenants share one compiled
+/// game, and the rows would grow it for every master.
 class UtilityRows {
  public:
   explicit UtilityRows(const CompiledGame& game);

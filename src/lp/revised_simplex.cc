@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -149,8 +150,7 @@ class Engine {
     ws_.y.reserve(ms);
     ws_.w.reserve(ms);
     ws_.col.reserve(ms);
-    const size_t max_etas =
-        static_cast<size_t>(std::max(1, options_.refactor_interval));
+    const size_t max_etas = static_cast<size_t>(options_.refactor_interval);
     ws_.eta_rows.reserve(max_etas);
     ws_.eta_d.reserve(max_etas * ms);
   }
@@ -663,8 +663,7 @@ class Engine {
     // eta_d was reserved for a full eta file, so this never reallocates.
     ws_.eta_rows.push_back(leaving);
     ws_.eta_d.insert(ws_.eta_d.end(), w.begin(), w.begin() + m_);
-    if (static_cast<int>(ws_.eta_rows.size()) >=
-        std::max(1, options_.refactor_interval)) {
+    if (static_cast<int>(ws_.eta_rows.size()) >= options_.refactor_interval) {
       if (!Factorize()) return PhaseOutcome::kNumericalFailure;
       ComputeBasicValues();
     }
@@ -820,6 +819,11 @@ util::Status RevisedSimplex::SolveInto(const LpModel& model,
                                        const RevisedSimplex::Options& options,
                                        const Basis* warm_start,
                                        RevisedSolution& out) {
+  if (options.refactor_interval < 1) {
+    return util::InvalidArgumentError(
+        "RevisedSimplex: refactor_interval must be at least 1, got " +
+        std::to_string(options.refactor_interval));
+  }
   RETURN_IF_ERROR(model.Validate());
   if (model.num_constraints() == 0) return SolveUnconstrained(model, out);
   // One workspace per thread: shard threads and engine workers each solve

@@ -123,7 +123,8 @@ class RevisedSimplex {
     double pivot_tolerance = 1e-9;
     /// Feasibility / optimality tolerance on reduced costs and residuals.
     double tolerance = 1e-8;
-    /// Basis pivots between LU refactorizations.
+    /// Basis pivots between LU refactorizations; Solve() refuses less
+    /// than 1.
     int refactor_interval = 64;
   };
 

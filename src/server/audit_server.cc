@@ -119,11 +119,13 @@ util::Status AuditServer::Start() {
   if (options_.num_shards < 1 || options_.queue_capacity < 1 ||
       options_.max_batch < 1 || options_.stats_refresh_ms < 1 ||
       options_.service.cache_entries_per_budget < 1 ||
-      options_.service.budgets.empty()) {
+      options_.service.budgets.empty() ||
+      (options_.durability.enabled() &&
+       options_.durability.snapshots_to_keep < 1)) {
     return util::InvalidArgumentError(
         "num_shards, queue_capacity, max_batch, stats_refresh_ms, "
-        "cache_entries_per_budget and the budget count must each be at "
-        "least 1");
+        "cache_entries_per_budget, the budget count and, with a data dir, "
+        "snapshots_to_keep must each be at least 1");
   }
   return front_.Start([this] { return StartShards(); });
 }

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <utility>
 
+#include "util/logging.h"
 #include "util/serializer.h"
 
 namespace auditgame::server {
@@ -104,6 +105,16 @@ std::string NumberedName(std::string_view prefix, uint64_t n,
   std::snprintf(buf, sizeof(buf), "%020llu",
                 static_cast<unsigned long long>(n));
   return std::string(prefix) + buf + std::string(suffix);
+}
+
+/// The number in a name ListNumberedFiles() returned for `prefix` and
+/// `suffix`.
+uint64_t NumberOfName(const std::string& name, std::string_view prefix,
+                      std::string_view suffix) {
+  return std::strtoull(
+      name.substr(prefix.size(), name.size() - prefix.size() - suffix.size())
+          .c_str(),
+      nullptr, 10);
 }
 
 /// Fixed per-record overhead: u32 len + u32 crc + u64 lsn.
@@ -401,6 +412,7 @@ ShardPersistence::ShardPersistence(int shard_index, DurabilityOptions options)
       options_(std::move(options)),
       dir_(ShardDir(options_.data_dir, shard_index)),
       last_snapshot_time_(std::chrono::steady_clock::now()) {
+  CHECK_GE(options_.snapshots_to_keep, 1);
   stats_.wal_sync = WalSyncName(options_.wal_sync);
   writer_ = std::thread([this] { SnapshotWriterLoop(); });
 }
@@ -441,6 +453,8 @@ util::Status ShardPersistence::Recover(
                                  std::to_string(contents->shard));
     }
     RETURN_IF_ERROR(restore(*contents));
+    snapshot_lsns_[NumberOfName(*it, "snapshot-", ".snap")] =
+        contents->wal_lsn;
     snapshot_lsn = contents->wal_lsn;
     snapshot_seq = contents->seq;
     snapshot_bytes = contents->body.size();
@@ -682,38 +696,35 @@ util::Status ShardPersistence::WriteSnapshotAndPrune(uint64_t seq,
     stats_.last_snapshot_bytes = body.size();
     ++stats_.snapshots_written;
   }
+  snapshot_lsns_[seq] = wal_lsn;
 
   // Prune snapshots beyond the retention count.
   std::vector<std::string> snapshots =
       ListNumberedFiles(dir_, "snapshot-", ".snap");
-  const int keep =
-      options_.snapshots_to_keep < 1 ? 1 : options_.snapshots_to_keep;
-  while (static_cast<int>(snapshots.size()) > keep) {
+  while (snapshots.size() > static_cast<size_t>(options_.snapshots_to_keep)) {
     ::unlink((dir_ + "/" + snapshots.front()).c_str());
+    snapshot_lsns_.erase(NumberOfName(snapshots.front(), "snapshot-", ".snap"));
     snapshots.erase(snapshots.begin());
   }
 
   // Prune WAL segments every *retained* snapshot has absorbed: segment i
   // is deletable when segment i+1 starts at or below prune_lsn + 1 (then
   // segment i holds no record past prune_lsn). The newest segment always
-  // survives — it is the active writer target.
+  // survives — it is the active writer target. A retained snapshot of
+  // unknown LSN prunes nothing.
   uint64_t prune_lsn = wal_lsn;
   for (const std::string& name : snapshots) {
-    if (auto contents = ReadSnapshotFile(dir_ + "/" + name); contents.ok()) {
-      prune_lsn = std::min(prune_lsn, contents->wal_lsn);
-    } else {
-      prune_lsn = 0;  // unreadable retained snapshot: prune nothing
-    }
+    const auto known =
+        snapshot_lsns_.find(NumberOfName(name, "snapshot-", ".snap"));
+    prune_lsn =
+        std::min(prune_lsn, known == snapshot_lsns_.end() ? 0 : known->second);
   }
   const std::vector<std::string> segments =
       ListNumberedFiles(dir_, "wal-", ".wal");
   uint64_t pruned_bytes = 0;
   uint64_t pruned_count = 0;
   for (size_t i = 0; i + 1 < segments.size(); ++i) {
-    const std::string& next = segments[i + 1];
-    const uint64_t next_start = std::strtoull(
-        next.substr(4, next.size() - 4 - 4).c_str(), nullptr, 10);
-    if (next_start > prune_lsn + 1) break;
+    if (NumberOfName(segments[i + 1], "wal-", ".wal") > prune_lsn + 1) break;
     const std::string victim = dir_ + "/" + segments[i];
     struct stat st;
     if (::stat(victim.c_str(), &st) == 0) {

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -47,8 +48,8 @@ struct DurabilityOptions {
   double snapshot_interval_seconds = 30.0;
   /// WAL segment rotation threshold.
   uint64_t wal_segment_bytes = 64ull << 20;
-  /// Snapshots retained per shard; older ones are pruned after a newer
-  /// snapshot lands (≥ 2 keeps a fallback if the newest is torn).
+  /// Snapshots retained per shard, at least 1; older ones are pruned after
+  /// a newer snapshot lands (≥ 2 keeps a fallback if the newest is torn).
   int snapshots_to_keep = 2;
   /// Take a final synchronous snapshot when the shard drains cleanly.
   /// Tests set false to force the next start through WAL replay.
@@ -201,6 +202,8 @@ struct PersistenceStats {
 /// shard-thread-only. Stats() is safe from any thread.
 class ShardPersistence {
  public:
+  /// `options.snapshots_to_keep` must be at least 1 (AuditServer::Start
+  /// refuses less).
   ShardPersistence(int shard_index, DurabilityOptions options);
   ~ShardPersistence();
 
@@ -293,6 +296,15 @@ class ShardPersistence {
   bool job_running_ = false;
   bool writer_exit_ = false;
   std::thread writer_;
+
+  /// The WAL LSN of the retained snapshots, by sequence number: the
+  /// writer records each one it writes, and Recover() the one it
+  /// restores. A retained snapshot missing here (one that failed to
+  /// verify, or one older than the snapshot recovery restored, which it
+  /// does not read) has an unknown LSN and keeps every WAL segment.
+  /// Written by Recover() and then only by WriteSnapshotAndPrune(), whose
+  /// callers the job mailbox serializes.
+  std::map<uint64_t, uint64_t> snapshot_lsns_;
 };
 
 }  // namespace auditgame::server

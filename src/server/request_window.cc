@@ -6,6 +6,7 @@
 
 #include "server/binary_codec.h"
 #include "util/json.h"
+#include "util/logging.h"
 
 namespace auditgame::server {
 
@@ -103,8 +104,10 @@ RequestWindow::RequestWindow(net::FrameClient& client,
                              RequestWindowOptions options)
     : client_(client),
       options_(std::move(options)),
-      window_(static_cast<size_t>(std::max(1, options_.window))),
-      reconnects_left_(options_.reconnects) {}
+      window_(static_cast<size_t>(options_.window)),
+      reconnects_left_(options_.reconnects) {
+  CHECK_GE(options_.window, 1);
+}
 
 bool RequestWindow::HasRoom() const {
   return in_flight_.size() + queued_.size() < window_;

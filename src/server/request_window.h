@@ -39,7 +39,7 @@ struct ResponseEnvelope {
 util::StatusOr<ResponseEnvelope> DecodeResponse(std::string_view payload);
 
 struct RequestWindowOptions {
-  /// Requests on the wire at once.
+  /// Requests on the wire at once; at least 1.
   int window = 1;
   /// Re-sends of one request answered `overloaded` or `backend_down`
   /// before it completes as given up.

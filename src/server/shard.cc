@@ -9,6 +9,20 @@
 
 namespace auditgame::server {
 
+namespace {
+
+/// Compile(instance), or null when it fails: the tenants then compile on
+/// their own and report the error on every cycle, as a standalone service
+/// would.
+std::shared_ptr<const core::CompiledGame> CompileShared(
+    const core::GameInstance& instance) {
+  util::StatusOr<core::CompiledGame> compiled = core::Compile(instance);
+  if (!compiled.ok()) return nullptr;
+  return std::make_shared<const core::CompiledGame>(*std::move(compiled));
+}
+
+}  // namespace
+
 Shard::Shard(int index, core::GameInstance base_instance,
              service::AuditServiceOptions service_options,
              size_t queue_capacity, size_t max_batch, Responder responder,
@@ -16,7 +30,9 @@ Shard::Shard(int index, core::GameInstance base_instance,
              std::unique_ptr<ShardPersistence> persistence)
     : index_(index),
       base_instance_(std::move(base_instance)),
-      service_options_(std::move(service_options)),
+      service_options_(std::make_shared<const service::AuditServiceOptions>(
+          std::move(service_options))),
+      base_game_(CompileShared(base_instance_)),
       max_batch_(max_batch),
       queue_(queue_capacity),
       responder_(std::move(responder)),
@@ -98,7 +114,7 @@ util::Fingerprint Shard::ConfigFingerprint() const {
   util::FingerprintBuilder fp;
   fp.AppendString("shard-config-v1");
   const util::Fingerprint service =
-      service::FingerprintServiceConfig(service_options_);
+      service::FingerprintServiceConfig(*service_options_);
   fp.AppendU64(service.hi);
   fp.AppendU64(service.lo);
   const util::Fingerprint game = core::FingerprintGame(base_instance_);
@@ -128,7 +144,7 @@ void Shard::StreamState(util::Serializer& s) {
       std::string tenant;
       s.Str(tenant);
       auto service = std::make_unique<service::AuditService>(
-          base_instance_, service_options_);
+          base_instance_, service_options_, base_game_);
       s.Object(*service);
       if (s.ok()) tenants_.emplace(std::move(tenant), std::move(service));
     }
@@ -184,11 +200,17 @@ util::Status Shard::Recover() {
   return util::OkStatus();
 }
 
+const service::AuditService* Shard::tenant(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  const auto it = tenants_.find(name);
+  return it == tenants_.end() ? nullptr : it->second.get();
+}
+
 service::AuditService* Shard::TenantService(const std::string& tenant) {
   auto it = tenants_.find(tenant);
   if (it != tenants_.end()) return it->second.get();
-  auto service = std::make_unique<service::AuditService>(base_instance_,
-                                                         service_options_);
+  auto service = std::make_unique<service::AuditService>(
+      base_instance_, service_options_, base_game_);
   std::lock_guard<std::mutex> lock(stats_mutex_);
   it = tenants_.emplace(tenant, std::move(service)).first;
   return it->second.get();

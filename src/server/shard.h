@@ -99,9 +99,11 @@ class Shard {
 
   /// `base_instance` seeds every tenant's game: a tenant's AuditService is
   /// created lazily on its first request with a copy of it, then diverges
-  /// through `ingest`. `on_finished` is invoked (on the shard thread) when
-  /// the worker exits after a drain, so the server's poll loop can
-  /// re-evaluate shutdown progress. `queue_capacity` and `max_batch` must
+  /// through `ingest`. The shard compiles `base_instance` once, and every
+  /// tenant shares that compiled game and one copy of `service_options`.
+  /// `on_finished` is invoked (on the shard thread) when the worker exits
+  /// after a drain, so the server's poll loop can re-evaluate shutdown
+  /// progress. `queue_capacity` and `max_batch` must
   /// be at least 1 (AuditServer::Start refuses less).
   Shard(int index, core::GameInstance base_instance,
         service::AuditServiceOptions service_options, size_t queue_capacity,
@@ -164,6 +166,14 @@ class Shard {
 
   ShardPersistence* persistence() const { return persistence_.get(); }
 
+  /// The compiled base game the tenants share; null when the base game
+  /// does not compile (each tenant's cycle then reports why).
+  const core::CompiledGame* base_game() const { return base_game_.get(); }
+
+  /// The tenant's service, or null when the shard has none by that name.
+  /// Same thread contract as StreamState().
+  const service::AuditService* tenant(const std::string& name) const;
+
  private:
   void Run();
   /// Re-parses one WAL payload exactly as the wire path would and applies
@@ -179,7 +189,8 @@ class Shard {
 
   const int index_;
   const core::GameInstance base_instance_;
-  const service::AuditServiceOptions service_options_;
+  const std::shared_ptr<const service::AuditServiceOptions> service_options_;
+  const std::shared_ptr<const core::CompiledGame> base_game_;
   const size_t max_batch_;
   BoundedQueue<ShardTask> queue_;
   Responder responder_;

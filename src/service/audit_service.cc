@@ -13,9 +13,18 @@ namespace auditgame::service {
 
 AuditService::AuditService(core::GameInstance instance,
                            AuditServiceOptions options)
+    : AuditService(
+          std::move(instance),
+          std::make_shared<const AuditServiceOptions>(std::move(options)),
+          nullptr) {}
+
+AuditService::AuditService(core::GameInstance instance,
+                           std::shared_ptr<const AuditServiceOptions> options,
+                           std::shared_ptr<const core::CompiledGame> game)
     : options_(std::move(options)),
       instance_(std::move(instance)),
-      cache_(options_.cache_entries_per_budget * options_.budgets.size()) {}
+      compiled_(std::move(game)),
+      cache_(options_->cache_entries_per_budget * options_->budgets.size()) {}
 
 util::Status AuditService::UpdateAlertDistributions(
     std::vector<prob::CountDistribution> distributions) {
@@ -41,7 +50,7 @@ util::StatusOr<std::vector<double>> AuditService::MixedDetectionForPolicy(
     const CyclePolicy& policy) const {
   ASSIGN_OR_RETURN(core::DetectionModel model,
                    core::DetectionModel::Create(instance_, policy.budget,
-                                                options_.detection_options));
+                                                options_->detection_options));
   return core::MixedDetectionProbabilities(model, policy.result.policy);
 }
 
@@ -58,21 +67,21 @@ double AuditService::MeasureDrift(
 
 solver::EngineRequest AuditService::BaseRequest(double budget) const {
   solver::EngineRequest request;
-  request.solver = options_.solver;
+  request.solver = options_->solver;
   request.instance = &instance_;
   request.budget = budget;
-  request.detection_options = options_.detection_options;
-  request.options = options_.solver_options;
+  request.detection_options = options_->detection_options;
+  request.options = options_->solver_options;
   return request;
 }
 
 const std::vector<util::Fingerprint>& AuditService::RequestKeys() {
   if (!keys_current_) {
     const util::Fingerprint game = core::FingerprintGame(instance_);
-    request_keys_.resize(options_.budgets.size());
-    for (size_t i = 0; i < options_.budgets.size(); ++i) {
+    request_keys_.resize(options_->budgets.size());
+    for (size_t i = 0; i < options_->budgets.size(); ++i) {
       request_keys_[i] =
-          FingerprintRequestForGame(game, BaseRequest(options_.budgets[i]));
+          FingerprintRequestForGame(game, BaseRequest(options_->budgets[i]));
     }
     keys_current_ = true;
   }
@@ -83,20 +92,32 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
   util::Timer timer;
   // Compiling also validates the instance, so an invalid game fails here,
   // before anything hashes it. A failed compile is not kept.
-  if (!compiled_.has_value()) {
-    ASSIGN_OR_RETURN(compiled_, core::Compile(instance_));
+  if (compiled_ == nullptr) {
+    ASSIGN_OR_RETURN(core::CompiledGame compiled, core::Compile(instance_));
+    compiled_ = std::make_shared<const core::CompiledGame>(std::move(compiled));
   }
   CycleReport report;
   report.cycle = ++cycles_run_;
-  report.policies.resize(options_.budgets.size());
+  report.policies.resize(options_->budgets.size());
+
+  // Every baseline this cycle publishes shares one copy of the
+  // distributions, taken when the first one is published.
+  Distributions distributions;
+  const auto snapshot = [&distributions, this] {
+    if (distributions == nullptr) {
+      distributions = std::make_shared<std::vector<prob::CountDistribution>>(
+          instance_.alert_distributions);
+    }
+    return distributions;
+  };
 
   // Pass 1: serve fingerprint hits from the cache; queue the rest. Every
   // request is built before any solve publishes a new warm-start baseline.
   std::vector<size_t> pending;  // the budget slot of each queued solve
   std::vector<solver::EngineRequest> to_solve;
   const std::vector<util::Fingerprint>& keys = RequestKeys();
-  for (size_t i = 0; i < options_.budgets.size(); ++i) {
-    const double budget = options_.budgets[i];
+  for (size_t i = 0; i < options_->budgets.size(); ++i) {
+    const double budget = options_->budgets[i];
     const util::Fingerprint& key = keys[i];
     CyclePolicy& policy = report.policies[i];
     policy.budget = budget;
@@ -109,19 +130,18 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
         last != last_solves_.end() && last->second.key == key;
     policy.drift = last == last_solves_.end() || same_key_baseline
                        ? 0.0
-                       : MeasureDrift(last->second.distributions,
+                       : MeasureDrift(*last->second.distributions,
                                       instance_.alert_distributions);
 
-    if (std::optional<solver::SolveResult> cached = cache_.Lookup(key)) {
+    if (std::shared_ptr<const solver::SolveResult> cached = cache_.Find(key)) {
       policy.source = Source::kCache;
       ++served_from_cache_;
-      policy.result = *std::move(cached);
+      policy.result = *cached;
       // The served policy becomes the drift baseline and warm seed for the
       // next cycle, exactly as if it had been re-solved. A same-key
       // baseline already holds it.
       if (!same_key_baseline) {
-        last_solves_[budget] =
-            LastSolve{instance_.alert_distributions, policy.result, key};
+        last_solves_[budget] = LastSolve{snapshot(), std::move(cached), key};
       }
       continue;
     }
@@ -131,13 +151,13 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
     // documented only-cold-results-cached mode) — without the > 0 guard a
     // zero-drift re-solve after a cache eviction would still warm-start.
     const bool warm = last != last_solves_.end() &&
-                      options_.warm_start_max_drift > 0.0 &&
-                      policy.drift <= options_.warm_start_max_drift;
+                      options_->warm_start_max_drift > 0.0 &&
+                      policy.drift <= options_->warm_start_max_drift;
     if (warm) {
       policy.source = Source::kWarmSolve;
-      request.options.ishm.max_subset_size = options_.warm_subset_cap;
-      request.warm_start.thresholds = last->second.result.thresholds;
-      request.warm_start.orderings = last->second.result.policy.orderings;
+      request.options.ishm.max_subset_size = options_->warm_subset_cap;
+      request.warm_start.thresholds = last->second.result->thresholds;
+      request.warm_start.orderings = last->second.result->policy.orderings;
     } else {
       policy.source = Source::kColdSolve;
     }
@@ -157,9 +177,11 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
     } else {
       ++cold_solves_;
     }
-    cache_.Insert(keys[slot], policy.result);
+    // One shared copy serves the cache entry and the baseline.
+    auto result = std::make_shared<solver::SolveResult>(policy.result);
+    cache_.Insert(keys[slot], result);
     last_solves_[policy.budget] =
-        LastSolve{instance_.alert_distributions, policy.result, keys[slot]};
+        LastSolve{snapshot(), std::move(result), keys[slot]};
   }
 
   report.seconds = timer.ElapsedSeconds();
@@ -207,9 +229,17 @@ void AuditService::StreamState(util::Serializer& s) {
   s.Section("audit_service", 1);
   if (s.reading()) {
     keys_current_ = false;
-    compiled_.reset();
+    core::GameInstance read;
+    s.Object(read);
+    // A shard's tenants read back the adversaries they were built with,
+    // so they go on sharing the shard's compiled game.
+    if (!s.ok() || !core::SameCompileInputs(read, instance_)) {
+      compiled_.reset();
+    }
+    instance_ = std::move(read);
+  } else {
+    s.Object(instance_);
   }
-  s.Object(instance_);
   s.I64(cycles_run_);
   uint64_t num_baselines = last_solves_.size();
   s.U64(num_baselines);
@@ -218,17 +248,26 @@ void AuditService::StreamState(util::Serializer& s) {
     for (uint64_t i = 0; i < num_baselines && s.ok(); ++i) {
       double budget = 0.0;
       s.F64(budget);
-      LastSolve last;
-      s.VecObj(last.distributions);
-      s.Object(last.result);
-      if (s.ok()) last_solves_.emplace(budget, std::move(last));
+      // Restored baselines share nothing until a cycle replaces them.
+      auto distributions =
+          std::make_shared<std::vector<prob::CountDistribution>>();
+      auto result = std::make_shared<solver::SolveResult>();
+      s.VecObj(*distributions);
+      s.Object(*result);
+      if (s.ok()) {
+        last_solves_.emplace(
+            budget, LastSolve{std::move(distributions), std::move(result),
+                              std::nullopt});
+      }
     }
   } else {
+    // Writing reads the shared objects and leaves them unchanged.
     for (auto& [budget, last] : last_solves_) {
       double key = budget;
       s.F64(key);
-      s.VecObj(last.distributions);
-      s.Object(last.result);
+      s.VecObj(const_cast<std::vector<prob::CountDistribution>&>(
+          *last.distributions));
+      s.Object(const_cast<solver::SolveResult&>(*last.result));
     }
   }
   s.Object(cache_);

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -125,6 +126,14 @@ class AuditService {
   /// serving configuration.
   AuditService(core::GameInstance instance, AuditServiceOptions options = {});
 
+  /// A service that shares its configuration and compiled game with
+  /// others, as a shard's tenants do. `game` must be core::Compile() of an
+  /// instance with `instance`'s type count and adversaries; null compiles
+  /// on the first cycle, like the form above. `options` must not be null.
+  AuditService(core::GameInstance instance,
+               std::shared_ptr<const AuditServiceOptions> options,
+               std::shared_ptr<const core::CompiledGame> game);
+
   /// Ingests one cycle's refreshed per-type alert-count distributions
   /// (e.g. refit from the day's logs). Everything else about the game is
   /// unchanged. Fails without side effects if the update does not match
@@ -133,16 +142,19 @@ class AuditService {
       std::vector<prob::CountDistribution> distributions);
 
   /// Serves one cycle: a policy per configured budget, from cache where
-  /// the configuration fingerprint is known, re-solved otherwise. The
-  /// first cycle after construction or a state read compiles the game
-  /// (core::Compile, which also validates it); that compiled game serves
-  /// every later cycle, since an ingest changes only the distributions,
-  /// which Compile() does not read. An invalid game or the first failing
-  /// solve aborts the cycle with its status.
+  /// the configuration fingerprint is known, re-solved otherwise. Without
+  /// a compiled game (none was given, or a state read changed the
+  /// adversaries) the cycle first compiles one (core::Compile, which also
+  /// validates the game); that compiled game serves every later cycle,
+  /// since an ingest changes only the distributions, which Compile() does
+  /// not read. An invalid game or the first failing solve aborts the
+  /// cycle with its status.
   util::StatusOr<CycleReport> RunCycle();
 
   const core::GameInstance& instance() const { return instance_; }
-  const AuditServiceOptions& options() const { return options_; }
+  const AuditServiceOptions& options() const { return *options_; }
+  /// The compiled game the next cycle solves on; null until compiled.
+  const core::CompiledGame* compiled_game() const { return compiled_.get(); }
   Stats stats() const;
   PolicyCache::Stats cache_stats() const { return cache_.stats(); }
 
@@ -165,9 +177,11 @@ class AuditService {
   /// Streams the full serving state: the current instance (validated on
   /// read), the cycle number, per-budget warm-start baselines, and the
   /// policy cache. The compiled game is not streamed — it is derived
-  /// state, rebuilt by the next cycle from the instance read — and neither
-  /// are the stats() counters, which count this process's cycles and
-  /// restart with it. Call from the service's single-writer thread.
+  /// state. A read keeps it when the instance read has the same type count
+  /// and adversaries (core::SameCompileInputs); otherwise the next cycle
+  /// compiles the instance read. The stats() counters are not streamed
+  /// either: they count this process's cycles and restart with it. Call
+  /// from the service's single-writer thread.
   void StreamState(util::Serializer& s);
 
  private:
@@ -179,19 +193,26 @@ class AuditService {
   /// instance changes, from one hash of the instance.
   const std::vector<util::Fingerprint>& RequestKeys();
 
+  /// The distributions a cycle's policies were served under, shared by
+  /// every budget's LastSolve that cycle sets.
+  using Distributions =
+      std::shared_ptr<const std::vector<prob::CountDistribution>>;
+
   struct LastSolve {
-    std::vector<prob::CountDistribution> distributions;
-    solver::SolveResult result;
+    Distributions distributions;
+    /// The same object as the PolicyCache entry, while it is cached.
+    std::shared_ptr<const solver::SolveResult> result;
     /// The key `result` was served under; unknown after a restore (keys
     /// are derived state and not streamed).
     std::optional<util::Fingerprint> key;
   };
 
-  AuditServiceOptions options_;
+  std::shared_ptr<const AuditServiceOptions> options_;
   core::GameInstance instance_;
-  /// Compile(instance_), made by the first RunCycle() after construction
-  /// or a state read; empty until then.
-  std::optional<core::CompiledGame> compiled_;
+  /// Compile() of an instance with instance_'s type count and adversaries:
+  /// given at construction or made by the first RunCycle() that finds it
+  /// null.
+  std::shared_ptr<const core::CompiledGame> compiled_;
   PolicyCache cache_;
   /// Previous solved state per budget: warm-start seed + drift baseline.
   std::map<double, LastSolve> last_solves_;

@@ -113,24 +113,37 @@ std::string PolicyCache::ReuseBucketLabel(size_t bucket) {
   return std::to_string(lo) + "-" + std::to_string(2 * lo - 1);
 }
 
-std::optional<solver::SolveResult> PolicyCache::Lookup(
+std::shared_ptr<const solver::SolveResult> PolicyCache::Find(
     const util::Fingerprint& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   size_t position = 0;
-  if (solver::SolveResult* cached = cache_.Lookup(key, &position)) {
+  if (const auto* cached = cache_.Lookup(key, &position)) {
     ++stats_.hits;
     ++stats_.reuse_distance[ReuseBucket(position)];
     return *cached;
   }
   ++stats_.misses;
+  return nullptr;
+}
+
+std::optional<solver::SolveResult> PolicyCache::Lookup(
+    const util::Fingerprint& key) {
+  if (std::shared_ptr<const solver::SolveResult> cached = Find(key)) {
+    return *cached;
+  }
   return std::nullopt;
 }
 
 void PolicyCache::Insert(const util::Fingerprint& key,
-                         solver::SolveResult result) {
+                         std::shared_ptr<const solver::SolveResult> result) {
   std::lock_guard<std::mutex> lock(mutex_);
   cache_.Insert(key, std::move(result));
   ++stats_.insertions;
+}
+
+void PolicyCache::Insert(const util::Fingerprint& key,
+                         solver::SolveResult result) {
+  Insert(key, std::make_shared<solver::SolveResult>(std::move(result)));
 }
 
 PolicyCache::Stats PolicyCache::stats() const {
@@ -166,9 +179,9 @@ void PolicyCache::StreamState(util::Serializer& s) {
     cache_.Clear();
     for (uint64_t i = 0; i < count; ++i) {
       util::Fingerprint key;
-      solver::SolveResult result;
+      auto result = std::make_shared<solver::SolveResult>();
       s.Object(key);
-      s.Object(result);
+      s.Object(*result);
       if (!s.ok()) return;
       // Oldest-first re-insertion reproduces the recency list; count never
       // exceeds capacity (checked above), so nothing evicts here.
@@ -176,10 +189,12 @@ void PolicyCache::StreamState(util::Serializer& s) {
     }
   } else if (s.ok()) {
     cache_.ForEachOldestFirst(
-        [&s](const util::Fingerprint& key, const solver::SolveResult& result) {
+        [&s](const util::Fingerprint& key,
+             const std::shared_ptr<const solver::SolveResult>& result) {
           util::Fingerprint k = key;
           s.Object(k);
-          s.Object(const_cast<solver::SolveResult&>(result));
+          // Writing reads the result and leaves it unchanged.
+          s.Object(const_cast<solver::SolveResult&>(*result));
         });
   }
 }

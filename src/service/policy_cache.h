@@ -4,6 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -47,7 +48,8 @@ util::Fingerprint FingerprintRequestForGame(
 /// thread; the lock lets another thread (a server's stats refresh) read
 /// stats() while the owner serves. Each distinct
 /// configuration is solved once and then served from memory until
-/// evicted.
+/// evicted. Entries are immutable and shared: the service's warm-start
+/// baselines point at the same result objects.
 class PolicyCache {
  public:
   /// Hit counts by reuse distance come in kReuseBuckets power-of-two
@@ -78,13 +80,18 @@ class PolicyCache {
   PolicyCache(const PolicyCache&) = delete;
   PolicyCache& operator=(const PolicyCache&) = delete;
 
-  /// Returns a copy of the cached result (copies are cheap next to a solve
-  /// and let the caller use it without holding the lock), refreshing the
-  /// entry's recency and counting the hit's reuse distance. std::nullopt
-  /// on miss.
+  /// Returns the cached result, refreshing the entry's recency and
+  /// counting the hit's reuse distance; null on miss. The result is
+  /// immutable, so the caller may keep it without holding the lock.
+  std::shared_ptr<const solver::SolveResult> Find(
+      const util::Fingerprint& key);
+
+  /// Find(), as a copy of the result.
   std::optional<solver::SolveResult> Lookup(const util::Fingerprint& key);
 
   /// Inserts or overwrites the entry for `key`.
+  void Insert(const util::Fingerprint& key,
+              std::shared_ptr<const solver::SolveResult> result);
   void Insert(const util::Fingerprint& key, solver::SolveResult result);
 
   Stats stats() const;
@@ -101,7 +108,8 @@ class PolicyCache {
 
  private:
   mutable std::mutex mutex_;
-  util::LruCache<util::Fingerprint, solver::SolveResult> cache_;
+  util::LruCache<util::Fingerprint, std::shared_ptr<const solver::SolveResult>>
+      cache_;
   Stats stats_;
 };
 

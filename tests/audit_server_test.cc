@@ -8,6 +8,8 @@
 #include "server/audit_server.h"
 
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <memory>
@@ -590,6 +592,11 @@ TEST(AuditServerStartTest, ValuesBelowOneAreRefused) {
       {"cache_entries_per_budget",
        [](AuditServerOptions& o) { o.service.cache_entries_per_budget = 0; }},
       {"budgets", [](AuditServerOptions& o) { o.service.budgets.clear(); }},
+      {"snapshots_to_keep",
+       [](AuditServerOptions& o) {
+         o.durability.data_dir = "refused_before_use";
+         o.durability.snapshots_to_keep = 0;
+       }},
   };
   for (const auto& [name, zero] : zeroes) {
     AuditServerOptions options;
@@ -598,6 +605,86 @@ TEST(AuditServerStartTest, ValuesBelowOneAreRefused) {
     AuditServer server(*instance, options);
     EXPECT_EQ(server.Start().code(), util::StatusCode::kInvalidArgument)
         << name;
+  }
+}
+
+// Every tenant of a shard shares the shard's compiled game, and so does
+// every tenant of a recovered shard: one restored from a snapshot (the
+// state read keeps the shared game) and one rebuilt by WAL replay.
+TEST(ShardSharedGameTest, RecoveredTenantsShareTheShardGame) {
+  auto spec = scenario::SpecByName("uniform");
+  ASSERT_TRUE(spec.ok());
+  spec->num_types = 4;
+  auto instance = scenario::Generate(*spec);
+  ASSERT_TRUE(instance.ok());
+  service::AuditServiceOptions options;
+  options.budgets = {6.0};
+  options.solver_options.ishm.step_size = 0.25;
+  const std::vector<std::string> tenants = {"t0", "t1", "t2", "t3", "t4"};
+  const auto no_respond = [](std::vector<Shard::Response>) {};
+  const auto expect_shared = [&tenants](const Shard& shard) {
+    ASSERT_NE(shard.base_game(), nullptr);
+    for (const std::string& name : tenants) {
+      const service::AuditService* tenant = shard.tenant(name);
+      ASSERT_NE(tenant, nullptr) << name;
+      EXPECT_EQ(tenant->compiled_game(), shard.base_game()) << name;
+    }
+  };
+  for (const bool snapshot_on_drain : {true, false}) {
+    SCOPED_TRACE(snapshot_on_drain ? "snapshot" : "WAL replay");
+    const std::string data_dir = "shard_shared_game_data";
+    const std::string shard_dir = ShardPersistence::ShardDir(data_dir, 0);
+    const auto remove_data = [&] {
+      for (const char* prefix : {"snapshot-", "wal-"}) {
+        const char* suffix = prefix[0] == 's' ? ".snap" : ".wal";
+        for (const std::string& name :
+             ListNumberedFiles(shard_dir, prefix, suffix)) {
+          ::unlink((shard_dir + "/" + name).c_str());
+        }
+      }
+      ::rmdir(shard_dir.c_str());
+      ::rmdir(data_dir.c_str());
+    };
+    remove_data();
+    DurabilityOptions durability;
+    durability.data_dir = data_dir;
+    durability.wal_sync = WalSync::kNone;
+    durability.snapshot_every_records = 0;
+    durability.snapshot_interval_seconds = 0;
+    durability.snapshot_on_drain = snapshot_on_drain;
+    {
+      Shard shard(0, *instance, options, /*queue_capacity=*/64,
+                  /*max_batch=*/4, no_respond, nullptr,
+                  std::make_unique<ShardPersistence>(0, durability));
+      ASSERT_TRUE(shard.Recover().ok());
+      shard.Start();
+      int64_t id = 0;
+      for (const std::string& name : tenants) {
+        for (const std::string& payload :
+             {MakeIngestRequest(id, name, instance->alert_distributions),
+              MakeSolveCycleRequest(id + 1, name)}) {
+          auto doc = util::JsonValue::Parse(payload);
+          ASSERT_TRUE(doc.ok()) << doc.status();
+          auto request = ParseRequest(*doc);
+          ASSERT_TRUE(request.ok()) << request.status();
+          ASSERT_TRUE(shard.TrySubmit(ShardTask{1, *std::move(request),
+                                                payload}));
+        }
+        id += 2;
+      }
+      shard.BeginDrain();
+      shard.Join();
+      expect_shared(shard);
+    }
+    Shard recovered(0, *instance, options, /*queue_capacity=*/64,
+                    /*max_batch=*/4, no_respond, nullptr,
+                    std::make_unique<ShardPersistence>(0, durability));
+    const util::Status status = recovered.Recover();
+    ASSERT_TRUE(status.ok()) << status;
+    EXPECT_EQ(recovered.persistence()->Stats().recovery_replayed,
+              snapshot_on_drain ? 0u : 2 * tenants.size());
+    expect_shared(recovered);
+    remove_data();
   }
 }
 

@@ -1,6 +1,9 @@
 #include "service/audit_service.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -410,6 +413,147 @@ TEST(AuditServiceTest, DefaultCacheServesWhatAnUnboundedCacheServes) {
       EXPECT_EQ(sized_stats.reuse_distance, unbounded_stats.reuse_distance);
     }
   }
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// Expects `a` and `b` to serve the same source, objective bits and
+/// thresholds at every budget.
+void ExpectSameServing(const AuditService::CycleReport& a,
+                       const AuditService::CycleReport& b) {
+  ASSERT_EQ(a.policies.size(), b.policies.size());
+  for (size_t i = 0; i < a.policies.size(); ++i) {
+    const AuditService::CyclePolicy& x = a.policies[i];
+    const AuditService::CyclePolicy& y = b.policies[i];
+    EXPECT_EQ(x.source, y.source) << "budget " << x.budget;
+    EXPECT_EQ(Bits(x.result.objective), Bits(y.result.objective))
+        << "budget " << x.budget;
+    EXPECT_EQ(x.result.thresholds, y.result.thresholds)
+        << "budget " << x.budget;
+  }
+}
+
+// A shard's tenants share one compiled game and one options object. Each
+// must serve what a standalone service, which compiles its own game, serves
+// on the same stream: the same source, objective bits and thresholds.
+TEST(AuditServiceSharedGameTest, TenantsServeWhatStandaloneServicesServe) {
+  scenario::ScenarioSpec spec;
+  spec.num_types = 5;
+  const auto game = scenario::Generate(spec);
+  ASSERT_TRUE(game.ok()) << game.status();
+  AuditServiceOptions options;
+  options.budgets = {6.0, 10.0};
+  options.solver_options.ishm.step_size = 0.25;
+  auto shared_options = std::make_shared<const AuditServiceOptions>(options);
+  auto compiled = core::Compile(*game);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto shared_game =
+      std::make_shared<const core::CompiledGame>(*std::move(compiled));
+  constexpr int kCycles = 60;
+  constexpr int kPolls = 5;
+  constexpr int kTenants = 2;
+  for (const scenario::StreamKind kind :
+       {scenario::StreamKind::kJitter, scenario::StreamKind::kRandomWalk,
+        scenario::StreamKind::kSeasonal}) {
+    SCOPED_TRACE("stream " + std::to_string(static_cast<int>(kind)));
+    std::vector<std::unique_ptr<AuditService>> tenants;
+    std::vector<std::unique_ptr<AuditService>> standalone;
+    std::vector<scenario::ScenarioStream> streams;
+    for (int t = 0; t < kTenants; ++t) {
+      tenants.push_back(
+          std::make_unique<AuditService>(*game, shared_options, shared_game));
+      standalone.push_back(std::make_unique<AuditService>(*game, options));
+      scenario::StreamSpec stream_spec;
+      stream_spec.kind = kind;
+      stream_spec.seed = static_cast<uint64_t>(t + 1);
+      streams.emplace_back(game->alert_distributions, stream_spec);
+    }
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      for (int t = 0; t < kTenants; ++t) {
+        SCOPED_TRACE("tenant " + std::to_string(t) + ", cycle " +
+                     std::to_string(cycle));
+        if (cycle > 0) {
+          const auto next = streams[t].Next();
+          ASSERT_TRUE(next.ok()) << next.status();
+          ASSERT_TRUE(tenants[t]->UpdateAlertDistributions(*next).ok());
+          ASSERT_TRUE(standalone[t]->UpdateAlertDistributions(*next).ok());
+        }
+        for (int poll = 0; poll < kPolls; ++poll) {
+          const auto a = tenants[t]->RunCycle();
+          const auto b = standalone[t]->RunCycle();
+          ASSERT_TRUE(a.ok()) << a.status();
+          ASSERT_TRUE(b.ok()) << b.status();
+          ExpectSameServing(*a, *b);
+        }
+      }
+    }
+    for (int t = 0; t < kTenants; ++t) {
+      EXPECT_EQ(tenants[t]->compiled_game(), shared_game.get());
+      EXPECT_NE(standalone[t]->compiled_game(), shared_game.get());
+      EXPECT_GT(tenants[t]->stats().warm_solves, 0);
+    }
+  }
+}
+
+// A state read keeps a shared compiled game only when the instance read
+// has the same adversaries. A tenant that reads other adversaries compiles
+// its own game and serves what the service that wrote the state serves.
+TEST(AuditServiceSharedGameTest, RestoredOtherAdversariesCompileTheirOwnGame) {
+  const core::GameInstance base = testutil::MakeMediumGame();
+  core::GameInstance other = base;
+  other.adversaries[0].victims[0].benefit += 1.0;
+  ASSERT_FALSE(core::SameCompileInputs(base, other));
+  auto shared_options =
+      std::make_shared<const AuditServiceOptions>(FastOptions());
+  auto compiled = core::Compile(base);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto shared_game =
+      std::make_shared<const core::CompiledGame>(*std::move(compiled));
+  const auto write_state = [](AuditService& service) {
+    util::Serializer w = util::Serializer::Writer();
+    service.StreamState(w);
+    EXPECT_TRUE(w.ok()) << w.status();
+    return w.TakeBuffer();
+  };
+  const auto read_state = [](AuditService& service, const std::string& bytes) {
+    util::Serializer r = util::Serializer::Reader(bytes);
+    service.StreamState(r);
+    r.ExpectExhausted();
+    ASSERT_TRUE(r.ok()) << r.status();
+  };
+
+  // Same adversaries: the read keeps the shared game.
+  AuditService writer_on_base(base, FastOptions());
+  ASSERT_TRUE(writer_on_base.RunCycle().ok());
+  AuditService same(base, shared_options, shared_game);
+  read_state(same, write_state(writer_on_base));
+  EXPECT_EQ(same.compiled_game(), shared_game.get());
+
+  // Other adversaries: the read drops it, and the next cycle compiles the
+  // instance read.
+  AuditService fresh(other, FastOptions());
+  ASSERT_TRUE(fresh.RunCycle().ok());
+  AuditService tenant(base, shared_options, shared_game);
+  read_state(tenant, write_state(fresh));
+  EXPECT_EQ(tenant.compiled_game(), nullptr);
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    SCOPED_TRACE("cycle " + std::to_string(cycle));
+    const auto drifted = Perturb(other.alert_distributions, 0.05 * cycle);
+    ASSERT_TRUE(tenant.UpdateAlertDistributions(drifted).ok());
+    ASSERT_TRUE(fresh.UpdateAlertDistributions(drifted).ok());
+    const auto a = tenant.RunCycle();
+    const auto b = fresh.RunCycle();
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    ExpectSameServing(*a, *b);
+  }
+  EXPECT_GT(tenant.stats().warm_solves + tenant.stats().cold_solves, 0);
+  EXPECT_NE(tenant.compiled_game(), nullptr);
+  EXPECT_NE(tenant.compiled_game(), shared_game.get());
 }
 
 // Durable snapshots store this fingerprint and recovery refuses a data dir

@@ -67,6 +67,19 @@ class BenchCompareTest(unittest.TestCase):
                              {"tenant_state_bytes": 16308})
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
+    def test_heap_bytes_growth_fails(self):
+        # A per-tenant copy of the shared compiled game (3,392 bytes) is
+        # well past the 25% allowance on a tenant's heap.
+        result = run_compare({"tenant_heap_bytes": 7452},
+                             {"tenant_heap_bytes": 10844})
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("tenant_heap_bytes", result.stdout)
+
+    def test_heap_bytes_shrink_passes(self):
+        result = run_compare({"tenant_heap_bytes": 12968},
+                             {"tenant_heap_bytes": 7452})
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
     def test_timing_skipped_without_gate_timing(self):
         result = run_compare({"wall_seconds": 0.1}, {"wall_seconds": 10.0})
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)

@@ -527,6 +527,85 @@ TEST(ShardPersistenceTest, SegmentsRotateAndPrune) {
   EXPECT_EQ(persistence.next_lsn(), 33u);
 }
 
+// The prune step keeps the LSN of the snapshot recovery restored: after
+// one more snapshot lands, that one is the oldest retained, and falling
+// back to it must still find every WAL record past its LSN.
+TEST(ShardPersistenceTest, RecoveredSnapshotKeepsTheWalItNeeds) {
+  TempDir dir("persist_keep_after_recovery");
+  DurabilityOptions options = TestOptions(dir.path());
+  options.wal_segment_bytes = 256;  // several segments per snapshot
+  const std::string shard_dir = ShardPersistence::ShardDir(dir.path(), 0);
+  const auto append = [](ShardPersistence& persistence, int first, int last) {
+    for (int lsn = first; lsn <= last; ++lsn) {
+      ASSERT_TRUE(persistence
+                      .AppendWal("payload-payload-payload-" +
+                                 std::to_string(lsn))
+                      .ok());
+      ASSERT_TRUE(persistence.CommitBatch().ok());
+    }
+  };
+  const auto recover = [](ShardPersistence& persistence, std::string* body,
+                          int* replayed) {
+    return persistence.Recover(
+        [body](const SnapshotContents& snapshot) {
+          *body = snapshot.body;
+          return util::OkStatus();
+        },
+        [replayed](const WalRecord&) {
+          ++*replayed;
+          return util::OkStatus();
+        });
+  };
+  {
+    ShardPersistence persistence(0, options);
+    std::string body;
+    int replayed = 0;
+    ASSERT_TRUE(recover(persistence, &body, &replayed).ok());
+    append(persistence, 1, 16);
+    ASSERT_TRUE(persistence.FinalSnapshot("through-16", 16).ok());
+    append(persistence, 17, 32);
+  }
+  {
+    ShardPersistence persistence(0, options);
+    std::string body;
+    int replayed = 0;
+    ASSERT_TRUE(recover(persistence, &body, &replayed).ok());
+    EXPECT_EQ(body, "through-16");
+    EXPECT_EQ(replayed, 16);
+    append(persistence, 33, 48);
+    ASSERT_TRUE(persistence.FinalSnapshot("through-48", 48).ok());
+  }
+  const std::vector<std::string> snapshots =
+      ListNumberedFiles(shard_dir, "snapshot-", ".snap");
+  ASSERT_EQ(snapshots.size(), 2u);
+  // The segments wholly below LSN 17 were pruned.
+  const std::vector<std::string> segments =
+      ListNumberedFiles(shard_dir, "wal-", ".wal");
+  ASSERT_FALSE(segments.empty());
+  EXPECT_NE(segments.front(), "wal-00000000000000000001.wal");
+
+  // Tear the newest snapshot: recovery falls back to the older one and
+  // replays LSNs 17-48 from the segments the prune kept.
+  const std::string newest = shard_dir + "/" + snapshots.back();
+  std::string torn = ReadFile(newest);
+  torn.back() ^= 0x01;
+  WriteFile(newest, torn);
+  ShardPersistence persistence(0, options);
+  std::string body;
+  int replayed = 0;
+  const util::Status recovered = recover(persistence, &body, &replayed);
+  ASSERT_TRUE(recovered.ok()) << recovered;
+  EXPECT_EQ(body, "through-16");
+  EXPECT_EQ(replayed, 32);
+  EXPECT_EQ(persistence.next_lsn(), 49u);
+}
+
+TEST(ShardPersistenceDeathTest, ZeroSnapshotsToKeepIsRefused) {
+  DurabilityOptions options = TestOptions("persist_never_created");
+  options.snapshots_to_keep = 0;
+  EXPECT_DEATH(ShardPersistence(0, options), "snapshots_to_keep");
+}
+
 TEST(ShardPersistenceTest, CorruptNonFinalSegmentRefusesRecovery) {
   TempDir dir("persist_midcorrupt");
   DurabilityOptions options = TestOptions(dir.path());

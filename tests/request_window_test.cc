@@ -367,6 +367,19 @@ TEST_P(WindowAgainstPeerTest, ReportsUnknownIdsAndGarbageWithoutPairing) {
   EXPECT_EQ(done[2].response.status, Status::kOk);
 }
 
+TEST(RequestWindowDeathTest, ZeroWindowIsRefused) {
+  // A listener's backlog completes the connect; nothing needs to accept.
+  auto listener = net::ListenTcp("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto port = net::LocalPort(*listener);
+  ASSERT_TRUE(port.ok()) << port.status();
+  auto client = RequestWindow::Dial({"127.0.0.1", *port}, 10000);
+  ASSERT_TRUE(client.ok()) << client.status();
+  RequestWindowOptions options;
+  options.window = 0;
+  EXPECT_DEATH(RequestWindow(*client, options), "window");
+}
+
 // --- not-applied sit-out -------------------------------------------------
 
 TEST_P(WindowAgainstPeerTest, SitOutDoesNotBlockTheWindowAndRetriesRunOut) {

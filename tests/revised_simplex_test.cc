@@ -74,6 +74,22 @@ TEST(RevisedSimplexTest, SimpleTwoVariableMin) {
   EXPECT_TRUE(CheckOptimality(model, result.solution).ok());
 }
 
+TEST(RevisedSimplexTest, RefactorIntervalBelowOneIsRefused) {
+  LpModel model;
+  const int x = model.AddVariable(-1.0, 0.0, 3.0);
+  const int row = model.AddConstraint(Sense::kLessEqual, 2.0);
+  model.AddCoefficient(row, x, 1.0);
+  RevisedSimplex::Options options;
+  options.refactor_interval = 0;
+  const auto refused = RevisedSimplex::Solve(model, options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), util::StatusCode::kInvalidArgument);
+  options.refactor_interval = 1;
+  const auto solved = RevisedSimplex::Solve(model, options);
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  EXPECT_NEAR(solved->solution.objective, -2.0, 1e-9);
+}
+
 TEST(RevisedSimplexTest, EqualityAndFreeVariable) {
   // min u s.t. u >= 3 - x, u >= x - 1, 0 <= x <= 10, u free.
   LpModel model;

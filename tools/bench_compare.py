@@ -19,8 +19,8 @@ Metrics are classified by key name:
   better; exact-zero baselines get a small absolute
   floor (an occasional one-off allocation in a thousand solves is not a
   regression);
-* ``*state_bytes*`` — deterministic sizes of serialized state (a
-  tenant's snapshot bytes), lower is better;
+* ``*state_bytes*`` / ``*heap_bytes*`` — deterministic sizes of what a
+  tenant keeps (its snapshot bytes, its live heap), lower is better;
 * ``*seconds*`` / ``*speedup*`` — wall-clock measurements: machine- and
   noise-dependent (sub-millisecond cases swing far more than 25% between
   identical runs), so they are skipped unless --gate-timing is passed.
@@ -61,7 +61,7 @@ def classify(key):
         return "higher"
     if "alloc" in k or "heap_block" in k:
         return "lower"
-    if "state_bytes" in k:
+    if "state_bytes" in k or "heap_bytes" in k:
         return "lower"
     if "iterations" in k or "lp_solves" in k or "gap" in k:
         return "lower"

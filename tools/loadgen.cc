@@ -47,6 +47,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -353,9 +354,8 @@ int Run(int argc, char** argv) {
                "stream RNG seed (tenant i uses stream_seed + i)");
   flags.Define("json", "", "BENCH_server.json output path (empty = none)");
   // In-process-server configuration, the audit_server's own flags. With
-  // --connect only the reported `shards` label is taken from here — pass
-  // the external server's real value so the BENCH report describes the
-  // right topology.
+  // --connect none of them apply: the report's `shards` comes from the
+  // target's `stats` reply.
   server::DefineAuditServerFlags(flags);
   flags.Define("reactors", "1", "in-process server: reactor IO threads");
   auto status = flags.Parse(argc, argv);
@@ -400,9 +400,17 @@ int Run(int argc, char** argv) {
   auto reactors = flags.GetIntAtLeast("reactors", 1);
   auto tenants_flag = flags.GetIntAtLeast("tenants", 1);
   auto connections_flag = flags.GetIntAtLeast("connections", 1);
+  auto cycles = flags.GetIntAtLeast("cycles", 1);
+  auto retries = flags.GetIntAtLeast("retries", 0);
+  auto retry_backoff_ms = flags.GetIntAtLeast("retry_backoff_ms", 0);
+  auto timeout_ms = flags.GetIntAtLeast("timeout_ms", 0);
+  auto revisit = flags.GetIntAtLeast("revisit", 0);
+  auto season = flags.GetIntAtLeast("season", 1);
   for (const util::Status& parsed :
        {solves_per_cycle.status(), window.status(), reconnects.status(),
-        reactors.status(), tenants_flag.status(), connections_flag.status()}) {
+        reactors.status(), tenants_flag.status(), connections_flag.status(),
+        cycles.status(), retries.status(), retry_backoff_ms.status(),
+        timeout_ms.status(), revisit.status(), season.status()}) {
     if (!parsed.ok()) {
       std::cerr << parsed << "\n";
       return 1;
@@ -417,18 +425,18 @@ int Run(int argc, char** argv) {
   }
 
   WorkerConfig config;
-  config.cycles = flags.GetInt("cycles");
+  config.cycles = *cycles;
   config.solves_per_cycle = *solves_per_cycle;
   config.binary = encoding == "binary";
   config.window.window = *window;
-  config.window.max_retries = flags.GetInt("retries");
-  config.window.retry_backoff_ms = flags.GetInt("retry_backoff_ms");
+  config.window.max_retries = *retries;
+  config.window.retry_backoff_ms = *retry_backoff_ms;
   config.window.reconnects = *reconnects;
-  config.window.timeout_ms = flags.GetInt("timeout_ms");
+  config.window.timeout_ms = *timeout_ms;
   config.stream_spec.kind = *stream_kind;
   config.stream_spec.drift_amplitude = flags.GetDouble("drift");
-  config.stream_spec.revisit_period = flags.GetInt("revisit");
-  config.stream_spec.season_period = flags.GetInt("season");
+  config.stream_spec.revisit_period = *revisit;
+  config.stream_spec.season_period = *season;
   config.stream_spec.seed = static_cast<uint64_t>(flags.GetInt("stream_seed"));
 
   // Targets: external servers/routers, or an in-process server on an
@@ -499,6 +507,7 @@ int Run(int argc, char** argv) {
   // One stats round trip for the server-side view (queue depths, batches,
   // per-shard tenancy) before tearing anything down.
   std::string server_stats;
+  std::optional<int> server_shards;
   if (auto client = net::FrameClient::Connect(targets[0].host,
                                               targets[0].port, 2000);
       client.ok()) {
@@ -506,6 +515,11 @@ int Run(int argc, char** argv) {
     if (auto reply = client->Call(server::MakeStatsRequest(0)); reply.ok()) {
       if (auto doc = util::JsonValue::Parse(*reply); doc.ok()) {
         server_stats = doc->Dump(2);
+        if (const util::JsonValue* server = doc->Find("server")) {
+          if (auto shards = server->GetNumber("shards"); shards.ok()) {
+            server_shards = static_cast<int>(*shards);
+          }
+        }
       }
     }
   }
@@ -595,7 +609,13 @@ int Run(int argc, char** argv) {
     summary["connections"] = connections;
     summary["window"] = config.window.window;
     summary["encoding"] = encoding;
-    summary["shards"] = flags.GetInt("shards");
+    // An external target that reports no shard count (a router) leaves
+    // the field out.
+    if (connect.empty()) {
+      summary["shards"] = flags.GetInt("shards");
+    } else if (server_shards.has_value()) {
+      summary["shards"] = *server_shards;
+    }
     summary["scenario"] = flags.GetString("scenario");
     summary["stream"] = flags.GetString("stream");
     summary["requests_total"] = static_cast<double>(total.requests);
