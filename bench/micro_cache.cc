@@ -25,7 +25,10 @@
 //
 // A fourth case measures the heap a tenant keeps on the served path: the
 // live bytes a server::Shard holds per tenant after each of kHeapTenants
-// tenants served one cold cycle. Gated too, so a per-tenant copy of what
+// tenants served one cold cycle, once for tenants that never ingest
+// (tenant_heap_bytes) and once for tenants that first ingest their own
+// jittered distributions (ingested_tenant_heap_bytes, the shape of a new
+// tenant in a live deployment). Gated too, so a per-tenant copy of what
 // the shard's tenants share cannot come back unnoticed.
 //
 // Measured numbers land in BENCH_cache.json so the cold/warm trajectory is
@@ -103,11 +106,12 @@ util::StatusOr<size_t> MeasureTenantStateBytes() {
 }
 
 /// Live heap bytes per tenant that one server::Shard keeps after each of
-/// kHeapTenants tenants served one cold cycle. Requests go one at a time,
+/// kHeapTenants tenants served one cold cycle, each after ingesting its own
+/// jittered distributions when `ingest` is set. Requests go one at a time,
 /// so the shard's queue and latency window grow the same way in every run
 /// (the window's 64 samples add 8 bytes per tenant), and the shard thread
 /// has exited, freeing its solver scratch, before the second reading.
-util::StatusOr<double> MeasureTenantHeapBytes() {
+util::StatusOr<double> MeasureTenantHeapBytes(bool ingest) {
   ASSIGN_OR_RETURN(core::GameInstance instance, ServedGame());
   // One cycle first, so process-wide state built on first use is not
   // counted.
@@ -115,6 +119,8 @@ util::StatusOr<double> MeasureTenantHeapBytes() {
     service::AuditService warmup(instance, ServedOptions());
     RETURN_IF_ERROR(warmup.RunCycle().status());
   }
+  const std::vector<prob::CountDistribution> baseline =
+      instance.alert_distributions;
   std::mutex mutex;
   std::condition_variable answered_cv;
   int answered = 0;
@@ -127,19 +133,36 @@ util::StatusOr<double> MeasureTenantHeapBytes() {
         answered_cv.notify_one();
       },
       nullptr);
+  util::Rng rng(7);
   const int64_t before = bench::HeapLiveBytes();
   shard.Start();
-  for (int i = 0; i < kHeapTenants; ++i) {
-    server::ShardTask task;
-    task.request.verb = server::Verb::kSolveCycle;
-    task.request.tenant = "tenant-" + std::to_string(i);
-    task.request.id = i;
+  int64_t id = 0;
+  const auto submit = [&](server::ShardTask task) -> util::Status {
+    task.request.id = id++;
     task.request.binary = true;
     if (!shard.TrySubmit(std::move(task))) {
       return util::InternalError("the shard refused a request");
     }
     std::unique_lock<std::mutex> lock(mutex);
-    answered_cv.wait(lock, [&] { return answered == i + 1; });
+    answered_cv.wait(lock, [&] { return answered == id; });
+    return util::OkStatus();
+  };
+  for (int i = 0; i < kHeapTenants; ++i) {
+    server::ShardTask task;
+    task.request.tenant = "tenant-" + std::to_string(i);
+    if (ingest) {
+      server::ShardTask ingest_task;
+      ingest_task.request.verb = server::Verb::kIngest;
+      ingest_task.request.tenant = task.request.tenant;
+      for (const prob::CountDistribution& dist : baseline) {
+        ASSIGN_OR_RETURN(prob::CountDistribution jittered,
+                         prob::JitterPmf(dist, 0.05, rng));
+        ingest_task.request.distributions.push_back(std::move(jittered));
+      }
+      RETURN_IF_ERROR(submit(std::move(ingest_task)));
+    }
+    task.request.verb = server::Verb::kSolveCycle;
+    RETURN_IF_ERROR(submit(std::move(task)));
   }
   shard.BeginDrain();
   shard.Join();
@@ -319,9 +342,15 @@ int Run(int argc, char** argv) {
     std::cerr << state_bytes.status() << "\n";
     return 1;
   }
-  const util::StatusOr<double> heap_bytes = MeasureTenantHeapBytes();
+  const util::StatusOr<double> heap_bytes = MeasureTenantHeapBytes(false);
   if (!heap_bytes.ok()) {
     std::cerr << heap_bytes.status() << "\n";
+    return 1;
+  }
+  const util::StatusOr<double> ingested_heap_bytes =
+      MeasureTenantHeapBytes(true);
+  if (!ingested_heap_bytes.ok()) {
+    std::cerr << ingested_heap_bytes.status() << "\n";
     return 1;
   }
 
@@ -345,8 +374,9 @@ int Run(int argc, char** argv) {
             << "\n";
   std::cout << "# live heap per shard tenant after one cold cycle, same "
                "setting\n";
-  std::cout << "tenants,tenant_heap_bytes\n";
-  std::cout << kHeapTenants << "," << *heap_bytes << "\n";
+  std::cout << "tenants,tenant_heap_bytes,ingested_tenant_heap_bytes\n";
+  std::cout << kHeapTenants << "," << *heap_bytes << ","
+            << *ingested_heap_bytes << "\n";
 
   const std::string json_path = flags.GetString("json");
   if (!json_path.empty()) {
@@ -365,6 +395,7 @@ int Run(int argc, char** argv) {
     report["cache_hit_cycle_us"] = hits->cycle_us;
     report["tenant_state_bytes"] = static_cast<double>(*state_bytes);
     report["tenant_heap_bytes"] = *heap_bytes;
+    report["ingested_tenant_heap_bytes"] = *ingested_heap_bytes;
     std::ofstream out(json_path);
     if (!out) {
       std::cerr << "cannot write " << json_path << "\n";

@@ -76,12 +76,17 @@ std::vector<int> Envelope(const std::vector<VictimProfile>& victims) {
 }  // namespace
 
 util::Status GameInstance::Validate() const {
+  return ValidateWith(alert_distributions);
+}
+
+util::Status GameInstance::ValidateWith(
+    const std::vector<prob::CountDistribution>& distributions) const {
   const int t = num_types();
   if (t == 0) return util::InvalidArgumentError("no alert types");
   if (static_cast<int>(type_names.size()) != t) {
     return util::InvalidArgumentError("type_names size mismatch");
   }
-  if (static_cast<int>(alert_distributions.size()) != t) {
+  if (static_cast<int>(distributions.size()) != t) {
     return util::InvalidArgumentError("alert_distributions size mismatch");
   }
   for (double c : audit_costs) {
@@ -195,6 +200,16 @@ bool SameCompileInputs(const GameInstance& a, const GameInstance& b) {
          std::equal(a.adversaries.begin(), a.adversaries.end(),
                     b.adversaries.begin(), b.adversaries.end(),
                     same_adversary);
+}
+
+bool SameFixedParts(const GameInstance& a, const GameInstance& b) {
+  const auto same_bits = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  };
+  return a.type_names == b.type_names &&
+         std::equal(a.audit_costs.begin(), a.audit_costs.end(),
+                    b.audit_costs.begin(), b.audit_costs.end(), same_bits) &&
+         SameCompileInputs(a, b);
 }
 
 UtilityRows::UtilityRows(const CompiledGame& game)

@@ -60,6 +60,10 @@ struct GameInstance {
 
   /// Checks internal consistency (sizes, probability ranges, positivity).
   util::Status Validate() const;
+  /// Validate() of this instance with `distributions` in place of
+  /// alert_distributions.
+  util::Status ValidateWith(
+      const std::vector<prob::CountDistribution>& distributions) const;
 
   void StreamState(util::Serializer& s);
 };
@@ -109,6 +113,10 @@ util::StatusOr<CompiledGame> Compile(const GameInstance& instance);
 /// True when `a` and `b` have the same type count and bitwise equal
 /// adversaries, so Compile() of either serves both.
 bool SameCompileInputs(const GameInstance& a, const GameInstance& b);
+
+/// True when `a` and `b` differ at most in their alert distributions: the
+/// same type names, bitwise equal audit costs and SameCompileInputs().
+bool SameFixedParts(const GameInstance& a, const GameInstance& b);
 
 /// The envelope victims' utilities as one linear form in Pal. Row r is the
 /// r-th envelope victim, groups in order and each group's envelope

@@ -183,21 +183,27 @@ util::StatusOr<GameInstance> ParseGame(const std::string& json_text) {
 }
 
 util::Fingerprint FingerprintGame(const GameInstance& instance) {
+  return FingerprintGame(instance, instance.alert_distributions);
+}
+
+util::Fingerprint FingerprintGame(
+    const GameInstance& base,
+    const std::vector<prob::CountDistribution>& alert_distributions) {
   util::FingerprintBuilder fp;
-  fp.AppendI64(instance.num_types());
-  for (int t = 0; t < instance.num_types(); ++t) {
+  fp.AppendI64(base.num_types());
+  for (int t = 0; t < base.num_types(); ++t) {
     const auto st = static_cast<size_t>(t);
-    fp.AppendString(instance.type_names[st]);
-    fp.AppendDouble(instance.audit_costs[st]);
-    const prob::CountDistribution& dist = instance.alert_distributions[st];
+    fp.AppendString(base.type_names[st]);
+    fp.AppendDouble(base.audit_costs[st]);
+    const prob::CountDistribution& dist = alert_distributions[st];
     fp.AppendI64(dist.min_value());
     fp.AppendI64(dist.support_size());
     for (int z = dist.min_value(); z <= dist.max_value(); ++z) {
       fp.AppendDouble(dist.Pmf(z));
     }
   }
-  fp.AppendI64(static_cast<int64_t>(instance.adversaries.size()));
-  for (const Adversary& adversary : instance.adversaries) {
+  fp.AppendI64(static_cast<int64_t>(base.adversaries.size()));
+  for (const Adversary& adversary : base.adversaries) {
     fp.AppendDouble(adversary.attack_probability);
     fp.AppendU64(adversary.can_opt_out ? 1 : 0);
     fp.AppendI64(static_cast<int64_t>(adversary.victims.size()));

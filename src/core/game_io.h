@@ -44,6 +44,12 @@ std::string SerializeGame(const GameInstance& instance, int indent = 2);
 /// the serving layer keys its policy cache on this (see
 /// service/policy_cache.h).
 util::Fingerprint FingerprintGame(const GameInstance& instance);
+/// FingerprintGame() of `base` with `alert_distributions` (one per type) in
+/// place of its own, bit for bit: a service that shares its base instance
+/// keys its cache without assembling the whole instance.
+util::Fingerprint FingerprintGame(
+    const GameInstance& base,
+    const std::vector<prob::CountDistribution>& alert_distributions);
 
 /// Policy schema: { "budget", "thresholds": [...],
 ///                  "orderings": [[...]], "probabilities": [...] }.

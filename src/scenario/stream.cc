@@ -70,9 +70,13 @@ util::StatusOr<std::vector<prob::CountDistribution>> ScenarioStream::Next() {
       current_ = next;
       break;
     case StreamKind::kSeasonal: {
-      const int period = spec_.season_period > 0 ? spec_.season_period : 7;
+      if (spec_.season_period < 1) {
+        return util::InvalidArgumentError(
+            "season_period must be at least 1, got " +
+            std::to_string(spec_.season_period));
+      }
       const double phase = 2.0 * M_PI * static_cast<double>(cycle_) /
-                           static_cast<double>(period);
+                           static_cast<double>(spec_.season_period);
       const double theta = spec_.drift_amplitude * std::sin(phase);
       for (const prob::CountDistribution& d : baseline_) {
         ASSIGN_OR_RETURN(prob::CountDistribution tilted,

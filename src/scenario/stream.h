@@ -53,7 +53,8 @@ struct StreamSpec {
   /// Every k-th cycle replays the baseline exactly (the policy-cache
   /// revisit path); 0 = never.
   int revisit_period = 5;
-  /// Cycles per seasonal oscillation (kSeasonal only).
+  /// Cycles per seasonal oscillation (kSeasonal only; Next() refuses a
+  /// seasonal stream's period below 1).
   int season_period = 7;
   uint64_t seed = 1;
 };

@@ -246,6 +246,7 @@ util::JsonValue::Object AuditServer::StatsBody() {
     obj["durability"] = s.durability;
     if (s.durability) {
       obj["wal_errors"] = static_cast<double>(s.wal_errors);
+      obj["wal_fenced"] = s.wal_fenced;
       util::JsonValue::Object persistence;
       persistence["last_snapshot_seq"] =
           static_cast<double>(s.persistence.last_snapshot_seq);

@@ -598,9 +598,16 @@ util::StatusOr<uint64_t> ShardPersistence::AppendWal(std::string_view payload) {
 util::Status ShardPersistence::CommitBatch() {
   if (pending_records_ == 0) return util::OkStatus();
   if (!pending_.empty()) {
-    RETURN_IF_ERROR(WriteAndMaybeSync(
-        pending_, /*sync=*/options_.wal_sync == WalSync::kBatch));
+    util::Status written = WriteAndMaybeSync(
+        pending_, /*sync=*/options_.wal_sync == WalSync::kBatch);
     pending_.clear();
+    if (!written.ok()) {
+      // The batch is dropped, not retried: a second attempt would land
+      // after whatever part of the first one did.
+      pending_records_ = 0;
+      pending_bytes_ = 0;
+      return written;
+    }
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);

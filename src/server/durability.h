@@ -225,7 +225,10 @@ class ShardPersistence {
   util::StatusOr<uint64_t> AppendWal(std::string_view payload);
 
   /// Flushes buffered records and applies the sync policy. Call once per
-  /// micro-batch, after appends, before responses are released.
+  /// micro-batch, after appends, before responses are released. A failed
+  /// write or sync drops the buffered records, and their LSNs stay spent:
+  /// after any failure of AppendWal() or CommitBatch() the caller must
+  /// append nothing more (Shard fences itself) and restart from recovery.
   util::Status CommitBatch();
 
   /// True when the snapshot cadence (records or seconds) has elapsed and a

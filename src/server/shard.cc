@@ -29,10 +29,11 @@ Shard::Shard(int index, core::GameInstance base_instance,
              std::function<void()> on_finished,
              std::unique_ptr<ShardPersistence> persistence)
     : index_(index),
-      base_instance_(std::move(base_instance)),
+      base_instance_(
+          std::make_shared<const core::GameInstance>(std::move(base_instance))),
       service_options_(std::make_shared<const service::AuditServiceOptions>(
           std::move(service_options))),
-      base_game_(CompileShared(base_instance_)),
+      base_game_(CompileShared(*base_instance_)),
       max_batch_(max_batch),
       queue_(queue_capacity),
       responder_(std::move(responder)),
@@ -62,33 +63,28 @@ void Shard::Run() {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++batches_;
     }
-    // Durability order per micro-batch: append every state-mutating
-    // payload to the WAL, apply, group-commit, and only then release the
-    // responses — a response never races the record that makes it
-    // replayable. WAL IO failure degrades durability, not availability:
-    // the batch is still served, the error counted.
-    if (persistence_ != nullptr) {
-      for (const ShardTask& task : batch) {
-        if (task.wal_payload.empty()) continue;
-        if (auto lsn = persistence_->AppendWal(task.wal_payload); !lsn.ok()) {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++wal_errors_;
-        }
-      }
-    }
     responses.clear();
     responses.reserve(batch.size());
-    for (const ShardTask& task : batch) Process(task, &responses);
-    if (persistence_ != nullptr) {
-      if (util::Status committed = persistence_->CommitBatch();
-          !committed.ok()) {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++wal_errors_;
+    // Durability order per micro-batch: append every state-mutating
+    // payload to the WAL and group-commit, and only then apply the batch
+    // and release its responses — an acknowledged request is a durable
+    // one. A batch the WAL could not take is not applied: it is answered
+    // `overloaded`, and so is everything after it (LogBatch).
+    if (LogBatch(batch)) {
+      for (const ShardTask& task : batch) Process(task, &responses);
+    } else {
+      for (const ShardTask& task : batch) {
+        const Request& request = task.request;
+        responses.push_back(Response{
+            task.conn_id,
+            OverloadedResponseFor(request.binary, request.verb, request.id,
+                                  request.tenant, index_)});
       }
     }
     responder_(std::move(responses));
     responses = std::vector<Response>();
-    if (persistence_ != nullptr && persistence_->ShouldSnapshot()) {
+    if (persistence_ != nullptr && !wal_fenced_ &&
+        persistence_->ShouldSnapshot()) {
       // Serialization happens here on the shard thread (cheap, memory
       // only); the write+fsync runs on the persistence writer thread, so
       // the request path never blocks on snapshot IO.
@@ -96,7 +92,8 @@ void Shard::Run() {
                                   persistence_->next_lsn() - 1);
     }
   }
-  if (persistence_ != nullptr && persistence_->options().snapshot_on_drain) {
+  if (persistence_ != nullptr && persistence_->options().snapshot_on_drain &&
+      !wal_fenced_) {
     // Clean drain: one synchronous snapshot so the next start restores
     // instead of replaying the whole WAL.
     if (util::Status status = persistence_->FinalSnapshot(
@@ -110,6 +107,31 @@ void Shard::Run() {
   if (on_finished_) on_finished_();
 }
 
+bool Shard::LogBatch(const std::vector<ShardTask>& batch) {
+  if (persistence_ == nullptr) return true;
+  if (wal_fenced_) return false;
+  util::Status status = util::OkStatus();
+  for (const ShardTask& task : batch) {
+    if (task.wal_payload.empty()) continue;
+    status = persistence_->AppendWal(task.wal_payload).status();
+    if (!status.ok()) break;
+  }
+  if (status.ok()) status = persistence_->CommitBatch();
+  if (status.ok()) return true;
+  // A failed write may have left part of the batch on disk, and a failed
+  // fdatasync may have dropped dirty pages a later sync would not report,
+  // so no later record is trusted to land after it. Only a restart, which
+  // recovers the durable prefix, serves this shard's tenants again.
+  std::fprintf(stderr,
+               "shard %d: WAL write failed, fencing the shard until "
+               "restart: %s\n",
+               index_, status.ToString().c_str());
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++wal_errors_;
+  wal_fenced_ = true;
+  return false;
+}
+
 util::Fingerprint Shard::ConfigFingerprint() const {
   util::FingerprintBuilder fp;
   fp.AppendString("shard-config-v1");
@@ -117,7 +139,7 @@ util::Fingerprint Shard::ConfigFingerprint() const {
       service::FingerprintServiceConfig(*service_options_);
   fp.AppendU64(service.hi);
   fp.AppendU64(service.lo);
-  const util::Fingerprint game = core::FingerprintGame(base_instance_);
+  const util::Fingerprint game = core::FingerprintGame(*base_instance_);
   fp.AppendU64(game.hi);
   fp.AppendU64(game.lo);
   return fp.Build();
@@ -332,6 +354,7 @@ ShardStatsSnapshot Shard::Snapshot() const {
   snapshot.solves = solves_;
   snapshot.request_errors = request_errors_;
   snapshot.wal_errors = wal_errors_;
+  snapshot.wal_fenced = wal_fenced_;
   snapshot.policies_from_cache = policies_from_cache_;
   snapshot.warm_solves = warm_solves_;
   snapshot.cold_solves = cold_solves_;

@@ -68,6 +68,9 @@ struct ShardStatsSnapshot {
   /// Durability (zero/empty when the shard runs without a data_dir).
   bool durability = false;
   int64_t wal_errors = 0;
+  /// A WAL write or sync failed: the shard answers every request
+  /// `overloaded` until the process restarts.
+  bool wal_fenced = false;
   PersistenceStats persistence;
 };
 
@@ -98,9 +101,11 @@ class Shard {
   using Responder = std::function<void(std::vector<Response> responses)>;
 
   /// `base_instance` seeds every tenant's game: a tenant's AuditService is
-  /// created lazily on its first request with a copy of it, then diverges
-  /// through `ingest`. The shard compiles `base_instance` once, and every
-  /// tenant shares that compiled game and one copy of `service_options`.
+  /// created lazily on its first request and serves it until its first
+  /// `ingest` replaces the alert distributions. Every tenant shares one
+  /// copy of `base_instance` (its type names, audit costs and adversaries
+  /// never change), the shard's one compile of it, and one copy of
+  /// `service_options`.
   /// `on_finished` is invoked (on the shard thread) when the worker exits
   /// after a drain, so the server's poll loop can re-evaluate shutdown
   /// progress. `queue_capacity` and `max_batch` must
@@ -166,6 +171,11 @@ class Shard {
 
   ShardPersistence* persistence() const { return persistence_.get(); }
 
+  /// The base instance the tenants share.
+  const core::GameInstance* base_instance() const {
+    return base_instance_.get();
+  }
+
   /// The compiled base game the tenants share; null when the base game
   /// does not compile (each tenant's cycle then reports why).
   const core::CompiledGame* base_game() const { return base_game_.get(); }
@@ -176,6 +186,11 @@ class Shard {
 
  private:
   void Run();
+  /// Appends the batch's state-mutating payloads to the WAL and commits
+  /// them. False when the shard is fenced: this batch or an earlier one
+  /// failed to land, and nothing may be applied or acknowledged until
+  /// restart. True without persistence.
+  bool LogBatch(const std::vector<ShardTask>& batch);
   /// Re-parses one WAL payload exactly as the wire path would and applies
   /// it through Process() with the responses discarded.
   util::Status ReplayWalPayload(const std::string& payload);
@@ -188,7 +203,7 @@ class Shard {
   service::AuditService* TenantService(const std::string& tenant);
 
   const int index_;
-  const core::GameInstance base_instance_;
+  const std::shared_ptr<const core::GameInstance> base_instance_;
   const std::shared_ptr<const service::AuditServiceOptions> service_options_;
   const std::shared_ptr<const core::CompiledGame> base_game_;
   const size_t max_batch_;
@@ -210,10 +225,11 @@ class Shard {
   int64_t ingests_ = 0;
   int64_t solves_ = 0;
   int64_t request_errors_ = 0;
-  /// WAL append/commit failures (disk errors). The shard keeps serving —
-  /// durability degrades, availability does not — but the count surfaces
-  /// loudly in stats.
+  /// WAL append/commit failures (disk errors); the first one fences the
+  /// shard, so the count is 0 or 1.
   int64_t wal_errors_ = 0;
+  /// Set by the first WAL failure; written only by the shard thread.
+  bool wal_fenced_ = false;
   int64_t policies_from_cache_ = 0;
   int64_t warm_solves_ = 0;
   int64_t cold_solves_ = 0;

@@ -14,42 +14,56 @@ namespace auditgame::service {
 AuditService::AuditService(core::GameInstance instance,
                            AuditServiceOptions options)
     : AuditService(
-          std::move(instance),
+          std::make_shared<const core::GameInstance>(std::move(instance)),
           std::make_shared<const AuditServiceOptions>(std::move(options)),
           nullptr) {}
 
-AuditService::AuditService(core::GameInstance instance,
+AuditService::AuditService(std::shared_ptr<const core::GameInstance> base,
                            std::shared_ptr<const AuditServiceOptions> options,
                            std::shared_ptr<const core::CompiledGame> game)
     : options_(std::move(options)),
-      instance_(std::move(instance)),
+      base_(std::move(base)),
+      distributions_(base_, &base_->alert_distributions),
       compiled_(std::move(game)),
       cache_(options_->cache_entries_per_budget * options_->budgets.size()) {}
 
 util::Status AuditService::UpdateAlertDistributions(
     std::vector<prob::CountDistribution> distributions) {
-  if (static_cast<int>(distributions.size()) != instance_.num_types()) {
+  if (static_cast<int>(distributions.size()) != base_->num_types()) {
     return util::InvalidArgumentError(
         "alert distribution update has " +
         std::to_string(distributions.size()) + " entries for " +
-        std::to_string(instance_.num_types()) + " types");
+        std::to_string(base_->num_types()) + " types");
   }
-  std::swap(instance_.alert_distributions, distributions);
-  util::Status valid = instance_.Validate();
-  if (!valid.ok()) {
-    // Roll back: a rejected update must leave the service serving the
-    // previous distributions.
-    std::swap(instance_.alert_distributions, distributions);
-    return valid;
-  }
+  // A rejected update leaves the service serving the previous
+  // distributions.
+  RETURN_IF_ERROR(base_->ValidateWith(distributions));
+  distributions_ = std::make_shared<const std::vector<prob::CountDistribution>>(
+      std::move(distributions));
   keys_current_ = false;
   return util::OkStatus();
+}
+
+core::GameInstance AuditService::instance() const {
+  core::GameInstance instance;
+  instance.type_names = base_->type_names;
+  instance.audit_costs = base_->audit_costs;
+  instance.alert_distributions = *distributions_;
+  instance.adversaries = base_->adversaries;
+  return instance;
+}
+
+const std::vector<prob::CountDistribution>*
+AuditService::baseline_distributions(double budget) const {
+  const auto last = last_solves_.find(budget);
+  return last == last_solves_.end() ? nullptr
+                                    : last->second.distributions.get();
 }
 
 util::StatusOr<std::vector<double>> AuditService::MixedDetectionForPolicy(
     const CyclePolicy& policy) const {
   ASSIGN_OR_RETURN(core::DetectionModel model,
-                   core::DetectionModel::Create(instance_, policy.budget,
+                   core::DetectionModel::Create(instance(), policy.budget,
                                                 options_->detection_options));
   return core::MixedDetectionProbabilities(model, policy.result.policy);
 }
@@ -65,10 +79,11 @@ double AuditService::MeasureDrift(
   return drift;
 }
 
-solver::EngineRequest AuditService::BaseRequest(double budget) const {
+solver::EngineRequest AuditService::BaseRequest(
+    double budget, const core::GameInstance* instance) const {
   solver::EngineRequest request;
   request.solver = options_->solver;
-  request.instance = &instance_;
+  request.instance = instance;
   request.budget = budget;
   request.detection_options = options_->detection_options;
   request.options = options_->solver_options;
@@ -77,11 +92,12 @@ solver::EngineRequest AuditService::BaseRequest(double budget) const {
 
 const std::vector<util::Fingerprint>& AuditService::RequestKeys() {
   if (!keys_current_) {
-    const util::Fingerprint game = core::FingerprintGame(instance_);
+    const util::Fingerprint game =
+        core::FingerprintGame(*base_, *distributions_);
     request_keys_.resize(options_->budgets.size());
     for (size_t i = 0; i < options_->budgets.size(); ++i) {
-      request_keys_[i] =
-          FingerprintRequestForGame(game, BaseRequest(options_->budgets[i]));
+      request_keys_[i] = FingerprintRequestForGame(
+          game, BaseRequest(options_->budgets[i], nullptr));
     }
     keys_current_ = true;
   }
@@ -90,26 +106,23 @@ const std::vector<util::Fingerprint>& AuditService::RequestKeys() {
 
 util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
   util::Timer timer;
+  // The instance the solves read, assembled by the first that needs it: a
+  // cycle served from the cache builds none.
+  std::optional<core::GameInstance> game;
+  const auto solve_instance = [&game, this]() -> const core::GameInstance* {
+    if (!game.has_value()) game.emplace(instance());
+    return &*game;
+  };
   // Compiling also validates the instance, so an invalid game fails here,
   // before anything hashes it. A failed compile is not kept.
   if (compiled_ == nullptr) {
-    ASSIGN_OR_RETURN(core::CompiledGame compiled, core::Compile(instance_));
+    ASSIGN_OR_RETURN(core::CompiledGame compiled,
+                     core::Compile(*solve_instance()));
     compiled_ = std::make_shared<const core::CompiledGame>(std::move(compiled));
   }
   CycleReport report;
   report.cycle = ++cycles_run_;
   report.policies.resize(options_->budgets.size());
-
-  // Every baseline this cycle publishes shares one copy of the
-  // distributions, taken when the first one is published.
-  Distributions distributions;
-  const auto snapshot = [&distributions, this] {
-    if (distributions == nullptr) {
-      distributions = std::make_shared<std::vector<prob::CountDistribution>>(
-          instance_.alert_distributions);
-    }
-    return distributions;
-  };
 
   // Pass 1: serve fingerprint hits from the cache; queue the rest. Every
   // request is built before any solve publishes a new warm-start baseline.
@@ -131,7 +144,7 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
     policy.drift = last == last_solves_.end() || same_key_baseline
                        ? 0.0
                        : MeasureDrift(*last->second.distributions,
-                                      instance_.alert_distributions);
+                                      *distributions_);
 
     if (std::shared_ptr<const solver::SolveResult> cached = cache_.Find(key)) {
       policy.source = Source::kCache;
@@ -141,12 +154,13 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
       // next cycle, exactly as if it had been re-solved. A same-key
       // baseline already holds it.
       if (!same_key_baseline) {
-        last_solves_[budget] = LastSolve{snapshot(), std::move(cached), key};
+        last_solves_[budget] =
+            LastSolve{distributions_, std::move(cached), key};
       }
       continue;
     }
 
-    solver::EngineRequest request = BaseRequest(budget);
+    solver::EngineRequest request = BaseRequest(budget, solve_instance());
     // warm_start_max_drift = 0 disables warm solves outright (the
     // documented only-cold-results-cached mode) — without the > 0 guard a
     // zero-drift re-solve after a cache eviction would still warm-start.
@@ -181,7 +195,7 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
     auto result = std::make_shared<solver::SolveResult>(policy.result);
     cache_.Insert(keys[slot], result);
     last_solves_[policy.budget] =
-        LastSolve{snapshot(), std::move(result), keys[slot]};
+        LastSolve{distributions_, std::move(result), keys[slot]};
   }
 
   report.seconds = timer.ElapsedSeconds();
@@ -227,18 +241,21 @@ util::Fingerprint FingerprintServiceConfig(const AuditServiceOptions& options) {
 
 void AuditService::StreamState(util::Serializer& s) {
   s.Section("audit_service", 1);
+  core::GameInstance game = s.reading() ? core::GameInstance() : instance();
+  s.Object(game);
   if (s.reading()) {
     keys_current_ = false;
-    core::GameInstance read;
-    s.Object(read);
-    // A shard's tenants read back the adversaries they were built with,
-    // so they go on sharing the shard's compiled game.
-    if (!s.ok() || !core::SameCompileInputs(read, instance_)) {
-      compiled_.reset();
+    // A shard's tenants read back the fixed parts they were built with,
+    // so they go on sharing the shard's base instance and compiled game.
+    if (!s.ok() || !core::SameCompileInputs(game, *base_)) compiled_.reset();
+    if (s.ok() && core::SameFixedParts(game, *base_)) {
+      distributions_ =
+          std::make_shared<const std::vector<prob::CountDistribution>>(
+              std::move(game.alert_distributions));
+    } else {
+      base_ = std::make_shared<const core::GameInstance>(std::move(game));
+      distributions_ = Distributions(base_, &base_->alert_distributions);
     }
-    instance_ = std::move(read);
-  } else {
-    s.Object(instance_);
   }
   s.I64(cycles_run_);
   uint64_t num_baselines = last_solves_.size();

@@ -126,11 +126,13 @@ class AuditService {
   /// serving configuration.
   AuditService(core::GameInstance instance, AuditServiceOptions options = {});
 
-  /// A service that shares its configuration and compiled game with
-  /// others, as a shard's tenants do. `game` must be core::Compile() of an
-  /// instance with `instance`'s type count and adversaries; null compiles
-  /// on the first cycle, like the form above. `options` must not be null.
-  AuditService(core::GameInstance instance,
+  /// A service that shares its base instance, configuration and compiled
+  /// game with others, as a shard's tenants do. The service serves `base`
+  /// until its first ingest replaces the alert distributions; the type
+  /// names, audit costs and adversaries stay `base`'s. `game` must be
+  /// core::Compile() of `base`; null compiles on the first cycle, like the
+  /// form above. `base` and `options` must not be null.
+  AuditService(std::shared_ptr<const core::GameInstance> base,
                std::shared_ptr<const AuditServiceOptions> options,
                std::shared_ptr<const core::CompiledGame> game);
 
@@ -151,7 +153,23 @@ class AuditService {
   /// cycle with its status.
   util::StatusOr<CycleReport> RunCycle();
 
-  const core::GameInstance& instance() const { return instance_; }
+  /// The game the next cycle solves: the base instance's type names,
+  /// audit costs and adversaries with the current alert distributions.
+  /// Assembled on each call.
+  core::GameInstance instance() const;
+  /// The current alert distributions: the base instance's own object until
+  /// the first accepted ingest.
+  const std::vector<prob::CountDistribution>& alert_distributions() const {
+    return *distributions_;
+  }
+  /// The distributions the warm-start baseline at `budget` was served
+  /// under, or null before that budget's first cycle. After a cycle this
+  /// is the alert_distributions() object itself.
+  const std::vector<prob::CountDistribution>* baseline_distributions(
+      double budget) const;
+  /// The instance whose type names, audit costs and adversaries this
+  /// service solves with, shared with the other tenants of a shard.
+  const core::GameInstance* base_instance() const { return base_.get(); }
   const AuditServiceOptions& options() const { return *options_; }
   /// The compiled game the next cycle solves on; null until compiled.
   const core::CompiledGame* compiled_game() const { return compiled_.get(); }
@@ -179,22 +197,27 @@ class AuditService {
   /// policy cache. The compiled game is not streamed — it is derived
   /// state. A read keeps it when the instance read has the same type count
   /// and adversaries (core::SameCompileInputs); otherwise the next cycle
-  /// compiles the instance read. The stats() counters are not streamed
-  /// either: they count this process's cycles and restart with it. Call
-  /// from the service's single-writer thread.
+  /// compiles the instance read. Likewise a read keeps the base instance
+  /// when the instance read differs from it at most in its distributions
+  /// (core::SameFixedParts); otherwise the instance read becomes this
+  /// service's own base. The stats() counters are not streamed either:
+  /// they count this process's cycles and restart with it. Call from the
+  /// service's single-writer thread.
   void StreamState(util::Serializer& s);
 
  private:
-  /// The cold request for one budget under the current instance.
-  solver::EngineRequest BaseRequest(double budget) const;
+  /// The cold request for one budget on `instance` (null when the request
+  /// only keys the cache).
+  solver::EngineRequest BaseRequest(double budget,
+                                    const core::GameInstance* instance) const;
 
   /// Each budget's cache key (FingerprintRequest of its BaseRequest), one
   /// per options_.budgets entry. Computed on the first cycle after the
-  /// instance changes, from one hash of the instance.
+  /// distributions change, from one hash of the game.
   const std::vector<util::Fingerprint>& RequestKeys();
 
-  /// The distributions a cycle's policies were served under, shared by
-  /// every budget's LastSolve that cycle sets.
+  /// One set of alert distributions, shared by the service and every
+  /// baseline served under it.
   using Distributions =
       std::shared_ptr<const std::vector<prob::CountDistribution>>;
 
@@ -208,15 +231,20 @@ class AuditService {
   };
 
   std::shared_ptr<const AuditServiceOptions> options_;
-  core::GameInstance instance_;
-  /// Compile() of an instance with instance_'s type count and adversaries:
+  /// Type names, audit costs and adversaries; its alert distributions are
+  /// served only until the first ingest.
+  std::shared_ptr<const core::GameInstance> base_;
+  /// The current alert distributions: an alias of base_'s until an ingest
+  /// or a state read replaces them.
+  Distributions distributions_;
+  /// Compile() of an instance with base_'s type count and adversaries:
   /// given at construction or made by the first RunCycle() that finds it
   /// null.
   std::shared_ptr<const core::CompiledGame> compiled_;
   PolicyCache cache_;
   /// Previous solved state per budget: warm-start seed + drift baseline.
   std::map<double, LastSolve> last_solves_;
-  /// RequestKeys() for the current instance_, valid while keys_current_.
+  /// RequestKeys() for the current distributions, valid while keys_current_.
   /// Cleared by every accepted ingest and every state read.
   std::vector<util::Fingerprint> request_keys_;
   bool keys_current_ = false;

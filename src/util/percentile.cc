@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/logging.h"
+
 namespace auditgame::util {
 namespace {
 
@@ -28,6 +30,10 @@ Percentiles Summarize(std::vector<double> samples) {
   summary.p99 = NearestRankPercentileSorted(samples, 0.99);
   summary.max = samples.back();
   return summary;
+}
+
+LatencyWindow::LatencyWindow(size_t capacity) : capacity_(capacity) {
+  CHECK_GE(capacity, size_t{1}) << "LatencyWindow capacity";
 }
 
 void LatencyWindow::Add(double sample) {

@@ -23,12 +23,12 @@ Percentiles Summarize(std::vector<double> samples);
 
 /// The most recent `capacity` samples of a latency stream (a bounded
 /// ring, so memory stays O(1) on long runs) plus the lifetime sample
-/// count. Not thread-safe: an owner that records on one thread and reports
-/// on another copies the window under its lock and summarizes the copy.
+/// count; a capacity below 1 is a caller bug. Not thread-safe: an owner
+/// that records on one thread and reports on another copies the window
+/// under its lock and summarizes the copy.
 class LatencyWindow {
  public:
-  explicit LatencyWindow(size_t capacity)
-      : capacity_(capacity < 1 ? 1 : capacity) {}
+  explicit LatencyWindow(size_t capacity);
 
   void Add(double sample);
   /// Samples ever added, including those the ring has since overwritten.

@@ -7,12 +7,17 @@
 // of one server: both serve clients through one server::FrontEnd.
 #include "server/audit_server.h"
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <csignal>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -608,9 +613,24 @@ TEST(AuditServerStartTest, ValuesBelowOneAreRefused) {
   }
 }
 
-// Every tenant of a shard shares the shard's compiled game, and so does
-// every tenant of a recovered shard: one restored from a snapshot (the
-// state read keeps the shared game) and one rebuilt by WAL replay.
+// Removes shard 0's snapshots, WAL segments and directories under
+// `data_dir`.
+void RemoveShardData(const std::string& data_dir) {
+  const std::string shard_dir = ShardPersistence::ShardDir(data_dir, 0);
+  for (const char* prefix : {"snapshot-", "wal-"}) {
+    const char* suffix = prefix[0] == 's' ? ".snap" : ".wal";
+    for (const std::string& name :
+         ListNumberedFiles(shard_dir, prefix, suffix)) {
+      ::unlink((shard_dir + "/" + name).c_str());
+    }
+  }
+  ::rmdir(shard_dir.c_str());
+  ::rmdir(data_dir.c_str());
+}
+
+// Every tenant of a shard shares the shard's base instance and compiled
+// game, and so does every tenant of a recovered shard: one restored from a
+// snapshot (the state read keeps both) and one rebuilt by WAL replay.
 TEST(ShardSharedGameTest, RecoveredTenantsShareTheShardGame) {
   auto spec = scenario::SpecByName("uniform");
   ASSERT_TRUE(spec.ok());
@@ -628,24 +648,13 @@ TEST(ShardSharedGameTest, RecoveredTenantsShareTheShardGame) {
       const service::AuditService* tenant = shard.tenant(name);
       ASSERT_NE(tenant, nullptr) << name;
       EXPECT_EQ(tenant->compiled_game(), shard.base_game()) << name;
+      EXPECT_EQ(tenant->base_instance(), shard.base_instance()) << name;
     }
   };
   for (const bool snapshot_on_drain : {true, false}) {
     SCOPED_TRACE(snapshot_on_drain ? "snapshot" : "WAL replay");
     const std::string data_dir = "shard_shared_game_data";
-    const std::string shard_dir = ShardPersistence::ShardDir(data_dir, 0);
-    const auto remove_data = [&] {
-      for (const char* prefix : {"snapshot-", "wal-"}) {
-        const char* suffix = prefix[0] == 's' ? ".snap" : ".wal";
-        for (const std::string& name :
-             ListNumberedFiles(shard_dir, prefix, suffix)) {
-          ::unlink((shard_dir + "/" + name).c_str());
-        }
-      }
-      ::rmdir(shard_dir.c_str());
-      ::rmdir(data_dir.c_str());
-    };
-    remove_data();
+    RemoveShardData(data_dir);
     DurabilityOptions durability;
     durability.data_dir = data_dir;
     durability.wal_sync = WalSync::kNone;
@@ -684,8 +693,147 @@ TEST(ShardSharedGameTest, RecoveredTenantsShareTheShardGame) {
     EXPECT_EQ(recovered.persistence()->Stats().recovery_replayed,
               snapshot_on_drain ? 0u : 2 * tenants.size());
     expect_shared(recovered);
-    remove_data();
+    RemoveShardData(data_dir);
   }
+}
+
+// Caps the size of every file this process writes, with SIGXFSZ ignored so
+// a write past the cap fails with EFBIG; restores both when destroyed.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit capped = saved_;
+    capped.rlim_cur = bytes;
+    ok_ = ::setrlimit(RLIMIT_FSIZE, &capped) == 0;
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  void (*saved_handler_)(int) = SIG_DFL;
+  bool ok_ = false;
+};
+
+// A WAL that stops taking writes fences the shard: the request whose record
+// was lost and every request after it are answered `overloaded`, never
+// `ok`, and recovery restores exactly the acknowledged requests.
+TEST(ShardWalFenceTest, NoRequestWhoseRecordWasLostIsAcknowledged) {
+  auto spec = scenario::SpecByName("uniform");
+  ASSERT_TRUE(spec.ok());
+  spec->num_types = 4;
+  auto instance = scenario::Generate(*spec);
+  ASSERT_TRUE(instance.ok());
+  service::AuditServiceOptions options;
+  options.budgets = {6.0};
+  options.solver_options.ishm.step_size = 0.25;
+  const std::string data_dir = "shard_wal_fence_data";
+  RemoveShardData(data_dir);
+  DurabilityOptions durability;
+  durability.data_dir = data_dir;
+  durability.wal_sync = WalSync::kNone;
+  durability.snapshot_every_records = 0;
+  durability.snapshot_interval_seconds = 0;
+  durability.snapshot_on_drain = true;  // skipped once fenced
+
+  std::mutex mutex;
+  std::condition_variable answered_cv;
+  std::vector<std::string> answers;
+  const auto respond = [&](std::vector<Shard::Response> responses) {
+    std::lock_guard<std::mutex> lock(mutex);
+    for (Shard::Response& response : responses) {
+      answers.push_back(std::move(response.payload));
+    }
+    answered_cv.notify_one();
+  };
+  constexpr int kTenants = 4;
+  constexpr int kCycles = 12;
+  // tenant -> cycles acknowledged `ok`
+  std::map<std::string, int64_t> acked_cycles;
+  int acked = 0;
+  int fenced = 0;
+  {
+    Shard shard(0, *instance, options, /*queue_capacity=*/8,
+                /*max_batch=*/1, respond, nullptr,
+                std::make_unique<ShardPersistence>(0, durability));
+    ASSERT_TRUE(shard.Recover().ok());
+    shard.Start();
+    {
+      // The first records land; the cap cuts the WAL off partway through.
+      FileSizeCap cap(8192);
+      ASSERT_TRUE(cap.ok());
+      int64_t id = 0;
+      size_t sent = 0;
+      for (int cycle = 0; cycle < kCycles; ++cycle) {
+        for (int t = 0; t < kTenants; ++t) {
+          const std::string tenant = "t" + std::to_string(t);
+          for (const std::string& payload :
+               {MakeIngestRequest(id, tenant, instance->alert_distributions),
+                MakeSolveCycleRequest(id + 1, tenant)}) {
+            auto doc = util::JsonValue::Parse(payload);
+            ASSERT_TRUE(doc.ok()) << doc.status();
+            auto request = ParseRequest(*doc);
+            ASSERT_TRUE(request.ok()) << request.status();
+            const bool solve = request->verb == Verb::kSolveCycle;
+            ASSERT_TRUE(
+                shard.TrySubmit(ShardTask{1, *std::move(request), payload}));
+            ++sent;
+            std::unique_lock<std::mutex> lock(mutex);
+            answered_cv.wait(lock, [&] { return answers.size() == sent; });
+            auto answer = util::JsonValue::Parse(answers.back());
+            ASSERT_TRUE(answer.ok()) << answer.status();
+            auto status = answer->GetString("status");
+            ASSERT_TRUE(status.ok()) << answers.back();
+            if (*status == "ok") {
+              // Nothing is acknowledged once the shard is fenced.
+              ASSERT_EQ(fenced, 0) << answers.back();
+              ++acked;
+              if (solve) {
+                auto served = answer->GetNumber("cycle");
+                ASSERT_TRUE(served.ok());
+                EXPECT_EQ(static_cast<int64_t>(*served),
+                          ++acked_cycles[tenant]);
+              }
+            } else {
+              ASSERT_EQ(*status, "overloaded") << answers.back();
+              ++fenced;
+            }
+          }
+          id += 2;
+        }
+      }
+      shard.BeginDrain();
+      shard.Join();
+    }
+    const ShardStatsSnapshot stats = shard.Snapshot();
+    EXPECT_TRUE(stats.wal_fenced);
+    EXPECT_EQ(stats.wal_errors, 1);
+  }
+  ASSERT_GT(acked, 0);
+  ASSERT_GT(fenced, 0);
+
+  // The WAL holds every acknowledged record and no other (the lost one is
+  // a torn tail), and the fenced shard wrote no drain snapshot.
+  Shard recovered(0, *instance, options, /*queue_capacity=*/8,
+                  /*max_batch=*/1, respond, nullptr,
+                  std::make_unique<ShardPersistence>(0, durability));
+  const util::Status status = recovered.Recover();
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(recovered.persistence()->Stats().recovery_replayed,
+            static_cast<uint64_t>(acked));
+  for (const auto& [tenant, cycles] : acked_cycles) {
+    const service::AuditService* service = recovered.tenant(tenant);
+    ASSERT_NE(service, nullptr) << tenant;
+    EXPECT_EQ(service->stats().cycles, cycles) << tenant;
+  }
+  RemoveShardData(data_dir);
 }
 
 TEST_F(AuditServerTest, HalfClosedClientStillGetsItsResponses) {

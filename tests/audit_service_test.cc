@@ -352,6 +352,12 @@ TEST(AuditServiceKeyCacheTest, SplitKeyEqualsFingerprintRequest) {
   // The split function reads the game only through its fingerprint.
   request.instance = nullptr;
   EXPECT_EQ(FingerprintRequestForGame(game_key, request), key);
+  // A base with other distributions fingerprints as the whole instance.
+  core::GameInstance drifted = game;
+  drifted.alert_distributions = Perturb(game.alert_distributions, 0.2);
+  EXPECT_EQ(core::FingerprintGame(game, drifted.alert_distributions),
+            core::FingerprintGame(drifted));
+  EXPECT_NE(core::FingerprintGame(drifted), game_key);
 }
 
 // The default cache keeps every hit a drifting stream has: same-cycle polls
@@ -437,9 +443,10 @@ void ExpectSameServing(const AuditService::CycleReport& a,
   }
 }
 
-// A shard's tenants share one compiled game and one options object. Each
-// must serve what a standalone service, which compiles its own game, serves
-// on the same stream: the same source, objective bits and thresholds.
+// A shard's tenants share one base instance, one compiled game and one
+// options object. Each must serve what a standalone service, which holds
+// and compiles its own game, serves on the same stream: the same source,
+// objective bits and thresholds.
 TEST(AuditServiceSharedGameTest, TenantsServeWhatStandaloneServicesServe) {
   scenario::ScenarioSpec spec;
   spec.num_types = 5;
@@ -449,6 +456,7 @@ TEST(AuditServiceSharedGameTest, TenantsServeWhatStandaloneServicesServe) {
   options.budgets = {6.0, 10.0};
   options.solver_options.ishm.step_size = 0.25;
   auto shared_options = std::make_shared<const AuditServiceOptions>(options);
+  auto shared_base = std::make_shared<const core::GameInstance>(*game);
   auto compiled = core::Compile(*game);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
   auto shared_game =
@@ -464,8 +472,8 @@ TEST(AuditServiceSharedGameTest, TenantsServeWhatStandaloneServicesServe) {
     std::vector<std::unique_ptr<AuditService>> standalone;
     std::vector<scenario::ScenarioStream> streams;
     for (int t = 0; t < kTenants; ++t) {
-      tenants.push_back(
-          std::make_unique<AuditService>(*game, shared_options, shared_game));
+      tenants.push_back(std::make_unique<AuditService>(
+          shared_base, shared_options, shared_game));
       standalone.push_back(std::make_unique<AuditService>(*game, options));
       scenario::StreamSpec stream_spec;
       stream_spec.kind = kind;
@@ -493,20 +501,76 @@ TEST(AuditServiceSharedGameTest, TenantsServeWhatStandaloneServicesServe) {
     }
     for (int t = 0; t < kTenants; ++t) {
       EXPECT_EQ(tenants[t]->compiled_game(), shared_game.get());
+      EXPECT_EQ(tenants[t]->base_instance(), shared_base.get());
       EXPECT_NE(standalone[t]->compiled_game(), shared_game.get());
       EXPECT_GT(tenants[t]->stats().warm_solves, 0);
     }
   }
 }
 
-// A state read keeps a shared compiled game only when the instance read
-// has the same adversaries. A tenant that reads other adversaries compiles
-// its own game and serves what the service that wrote the state serves.
+// A tenant that has not ingested serves the base instance's distributions
+// object itself, and its baselines point at it too: it holds no
+// distributions of its own.
+TEST(AuditServiceSharedGameTest, TenantWithoutIngestSharesBaseDistributions) {
+  auto base = std::make_shared<const core::GameInstance>(
+      testutil::MakeMediumGame());
+  auto options = std::make_shared<const AuditServiceOptions>(FastOptions());
+  AuditService tenant(base, options, nullptr);
+  const AuditService& view = tenant;
+  EXPECT_EQ(&view.alert_distributions(), &base->alert_distributions);
+  ASSERT_TRUE(tenant.RunCycle().ok());
+  EXPECT_EQ(&view.alert_distributions(), &base->alert_distributions);
+  for (double budget : options->budgets) {
+    EXPECT_EQ(view.baseline_distributions(budget), &base->alert_distributions);
+  }
+  // An ingest gives the tenant its own distributions and keeps the base.
+  ASSERT_TRUE(tenant
+                  .UpdateAlertDistributions(
+                      Perturb(base->alert_distributions, 0.1))
+                  .ok());
+  EXPECT_NE(&view.alert_distributions(), &base->alert_distributions);
+  EXPECT_EQ(view.base_instance(), base.get());
+}
+
+// After each cycle every baseline and the current distributions are one
+// object, whether the cycle solved, hit under a new key or hit under the
+// baseline's own key.
+TEST(AuditServiceTest, BaselinesAreTheCurrentDistributions) {
+  AuditService service(testutil::MakeMediumGame(), FastOptions());
+  const auto baseline = service.alert_distributions();
+  const auto expect_one_object = [&service] {
+    for (double budget : service.options().budgets) {
+      EXPECT_EQ(service.baseline_distributions(budget),
+                &service.alert_distributions())
+          << "budget " << budget;
+    }
+  };
+  EXPECT_EQ(service.baseline_distributions(2.0), nullptr);
+  ASSERT_TRUE(service.RunCycle().ok());
+  expect_one_object();
+  ASSERT_TRUE(service.UpdateAlertDistributions(Perturb(baseline, 0.1)).ok());
+  ASSERT_TRUE(service.RunCycle().ok());  // warm solves
+  expect_one_object();
+  ASSERT_TRUE(service.RunCycle().ok());  // same-key hits
+  expect_one_object();
+  ASSERT_TRUE(service.UpdateAlertDistributions(baseline).ok());
+  const auto revisit = service.RunCycle();  // hits under a new key
+  ASSERT_TRUE(revisit.ok());
+  EXPECT_EQ(revisit->policies[0].source, Source::kCache);
+  expect_one_object();
+}
+
+// A state read keeps a shared base instance only when the instance read has
+// the same fixed parts, and a shared compiled game only when it has the
+// same adversaries. A tenant that reads other adversaries gets its own base,
+// compiles its own game and serves what the service that wrote the state
+// serves.
 TEST(AuditServiceSharedGameTest, RestoredOtherAdversariesCompileTheirOwnGame) {
   const core::GameInstance base = testutil::MakeMediumGame();
   core::GameInstance other = base;
   other.adversaries[0].victims[0].benefit += 1.0;
   ASSERT_FALSE(core::SameCompileInputs(base, other));
+  auto shared_base = std::make_shared<const core::GameInstance>(base);
   auto shared_options =
       std::make_shared<const AuditServiceOptions>(FastOptions());
   auto compiled = core::Compile(base);
@@ -529,17 +593,40 @@ TEST(AuditServiceSharedGameTest, RestoredOtherAdversariesCompileTheirOwnGame) {
   // Same adversaries: the read keeps the shared game.
   AuditService writer_on_base(base, FastOptions());
   ASSERT_TRUE(writer_on_base.RunCycle().ok());
-  AuditService same(base, shared_options, shared_game);
-  read_state(same, write_state(writer_on_base));
+  ASSERT_TRUE(writer_on_base
+                  .UpdateAlertDistributions(
+                      Perturb(base.alert_distributions, 0.1))
+                  .ok());
+  ASSERT_TRUE(writer_on_base.RunCycle().ok());
+  AuditService same(shared_base, shared_options, shared_game);
+  const std::string same_bytes = write_state(writer_on_base);
+  read_state(same, same_bytes);
   EXPECT_EQ(same.compiled_game(), shared_game.get());
+  EXPECT_EQ(same.base_instance(), shared_base.get());
+  EXPECT_EQ(write_state(same), same_bytes);
+
+  // Other audit costs: the read keeps the compiled game (Compile() does not
+  // read costs) but not the base.
+  core::GameInstance other_costs = base;
+  other_costs.audit_costs[0] *= 2.0;
+  ASSERT_TRUE(core::SameCompileInputs(base, other_costs));
+  ASSERT_FALSE(core::SameFixedParts(base, other_costs));
+  AuditService writer_on_costs(other_costs, FastOptions());
+  ASSERT_TRUE(writer_on_costs.RunCycle().ok());
+  AuditService costs(shared_base, shared_options, shared_game);
+  read_state(costs, write_state(writer_on_costs));
+  EXPECT_EQ(costs.compiled_game(), shared_game.get());
+  EXPECT_NE(costs.base_instance(), shared_base.get());
+  EXPECT_EQ(costs.base_instance()->audit_costs, other_costs.audit_costs);
 
   // Other adversaries: the read drops it, and the next cycle compiles the
   // instance read.
   AuditService fresh(other, FastOptions());
   ASSERT_TRUE(fresh.RunCycle().ok());
-  AuditService tenant(base, shared_options, shared_game);
+  AuditService tenant(shared_base, shared_options, shared_game);
   read_state(tenant, write_state(fresh));
   EXPECT_EQ(tenant.compiled_game(), nullptr);
+  EXPECT_NE(tenant.base_instance(), shared_base.get());
   for (int cycle = 0; cycle < 4; ++cycle) {
     SCOPED_TRACE("cycle " + std::to_string(cycle));
     const auto drifted = Perturb(other.alert_distributions, 0.05 * cycle);
@@ -554,6 +641,8 @@ TEST(AuditServiceSharedGameTest, RestoredOtherAdversariesCompileTheirOwnGame) {
   EXPECT_GT(tenant.stats().warm_solves + tenant.stats().cold_solves, 0);
   EXPECT_NE(tenant.compiled_game(), nullptr);
   EXPECT_NE(tenant.compiled_game(), shared_game.get());
+  EXPECT_EQ(core::FingerprintGame(*tenant.base_instance()),
+            core::FingerprintGame(*fresh.base_instance()));
 }
 
 // Durable snapshots store this fingerprint and recovery refuses a data dir

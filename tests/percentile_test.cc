@@ -50,6 +50,10 @@ TEST(LatencyWindowTest, KeepsTheLastSamplesAndCountsAll) {
   EXPECT_EQ(summary.max, 4.0);
 }
 
+TEST(LatencyWindowTest, ZeroCapacityIsRefused) {
+  EXPECT_DEATH(LatencyWindow(0), "LatencyWindow capacity");
+}
+
 TEST(LatencyWindowTest, CopySummarizesUnchangedWhileOriginalAdds) {
   LatencyWindow original(8);
   for (double sample : {1.0, 2.0, 3.0}) original.Add(sample);

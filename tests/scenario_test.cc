@@ -246,6 +246,21 @@ TEST(ScenarioStreamTest, SeasonalTiltMovesTheMeanBothWays) {
   EXPECT_LT(lowest, base_mean - 0.1);
 }
 
+// A seasonal stream refuses a period below 1 instead of running another
+// period; the other kinds never read it.
+TEST(ScenarioStreamTest, SeasonalPeriodBelowOneIsRefused) {
+  StreamSpec spec;
+  spec.revisit_period = 0;
+  spec.season_period = 0;
+  spec.kind = StreamKind::kSeasonal;
+  ScenarioStream seasonal(TestBaseline(), spec);
+  EXPECT_EQ(seasonal.Next().status().code(),
+            util::StatusCode::kInvalidArgument);
+  spec.kind = StreamKind::kJitter;
+  ScenarioStream jitter(TestBaseline(), spec);
+  EXPECT_TRUE(jitter.Next().ok());
+}
+
 TEST(ExponentialTiltTest, ZeroThetaIsIdentityAndSignMovesMean) {
   const auto baseline = TestBaseline();
   const auto same = ExponentialTilt(baseline[0], 0.0);

@@ -478,6 +478,15 @@ int Run(int argc, char** argv) {
     std::cout << flags.HelpString(argv[0]);
     return 0;
   }
+  // Out-of-range counts are refused, not clamped into a different run.
+  for (const auto& [name, min] :
+       {std::pair<const char*, int>{"tenants", 1}, {"max_retries", 0},
+        {"retry_backoff_ms", 0}}) {
+    if (auto value = flags.GetIntAtLeast(name, min); !value.ok()) {
+      std::cerr << value.status() << "\n";
+      return 1;
+    }
+  }
 
   // The game instance: a scenario-catalog game, or the trace's world.
   const std::string trace_name = flags.GetString("trace");

@@ -78,6 +78,17 @@ int Run(int argc, char** argv) {
     std::cout << flags.HelpString(argv[0]);
     return 0;
   }
+  // Out-of-range counts are refused, not clamped into a different run.
+  auto cycles = flags.GetIntAtLeast("cycles", 1);
+  auto revisit = flags.GetIntAtLeast("revisit", 0);
+  auto season = flags.GetIntAtLeast("season", 1);
+  for (const util::Status& parsed :
+       {cycles.status(), revisit.status(), season.status()}) {
+    if (!parsed.ok()) {
+      std::cerr << parsed << "\n";
+      return 1;
+    }
+  }
 
   const std::string game_path = flags.GetString("game");
   util::StatusOr<core::GameInstance> instance = [&]() {
@@ -108,8 +119,8 @@ int Run(int argc, char** argv) {
   scenario::StreamSpec stream_spec;
   stream_spec.kind = *stream_kind;
   stream_spec.drift_amplitude = flags.GetDouble("drift");
-  stream_spec.revisit_period = flags.GetInt("revisit");
-  stream_spec.season_period = flags.GetInt("season");
+  stream_spec.revisit_period = *revisit;
+  stream_spec.season_period = *season;
   stream_spec.seed = static_cast<uint64_t>(flags.GetInt("stream_seed"));
   scenario::ScenarioStream stream(instance->alert_distributions, stream_spec);
 
@@ -137,7 +148,6 @@ int Run(int argc, char** argv) {
   sigaction(SIGINT, &action, nullptr);
   sigaction(SIGTERM, &action, nullptr);
 
-  const int cycles = flags.GetInt("cycles");
   int cycles_completed = 0;
   util::CsvWriter csv(std::cout);
   csv.WriteRow({"cycle", "budget", "source", "drift", "objective",
@@ -149,7 +159,7 @@ int Run(int argc, char** argv) {
   // mass-shifts and statistical drift are visible in one report.
   std::vector<prob::CountDistribution> previous_dists;
   std::vector<double> observed_drifts;
-  for (int cycle = 1; cycle <= cycles && !g_interrupted; ++cycle) {
+  for (int cycle = 1; cycle <= *cycles && !g_interrupted; ++cycle) {
     auto dists = stream.Next();
     if (!dists.ok()) {
       std::cerr << "cycle " << cycle << ": " << dists.status() << "\n";
@@ -191,7 +201,7 @@ int Run(int argc, char** argv) {
   // the same numbers the audit server's `stats` verb serves.
   const service::AuditService::Stats stats = service.stats();
   if (g_interrupted) {
-    std::cerr << "interrupted after " << cycles_completed << "/" << cycles
+    std::cerr << "interrupted after " << cycles_completed << "/" << *cycles
               << " cycles; writing partial report\n";
   }
   std::cerr << (game_path.empty() ? "scenario " + flags.GetString("scenario")
@@ -220,7 +230,7 @@ int Run(int argc, char** argv) {
       summary["game"] = game_path;
     }
     summary["stream"] = flags.GetString("stream");
-    summary["cycles"] = cycles;
+    summary["cycles"] = *cycles;
     summary["cycles_completed"] = cycles_completed;
     summary["interrupted"] = g_interrupted != 0;
     summary["budgets"] = static_cast<int>(options.budgets.size());
