@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "bench/engine/solver_engine.h"
 #include "data/syn_a.h"
-#include "solver/engine.h"
 #include "util/flags.h"
 
 namespace {

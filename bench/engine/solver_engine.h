@@ -1,11 +1,11 @@
-#ifndef AUDIT_GAME_SOLVER_ENGINE_H_
-#define AUDIT_GAME_SOLVER_ENGINE_H_
+#ifndef AUDIT_GAME_BENCH_ENGINE_SOLVER_ENGINE_H_
+#define AUDIT_GAME_BENCH_ENGINE_SOLVER_ENGINE_H_
 
 #include <vector>
 
 #include "solver/solver.h"
 #include "util/statusor.h"
-#include "util/thread_pool.h"
+#include "bench/engine/thread_pool.h"
 
 namespace auditgame::solver {
 
@@ -16,8 +16,8 @@ namespace auditgame::solver {
 /// distinct instance is compiled once per batch; results come back in
 /// request order regardless of completion order, and each result is
 /// bit-for-bit identical to solver::Solve on the same request (per-request
-/// RNG state, no sharing). The serving layer does not use it: an
-/// AuditService compiles its own game once and solves inline.
+/// RNG state, no sharing). It lives with the benchmark drivers, its only
+/// users: the library solves on its caller's thread.
 class SolverEngine {
  public:
   /// `num_threads` = 0 uses ThreadPool::DefaultThreadCount().
@@ -36,4 +36,4 @@ class SolverEngine {
 
 }  // namespace auditgame::solver
 
-#endif  // AUDIT_GAME_SOLVER_ENGINE_H_
+#endif  // AUDIT_GAME_BENCH_ENGINE_SOLVER_ENGINE_H_

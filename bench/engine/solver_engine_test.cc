@@ -1,4 +1,4 @@
-#include "solver/engine.h"
+#include "bench/engine/solver_engine.h"
 
 #include <vector>
 

@@ -1,6 +1,7 @@
-#include "util/thread_pool.h"
+#include "bench/engine/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace auditgame::util {
 

@@ -1,8 +1,6 @@
-#include "util/thread_pool.h"
+#include "bench/engine/thread_pool.h"
 
 #include <atomic>
-#include <future>
-#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,22 +37,6 @@ TEST(ThreadPoolTest, WaitCanBeCalledRepeatedly) {
   pool.Schedule([&counter] { counter.fetch_add(1); });
   pool.Wait();
   EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPoolTest, SubmitReturnsTaskValue) {
-  ThreadPool pool(2);
-  std::future<int> value = pool.Submit([] { return 6 * 7; });
-  EXPECT_EQ(value.get(), 42);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  std::future<int> failing = pool.Submit(
-      []() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(failing.get(), std::runtime_error);
-  // The worker that ran the throwing task must still be alive.
-  std::future<int> ok = pool.Submit([] { return 1; });
-  EXPECT_EQ(ok.get(), 1);
 }
 
 TEST(ThreadPoolTest, ParallelResultsMatchSerial) {

@@ -16,10 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/engine/solver_engine.h"
 #include "core/baselines.h"
 #include "core/detection.h"
 #include "core/game.h"
-#include "solver/engine.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/status.h"

@@ -15,7 +15,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,7 +29,6 @@
 #include "scenario/generator.h"
 #include "util/json.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace {
@@ -75,21 +73,13 @@ std::vector<double> MeanThresholds(const core::GameInstance& instance) {
   return thresholds;
 }
 
-void BM_CggsByTypeCount(benchmark::State& state, int pricing_threads) {
+void BM_CggsByTypeCount(benchmark::State& state) {
   const int num_types = static_cast<int>(state.range(0));
   const core::GameInstance instance = MakeScalableGame(num_types, 7);
   const auto compiled = core::Compile(instance);
   auto detection =
       core::DetectionModel::Create(instance, 2.0 * num_types);
-  core::CggsOptions options;
-  options.pricing_threads = pricing_threads;
-  // Pool spawn/join stays outside the timed region so the parallel
-  // variant measures pricing, not thread startup.
-  std::unique_ptr<util::ThreadPool> pricing_pool;
-  if (pricing_threads > 1) {
-    pricing_pool = std::make_unique<util::ThreadPool>(pricing_threads);
-    options.pricing_pool = pricing_pool.get();
-  }
+  const core::CggsOptions options;
   const std::vector<double> thresholds = MeanThresholds(instance);
   double objective = 0.0;
   int columns = 0;
@@ -106,11 +96,7 @@ void BM_CggsByTypeCount(benchmark::State& state, int pricing_threads) {
   state.counters["columns"] = columns;
   state.counters["warm_lp_solves"] = warm;
 }
-BENCHMARK_CAPTURE(BM_CggsByTypeCount, serial, 1)->DenseRange(3, 8);
-// Parallel pricing (bit-for-bit identical results; see
-// CggsOptions::pricing_threads): the timing delta against serial is pure
-// pricing-phase speedup.
-BENCHMARK_CAPTURE(BM_CggsByTypeCount, pricing4, 4)->DenseRange(3, 8);
+BENCHMARK(BM_CggsByTypeCount)->DenseRange(3, 8);
 
 void BM_FullLpByTypeCount(benchmark::State& state) {
   const int num_types = static_cast<int>(state.range(0));

@@ -13,11 +13,11 @@
 #include <iostream>
 #include <vector>
 
+#include "bench/engine/solver_engine.h"
+#include "bench/engine/thread_pool.h"
 #include "data/syn_a.h"
-#include "solver/engine.h"
 #include "util/flags.h"
 #include "util/json.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace {

@@ -1,13 +1,13 @@
 // scenario_suite: the generated-workload perf gate. For each scenario
 // family (bench-scale variants of the src/scenario catalog) it solves the
-// fixed-threshold game with CGGS twice — serial pricing and 4-thread
-// parallel pricing — verifies the two runs are bit-for-bit identical (the
-// CggsOptions::pricing_threads determinism contract), and writes
+// fixed-threshold game with CGGS under exact and Monte-Carlo detection,
+// runs the closed-loop Stackelberg adversary drill, and writes
 // BENCH_scenario.json with the pricing-phase and total-solve timings and
-// the parallel speedup. CI runs it in the bench smoke step and archives
-// the report; a disagreement exits with the dedicated smoke code.
+// the drill's gap metrics. CI runs it in the bench smoke step and archives
+// the report; a drill that falls behind the exact floor exits with the
+// dedicated smoke code.
 //
-//   scenario_suite --json=BENCH_scenario.json --reps=3 --threads=4
+//   scenario_suite --json=BENCH_scenario.json --reps=3
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -30,7 +30,6 @@
 #include "util/json.h"
 #include "util/status.h"
 #include "util/statusor.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace {
@@ -38,15 +37,12 @@ namespace {
 using namespace auditgame;  // NOLINT
 
 // Bench-scale variants of the catalog families: enough types and utility
-// rows that a pricing round has real work to fan out (the catalog presets
+// rows that a pricing round has real work to time (the catalog presets
 // are sized for tests and replay, not for timing).
 std::vector<scenario::NamedScenario> SuiteScenarios() {
   std::vector<scenario::NamedScenario> suite;
   for (const scenario::NamedScenario& preset : scenario::Catalog()) {
     if (preset.name == "zipf-deep") continue;  // shape duplicate of zipf
-    // Sized so one greedy step (T candidates x rows x T flops, ~0.5M) is
-    // far above the pool's per-chunk handoff cost — otherwise a 4-thread
-    // run measures scheduling, not pricing.
     scenario::NamedScenario scaled = preset;
     scaled.spec.num_types = std::max(preset.spec.num_types, 18);
     scaled.spec.num_adversaries = 12;
@@ -62,14 +58,6 @@ std::vector<double> FlooredMeanThresholds(const core::GameInstance& instance) {
     thresholds.push_back(std::floor(instance.alert_distributions[t].Mean()));
   }
   return thresholds;
-}
-
-bool BitIdentical(const core::CggsResult& a, const core::CggsResult& b) {
-  return a.objective == b.objective && a.columns == b.columns &&
-         a.lp_solves == b.lp_solves &&
-         a.columns_generated == b.columns_generated &&
-         a.policy.orderings == b.policy.orderings &&
-         a.policy.probabilities == b.policy.probabilities;
 }
 
 /// The closed-loop Stackelberg drill: a best-responding attacker against
@@ -141,17 +129,8 @@ struct PricingRun {
 util::StatusOr<PricingRun> TimePricing(const core::CompiledGame& compiled,
                                        core::DetectionModel& detection,
                                        const std::vector<double>& thresholds,
-                                       int pricing_threads, int reps) {
-  core::CggsOptions options;
-  options.pricing_threads = pricing_threads;
-  // One pool across the reps: total_seconds should not bill a thread
-  // spawn per solve (pricing_seconds never does — the pool is built
-  // outside the timed pricing rounds either way).
-  std::unique_ptr<util::ThreadPool> pricing_pool;
-  if (pricing_threads > 1) {
-    pricing_pool = std::make_unique<util::ThreadPool>(pricing_threads);
-    options.pricing_pool = pricing_pool.get();
-  }
+                                       int reps) {
+  const core::CggsOptions options;
   PricingRun run;
   run.pricing_seconds = std::numeric_limits<double>::infinity();
   run.total_seconds = std::numeric_limits<double>::infinity();
@@ -170,7 +149,6 @@ int Run(int argc, char** argv) {
   util::FlagParser flags;
   flags.Define("json", "BENCH_scenario.json", "report path");
   flags.Define("reps", "3", "solves per configuration (min time is kept)");
-  flags.Define("threads", "4", "pricing threads for the parallel run");
   flags.Define("mc_samples", "30000",
                "Monte-Carlo detection samples for the heavy-pricing cases");
   flags.Define("adversary_cycles", "12",
@@ -187,22 +165,19 @@ int Run(int argc, char** argv) {
   }
   // Out-of-range counts are refused, not clamped into a different run.
   const util::StatusOr<int> reps_flag = flags.GetIntAtLeast("reps", 1);
-  const util::StatusOr<int> threads_flag = flags.GetIntAtLeast("threads", 2);
   const util::StatusOr<int> mc_samples_flag =
       flags.GetIntAtLeast("mc_samples", 1000);
   for (const util::Status& parsed :
-       {reps_flag.status(), threads_flag.status(), mc_samples_flag.status()}) {
+       {reps_flag.status(), mc_samples_flag.status()}) {
     if (!parsed.ok()) {
       std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
       return 1;
     }
   }
   const int reps = *reps_flag;
-  const int threads = *threads_flag;
   const int mc_samples = *mc_samples_flag;
 
   util::JsonValue::Array cases;
-  bool all_identical = true;
   for (const scenario::NamedScenario& entry : SuiteScenarios()) {
     auto instance = scenario::Generate(entry.spec);
     if (!instance.ok()) {
@@ -220,9 +195,8 @@ int Run(int argc, char** argv) {
     const std::vector<double> thresholds = FlooredMeanThresholds(*instance);
 
     // Two detection regimes per family. kExact prices a candidate in
-    // O(grid) — pricing is light and the parallel run mostly measures
-    // scheduling. kMonteCarlo (the paper's estimator) prices in
-    // O(mc_samples) per candidate — the regime pricing_threads exists for.
+    // O(grid), so pricing is light. kMonteCarlo (the paper's estimator)
+    // prices in O(mc_samples) per candidate.
     for (const bool monte_carlo : {false, true}) {
       core::DetectionModel::Options detection_options;
       if (monte_carlo) {
@@ -237,20 +211,12 @@ int Run(int argc, char** argv) {
         return 1;
       }
 
-      auto serial = TimePricing(*compiled, *detection, thresholds, 1, reps);
-      auto parallel =
-          TimePricing(*compiled, *detection, thresholds, threads, reps);
-      if (!serial.ok() || !parallel.ok()) {
+      auto serial = TimePricing(*compiled, *detection, thresholds, reps);
+      if (!serial.ok()) {
         std::fprintf(stderr, "solve %s: %s\n", entry.name.c_str(),
-                     (serial.ok() ? parallel.status() : serial.status())
-                         .ToString()
-                         .c_str());
+                     serial.status().ToString().c_str());
         return 1;
       }
-      const bool identical = BitIdentical(serial->result, parallel->result);
-      all_identical = all_identical && identical;
-      const double speedup =
-          serial->pricing_seconds / std::max(1e-12, parallel->pricing_seconds);
 
       util::JsonValue::Object json_case;
       json_case["scenario"] = entry.name;
@@ -261,19 +227,13 @@ int Run(int argc, char** argv) {
       json_case["columns_generated"] = serial->result.columns_generated;
       json_case["objective"] = serial->result.objective;
       json_case["serial_pricing_seconds"] = serial->pricing_seconds;
-      json_case["parallel_pricing_seconds"] = parallel->pricing_seconds;
-      json_case["pricing_speedup_parallel_over_serial"] = speedup;
       json_case["serial_total_seconds"] = serial->total_seconds;
-      json_case["parallel_total_seconds"] = parallel->total_seconds;
-      json_case["serial_parallel_identical"] = identical;
-      std::printf(
-          "%-10s (%5s) types=%d rows=%d cols=%d pricing %.4fs -> %.4fs at "
-          "%d threads (%.2fx) identical=%s\n",
-          entry.name.c_str(), monte_carlo ? "mc" : "exact",
-          entry.spec.num_types, compiled->num_rows(),
-          serial->result.columns_generated, serial->pricing_seconds,
-          parallel->pricing_seconds, threads, speedup,
-          identical ? "yes" : "NO");
+      std::printf("%-10s (%5s) types=%d rows=%d cols=%d pricing %.4fs "
+                  "total %.4fs\n",
+                  entry.name.c_str(), monte_carlo ? "mc" : "exact",
+                  entry.spec.num_types, compiled->num_rows(),
+                  serial->result.columns_generated, serial->pricing_seconds,
+                  serial->total_seconds);
       cases.push_back(std::move(json_case));
     }
   }
@@ -298,10 +258,8 @@ int Run(int argc, char** argv) {
   util::JsonValue::Object report;
   report["bench"] = "scenario_suite";
   report["mode"] = "smoke";
-  report["pricing_threads"] = threads;
   report["hardware_threads"] =
       static_cast<int>(std::thread::hardware_concurrency());
-  report["serial_parallel_identical"] = all_identical;
   report["cases"] = std::move(cases);
   report["adversary"] = util::JsonValue(std::move(*adversary_drill));
 
@@ -315,11 +273,10 @@ int Run(int argc, char** argv) {
     out << util::JsonValue(std::move(report)).Dump(2) << "\n";
     std::printf("wrote %s\n", json_path.c_str());
   }
-  // Disagreement outranks a report-write failure: it is the signal CI must
-  // not mistake for an infrastructure problem. The adversary drill's
-  // within-2x bit is gated the same way — a warm re-solve falling behind
-  // the exact floor is a correctness regression, not noise.
-  if (!all_identical || !tracking_ok) return bench::kSmokeExitDisagreement;
+  // The adversary drill's within-2x bit outranks a report-write failure: a
+  // warm re-solve falling behind the exact floor is a correctness
+  // regression CI must not mistake for an infrastructure problem.
+  if (!tracking_ok) return bench::kSmokeExitDisagreement;
   return write_status;
 }
 

@@ -11,8 +11,8 @@
 #include <map>
 #include <vector>
 
+#include "bench/engine/solver_engine.h"
 #include "data/syn_a.h"
-#include "solver/engine.h"
 #include "util/flags.h"
 
 namespace {

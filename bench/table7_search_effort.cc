@@ -6,8 +6,8 @@
 #include <iostream>
 #include <vector>
 
+#include "bench/engine/solver_engine.h"
 #include "data/syn_a.h"
-#include "solver/engine.h"
 #include "util/flags.h"
 
 namespace {

@@ -6,12 +6,11 @@
 // budget at which strategic applicants are fully deterred.
 #include <iomanip>
 #include <iostream>
-#include <vector>
 
 #include "core/baselines.h"
 #include "core/detection.h"
 #include "data/credit.h"
-#include "solver/engine.h"
+#include "solver/solver.h"
 
 using namespace auditgame;  // NOLINT
 
@@ -36,26 +35,16 @@ int main() {
   std::cout << "budget | bank loss | greedy-baseline loss | thresholds "
                "(audits per type)\n";
 
-  // Each budget is an independent game-theoretic solve; fan the whole
-  // frontier across the cores in one SolverEngine batch.
-  std::vector<int> budgets;
-  for (int budget = 25; budget <= 250; budget += 25) budgets.push_back(budget);
-  std::vector<solver::EngineRequest> requests;
-  for (int budget : budgets) {
+  // Each budget is an independent game-theoretic solve of the one
+  // compiled game.
+  double deterrence_budget = -1;
+  for (int budget = 25; budget <= 250; budget += 25) {
     solver::EngineRequest request;
     request.solver = "ishm-cggs";
     request.instance = &*game;
     request.budget = budget;
     request.options.ishm.step_size = 0.2;
-    requests.push_back(std::move(request));
-  }
-  solver::SolverEngine engine;
-  const auto results = engine.SolveAll(requests);
-
-  double deterrence_budget = -1;
-  for (size_t b = 0; b < budgets.size(); ++b) {
-    const int budget = budgets[b];
-    const auto& result = results[b];
+    const auto result = solver::Solve(request, *compiled);
     if (!result.ok()) {
       std::cerr << result.status() << "\n";
       return 1;

@@ -1,9 +1,7 @@
 #include "core/cggs.h"
 
 #include <algorithm>
-#include <future>
 #include <limits>
-#include <memory>
 #include <numeric>
 
 #include "core/game_lp.h"
@@ -11,7 +9,6 @@
 #include "math/kernels.h"
 #include "util/hash.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace auditgame::core {
@@ -39,8 +36,7 @@ bool IsValidOrdering(const std::vector<int>& ordering, int t_count) {
 
 // Seed of the Rng that shuffles probe candidate `probe` of pricing round
 // `round`: a pure function of the solve seed and the candidate's position,
-// so the probe set is identical no matter which thread generates it (and
-// identical between the serial and parallel paths).
+// so each probe's ordering depends on nothing but (seed, round, probe).
 uint64_t ProbeSeed(uint64_t seed, int round, int probe) {
   util::Fnv1a hash(seed);
   hash.AppendU64(static_cast<uint64_t>(round));
@@ -48,73 +44,35 @@ uint64_t ProbeSeed(uint64_t seed, int round, int probe) {
   return hash.value();
 }
 
-// Runs fn(chunk) for chunk in [0, num_chunks) — inline when `pool` is null
-// or there is only one chunk, fanned across the pool otherwise. Callers
-// write results into slots preassigned by chunk, so the outcome does not
-// depend on scheduling; Wait-for-all happens via the futures.
-template <typename Fn>
-void RunChunks(util::ThreadPool* pool, int num_chunks, const Fn& fn) {
-  if (pool == nullptr || num_chunks <= 1) {
-    for (int chunk = 0; chunk < num_chunks; ++chunk) fn(chunk);
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(static_cast<size_t>(num_chunks));
-  for (int chunk = 0; chunk < num_chunks; ++chunk) {
-    futures.push_back(pool->Submit([&fn, chunk] { fn(chunk); }));
-  }
-  // Drain every chunk before propagating a failure: rethrowing from the
-  // first get() would unwind the caller's slots while later chunks still
-  // reference them.
-  std::exception_ptr first_error;
-  for (std::future<void>& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 // Greedy pricing (Algorithm 1, lines 4-7): grow an ordering one type at a
 // time, always appending the type that minimizes the dual-weighted utility
 // `f` of the partial ordering (un-placed types contribute Pal = 0). `f` is
 // affine in Pal, so appending t lowers it by slope[t] * Pal(t | placed):
 // each step appends the type with the largest such product, ties to the
-// smallest type index. A step's per-type products are independent; with a
-// pool they are computed in contiguous chunks into per-type slots, each
-// one multiply, so the result is bit-identical across thread counts.
-// `placed`, `scores`, `prefix` and `ordering_out` are caller-owned scratch
-// reused across rounds, so steady-state pricing rounds run with zero heap
-// allocations.
+// smallest type index. `placed`, `prefix` and `ordering_out` are
+// caller-owned scratch reused across rounds, so steady-state pricing
+// rounds run with zero heap allocations.
 void GreedyOrdering(const DualUtility& f, const DetectionModel& detection,
-                    util::ThreadPool* pool, int max_chunks,
-                    std::vector<uint8_t>& placed, std::vector<double>& scores,
+                    std::vector<uint8_t>& placed,
                     DetectionModel::Prefix& prefix,
                     std::vector<int>& ordering_out) {
   const int t_count = detection.num_types();
   ordering_out.clear();
   ordering_out.reserve(static_cast<size_t>(t_count));
-  const int num_chunks = pool == nullptr ? 1 : std::min(max_chunks, t_count);
   placed.assign(static_cast<size_t>(t_count), 0);
-  scores.resize(static_cast<size_t>(t_count));
 
   detection.ResetPrefix(prefix);
   for (int step = 0; step < t_count; ++step) {
-    RunChunks(pool, num_chunks, [&](int chunk) {
-      const int begin = chunk * t_count / num_chunks;
-      const int end = (chunk + 1) * t_count / num_chunks;
-      for (int t = begin; t < end; ++t) {
-        if (placed[t]) continue;
-        scores[t] = f.slope[static_cast<size_t>(t)] *
-                    detection.PalGivenPrefix(prefix, t);
-      }
-    });
     int best_type = -1;
+    double best_score = 0.0;
     for (int t = 0; t < t_count; ++t) {
       if (placed[t]) continue;
-      if (best_type < 0 || scores[t] > scores[best_type]) best_type = t;
+      const double score = f.slope[static_cast<size_t>(t)] *
+                           detection.PalGivenPrefix(prefix, t);
+      if (best_type < 0 || score > best_score) {
+        best_type = t;
+        best_score = score;
+      }
     }
     placed[best_type] = 1;
     ordering_out.push_back(best_type);
@@ -160,22 +118,6 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
                                              const CggsOptions& options,
                                              RestrictedMasterLp& master_lp,
                                              RestrictedLpSolution& master) {
-  // One pool for the whole loop — the caller's shared pool when provided,
-  // a locally owned one otherwise; null selects the inline serial path.
-  // Work is chunked by pricing_threads (never by pool size), and every
-  // pricing round runs the same per-candidate arithmetic and the same
-  // deterministic reductions, so the result is bit-for-bit independent of
-  // pricing_threads and of which pool runs it (see CggsOptions).
-  util::ThreadPool* pool = nullptr;
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  if (options.pricing_threads > 1) {
-    pool = options.pricing_pool;
-    if (pool == nullptr) {
-      owned_pool = std::make_unique<util::ThreadPool>(options.pricing_threads);
-      pool = owned_pool.get();
-    }
-  }
-
   if (master_lp.num_orderings() == 0) {
     std::vector<int> identity(game.num_types);
     std::iota(identity.begin(), identity.end(), 0);
@@ -185,22 +127,14 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
 
   CggsResult result;
 
-  // Round-persistent scratch: candidate orderings, their reduced-cost
-  // slots, and one (prefix, pal) evaluation scratch per candidate slot —
-  // preassigned by candidate index, so the parallel sweep touches disjoint
-  // state and steady-state rounds are allocation-free.
+  // Round-persistent scratch: candidate orderings and one (prefix, pal)
+  // evaluation buffer reused by every candidate, so steady-state rounds
+  // are allocation-free.
   const size_t num_candidates = static_cast<size_t>(1 + options.random_probes);
   std::vector<std::vector<int>> candidates(num_candidates);
-  std::vector<uint8_t> skip;
-  std::vector<double> reduced_costs;
-  std::vector<util::Status> statuses;
-  struct CandidateScratch {
-    DetectionModel::Prefix prefix;
-    std::vector<double> pal;
-  };
-  std::vector<CandidateScratch> eval_scratch(num_candidates);
+  DetectionModel::Prefix eval_prefix;
+  std::vector<double> eval_pal;
   std::vector<uint8_t> greedy_placed;
-  std::vector<double> greedy_scores;
   DetectionModel::Prefix greedy_prefix;
   DualUtility pricing;
 
@@ -214,8 +148,8 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
     util::Timer pricing_timer;
     PricingDualUtility(game, master_lp.utility_rows(), master.victim_duals,
                        pricing);
-    GreedyOrdering(pricing, detection, pool, options.pricing_threads,
-                   greedy_placed, greedy_scores, greedy_prefix, candidates[0]);
+    GreedyOrdering(pricing, detection, greedy_placed, greedy_prefix,
+                   candidates[0]);
     for (int r = 0; r < options.random_probes; ++r) {
       std::vector<int>& random_ordering = candidates[static_cast<size_t>(r) + 1];
       random_ordering.resize(static_cast<size_t>(game.num_types));
@@ -224,35 +158,16 @@ util::StatusOr<CggsResult> SolveCggsOnMaster(const CompiledGame& game,
       probe_rng.Shuffle(random_ordering);
     }
 
-    // Reduced costs of the novel candidates, one preassigned slot each.
-    skip.assign(num_candidates, 0);
-    for (size_t i = 0; i < num_candidates; ++i) {
-      skip[i] = master_lp.HasOrdering(candidates[i]) ? 1 : 0;  // already in Q
-    }
-    reduced_costs.assign(num_candidates, 0.0);
-    statuses.assign(num_candidates, util::OkStatus());
-    RunChunks(pool, static_cast<int>(num_candidates), [&](int i) {
-      const size_t slot = static_cast<size_t>(i);
-      if (skip[slot]) return;
-      CandidateScratch& scratch = eval_scratch[slot];
-      const util::Status status = detection.DetectionProbabilitiesInto(
-          candidates[slot], scratch.prefix, scratch.pal);
-      if (!status.ok()) {
-        statuses[slot] = status;
-        return;
-      }
-      reduced_costs[slot] =
-          pricing.Value(scratch.pal.data()) - master.convexity_dual;
-    });
-    for (const util::Status& status : statuses) RETURN_IF_ERROR(status);
-
-    // Deterministic reduction: strictly below the tolerance wins; exact
-    // reduced-cost ties go to the lexicographically smallest ordering.
+    // The entering column: the novel candidate with the lowest reduced
+    // cost, if strictly below -tolerance; exact reduced-cost ties go to the
+    // lexicographically smallest ordering.
     int best_index = -1;
     double best_rc = -options.reduced_cost_tolerance;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (skip[i]) continue;
-      const double rc = reduced_costs[i];
+    for (size_t i = 0; i < num_candidates; ++i) {
+      if (master_lp.HasOrdering(candidates[i])) continue;  // already in Q
+      RETURN_IF_ERROR(detection.DetectionProbabilitiesInto(
+          candidates[i], eval_prefix, eval_pal));
+      const double rc = pricing.Value(eval_pal.data()) - master.convexity_dual;
       if (rc < best_rc || (best_index >= 0 && rc == best_rc &&
                            candidates[i] < candidates[static_cast<size_t>(
                                                best_index)])) {

@@ -11,10 +11,6 @@
 #include "util/status.h"
 #include "util/statusor.h"
 
-namespace auditgame::util {
-class ThreadPool;
-}  // namespace auditgame::util
-
 namespace auditgame::core {
 
 /// Options for Column Generation Greedy Search (Algorithm 1).
@@ -29,26 +25,10 @@ struct CggsOptions {
   /// probes make the heuristic noticeably more robust at negligible cost.
   int random_probes = 2;
   uint64_t seed = 7;
-  /// Worker threads for the pricing round: the greedy ordering growth fans
-  /// its per-type candidate scores and the probe candidates fan their
-  /// reduced-cost evaluations across a util::ThreadPool. 0 or 1 = serial.
-  ///
-  /// Determinism contract: the result is bit-for-bit identical for every
-  /// value of pricing_threads. Probe r of pricing round k draws from its
-  /// own Rng pre-seeded by (seed, k, r) — never from a shared stream — all
-  /// scores land in preassigned slots, and the entering column is the
-  /// deterministic minimum (reduced cost, then lexicographically smallest
-  /// ordering), independent of scheduling. See docs/DESIGN.md
-  /// "Parallel pricing".
+  /// Read by nothing; kept while perfbench/perf_client.cc assigns it.
+  /// Pricing runs on the caller's thread (see docs/DESIGN.md "Pricing
+  /// determinism").
   int pricing_threads = 1;
-  /// Optional non-owning pool to run the pricing round on when
-  /// pricing_threads > 1; must outlive the solve. Callers that solve
-  /// repeatedly (the ISHM evaluator, serving loops) share one pool here
-  /// instead of paying a thread spawn+join per solve. Null = the solve
-  /// creates its own. Result-neutral like pricing_threads itself (work is
-  /// chunked by pricing_threads, never by pool size) and therefore
-  /// excluded from policy-cache fingerprints.
-  util::ThreadPool* pricing_pool = nullptr;
   /// Optional warm start: orderings to seed Q with (e.g. the support of a
   /// previously served policy). The ISHM sweep re-seeds its master with
   /// them whenever it rebuilds it (see CggsSweep).
@@ -73,8 +53,7 @@ struct CggsResult {
   /// failed the primal-residual check (RestrictedMasterLp::SolveInto).
   int cold_retries = 0;
   /// Wall-clock spent in the pricing rounds (greedy growth + probe
-  /// generation + reduced-cost evaluation) — the part pricing_threads
-  /// parallelizes; bench/scenario_suite reports the speedup.
+  /// generation + reduced-cost evaluation).
   double pricing_seconds = 0.0;
 };
 

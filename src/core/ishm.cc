@@ -9,7 +9,6 @@
 
 #include "core/game_lp.h"
 #include "util/combinatorics.h"
-#include "util/thread_pool.h"
 
 namespace auditgame::core {
 namespace {
@@ -213,21 +212,11 @@ ThresholdEvaluator MakeFullLpEvaluator(const CompiledGame& game,
 CggsSweep::CggsSweep(const CompiledGame& game, DetectionModel& detection,
                      CggsOptions options)
     : game_(game), detection_(detection), options_(std::move(options)) {
-  // One pricing thread pool for the sweep — ISHM submits hundreds of
-  // evaluations per policy, far too many to pay a thread spawn+join each
-  // (result-neutral either way; see CggsOptions).
-  if (options_.pricing_threads > 1 && options_.pricing_pool == nullptr) {
-    owned_pricing_pool_ =
-        std::make_unique<util::ThreadPool>(options_.pricing_threads);
-    options_.pricing_pool = owned_pricing_pool_.get();
-  }
   if (detection_.mode() == DetectionModel::Mode::kExact &&
       game_.num_types <= kMaxBoundTypes) {
     dual_ring_.resize(kDualRing);
   }
 }
-
-CggsSweep::~CggsSweep() = default;
 
 util::StatusOr<CggsResult> CggsSweep::Solve(
     const std::vector<double>& thresholds) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -146,7 +145,7 @@ ThresholdEvaluator MakeFullLpEvaluator(const CompiledGame& game,
 /// extra columns slow the master more than they help), the master is
 /// rebuilt from the previous probe's policy support plus the seed
 /// orderings in CggsOptions::initial_orderings. Results depend only on the
-/// sequence of probes, never on pricing_threads.
+/// sequence of probes.
 ///
 /// With exact detection and at most kMaxBoundTypes types, the sweep also
 /// bounds probes before solving them (LowerBound): the duals of its last
@@ -160,7 +159,6 @@ class CggsSweep {
   /// thresholds are overwritten by every Solve.
   CggsSweep(const CompiledGame& game, DetectionModel& detection,
             CggsOptions options);
-  ~CggsSweep();
 
   /// Above this many types the per-probe subset table costs more than
   /// the probes the bound skips.
@@ -191,10 +189,7 @@ class CggsSweep {
  private:
   const CompiledGame& game_;
   DetectionModel& detection_;
-  // pricing_pool points at the member below unless the caller supplied
-  // its own.
   CggsOptions options_;
-  std::unique_ptr<util::ThreadPool> owned_pricing_pool_;
   std::optional<RestrictedMasterLp> master_;
   // The last master solution, kept so its buffers persist across probes.
   RestrictedLpSolution solution_;

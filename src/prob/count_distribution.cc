@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "math/kernels.h"
@@ -137,6 +138,16 @@ void CountDistribution::StreamState(util::Serializer& s) {
     s.Fail(util::InvalidArgumentError(
         "CountDistribution: pmf/cdf length mismatch in stream"));
   }
+}
+
+bool CountDistribution::BitwiseEqual(const CountDistribution& other) const {
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  return min_value_ == other.min_value_ && same_bits(pmf_, other.pmf_) &&
+         same_bits(cdf_, other.cdf_);
 }
 
 double CountDistribution::Pmf(int z) const {

@@ -70,6 +70,10 @@ class CountDistribution {
   /// values by a few ULPs and break bit-for-bit replay.
   void StreamState(util::Serializer& s);
 
+  /// True when both stream the same bytes: the same support and the same
+  /// bits in both probability tables.
+  bool BitwiseEqual(const CountDistribution& other) const;
+
   int min_value() const { return min_value_; }
   int max_value() const { return min_value_ + static_cast<int>(pmf_.size()) - 1; }
   int support_size() const { return static_cast<int>(pmf_.size()); }

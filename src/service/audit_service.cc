@@ -10,6 +10,18 @@
 #include "util/timer.h"
 
 namespace auditgame::service {
+namespace {
+
+bool BitwiseEqual(const std::vector<prob::CountDistribution>& a,
+                  const std::vector<prob::CountDistribution>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const prob::CountDistribution& x,
+                       const prob::CountDistribution& y) {
+                      return x.BitwiseEqual(y);
+                    });
+}
+
+}  // namespace
 
 AuditService::AuditService(core::GameInstance instance,
                            AuditServiceOptions options)
@@ -247,11 +259,15 @@ void AuditService::StreamState(util::Serializer& s) {
     keys_current_ = false;
     // A shard's tenants read back the fixed parts they were built with,
     // so they go on sharing the shard's base instance and compiled game.
+    // A never-ingested tenant reads back the base's own distributions and
+    // aliases them again.
     if (!s.ok() || !core::SameCompileInputs(game, *base_)) compiled_.reset();
     if (s.ok() && core::SameFixedParts(game, *base_)) {
       distributions_ =
-          std::make_shared<const std::vector<prob::CountDistribution>>(
-              std::move(game.alert_distributions));
+          BitwiseEqual(game.alert_distributions, base_->alert_distributions)
+              ? Distributions(base_, &base_->alert_distributions)
+              : std::make_shared<const std::vector<prob::CountDistribution>>(
+                    std::move(game.alert_distributions));
     } else {
       base_ = std::make_shared<const core::GameInstance>(std::move(game));
       distributions_ = Distributions(base_, &base_->alert_distributions);
@@ -265,17 +281,20 @@ void AuditService::StreamState(util::Serializer& s) {
     for (uint64_t i = 0; i < num_baselines && s.ok(); ++i) {
       double budget = 0.0;
       s.F64(budget);
-      // Restored baselines share nothing until a cycle replaces them.
-      auto distributions =
-          std::make_shared<std::vector<prob::CountDistribution>>();
+      std::vector<prob::CountDistribution> read;
       auto result = std::make_shared<solver::SolveResult>();
-      s.VecObj(*distributions);
+      s.VecObj(read);
       s.Object(*result);
-      if (s.ok()) {
-        last_solves_.emplace(
-            budget, LastSolve{std::move(distributions), std::move(result),
-                              std::nullopt});
-      }
+      if (!s.ok()) break;
+      // A baseline served under the current distributions shares them, as
+      // it did before the write.
+      Distributions distributions =
+          BitwiseEqual(read, *distributions_)
+              ? distributions_
+              : std::make_shared<const std::vector<prob::CountDistribution>>(
+                    std::move(read));
+      last_solves_.emplace(budget, LastSolve{std::move(distributions),
+                                             std::move(result), std::nullopt});
     }
   } else {
     // Writing reads the shared objects and leaves them unchanged.

@@ -50,10 +50,10 @@ void AppendRequestConfig(util::FingerprintBuilder& fp,
   fp.AppendDouble(o.cggs.reduced_cost_tolerance);
   fp.AppendI64(o.cggs.random_probes);
   fp.AppendU64(o.cggs.seed);
-  // pricing_threads is result-neutral by contract (see CggsOptions), but
-  // it is still configuration: hashing it keeps the key a faithful image
-  // of the request and costs at most a duplicate solve per thread count.
-  fp.AppendI64(o.cggs.pricing_threads);
+  // The slot where pricing_threads was hashed before pricing became
+  // serial. A constant 1 (the old default) keeps every stored key and
+  // snapshot valid; the field itself no longer shapes a solve.
+  fp.AppendI64(1);
   append_orderings(o.cggs.initial_orderings);
   fp.AppendU64(o.brute_force.require_sum_at_least_budget ? 1 : 0);
   append_doubles(request.warm_start.thresholds);

@@ -64,7 +64,7 @@ struct WarmStart {
 /// detection model and run a backend by name. Solve() builds its own
 /// DetectionModel per request (the models are mutated during a solve), so
 /// requests never share mutable state and a batch is safe to run on any
-/// number of threads (see SolverEngine).
+/// number of threads (see bench/engine/solver_engine.h).
 struct EngineRequest {
   /// Backend name ("ishm-cggs", ...; see the table above).
   std::string solver;
@@ -102,8 +102,8 @@ struct SolveStats {
   int warm_lp_solves = 0;
   /// CGGS: columns generated beyond the initial set.
   int columns_generated = 0;
-  /// CGGS: wall-clock spent in the pricing rounds (the part
-  /// CggsOptions::pricing_threads parallelizes).
+  /// CGGS: wall-clock spent in the pricing rounds (greedy growth, probe
+  /// generation and reduced-cost evaluation).
   double pricing_seconds = 0.0;
   /// Brute force: threshold vectors whose LP was solved.
   uint64_t vectors_evaluated = 0;
@@ -144,8 +144,8 @@ struct SolveResult {
 util::StatusOr<SolveResult> Solve(const EngineRequest& request);
 
 /// The same on `game`, which must be compiled from `*request.instance`:
-/// an AuditService passes the game it compiled once, and SolverEngine the
-/// one it compiled for the batch.
+/// an AuditService passes the game it compiled once, and the benchmarks'
+/// SolverEngine the one it compiled for the batch.
 util::StatusOr<SolveResult> Solve(const EngineRequest& request,
                                   const core::CompiledGame& game);
 

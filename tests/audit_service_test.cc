@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -530,6 +531,59 @@ TEST(AuditServiceSharedGameTest, TenantWithoutIngestSharesBaseDistributions) {
                   .ok());
   EXPECT_NE(&view.alert_distributions(), &base->alert_distributions);
   EXPECT_EQ(view.base_instance(), base.get());
+}
+
+// A state read restores the sharing a cycle leaves behind: each baseline
+// served under the current distributions points at them, and a tenant that
+// never ingested aliases the base's distributions again. The restored
+// tenant writes the bytes it read.
+TEST(AuditServiceSharedGameTest, RestoredTenantKeepsOneDistributionsCopy) {
+  auto base = std::make_shared<const core::GameInstance>(
+      testutil::MakeMediumGame());
+  auto options = std::make_shared<const AuditServiceOptions>(FastOptions());
+  const auto round_trip = [&](AuditService& writer) {
+    util::Serializer w = util::Serializer::Writer();
+    writer.StreamState(w);
+    EXPECT_TRUE(w.ok()) << w.status();
+    const std::string bytes = w.TakeBuffer();
+    auto restored = std::make_unique<AuditService>(base, options, nullptr);
+    util::Serializer r = util::Serializer::Reader(bytes);
+    restored->StreamState(r);
+    r.ExpectExhausted();
+    EXPECT_TRUE(r.ok()) << r.status();
+    util::Serializer again = util::Serializer::Writer();
+    restored->StreamState(again);
+    EXPECT_EQ(again.TakeBuffer(), bytes);
+    return restored;
+  };
+
+  AuditService ingested(base, options, nullptr);
+  ASSERT_TRUE(ingested.RunCycle().ok());
+  ASSERT_TRUE(ingested
+                  .UpdateAlertDistributions(
+                      Perturb(base->alert_distributions, 0.1))
+                  .ok());
+  ASSERT_TRUE(ingested.RunCycle().ok());
+  const auto restored_ingested = round_trip(ingested);
+  EXPECT_NE(&restored_ingested->alert_distributions(),
+            &base->alert_distributions);
+  for (double budget : options->budgets) {
+    EXPECT_EQ(restored_ingested->baseline_distributions(budget),
+              &restored_ingested->alert_distributions())
+        << "budget " << budget;
+  }
+
+  AuditService never_ingested(base, options, nullptr);
+  ASSERT_TRUE(never_ingested.RunCycle().ok());
+  const auto restored_base = round_trip(never_ingested);
+  EXPECT_EQ(restored_base->base_instance(), base.get());
+  EXPECT_EQ(&restored_base->alert_distributions(),
+            &restored_base->base_instance()->alert_distributions);
+  for (double budget : options->budgets) {
+    EXPECT_EQ(restored_base->baseline_distributions(budget),
+              &base->alert_distributions)
+        << "budget " << budget;
+  }
 }
 
 // After each cycle every baseline and the current distributions are one

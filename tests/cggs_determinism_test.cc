@@ -1,12 +1,11 @@
 // The cross-cutting determinism contract of the solver core: a CGGS solve
-// produces a byte-identical SolveResult fingerprint for every pricing
-// thread count, and that fingerprint is pinned to a golden literal. The
-// pricing path's preassigned scratch slots make thread count
-// result-neutral; the kernels' canonical blocked summation order
-// (math/kernels.h) fixes the bits. A change to either — a reordered
-// reduction, a different pivot rule — fails here, and docs/DESIGN.md calls
-// it a format break. The games span the scenario families and both
-// detection modes.
+// produces a byte-identical SolveResult fingerprint run to run, and that
+// fingerprint is pinned to a golden literal. The pricing round's probe
+// seeds and tie-breaking rules and the kernels' canonical blocked
+// summation order (math/kernels.h) fix the bits. A change to any of them —
+// a reordered reduction, a different pivot rule — fails here, and
+// docs/DESIGN.md calls it a format break. The games span the scenario
+// families and both detection modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,8 +26,8 @@
 namespace auditgame {
 namespace {
 
-// SolveResult fingerprints of SolveFingerprint(game, 1) for games 0..19,
-// and of SweepFingerprint(game, 1) for games 0..7. Regenerate them only
+// SolveResult fingerprints of SolveFingerprint(game) for games 0..19, and
+// of SweepFingerprint(game) for games 0..7. Regenerate them only
 // for a deliberate format break, and say so in the change log.
 constexpr const char* kGoldenCggs[] = {
     "a6b0c7e78a795a98de929a6547a28d48", "a59b85b8db480e2a19c2d1cf7b35f11a",
@@ -79,9 +78,9 @@ std::vector<double> FlooredMeanThresholds(const core::GameInstance& instance) {
   return thresholds;
 }
 
-// Solves game `index` with cggs at the given thread count and returns the
-// SolveResult fingerprint (timing fields excluded by construction).
-util::Fingerprint SolveFingerprint(int index, int pricing_threads) {
+// Solves game `index` with cggs and returns the SolveResult fingerprint
+// (timing fields excluded by construction).
+util::Fingerprint SolveFingerprint(int index) {
   const auto instance = scenario::Generate(SpecForGame(index));
   EXPECT_TRUE(instance.ok()) << index;
 
@@ -97,24 +96,21 @@ util::Fingerprint SolveFingerprint(int index, int pricing_threads) {
     request.detection_options.mc_samples = 400;
   }
   request.thresholds = FlooredMeanThresholds(*instance);
-  request.options.cggs.pricing_threads = pricing_threads;
   auto result = solver::Solve(request);
   EXPECT_TRUE(result.ok()) << index;
   return util::FingerprintState(*result);
 }
 
-TEST(CggsDeterminismTest, FingerprintsMatchGoldenAcrossThreads) {
+TEST(CggsDeterminismTest, FingerprintsMatchGolden) {
   for (int game = 0; game < 20; ++game) {
-    for (const int threads : {1, 2, 4}) {
-      EXPECT_EQ(SolveFingerprint(game, threads).ToHex(), kGoldenCggs[game])
-          << "game " << game << " threads=" << threads;
-    }
+    EXPECT_EQ(SolveFingerprint(game).ToHex(), kGoldenCggs[game])
+        << "game " << game;
   }
 }
 
 // Solves game `index` with ishm-cggs, whose sweep keeps one master LP
 // across all probes, and returns the SolveResult fingerprint.
-util::Fingerprint SweepFingerprint(int index, int pricing_threads) {
+util::Fingerprint SweepFingerprint(int index) {
   const auto instance = scenario::Generate(SpecForGame(index));
   EXPECT_TRUE(instance.ok()) << index;
 
@@ -127,7 +123,6 @@ util::Fingerprint SweepFingerprint(int index, int pricing_threads) {
     request.detection_options.mc_samples = 400;
   }
   request.options.ishm.step_size = 0.25;
-  request.options.cggs.pricing_threads = pricing_threads;
   auto result = solver::Solve(request);
   EXPECT_TRUE(result.ok()) << index;
   return util::FingerprintState(*result);
@@ -135,18 +130,13 @@ util::Fingerprint SweepFingerprint(int index, int pricing_threads) {
 
 // Every probe of a sweep starts from the master the previous probes left
 // behind, so any nondeterminism would compound across the sweep. It must
-// still be byte-identical run to run, across pricing thread counts, and
-// to the golden literal.
-TEST(CggsSweepTest, IshmCggsSweepsMatchGoldenAcrossRunsAndThreads) {
+// still be byte-identical run to run and to the golden literal.
+TEST(CggsSweepTest, IshmCggsSweepsMatchGoldenAcrossRuns) {
   for (int game = 0; game < 8; ++game) {
-    EXPECT_EQ(SweepFingerprint(game, 1).ToHex(), kGoldenSweep[game])
+    EXPECT_EQ(SweepFingerprint(game).ToHex(), kGoldenSweep[game])
         << "game " << game;
-    EXPECT_EQ(SweepFingerprint(game, 1).ToHex(), kGoldenSweep[game])
+    EXPECT_EQ(SweepFingerprint(game).ToHex(), kGoldenSweep[game])
         << "game " << game << " rerun";
-    for (const int threads : {2, 4}) {
-      EXPECT_EQ(SweepFingerprint(game, threads).ToHex(), kGoldenSweep[game])
-          << "game " << game << " threads=" << threads;
-    }
   }
 }
 

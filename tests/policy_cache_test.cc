@@ -157,12 +157,6 @@ TEST(FingerprintTest, SearchConfigurationChangesTheKey) {
   other.options.cggs.max_columns = 50;
   EXPECT_NE(key, FingerprintRequest(other));
 
-  // pricing_threads is result-neutral by contract, but it is still part of
-  // the configuration image the key must cover.
-  other = cold;
-  other.options.cggs.pricing_threads = 4;
-  EXPECT_NE(key, FingerprintRequest(other));
-
   other = cold;
   other.warm_start.thresholds = {2.0, 1.0};
   EXPECT_NE(key, FingerprintRequest(other));
@@ -170,6 +164,16 @@ TEST(FingerprintTest, SearchConfigurationChangesTheKey) {
   other = cold;
   other.warm_start.orderings = {{1, 0}};
   EXPECT_NE(key, FingerprintRequest(other));
+}
+
+TEST(FingerprintTest, PricingThreadsLeavesTheKeyUnchanged) {
+  // Pricing runs on the caller's thread and nothing reads pricing_threads;
+  // the key hashes a constant in its slot, so stored keys stay valid.
+  const core::GameInstance tiny = MakeTinyGame();
+  const solver::EngineRequest base = MakeRequest(tiny);
+  solver::EngineRequest threaded = base;
+  threaded.options.cggs.pricing_threads = 4;
+  EXPECT_EQ(FingerprintRequest(base), FingerprintRequest(threaded));
 }
 
 TEST(PolicyCacheTest, LookupInsertAndStats) {

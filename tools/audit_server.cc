@@ -49,7 +49,6 @@ int Run(int argc, char** argv) {
                "snapshot, never the live shards)");
   scenario::DefineScenarioFlags(flags, /*default_scenario=*/"uniform",
                                 /*default_types=*/"5");
-  flags.Define("pricing_threads", "1", "CGGS pricing threads per solve");
   auto status = flags.Parse(argc, argv);
   if (!status.ok()) {
     std::cerr << status << "\n" << flags.HelpString(argv[0]);
@@ -87,8 +86,6 @@ int Run(int argc, char** argv) {
   options.front = *std::move(front);
   options.durability = *std::move(durability);
   options.stats_refresh_ms = *stats_refresh_ms;
-  options.service.solver_options.cggs.pricing_threads =
-      flags.GetInt("pricing_threads");
 
   server::AuditServer server(std::move(*instance), options);
   if (util::Status started = server.Start(); !started.ok()) {

@@ -227,7 +227,6 @@ int Run(int argc, char** argv) {
   scenario::DefineScenarioFlags(flags, /*default_scenario=*/"uniform",
                                 /*default_types=*/"5");
   server::DefineServiceFlags(flags);
-  flags.Define("pricing_threads", "1", "CGGS pricing threads per solve");
   auto status = flags.Parse(argc, argv);
   if (!status.ok()) {
     std::cerr << status << "\n" << flags.HelpString(argv[0]);
@@ -277,8 +276,6 @@ int Run(int argc, char** argv) {
       std::cerr << service_options.status() << "\n";
       return 1;
     }
-    service_options->solver_options.cggs.pricing_threads =
-        flags.GetInt("pricing_threads");
 
     if (util::Status replayed =
             ReplayShards(data_dir, num_shards, *instance, *service_options,

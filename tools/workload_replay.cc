@@ -12,7 +12,7 @@
 //
 //   workload_replay --scenario=zipf --stream=walk --cycles=40 --drift=0.08
 //   workload_replay --scenario=correlated --budget_lo=6 --budget_hi=18
-//       --budget_steps=4 --pricing_threads=4 --json=replay.json
+//       --budget_steps=4 --json=replay.json
 //   workload_replay --game=game.json --cycles=50 --budget_steps=1
 #include <signal.h>
 
@@ -65,9 +65,6 @@ int Run(int argc, char** argv) {
   flags.Define("eps", "0.25", "ISHM step size");
   flags.Define("warm_max_drift", "0.25",
                "drift threshold above which re-solves are cold");
-  flags.Define("pricing_threads", "1",
-               "CGGS pricing threads per solve (results are bit-for-bit "
-               "identical for any value)");
   flags.Define("json", "", "machine-readable summary path (empty = none)");
   auto status = flags.Parse(argc, argv);
   if (!status.ok()) {
@@ -134,7 +131,6 @@ int Run(int argc, char** argv) {
     return 1;
   }
   options.solver_options.ishm.step_size = flags.GetDouble("eps");
-  options.solver_options.cggs.pricing_threads = flags.GetInt("pricing_threads");
   options.warm_start_max_drift = flags.GetDouble("warm_max_drift");
   service::AuditService service(std::move(*instance), options);
 
