@@ -8,14 +8,13 @@
 // The (ratio, realized, optout) cell is the configuration that reproduces
 // Table III within ~1% (see docs/DESIGN.md "Calibration notes").
 //
-// Every cell is an independent brute-force solve; the full grid is fanned
-// through solver::SolverEngine in one batch.
+// Every cell is a brute-force solve, run as its row is printed.
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench/engine/solver_engine.h"
 #include "data/syn_a.h"
+#include "solver/solver.h"
 #include "util/flags.h"
 
 namespace {
@@ -25,7 +24,6 @@ using namespace auditgame;  // NOLINT
 int Run(int argc, char** argv) {
   util::FlagParser flags;
   flags.Define("budgets", "2,8,14,20", "budgets to probe");
-  flags.Define("threads", "0", "solver engine workers (0 = one per core)");
   auto status = flags.Parse(argc, argv);
   if (!status.ok()) {
     std::cerr << status << "\n" << flags.HelpString(argv[0]);
@@ -34,11 +32,6 @@ int Run(int argc, char** argv) {
   if (flags.help_requested()) {
     std::cout << flags.HelpString(argv[0]);
     return 0;
-  }
-  const util::StatusOr<int> threads = flags.GetIntAtLeast("threads", 0);
-  if (!threads.ok()) {
-    std::cerr << threads.status() << "\n";
-    return 1;
   }
   const std::vector<int> budgets = flags.GetIntList("budgets");
 
@@ -68,8 +61,7 @@ int Run(int argc, char** argv) {
       {"cost", data::SynABenignMode::kCostlyAccess},
   };
 
-  // The two benign variants are distinct instances; the requests keep
-  // pointers into this list, so build it first.
+  // The two benign variants are distinct instances, built once.
   std::vector<core::GameInstance> instances;
   for (const auto& benign : benign_cases) {
     data::SynAOptions syn_options;
@@ -82,10 +74,15 @@ int Run(int argc, char** argv) {
     instances.push_back(std::move(*instance));
   }
 
-  std::vector<solver::EngineRequest> requests;
+  std::cout << "# Ablation: optimal Syn A objective under modeling variants\n";
+  std::cout << "semantics,consumption,benign";
+  for (int b : budgets) std::cout << ",B" << b;
+  std::cout << "\n";
   for (const auto& semantics : semantics_cases) {
     for (const auto& consumption : consumption_cases) {
       for (size_t benign = 0; benign < instances.size(); ++benign) {
+        std::cout << semantics.name << "," << consumption.name << ","
+                  << benign_cases[benign].name;
         for (int budget : budgets) {
           solver::EngineRequest request;
           request.solver = "brute-force";
@@ -93,26 +90,7 @@ int Run(int argc, char** argv) {
           request.budget = budget;
           request.detection_options.semantics = semantics.value;
           request.detection_options.consumption = consumption.value;
-          requests.push_back(std::move(request));
-        }
-      }
-    }
-  }
-  solver::SolverEngine engine(*threads);
-  const auto cells = engine.SolveAll(requests);
-
-  std::cout << "# Ablation: optimal Syn A objective under modeling variants\n";
-  std::cout << "semantics,consumption,benign";
-  for (int b : budgets) std::cout << ",B" << b;
-  std::cout << "\n";
-  size_t cell = 0;
-  for (const auto& semantics : semantics_cases) {
-    for (const auto& consumption : consumption_cases) {
-      for (const auto& benign : benign_cases) {
-        std::cout << semantics.name << "," << consumption.name << ","
-                  << benign.name;
-        for (size_t b = 0; b < budgets.size(); ++b) {
-          const auto& result = cells[cell++];
+          const auto result = solver::Solve(request);
           if (!result.ok()) {
             std::cerr << result.status() << "\n";
             return 1;

@@ -5,21 +5,21 @@
 // proposed model (ISHM + CGGS at several step sizes) against the three
 // baselines of Section V-B.
 //
-// The proposed-model cells — one per (budget, step size) — are independent
-// solves, so the harness fans all of them through solver::SolverEngine in
-// one batch and assembles rows from the ordered results. Alongside the CSV
-// on `out`, the sweep can emit a machine-readable BENCH_*.json (util/json)
-// so the perf trajectory is trackable across commits.
+// The game is compiled once; each budget's row solves the proposed model at
+// every step size through solver::Solve on that compiled game, then runs
+// the baselines on it. Alongside the CSV on `out`, the sweep can emit a
+// machine-readable BENCH_*.json (util/json) so the perf trajectory is
+// trackable across commits.
 
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench/engine/solver_engine.h"
 #include "core/baselines.h"
 #include "core/detection.h"
 #include "core/game.h"
+#include "solver/solver.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/status.h"
@@ -38,8 +38,6 @@ struct FigureSweepOptions {
   /// lower because every draw solves a full CGGS — see docs/DESIGN.md).
   int random_threshold_draws = 100;
   uint64_t seed = 20180113;
-  /// Worker threads for the proposed-model batch (0 = one per core).
-  int num_threads = 0;
   /// Short name recorded in the JSON report (e.g. "fig1_emr").
   std::string bench_name;
   /// When non-empty, write the JSON report here (e.g. "BENCH_fig1_emr.json").
@@ -49,17 +47,24 @@ struct FigureSweepOptions {
 /// Runs the sweep and prints one CSV row per budget:
 ///   budget, proposed@eps..., random_thresholds, random_orders,
 ///   greedy_benefit, seconds
-/// `seconds` is the solver time summed over the row's step sizes (measured
-/// inside the workers) plus the wall time of the row's baselines.
+/// `seconds` is the backend time summed over the row's step sizes
+/// (SolveStats::seconds) plus the wall time of the row's baselines.
 inline util::Status RunFigureSweep(const core::GameInstance& instance,
                                    const FigureSweepOptions& options,
                                    std::ostream& out) {
   ASSIGN_OR_RETURN(core::CompiledGame game, core::Compile(instance));
 
-  // --- Proposed model: every (budget, eps) cell in one parallel batch ---
-  std::vector<solver::EngineRequest> requests;
-  requests.reserve(options.budgets.size() * options.step_sizes.size());
+  out << "budget";
+  for (double eps : options.step_sizes) out << ",proposed_eps" << eps;
+  out << ",random_thresholds,random_orders,greedy_benefit,seconds\n";
+
+  util::JsonValue::Array json_rows;
   for (int budget : options.budgets) {
+    // --- Proposed model: ISHM + CGGS at each step size ------------------
+    double solver_seconds = 0.0;
+    std::vector<double> losses;
+    std::vector<double> first_eps_thresholds;
+    util::JsonValue::Array json_proposed;
     for (double eps : options.step_sizes) {
       solver::EngineRequest request;
       request.solver = "ishm-cggs";
@@ -67,36 +72,17 @@ inline util::Status RunFigureSweep(const core::GameInstance& instance,
       request.budget = budget;
       request.options.ishm.step_size = eps;
       request.options.cggs.seed = options.seed;
-      requests.push_back(std::move(request));
-    }
-  }
-  solver::SolverEngine engine(options.num_threads);
-  const std::vector<util::StatusOr<solver::SolveResult>> proposed =
-      engine.SolveAll(requests);
-
-  out << "budget";
-  for (double eps : options.step_sizes) out << ",proposed_eps" << eps;
-  out << ",random_thresholds,random_orders,greedy_benefit,seconds\n";
-
-  util::JsonValue::Array json_rows;
-  for (size_t b = 0; b < options.budgets.size(); ++b) {
-    const int budget = options.budgets[b];
-    double solver_seconds = 0.0;
-    std::vector<double> losses;
-    std::vector<double> first_eps_thresholds;
-    util::JsonValue::Array json_proposed;
-    for (size_t e = 0; e < options.step_sizes.size(); ++e) {
-      const auto& cell = proposed[b * options.step_sizes.size() + e];
-      RETURN_IF_ERROR(cell.status());
-      losses.push_back(cell->objective);
-      solver_seconds += cell->stats.seconds;
+      ASSIGN_OR_RETURN(solver::SolveResult cell,
+                       solver::Solve(request, game));
+      losses.push_back(cell.objective);
+      solver_seconds += cell.stats.seconds;
       if (first_eps_thresholds.empty()) {
-        first_eps_thresholds = cell->thresholds;
+        first_eps_thresholds = cell.thresholds;
       }
       util::JsonValue::Object json_cell;
-      json_cell["eps"] = options.step_sizes[e];
-      json_cell["objective"] = cell->objective;
-      json_cell["seconds"] = cell->stats.seconds;
+      json_cell["eps"] = eps;
+      json_cell["objective"] = cell.objective;
+      json_cell["seconds"] = cell.stats.seconds;
       json_proposed.push_back(std::move(json_cell));
     }
 
@@ -152,7 +138,6 @@ inline util::Status RunFigureSweep(const core::GameInstance& instance,
     report["random_orders"] = options.random_orders;
     report["random_threshold_draws"] = options.random_threshold_draws;
     report["seed"] = static_cast<double>(options.seed);
-    report["engine_threads"] = engine.num_threads();
     report["rows"] = std::move(json_rows);
     std::ofstream json_out(options.json_path);
     if (!json_out) {
@@ -173,9 +158,9 @@ struct FigureDriver {
   std::string default_seed;
 };
 
-/// The figure drivers' main(): parses the sweep flags (--threads must be
-/// >= 0), builds the game with `make_game` and runs RunFigureSweep on it.
-/// Returns the process exit code.
+/// The figure drivers' main(): parses the sweep flags (non-empty --budgets
+/// and --eps, --random_orders >= 1, --rt_draws >= 0), builds the game with
+/// `make_game` and runs RunFigureSweep on it. Returns the process exit code.
 template <typename MakeGame>
 int RunFigureDriver(int argc, char** argv, const FigureDriver& driver,
                     MakeGame make_game) {
@@ -185,7 +170,6 @@ int RunFigureDriver(int argc, char** argv, const FigureDriver& driver,
   flags.Define("random_orders", "2000", "orderings in the random-order mix");
   flags.Define("rt_draws", "100", "random-threshold baseline draws");
   flags.Define("seed", driver.default_seed, "experiment seed");
-  flags.Define("threads", "0", "solver engine workers (0 = one per core)");
   flags.Define("json", "BENCH_" + driver.bench_name + ".json",
                "machine-readable report path (empty = none)");
   auto status = flags.Parse(argc, argv);
@@ -197,9 +181,22 @@ int RunFigureDriver(int argc, char** argv, const FigureDriver& driver,
     std::cout << flags.HelpString(argv[0]);
     return 0;
   }
-  const util::StatusOr<int> threads = flags.GetIntAtLeast("threads", 0);
-  if (!threads.ok()) {
-    std::cerr << threads.status() << "\n";
+  const util::StatusOr<int> random_orders =
+      flags.GetIntAtLeast("random_orders", 1);
+  if (!random_orders.ok()) {
+    std::cerr << random_orders.status() << "\n";
+    return 1;
+  }
+  const util::StatusOr<int> rt_draws = flags.GetIntAtLeast("rt_draws", 0);
+  if (!rt_draws.ok()) {
+    std::cerr << rt_draws.status() << "\n";
+    return 1;
+  }
+  FigureSweepOptions options;
+  options.budgets = flags.GetIntList("budgets");
+  options.step_sizes = flags.GetDoubleList("eps");
+  if (options.budgets.empty() || options.step_sizes.empty()) {
+    std::cerr << "--budgets and --eps must each list at least one value\n";
     return 1;
   }
 
@@ -209,13 +206,9 @@ int RunFigureDriver(int argc, char** argv, const FigureDriver& driver,
     return 1;
   }
 
-  FigureSweepOptions options;
-  options.budgets = flags.GetIntList("budgets");
-  options.step_sizes = flags.GetDoubleList("eps");
-  options.random_orders = flags.GetInt("random_orders");
-  options.random_threshold_draws = flags.GetInt("rt_draws");
+  options.random_orders = *random_orders;
+  options.random_threshold_draws = *rt_draws;
   options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  options.num_threads = *threads;
   options.bench_name = driver.bench_name;
   options.json_path = flags.GetString("json");
 

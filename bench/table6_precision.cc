@@ -1,18 +1,15 @@
 // Reproduces Table VI: average approximation precision of ISHM (gamma^1)
 // and ISHM+CGGS (gamma^2) over the budget range, per step size eps:
 //   gamma = 1 - (1/|B|) sum_B |approx_B - opt_B| / |opt_B|.
-// Ground truth comes from the brute-force solver (Table III).
-//
-// Every cell — the per-budget ground truth and each (eps, budget, variant)
-// ISHM run — is an independent solve, so the whole table is fanned through
-// solver::SolverEngine in two batches.
+// Ground truth comes from the brute-force solver (Table III), solved for
+// every budget first; each eps row then solves its ISHM cells as it is
+// printed.
 #include <cmath>
 #include <iostream>
-#include <map>
 #include <vector>
 
-#include "bench/engine/solver_engine.h"
 #include "data/syn_a.h"
+#include "solver/solver.h"
 #include "util/flags.h"
 
 namespace {
@@ -24,7 +21,6 @@ int Run(int argc, char** argv) {
   flags.Define("budgets", "2,4,6,8,10,12,14,16,18,20", "audit budgets B");
   flags.Define("eps", "0.05,0.10,0.15,0.20,0.25,0.30,0.35,0.40,0.45,0.50",
                "ISHM step sizes");
-  flags.Define("threads", "0", "solver engine workers (0 = one per core)");
   auto status = flags.Parse(argc, argv);
   if (!status.ok()) {
     std::cerr << status << "\n" << flags.HelpString(argv[0]);
@@ -34,9 +30,10 @@ int Run(int argc, char** argv) {
     std::cout << flags.HelpString(argv[0]);
     return 0;
   }
-  const util::StatusOr<int> threads = flags.GetIntAtLeast("threads", 0);
-  if (!threads.ok()) {
-    std::cerr << threads.status() << "\n";
+  const std::vector<int> budgets = flags.GetIntList("budgets");
+  const std::vector<double> eps_list = flags.GetDoubleList("eps");
+  if (budgets.empty() || eps_list.empty()) {
+    std::cerr << "--budgets and --eps must each list at least one value\n";
     return 1;
   }
 
@@ -45,61 +42,40 @@ int Run(int argc, char** argv) {
     std::cerr << instance.status() << "\n";
     return 1;
   }
-  const std::vector<int> budgets = flags.GetIntList("budgets");
-  const std::vector<double> eps_list = flags.GetDoubleList("eps");
-  solver::SolverEngine engine(*threads);
-
-  // Ground truth per budget.
-  std::vector<solver::EngineRequest> truth_requests;
-  for (int budget : budgets) {
+  auto solve = [&](const char* name, int budget, double eps) {
     solver::EngineRequest request;
-    request.solver = "brute-force";
+    request.solver = name;
     request.instance = &*instance;
     request.budget = budget;
-    truth_requests.push_back(std::move(request));
-  }
-  const auto truth = engine.SolveAll(truth_requests);
-  std::map<int, double> optimal;
-  for (size_t b = 0; b < budgets.size(); ++b) {
-    if (!truth[b].ok()) {
-      std::cerr << truth[b].status() << "\n";
+    request.options.ishm.step_size = eps;
+    return solver::Solve(request);
+  };
+
+  // Ground truth per budget, in --budgets order.
+  std::vector<double> optimal;
+  for (int budget : budgets) {
+    const auto truth = solve("brute-force", budget, 0.0);
+    if (!truth.ok()) {
+      std::cerr << truth.status() << "\n";
       return 1;
     }
-    optimal[budgets[b]] = truth[b]->objective;
+    optimal.push_back(truth->objective);
   }
-
-  // Every (eps, budget) cell for both evaluators, in one batch.
-  std::vector<solver::EngineRequest> requests;
-  for (double eps : eps_list) {
-    for (int budget : budgets) {
-      for (const char* name : {"ishm-full", "ishm-cggs"}) {
-        solver::EngineRequest request;
-        request.solver = name;
-        request.instance = &*instance;
-        request.budget = budget;
-        request.options.ishm.step_size = eps;
-        requests.push_back(std::move(request));
-      }
-    }
-  }
-  const auto cells = engine.SolveAll(requests);
 
   std::cout << "# Table VI: mean precision over budgets (gamma1 = ISHM, "
                "gamma2 = ISHM+CGGS)\n";
   std::cout << "eps,gamma1,gamma2\n";
-  size_t cell = 0;
   for (double eps : eps_list) {
     double err1 = 0.0, err2 = 0.0;
-    for (int budget : budgets) {
-      const auto& full = cells[cell++];
-      const auto& cggs = cells[cell++];
+    for (size_t b = 0; b < budgets.size(); ++b) {
+      const auto full = solve("ishm-full", budgets[b], eps);
+      const auto cggs = solve("ishm-cggs", budgets[b], eps);
       if (!full.ok() || !cggs.ok()) {
         std::cerr << full.status() << " / " << cggs.status() << "\n";
         return 1;
       }
-      const double opt = optimal[budget];
-      err1 += std::fabs(full->objective - opt) / std::fabs(opt);
-      err2 += std::fabs(cggs->objective - opt) / std::fabs(opt);
+      err1 += std::fabs(full->objective - optimal[b]) / std::fabs(optimal[b]);
+      err2 += std::fabs(cggs->objective - optimal[b]) / std::fabs(optimal[b]);
     }
     std::cout << eps << "," << 1.0 - err1 / budgets.size() << ","
               << 1.0 - err2 / budgets.size() << "\n";

@@ -63,8 +63,7 @@ struct WarmStart {
 /// One self-contained solve: everything needed to compile the game, bind a
 /// detection model and run a backend by name. Solve() builds its own
 /// DetectionModel per request (the models are mutated during a solve), so
-/// requests never share mutable state and a batch is safe to run on any
-/// number of threads (see bench/engine/solver_engine.h).
+/// requests never share mutable state.
 struct EngineRequest {
   /// Backend name ("ishm-cggs", ...; see the table above).
   std::string solver;
@@ -144,8 +143,8 @@ struct SolveResult {
 util::StatusOr<SolveResult> Solve(const EngineRequest& request);
 
 /// The same on `game`, which must be compiled from `*request.instance`:
-/// an AuditService passes the game it compiled once, and the benchmarks'
-/// SolverEngine the one it compiled for the batch.
+/// an AuditService passes its shard's game, and a paper driver the game it
+/// compiled once for its sweep.
 util::StatusOr<SolveResult> Solve(const EngineRequest& request,
                                   const core::CompiledGame& game);
 
