@@ -81,6 +81,12 @@ int Run(int argc, char** argv) {
     std::cout << flags.HelpString(argv[0]);
     return 0;
   }
+  const util::StatusOr<std::vector<int>> budgets =
+      flags.GetNonEmptyList<int>("budgets");
+  if (!budgets.ok()) {
+    std::cerr << budgets.status() << "\n";
+    return 1;
+  }
 
   auto instance = data::MakeSynA();
   if (!instance.ok()) {
@@ -96,7 +102,7 @@ int Run(int argc, char** argv) {
 
   std::cout << "# Ablation: CGGS pricing strategies on Syn A, b = [3,3,2,2]\n";
   std::cout << "budget,strategy,objective,lp_solves,columns\n";
-  for (int budget : flags.GetIntList("budgets")) {
+  for (int budget : *budgets) {
     auto detection = core::DetectionModel::Create(*instance, budget);
     if (!detection.ok()) {
       std::cerr << detection.status() << "\n";

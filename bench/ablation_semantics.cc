@@ -33,7 +33,12 @@ int Run(int argc, char** argv) {
     std::cout << flags.HelpString(argv[0]);
     return 0;
   }
-  const std::vector<int> budgets = flags.GetIntList("budgets");
+  const util::StatusOr<std::vector<int>> budgets =
+      flags.GetNonEmptyList<int>("budgets");
+  if (!budgets.ok()) {
+    std::cerr << budgets.status() << "\n";
+    return 1;
+  }
 
   struct SemanticsCase {
     const char* name;
@@ -64,9 +69,7 @@ int Run(int argc, char** argv) {
   // The two benign variants are distinct instances, built once.
   std::vector<core::GameInstance> instances;
   for (const auto& benign : benign_cases) {
-    data::SynAOptions syn_options;
-    syn_options.benign_mode = benign.value;
-    auto instance = data::MakeSynAVariant(syn_options);
+    auto instance = data::MakeSynA(benign.value);
     if (!instance.ok()) {
       std::cerr << instance.status() << "\n";
       return 1;
@@ -76,14 +79,14 @@ int Run(int argc, char** argv) {
 
   std::cout << "# Ablation: optimal Syn A objective under modeling variants\n";
   std::cout << "semantics,consumption,benign";
-  for (int b : budgets) std::cout << ",B" << b;
+  for (int b : *budgets) std::cout << ",B" << b;
   std::cout << "\n";
   for (const auto& semantics : semantics_cases) {
     for (const auto& consumption : consumption_cases) {
       for (size_t benign = 0; benign < instances.size(); ++benign) {
         std::cout << semantics.name << "," << consumption.name << ","
                   << benign_cases[benign].name;
-        for (int budget : budgets) {
+        for (int budget : *budgets) {
           solver::EngineRequest request;
           request.solver = "brute-force";
           request.instance = &instances[benign];

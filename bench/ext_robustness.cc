@@ -8,6 +8,7 @@
 //     are scaled by a multiplier (does the comparative result survive
 //     parameter misestimation?).
 #include <iostream>
+#include <vector>
 
 #include "core/baselines.h"
 #include "core/detection.h"
@@ -47,6 +48,15 @@ int Run(int argc, char** argv) {
     return 0;
   }
   const double budget = flags.GetDouble("budget");
+  const util::StatusOr<std::vector<double>> lambdas =
+      flags.GetNonEmptyList<double>("lambdas");
+  const util::StatusOr<std::vector<double>> benefit_scales =
+      flags.GetNonEmptyList<double>("benefit_scales");
+  if (!lambdas.ok() || !benefit_scales.ok()) {
+    std::cerr << (lambdas.ok() ? benefit_scales.status() : lambdas.status())
+              << "\n";
+    return 1;
+  }
 
   auto instance = data::MakeSynA();
   if (!instance.ok()) {
@@ -77,7 +87,7 @@ int Run(int argc, char** argv) {
   std::cout << "# Extension 1: quantal-response adversaries (Syn A, B = "
             << budget << ")\n";
   std::cout << "lambda,proposed_loss,greedy_loss,proposed_opt_out_mass\n";
-  for (double lambda : flags.GetDoubleList("lambdas")) {
+  for (double lambda : *lambdas) {
     auto qr_proposed =
         core::EvaluateQuantalResponse(*compiled, *detection, *policy, lambda);
     auto qr_greedy = core::EvaluateQuantalResponse(*compiled, *detection,
@@ -109,7 +119,7 @@ int Run(int argc, char** argv) {
 
   std::cout << "\n# Extension 3: sensitivity to the benefit scale\n";
   std::cout << "benefit_scale,proposed_loss,greedy_loss\n";
-  for (double scale : flags.GetDoubleList("benefit_scales")) {
+  for (double scale : *benefit_scales) {
     const core::GameInstance scaled =
         core::ScaleUtilities(*instance, scale, 1.0, 1.0);
     auto compiled_scaled = core::Compile(scaled);

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/baselines.h"
@@ -192,11 +193,13 @@ int RunFigureDriver(int argc, char** argv, const FigureDriver& driver,
     std::cerr << rt_draws.status() << "\n";
     return 1;
   }
-  FigureSweepOptions options;
-  options.budgets = flags.GetIntList("budgets");
-  options.step_sizes = flags.GetDoubleList("eps");
-  if (options.budgets.empty() || options.step_sizes.empty()) {
-    std::cerr << "--budgets and --eps must each list at least one value\n";
+  util::StatusOr<std::vector<int>> budgets =
+      flags.GetNonEmptyList<int>("budgets");
+  util::StatusOr<std::vector<double>> step_sizes =
+      flags.GetNonEmptyList<double>("eps");
+  if (!budgets.ok() || !step_sizes.ok()) {
+    std::cerr << (budgets.ok() ? step_sizes.status() : budgets.status())
+              << "\n";
     return 1;
   }
 
@@ -206,6 +209,9 @@ int RunFigureDriver(int argc, char** argv, const FigureDriver& driver,
     return 1;
   }
 
+  FigureSweepOptions options;
+  options.budgets = std::move(*budgets);
+  options.step_sizes = std::move(*step_sizes);
   options.random_orders = *random_orders;
   options.random_threshold_draws = *rt_draws;
   options.seed = static_cast<uint64_t>(flags.GetInt("seed"));

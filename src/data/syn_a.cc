@@ -30,33 +30,24 @@ constexpr int kTypeMatrix[kNumEmployees][kNumRecords] = {
 
 }  // namespace
 
-util::StatusOr<core::GameInstance> MakeSynA() {
-  return MakeSynAVariant(SynAOptions());
-}
-
-util::StatusOr<core::GameInstance> MakeSynAVariant(const SynAOptions& options) {
-  const double shift = options.gauss_shift;
+util::StatusOr<core::GameInstance> MakeSynA(SynABenignMode benign_mode) {
   core::GameInstance instance;
   instance.type_names = {"Type 1", "Type 2", "Type 3", "Type 4"};
   instance.audit_costs.assign(kNumTypes, kAuditCost);
   for (int t = 0; t < kNumTypes; ++t) {
     const int lo = std::max(0, static_cast<int>(kMeans[t]) - kCoverage[t]);
     const int hi = static_cast<int>(kMeans[t]) + kCoverage[t];
-    // A shifted discretization window is equivalent to shifting the mean the
-    // other way.
     ASSIGN_OR_RETURN(prob::CountDistribution dist,
                      prob::CountDistribution::DiscretizedGaussian(
-                         kMeans[t] - shift, kStds[t], lo, hi));
+                         kMeans[t], kStds[t], lo, hi));
     instance.alert_distributions.push_back(std::move(dist));
   }
   for (int e = 0; e < kNumEmployees; ++e) {
     core::Adversary adversary;
     adversary.attack_probability = kAttackProbability;
-    adversary.can_opt_out =
-        options.benign_mode == SynABenignMode::kGlobalOptOut;
     for (int r = 0; r < kNumRecords; ++r) {
       const int type = kTypeMatrix[e][r];
-      if (type == 0 && options.benign_mode != SynABenignMode::kCostlyAccess) {
+      if (type == 0 && benign_mode == SynABenignMode::kFreeOptOut) {
         // The "-" access is interpreted as refraining from an attack.
         adversary.can_opt_out = true;
         continue;

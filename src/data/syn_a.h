@@ -6,6 +6,18 @@
 
 namespace auditgame::data {
 
+/// How the "-" (benign) entries of Table IIb enter the adversary's strategy
+/// space. The paper's text allows "refraining from malicious behavior";
+/// treating the benign access as that zero-utility outside option
+/// (kFreeOptOut) reproduces Table III's values most closely. The semantics
+/// ablation bench sweeps both (see docs/DESIGN.md "Calibration notes").
+enum class SynABenignMode {
+  /// Benign access is an attack with no alert and no gain: Ua = -K.
+  kCostlyAccess,
+  /// Benign access means refraining: Ua = 0 for employees that have one.
+  kFreeOptOut,
+};
+
 /// The controlled-evaluation dataset Syn A (Table II of the paper):
 ///  * 4 alert types with Gaussian daily counts — means [6, 5, 4, 4],
 ///    stddevs [2, 1.6, 1.3, 1], truncated at the 99.5% coverage band
@@ -16,31 +28,8 @@ namespace auditgame::data {
 ///    no true opt-out);
 ///  * adversary benefit per type [3.4, 3.7, 4, 4.3], attack cost 0.4,
 ///    audit cost 1 per type, capture penalty 4.
-util::StatusOr<core::GameInstance> MakeSynA();
-
-/// How the "-" (benign) entries of Table IIb enter the adversary's strategy
-/// space. The paper's text allows "refraining from malicious behavior";
-/// treating the benign access as that zero-utility outside option
-/// (kFreeOptOut) reproduces Table III's values most closely.
-enum class SynABenignMode {
-  /// Benign access is an attack with no alert and no gain: Ua = -K.
-  kCostlyAccess,
-  /// Benign access means refraining: Ua = 0 for employees that have one.
-  kFreeOptOut,
-  /// Every employee may refrain (utility floor 0 for all).
-  kGlobalOptOut,
-};
-
-struct SynAOptions {
-  /// Gaussian discretization window shift; the pmf mass of integer z is
-  /// taken from [z - 0.5 + shift, z + 0.5 + shift]. 0 = midpoint.
-  double gauss_shift = 0.0;
-  SynABenignMode benign_mode = SynABenignMode::kFreeOptOut;
-};
-
-/// Variant exposing the calibration knobs above (used by the semantics
-/// ablation bench; see docs/DESIGN.md "Calibration notes").
-util::StatusOr<core::GameInstance> MakeSynAVariant(const SynAOptions& options);
+util::StatusOr<core::GameInstance> MakeSynA(
+    SynABenignMode benign_mode = SynABenignMode::kFreeOptOut);
 
 }  // namespace auditgame::data
 

@@ -1,5 +1,6 @@
 #include "server/audit_server.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -9,7 +10,8 @@
 namespace auditgame::server {
 
 void DefineServiceFlags(util::FlagParser& flags) {
-  flags.Define("budgets", "6,10", "budgets served per solve_cycle, each >= 0");
+  flags.Define("budgets", "6,10",
+               "distinct budgets served per solve_cycle, each >= 0");
   flags.Define("eps", "0.25", "ISHM step size, in (0, 1)");
   flags.Define("warm_max_drift", "0.25",
                "drift threshold above which re-solves are cold");
@@ -18,14 +20,16 @@ void DefineServiceFlags(util::FlagParser& flags) {
 util::StatusOr<service::AuditServiceOptions> ServiceOptionsFromFlags(
     const util::FlagParser& flags) {
   service::AuditServiceOptions options;
-  options.budgets = flags.GetDoubleList("budgets");
-  if (options.budgets.empty()) {
-    return util::InvalidArgumentError(
-        "--budgets must name at least one budget");
-  }
-  for (const double budget : options.budgets) {
-    if (!(budget >= 0.0)) {
+  ASSIGN_OR_RETURN(options.budgets, flags.GetNonEmptyList<double>("budgets"));
+  for (auto it = options.budgets.begin(); it != options.budgets.end(); ++it) {
+    if (!(*it >= 0.0)) {
       return util::InvalidArgumentError("--budgets must be >= 0, got " +
+                                        flags.GetString("budgets"));
+    }
+    // A repeated budget would be solved twice per cold cycle: every cache
+    // miss is queued before any solve fills the cache.
+    if (std::find(options.budgets.begin(), it, *it) != it) {
+      return util::InvalidArgumentError("--budgets lists a budget twice, got " +
                                         flags.GetString("budgets"));
     }
   }

@@ -54,8 +54,9 @@ void DefineServiceFlags(util::FlagParser& flags);
 /// budgets, ISHM step size and warm-start gate; every other field keeps
 /// its default. Rejects an empty --budgets, a negative budget and an --eps
 /// outside (0, 1), each of which would fail every solve_cycle instead of
-/// the start, and a --warm_max_drift that is negative (which would turn
-/// warm solves off in silence) or not a finite number.
+/// the start, a budget listed twice (solved twice per cold cycle), and a
+/// --warm_max_drift that is negative (which would turn warm solves off in
+/// silence) or not a finite number.
 util::StatusOr<service::AuditServiceOptions> ServiceOptionsFromFlags(
     const util::FlagParser& flags);
 

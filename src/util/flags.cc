@@ -7,6 +7,7 @@
 #include <iostream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 namespace auditgame::util {
 namespace {
@@ -188,5 +189,25 @@ std::vector<int> FlagParser::GetIntList(const std::string& name) const {
   }
   return result;
 }
+
+template <typename T>
+StatusOr<std::vector<T>> FlagParser::GetNonEmptyList(
+    const std::string& name) const {
+  std::vector<T> values;
+  if constexpr (std::is_same_v<T, int>) {
+    values = GetIntList(name);
+  } else {
+    values = GetDoubleList(name);
+  }
+  if (values.empty()) {
+    return InvalidArgumentError("--" + name + " must list at least one value");
+  }
+  return values;
+}
+
+template StatusOr<std::vector<int>> FlagParser::GetNonEmptyList<int>(
+    const std::string& name) const;
+template StatusOr<std::vector<double>> FlagParser::GetNonEmptyList<double>(
+    const std::string& name) const;
 
 }  // namespace auditgame::util

@@ -58,6 +58,13 @@ class FlagParser {
   /// Parses a comma-separated list of ints.
   std::vector<int> GetIntList(const std::string& name) const;
 
+  /// GetIntList (T = int) or GetDoubleList (T = double) for a sweep that
+  /// needs at least one value: InvalidArgument naming the flag when the list
+  /// is empty, so a tool refuses "--budgets=" at start instead of printing
+  /// an empty table. Malformed elements exit(2) as in the plain accessors.
+  template <typename T>
+  StatusOr<std::vector<T>> GetNonEmptyList(const std::string& name) const;
+
  private:
   struct Flag {
     std::string value;

@@ -5,11 +5,14 @@
 // summation order (math/kernels.h) fix the bits. A change to any of them —
 // a reordered reduction, a different pivot rule — fails here, and
 // docs/DESIGN.md calls it a format break. The games span the scenario
-// families and both detection modes.
+// families and both detection modes. One more literal ties those goldens
+// and the paper's Syn A tables to the service's config version.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,7 +23,9 @@
 #include "core/ishm.h"
 #include "core/policy.h"
 #include "scenario/generator.h"
+#include "service/audit_service.h"
 #include "solver/solver.h"
+#include "util/hash.h"
 #include "util/serializer.h"
 
 namespace auditgame {
@@ -182,6 +187,32 @@ TEST(CggsSweepTest, RebuildsPastColumnCap) {
   ASSERT_TRUE(core::SolveIshm(*instance, evaluator, options).ok());
   EXPECT_GT(most_columns, cap);
   EXPECT_GT(sweep.rebuilds(), 0);
+}
+
+// One literal pins the default service configuration's fingerprint (which
+// embeds its "audit-service-config-vN" string), every golden above and the
+// bytes of bench/expected/syn_a_tables.csv. A change that moves any of them
+// serves different bits or prints different paper tables; it must bump the
+// config version too, so a data dir written before it is refused.
+TEST(ConfigVersionTest, ServedBitsArePinnedToTheConfigVersion) {
+  util::FingerprintBuilder fp;
+  const util::Fingerprint config =
+      service::FingerprintServiceConfig(service::AuditServiceOptions());
+  fp.AppendU64(config.hi);
+  fp.AppendU64(config.lo);
+  for (const char* golden : kGoldenCggs) fp.AppendString(golden);
+  for (const char* golden : kGoldenSweep) fp.AppendString(golden);
+  std::ifstream csv(AUDITGAME_SYN_A_TABLES_CSV, std::ios::binary);
+  ASSERT_TRUE(csv) << "cannot read " << AUDITGAME_SYN_A_TABLES_CSV;
+  std::ostringstream tables;
+  tables << csv.rdbuf();
+  fp.AppendString(tables.str());
+  EXPECT_EQ(fp.Build().ToHex(), "9fbfde8bda70764082eddcce345fad10")
+      << "The default service config, a golden fingerprint or "
+         "bench/expected/syn_a_tables.csv changed. Changing served bits "
+         "requires a config-version bump: bump the audit-service-config "
+         "version in FingerprintServiceConfig, then re-pin this literal "
+         "(docs/DESIGN.md \"Format breaks\").";
 }
 
 }  // namespace

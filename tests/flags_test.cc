@@ -194,5 +194,22 @@ TEST(FlagParserTest, GetIntAtLeastRejectsValuesBelowTheBound) {
   EXPECT_EQ(*accepted, 0);
 }
 
+TEST(FlagParserTest, GetNonEmptyListRejectsAnEmptyList) {
+  FlagParser parser;
+  parser.Define("budgets", "2,4", "audit budgets");
+  parser.Define("eps", "0.1", "step sizes");
+  std::vector<std::string> args = {"prog", "--budgets="};
+  auto argv = MakeArgv(args);
+  ASSERT_TRUE(parser.Parse(static_cast<int>(argv.size()), argv.data()).ok());
+  auto budgets = parser.GetNonEmptyList<int>("budgets");
+  ASSERT_FALSE(budgets.ok());
+  EXPECT_EQ(budgets.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(budgets.status().message(),
+            "--budgets must list at least one value");
+  auto eps = parser.GetNonEmptyList<double>("eps");
+  ASSERT_TRUE(eps.ok()) << eps.status();
+  EXPECT_EQ(*eps, std::vector<double>{0.1});
+}
+
 }  // namespace
 }  // namespace auditgame::util

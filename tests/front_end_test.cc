@@ -131,12 +131,13 @@ TEST(AuditServerFlagsTest, OutOfRangeValuesAreRejectedNotWrapped) {
   // -1 would wrap to a SIZE_MAX queue that never answers `overloaded`; a
   // negative budget or an --eps outside (0, 1) would fail every solve_cycle
   // instead of the start, and a negative --warm_max_drift would turn warm
-  // solves off.
+  // solves off. A budget listed twice would be solved twice per cold cycle.
   for (const char* bad :
        {"--shards=0", "--shards=-1", "--queue_capacity=0",
         "--queue_capacity=-1", "--batch=0", "--batch=-1", "--budgets=",
-        "--budgets=-5", "--budgets=6,-1", "--eps=0", "--eps=1", "--eps=-0.25",
-        "--eps=1.5", "--warm_max_drift=-1", "--warm_max_drift=nan"}) {
+        "--budgets=-5", "--budgets=6,-1", "--budgets=6,6",
+        "--budgets=6,10,6.0", "--eps=0", "--eps=1", "--eps=-0.25", "--eps=1.5",
+        "--warm_max_drift=-1", "--warm_max_drift=nan"}) {
     auto options = ParseServer({bad});
     EXPECT_FALSE(options.ok()) << bad;
     EXPECT_EQ(options.status().code(), util::StatusCode::kInvalidArgument)

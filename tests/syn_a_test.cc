@@ -55,9 +55,7 @@ TEST(SynATest, VictimEconomicsMatchTable) {
 }
 
 TEST(SynATest, CostlyAccessModeKeepsBenignVictims) {
-  SynAOptions options;
-  options.benign_mode = SynABenignMode::kCostlyAccess;
-  const auto instance = MakeSynAVariant(options);
+  const auto instance = MakeSynA(SynABenignMode::kCostlyAccess);
   ASSERT_TRUE(instance.ok());
   EXPECT_FALSE(instance->adversaries[0].can_opt_out);
   EXPECT_EQ(instance->adversaries[0].victims.size(), 8u);
@@ -73,27 +71,6 @@ TEST(SynATest, CostlyAccessModeKeepsBenignVictims) {
     }
   }
   EXPECT_TRUE(found_benign);
-}
-
-TEST(SynATest, GlobalOptOutAppliesToAll) {
-  SynAOptions options;
-  options.benign_mode = SynABenignMode::kGlobalOptOut;
-  const auto instance = MakeSynAVariant(options);
-  ASSERT_TRUE(instance.ok());
-  for (const auto& adversary : instance->adversaries) {
-    EXPECT_TRUE(adversary.can_opt_out);
-  }
-}
-
-TEST(SynATest, GaussShiftMovesMass) {
-  SynAOptions shifted;
-  shifted.gauss_shift = 0.5;
-  const auto base = MakeSynA();
-  const auto moved = MakeSynAVariant(shifted);
-  ASSERT_TRUE(base.ok());
-  ASSERT_TRUE(moved.ok());
-  EXPECT_LT(moved->alert_distributions[0].Mean(),
-            base->alert_distributions[0].Mean());
 }
 
 TEST(SynATest, InstanceValidates) {

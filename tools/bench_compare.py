@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Diff a smoke BENCH_*.json report against its committed baseline.
 
-CI runs the smoke benches every build and this script gates the result:
+The ctest ``bench_gates`` (bench/bench_gates.cmake) runs the smoke benches
+and this script gates the result:
 it walks baseline and current reports in parallel and fails (exit 1) on a
 regression beyond --threshold (default 25%) in any *gated* metric.
 
