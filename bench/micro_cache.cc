@@ -139,7 +139,6 @@ util::StatusOr<double> MeasureTenantHeapBytes(bool ingest) {
   int64_t id = 0;
   const auto submit = [&](server::ShardTask task) -> util::Status {
     task.request.id = id++;
-    task.request.binary = true;
     if (!shard.TrySubmit(std::move(task))) {
       return util::InternalError("the shard refused a request");
     }

@@ -1,15 +1,13 @@
-// Microbenchmark for the wire codecs of the audit server's hot verbs:
-// the JSON path (server/protocol.h) against the compact binary path
+// Microbenchmark for the binary wire codec of the audit server's hot verbs
 // (server/binary_codec.h), on the two payloads that dominate serving
 // traffic — an `ingest` request carrying per-type alert distributions and
 // a `solve_cycle` response carrying the cycle's policies.
 //
-// Two kinds of numbers come out. The deterministic ones gate in CI via
-// tools/bench_compare.py: `round_trip_identical` (the binary decode
-// returns the request/response bit-exactly) and the byte-size ratios
-// (`*_json_binary_size_ratio` = JSON bytes / binary bytes, higher is
-// better, a pure function of the codec). The encode/decode wall-clock
-// throughputs ride along as `*_seconds` fields — archived, not gated.
+// Two kinds of numbers come out. `round_trip_identical` (the decode
+// returns the request/response bit-exactly) is deterministic and gates in
+// CI via tools/bench_compare.py; the payload sizes ride along as context.
+// The encode/decode wall-clock times ride along as `*_seconds` fields —
+// archived, not gated.
 //
 // Measured numbers land in BENCH_micro_frame.json.
 #include <cmath>
@@ -21,7 +19,6 @@
 #include "bench/exit_codes.h"
 #include "prob/count_distribution.h"
 #include "server/binary_codec.h"
-#include "server/protocol.h"
 #include "service/audit_service.h"
 #include "util/flags.h"
 #include "util/json.h"
@@ -72,8 +69,7 @@ service::AuditService::CycleReport MakeReport(int budgets, int types) {
 // move is CountDistribution's constructor, which renormalizes the decoded
 // pmf (a divide by a sum within a few ULPs of 1). So "identical" here
 // means support-exact and value-equal to 4 ULPs — the same contract the
-// codec unit tests assert — while the JSON path, which prints decimal,
-// drifts orders of magnitude more.
+// codec unit tests assert.
 bool SameDistributions(const std::vector<prob::CountDistribution>& a,
                        const std::vector<prob::CountDistribution>& b) {
   if (a.size() != b.size()) return false;
@@ -97,7 +93,7 @@ int Run(int argc, char** argv) {
   flags.Define("types", "5", "alert types per ingest payload");
   flags.Define("support", "24", "pmf entries per distribution");
   flags.Define("budgets", "2", "policies per solve_cycle response");
-  flags.Define("reps", "2000", "encode+decode repetitions per codec");
+  flags.Define("reps", "2000", "encode+decode repetitions");
   flags.Define("json", "BENCH_micro_frame.json",
                "machine-readable report path (empty = none)");
   auto status = flags.Parse(argc, argv);
@@ -129,86 +125,51 @@ int Run(int argc, char** argv) {
   const auto dists = MakeDistributions(types, support);
   const auto report = MakeReport(budgets, types);
 
-  // --- correctness: the binary codec must round-trip the ingest (see
+  // --- correctness: the codec must round-trip the ingest (see
   // SameDistributions for what "identical" means here) ---
-  const std::string ingest_json = server::MakeIngestRequest(7, "bench", dists);
-  const std::string ingest_binary =
+  const std::string ingest =
       server::EncodeBinaryIngestRequest(7, "bench", dists);
   bool round_trip_identical;
   {
-    auto decoded = server::DecodeBinaryRequest(ingest_binary);
+    auto decoded = server::DecodeBinaryRequest(ingest);
     round_trip_identical = decoded.ok() && decoded->id == 7 &&
                            decoded->tenant == "bench" &&
                            SameDistributions(decoded->distributions, dists);
   }
-  const std::string response_json =
-      server::MakeSolveCycleResponse(7, "bench", 0, report);
-  const std::string response_binary =
+  const std::string response =
       server::EncodeBinarySolveCycleResponse(7, 0, report);
   {
-    auto decoded = server::DecodeBinaryResponse(response_binary);
+    auto decoded = server::DecodeBinaryResponse(response);
     round_trip_identical =
         round_trip_identical && decoded.ok() &&
         decoded->cycle == report.cycle &&
         decoded->policies.size() == report.policies.size();
   }
 
-  // --- timing: encode and decode throughput per codec ---
+  // --- timing: encode and decode throughput ---
   util::Timer timer;
-  for (int i = 0; i < reps; ++i) {
-    volatile size_t sink =
-        server::MakeIngestRequest(i, "bench", dists).size();
-    (void)sink;
-  }
-  const double json_encode_seconds = timer.ElapsedSeconds();
-  timer = util::Timer();
   for (int i = 0; i < reps; ++i) {
     volatile size_t sink =
         server::EncodeBinaryIngestRequest(i, "bench", dists).size();
     (void)sink;
   }
-  const double binary_encode_seconds = timer.ElapsedSeconds();
+  const double encode_seconds = timer.ElapsedSeconds();
   timer = util::Timer();
   size_t decoded_types = 0;
   for (int i = 0; i < reps; ++i) {
-    auto doc = util::JsonValue::Parse(ingest_json);
-    auto parsed = server::ParseRequest(*doc);
+    auto parsed = server::DecodeBinaryRequest(ingest);
     decoded_types += parsed->distributions.size();
   }
-  const double json_decode_seconds = timer.ElapsedSeconds();
-  timer = util::Timer();
-  for (int i = 0; i < reps; ++i) {
-    auto parsed = server::DecodeBinaryRequest(ingest_binary);
-    decoded_types += parsed->distributions.size();
-  }
-  const double binary_decode_seconds = timer.ElapsedSeconds();
-  if (decoded_types !=
-      static_cast<size_t>(2 * reps) * static_cast<size_t>(types)) {
+  const double decode_seconds = timer.ElapsedSeconds();
+  if (decoded_types != static_cast<size_t>(reps) * static_cast<size_t>(types)) {
     std::cerr << "decode sink mismatch\n";
     return bench::kSmokeExitDisagreement;
   }
 
-  const double ingest_size_ratio =
-      static_cast<double>(ingest_json.size()) /
-      static_cast<double>(ingest_binary.size());
-  const double response_size_ratio =
-      static_cast<double>(response_json.size()) /
-      static_cast<double>(response_binary.size());
-  const bool binary_smaller =
-      ingest_binary.size() < ingest_json.size() &&
-      response_binary.size() < response_json.size();
-
-  std::cerr << "micro_frame: ingest " << ingest_json.size() << "B json vs "
-            << ingest_binary.size() << "B binary (ratio "
-            << ingest_size_ratio << "), response " << response_json.size()
-            << "B vs " << response_binary.size() << "B (ratio "
-            << response_size_ratio << ")\n"
-            << "  encode: json " << json_encode_seconds << "s, binary "
-            << binary_encode_seconds << "s; decode: json "
-            << json_decode_seconds << "s, binary " << binary_decode_seconds
-            << "s (" << reps << " reps)\n"
-            << "  round_trip_identical=" << round_trip_identical
-            << " binary_smaller=" << binary_smaller << "\n";
+  std::cerr << "micro_frame: ingest " << ingest.size() << "B, response "
+            << response.size() << "B; encode " << encode_seconds
+            << "s, decode " << decode_seconds << "s (" << reps << " reps)\n"
+            << "  round_trip_identical=" << round_trip_identical << "\n";
 
   if (const std::string path = flags.GetString("json"); !path.empty()) {
     util::JsonValue::Object out;
@@ -217,21 +178,13 @@ int Run(int argc, char** argv) {
     out["support"] = support;
     out["budgets"] = budgets;
     out["reps"] = reps;
-    out["ingest_json_bytes"] = static_cast<double>(ingest_json.size());
-    out["ingest_binary_bytes"] = static_cast<double>(ingest_binary.size());
-    out["response_json_bytes"] = static_cast<double>(response_json.size());
-    out["response_binary_bytes"] =
-        static_cast<double>(response_binary.size());
-    // Gated (deterministic): the booleans and the size ratios.
+    out["ingest_binary_bytes"] = static_cast<double>(ingest.size());
+    out["response_binary_bytes"] = static_cast<double>(response.size());
+    // Gated (deterministic).
     out["round_trip_identical"] = round_trip_identical;
-    out["binary_smaller_than_json"] = binary_smaller;
-    out["ingest_json_binary_size_ratio"] = ingest_size_ratio;
-    out["response_json_binary_size_ratio"] = response_size_ratio;
-    // Archived (machine-dependent): wall-clock per codec.
-    out["json_encode_seconds"] = json_encode_seconds;
-    out["binary_encode_seconds"] = binary_encode_seconds;
-    out["json_decode_seconds"] = json_decode_seconds;
-    out["binary_decode_seconds"] = binary_decode_seconds;
+    // Archived (machine-dependent).
+    out["binary_encode_seconds"] = encode_seconds;
+    out["binary_decode_seconds"] = decode_seconds;
     std::ofstream stream(path);
     if (!stream) {
       std::cerr << "cannot write " << path << "\n";
@@ -239,9 +192,8 @@ int Run(int argc, char** argv) {
     }
     stream << util::JsonValue(std::move(out)).Dump(2) << "\n";
   }
-  return (round_trip_identical && binary_smaller)
-             ? bench::kSmokeExitOk
-             : bench::kSmokeExitDisagreement;
+  return round_trip_identical ? bench::kSmokeExitOk
+                              : bench::kSmokeExitDisagreement;
 }
 
 }  // namespace

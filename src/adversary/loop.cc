@@ -7,8 +7,8 @@
 
 #include "core/detection.h"
 #include "core/policy.h"
+#include "server/binary_codec.h"
 #include "server/protocol.h"
-#include "util/json.h"
 #include "util/timer.h"
 
 namespace auditgame::adversary {
@@ -59,8 +59,8 @@ RemoteDefender::RemoteDefender(net::FrameClient* client, std::string tenant,
               }()),
       tenant_(std::move(tenant)) {}
 
-util::StatusOr<util::JsonValue> RemoteDefender::Call(int64_t id,
-                                                     std::string payload) {
+util::StatusOr<std::string> RemoteDefender::Call(int64_t id,
+                                                 std::string payload) {
   // Idempotence matters for the window's re-sends: an ingest retried after
   // `overloaded` re-sends the same distributions, and solve_cycle only
   // advances on "ok".
@@ -68,32 +68,32 @@ util::StatusOr<util::JsonValue> RemoteDefender::Call(int64_t id,
   std::vector<server::RequestWindow::Completion> done;
   while (done.empty()) RETURN_IF_ERROR(window_.Poll(done));
   RETURN_IF_ERROR(done.front().ToStatus());
-  return util::JsonValue::Parse(done.front().payload);
+  return std::move(done.front().payload);
 }
 
 util::Status RemoteDefender::Ingest(
     const std::vector<prob::CountDistribution>& distributions) {
   const int64_t id = next_id_++;
-  return Call(id, server::MakeIngestRequest(id, tenant_, distributions))
+  return Call(id, server::EncodeBinaryIngestRequest(id, tenant_, distributions))
       .status();
 }
 
 util::StatusOr<DefenderObservation> RemoteDefender::SolveCycle() {
   const int64_t id = next_id_++;
   util::Timer timer;
-  ASSIGN_OR_RETURN(util::JsonValue doc,
-                   Call(id, server::MakeSolveCycleRequest(
+  ASSIGN_OR_RETURN(const std::string payload,
+                   Call(id, server::EncodeBinarySolveCycleRequest(
                                 id, tenant_, /*observe_policy=*/true)));
   const double seconds = timer.ElapsedSeconds();
-  ASSIGN_OR_RETURN(server::SolveCycleReply reply,
-                   server::ParseSolveCycleReply(doc));
+  ASSIGN_OR_RETURN(server::BinaryResponse reply,
+                   server::DecodeBinaryResponse(payload));
   if (reply.policies.empty()) {
     return util::InternalError("solve_cycle reply has no policies");
   }
-  server::SolveCyclePolicy& policy = reply.policies[0];
+  server::BinaryPolicy& policy = reply.policies[0];
   DefenderObservation obs;
   obs.cycle = reply.cycle;
-  obs.source = std::move(policy.source);
+  obs.source = server::SourceName(policy.source);
   obs.drift = policy.drift;
   obs.objective = policy.objective;
   obs.detection = std::move(policy.detection_probs);

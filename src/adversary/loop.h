@@ -11,7 +11,6 @@
 #include "server/request_window.h"
 #include "service/audit_service.h"
 #include "solver/solver.h"
-#include "util/json.h"
 #include "util/statusor.h"
 
 namespace auditgame::adversary {
@@ -96,8 +95,8 @@ class RemoteDefender : public DefenderClient {
   util::StatusOr<DefenderObservation> SolveCycle() override;
 
  private:
-  /// One verb round trip; the `ok` response document.
-  util::StatusOr<util::JsonValue> Call(int64_t id, std::string payload);
+  /// One verb round trip; the `ok` response payload.
+  util::StatusOr<std::string> Call(int64_t id, std::string payload);
 
   server::RequestWindow window_;
   std::string tenant_;
@@ -187,9 +186,9 @@ void SummarizeLoop(LoopReport& report);
 /// Runs the closed loop. The loop owns a copy of the instance whose
 /// alert_distributions it swaps to the attacker's stream each cycle — the
 /// ground truth its oracle solves and its loss evaluations use. With a
-/// RemoteDefender the server holds its own (JSON-roundtripped) copy of the
-/// same distributions; pmf renormalization perturbs them by ULPs, so remote
-/// and in-process metrics agree to ~1e-6, not bit-for-bit.
+/// RemoteDefender the server decodes its own copy of the same
+/// distributions; pmf renormalization perturbs them by ULPs, so remote and
+/// in-process metrics agree to ~1e-6, not bit-for-bit.
 class AdversaryLoop {
  public:
   static util::StatusOr<AdversaryLoop> Create(core::GameInstance instance,

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/logging.h"
+
 namespace auditgame::net {
 
 namespace {
@@ -29,12 +31,13 @@ FrameChannel::FrameChannel(std::string host, uint16_t port,
       port_(port),
       options_(options),
       events_(std::move(events)) {
-  if (options_.window < 1) options_.window = 1;
-  if (options_.queue_capacity < 1) options_.queue_capacity = 1;
-  if (options_.reconnect_backoff_min_ms < 1)
-    options_.reconnect_backoff_min_ms = 1;
-  if (options_.reconnect_backoff_max_ms < options_.reconnect_backoff_min_ms)
-    options_.reconnect_backoff_max_ms = options_.reconnect_backoff_min_ms;
+  CHECK_GE(options_.window, 1) << "FrameChannel window";
+  CHECK_GE(options_.queue_capacity, 1u) << "FrameChannel queue_capacity";
+  CHECK_GE(options_.reconnect_backoff_min_ms, 1)
+      << "FrameChannel reconnect_backoff_min_ms";
+  CHECK_GE(options_.reconnect_backoff_max_ms,
+           options_.reconnect_backoff_min_ms)
+      << "FrameChannel reconnect_backoff_max_ms";
 }
 
 FrameChannel::~FrameChannel() {

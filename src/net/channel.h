@@ -68,6 +68,9 @@ class FrameChannel {
     std::function<void(bool up)> on_state;
   };
 
+  /// CHECKs that `options` has window, queue_capacity and
+  /// reconnect_backoff_min_ms of at least 1 and a reconnect_backoff_max_ms
+  /// not below its minimum.
   FrameChannel(std::string host, uint16_t port, FrameChannelOptions options,
                Events events);
   ~FrameChannel();

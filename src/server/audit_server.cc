@@ -171,20 +171,18 @@ void AuditServer::Dispatch(Reactor& reactor, uint64_t conn_id,
                            Request request, const std::string& payload) {
   const size_t shard = ShardForTenant(request.tenant, shards_.size());
   const int64_t id = request.id;
-  const bool binary = request.binary;
   const Verb verb = request.verb;
-  const std::string tenant = request.tenant;
   ShardTask task{conn_id, std::move(request), {}};
-  // WAL the verbatim wire bytes of state-mutating verbs (every verb that
-  // reaches a shard): replay re-parses the identical input, so recovered
-  // state matches bit-for-bit.
+  // WAL the verbatim binary frames of state-mutating verbs (every verb
+  // that reaches a shard): replay decodes the identical input, so
+  // recovered state matches bit-for-bit.
   if (options_.durability.enabled()) task.wal_payload = payload;
   // During a drain the queues are closed, so TrySubmit fails and the
   // client gets the same retryable `overloaded` a full queue produces.
   if (!shards_[shard]->TrySubmit(std::move(task))) {
     reactor.CountOverloaded();
-    reactor.Reply(conn_id, OverloadedResponseFor(binary, verb, id, tenant,
-                                                 static_cast<int>(shard)));
+    reactor.Reply(conn_id, EncodeBinaryOverloadedResponse(
+                               id, static_cast<int>(shard), verb));
     return;
   }
   reactor.OnSubmitted(conn_id);  // settled by the shard's response

@@ -77,12 +77,13 @@ util::StatusOr<AuditServerOptions> AuditServerOptionsFromFlags(
 /// The wire-serving layer over the paper's audit loop: N shards, each a
 /// single-writer AuditService host on its own thread, behind the shared
 /// client front door (server/front_end.h: listener, acceptor, reactor IO
-/// threads, the JSON/binary frame decoder of server/protocol.h and
-/// server/binary_codec.h). Tenants are routed by FNV-1a hash of their id,
-/// so one tenant's cycles stay ordered (same shard, FIFO queue) while
-/// tenants on different shards solve concurrently. Connections pipeline
-/// freely: responses are paired by correlation id and may return out of
-/// submission order across tenants. See docs/DESIGN.md "Network serving".
+/// threads, the binary hot-verb decoder of server/binary_codec.h and the
+/// JSON `stats` verb of server/protocol.h). Tenants are routed by FNV-1a
+/// hash of their id, so one tenant's cycles stay ordered (same shard, FIFO
+/// queue) while tenants on different shards solve concurrently.
+/// Connections pipeline freely: responses are paired by correlation id and
+/// may return out of submission order across tenants. See docs/DESIGN.md
+/// "Network serving".
 ///
 /// Lifecycle: Start() binds and spawns the reactor + shard threads; Run()
 /// owns the calling thread until RequestStop() (async-signal-safe,

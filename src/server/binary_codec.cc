@@ -113,6 +113,11 @@ void PutRequestHeader(std::string* out, unsigned char verb,
   out->append(tenant);
 }
 
+/// The verb byte of a hot verb (`ingest` or `solve_cycle`).
+unsigned char BinaryVerbOf(Verb verb) {
+  return verb == Verb::kIngest ? kBinaryVerbIngest : kBinaryVerbSolveCycle;
+}
+
 void PutResponseHeader(std::string* out, unsigned char verb,
                        int64_t correlation_id, unsigned char status,
                        int shard) {
@@ -125,10 +130,10 @@ void PutResponseHeader(std::string* out, unsigned char verb,
   PutU16(out, shard < 0 ? 0xffff : static_cast<uint16_t>(shard));
 }
 
-/// Caps mirroring the JSON path's implicit limits: a frame within the
-/// decoder's payload cap cannot legitimately announce more elements than
-/// the bytes it carries, so these only bound what a *lying* count field
-/// can make the decoder allocate before the byte-bounds check would trip.
+/// A frame within the decoder's payload cap cannot legitimately announce
+/// more elements than the bytes it carries, so these caps only bound what a
+/// *lying* count field can make the decoder allocate before the
+/// byte-bounds check would trip.
 constexpr uint16_t kMaxDistributions = 4096;
 constexpr uint16_t kMaxPmfLen = 16384;
 
@@ -157,10 +162,12 @@ std::string EncodeBinaryIngestRequest(
 }
 
 std::string EncodeBinarySolveCycleRequest(int64_t correlation_id,
-                                          const std::string& tenant) {
+                                          const std::string& tenant,
+                                          bool observe_policy) {
   std::string out;
-  out.reserve(16 + tenant.size());
+  out.reserve(17 + tenant.size());
   PutRequestHeader(&out, kBinaryVerbSolveCycle, correlation_id, tenant);
+  if (observe_policy) PutU8(&out, kBinarySolveFlagObservePolicy);
   return out;
 }
 
@@ -189,7 +196,6 @@ util::StatusOr<Request> DecodeBinaryRequest(std::string_view payload) {
   if (kind != kBinaryKindRequest) return Malformed("not a request frame");
 
   Request request;
-  request.binary = true;
   uint64_t id;
   if (!reader.ReadU64(&id)) return Malformed("truncated correlation id");
   request.id = static_cast<int64_t>(id);
@@ -202,9 +208,18 @@ util::StatusOr<Request> DecodeBinaryRequest(std::string_view payload) {
   if (request.tenant.empty()) return Malformed("tenant must be non-empty");
 
   switch (verb) {
-    case kBinaryVerbSolveCycle:
+    case kBinaryVerbSolveCycle: {
       request.verb = Verb::kSolveCycle;
+      unsigned char flags;
+      if (reader.ReadU8(&flags)) {
+        // One canonical encoding per request: no flags means no byte.
+        if (flags != kBinarySolveFlagObservePolicy) {
+          return Malformed("solve_cycle flags " + std::to_string(flags));
+        }
+        request.observe_policy = true;
+      }
       break;
+    }
     case kBinaryVerbIngest: {
       request.verb = Verb::kIngest;
       uint16_t count;
@@ -230,7 +245,7 @@ util::StatusOr<Request> DecodeBinaryRequest(std::string_view payload) {
           if (!reader.ReadF64(&pmf[j])) return Malformed("truncated pmf");
         }
         // Semantic validation (non-negative, normalized, non-empty) is
-        // FromPmf's job, exactly as on the JSON path.
+        // FromPmf's job.
         auto dist = prob::CountDistribution::FromPmf(static_cast<int>(min),
                                                      std::move(pmf));
         if (!dist.ok()) return dist.status();
@@ -240,7 +255,7 @@ util::StatusOr<Request> DecodeBinaryRequest(std::string_view payload) {
     }
     default:
       // `stats` has no binary form: it is the debug/ops verb and carries a
-      // large nested document — the JSON path is its encoding.
+      // large nested document — JSON is its encoding.
       return Malformed("unknown verb " + std::to_string(verb));
   }
   if (!reader.exhausted()) return Malformed("trailing bytes");
@@ -257,7 +272,8 @@ std::string EncodeBinaryIngestOkResponse(int64_t correlation_id, int shard) {
 
 std::string EncodeBinarySolveCycleResponse(
     int64_t correlation_id, int shard,
-    const service::AuditService::CycleReport& report) {
+    const service::AuditService::CycleReport& report,
+    const std::vector<std::vector<double>>* detection_probs) {
   std::string out;
   out.reserve(64 + report.policies.size() * 64);
   PutResponseHeader(&out, kBinaryVerbSolveCycle, correlation_id,
@@ -273,36 +289,31 @@ std::string EncodeBinarySolveCycleResponse(
     PutU16(&out, static_cast<uint16_t>(policy.result.thresholds.size()));
     for (double b : policy.result.thresholds) PutF64(&out, b);
   }
+  if (detection_probs != nullptr) {
+    for (const std::vector<double>& pal : *detection_probs) {
+      PutU16(&out, static_cast<uint16_t>(pal.size()));
+      for (double p : pal) PutF64(&out, p);
+    }
+  }
   return out;
 }
 
 std::string EncodeBinaryOverloadedResponse(int64_t correlation_id, int shard,
-                                           unsigned char verb) {
+                                           Verb verb) {
   std::string out;
   out.reserve(15);
-  PutResponseHeader(&out, verb, correlation_id, kBinaryStatusOverloaded,
-                    shard);
+  PutResponseHeader(&out, BinaryVerbOf(verb), correlation_id,
+                    kBinaryStatusOverloaded, shard);
   return out;
 }
 
 std::string EncodeBinaryBackendDownResponse(int64_t correlation_id,
-                                            unsigned char verb) {
+                                            Verb verb) {
   std::string out;
   out.reserve(15);
-  PutResponseHeader(&out, verb, correlation_id, kBinaryStatusBackendDown, -1);
+  PutResponseHeader(&out, BinaryVerbOf(verb), correlation_id,
+                    kBinaryStatusBackendDown, -1);
   return out;
-}
-
-std::string OverloadedResponseFor(bool binary, Verb verb, int64_t id,
-                                  const std::string& tenant, int shard) {
-  return binary ? EncodeBinaryOverloadedResponse(id, shard, BinaryVerbOf(verb))
-                : MakeOverloadedResponse(id, tenant, shard);
-}
-
-std::string BackendDownResponseFor(bool binary, Verb verb, int64_t id,
-                                   const std::string& tenant) {
-  return binary ? EncodeBinaryBackendDownResponse(id, BinaryVerbOf(verb))
-                : MakeBackendDownResponse(id, tenant);
 }
 
 bool RewriteBinaryCorrelationId(std::string* payload, int64_t correlation_id) {
@@ -386,6 +397,19 @@ util::StatusOr<BinaryResponse> DecodeBinaryResponse(std::string_view payload) {
             }
           }
           response.policies.push_back(std::move(policy));
+        }
+        if (!reader.exhausted()) {
+          // The observe_policy section: one detection vector per policy.
+          for (BinaryPolicy& policy : response.policies) {
+            uint16_t n;
+            if (!reader.ReadU16(&n)) return Malformed("truncated detection");
+            policy.detection_probs.resize(n);
+            for (uint16_t j = 0; j < n; ++j) {
+              if (!reader.ReadF64(&policy.detection_probs[j])) {
+                return Malformed("truncated detection");
+              }
+            }
+          }
         }
       }
       break;

@@ -14,16 +14,14 @@
 
 namespace auditgame::server {
 
-/// The compact binary encoding of the hot-path verbs (`ingest`,
-/// `solve_cycle`), carried inside the same 4-byte length-prefixed frames as
-/// the JSON path (net/frame.h) — the outer framing never changes, only the
-/// payload bytes. A payload whose first byte is `kBinaryMagic` (0xB1, never
-/// the first byte of a JSON document) is binary; anything else takes the
-/// JSON path, so both encodings coexist on one connection and the server
-/// mirrors each request's encoding in its response. The connection's
-/// encoding is negotiated implicitly: the first binary frame marks it
-/// binary-mode, which only selects the encoding of error replies to frames
-/// too broken to classify.
+/// The binary encoding of the hot-path verbs (`ingest`, `solve_cycle`) —
+/// their only encoding. It rides in the same 4-byte length-prefixed frames
+/// as the JSON `stats` verb (net/frame.h); only the payload bytes differ. A
+/// payload whose first byte is `kBinaryMagic` (0xB1, never the first byte
+/// of a JSON document) is binary; anything else is JSON, so `stats` and
+/// the hot verbs share one connection. The first binary frame marks a
+/// connection binary-mode, which only selects the encoding of error
+/// replies to frames too broken to classify.
 ///
 /// Fixed request header (all integers big-endian):
 ///
@@ -34,21 +32,25 @@ namespace auditgame::server {
 ///
 /// then per verb: `ingest` packs `u16 n` distributions, each
 /// `u32 min, u16 pmf_len, pmf_len × f64` (IEEE-754 bits); `solve_cycle`
-/// has no body. Responses echo the header with kind = 2 plus
-/// `u8 status (0 ok, 1 overloaded, 2 error, 3 backend_down)` and `u16
-/// shard`, then the
-/// verb-specific body (see binary_codec.cc). The `correlation_id` is the
-/// pipelining key: it is the binary carrier of the JSON path's `id`, every
-/// response echoes it verbatim, and responses on one connection may
-/// complete out of submission order across tenants (per-tenant order is
-/// still structural — same shard, FIFO queue).
+/// carries an optional `u8 flags` (an empty body means no flags; a flags
+/// byte must set a known flag). `kBinarySolveFlagObservePolicy` asks for
+/// each policy's mixed per-type detection probabilities — the adversary
+/// loop's observation of the served policy. Responses echo the header with
+/// kind = 2 plus `u8 status (0 ok, 1 overloaded, 2 error, 3 backend_down)`
+/// and `u16 shard`, then the verb-specific body (see binary_codec.cc); a
+/// `solve_cycle` response carries the detection probabilities only when
+/// its request set the observe flag, so an ordinary request and response
+/// are byte-identical with or without the extension. The `correlation_id`
+/// is the pipelining key: every response echoes it verbatim, and responses
+/// on one connection may complete out of submission order across tenants
+/// (per-tenant order is still structural — same shard, FIFO queue).
 ///
-/// Error discipline differs from JSON on purpose: malformed JSON in a good
-/// frame gets an error reply and the connection survives, but a payload
-/// that *claims* to be binary (magic byte present) and fails to decode
-/// means the peer's encoder and ours disagree — every later frame is
-/// suspect, so the server answers one error frame and drops the connection
-/// (sticky, like a framing violation).
+/// A payload that claims to be binary (magic byte present) and fails to
+/// decode means the peer's encoder and ours disagree — every later frame
+/// is suspect, so the server answers one error frame and drops the
+/// connection (sticky, like a framing violation). A JSON `ingest` or
+/// `solve_cycle` is answered with a JSON `error` (hot verbs are
+/// binary-only) and the connection survives.
 inline constexpr unsigned char kBinaryMagic = 0xB1;
 inline constexpr unsigned char kBinaryVersion = 1;
 
@@ -57,6 +59,9 @@ inline constexpr unsigned char kBinaryKindResponse = 2;
 
 inline constexpr unsigned char kBinaryVerbIngest = 1;
 inline constexpr unsigned char kBinaryVerbSolveCycle = 2;
+
+/// `solve_cycle` request flags.
+inline constexpr unsigned char kBinarySolveFlagObservePolicy = 0x01;
 
 inline constexpr unsigned char kBinaryStatusOk = 0;
 inline constexpr unsigned char kBinaryStatusOverloaded = 1;
@@ -72,19 +77,20 @@ inline bool IsBinaryFrame(std::string_view payload) {
          static_cast<unsigned char>(payload[0]) == kBinaryMagic;
 }
 
-/// --- client-side request encoders (loadgen, tests) ---
+/// --- client-side request encoders (loadgen, adversary loop, tests) ---
 
 std::string EncodeBinaryIngestRequest(
     int64_t correlation_id, const std::string& tenant,
     const std::vector<prob::CountDistribution>& distributions);
+/// `observe_policy` adds the flags byte; without it the request has no body.
 std::string EncodeBinarySolveCycleRequest(int64_t correlation_id,
-                                          const std::string& tenant);
+                                          const std::string& tenant,
+                                          bool observe_policy = false);
 
 /// --- server side ---
 
-/// Decodes and validates one binary request payload into the same Request
-/// the JSON parser produces (with `binary` set, so the response mirrors
-/// the encoding). Any error is connection-fatal (see above).
+/// Decodes and validates one binary request payload. Any error is
+/// connection-fatal (see above).
 util::StatusOr<Request> DecodeBinaryRequest(std::string_view payload);
 
 /// Best-effort correlation id of a binary payload whose full decode failed
@@ -93,29 +99,22 @@ util::StatusOr<Request> DecodeBinaryRequest(std::string_view payload);
 int64_t BinaryCorrelationIdOf(std::string_view payload);
 
 std::string EncodeBinaryIngestOkResponse(int64_t correlation_id, int shard);
+/// `detection_probs`, when non-null, holds one mixed per-type detection
+/// vector per policy of `report` (the observe_policy payload), appended
+/// after the policies.
 std::string EncodeBinarySolveCycleResponse(
     int64_t correlation_id, int shard,
-    const service::AuditService::CycleReport& report);
+    const service::AuditService::CycleReport& report,
+    const std::vector<std::vector<double>>* detection_probs = nullptr);
+/// The retryable refusals the server and the router answer a not-applied
+/// request with. `shard` is -1 where no shard was chosen
+/// (router-originated); `backend_down` carries none.
 std::string EncodeBinaryOverloadedResponse(int64_t correlation_id, int shard,
-                                           unsigned char verb);
+                                           Verb verb);
 std::string EncodeBinaryBackendDownResponse(int64_t correlation_id,
-                                            unsigned char verb);
+                                            Verb verb);
 std::string EncodeBinaryErrorResponse(int64_t correlation_id,
                                       std::string_view message);
-
-/// The binary verb byte of a hot verb (`ingest` or `solve_cycle`).
-inline unsigned char BinaryVerbOf(Verb verb) {
-  return verb == Verb::kIngest ? kBinaryVerbIngest : kBinaryVerbSolveCycle;
-}
-
-/// The retryable refusals, in the request's encoding (`binary`) — the one
-/// builder the server and the router answer a not-applied request with.
-/// `shard` is -1 where no shard was chosen (router-originated); the
-/// `backend_down` envelope carries none.
-std::string OverloadedResponseFor(bool binary, Verb verb, int64_t id,
-                                  const std::string& tenant, int shard);
-std::string BackendDownResponseFor(bool binary, Verb verb, int64_t id,
-                                   const std::string& tenant);
 
 /// --- router-side helpers ---
 ///
@@ -140,6 +139,9 @@ struct BinaryPolicy {
   double drift = 0.0;
   double objective = 0.0;
   std::vector<double> thresholds;
+  /// Mixed per-type detection probabilities; present only when the
+  /// request set kBinarySolveFlagObservePolicy.
+  std::vector<double> detection_probs;
 };
 
 struct BinaryResponse {

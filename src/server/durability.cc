@@ -140,8 +140,6 @@ const char* WalSyncName(WalSync sync) {
       return "none";
     case WalSync::kBatch:
       return "batch";
-    case WalSync::kAlways:
-      return "always";
   }
   return "unknown";
 }
@@ -149,9 +147,8 @@ const char* WalSyncName(WalSync sync) {
 util::StatusOr<WalSync> WalSyncFromName(std::string_view name) {
   if (name == "none") return WalSync::kNone;
   if (name == "batch") return WalSync::kBatch;
-  if (name == "always") return WalSync::kAlways;
   return util::InvalidArgumentError("unknown wal_sync '" + std::string(name) +
-                                    "' (none|batch|always)");
+                                    "' (none|batch)");
 }
 
 void DefineDurabilityFlags(util::FlagParser& flags) {
@@ -161,8 +158,7 @@ void DefineDurabilityFlags(util::FlagParser& flags) {
                "no durability)");
   flags.Define("wal_sync", "batch",
                "WAL fsync policy: none (page cache only), batch (one "
-               "fdatasync per shard micro-batch — the group commit), "
-               "always (per record)");
+               "fdatasync per shard micro-batch — the group commit)");
   flags.Define("snapshot_interval", "30",
                "seconds between per-shard background snapshots (0 = never "
                "by time)");
@@ -583,40 +579,29 @@ util::StatusOr<uint64_t> ShardPersistence::AppendWal(std::string_view payload) {
   if (wal_fd_ < 0) RETURN_IF_ERROR(OpenFreshSegment());
   const uint64_t lsn = next_lsn_++;
   const std::string record = EncodeWalRecord(lsn, payload);
-  uint64_t record_bytes = record.size();
-  if (options_.wal_sync == WalSync::kAlways) {
-    RETURN_IF_ERROR(WriteAndMaybeSync(record, /*sync=*/true));
-  } else {
-    pending_.append(record);
-  }
+  pending_.append(record);
   ++pending_records_;
-  pending_bytes_ += record_bytes;
-  segment_bytes_ += record_bytes;
+  segment_bytes_ += record.size();
   return lsn;
 }
 
 util::Status ShardPersistence::CommitBatch() {
   if (pending_records_ == 0) return util::OkStatus();
-  if (!pending_.empty()) {
-    util::Status written = WriteAndMaybeSync(
-        pending_, /*sync=*/options_.wal_sync == WalSync::kBatch);
-    pending_.clear();
-    if (!written.ok()) {
-      // The batch is dropped, not retried: a second attempt would land
-      // after whatever part of the first one did.
-      pending_records_ = 0;
-      pending_bytes_ = 0;
-      return written;
-    }
-  }
+  const uint64_t records = pending_records_;
+  const uint64_t bytes = pending_.size();
+  // A failed batch is dropped, not retried: a second attempt would land
+  // after whatever part of the first one did.
+  util::Status written = WriteAndMaybeSync(
+      pending_, /*sync=*/options_.wal_sync == WalSync::kBatch);
+  pending_.clear();
+  pending_records_ = 0;
+  RETURN_IF_ERROR(written);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.wal_records += pending_records_;
-    stats_.wal_bytes += pending_bytes_;
+    stats_.wal_records += records;
+    stats_.wal_bytes += bytes;
   }
-  records_since_snapshot_ += pending_records_;
-  pending_records_ = 0;
-  pending_bytes_ = 0;
+  records_since_snapshot_ += records;
   if (segment_bytes_ >= options_.wal_segment_bytes) {
     RETURN_IF_ERROR(OpenFreshSegment());
   }

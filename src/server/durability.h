@@ -28,9 +28,10 @@ namespace auditgame::server {
 ///           may lose the tail.
 ///   kBatch  (default) one fdatasync per shard micro-batch — the group
 ///           commit: every response in a batch waits for one sync, so the
-///           hot path pays ~1/batch_size of a sync per request.
-///   kAlways one write + fdatasync per record, before it is applied.
-enum class WalSync { kNone, kBatch, kAlways };
+///           hot path pays ~1/batch_size of a sync per request. The shard
+///           commits each batch before applying it, so every acknowledged
+///           request is already durable.
+enum class WalSync { kNone, kBatch };
 
 const char* WalSyncName(WalSync sync);
 util::StatusOr<WalSync> WalSyncFromName(std::string_view name);
@@ -179,7 +180,7 @@ struct PersistenceStats {
   uint64_t wal_syncs = 0;
   /// Group-commit fsync latency percentiles (seconds) over a bounded
   /// window of the most recent WAL syncs — the cost each committed batch
-  /// pays under --wal_sync=batch (and each record under always). Zero
+  /// pays under --wal_sync=batch. Zero
   /// until the first sync; `wal_syncs` counts every sync of this process.
   util::Percentiles fsync_seconds;
   uint64_t recovery_replayed = 0;
@@ -220,8 +221,7 @@ class ShardPersistence {
       const std::function<util::Status(const SnapshotContents&)>& restore,
       const std::function<util::Status(const WalRecord&)>& apply);
 
-  /// Buffers one record (kAlways: writes and syncs it immediately).
-  /// Returns the record's LSN.
+  /// Buffers one record until CommitBatch(). Returns the record's LSN.
   util::StatusOr<uint64_t> AppendWal(std::string_view payload);
 
   /// Flushes buffered records and applies the sync policy. Call once per
@@ -275,7 +275,6 @@ class ShardPersistence {
   uint64_t segment_bytes_ = 0;
   std::string pending_;
   uint64_t pending_records_ = 0;
-  uint64_t pending_bytes_ = 0;
   uint64_t records_since_snapshot_ = 0;
   std::chrono::steady_clock::time_point last_snapshot_time_;
   uint64_t next_snapshot_seq_ = 1;

@@ -249,6 +249,8 @@ bool FrontEnd::HandleFrame(Reactor& reactor, uint64_t conn_id,
     reactor.Reply(conn_id, MakeErrorResponse(-1, doc.status().ToString()));
     return true;
   }
+  // JSON carries only `stats`; ParseRequest refuses the binary-only hot
+  // verbs like any other bad request, and the connection survives.
   auto request = ParseRequest(*doc);
   if (!request.ok()) {
     reactor.CountProtocolError();
@@ -256,13 +258,7 @@ bool FrontEnd::HandleFrame(Reactor& reactor, uint64_t conn_id,
                                              request.status().ToString()));
     return true;
   }
-
-  if (request->verb == Verb::kStats) {
-    reactor.Reply(conn_id, MakeStatsResponse(request->id, hooks_.stats_body()));
-    return true;
-  }
-
-  hooks_.on_request(reactor, conn_id, *std::move(request), payload);
+  reactor.Reply(conn_id, MakeStatsResponse(request->id, hooks_.stats_body()));
   return true;
 }
 

@@ -63,7 +63,7 @@ util::StatusOr<FrontEndOptions> FrontEndOptionsFromFlags(
 /// What an owner plugs into its front end. on_request, stats_body and
 /// stop_workers are required; the others default to doing nothing.
 struct FrontEndHooks {
-  /// A decoded `ingest` or `solve_cycle` request (reactor thread).
+  /// A decoded binary `ingest` or `solve_cycle` request (reactor thread).
   /// `payload` is the verbatim frame body. The owner answers it through
   /// `reactor` or settles it later through FrontEnd::PostResponses.
   std::function<void(Reactor& reactor, uint64_t conn_id, Request request,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/hash.h"
+#include "util/logging.h"
 
 namespace auditgame::server {
 
@@ -25,7 +26,7 @@ uint64_t MixPoint(uint64_t x) {
 }  // namespace
 
 HashRing::HashRing(int virtual_nodes) : virtual_nodes_(virtual_nodes) {
-  if (virtual_nodes_ < 1) virtual_nodes_ = 1;
+  CHECK_GE(virtual_nodes_, 1) << "HashRing virtual_nodes";
 }
 
 void HashRing::AddNode(int id, const std::string& name) {

@@ -28,6 +28,7 @@ namespace auditgame::server {
 /// router guards it with its own mutex.
 class HashRing {
  public:
+  /// `virtual_nodes` must be at least 1 (CHECKed).
   explicit HashRing(int virtual_nodes = 128);
 
   /// Adds (or re-adds) a node. `name` seeds the ring points, so a node's

@@ -15,18 +15,6 @@ util::JsonValue::Object Envelope(int64_t id, const char* status) {
 
 }  // namespace
 
-const char* VerbName(Verb verb) {
-  switch (verb) {
-    case Verb::kIngest:
-      return "ingest";
-    case Verb::kSolveCycle:
-      return "solve_cycle";
-    case Verb::kStats:
-      return "stats";
-  }
-  return "?";
-}
-
 const char* SourceName(service::AuditService::Source source) {
   switch (source) {
     case service::AuditService::Source::kCache:
@@ -61,242 +49,22 @@ util::StatusOr<Request> ParseRequest(const util::JsonValue& doc) {
   request.id = RequestIdOf(doc);
 
   ASSIGN_OR_RETURN(const std::string verb, doc.GetString("verb"));
-  if (verb == "ingest") {
-    request.verb = Verb::kIngest;
-  } else if (verb == "solve_cycle") {
-    request.verb = Verb::kSolveCycle;
-  } else if (verb == "stats") {
-    request.verb = Verb::kStats;
-  } else {
+  if (verb == "ingest" || verb == "solve_cycle") {
+    return util::InvalidArgumentError(
+        "verb " + verb +
+        " is binary-only: encode it with the binary codec "
+        "(server/binary_codec.h)");
+  }
+  if (verb != "stats") {
     return util::InvalidArgumentError("unknown verb: " + verb);
   }
-
-  if (request.verb != Verb::kStats) {
-    ASSIGN_OR_RETURN(request.tenant, doc.GetString("tenant"));
-    if (request.tenant.empty()) {
-      return util::InvalidArgumentError("tenant must be non-empty");
-    }
-  }
-
-  if (request.verb == Verb::kSolveCycle) {
-    if (const util::JsonValue* observe = doc.Find("observe_policy");
-        observe != nullptr) {
-      if (!observe->is_bool()) {
-        return util::InvalidArgumentError("observe_policy must be a boolean");
-      }
-      request.observe_policy = observe->as_bool();
-    }
-  }
-
-  if (request.verb == Verb::kIngest) {
-    const util::JsonValue* dists = doc.Find("distributions");
-    if (dists == nullptr) {
-      return util::InvalidArgumentError("ingest requires distributions");
-    }
-    ASSIGN_OR_RETURN(request.distributions, ParseDistributions(*dists));
-  }
   return request;
-}
-
-util::JsonValue EncodeDistributions(
-    const std::vector<prob::CountDistribution>& distributions) {
-  util::JsonValue::Array out;
-  out.reserve(distributions.size());
-  for (const prob::CountDistribution& dist : distributions) {
-    util::JsonValue::Object entry;
-    entry["min"] = dist.min_value();
-    util::JsonValue::Array pmf;
-    pmf.reserve(static_cast<size_t>(dist.support_size()));
-    for (int z = dist.min_value(); z <= dist.max_value(); ++z) {
-      pmf.push_back(dist.Pmf(z));
-    }
-    entry["pmf"] = std::move(pmf);
-    out.push_back(std::move(entry));
-  }
-  return util::JsonValue(std::move(out));
-}
-
-util::StatusOr<std::vector<prob::CountDistribution>> ParseDistributions(
-    const util::JsonValue& doc) {
-  if (!doc.is_array()) {
-    return util::InvalidArgumentError("distributions must be an array");
-  }
-  std::vector<prob::CountDistribution> out;
-  out.reserve(doc.as_array().size());
-  for (const util::JsonValue& entry : doc.as_array()) {
-    if (!entry.is_object()) {
-      return util::InvalidArgumentError("distribution must be an object");
-    }
-    ASSIGN_OR_RETURN(const double min, entry.GetNumber("min"));
-    // Untrusted input: casting an out-of-range double to int is UB, and
-    // negative alert counts are meaningless.
-    if (!(min >= 0.0 && min <= 1e9) ||
-        min != static_cast<double>(static_cast<int>(min))) {
-      return util::InvalidArgumentError(
-          "distribution min must be an integer in [0, 1e9]");
-    }
-    const util::JsonValue* pmf_doc = entry.Find("pmf");
-    if (pmf_doc == nullptr || !pmf_doc->is_array()) {
-      return util::InvalidArgumentError("distribution needs a pmf array");
-    }
-    std::vector<double> pmf;
-    pmf.reserve(pmf_doc->as_array().size());
-    for (const util::JsonValue& p : pmf_doc->as_array()) {
-      if (!p.is_number()) {
-        return util::InvalidArgumentError("pmf entries must be numbers");
-      }
-      pmf.push_back(p.as_number());
-    }
-    ASSIGN_OR_RETURN(
-        prob::CountDistribution dist,
-        prob::CountDistribution::FromPmf(static_cast<int>(min),
-                                         std::move(pmf)));
-    out.push_back(std::move(dist));
-  }
-  return out;
-}
-
-std::string MakeIngestRequest(
-    int64_t id, const std::string& tenant,
-    const std::vector<prob::CountDistribution>& distributions) {
-  util::JsonValue::Object obj;
-  obj["verb"] = "ingest";
-  obj["tenant"] = tenant;
-  obj["id"] = static_cast<double>(id);
-  obj["distributions"] = EncodeDistributions(distributions);
-  return util::JsonValue(std::move(obj)).Dump();
-}
-
-std::string MakeSolveCycleRequest(int64_t id, const std::string& tenant,
-                                  bool observe_policy) {
-  util::JsonValue::Object obj;
-  obj["verb"] = "solve_cycle";
-  obj["tenant"] = tenant;
-  obj["id"] = static_cast<double>(id);
-  if (observe_policy) obj["observe_policy"] = true;
-  return util::JsonValue(std::move(obj)).Dump();
 }
 
 std::string MakeStatsRequest(int64_t id) {
   util::JsonValue::Object obj;
   obj["verb"] = "stats";
   obj["id"] = static_cast<double>(id);
-  return util::JsonValue(std::move(obj)).Dump();
-}
-
-std::string MakeIngestOkResponse(int64_t id, const std::string& tenant,
-                                 int shard) {
-  util::JsonValue::Object obj = Envelope(id, "ok");
-  obj["verb"] = "ingest";
-  obj["tenant"] = tenant;
-  obj["shard"] = shard;
-  return util::JsonValue(std::move(obj)).Dump();
-}
-
-std::string MakeSolveCycleResponse(
-    int64_t id, const std::string& tenant, int shard,
-    const service::AuditService::CycleReport& report,
-    const std::vector<std::vector<double>>* detection_probs) {
-  util::JsonValue::Object obj = Envelope(id, "ok");
-  obj["verb"] = "solve_cycle";
-  obj["tenant"] = tenant;
-  obj["shard"] = shard;
-  obj["cycle"] = static_cast<double>(report.cycle);
-  obj["seconds"] = report.seconds;
-  util::JsonValue::Array policies;
-  policies.reserve(report.policies.size());
-  for (size_t i = 0; i < report.policies.size(); ++i) {
-    const service::AuditService::CyclePolicy& policy = report.policies[i];
-    util::JsonValue::Object p;
-    p["budget"] = policy.budget;
-    p["source"] = SourceName(policy.source);
-    p["drift"] = policy.drift;
-    p["objective"] = policy.result.objective;
-    util::JsonValue::Array thresholds;
-    thresholds.reserve(policy.result.thresholds.size());
-    for (double b : policy.result.thresholds) thresholds.push_back(b);
-    p["thresholds"] = std::move(thresholds);
-    if (detection_probs != nullptr && i < detection_probs->size()) {
-      util::JsonValue::Array probs;
-      probs.reserve((*detection_probs)[i].size());
-      for (double pal : (*detection_probs)[i]) probs.push_back(pal);
-      p["detection_probs"] = std::move(probs);
-    }
-    policies.push_back(std::move(p));
-  }
-  obj["policies"] = std::move(policies);
-  return util::JsonValue(std::move(obj)).Dump();
-}
-
-util::StatusOr<SolveCycleReply> ParseSolveCycleReply(
-    const util::JsonValue& doc) {
-  if (!doc.is_object()) {
-    return util::InvalidArgumentError("solve_cycle reply must be an object");
-  }
-  SolveCycleReply reply;
-  ASSIGN_OR_RETURN(const double cycle, doc.GetNumber("cycle"));
-  reply.cycle = static_cast<int64_t>(cycle);
-  ASSIGN_OR_RETURN(const double shard, doc.GetNumber("shard"));
-  reply.shard = static_cast<int>(shard);
-  const util::JsonValue* policies = doc.Find("policies");
-  if (policies == nullptr || !policies->is_array()) {
-    return util::InvalidArgumentError("solve_cycle reply needs policies");
-  }
-  reply.policies.reserve(policies->as_array().size());
-  for (const util::JsonValue& entry : policies->as_array()) {
-    if (!entry.is_object()) {
-      return util::InvalidArgumentError("policy entry must be an object");
-    }
-    SolveCyclePolicy policy;
-    ASSIGN_OR_RETURN(policy.budget, entry.GetNumber("budget"));
-    ASSIGN_OR_RETURN(policy.source, entry.GetString("source"));
-    ASSIGN_OR_RETURN(policy.drift, entry.GetNumber("drift"));
-    ASSIGN_OR_RETURN(policy.objective, entry.GetNumber("objective"));
-    const auto parse_doubles =
-        [&entry](const char* key, bool required,
-                 std::vector<double>* out) -> util::Status {
-      const util::JsonValue* values = entry.Find(key);
-      if (values == nullptr) {
-        if (required) {
-          return util::InvalidArgumentError(std::string("policy needs ") +
-                                            key);
-        }
-        return util::OkStatus();
-      }
-      if (!values->is_array()) {
-        return util::InvalidArgumentError(std::string(key) +
-                                          " must be an array");
-      }
-      out->reserve(values->as_array().size());
-      for (const util::JsonValue& v : values->as_array()) {
-        if (!v.is_number()) {
-          return util::InvalidArgumentError(std::string(key) +
-                                            " entries must be numbers");
-        }
-        out->push_back(v.as_number());
-      }
-      return util::OkStatus();
-    };
-    RETURN_IF_ERROR(
-        parse_doubles("thresholds", /*required=*/true, &policy.thresholds));
-    RETURN_IF_ERROR(parse_doubles("detection_probs", /*required=*/false,
-                                  &policy.detection_probs));
-    reply.policies.push_back(std::move(policy));
-  }
-  return reply;
-}
-
-std::string MakeOverloadedResponse(int64_t id, const std::string& tenant,
-                                   int shard) {
-  util::JsonValue::Object obj = Envelope(id, "overloaded");
-  obj["tenant"] = tenant;
-  obj["shard"] = shard;
-  return util::JsonValue(std::move(obj)).Dump();
-}
-
-std::string MakeBackendDownResponse(int64_t id, const std::string& tenant) {
-  util::JsonValue::Object obj = Envelope(id, "backend_down");
-  obj["tenant"] = tenant;
   return util::JsonValue(std::move(obj)).Dump();
 }
 

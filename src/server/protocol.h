@@ -13,129 +13,63 @@
 
 namespace auditgame::server {
 
-/// The audit-server wire protocol: one JSON object per frame (see
-/// net/frame.h for the framing). Requests carry a verb, a tenant id and a
-/// client-chosen request id that every response echoes, so clients may
-/// pipeline. Schema (docs/DESIGN.md "Network serving" is the reference):
+/// The audit-server wire protocol. Every verb has exactly one encoding:
+/// the hot verbs `ingest` and `solve_cycle` are binary
+/// (server/binary_codec.h), and the ops verb `stats` is one JSON object per
+/// frame (see net/frame.h for the framing):
 ///
-///   {"verb":"ingest","tenant":"acme","id":7,
-///    "distributions":[{"min":0,"pmf":[0.5,0.3,0.2]}, ...]}
-///   {"verb":"solve_cycle","tenant":"acme","id":8}
 ///   {"verb":"stats","id":9}
 ///
-/// Responses always carry `id` and `status` ("ok" | "overloaded" |
-/// "error" | "backend_down"). `overloaded` is the backpressure contract:
-/// the shard's bounded queue was full, nothing was applied, and the client
-/// may retry. `backend_down` is its cluster-mode sibling, originated by
-/// the router when the backend owning a tenant is unreachable — equally
-/// retryable (nothing was applied), but distinguishable so failover
-/// traffic can be counted.
-/// `error` carries a `message`; malformed JSON gets an error response with
-/// id -1 on the same connection — only framing violations cost the
-/// connection itself.
+/// Every request carries a client-chosen correlation id that its response
+/// echoes, so clients may pipeline. Responses may complete out of
+/// submission order across tenants (different shards); one tenant's
+/// responses stay in submission order (same shard, FIFO queue).
 ///
-/// The `id` is a *correlation id*: a connection may pipeline any number of
-/// in-flight requests, and responses echo the id so the client can pair
-/// them. Responses may complete out of submission order across tenants
-/// (different shards); one tenant's responses stay in submission order
-/// (same shard, FIFO queue). The hot verbs also have a compact binary
-/// encoding carried in the same frames — see server/binary_codec.h;
-/// `Request::binary` records which encoding a request arrived in, and the
-/// response mirrors it.
+/// Statuses are ok, overloaded, error and backend_down. `overloaded` is
+/// the backpressure contract: the shard's bounded queue was full, nothing
+/// was applied, and the client may retry. `backend_down` is its
+/// cluster-mode sibling, originated by the router when the backend owning
+/// a tenant is unreachable — equally retryable (nothing was applied), but
+/// distinguishable so failover traffic can be counted. A JSON `error`
+/// carries a `message`. Malformed JSON, an unknown verb and a JSON
+/// `ingest` or `solve_cycle` (hot verbs are binary-only) each get a JSON
+/// error on the same connection; only framing violations and undecodable
+/// binary frames cost the connection itself. docs/DESIGN.md "Network
+/// serving" is the reference.
 enum class Verb { kIngest, kSolveCycle, kStats };
 
-const char* VerbName(Verb verb);
-
-/// A parsed, validated request.
+/// A decoded, validated request: a binary hot verb (DecodeBinaryRequest)
+/// or a JSON `stats` (ParseRequest).
 struct Request {
   Verb verb = Verb::kStats;
   std::string tenant;
   int64_t id = -1;
-  /// Wire encoding the request arrived in (and its response leaves in):
-  /// true = binary (server/binary_codec.h), false = JSON.
-  bool binary = false;
-  /// kSolveCycle, JSON only: ask the shard to include each policy's mixed
-  /// per-type detection probabilities in the response. The adversary-loop
-  /// observation channel — computing the probabilities builds a detection
-  /// model per policy, so it is opt-in and deliberately absent from the
-  /// binary hot path (BENCH_server.json gates that throughput).
+  /// kSolveCycle only: include each policy's mixed per-type detection
+  /// probabilities in the response. The adversary-loop observation channel
+  /// — computing them builds a detection model per policy, so it is opt-in
+  /// and the ordinary solve_cycle never pays for it.
   bool observe_policy = false;
   /// kIngest only: the cycle's refreshed per-type distributions.
   std::vector<prob::CountDistribution> distributions;
 };
 
-/// Parses and validates one request document. `stats` needs no tenant;
-/// `ingest`/`solve_cycle` require a non-empty one.
+/// Parses and validates one JSON request document. Only `stats` has a
+/// JSON form; `ingest` and `solve_cycle` are refused as binary-only.
 util::StatusOr<Request> ParseRequest(const util::JsonValue& doc);
 
 /// Best-effort `id` of a request document whose full parse failed (-1 when
 /// absent or not a number) — so even rejected requests echo an id.
 int64_t RequestIdOf(const util::JsonValue& doc);
 
-/// --- client-side builders (loadgen, tests) ---
-
-std::string MakeIngestRequest(
-    int64_t id, const std::string& tenant,
-    const std::vector<prob::CountDistribution>& distributions);
-std::string MakeSolveCycleRequest(int64_t id, const std::string& tenant,
-                                  bool observe_policy = false);
 std::string MakeStatsRequest(int64_t id);
-
-/// --- client-side response views (adversary loop, tools) ---
-
-/// One policy of a parsed solve_cycle response.
-struct SolveCyclePolicy {
-  double budget = 0.0;
-  std::string source;  // "cache" | "warm" | "cold"
-  double drift = 0.0;
-  double objective = 0.0;
-  std::vector<double> thresholds;
-  /// Mixed per-type detection probabilities; present only when the request
-  /// carried observe_policy.
-  std::vector<double> detection_probs;
-};
-
-struct SolveCycleReply {
-  int64_t cycle = 0;
-  int shard = 0;
-  std::vector<SolveCyclePolicy> policies;
-};
-
-/// Parses the body of a status=="ok" solve_cycle response (the caller
-/// checks `status` first; overloaded/error envelopes have no cycle body).
-util::StatusOr<SolveCycleReply> ParseSolveCycleReply(
-    const util::JsonValue& doc);
-
-/// --- server-side builders ---
-
-std::string MakeIngestOkResponse(int64_t id, const std::string& tenant,
-                                 int shard);
-/// `detection_probs`, when non-null, carries one mixed-Pal vector per
-/// policy in the report (the observe_policy response payload).
-std::string MakeSolveCycleResponse(
-    int64_t id, const std::string& tenant, int shard,
-    const service::AuditService::CycleReport& report,
-    const std::vector<std::vector<double>>* detection_probs = nullptr);
-std::string MakeOverloadedResponse(int64_t id, const std::string& tenant,
-                                   int shard);
-/// Router-originated: the tenant's backend is unreachable; nothing was
-/// applied and the client may retry.
-std::string MakeBackendDownResponse(int64_t id, const std::string& tenant);
 std::string MakeErrorResponse(int64_t id, const std::string& message);
 
 /// Wraps a prebuilt stats body into the response envelope.
 std::string MakeStatsResponse(int64_t id, util::JsonValue::Object body);
 
-/// "cache" / "warm" / "cold" — the wire names of a policy's source, shared
-/// by the serving tools' CSV output.
+/// "cache" / "warm" / "cold" — the names of a policy's source, shared by
+/// the serving tools' CSV output and the adversary loop.
 const char* SourceName(service::AuditService::Source source);
-
-/// JSON (de)serialization of alert-count distributions, the `ingest`
-/// payload: [{"min":int,"pmf":[...]}, ...].
-util::JsonValue EncodeDistributions(
-    const std::vector<prob::CountDistribution>& distributions);
-util::StatusOr<std::vector<prob::CountDistribution>> ParseDistributions(
-    const util::JsonValue& doc);
 
 }  // namespace auditgame::server
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "server/binary_codec.h"
-#include "util/json.h"
 #include "util/logging.h"
 
 namespace auditgame::server {
@@ -17,54 +16,29 @@ constexpr int kConnectWaitMs = 10000;
 }  // namespace
 
 util::StatusOr<ResponseEnvelope> DecodeResponse(std::string_view payload) {
+  ASSIGN_OR_RETURN(BinaryResponse response, DecodeBinaryResponse(payload));
   ResponseEnvelope op;
-  if (IsBinaryFrame(payload)) {
-    ASSIGN_OR_RETURN(BinaryResponse response, DecodeBinaryResponse(payload));
-    op.id = response.correlation_id;
-    switch (response.status) {
-      case kBinaryStatusOk:
-        op.status = ResponseEnvelope::Status::kOk;
-        break;
-      case kBinaryStatusOverloaded:
-        op.status = ResponseEnvelope::Status::kOverloaded;
-        break;
-      case kBinaryStatusBackendDown:
-        op.status = ResponseEnvelope::Status::kBackendDown;
-        break;
-      default:
-        op.status = ResponseEnvelope::Status::kError;
-        break;
-    }
-    if (response.verb == kBinaryVerbSolveCycle &&
-        response.status == kBinaryStatusOk) {
-      op.has_cycle = true;
-      op.cycle = response.cycle;
-    }
-    op.message = std::move(response.message);
-    return op;
+  op.id = response.correlation_id;
+  switch (response.status) {
+    case kBinaryStatusOk:
+      op.status = ResponseEnvelope::Status::kOk;
+      break;
+    case kBinaryStatusOverloaded:
+      op.status = ResponseEnvelope::Status::kOverloaded;
+      break;
+    case kBinaryStatusBackendDown:
+      op.status = ResponseEnvelope::Status::kBackendDown;
+      break;
+    default:
+      op.status = ResponseEnvelope::Status::kError;
+      break;
   }
-  ASSIGN_OR_RETURN(util::JsonValue doc,
-                   util::JsonValue::Parse(std::string(payload)));
-  ASSIGN_OR_RETURN(double id, doc.GetNumber("id"));
-  op.id = static_cast<int64_t>(id);
-  ASSIGN_OR_RETURN(std::string status, doc.GetString("status"));
-  if (status == "ok") {
-    op.status = ResponseEnvelope::Status::kOk;
-  } else if (status == "overloaded") {
-    op.status = ResponseEnvelope::Status::kOverloaded;
-  } else if (status == "backend_down") {
-    op.status = ResponseEnvelope::Status::kBackendDown;
-  } else {
-    op.status = ResponseEnvelope::Status::kError;
-  }
-  if (auto cycle = doc.GetNumber("cycle"); cycle.ok()) {
+  if (response.verb == kBinaryVerbSolveCycle &&
+      response.status == kBinaryStatusOk) {
     op.has_cycle = true;
-    op.cycle = static_cast<int64_t>(*cycle);
+    op.cycle = response.cycle;
   }
-  if (const util::JsonValue* m = doc.Find("message");
-      m != nullptr && m->is_string()) {
-    op.message = m->as_string();
-  }
+  op.message = std::move(response.message);
   return op;
 }
 

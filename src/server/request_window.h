@@ -16,8 +16,8 @@
 
 namespace auditgame::server {
 
-/// The envelope of one response frame, either encoding: what a client
-/// needs to pair it and decide what to do next.
+/// The envelope of one binary response frame: what a client needs to pair
+/// it and decide what to do next.
 struct ResponseEnvelope {
   /// `overloaded` and `backend_down` are the not-applied statuses of the
   /// backpressure contract (server/protocol.h): nothing was applied, and
@@ -33,9 +33,8 @@ struct ResponseEnvelope {
   std::string message;
 };
 
-/// Decodes the envelope of one response payload. The encoding is read from
-/// the payload itself (server/binary_codec.h's magic byte), so one
-/// connection may carry both.
+/// Decodes the envelope of one binary response payload
+/// (server/binary_codec.h); any other payload is an error.
 util::StatusOr<ResponseEnvelope> DecodeResponse(std::string_view payload);
 
 struct RequestWindowOptions {

@@ -69,14 +69,7 @@ util::StatusOr<RouterOptions> RouterOptionsFromFlags(
 }
 
 Router::Router(RouterOptions options)
-    : options_(std::move(options)), front_(options_.front, MakeHooks()) {
-  if (options_.virtual_nodes < 1) options_.virtual_nodes = 1;
-  if (options_.replica_retries < 0) options_.replica_retries = 0;
-  if (options_.replica_retry_backoff_ms < 1)
-    options_.replica_retry_backoff_ms = 1;
-  full_ring_ = HashRing(options_.virtual_nodes);
-  live_ring_ = HashRing(options_.virtual_nodes);
-}
+    : options_(std::move(options)), front_(options_.front, MakeHooks()) {}
 
 Router::~Router() {
   // Channel threads call back into this object and post into reactor
@@ -108,6 +101,22 @@ void Router::StopChannels() {
 }
 
 util::Status Router::Start() {
+  const net::FrameChannelOptions& channel = options_.channel;
+  if (options_.virtual_nodes < 1 || options_.replica_retries < 0 ||
+      options_.replica_retry_backoff_ms < 1 || options_.ping_interval_ms < 0 ||
+      options_.backend_connect_wait_ms < 0 || channel.window < 1 ||
+      channel.queue_capacity < 1 || channel.response_timeout_ms < 1 ||
+      channel.reconnect_backoff_min_ms < 1 ||
+      channel.reconnect_backoff_max_ms < channel.reconnect_backoff_min_ms) {
+    return util::InvalidArgumentError(
+        "virtual_nodes, replica_retry_backoff_ms, the channel window, "
+        "queue_capacity, response_timeout_ms and reconnect_backoff_min_ms "
+        "must each be at least 1; replica_retries, ping_interval_ms and "
+        "backend_connect_wait_ms at least 0; reconnect_backoff_max_ms at "
+        "least reconnect_backoff_min_ms");
+  }
+  full_ring_ = HashRing(options_.virtual_nodes);
+  live_ring_ = HashRing(options_.virtual_nodes);
   return front_.Start([this] { return StartChannels(); });
 }
 
@@ -189,14 +198,12 @@ void Router::PingBackends() {
 void Router::Route(Reactor& reactor, uint64_t conn_id, Request request,
                    const std::string& payload) {
   const int64_t client_id = request.id;
-  const bool binary = request.binary;
 
   if (front_.draining()) {
     // Same retryable refusal a draining AuditServer produces.
     reactor.CountOverloaded();
-    reactor.Reply(conn_id, OverloadedResponseFor(binary, request.verb,
-                                                 client_id, request.tenant,
-                                                 -1));
+    reactor.Reply(conn_id, EncodeBinaryOverloadedResponse(client_id, -1,
+                                                          request.verb));
     return;
   }
 
@@ -207,17 +214,15 @@ void Router::Route(Reactor& reactor, uint64_t conn_id, Request request,
   if (primary < 0) {
     lock.unlock();
     backend_down_replies_.fetch_add(1, std::memory_order_relaxed);
-    reactor.Reply(conn_id, BackendDownResponseFor(binary, request.verb,
-                                                  client_id, request.tenant));
+    reactor.Reply(conn_id,
+                  EncodeBinaryBackendDownResponse(client_id, request.verb));
     return;
   }
 
   PendingOp op;
   op.conn_id = conn_id;
   op.client_id = client_id;
-  op.binary = binary;
   op.verb = request.verb;
-  op.tenant = request.tenant;
   op.rerouted = primary != full_ring_.PrimaryFor(point);
   op.primary_backend = primary;
 
@@ -225,20 +230,10 @@ void Router::Route(Reactor& reactor, uint64_t conn_id, Request request,
   const int64_t primary_sub = op_id << 1;
   const int64_t replica_sub = primary_sub | 1;
 
-  // The forwarded payloads: binary frames get the id patched in place
-  // (fixed offset); JSON is rebuilt from the parsed request — the builders
-  // emit shortest-round-trip doubles, so the values are bit-identical.
-  std::string primary_payload;
-  if (binary) {
-    primary_payload = payload;
-    RewriteBinaryCorrelationId(&primary_payload, primary_sub);
-  } else {
-    primary_payload =
-        request.verb == Verb::kIngest
-            ? MakeIngestRequest(primary_sub, request.tenant,
-                                request.distributions)
-            : MakeSolveCycleRequest(primary_sub, request.tenant);
-  }
+  // The forwarded payloads: the client's frame with the id patched in
+  // place (fixed offset); the body is never re-encoded.
+  std::string primary_payload = payload;
+  RewriteBinaryCorrelationId(&primary_payload, primary_sub);
 
   // Replica-first submission: if the mirror cannot even be queued the op
   // is refused outright (nothing applied anywhere), and if the primary
@@ -247,17 +242,8 @@ void Router::Route(Reactor& reactor, uint64_t conn_id, Request request,
   const int replica =
       options_.replicate ? live_ring_.SuccessorFor(point) : -1;
   if (replica >= 0) {
-    std::string replica_payload;
-    if (binary) {
-      replica_payload = payload;
-      RewriteBinaryCorrelationId(&replica_payload, replica_sub);
-    } else {
-      replica_payload =
-          request.verb == Verb::kIngest
-              ? MakeIngestRequest(replica_sub, request.tenant,
-                                  request.distributions)
-              : MakeSolveCycleRequest(replica_sub, request.tenant);
-    }
+    std::string replica_payload = payload;
+    RewriteBinaryCorrelationId(&replica_payload, replica_sub);
     const auto submitted = channels_[replica]->TrySubmit(replica_payload);
     if (submitted == net::FrameChannel::Submit::kAccepted) {
       op.replica_backend = replica;
@@ -268,8 +254,8 @@ void Router::Route(Reactor& reactor, uint64_t conn_id, Request request,
       lock.unlock();
       replication_rejected_.fetch_add(1, std::memory_order_relaxed);
       reactor.CountOverloaded();
-      reactor.Reply(conn_id, OverloadedResponseFor(binary, op.verb, client_id,
-                                                   op.tenant, -1));
+      reactor.Reply(conn_id,
+                    EncodeBinaryOverloadedResponse(client_id, -1, op.verb));
       return;
     } else {
       // Successor unreachable: serve unmirrored rather than not at all.
@@ -282,8 +268,8 @@ void Router::Route(Reactor& reactor, uint64_t conn_id, Request request,
   if (submitted != net::FrameChannel::Submit::kAccepted) {
     const bool full = submitted == net::FrameChannel::Submit::kFull;
     std::string reply =
-        full ? OverloadedResponseFor(binary, op.verb, client_id, op.tenant, -1)
-             : BackendDownResponseFor(binary, op.verb, client_id, op.tenant);
+        full ? EncodeBinaryOverloadedResponse(client_id, -1, op.verb)
+             : EncodeBinaryBackendDownResponse(client_id, op.verb);
     if (op.replica_backend >= 0) {
       // The mirror is already on its way; keep the op (released) so its
       // response has a home, then answer the client right now.
@@ -308,65 +294,31 @@ void Router::Route(Reactor& reactor, uint64_t conn_id, Request request,
   reactor.OnSubmitted(conn_id);  // settled by the posted response
 }
 
-void Router::CountRerouteSources(const PendingOp& op,
-                                 const std::string& payload,
-                                 const util::JsonValue* doc) {
-  if (op.binary) {
-    auto response = DecodeBinaryResponse(payload);
-    if (!response.ok() || response->status != kBinaryStatusOk) return;
-    for (const BinaryPolicy& policy : response->policies) {
-      switch (policy.source) {
-        case service::AuditService::Source::kCache:
-          post_failover_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case service::AuditService::Source::kWarmSolve:
-          post_failover_warm_solves_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case service::AuditService::Source::kColdSolve:
-          post_failover_cold_solves_.fetch_add(1, std::memory_order_relaxed);
-          break;
-      }
-    }
-    return;
-  }
-  if (doc == nullptr) return;
-  auto status = doc->GetString("status");
-  if (!status.ok() || *status != "ok") return;
-  const util::JsonValue* policies = doc->Find("policies");
-  if (policies == nullptr || !policies->is_array()) return;
-  for (const util::JsonValue& policy : policies->as_array()) {
-    auto source = policy.GetString("source");
-    if (!source.ok()) continue;
-    if (*source == "cache") {
-      post_failover_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    } else if (*source == "warm") {
-      post_failover_warm_solves_.fetch_add(1, std::memory_order_relaxed);
-    } else if (*source == "cold") {
-      post_failover_cold_solves_.fetch_add(1, std::memory_order_relaxed);
+void Router::CountRerouteSources(const std::string& payload) {
+  auto response = DecodeBinaryResponse(payload);
+  if (!response.ok() || response->status != kBinaryStatusOk) return;
+  for (const BinaryPolicy& policy : response->policies) {
+    switch (policy.source) {
+      case service::AuditService::Source::kCache:
+        post_failover_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case service::AuditService::Source::kWarmSolve:
+        post_failover_warm_solves_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case service::AuditService::Source::kColdSolve:
+        post_failover_cold_solves_.fetch_add(1, std::memory_order_relaxed);
+        break;
     }
   }
 }
 
 void Router::OnBackendFrame(size_t backend, std::string payload) {
   (void)backend;
-  const bool binary = IsBinaryFrame(payload);
-  util::JsonValue doc;
-  int64_t sub_id = -1;
-  if (binary) {
-    sub_id = BinaryCorrelationIdOf(payload);
-  } else {
-    auto parsed = util::JsonValue::Parse(payload);
-    if (!parsed.ok() || !parsed->is_object()) {
-      backend_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    doc = *std::move(parsed);
-    if (auto id = doc.GetNumber("id"); id.ok()) {
-      sub_id = static_cast<int64_t>(*id);
-    }
-  }
-  if (sub_id == 0) return;  // ping response
-  if (sub_id < 0) {
+  // The router sends backends binary hot verbs and JSON `stats` pings
+  // (correlation id 0), so a JSON frame is a ping reply.
+  if (!IsBinaryFrame(payload)) return;
+  const int64_t sub_id = BinaryCorrelationIdOf(payload);
+  if (sub_id <= 0) {
     backend_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -388,17 +340,9 @@ void Router::OnBackendFrame(size_t backend, std::string payload) {
         stray_responses_.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      bool overloaded;
-      bool error;
-      if (binary) {
-        const int status = BinaryResponseStatusOf(payload);
-        overloaded = status == kBinaryStatusOverloaded;
-        error = status != kBinaryStatusOk && !overloaded;
-      } else {
-        auto status = doc.GetString("status");
-        overloaded = status.ok() && *status == "overloaded";
-        error = !status.ok() || (*status != "ok" && !overloaded);
-      }
+      const int status = BinaryResponseStatusOf(payload);
+      const bool overloaded = status == kBinaryStatusOverloaded;
+      const bool error = status != kBinaryStatusOk && !overloaded;
       if (overloaded && !op.client_released &&
           op.replica_attempts < options_.replica_retries &&
           op.replica_backend >= 0) {
@@ -425,15 +369,10 @@ void Router::OnBackendFrame(size_t backend, std::string payload) {
         return;
       }
       if (op.rerouted && op.verb == Verb::kSolveCycle) {
-        CountRerouteSources(op, payload, binary ? nullptr : &doc);
+        CountRerouteSources(payload);
       }
-      if (binary) {
-        RewriteBinaryCorrelationId(&payload, op.client_id);
-        op.primary_response = std::move(payload);
-      } else {
-        doc.as_object()["id"] = static_cast<double>(op.client_id);
-        op.primary_response = doc.Dump();
-      }
+      RewriteBinaryCorrelationId(&payload, op.client_id);
+      op.primary_response = std::move(payload);
       op.primary_done = true;
     }
 
@@ -478,8 +417,8 @@ void Router::OnBackendState(size_t backend, bool up) {
       if (op.primary_backend == static_cast<int>(backend) &&
           !op.primary_done) {
         op.primary_done = true;
-        op.primary_response = BackendDownResponseFor(op.binary, op.verb,
-                                                     op.client_id, op.tenant);
+        op.primary_response =
+            EncodeBinaryBackendDownResponse(op.client_id, op.verb);
         backend_down_replies_.fetch_add(1, std::memory_order_relaxed);
       }
       if (op.primary_done && op.replica_done) {

@@ -73,9 +73,9 @@ util::StatusOr<RouterOptions> RouterOptionsFromFlags(
     const util::FlagParser& flags);
 
 /// The cluster front door: the same client front end as AuditServer
-/// (server/front_end.h: the same JSON/binary protocol, limits and drain)
-/// on the client side, fanning requests out to N backend audit_server
-/// processes over pipelined FrameChannels. Placement is
+/// (server/front_end.h: the same binary hot verbs, JSON `stats`, limits and
+/// drain) on the client side, fanning requests out to N backend
+/// audit_server processes over pipelined FrameChannels. Placement is
 /// consistent hashing (HashRing) over the same FNV-1a tenant hash the
 /// in-process shard routing uses; correlation ids are remapped per op
 /// (client id ↔ router sub-id) so any number of client connections can
@@ -104,6 +104,12 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
+  /// Refuses options out of range (InvalidArgument) instead of clamping
+  /// them: virtual_nodes, replica_retry_backoff_ms and the channel's
+  /// window, queue_capacity, response_timeout_ms and
+  /// reconnect_backoff_min_ms below 1, a negative replica_retries,
+  /// ping_interval_ms or backend_connect_wait_ms, and a
+  /// reconnect_backoff_max_ms below its minimum.
   util::Status Start();
   util::Status Run();
 
@@ -131,9 +137,7 @@ class Router {
   struct PendingOp {
     uint64_t conn_id = 0;
     int64_t client_id = -1;
-    bool binary = false;
     Verb verb = Verb::kStats;
-    std::string tenant;
     bool rerouted = false;
     int primary_backend = -1;
     /// -1 when the op is not mirrored (replication off, no successor, or
@@ -166,8 +170,7 @@ class Router {
   void OnBackendState(size_t backend, bool up);
   /// Tallies the policy sources of a rerouted solve's ok response — the
   /// warm-failover evidence.
-  void CountRerouteSources(const PendingOp& op, const std::string& payload,
-                           const util::JsonValue* doc);
+  void CountRerouteSources(const std::string& payload);
   /// One `stats` ping per live backend (the on_tick hook).
   void PingBackends();
 

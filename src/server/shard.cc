@@ -77,8 +77,8 @@ void Shard::Run() {
         const Request& request = task.request;
         responses.push_back(Response{
             task.conn_id,
-            OverloadedResponseFor(request.binary, request.verb, request.id,
-                                  request.tenant, index_)});
+            EncodeBinaryOverloadedResponse(request.id, index_,
+                                           request.verb)});
       }
     }
     responder_(std::move(responses));
@@ -192,13 +192,9 @@ util::Fingerprint Shard::StateFingerprint() {
 }
 
 util::Status Shard::ReplayWalPayload(const std::string& payload) {
-  Request request;
-  if (IsBinaryFrame(payload)) {
-    ASSIGN_OR_RETURN(request, DecodeBinaryRequest(payload));
-  } else {
-    ASSIGN_OR_RETURN(const util::JsonValue doc, util::JsonValue::Parse(payload));
-    ASSIGN_OR_RETURN(request, ParseRequest(doc));
-  }
+  // The WAL holds the verbatim binary frames of applied requests; any
+  // record that does not decode fails recovery rather than being skipped.
+  ASSIGN_OR_RETURN(Request request, DecodeBinaryRequest(payload));
   // The original execution's response is gone with the crash; replay only
   // rebuilds state. A request that failed then fails identically now.
   std::vector<Response> discarded;
@@ -244,22 +240,13 @@ void Shard::Process(const ShardTask& task, std::vector<Response>* responses) {
   switch (request.verb) {
     case Verb::kIngest: {
       service::AuditService* service = TenantService(request.tenant);
-      // ParseRequest validated shape; the service validates semantics
-      // (type count, pmf validity against the game). The response mirrors
-      // the request's wire encoding (binary or JSON).
+      // The decoder validated shape; the service validates semantics
+      // (type count, pmf validity against the game).
       util::Status status =
           service->UpdateAlertDistributions(request.distributions);
-      if (status.ok()) {
-        response = request.binary
-                       ? EncodeBinaryIngestOkResponse(request.id, index_)
-                       : MakeIngestOkResponse(request.id, request.tenant,
-                                              index_);
-      } else {
-        response = request.binary
-                       ? EncodeBinaryErrorResponse(request.id,
-                                                   status.ToString())
-                       : MakeErrorResponse(request.id, status.ToString());
-      }
+      response = status.ok()
+                     ? EncodeBinaryIngestOkResponse(request.id, index_)
+                     : EncodeBinaryErrorResponse(request.id, status.ToString());
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++processed_;
       ++ingests_;
@@ -270,12 +257,12 @@ void Shard::Process(const ShardTask& task, std::vector<Response>* responses) {
       service::AuditService* service = TenantService(request.tenant);
       auto report = service->RunCycle();
       if (report.ok()) {
-        // The adversary-loop observation channel: JSON-only, opt-in, and
-        // computed after the cycle so the gated hot path (binary frames,
-        // no flag) never pays for a detection model it didn't ask for.
+        // The adversary-loop observation channel: opt-in and computed
+        // after the cycle, so an ordinary solve_cycle never pays for a
+        // detection model it didn't ask for.
         std::vector<std::vector<double>> detection_probs;
         const std::vector<std::vector<double>>* probs_ptr = nullptr;
-        if (request.observe_policy && !request.binary) {
+        if (request.observe_policy) {
           detection_probs.reserve(report->policies.size());
           bool all_ok = true;
           for (const service::AuditService::CyclePolicy& policy :
@@ -289,17 +276,11 @@ void Shard::Process(const ShardTask& task, std::vector<Response>* responses) {
           }
           if (all_ok) probs_ptr = &detection_probs;
         }
-        response = request.binary
-                       ? EncodeBinarySolveCycleResponse(request.id, index_,
-                                                        *report)
-                       : MakeSolveCycleResponse(request.id, request.tenant,
-                                                index_, *report, probs_ptr);
+        response = EncodeBinarySolveCycleResponse(request.id, index_,
+                                                  *report, probs_ptr);
       } else {
-        response = request.binary
-                       ? EncodeBinaryErrorResponse(request.id,
-                                                   report.status().ToString())
-                       : MakeErrorResponse(request.id,
-                                           report.status().ToString());
+        response =
+            EncodeBinaryErrorResponse(request.id, report.status().ToString());
       }
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++processed_;

@@ -126,24 +126,11 @@ std::shared_ptr<const solver::SolveResult> PolicyCache::Find(
   return nullptr;
 }
 
-std::optional<solver::SolveResult> PolicyCache::Lookup(
-    const util::Fingerprint& key) {
-  if (std::shared_ptr<const solver::SolveResult> cached = Find(key)) {
-    return *cached;
-  }
-  return std::nullopt;
-}
-
 void PolicyCache::Insert(const util::Fingerprint& key,
                          std::shared_ptr<const solver::SolveResult> result) {
   std::lock_guard<std::mutex> lock(mutex_);
   cache_.Insert(key, std::move(result));
   ++stats_.insertions;
-}
-
-void PolicyCache::Insert(const util::Fingerprint& key,
-                         solver::SolveResult result) {
-  Insert(key, std::make_shared<solver::SolveResult>(std::move(result)));
 }
 
 PolicyCache::Stats PolicyCache::stats() const {

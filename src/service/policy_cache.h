@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "solver/solver.h"
@@ -86,13 +85,9 @@ class PolicyCache {
   std::shared_ptr<const solver::SolveResult> Find(
       const util::Fingerprint& key);
 
-  /// Find(), as a copy of the result.
-  std::optional<solver::SolveResult> Lookup(const util::Fingerprint& key);
-
   /// Inserts or overwrites the entry for `key`.
   void Insert(const util::Fingerprint& key,
               std::shared_ptr<const solver::SolveResult> result);
-  void Insert(const util::Fingerprint& key, solver::SolveResult result);
 
   Stats stats() const;
   size_t size() const;

@@ -18,8 +18,7 @@
 #include "net/client.h"
 #include "scenario/generator.h"
 #include "server/audit_server.h"
-#include "server/protocol.h"
-#include "util/json.h"
+#include "server/binary_codec.h"
 
 namespace auditgame::adversary {
 namespace {
@@ -166,7 +165,7 @@ TEST_F(RemoteLoopTest, RemoteLoopAgreesWithInProcess) {
   auto remote = loop->Run(spec);
   ASSERT_TRUE(remote.ok()) << remote.status();
 
-  // The server holds a JSON-roundtripped copy of the ingested pmfs, so the
+  // The server holds a binary-roundtripped copy of the ingested pmfs, so the
   // two runs agree to ULP-level noise (~1e-15), not bit for bit; 1e-6 is
   // the documented loop contract. The cache/warm/cold source sequence,
   // being drift-gated on the same thresholds, matches exactly.
@@ -192,26 +191,23 @@ TEST_F(RemoteLoopTest, DetectionProbsShipOnlyWhenObserved) {
   auto Call = [&](const std::string& payload) {
     auto response = client.Call(payload);
     EXPECT_TRUE(response.ok()) << response.status();
-    auto doc = util::JsonValue::Parse(*response);
-    EXPECT_TRUE(doc.ok()) << doc.status();
-    return *std::move(doc);
+    auto decoded = server::DecodeBinaryResponse(*response);
+    EXPECT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(decoded->status, server::kBinaryStatusOk);
+    return *std::move(decoded);
   };
 
   // Plain solve: no detection payload (the wire stays slim by default).
-  util::JsonValue doc = Call(server::MakeSolveCycleRequest(1, "acme"));
-  const util::JsonValue* policies = doc.Find("policies");
-  ASSERT_NE(policies, nullptr);
-  ASSERT_TRUE(policies->is_array());
-  ASSERT_EQ(policies->as_array().size(), 1u);
-  EXPECT_EQ(policies->as_array()[0].Find("detection_probs"), nullptr);
+  server::BinaryResponse plain =
+      Call(server::EncodeBinarySolveCycleRequest(1, "acme"));
+  ASSERT_EQ(plain.policies.size(), 1u);
+  EXPECT_TRUE(plain.policies[0].detection_probs.empty());
 
   // observe_policy: the per-type mixed detection vector rides along.
-  doc = Call(server::MakeSolveCycleRequest(2, "acme",
-                                           /*observe_policy=*/true));
-  auto reply = server::ParseSolveCycleReply(doc);
-  ASSERT_TRUE(reply.ok()) << reply.status();
-  ASSERT_EQ(reply->policies.size(), 1u);
-  const std::vector<double>& pal = reply->policies[0].detection_probs;
+  server::BinaryResponse observed = Call(server::EncodeBinarySolveCycleRequest(
+      2, "acme", /*observe_policy=*/true));
+  ASSERT_EQ(observed.policies.size(), 1u);
+  const std::vector<double>& pal = observed.policies[0].detection_probs;
   ASSERT_EQ(pal.size(), 4u);
   for (double p : pal) {
     EXPECT_GE(p, 0.0);

@@ -1,8 +1,9 @@
 // End-to-end tests for the sharded audit server (server/audit_server.h)
 // over real loopback sockets: deterministic tenant routing, per-tenant
 // cycle ordering under concurrent clients, protocol error handling
-// (malformed JSON answered, not disconnected; oversized frames
-// disconnected), ingest validation, backpressure, and graceful shutdown.
+// (malformed JSON and JSON hot verbs answered, not disconnected; oversized
+// frames and undecodable binary frames disconnected), ingest validation,
+// backpressure, and graceful shutdown.
 // The front-door cases (FrontDoorTest) also run against a Router in front
 // of one server: both serve clients through one server::FrontEnd.
 #include "server/audit_server.h"
@@ -81,6 +82,17 @@ class AuditServerTest : public ::testing::Test {
     auto doc = util::JsonValue::Parse(*response);
     EXPECT_TRUE(doc.ok()) << doc.status();
     return doc.ok() ? *std::move(doc) : util::JsonValue();
+  }
+
+  /// One binary round trip, decoded (status error when it failed).
+  BinaryResponse BinaryCall(net::FrameClient& client,
+                            const std::string& payload) {
+    auto response = client.Call(payload);
+    EXPECT_TRUE(response.ok()) << response.status();
+    if (!response.ok()) return BinaryResponse();
+    auto decoded = DecodeBinaryResponse(*response);
+    EXPECT_TRUE(decoded.ok()) << decoded.status();
+    return decoded.ok() ? *std::move(decoded) : BinaryResponse();
   }
 
   static std::string StatusOf(const util::JsonValue& doc) {
@@ -201,12 +213,11 @@ TEST_F(AuditServerTest, SolveCyclesAreOrderedUnderConcurrentClients) {
     clients.emplace_back([this, c, &seen] {
       auto client = Connect();
       for (int i = 0; i < kSolvesEach; ++i) {
-        util::JsonValue doc = Call(
-            client, MakeSolveCycleRequest(c * 100 + i, "shared-tenant"));
-        ASSERT_EQ(StatusOf(doc), "ok");
-        auto cycle = doc.GetNumber("cycle");
-        ASSERT_TRUE(cycle.ok());
-        seen[c].push_back(static_cast<int>(*cycle));
+        const BinaryResponse response = BinaryCall(
+            client,
+            EncodeBinarySolveCycleRequest(c * 100 + i, "shared-tenant"));
+        ASSERT_EQ(response.status, kBinaryStatusOk);
+        seen[c].push_back(static_cast<int>(response.cycle));
       }
     });
   }
@@ -257,11 +268,32 @@ TEST_F(AuditServerTest, AbsurdNumbersAreRejectedNotUndefined) {
   auto id = doc.GetNumber("id");
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(*id, -1.0);
-  // Same for a distribution min far outside int range: error frame.
-  doc = Call(client,
-             R"({"verb":"ingest","tenant":"t","id":2,)"
-             R"("distributions":[{"min":1e30,"pmf":[1.0]}]})");
-  EXPECT_EQ(StatusOf(doc), "error");
+}
+
+// The hot verbs are binary-only: a JSON `ingest` or `solve_cycle` gets a
+// JSON error echoing its id, and the connection goes on serving.
+TEST_P(FrontDoorTest, JsonHotVerbsGetErrorAndConnectionSurvives) {
+  StartFrontDoor();
+  auto client = Connect();
+  for (const std::string& payload :
+       {std::string(R"({"verb":"ingest","tenant":"t","id":5,)"
+                    R"("distributions":[{"min":0,"pmf":[1.0]}]})"),
+        std::string(R"({"verb":"solve_cycle","tenant":"t","id":6})")}) {
+    util::JsonValue doc = Call(client, payload);
+    EXPECT_EQ(StatusOf(doc), "error") << payload;
+    auto message = doc.GetString("message");
+    ASSERT_TRUE(message.ok()) << payload;
+    EXPECT_NE(message->find("binary-only"), std::string::npos) << *message;
+    auto id = doc.GetNumber("id");
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(*id, payload.find("solve_cycle") == std::string::npos ? 5 : 6);
+  }
+
+  const BinaryResponse response =
+      BinaryCall(client, EncodeBinarySolveCycleRequest(7, "t"));
+  EXPECT_EQ(response.status, kBinaryStatusOk);
+  EXPECT_EQ(response.correlation_id, 7);
+  EXPECT_EQ(response.cycle, 1);
 }
 
 TEST_F(AuditServerTest, UnknownVerbEchoesRequestId) {
@@ -281,20 +313,21 @@ TEST_F(AuditServerTest, IngestValidatesAndApplies) {
   // Wrong type count: rejected with an error frame, connection stays up.
   std::vector<prob::CountDistribution> two(baseline_.begin(),
                                            baseline_.begin() + 2);
-  util::JsonValue doc = Call(client, MakeIngestRequest(1, "acme", two));
-  EXPECT_EQ(StatusOf(doc), "error");
+  BinaryResponse response =
+      BinaryCall(client, EncodeBinaryIngestRequest(1, "acme", two));
+  EXPECT_EQ(response.status, kBinaryStatusError);
+  EXPECT_EQ(response.correlation_id, 1);
 
   // Full baseline: accepted, and the following cycle solves.
-  doc = Call(client, MakeIngestRequest(2, "acme", baseline_));
-  EXPECT_EQ(StatusOf(doc), "ok");
-  doc = Call(client, MakeSolveCycleRequest(3, "acme"));
-  ASSERT_EQ(StatusOf(doc), "ok");
-  const util::JsonValue* policies = doc.Find("policies");
-  ASSERT_NE(policies, nullptr);
-  ASSERT_TRUE(policies->is_array());
-  ASSERT_EQ(policies->as_array().size(), 1u);  // one configured budget
-  auto objective = policies->as_array()[0].GetNumber("objective");
-  EXPECT_TRUE(objective.ok());
+  response =
+      BinaryCall(client, EncodeBinaryIngestRequest(2, "acme", baseline_));
+  EXPECT_EQ(response.status, kBinaryStatusOk);
+  response = BinaryCall(client, EncodeBinarySolveCycleRequest(3, "acme"));
+  ASSERT_EQ(response.status, kBinaryStatusOk);
+  ASSERT_EQ(response.policies.size(), 1u);  // one configured budget
+  EXPECT_EQ(response.policies[0].thresholds.size(), baseline_.size());
+  // No observe flag, no detection probabilities.
+  EXPECT_TRUE(response.policies[0].detection_probs.empty());
 }
 
 TEST_F(AuditServerTest, OversizedFrameDisconnectsButServerSurvives) {
@@ -332,10 +365,11 @@ TEST_F(AuditServerTest, BackpressureAnswersEveryRequest) {
     clients.emplace_back([this, c, &answered] {
       auto client = Connect();
       for (int i = 0; i < kRequestsEach; ++i) {
-        util::JsonValue doc = Call(
-            client, MakeSolveCycleRequest(c * 100 + i, "hot-tenant"));
-        const std::string status = StatusOf(doc);
-        ASSERT_TRUE(status == "ok" || status == "overloaded") << status;
+        const BinaryResponse response = BinaryCall(
+            client, EncodeBinarySolveCycleRequest(c * 100 + i, "hot-tenant"));
+        ASSERT_TRUE(response.status == kBinaryStatusOk ||
+                    response.status == kBinaryStatusOverloaded)
+            << static_cast<int>(response.status);
         ++answered[c];
       }
     });
@@ -350,10 +384,13 @@ TEST_F(AuditServerTest, StatsReportsShardsAndTenants) {
   options.stats_refresh_ms = 10;
   StartServer(options);
   auto client = Connect();
-  ASSERT_EQ(StatusOf(Call(client, MakeSolveCycleRequest(1, "t1"))), "ok");
-  ASSERT_EQ(StatusOf(Call(client, MakeSolveCycleRequest(2, "t2"))), "ok");
+  ASSERT_EQ(BinaryCall(client, EncodeBinarySolveCycleRequest(1, "t1")).status,
+            kBinaryStatusOk);
+  ASSERT_EQ(BinaryCall(client, EncodeBinarySolveCycleRequest(2, "t2")).status,
+            kBinaryStatusOk);
   // No ingest in between: t1's second cycle hits its most recent entry.
-  ASSERT_EQ(StatusOf(Call(client, MakeSolveCycleRequest(3, "t1"))), "ok");
+  ASSERT_EQ(BinaryCall(client, EncodeBinarySolveCycleRequest(3, "t1")).status,
+            kBinaryStatusOk);
 
   // The stats verb answers from a periodically refreshed snapshot (it
   // never locks a shard from a reactor thread), so the counters converge
@@ -443,7 +480,7 @@ TEST_F(AuditServerTest, PipelinedBinaryRequestsInterleaveAcrossTenants) {
   for (int n = 0; n < 2 * kSolves; ++n) {
     auto payload = client.Receive();
     ASSERT_TRUE(payload.ok()) << payload.status();
-    ASSERT_TRUE(IsBinaryFrame(*payload));  // response mirrors the encoding
+    ASSERT_TRUE(IsBinaryFrame(*payload));
     auto response = DecodeBinaryResponse(*payload);
     ASSERT_TRUE(response.ok()) << response.status();
     ASSERT_EQ(response->status, kBinaryStatusOk);
@@ -461,27 +498,29 @@ TEST_F(AuditServerTest, PipelinedBinaryRequestsInterleaveAcrossTenants) {
   EXPECT_EQ(next_b, kSolves + 1);
 }
 
-TEST_F(AuditServerTest, JsonAndBinaryCoexistOnOneConnection) {
+TEST_F(AuditServerTest, JsonStatsAndBinaryHotVerbsShareOneConnection) {
   StartServer();
   auto client = Connect();
 
-  // JSON ingest, binary solve, JSON stats — every response mirrors its
-  // request's encoding, on the same connection.
-  util::JsonValue doc = Call(client, MakeIngestRequest(1, "mixed", baseline_));
+  // JSON stats, binary ingest, binary solve, JSON stats again — each verb
+  // in its one encoding, on the same connection.
+  util::JsonValue doc = Call(client, MakeStatsRequest(1));
   EXPECT_EQ(StatusOf(doc), "ok");
 
-  ASSERT_TRUE(client.Send(EncodeBinarySolveCycleRequest(2, "mixed")).ok());
-  auto payload = client.Receive();
-  ASSERT_TRUE(payload.ok()) << payload.status();
-  ASSERT_TRUE(IsBinaryFrame(*payload));
-  auto response = DecodeBinaryResponse(*payload);
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->correlation_id, 2);
-  EXPECT_EQ(response->status, kBinaryStatusOk);
-  EXPECT_EQ(response->cycle, 1);
+  BinaryResponse response =
+      BinaryCall(client, EncodeBinaryIngestRequest(2, "mixed", baseline_));
+  EXPECT_EQ(response.correlation_id, 2);
+  EXPECT_EQ(response.status, kBinaryStatusOk);
+  response = BinaryCall(client, EncodeBinarySolveCycleRequest(3, "mixed"));
+  EXPECT_EQ(response.correlation_id, 3);
+  EXPECT_EQ(response.status, kBinaryStatusOk);
+  EXPECT_EQ(response.cycle, 1);
 
-  doc = Call(client, MakeStatsRequest(3));
+  doc = Call(client, MakeStatsRequest(4));
   EXPECT_EQ(StatusOf(doc), "ok");
+  auto id = doc.GetNumber("id");
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(*id, 4.0);
 }
 
 TEST_P(FrontDoorTest, MalformedBinaryFrameAnswersThenDisconnects) {
@@ -559,12 +598,10 @@ TEST_F(AuditServerTest, TwoReactorsServeEveryConnection) {
       auto client = Connect();
       const std::string tenant = "reactor-tenant-" + std::to_string(c);
       for (int i = 0; i < kSolvesEach; ++i) {
-        util::JsonValue doc =
-            Call(client, MakeSolveCycleRequest(c * 100 + i, tenant));
-        ASSERT_EQ(StatusOf(doc), "ok");
-        auto cycle = doc.GetNumber("cycle");
-        ASSERT_TRUE(cycle.ok());
-        EXPECT_EQ(static_cast<int>(*cycle), i + 1);
+        const BinaryResponse response = BinaryCall(
+            client, EncodeBinarySolveCycleRequest(c * 100 + i, tenant));
+        ASSERT_EQ(response.status, kBinaryStatusOk);
+        EXPECT_EQ(response.cycle, i + 1);
       }
     });
   }
@@ -670,11 +707,10 @@ TEST(ShardSharedGameTest, RecoveredTenantsShareTheShardGame) {
       int64_t id = 0;
       for (const std::string& name : tenants) {
         for (const std::string& payload :
-             {MakeIngestRequest(id, name, instance->alert_distributions),
-              MakeSolveCycleRequest(id + 1, name)}) {
-          auto doc = util::JsonValue::Parse(payload);
-          ASSERT_TRUE(doc.ok()) << doc.status();
-          auto request = ParseRequest(*doc);
+             {EncodeBinaryIngestRequest(id, name,
+                                        instance->alert_distributions),
+              EncodeBinarySolveCycleRequest(id + 1, name)}) {
+          auto request = DecodeBinaryRequest(payload);
           ASSERT_TRUE(request.ok()) << request.status();
           ASSERT_TRUE(shard.TrySubmit(ShardTask{1, *std::move(request),
                                                 payload}));
@@ -695,6 +731,47 @@ TEST(ShardSharedGameTest, RecoveredTenantsShareTheShardGame) {
     expect_shared(recovered);
     RemoveShardData(data_dir);
   }
+}
+
+// The WAL holds binary request frames only: a record that is anything else
+// (here a JSON `ingest`) fails recovery instead of being skipped, so no
+// acknowledged request can silently go missing.
+TEST(ShardWalReplayTest, JsonIngestRecordFailsRecovery) {
+  auto spec = scenario::SpecByName("uniform");
+  ASSERT_TRUE(spec.ok());
+  spec->num_types = 4;
+  auto instance = scenario::Generate(*spec);
+  ASSERT_TRUE(instance.ok());
+  service::AuditServiceOptions options;
+  options.budgets = {6.0};
+  const std::string data_dir = "shard_wal_json_data";
+  RemoveShardData(data_dir);
+  DurabilityOptions durability;
+  durability.data_dir = data_dir;
+  durability.wal_sync = WalSync::kNone;
+  {
+    ShardPersistence persistence(0, durability);
+    ASSERT_TRUE(persistence
+                    .Recover([](const SnapshotContents&) {
+                               return util::OkStatus();
+                             },
+                             [](const WalRecord&) { return util::OkStatus(); })
+                    .ok());
+    ASSERT_TRUE(persistence
+                    .AppendWal(EncodeBinarySolveCycleRequest(1, "t"))
+                    .ok());
+    ASSERT_TRUE(persistence
+                    .AppendWal(R"({"verb":"ingest","tenant":"t","id":2,)"
+                               R"("distributions":[{"min":0,"pmf":[1.0]}]})")
+                    .ok());
+    ASSERT_TRUE(persistence.CommitBatch().ok());
+  }
+  Shard shard(0, *instance, options, /*queue_capacity=*/8, /*max_batch=*/1,
+              [](std::vector<Shard::Response>) {}, nullptr,
+              std::make_unique<ShardPersistence>(0, durability));
+  const util::Status status = shard.Recover();
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << status;
+  RemoveShardData(data_dir);
 }
 
 // Caps the size of every file this process writes, with SIGXFSZ ignored so
@@ -775,11 +852,10 @@ TEST(ShardWalFenceTest, NoRequestWhoseRecordWasLostIsAcknowledged) {
         for (int t = 0; t < kTenants; ++t) {
           const std::string tenant = "t" + std::to_string(t);
           for (const std::string& payload :
-               {MakeIngestRequest(id, tenant, instance->alert_distributions),
-                MakeSolveCycleRequest(id + 1, tenant)}) {
-            auto doc = util::JsonValue::Parse(payload);
-            ASSERT_TRUE(doc.ok()) << doc.status();
-            auto request = ParseRequest(*doc);
+               {EncodeBinaryIngestRequest(id, tenant,
+                                          instance->alert_distributions),
+                EncodeBinarySolveCycleRequest(id + 1, tenant)}) {
+            auto request = DecodeBinaryRequest(payload);
             ASSERT_TRUE(request.ok()) << request.status();
             const bool solve = request->verb == Verb::kSolveCycle;
             ASSERT_TRUE(
@@ -787,22 +863,17 @@ TEST(ShardWalFenceTest, NoRequestWhoseRecordWasLostIsAcknowledged) {
             ++sent;
             std::unique_lock<std::mutex> lock(mutex);
             answered_cv.wait(lock, [&] { return answers.size() == sent; });
-            auto answer = util::JsonValue::Parse(answers.back());
+            auto answer = DecodeBinaryResponse(answers.back());
             ASSERT_TRUE(answer.ok()) << answer.status();
-            auto status = answer->GetString("status");
-            ASSERT_TRUE(status.ok()) << answers.back();
-            if (*status == "ok") {
+            if (answer->status == kBinaryStatusOk) {
               // Nothing is acknowledged once the shard is fenced.
-              ASSERT_EQ(fenced, 0) << answers.back();
+              ASSERT_EQ(fenced, 0);
               ++acked;
               if (solve) {
-                auto served = answer->GetNumber("cycle");
-                ASSERT_TRUE(served.ok());
-                EXPECT_EQ(static_cast<int64_t>(*served),
-                          ++acked_cycles[tenant]);
+                EXPECT_EQ(answer->cycle, ++acked_cycles[tenant]);
               }
             } else {
-              ASSERT_EQ(*status, "overloaded") << answers.back();
+              ASSERT_EQ(answer->status, kBinaryStatusOverloaded);
               ++fenced;
             }
           }
@@ -841,13 +912,14 @@ TEST_F(AuditServerTest, HalfClosedClientStillGetsItsResponses) {
   auto client = Connect();
   // Pipeline a request, then close only the write side: the server must
   // keep the connection until the in-flight shard response is flushed.
-  ASSERT_TRUE(client.Send(MakeSolveCycleRequest(1, "half-close")).ok());
+  ASSERT_TRUE(
+      client.Send(EncodeBinarySolveCycleRequest(1, "half-close")).ok());
   ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
   auto response = client.Receive();
   ASSERT_TRUE(response.ok()) << response.status();
-  auto doc = util::JsonValue::Parse(*response);
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(StatusOf(*doc), "ok");
+  auto decoded = DecodeBinaryResponse(*response);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->status, kBinaryStatusOk);
   // After the answer, the server finishes the close: EOF, not a hang.
   EXPECT_FALSE(client.Receive().ok());
 }
@@ -860,14 +932,15 @@ TEST_F(AuditServerTest, GracefulStopAnswersInFlightWork) {
   // `ok` (accepted before the drain) or `overloaded` (after) — and flush
   // the response before Run() returns. Silence (EOF) is the one forbidden
   // outcome.
-  ASSERT_TRUE(client.Send(MakeSolveCycleRequest(1, "draining")).ok());
+  ASSERT_TRUE(client.Send(EncodeBinarySolveCycleRequest(1, "draining")).ok());
   server_->RequestStop();
   auto response = client.Receive();
   ASSERT_TRUE(response.ok()) << response.status();
-  auto doc = util::JsonValue::Parse(*response);
-  ASSERT_TRUE(doc.ok());
-  const std::string status = StatusOf(*doc);
-  EXPECT_TRUE(status == "ok" || status == "overloaded") << status;
+  auto decoded = DecodeBinaryResponse(*response);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(decoded->status == kBinaryStatusOk ||
+              decoded->status == kBinaryStatusOverloaded)
+      << static_cast<int>(decoded->status);
   thread_.join();
   server_.reset();  // TearDown: nothing left to stop
 }

@@ -41,7 +41,6 @@ TEST(BinaryCodecTest, IngestRequestRoundTrip) {
   EXPECT_EQ(request->verb, server::Verb::kIngest);
   EXPECT_EQ(request->tenant, "tenant-x");
   EXPECT_EQ(request->id, 4242);
-  EXPECT_TRUE(request->binary);
   ASSERT_EQ(request->distributions.size(), dists.size());
   for (size_t i = 0; i < dists.size(); ++i) {
     EXPECT_EQ(request->distributions[i].min_value(), dists[i].min_value());
@@ -62,8 +61,76 @@ TEST(BinaryCodecTest, SolveCycleRequestRoundTrip) {
   EXPECT_EQ(request->verb, server::Verb::kSolveCycle);
   EXPECT_EQ(request->tenant, "acme");
   EXPECT_EQ(request->id, 7);
-  EXPECT_TRUE(request->binary);
+  EXPECT_FALSE(request->observe_policy);
   EXPECT_TRUE(request->distributions.empty());
+}
+
+TEST(BinaryCodecTest, ObservePolicyRequestRoundTrip) {
+  const std::string payload = server::EncodeBinarySolveCycleRequest(
+      8, "acme", /*observe_policy=*/true);
+  // The flag is one trailing byte after the ordinary request.
+  EXPECT_EQ(payload, server::EncodeBinarySolveCycleRequest(8, "acme") +
+                         static_cast<char>(
+                             server::kBinarySolveFlagObservePolicy));
+  auto request = server::DecodeBinaryRequest(payload);
+  ASSERT_TRUE(request.ok()) << request.status();
+  EXPECT_EQ(request->verb, server::Verb::kSolveCycle);
+  EXPECT_EQ(request->id, 8);
+  EXPECT_TRUE(request->observe_policy);
+}
+
+TEST(BinaryCodecTest, UnknownSolveCycleFlagsAreRejected) {
+  const std::string good = server::EncodeBinarySolveCycleRequest(9, "acme");
+  // No flags travel as no byte, so a zero flags byte is not canonical;
+  // unknown bits and a second byte are malformed too.
+  for (const std::string& bad :
+       {good + '\x00', good + '\x02', good + '\x81', good + "\x01\x01"}) {
+    EXPECT_FALSE(server::DecodeBinaryRequest(bad).ok());
+  }
+}
+
+/// The bytes of `hex` (two lowercase hex digits per byte).
+std::string FromHex(const std::string& hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+// The ordinary hot-verb frames, byte for byte: the observe_policy
+// extension must leave a request without the flag, and the response to
+// it, exactly as they were.
+TEST(BinaryCodecTest, OrdinaryFramesMatchGoldenBytes) {
+  EXPECT_EQ(server::EncodeBinaryIngestRequest(4242, "tenant-x",
+                                              TestDistributions()),
+            FromHex("b1010101000000000000109200087465"
+                    "6e616e742d7800020000000200033fd0"
+                    "0000000000003fe00000000000003fd0"
+                    "0000000000000000000000043fc00000"
+                    "000000003fc00000000000003fd00000"
+                    "000000003fe0000000000000"));
+  EXPECT_EQ(server::EncodeBinarySolveCycleRequest(7, "acme"),
+            FromHex("b1010102000000000000000700046163"
+                    "6d65"));
+
+  service::AuditService::CycleReport report;
+  report.cycle = 17;
+  report.seconds = 0.125;
+  service::AuditService::CyclePolicy policy;
+  policy.budget = 6.0;
+  policy.source = service::AuditService::Source::kWarmSolve;
+  policy.drift = 0.0625;
+  policy.result.objective = -2.5;
+  policy.result.thresholds = {1.0, 2.0, 3.0};
+  report.policies.push_back(policy);
+  EXPECT_EQ(server::EncodeBinarySolveCycleResponse(999, 1, report),
+            FromHex("b101020200000000000003e700000100"
+                    "000000000000113fc000000000000000"
+                    "014018000000000000013fb000000000"
+                    "0000c00400000000000000033ff00000"
+                    "00000000400000000000000040080000"
+                    "00000000"));
 }
 
 TEST(BinaryCodecTest, JsonPayloadIsNotBinary) {
@@ -144,6 +211,17 @@ TEST(BinaryCodecTest, OversizedLengthClaimsAreRejected)  {
   EXPECT_FALSE(server::DecodeBinaryRequest(payload).ok());
 }
 
+TEST(BinaryCodecTest, DistributionMinAboveLimitIsRejected) {
+  // The first distribution's u32 min follows the header, the 1-byte
+  // tenant and the u16 count; a min past 1e9 would overflow the int the
+  // distribution stores.
+  std::string payload = server::EncodeBinaryIngestRequest(
+      5, "t", {*prob::CountDistribution::FromPmf(0, {1.0})});
+  const size_t min_offset = 4 + 8 + 2 + 1 + 2;
+  for (size_t i = 0; i < 4; ++i) payload[min_offset + i] = '\xff';
+  EXPECT_FALSE(server::DecodeBinaryRequest(payload).ok());
+}
+
 TEST(BinaryCodecTest, CorrelationIdOfDamagedPayloads) {
   const std::string good = server::EncodeBinarySolveCycleRequest(123, "t");
   // A damaged-but-header-complete payload still yields its id, so the
@@ -195,12 +273,46 @@ TEST(BinaryCodecTest, SolveCycleResponseRoundTrip) {
   EXPECT_DOUBLE_EQ(response->policies[0].objective, -2.5);
   EXPECT_EQ(response->policies[0].thresholds,
             (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_TRUE(response->policies[0].detection_probs.empty());
+}
+
+TEST(BinaryCodecTest, ObservedSolveCycleResponseRoundTrip) {
+  service::AuditService::CycleReport report;
+  report.cycle = 3;
+  for (double budget : {5.0, 7.0}) {
+    service::AuditService::CyclePolicy policy;
+    policy.budget = budget;
+    policy.result.thresholds = {1.0, 2.0};
+    report.policies.push_back(policy);
+  }
+  const std::vector<std::vector<double>> probs = {{0.25, 0.125},
+                                                  {0.5, 0.0625}};
+  const std::string plain =
+      server::EncodeBinarySolveCycleResponse(4, 0, report);
+  const std::string observed =
+      server::EncodeBinarySolveCycleResponse(4, 0, report, &probs);
+  // The detection section follows the ordinary body unchanged.
+  ASSERT_EQ(observed.compare(0, plain.size(), plain), 0);
+
+  auto response = server::DecodeBinaryResponse(observed);
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_EQ(response->policies.size(), 2u);
+  EXPECT_EQ(response->policies[0].detection_probs, probs[0]);
+  EXPECT_EQ(response->policies[1].detection_probs, probs[1]);
+  EXPECT_EQ(response->policies[1].budget, 7.0);
+
+  // Every cut inside the detection section is an error, never a shorter
+  // valid response (a cut at the section's start is the plain response).
+  for (size_t len = plain.size() + 1; len < observed.size(); ++len) {
+    EXPECT_FALSE(server::DecodeBinaryResponse(observed.substr(0, len)).ok())
+        << "accepted a " << len << "-byte prefix";
+  }
 }
 
 TEST(BinaryCodecTest, OverloadedAndErrorResponseRoundTrips) {
   {
     const std::string payload = server::EncodeBinaryOverloadedResponse(
-        55, 2, server::kBinaryVerbSolveCycle);
+        55, 2, server::Verb::kSolveCycle);
     auto response = server::DecodeBinaryResponse(payload);
     ASSERT_TRUE(response.ok()) << response.status();
     EXPECT_EQ(response->correlation_id, 55);
@@ -209,31 +321,23 @@ TEST(BinaryCodecTest, OverloadedAndErrorResponseRoundTrips) {
     EXPECT_EQ(response->shard, 2);
   }
   {
-    // The shared refusal builders: the binary flag picks the encoding, the
-    // verb travels as its binary byte, a router's shard -1 as "none".
-    const std::string overloaded = server::OverloadedResponseFor(
-        /*binary=*/true, server::Verb::kIngest, 56, "t", -1);
+    // The verb travels as its binary byte, a router's shard -1 as "none".
+    const std::string overloaded = server::EncodeBinaryOverloadedResponse(
+        56, -1, server::Verb::kIngest);
     auto response = server::DecodeBinaryResponse(overloaded);
     ASSERT_TRUE(response.ok()) << response.status();
     EXPECT_EQ(response->correlation_id, 56);
     EXPECT_EQ(response->status, server::kBinaryStatusOverloaded);
     EXPECT_EQ(response->verb, server::kBinaryVerbIngest);
     EXPECT_EQ(response->shard, -1);
-    const std::string down = server::BackendDownResponseFor(
-        /*binary=*/true, server::Verb::kSolveCycle, 57, "t");
+    const std::string down = server::EncodeBinaryBackendDownResponse(
+        57, server::Verb::kSolveCycle);
     response = server::DecodeBinaryResponse(down);
     ASSERT_TRUE(response.ok()) << response.status();
     EXPECT_EQ(response->correlation_id, 57);
     EXPECT_EQ(response->status, server::kBinaryStatusBackendDown);
     EXPECT_EQ(response->verb, server::kBinaryVerbSolveCycle);
-    EXPECT_EQ(server::OverloadedResponseFor(/*binary=*/false,
-                                            server::Verb::kSolveCycle, 58,
-                                            "acme", 3),
-              server::MakeOverloadedResponse(58, "acme", 3));
-    EXPECT_EQ(server::BackendDownResponseFor(/*binary=*/false,
-                                             server::Verb::kIngest, 59,
-                                             "acme"),
-              server::MakeBackendDownResponse(59, "acme"));
+    EXPECT_EQ(response->shard, -1);
   }
   {
     const std::string payload =

@@ -667,12 +667,12 @@ TEST(DurabilityFlagsTest, DefaultsMatchTheOptionsStruct) {
 
 TEST(DurabilityFlagsTest, ExplicitValuesPassThrough) {
   auto options = ParseDurability(
-      {"--data_dir=/var/lib/audit", "--wal_sync=always",
+      {"--data_dir=/var/lib/audit", "--wal_sync=none",
        "--snapshot_interval=2.5", "--snapshot_every=7", "--wal_segment_mb=1",
        "--snapshot_on_drain=0"});
   ASSERT_TRUE(options.ok()) << options.status();
   EXPECT_EQ(options->data_dir, "/var/lib/audit");
-  EXPECT_EQ(options->wal_sync, WalSync::kAlways);
+  EXPECT_EQ(options->wal_sync, WalSync::kNone);
   EXPECT_EQ(options->snapshot_interval_seconds, 2.5);
   EXPECT_EQ(options->snapshot_every_records, 7u);
   EXPECT_EQ(options->wal_segment_bytes, 1ull << 20);
@@ -692,7 +692,8 @@ TEST(DurabilityFlagsTest, BadValuesAreRejectedNotClamped) {
   // WAL), and a segment size <= 0 silently became 1 MiB.
   for (const char* bad :
        {"--snapshot_interval=-1", "--snapshot_every=-1", "--wal_segment_mb=0",
-        "--wal_segment_mb=-64", "--wal_sync=sometimes"}) {
+        "--wal_segment_mb=-64", "--wal_sync=sometimes",
+        "--wal_sync=always"}) {
     auto options = ParseDurability({bad});
     EXPECT_FALSE(options.ok()) << bad;
     EXPECT_EQ(options.status().code(), util::StatusCode::kInvalidArgument)
@@ -702,9 +703,14 @@ TEST(DurabilityFlagsTest, BadValuesAreRejectedNotClamped) {
 
 TEST(ShardPersistenceTest, WalSyncNames) {
   EXPECT_STREQ(WalSyncName(WalSync::kBatch), "batch");
-  ASSERT_TRUE(WalSyncFromName("always").ok());
+  EXPECT_STREQ(WalSyncName(WalSync::kNone), "none");
+  EXPECT_EQ(*WalSyncFromName("batch"), WalSync::kBatch);
   EXPECT_EQ(*WalSyncFromName("none"), WalSync::kNone);
   EXPECT_FALSE(WalSyncFromName("sometimes").ok());
+  // The batch commit already makes every acknowledged request durable, so
+  // there is no per-record policy: `always` is an unknown name.
+  EXPECT_EQ(WalSyncFromName("always").status().code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

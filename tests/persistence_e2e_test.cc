@@ -16,11 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include "server/binary_codec.h"
 #include "server/durability.h"
-#include "server/protocol.h"
 #include "server/shard.h"
 #include "tests/test_util.h"
-#include "util/json.h"
 
 namespace auditgame::server {
 namespace {
@@ -64,11 +63,8 @@ class Collector {
   void operator()(std::vector<Shard::Response> responses) {
     std::lock_guard<std::mutex> lock(mutex_);
     for (Shard::Response& response : responses) {
-      auto doc = util::JsonValue::Parse(response.payload);
-      ASSERT_TRUE(doc.ok()) << doc.status();
-      auto id_field = doc->GetNumber("id");
-      ASSERT_TRUE(id_field.ok()) << response.payload;
-      const int64_t id = static_cast<int64_t>(*id_field);
+      const int64_t id = BinaryCorrelationIdOf(response.payload);
+      ASSERT_GE(id, 0);
       by_id_[id] = std::move(response.payload);
     }
   }
@@ -82,30 +78,23 @@ class Collector {
   std::map<int64_t, std::string> by_id_;
 };
 
-/// Drops every "seconds" key anywhere in the document: solve responses
-/// embed the cycle's wall time, which legitimately differs between runs.
-void StripTimings(util::JsonValue& doc) {
-  if (doc.is_object()) {
-    doc.as_object().erase("seconds");
-    for (auto& [key, value] : doc.as_object()) StripTimings(value);
-  } else if (doc.is_array()) {
-    for (auto& value : doc.as_array()) StripTimings(value);
+/// The response with its wall-clock field zeroed: an ok solve_cycle
+/// response embeds the cycle's wall time (the f64 after the 15-byte header
+/// and the u64 cycle), which legitimately differs between runs.
+std::string Normalized(std::string payload) {
+  auto response = DecodeBinaryResponse(payload);
+  if (!response.ok()) return "<undecodable>";
+  if (response->verb == kBinaryVerbSolveCycle &&
+      response->status == kBinaryStatusOk) {
+    payload.replace(15 + 8, 8, 8, '\0');
   }
+  return payload;
 }
 
-std::string Normalized(const std::string& payload) {
-  auto doc = util::JsonValue::Parse(payload);
-  if (!doc.ok()) return "<unparseable:" + payload + ">";
-  StripTimings(*doc);
-  return doc->Dump();
-}
-
-/// One task built exactly as the server's IO thread would: parse the wire
+/// One task built exactly as the server's IO thread would: decode the wire
 /// payload, keep the verbatim bytes for the WAL.
 ShardTask MakeTask(const std::string& payload, bool durable) {
-  auto doc = util::JsonValue::Parse(payload);
-  EXPECT_TRUE(doc.ok()) << doc.status();
-  auto request = ParseRequest(*doc);
+  auto request = DecodeBinaryRequest(payload);
   EXPECT_TRUE(request.ok()) << request.status();
   ShardTask task;
   task.conn_id = 1;
@@ -126,8 +115,9 @@ std::vector<std::string> MakeWorkload(int first_cycle, int cycles) {
       std::vector<prob::CountDistribution> distributions = {
           prob::CountDistribution::Constant(2 + cycle % 3),
           prob::CountDistribution::Constant(2 + (cycle + 1) % 2)};
-      payloads.push_back(MakeIngestRequest(id++, tenant, distributions));
-      payloads.push_back(MakeSolveCycleRequest(id++, tenant));
+      payloads.push_back(
+          EncodeBinaryIngestRequest(id++, tenant, distributions));
+      payloads.push_back(EncodeBinarySolveCycleRequest(id++, tenant));
     }
   }
   return payloads;

@@ -1,6 +1,7 @@
 #include "service/policy_cache.h"
 
 #include <array>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,11 +27,11 @@ solver::EngineRequest MakeRequest(const core::GameInstance& instance) {
   return request;
 }
 
-solver::SolveResult MakeResult(double objective) {
-  solver::SolveResult result;
-  result.solver = "ishm-cggs";
-  result.objective = objective;
-  result.thresholds = {1.0, 2.0};
+std::shared_ptr<const solver::SolveResult> MakeResult(double objective) {
+  auto result = std::make_shared<solver::SolveResult>();
+  result->solver = "ishm-cggs";
+  result->objective = objective;
+  result->thresholds = {1.0, 2.0};
   return result;
 }
 
@@ -176,14 +177,14 @@ TEST(FingerprintTest, PricingThreadsLeavesTheKeyUnchanged) {
   EXPECT_EQ(FingerprintRequest(base), FingerprintRequest(threaded));
 }
 
-TEST(PolicyCacheTest, LookupInsertAndStats) {
+TEST(PolicyCacheTest, FindInsertAndStats) {
   PolicyCache cache(4);
   const core::GameInstance tiny = MakeTinyGame();
   const util::Fingerprint key = FingerprintRequest(MakeRequest(tiny));
-  EXPECT_FALSE(cache.Lookup(key).has_value());
+  EXPECT_EQ(cache.Find(key), nullptr);
   cache.Insert(key, MakeResult(1.5));
-  const auto hit = cache.Lookup(key);
-  ASSERT_TRUE(hit.has_value());
+  const auto hit = cache.Find(key);
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->objective, 1.5);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1);
@@ -201,8 +202,8 @@ TEST(PolicyCacheTest, EvictsBeyondCapacity) {
   }
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 2);
-  EXPECT_FALSE(cache.Lookup(util::Fingerprint{0, 0}).has_value());
-  EXPECT_TRUE(cache.Lookup(util::Fingerprint{3, 0}).has_value());
+  EXPECT_EQ(cache.Find(util::Fingerprint{0, 0}), nullptr);
+  EXPECT_NE(cache.Find(util::Fingerprint{3, 0}), nullptr);
 }
 
 TEST(PolicyCacheTest, ReuseDistanceBucketsCountEveryHit) {
@@ -221,9 +222,9 @@ TEST(PolicyCacheTest, ReuseDistanceBucketsCountEveryHit) {
                            30,    // 10: bucket 8-15
                            20,    // 20: bucket 16-31
                            3}) {  // 37: bucket 32+
-    ASSERT_TRUE(cache.Lookup(key(k)).has_value()) << k;
+    ASSERT_NE(cache.Find(key(k)), nullptr) << k;
   }
-  EXPECT_FALSE(cache.Lookup(key(99)).has_value());  // misses are not counted
+  EXPECT_EQ(cache.Find(key(99)), nullptr);  // misses are not counted
   const PolicyCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits, 8);
   EXPECT_EQ(stats.misses, 1);
@@ -263,7 +264,7 @@ TEST(PolicyCacheTest, ConcurrentLookupInsertIsSafe) {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const uint64_t slot = static_cast<uint64_t>((w + i) % 32);
         const util::Fingerprint key{slot, slot * 7919};
-        if (const auto hit = cache.Lookup(key)) {
+        if (const auto hit = cache.Find(key)) {
           EXPECT_EQ(hit->objective, static_cast<double>(slot));
         } else {
           cache.Insert(key, MakeResult(static_cast<double>(slot)));

@@ -1,9 +1,8 @@
-// Tests for the client request window (server/request_window.h) in both
-// encodings: retries under real `overloaded` backpressure from an
-// in-process AuditServer, byte-identical re-sends across a re-dial and a
-// not-applied sit-out (against a scripted loopback peer), responses that
-// pair with nothing, and the strict host:port parser every dialing tool
-// shares.
+// Tests for the client request window (server/request_window.h): retries
+// under real `overloaded` backpressure from an in-process AuditServer,
+// byte-identical re-sends across a re-dial and a not-applied sit-out
+// (against a scripted loopback peer), responses that pair with nothing,
+// and the strict host:port parser every dialing tool shares.
 #include "server/request_window.h"
 
 #include <fcntl.h>
@@ -24,8 +23,6 @@
 #include "scenario/generator.h"
 #include "server/audit_server.h"
 #include "server/binary_codec.h"
-#include "server/protocol.h"
-#include "util/json.h"
 
 namespace auditgame::server {
 namespace {
@@ -35,26 +32,16 @@ using Status = ResponseEnvelope::Status;
 
 std::string TenantName(int tenant) { return "t" + std::to_string(tenant); }
 
-std::string SolveCycleRequest(bool binary, int64_t id, int tenant) {
-  return binary ? EncodeBinarySolveCycleRequest(id, TenantName(tenant))
-                : MakeSolveCycleRequest(id, TenantName(tenant));
+std::string SolveCycleRequest(int64_t id, int tenant) {
+  return EncodeBinarySolveCycleRequest(id, TenantName(tenant));
 }
 
-int64_t IdOfRequest(const std::string& payload) {
-  if (IsBinaryFrame(payload)) return BinaryCorrelationIdOf(payload);
-  auto doc = util::JsonValue::Parse(payload);
-  return doc.ok() ? RequestIdOf(*doc) : -1;
+std::string OkResponse(int64_t id) {
+  return EncodeBinaryIngestOkResponse(id, /*shard=*/0);
 }
 
-std::string OkResponse(bool binary, int64_t id) {
-  return binary ? EncodeBinaryIngestOkResponse(id, /*shard=*/0)
-                : MakeIngestOkResponse(id, "t", /*shard=*/0);
-}
-
-std::string OverloadedResponse(bool binary, int64_t id) {
-  return binary ? EncodeBinaryOverloadedResponse(id, /*shard=*/0,
-                                                 kBinaryVerbSolveCycle)
-                : MakeOverloadedResponse(id, "t", /*shard=*/0);
+std::string OverloadedResponse(int64_t id) {
+  return EncodeBinaryOverloadedResponse(id, /*shard=*/0, Verb::kSolveCycle);
 }
 
 /// Polls until nothing is outstanding; every completion, in order.
@@ -70,7 +57,7 @@ std::vector<Completion> Drain(RequestWindow& window) {
 
 // --- (a) real backpressure ---------------------------------------------
 
-class WindowAgainstServerTest : public ::testing::TestWithParam<bool> {
+class WindowAgainstServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto spec = scenario::SpecByName("uniform");
@@ -109,8 +96,7 @@ class WindowAgainstServerTest : public ::testing::TestWithParam<bool> {
   std::thread thread_;
 };
 
-TEST_P(WindowAgainstServerTest, RetriesOverloadedUntilEveryOpIsOk) {
-  const bool binary = GetParam();
+TEST_F(WindowAgainstServerTest, RetriesOverloadedUntilEveryOpIsOk) {
   constexpr int kTenants = 64;
   constexpr int kCycles = 3;
   auto client = RequestWindow::Dial({"127.0.0.1", server_->port()}, 30000);
@@ -133,9 +119,8 @@ TEST_P(WindowAgainstServerTest, RetriesOverloadedUntilEveryOpIsOk) {
     const int64_t id = ++next_id;
     std::string payload =
         tenants[t].solving
-            ? SolveCycleRequest(binary, id, t)
-            : (binary ? EncodeBinaryIngestRequest(id, TenantName(t), baseline_)
-                      : MakeIngestRequest(id, TenantName(t), baseline_));
+            ? SolveCycleRequest(id, t)
+            : EncodeBinaryIngestRequest(id, TenantName(t), baseline_);
     window.Submit(id, std::move(payload), static_cast<uint64_t>(t));
   };
   for (int t = 0; t < kTenants; ++t) submit(t);
@@ -168,12 +153,6 @@ TEST_P(WindowAgainstServerTest, RetriesOverloadedUntilEveryOpIsOk) {
   EXPECT_EQ(window.frames_sent(), ok_ops + window.overloaded_retries());
   for (const Tenant& tenant : tenants) EXPECT_EQ(tenant.cycles, kCycles);
 }
-
-INSTANTIATE_TEST_SUITE_P(Encodings, WindowAgainstServerTest,
-                         ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Binary" : "Json";
-                         });
 
 // --- scripted peers ------------------------------------------------------
 
@@ -269,17 +248,14 @@ class ScriptedPeer {
   std::thread thread_;
 };
 
-class WindowAgainstPeerTest : public ::testing::TestWithParam<bool> {};
-
 // --- (b) re-dial ---------------------------------------------------------
 
-TEST_P(WindowAgainstPeerTest, RedialResendsInFlightFramesByteIdentical) {
-  const bool binary = GetParam();
+TEST(WindowAgainstPeerTest, RedialResendsInFlightFramesByteIdentical) {
   constexpr int kRequests = 8;
   constexpr size_t kReadBeforeClose = 3;
   std::vector<std::string> payloads;
   for (int i = 0; i < kRequests; ++i) {
-    payloads.push_back(SolveCycleRequest(binary, 100 + i, i));
+    payloads.push_back(SolveCycleRequest(100 + i, i));
   }
 
   std::vector<std::string> first_connection;
@@ -294,7 +270,7 @@ TEST_P(WindowAgainstPeerTest, RedialResendsInFlightFramesByteIdentical) {
       if (auto conn = self.Accept()) {
         second_connection = conn->Read(kRequests);
         for (const std::string& request : second_connection) {
-          conn->Write(OkResponse(binary, IdOfRequest(request)));
+          conn->Write(OkResponse(BinaryCorrelationIdOf(request)));
         }
         conn->Read(1);  // hold the connection until the client closes it
       }
@@ -337,34 +313,36 @@ TEST_P(WindowAgainstPeerTest, RedialResendsInFlightFramesByteIdentical) {
 
 // --- (c) unpaired responses ----------------------------------------------
 
-TEST_P(WindowAgainstPeerTest, ReportsUnknownIdsAndGarbageWithoutPairing) {
-  const bool binary = GetParam();
+TEST(WindowAgainstPeerTest, ReportsUnknownIdsAndGarbageWithoutPairing) {
   constexpr int64_t kId = 7;
   ScriptedPeer peer([&](ScriptedPeer& self) {
     auto conn = self.Accept();
     if (conn == nullptr) return;
     conn->Read(1);
-    conn->Write(OkResponse(binary, kId + 1000));  // pairs with nothing
-    // A truncated binary header, or a JSON document without an id.
-    conn->Write(binary ? std::string(1, static_cast<char>(kBinaryMagic))
-                       : std::string("{\"status\":\"ok\"}"));
-    conn->Write(OkResponse(binary, kId));
+    conn->Write(OkResponse(kId + 1000));  // pairs with nothing
+    // A truncated binary header, and a JSON document: hot-verb responses
+    // are binary, so neither decodes.
+    conn->Write(std::string(1, static_cast<char>(kBinaryMagic)));
+    conn->Write("{\"id\":7,\"status\":\"ok\"}");
+    conn->Write(OkResponse(kId));
     conn->Read(1);  // hold the connection until the client closes it
   });
   auto client = RequestWindow::Dial(peer.address(), 10000);
   ASSERT_TRUE(client.ok()) << client.status();
   RequestWindow window(*client, RequestWindowOptions{});
-  window.Submit(kId, SolveCycleRequest(binary, kId, 0), /*tag=*/42);
+  window.Submit(kId, SolveCycleRequest(kId, 0), /*tag=*/42);
   const std::vector<Completion> done = Drain(window);
 
-  ASSERT_EQ(done.size(), 3u);
+  ASSERT_EQ(done.size(), 4u);
   EXPECT_EQ(done[0].kind, Completion::Kind::kUnmatched);
   EXPECT_EQ(done[0].response.id, kId + 1000);
-  EXPECT_EQ(done[1].kind, Completion::Kind::kUndecodable);
-  EXPECT_FALSE(done[1].response.message.empty());
-  EXPECT_EQ(done[2].kind, Completion::Kind::kAnswered);
-  EXPECT_EQ(done[2].tag, 42u);
-  EXPECT_EQ(done[2].response.status, Status::kOk);
+  for (int i : {1, 2}) {
+    EXPECT_EQ(done[i].kind, Completion::Kind::kUndecodable) << i;
+    EXPECT_FALSE(done[i].response.message.empty()) << i;
+  }
+  EXPECT_EQ(done[3].kind, Completion::Kind::kAnswered);
+  EXPECT_EQ(done[3].tag, 42u);
+  EXPECT_EQ(done[3].response.status, Status::kOk);
 }
 
 TEST(RequestWindowDeathTest, ZeroWindowIsRefused) {
@@ -382,11 +360,10 @@ TEST(RequestWindowDeathTest, ZeroWindowIsRefused) {
 
 // --- not-applied sit-out -------------------------------------------------
 
-TEST_P(WindowAgainstPeerTest, SitOutDoesNotBlockTheWindowAndRetriesRunOut) {
-  const bool binary = GetParam();
+TEST(WindowAgainstPeerTest, SitOutDoesNotBlockTheWindowAndRetriesRunOut) {
   constexpr int kBackoffMs = 600;
-  const std::string stuck = SolveCycleRequest(binary, 1, 0);
-  const std::string served = SolveCycleRequest(binary, 2, 1);
+  const std::string stuck = SolveCycleRequest(1, 0);
+  const std::string served = SolveCycleRequest(2, 1);
   std::vector<std::string> seen;
   {
     ScriptedPeer peer([&](ScriptedPeer& self) {
@@ -395,13 +372,13 @@ TEST_P(WindowAgainstPeerTest, SitOutDoesNotBlockTheWindowAndRetriesRunOut) {
       seen = conn->Read(2);
       if (seen.size() != 2) return;
       // The served answer lands while the stuck request sits out.
-      conn->Write(OverloadedResponse(binary, 1));
+      conn->Write(OverloadedResponse(1));
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      conn->Write(OkResponse(binary, 2));
+      conn->Write(OkResponse(2));
       std::vector<std::string> again = conn->Read(1);
       if (again.empty()) return;
       seen.push_back(again[0]);
-      conn->Write(OverloadedResponse(binary, 1));
+      conn->Write(OverloadedResponse(1));
       conn->Read(1);  // hold the connection until the client closes it
     });
     auto client = RequestWindow::Dial(peer.address(), 10000);
@@ -435,11 +412,6 @@ TEST_P(WindowAgainstPeerTest, SitOutDoesNotBlockTheWindowAndRetriesRunOut) {
   // The re-send carried the first send's bytes.
   EXPECT_EQ(seen, (std::vector<std::string>{stuck, served, stuck}));
 }
-
-INSTANTIATE_TEST_SUITE_P(Encodings, WindowAgainstPeerTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Binary" : "Json";
-                         });
 
 // --- host:port -----------------------------------------------------------
 

@@ -5,7 +5,8 @@
 // remapping, `backend_down` semantics, and the warm-failover path: a
 // stopped backend's tenants re-route to their ring successor and are
 // served from the mirrored (warm) state, with cycle numbers that keep
-// increasing across the switch.
+// increasing across the switch. Out-of-range router, ring and channel
+// options are refused, not clamped.
 #include "server/router.h"
 
 #include <chrono>
@@ -13,12 +14,15 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "net/channel.h"
 #include "net/client.h"
 #include "scenario/generator.h"
 #include "server/audit_server.h"
+#include "server/binary_codec.h"
 #include "server/hash_ring.h"
 #include "server/protocol.h"
 #include "util/json.h"
@@ -92,6 +96,32 @@ TEST(HashRingTest, RemovalMovesOnlyTheRemovedNodesTenants) {
   // Only the removed node's share (~1/3) re-routes.
   EXPECT_GT(moved, kTenants / 5);
   EXPECT_LT(moved, kTenants / 2);
+}
+
+TEST(HashRingDeathTest, VirtualNodesBelowOneAreRefused) {
+  EXPECT_DEATH(HashRing(0), "virtual_nodes");
+  EXPECT_DEATH(HashRing(-3), "virtual_nodes");
+}
+
+TEST(FrameChannelDeathTest, OutOfRangeOptionsAreRefused) {
+  const std::pair<const char*, void (*)(net::FrameChannelOptions&)> bad[] = {
+      {"window", [](net::FrameChannelOptions& o) { o.window = 0; }},
+      {"queue_capacity",
+       [](net::FrameChannelOptions& o) { o.queue_capacity = 0; }},
+      {"reconnect_backoff_min_ms",
+       [](net::FrameChannelOptions& o) { o.reconnect_backoff_min_ms = 0; }},
+      {"reconnect_backoff_max_ms",
+       [](net::FrameChannelOptions& o) {
+         o.reconnect_backoff_min_ms = 100;
+         o.reconnect_backoff_max_ms = 50;
+       }},
+  };
+  for (const auto& [name, set] : bad) {
+    net::FrameChannelOptions options;
+    set(options);
+    EXPECT_DEATH(net::FrameChannel("127.0.0.1", 1, options, {}), name)
+        << name;
+  }
 }
 
 TEST(HashRingTest, SuccessorIsADifferentLiveNode) {
@@ -178,6 +208,17 @@ class RouterTest : public ::testing::Test {
     return doc.ok() ? *std::move(doc) : util::JsonValue();
   }
 
+  /// One binary round trip, decoded (status error when it failed).
+  BinaryResponse BinaryCall(net::FrameClient& client,
+                            const std::string& payload) {
+    auto response = client.Call(payload);
+    EXPECT_TRUE(response.ok()) << response.status();
+    if (!response.ok()) return BinaryResponse();
+    auto decoded = DecodeBinaryResponse(*response);
+    EXPECT_TRUE(decoded.ok()) << decoded.status();
+    return decoded.ok() ? *std::move(decoded) : BinaryResponse();
+  }
+
   static std::string StatusOf(const util::JsonValue& doc) {
     auto status = doc.GetString("status");
     return status.ok() ? *status : "<missing>";
@@ -214,18 +255,30 @@ TEST_F(RouterTest, CorrelationIdsRoundTripThroughRemapping) {
   for (int i = 0; i < 8; ++i) {
     const int64_t id = 900000 + 7 * i;
     const std::string tenant = TenantName(i);
-    util::JsonValue ingest =
-        Call(client, MakeIngestRequest(id, tenant, baseline));
-    EXPECT_EQ(StatusOf(ingest), "ok");
-    EXPECT_EQ(IdOf(ingest), id);
-    util::JsonValue solve =
-        Call(client, MakeSolveCycleRequest(id + 1, tenant));
-    EXPECT_EQ(StatusOf(solve), "ok");
-    EXPECT_EQ(IdOf(solve), id + 1);
-    auto cycle = solve.GetNumber("cycle");
-    ASSERT_TRUE(cycle.ok());
-    EXPECT_EQ(static_cast<int64_t>(*cycle), 1);
+    const BinaryResponse ingest =
+        BinaryCall(client, EncodeBinaryIngestRequest(id, tenant, baseline));
+    EXPECT_EQ(ingest.status, kBinaryStatusOk);
+    EXPECT_EQ(ingest.correlation_id, id);
+    const BinaryResponse solve =
+        BinaryCall(client, EncodeBinarySolveCycleRequest(id + 1, tenant));
+    EXPECT_EQ(solve.status, kBinaryStatusOk);
+    EXPECT_EQ(solve.correlation_id, id + 1);
+    EXPECT_EQ(solve.cycle, 1);
   }
+}
+
+TEST_F(RouterTest, ObservePolicyTravelsThroughTheRouter) {
+  StartCluster(2);
+  auto client = Connect();
+  // The router forwards the client's frame with only its id patched, so
+  // the observe flag reaches the backend and the detection section comes
+  // back: one mixed detection probability per alert type.
+  const BinaryResponse solve = BinaryCall(
+      client, EncodeBinarySolveCycleRequest(5, "observer", true));
+  ASSERT_EQ(solve.status, kBinaryStatusOk);
+  EXPECT_EQ(solve.correlation_id, 5);
+  ASSERT_EQ(solve.policies.size(), 1u);
+  EXPECT_EQ(solve.policies[0].detection_probs.size(), Baseline().size());
 }
 
 TEST_F(RouterTest, StatsAggregatesRouterAndBackendCounters) {
@@ -256,10 +309,45 @@ TEST_F(RouterTest, RequestsToDeadClusterAnswerBackendDown) {
   });
 
   auto client = Connect();
-  util::JsonValue response =
-      Call(client, MakeSolveCycleRequest(7, "tenant-0"));
-  EXPECT_EQ(StatusOf(response), "backend_down");
-  EXPECT_EQ(IdOf(response), 7);
+  const BinaryResponse response =
+      BinaryCall(client, EncodeBinarySolveCycleRequest(7, "tenant-0"));
+  EXPECT_EQ(response.status, kBinaryStatusBackendDown);
+  EXPECT_EQ(response.correlation_id, 7);
+}
+
+// Start() refuses each out-of-range option instead of clamping it, before
+// it binds anything.
+TEST(RouterStartTest, OutOfRangeOptionsAreRefused) {
+  const std::pair<const char*, void (*)(RouterOptions&)> bad[] = {
+      {"virtual_nodes", [](RouterOptions& o) { o.virtual_nodes = 0; }},
+      {"replica_retries", [](RouterOptions& o) { o.replica_retries = -1; }},
+      {"replica_retry_backoff_ms",
+       [](RouterOptions& o) { o.replica_retry_backoff_ms = 0; }},
+      {"ping_interval_ms", [](RouterOptions& o) { o.ping_interval_ms = -1; }},
+      {"backend_connect_wait_ms",
+       [](RouterOptions& o) { o.backend_connect_wait_ms = -1; }},
+      {"window", [](RouterOptions& o) { o.channel.window = 0; }},
+      {"queue_capacity",
+       [](RouterOptions& o) { o.channel.queue_capacity = 0; }},
+      {"response_timeout_ms",
+       [](RouterOptions& o) { o.channel.response_timeout_ms = 0; }},
+      {"reconnect_backoff_min_ms",
+       [](RouterOptions& o) { o.channel.reconnect_backoff_min_ms = 0; }},
+      {"reconnect_backoff_max_ms",
+       [](RouterOptions& o) {
+         o.channel.reconnect_backoff_min_ms = 100;
+         o.channel.reconnect_backoff_max_ms = 50;
+       }},
+  };
+  for (const auto& [name, set] : bad) {
+    RouterOptions options;
+    options.front.port = 0;
+    options.backends = {"127.0.0.1:1"};
+    set(options);
+    Router router(std::move(options));
+    EXPECT_EQ(router.Start().code(), util::StatusCode::kInvalidArgument)
+        << name;
+  }
 }
 
 TEST_F(RouterTest, FailoverServesTenantsWarmFromTheSuccessor) {
@@ -282,15 +370,14 @@ TEST_F(RouterTest, FailoverServesTenantsWarmFromTheSuccessor) {
   int64_t id = 1000;
   int64_t last_cycle = 0;
   for (int cycle = 0; cycle < 3; ++cycle) {
-    util::JsonValue ingest =
-        Call(client, MakeIngestRequest(++id, tenant, baseline));
-    ASSERT_EQ(StatusOf(ingest), "ok");
-    util::JsonValue solve = Call(client, MakeSolveCycleRequest(++id, tenant));
-    ASSERT_EQ(StatusOf(solve), "ok");
-    auto cycle_number = solve.GetNumber("cycle");
-    ASSERT_TRUE(cycle_number.ok());
-    EXPECT_GT(static_cast<int64_t>(*cycle_number), last_cycle);
-    last_cycle = static_cast<int64_t>(*cycle_number);
+    const BinaryResponse ingest =
+        BinaryCall(client, EncodeBinaryIngestRequest(++id, tenant, baseline));
+    ASSERT_EQ(ingest.status, kBinaryStatusOk);
+    const BinaryResponse solve =
+        BinaryCall(client, EncodeBinarySolveCycleRequest(++id, tenant));
+    ASSERT_EQ(solve.status, kBinaryStatusOk);
+    EXPECT_GT(solve.cycle, last_cycle);
+    last_cycle = solve.cycle;
   }
 
   StopBackend(0);
@@ -301,29 +388,22 @@ TEST_F(RouterTest, FailoverServesTenantsWarmFromTheSuccessor) {
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   bool served = false;
   while (std::chrono::steady_clock::now() < deadline) {
-    util::JsonValue solve = Call(client, MakeSolveCycleRequest(++id, tenant));
-    const std::string status = StatusOf(solve);
-    if (status == "backend_down" || status == "overloaded") {
+    const BinaryResponse solve =
+        BinaryCall(client, EncodeBinarySolveCycleRequest(++id, tenant));
+    if (solve.status == kBinaryStatusBackendDown ||
+        solve.status == kBinaryStatusOverloaded) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       continue;
     }
-    ASSERT_EQ(status, "ok");
-    auto cycle_number = solve.GetNumber("cycle");
-    ASSERT_TRUE(cycle_number.ok());
+    ASSERT_EQ(solve.status, kBinaryStatusOk);
     // The mirrored state answers: the cycle count survives the failover
     // (a cold survivor would restart at 1 and violate the order
     // contract)...
-    EXPECT_GE(static_cast<int64_t>(*cycle_number), last_cycle);
+    EXPECT_GE(solve.cycle, last_cycle);
     // ...and the policy is served from cache or a warm solve, not cold.
-    const util::JsonValue* policies = solve.Find("policies");
-    ASSERT_NE(policies, nullptr);
-    ASSERT_TRUE(policies->is_array());
-    ASSERT_FALSE(policies->as_array().empty());
-    for (const util::JsonValue& policy : policies->as_array()) {
-      auto source = policy.GetString("source");
-      ASSERT_TRUE(source.ok());
-      EXPECT_NE(*source, "cold_solve");
-      EXPECT_NE(*source, "cold");
+    ASSERT_FALSE(solve.policies.empty());
+    for (const BinaryPolicy& policy : solve.policies) {
+      EXPECT_NE(policy.source, service::AuditService::Source::kColdSolve);
     }
     served = true;
     break;

@@ -131,12 +131,12 @@ TEST(StreamStateTest, PolicyCachePreservesEntriesAndLruOrder) {
 
   service::PolicyCache cache(/*capacity=*/3);
   for (uint64_t i = 0; i < 3; ++i) {
-    solver::SolveResult entry = result;
-    entry.objective = static_cast<double>(i);
+    auto entry = std::make_shared<solver::SolveResult>(result);
+    entry->objective = static_cast<double>(i);
     cache.Insert(key(i), std::move(entry));
   }
   // Touch key 0 so the recency order is 1 < 2 < 0 (oldest first).
-  ASSERT_TRUE(cache.Lookup(key(0)).has_value());
+  ASSERT_NE(cache.Find(key(0)), nullptr);
 
   service::PolicyCache restored(/*capacity=*/3);
   {
@@ -151,8 +151,8 @@ TEST(StreamStateTest, PolicyCachePreservesEntriesAndLruOrder) {
 
   EXPECT_EQ(restored.size(), cache.size());
   for (uint64_t i = 0; i < 3; ++i) {
-    auto entry = restored.Lookup(key(i));
-    ASSERT_TRUE(entry.has_value()) << "key " << i;
+    auto entry = restored.Find(key(i));
+    ASSERT_NE(entry, nullptr) << "key " << i;
     EXPECT_EQ(entry->objective, static_cast<double>(i));
   }
 
@@ -167,10 +167,10 @@ TEST(StreamStateTest, PolicyCachePreservesEntriesAndLruOrder) {
     untouched.StreamState(r);
     ASSERT_TRUE(r.ok()) << r.status();
   }
-  untouched.Insert(key(100), result);
-  EXPECT_FALSE(untouched.Lookup(key(1)).has_value()) << "LRU order lost";
-  EXPECT_TRUE(untouched.Lookup(key(0)).has_value());
-  EXPECT_TRUE(untouched.Lookup(key(2)).has_value());
+  untouched.Insert(key(100), std::make_shared<solver::SolveResult>(result));
+  EXPECT_EQ(untouched.Find(key(1)), nullptr) << "LRU order lost";
+  EXPECT_NE(untouched.Find(key(0)), nullptr);
+  EXPECT_NE(untouched.Find(key(2)), nullptr);
 }
 
 TEST(StreamStateTest, PolicyCacheCapacityMismatchIsRejected) {

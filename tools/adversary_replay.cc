@@ -42,6 +42,7 @@
 #include "prob/count_distribution.h"
 #include "scenario/generator.h"
 #include "scenario/stream.h"
+#include "server/binary_codec.h"
 #include "server/protocol.h"
 #include "server/request_window.h"
 #include "util/csv.h"
@@ -280,7 +281,7 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
     auto ingest_replies = ExchangeAll(
         window, tenants,
         [&per_tenant](int tenant, int64_t id) {
-          return server::MakeIngestRequest(
+          return server::EncodeBinaryIngestRequest(
               id, TenantName(tenant),
               per_tenant[static_cast<size_t>(tenant)]);
         },
@@ -300,8 +301,8 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
     auto solve_replies = ExchangeAll(
         window, tenants,
         [](int tenant, int64_t id) {
-          return server::MakeSolveCycleRequest(id, TenantName(tenant),
-                                               /*observe_policy=*/tenant == 0);
+          return server::EncodeBinarySolveCycleRequest(
+              id, TenantName(tenant), /*observe_policy=*/tenant == 0);
         },
         next_id, tenant_retries, answered);
     if (!solve_replies.ok()) {
@@ -319,11 +320,8 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
     // cycle counter must be strictly increasing.
     adversary::DefenderObservation tenant0;
     for (int t = 0; t < tenants; ++t) {
-      auto doc =
-          util::JsonValue::Parse((*solve_replies)[static_cast<size_t>(t)]);
-      auto reply = doc.ok() ? server::ParseSolveCycleReply(*doc)
-                            : util::StatusOr<server::SolveCycleReply>(
-                                  doc.status());
+      auto reply = server::DecodeBinaryResponse(
+          (*solve_replies)[static_cast<size_t>(t)]);
       if (!reply.ok()) {
         std::cerr << "cycle " << cycle << ": " << reply.status() << "\n";
         return 1;
@@ -340,8 +338,8 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
                      "for observe_policy?\n";
         return 1;
       }
-      server::SolveCyclePolicy& p = reply->policies[0];
-      tenant0.source = std::move(p.source);
+      server::BinaryPolicy& p = reply->policies[0];
+      tenant0.source = server::SourceName(p.source);
       tenant0.drift = p.drift;
       tenant0.detection = std::move(p.detection_probs);
     }

@@ -72,20 +72,13 @@ int CountShardDirs(const std::string& data_dir) {
   return n;
 }
 
-/// Best-effort verb label for --dump (binary frames carry a verb byte,
-/// JSON payloads a "verb" key; anything else is opaque).
+/// Best-effort verb label for --dump: a WAL record is a binary request
+/// frame, whose verb byte names it; anything else is undecodable (and
+/// fails recovery).
 std::string VerbLabel(const std::string& payload) {
-  if (server::IsBinaryFrame(payload)) {
-    if (auto request = server::DecodeBinaryRequest(payload); request.ok()) {
-      return request->verb == server::Verb::kIngest ? "ingest(bin)"
-                                                    : "solve_cycle(bin)";
-    }
-    return "binary(undecodable)";
-  }
-  if (auto doc = util::JsonValue::Parse(payload); doc.ok()) {
-    if (auto verb = doc->GetString("verb"); verb.ok()) return *verb;
-  }
-  return "opaque";
+  auto request = server::DecodeBinaryRequest(payload);
+  if (!request.ok()) return "undecodable";
+  return request->verb == server::Verb::kIngest ? "ingest" : "solve_cycle";
 }
 
 ShardInspection InspectShard(const std::string& data_dir, int shard,

@@ -5,8 +5,8 @@
 // (at most one request per tenant in it, so per-tenant order stays
 // meaningful), which pairs responses back to tenants by correlation id and
 // batches both directions (one send(2) per window top-up, one recv(2) per
-// response burst). Requests use the compact binary encoding of the hot verbs by
-// default (--encoding=json for the debug path). Each tenant replays a
+// response burst). Requests use the binary encoding of the hot verbs (their
+// only encoding; server/binary_codec.h). Each tenant replays a
 // scenario alert stream (src/scenario/) as `ingest` + `solve_cycle`
 // cycles; --solves_per_cycle polls the policy several times per ingest
 // (the read-heavy serving pattern the policy cache exists for).
@@ -37,7 +37,7 @@
 // and per-tenant order checks keep running across the gap).
 //
 //   loadgen --tenants=10000 --cycles=5 --connections=2 --window=256
-//   loadgen --connect=127.0.0.1:7353 --tenants=2000 --encoding=binary
+//   loadgen --connect=127.0.0.1:7353 --tenants=2000
 //   loadgen --connect=127.0.0.1:7450 --reconnects=4 --retries=400
 #include <signal.h>
 
@@ -75,7 +75,6 @@ using Clock = std::chrono::steady_clock;
 struct WorkerConfig {
   int cycles = 0;
   int solves_per_cycle = 1;
-  bool binary = true;
   scenario::StreamSpec stream_spec;
   /// Every connection's window; its re-dial target is set per connection.
   server::RequestWindowOptions window;
@@ -269,14 +268,9 @@ void RunConnection(const std::vector<int>& tenant_indices,
           --active;
           continue;
         }
-        payload = config.binary
-                      ? server::EncodeBinaryIngestRequest(id, tenant.name,
-                                                          *dists)
-                      : server::MakeIngestRequest(id, tenant.name, *dists);
+        payload = server::EncodeBinaryIngestRequest(id, tenant.name, *dists);
       } else {
-        payload = config.binary
-                      ? server::EncodeBinarySolveCycleRequest(id, tenant.name)
-                      : server::MakeSolveCycleRequest(id, tenant.name);
+        payload = server::EncodeBinarySolveCycleRequest(id, tenant.name);
       }
       tenant.op_start = Clock::now();
       tenant.in_flight = true;
@@ -327,8 +321,6 @@ int Run(int argc, char** argv) {
   flags.Define("window", "64",
                "max in-flight requests per connection (at most one per "
                "tenant)");
-  flags.Define("encoding", "binary",
-               "wire encoding of the hot verbs: binary, json");
   flags.Define("retries", "50",
                "max retries per overloaded/backend_down response");
   flags.Define("retry_backoff_ms", "5", "tenant sit-out after a retryable "
@@ -387,11 +379,6 @@ int Run(int argc, char** argv) {
     std::cerr << stream_kind.status() << "\n";
     return 1;
   }
-  const std::string encoding = flags.GetString("encoding");
-  if (encoding != "binary" && encoding != "json") {
-    std::cerr << "--encoding must be binary or json\n";
-    return 1;
-  }
 
   // Out-of-range counts are refused, not clamped into a different run.
   auto solves_per_cycle = flags.GetIntAtLeast("solves_per_cycle", 0);
@@ -427,7 +414,6 @@ int Run(int argc, char** argv) {
   WorkerConfig config;
   config.cycles = *cycles;
   config.solves_per_cycle = *solves_per_cycle;
-  config.binary = encoding == "binary";
   config.window.window = *window;
   config.window.max_retries = *retries;
   config.window.retry_backoff_ms = *retry_backoff_ms;
@@ -573,10 +559,9 @@ int Run(int argc, char** argv) {
   std::cerr << "loadgen: " << tenants << " tenants x " << config.cycles
             << " cycles (" << config.solves_per_cycle
             << " solves/cycle) over " << connections
-            << " connections (window " << config.window.window << ", "
-            << encoding << ") -> " << total.requests << " requests in "
-            << wall_seconds << "s (" << throughput << " req/s, goodput "
-            << goodput << " ok/s)\n"
+            << " connections (window " << config.window.window << ") -> "
+            << total.requests << " requests in " << wall_seconds << "s ("
+            << throughput << " req/s, goodput " << goodput << " ok/s)\n"
             << "  ok " << total.ok << ", errors " << total.request_errors
             << ", unanswered " << total.transport_failures
             << ", unmatched " << total.unmatched_responses
@@ -608,7 +593,6 @@ int Run(int argc, char** argv) {
     summary["solves_per_cycle"] = config.solves_per_cycle;
     summary["connections"] = connections;
     summary["window"] = config.window.window;
-    summary["encoding"] = encoding;
     // An external target that reports no shard count (a router) leaves
     // the field out.
     if (connect.empty()) {
