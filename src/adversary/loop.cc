@@ -59,8 +59,8 @@ RemoteDefender::RemoteDefender(net::FrameClient* client, std::string tenant,
               }()),
       tenant_(std::move(tenant)) {}
 
-util::StatusOr<std::string> RemoteDefender::Call(int64_t id,
-                                                 std::string payload) {
+util::StatusOr<server::BinaryResponse> RemoteDefender::Call(
+    int64_t id, std::string payload) {
   // Idempotence matters for the window's re-sends: an ingest retried after
   // `overloaded` re-sends the same distributions, and solve_cycle only
   // advances on "ok".
@@ -68,7 +68,7 @@ util::StatusOr<std::string> RemoteDefender::Call(int64_t id,
   std::vector<server::RequestWindow::Completion> done;
   while (done.empty()) RETURN_IF_ERROR(window_.Poll(done));
   RETURN_IF_ERROR(done.front().ToStatus());
-  return std::move(done.front().payload);
+  return std::move(done.front().response);
 }
 
 util::Status RemoteDefender::Ingest(
@@ -81,12 +81,10 @@ util::Status RemoteDefender::Ingest(
 util::StatusOr<DefenderObservation> RemoteDefender::SolveCycle() {
   const int64_t id = next_id_++;
   util::Timer timer;
-  ASSIGN_OR_RETURN(const std::string payload,
+  ASSIGN_OR_RETURN(server::BinaryResponse reply,
                    Call(id, server::EncodeBinarySolveCycleRequest(
                                 id, tenant_, /*observe_policy=*/true)));
   const double seconds = timer.ElapsedSeconds();
-  ASSIGN_OR_RETURN(server::BinaryResponse reply,
-                   server::DecodeBinaryResponse(payload));
   if (reply.policies.empty()) {
     return util::InternalError("solve_cycle reply has no policies");
   }

@@ -8,6 +8,7 @@
 #include "adversary/attacker.h"
 #include "core/game.h"
 #include "net/client.h"
+#include "server/binary_codec.h"
 #include "server/request_window.h"
 #include "service/audit_service.h"
 #include "solver/solver.h"
@@ -95,8 +96,9 @@ class RemoteDefender : public DefenderClient {
   util::StatusOr<DefenderObservation> SolveCycle() override;
 
  private:
-  /// One verb round trip; the `ok` response payload.
-  util::StatusOr<std::string> Call(int64_t id, std::string payload);
+  /// One verb round trip; the `ok` response.
+  util::StatusOr<server::BinaryResponse> Call(int64_t id,
+                                              std::string payload);
 
   server::RequestWindow window_;
   std::string tenant_;

@@ -15,53 +15,27 @@ namespace {
 constexpr int kConnectWaitMs = 10000;
 }  // namespace
 
-util::StatusOr<ResponseEnvelope> DecodeResponse(std::string_view payload) {
-  ASSIGN_OR_RETURN(BinaryResponse response, DecodeBinaryResponse(payload));
-  ResponseEnvelope op;
-  op.id = response.correlation_id;
-  switch (response.status) {
-    case kBinaryStatusOk:
-      op.status = ResponseEnvelope::Status::kOk;
-      break;
-    case kBinaryStatusOverloaded:
-      op.status = ResponseEnvelope::Status::kOverloaded;
-      break;
-    case kBinaryStatusBackendDown:
-      op.status = ResponseEnvelope::Status::kBackendDown;
-      break;
-    default:
-      op.status = ResponseEnvelope::Status::kError;
-      break;
-  }
-  if (response.verb == kBinaryVerbSolveCycle &&
-      response.status == kBinaryStatusOk) {
-    op.has_cycle = true;
-    op.cycle = response.cycle;
-  }
-  op.message = std::move(response.message);
-  return op;
-}
-
 util::Status RequestWindow::Completion::ToStatus() const {
   switch (kind) {
     case Kind::kUnmatched:
       return util::InternalError("unmatched response id " +
-                                 std::to_string(response.id));
+                                 std::to_string(response.correlation_id));
     case Kind::kUndecodable:
       return util::InternalError(response.message);
     case Kind::kAnswered:
       break;
   }
   switch (response.status) {
-    case ResponseEnvelope::Status::kOk:
+    case kBinaryStatusOk:
       return util::OkStatus();
-    case ResponseEnvelope::Status::kError:
+    case kBinaryStatusOverloaded:
+    case kBinaryStatusBackendDown:
+      return util::ResourceExhaustedError(
+          "still not applied after " + std::to_string(retries) + " retries");
+    default:
       return util::InternalError(
           "server rejected request: " +
           (response.message.empty() ? "(no message)" : response.message));
-    default:
-      return util::ResourceExhaustedError(
-          "still not applied after " + std::to_string(retries) + " retries");
   }
 }
 
@@ -133,7 +107,7 @@ util::Status RequestWindow::Poll(std::vector<Completion>& done) {
       RETURN_IF_ERROR(Redial(first.status()));
       continue;
     }
-    Settle(std::move(*first), done);
+    Settle(*first, done);
     for (;;) {
       std::string payload;
       auto buffered = client_.ReceiveBuffered(&payload);
@@ -142,35 +116,34 @@ util::Status RequestWindow::Poll(std::vector<Completion>& done) {
         break;
       }
       if (!*buffered) break;
-      Settle(std::move(payload), done);
+      Settle(payload, done);
     }
     if (done.size() > done_before) return util::OkStatus();
   }
 }
 
-void RequestWindow::Settle(std::string payload,
+void RequestWindow::Settle(const std::string& payload,
                            std::vector<Completion>& done) {
   Completion completion;
   completion.kind = Completion::Kind::kUnmatched;
-  if (auto envelope = DecodeResponse(payload); envelope.ok()) {
-    completion.response = std::move(*envelope);
+  if (auto response = DecodeBinaryResponse(payload); response.ok()) {
+    completion.response = std::move(*response);
   } else {
     completion.kind = Completion::Kind::kUndecodable;
-    completion.response.message = envelope.status().ToString();
+    completion.response.message = response.status().ToString();
   }
-  const auto it = in_flight_.find(completion.response.id);
+  const auto it = in_flight_.find(completion.response.correlation_id);
   if (completion.kind == Completion::Kind::kUnmatched &&
       it != in_flight_.end()) {
     Request request = std::move(it->second);
     in_flight_.erase(it);
-    const ResponseEnvelope::Status status = completion.response.status;
-    if ((status == ResponseEnvelope::Status::kOverloaded ||
-         status == ResponseEnvelope::Status::kBackendDown) &&
+    const unsigned char status = completion.response.status;
+    if ((status == kBinaryStatusOverloaded ||
+         status == kBinaryStatusBackendDown) &&
         request.retries < options_.max_retries) {
       ++request.retries;
-      ++(status == ResponseEnvelope::Status::kOverloaded
-             ? overloaded_retries_
-             : backend_down_retries_);
+      ++(status == kBinaryStatusOverloaded ? overloaded_retries_
+                                           : backend_down_retries_);
       request.due =
           Clock::now() + std::chrono::milliseconds(options_.retry_backoff_ms);
       sitting_out_.push_back(std::move(request));
@@ -180,7 +153,6 @@ void RequestWindow::Settle(std::string payload,
     completion.tag = request.tag;
     completion.retries = request.retries;
   }
-  completion.payload = std::move(payload);
   done.push_back(std::move(completion));
 }
 

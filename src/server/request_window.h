@@ -5,37 +5,16 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "net/client.h"
 #include "net/socket.h"
+#include "server/binary_codec.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
 namespace auditgame::server {
-
-/// The envelope of one binary response frame: what a client needs to pair
-/// it and decide what to do next.
-struct ResponseEnvelope {
-  /// `overloaded` and `backend_down` are the not-applied statuses of the
-  /// backpressure contract (server/protocol.h): nothing was applied, and
-  /// re-sending the same request is safe.
-  enum class Status { kOk, kOverloaded, kBackendDown, kError };
-
-  int64_t id = -1;
-  Status status = Status::kError;
-  /// Set on an `ok` solve_cycle response: the tenant's cycle number.
-  bool has_cycle = false;
-  int64_t cycle = 0;
-  /// The server's message on an `error` response.
-  std::string message;
-};
-
-/// Decodes the envelope of one binary response payload
-/// (server/binary_codec.h); any other payload is an error.
-util::StatusOr<ResponseEnvelope> DecodeResponse(std::string_view payload);
 
 struct RequestWindowOptions {
   /// Requests on the wire at once; at least 1.
@@ -80,11 +59,10 @@ class RequestWindow {
     Kind kind = Kind::kAnswered;
     /// The Submit() tag; only meaningful for kAnswered.
     uint64_t tag = 0;
-    /// For kAnswered: kOk, kError, or a not-applied status whose retries
-    /// ran out.
-    ResponseEnvelope response;
-    /// The raw response frame, for callers that read the body.
-    std::string payload;
+    /// The decoded response. For kAnswered its status is ok, error, or a
+    /// not-applied status (`overloaded`, `backend_down`: nothing was
+    /// applied, see server/protocol.h) whose retries ran out.
+    BinaryResponse response;
     /// Not-applied re-sends this request spent.
     int retries = 0;
 
@@ -143,7 +121,7 @@ class RequestWindow {
 
   /// Pairs one response frame with its request: completes it, or sends it
   /// to sit out before a re-send.
-  void Settle(std::string payload, std::vector<Completion>& done);
+  void Settle(const std::string& payload, std::vector<Completion>& done);
   /// Replaces the broken connection and queues everything that was in
   /// flight on it; returns `cause` when the budget is spent.
   util::Status Redial(const util::Status& cause);

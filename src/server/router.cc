@@ -242,7 +242,12 @@ void Router::Route(Reactor& reactor, uint64_t conn_id, Request request,
   const int replica =
       options_.replicate ? live_ring_.SuccessorFor(point) : -1;
   if (replica >= 0) {
-    std::string replica_payload = payload;
+    // The mirror only rebuilds state and its response is dropped, so it
+    // never asks for the observe_policy detection section.
+    std::string replica_payload =
+        request.observe_policy
+            ? EncodeBinarySolveCycleRequest(replica_sub, request.tenant)
+            : payload;
     RewriteBinaryCorrelationId(&replica_payload, replica_sub);
     const auto submitted = channels_[replica]->TrySubmit(replica_payload);
     if (submitted == net::FrameChannel::Submit::kAccepted) {

@@ -196,7 +196,9 @@ util::Status Shard::ReplayWalPayload(const std::string& payload) {
   // record that does not decode fails recovery rather than being skipped.
   ASSIGN_OR_RETURN(Request request, DecodeBinaryRequest(payload));
   // The original execution's response is gone with the crash; replay only
-  // rebuilds state. A request that failed then fails identically now.
+  // rebuilds state, so it skips the observe_policy detection models. A
+  // request that failed then fails identically now.
+  request.observe_policy = false;
   std::vector<Response> discarded;
   Process(ShardTask{0, std::move(request), {}}, &discarded);
   return util::OkStatus();

@@ -28,7 +28,6 @@ namespace auditgame::server {
 namespace {
 
 using Completion = RequestWindow::Completion;
-using Status = ResponseEnvelope::Status;
 
 std::string TenantName(int tenant) { return "t" + std::to_string(tenant); }
 
@@ -133,12 +132,12 @@ TEST_F(WindowAgainstServerTest, RetriesOverloadedUntilEveryOpIsOk) {
     ASSERT_TRUE(polled.ok()) << polled;
     for (const Completion& completion : done) {
       ASSERT_EQ(completion.kind, Completion::Kind::kAnswered);
-      ASSERT_EQ(completion.response.status, Status::kOk)
+      ASSERT_EQ(completion.response.status, kBinaryStatusOk)
           << completion.response.message;
       ++ok_ops;
       Tenant& tenant = tenants[completion.tag];
       if (tenant.solving) {
-        ASSERT_TRUE(completion.response.has_cycle);
+        ASSERT_EQ(completion.response.verb, kBinaryVerbSolveCycle);
         EXPECT_GT(completion.response.cycle, tenant.last_cycle)
             << "tenant " << completion.tag;
         tenant.last_cycle = completion.response.cycle;
@@ -291,8 +290,8 @@ TEST(WindowAgainstPeerTest, RedialResendsInFlightFramesByteIdentical) {
     std::multiset<uint64_t> tags;
     for (const Completion& completion : done) {
       EXPECT_EQ(completion.kind, Completion::Kind::kAnswered);
-      EXPECT_EQ(completion.response.status, Status::kOk);
-      EXPECT_EQ(completion.response.id, 100 + static_cast<int64_t>(
+      EXPECT_EQ(completion.response.status, kBinaryStatusOk);
+      EXPECT_EQ(completion.response.correlation_id, 100 + static_cast<int64_t>(
                                                   completion.tag));
       tags.insert(completion.tag);
     }
@@ -335,14 +334,14 @@ TEST(WindowAgainstPeerTest, ReportsUnknownIdsAndGarbageWithoutPairing) {
 
   ASSERT_EQ(done.size(), 4u);
   EXPECT_EQ(done[0].kind, Completion::Kind::kUnmatched);
-  EXPECT_EQ(done[0].response.id, kId + 1000);
+  EXPECT_EQ(done[0].response.correlation_id, kId + 1000);
   for (int i : {1, 2}) {
     EXPECT_EQ(done[i].kind, Completion::Kind::kUndecodable) << i;
     EXPECT_FALSE(done[i].response.message.empty()) << i;
   }
   EXPECT_EQ(done[3].kind, Completion::Kind::kAnswered);
   EXPECT_EQ(done[3].tag, 42u);
-  EXPECT_EQ(done[3].response.status, Status::kOk);
+  EXPECT_EQ(done[3].response.status, kBinaryStatusOk);
 }
 
 TEST(RequestWindowDeathTest, ZeroWindowIsRefused) {
@@ -399,12 +398,12 @@ TEST(WindowAgainstPeerTest, SitOutDoesNotBlockTheWindowAndRetriesRunOut) {
         << "the sit-out blocked the rest of the window";
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0].tag, 1u);
-    EXPECT_EQ(done[0].response.status, Status::kOk);
+    EXPECT_EQ(done[0].response.status, kBinaryStatusOk);
 
     done = Drain(window);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0].tag, 0u);
-    EXPECT_EQ(done[0].response.status, Status::kOverloaded);
+    EXPECT_EQ(done[0].response.status, kBinaryStatusOverloaded);
     EXPECT_EQ(done[0].retries, 1);
     EXPECT_EQ(window.overloaded_retries(), 1);
     EXPECT_EQ(window.frames_sent(), 3);

@@ -5,13 +5,20 @@
 // remapping, `backend_down` semantics, and the warm-failover path: a
 // stopped backend's tenants re-route to their ring successor and are
 // served from the mirrored (warm) state, with cycle numbers that keep
-// increasing across the switch. Out-of-range router, ring and channel
-// options are refused, not clamped.
+// increasing across the switch. A recording stand-in backend shows that
+// an observe_policy solve's mirror is sent without the observe flag.
+// Out-of-range router, ring and channel options are refused, not clamped.
 #include "server/router.h"
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,6 +27,8 @@
 #include "gtest/gtest.h"
 #include "net/channel.h"
 #include "net/client.h"
+#include "net/frame.h"
+#include "net/socket.h"
 #include "scenario/generator.h"
 #include "server/audit_server.h"
 #include "server/binary_codec.h"
@@ -279,6 +288,113 @@ TEST_F(RouterTest, ObservePolicyTravelsThroughTheRouter) {
   EXPECT_EQ(solve.correlation_id, 5);
   ASSERT_EQ(solve.policies.size(), 1u);
   EXPECT_EQ(solve.policies[0].detection_probs.size(), Baseline().size());
+}
+
+/// A stand-in backend that records every binary frame the router sends it
+/// and answers each with an empty ok solve_cycle (JSON pings get a stats
+/// reply), so a test sees the exact bytes each backend was sent.
+class RecordingBackend {
+ public:
+  RecordingBackend() {
+    auto listener = net::ListenTcp("127.0.0.1", 0);
+    EXPECT_TRUE(listener.ok()) << listener.status();
+    if (!listener.ok()) return;
+    listener_ = std::move(*listener);
+    auto port = net::LocalPort(listener_);
+    EXPECT_TRUE(port.ok()) << port.status();
+    if (port.ok()) port_ = *port;
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~RecordingBackend() {
+    stop_ = true;
+    if (thread_.joinable()) thread_.join();
+  }
+
+  std::string address() const {
+    return "127.0.0.1:" + std::to_string(port_);
+  }
+  std::vector<std::string> frames() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return frames_;
+  }
+
+ private:
+  void Serve() {
+    pollfd listening{listener_.fd(), POLLIN, 0};
+    while (!stop_ && ::poll(&listening, 1, 20) <= 0) {
+    }
+    if (stop_) return;
+    // The accepted socket is blocking; the receive timeout lets the loop
+    // notice stop_.
+    net::Socket conn(::accept(listener_.fd(), nullptr, nullptr));
+    const timeval timeout{0, 20000};
+    ::setsockopt(conn.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                 sizeof(timeout));
+    net::FrameDecoder decoder;
+    char buffer[4096];
+    std::string payload;
+    while (!stop_) {
+      const ssize_t n = ::recv(conn.fd(), buffer, sizeof(buffer), 0);
+      if (n == 0) return;
+      if (n < 0) continue;
+      decoder.Append(buffer, static_cast<size_t>(n));
+      for (auto next = decoder.Next(&payload); next.ok() && *next;
+           next = decoder.Next(&payload)) {
+        std::string reply = MakeStatsResponse(0, {});
+        if (IsBinaryFrame(payload)) {
+          std::lock_guard<std::mutex> lock(mutex_);
+          frames_.push_back(payload);
+          reply = EncodeBinarySolveCycleResponse(
+              BinaryCorrelationIdOf(payload), 0, {});
+        }
+        const std::string frame = net::EncodeFrame(reply);
+        ::send(conn.fd(), frame.data(), frame.size(), MSG_NOSIGNAL);
+      }
+    }
+  }
+
+  net::Socket listener_;
+  uint16_t port_ = 0;
+  std::atomic<bool> stop_{false};
+  mutable std::mutex mutex_;
+  std::vector<std::string> frames_;
+  std::thread thread_;
+};
+
+TEST_F(RouterTest, ReplicaIsNotAskedToObserveThePolicy) {
+  RecordingBackend backends[2];
+  RouterOptions options;
+  options.front.port = 0;
+  for (const RecordingBackend& backend : backends) {
+    options.backends.push_back(backend.address());
+  }
+  router_ = std::make_unique<Router>(std::move(options));
+  ASSERT_TRUE(router_->Start().ok());
+  router_thread_ = std::thread([this] {
+    util::Status run = router_->Run();
+    EXPECT_TRUE(run.ok()) << run;
+  });
+
+  // The client is answered only once both backends have, so each has
+  // recorded its frame by then.
+  auto client = Connect();
+  const BinaryResponse solve = BinaryCall(
+      client, EncodeBinarySolveCycleRequest(5, "observer", true));
+  ASSERT_EQ(solve.status, kBinaryStatusOk);
+  EXPECT_EQ(solve.correlation_id, 5);
+
+  int observing = 0;
+  for (const RecordingBackend& backend : backends) {
+    const std::vector<std::string> frames = backend.frames();
+    ASSERT_EQ(frames.size(), 1u);
+    auto request = DecodeBinaryRequest(frames[0]);
+    ASSERT_TRUE(request.ok()) << request.status();
+    EXPECT_EQ(request->verb, Verb::kSolveCycle);
+    EXPECT_EQ(request->tenant, "observer");
+    if (request->observe_policy) ++observing;
+  }
+  // Only the primary, whose response reaches the client, observes.
+  EXPECT_EQ(observing, 1);
 }
 
 TEST_F(RouterTest, StatsAggregatesRouterAndBackendCounters) {

@@ -146,10 +146,10 @@ int WriteJson(const std::string& path, util::JsonValue::Object summary) {
 
 /// Sends one request per tenant through `window` and waits for every
 /// answer; the window re-sends `overloaded`/`backend_down` ones (nothing
-/// was applied, so that is safe). Returns the "ok" response payloads by
-/// tenant; `answered` counts them and `tenant_retries` accumulates each
-/// tenant's re-sends, the fairness signal.
-util::StatusOr<std::vector<std::string>> ExchangeAll(
+/// was applied, so that is safe). Returns the "ok" responses by tenant;
+/// `answered` counts them and `tenant_retries` accumulates each tenant's
+/// re-sends, the fairness signal.
+util::StatusOr<std::vector<server::BinaryResponse>> ExchangeAll(
     server::RequestWindow& window, int num_tenants,
     const std::function<std::string(int tenant, int64_t id)>& make_payload,
     int64_t& next_id, std::vector<int64_t>& tenant_retries,
@@ -158,7 +158,8 @@ util::StatusOr<std::vector<std::string>> ExchangeAll(
     const int64_t id = next_id++;
     window.Submit(id, make_payload(t, id), static_cast<uint64_t>(t));
   }
-  std::vector<std::string> payloads(static_cast<size_t>(num_tenants));
+  std::vector<server::BinaryResponse> responses(
+      static_cast<size_t>(num_tenants));
   int64_t given_up = 0;
   std::vector<server::RequestWindow::Completion> done;
   while (window.outstanding() > 0) {
@@ -170,7 +171,7 @@ util::StatusOr<std::vector<std::string>> ExchangeAll(
         ++given_up;
       } else {
         RETURN_IF_ERROR(status);
-        payloads[completion.tag] = std::move(completion.payload);
+        responses[completion.tag] = std::move(completion.response);
         ++answered;
       }
       tenant_retries[completion.tag] += completion.retries;
@@ -181,7 +182,7 @@ util::StatusOr<std::vector<std::string>> ExchangeAll(
         std::to_string(given_up) +
         " requests still overloaded after retries");
   }
-  return payloads;
+  return responses;
 }
 
 std::string TenantName(int tenant) { return "tenant-" + std::to_string(tenant); }
@@ -320,25 +321,20 @@ int RunBurstDrill(const util::FlagParser& flags, core::GameInstance instance,
     // cycle counter must be strictly increasing.
     adversary::DefenderObservation tenant0;
     for (int t = 0; t < tenants; ++t) {
-      auto reply = server::DecodeBinaryResponse(
-          (*solve_replies)[static_cast<size_t>(t)]);
-      if (!reply.ok()) {
-        std::cerr << "cycle " << cycle << ": " << reply.status() << "\n";
-        return 1;
-      }
-      if (reply->cycle <= last_cycle[static_cast<size_t>(t)]) {
+      server::BinaryResponse& reply = (*solve_replies)[static_cast<size_t>(t)];
+      if (reply.cycle <= last_cycle[static_cast<size_t>(t)]) {
         order_preserved = false;
       }
-      last_cycle[static_cast<size_t>(t)] = reply->cycle;
+      last_cycle[static_cast<size_t>(t)] = reply.cycle;
       if (t != 0) continue;
-      if (reply->policies.empty() ||
-          reply->policies[0].detection_probs.size() !=
+      if (reply.policies.empty() ||
+          reply.policies[0].detection_probs.size() !=
               static_cast<size_t>(instance.num_types())) {
         std::cerr << "tenant 0 reply lacks detection_probs — server too old "
                      "for observe_policy?\n";
         return 1;
       }
-      server::BinaryPolicy& p = reply->policies[0];
+      server::BinaryPolicy& p = reply.policies[0];
       tenant0.source = server::SourceName(p.source);
       tenant0.drift = p.drift;
       tenant0.detection = std::move(p.detection_probs);

@@ -199,7 +199,6 @@ void RunConnection(const std::vector<int>& tenant_indices,
   };
 
   using Completion = server::RequestWindow::Completion;
-  using Status = server::ResponseEnvelope::Status;
   const auto process = [&](const Completion& done) {
     if (done.kind == Completion::Kind::kUndecodable) {
       ++result.request_errors;
@@ -209,7 +208,7 @@ void RunConnection(const std::vector<int>& tenant_indices,
     if (done.kind == Completion::Kind::kUnmatched) {
       ++result.unmatched_responses;
       result.SampleError("unmatched response id " +
-                         std::to_string(done.response.id));
+                         std::to_string(done.response.correlation_id));
       return;
     }
     TenantState& tenant = tenants[done.tag];
@@ -217,10 +216,10 @@ void RunConnection(const std::vector<int>& tenant_indices,
     result.latency_seconds.push_back(
         std::chrono::duration<double>(Clock::now() - tenant.op_start)
             .count());
-    if (done.response.status != Status::kOk) {
-      if (done.response.status == Status::kOverloaded) {
+    if (done.response.status != server::kBinaryStatusOk) {
+      if (done.response.status == server::kBinaryStatusOverloaded) {
         ++result.gave_up_overloaded;
-      } else if (done.response.status == Status::kBackendDown) {
+      } else if (done.response.status == server::kBinaryStatusBackendDown) {
         ++result.gave_up_backend_down;
       } else {
         ++result.request_errors;
@@ -233,7 +232,7 @@ void RunConnection(const std::vector<int>& tenant_indices,
     }
     if (tenant.phase == TenantState::Phase::kSolve) {
       ++result.ok;
-      if (!done.response.has_cycle ||
+      if (done.response.verb != server::kBinaryVerbSolveCycle ||
           done.response.cycle <= tenant.last_cycle) {
         ++result.order_violations;
       } else {
