@@ -98,9 +98,10 @@ std::string FromHex(const std::string& hex) {
   return out;
 }
 
-// The ordinary hot-verb frames, byte for byte: the observe_policy
-// extension must leave a request without the flag, and the response to
-// it, exactly as they were.
+// Every hot-verb frame shape, byte for byte: the ordinary frames (the
+// observe_policy extension must leave a request without the flag, and the
+// response to it, exactly as they were), the refusals, the error reply,
+// and an observe-flagged request and its response.
 TEST(BinaryCodecTest, OrdinaryFramesMatchGoldenBytes) {
   EXPECT_EQ(server::EncodeBinaryIngestRequest(4242, "tenant-x",
                                               TestDistributions()),
@@ -131,6 +132,40 @@ TEST(BinaryCodecTest, OrdinaryFramesMatchGoldenBytes) {
                     "0000c00400000000000000033ff00000"
                     "00000000400000000000000040080000"
                     "00000000"));
+
+  EXPECT_EQ(server::EncodeBinaryIngestOkResponse(4242, 3),
+            FromHex("b1010201000000000000109200"
+                    "0003"));
+  EXPECT_EQ(server::EncodeBinaryOverloadedResponse(5, 2,
+                                                   server::Verb::kSolveCycle),
+            FromHex("b1010202000000000000000501"
+                    "0002"));
+  EXPECT_EQ(server::EncodeBinaryOverloadedResponse(6, -1,
+                                                   server::Verb::kIngest),
+            FromHex("b1010201000000000000000601"
+                    "ffff"));
+  EXPECT_EQ(server::EncodeBinaryBackendDownResponse(11,
+                                                    server::Verb::kSolveCycle),
+            FromHex("b101020200000000000000"
+                    "0b03ffff"));
+  EXPECT_EQ(server::EncodeBinaryErrorResponse(-1, "bad"),
+            FromHex("b1010200ffffffffffffffff02ffff00"
+                    "000003626164"));
+
+  EXPECT_EQ(server::EncodeBinarySolveCycleRequest(8, "acme",
+                                                  /*observe_policy=*/true),
+            FromHex("b1010102000000000000000800046163"
+                    "6d6501"));
+  const std::vector<std::vector<double>> detection = {{0.5, 0.25, 0.125}};
+  EXPECT_EQ(server::EncodeBinarySolveCycleResponse(999, 1, report, &detection),
+            FromHex("b101020200000000000003e700000100"
+                    "000000000000113fc000000000000000"
+                    "014018000000000000013fb000000000"
+                    "0000c00400000000000000033ff00000"
+                    "00000000400000000000000040080000"
+                    "00000000"
+                    "00033fe00000000000003fd000000000"
+                    "00003fc0000000000000"));
 }
 
 TEST(BinaryCodecTest, JsonPayloadIsNotBinary) {

@@ -126,6 +126,126 @@ TEST(SerializerTest, ScalarRoundTrip) {
   EXPECT_EQ(rf, f);
 }
 
+/// Lowercase hex of `bytes`, two digits per byte.
+std::string ToHex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 0xF]);
+  }
+  return hex;
+}
+
+/// Hex of the bytes `stream` writes into a fresh Writer.
+template <typename F>
+std::string WrittenHex(F stream) {
+  Serializer w = Serializer::Writer();
+  stream(w);
+  EXPECT_TRUE(w.ok()) << w.status();
+  return ToHex(w.buffer());
+}
+
+// The exact bytes of each primitive. A round trip passes even when both
+// directions change byte order together; these do not, and every
+// snapshot body and fingerprint is built from these primitives.
+TEST(SerializerTest, PrimitivesWriteGoldenBytes) {
+  EXPECT_EQ(WrittenHex([](Serializer& s) {
+              uint8_t v = 0xAB;
+              s.U8(v);
+            }),
+            "ab");
+  EXPECT_EQ(WrittenHex([](Serializer& s) {
+              uint16_t v = 0xBEEF;
+              s.U16(v);
+            }),
+            "beef");
+  EXPECT_EQ(WrittenHex([](Serializer& s) {
+              uint32_t v = 0xDEADBEEFu;
+              s.U32(v);
+            }),
+            "deadbeef");
+  EXPECT_EQ(WrittenHex([](Serializer& s) {
+              uint64_t v = 0x0123456789ABCDEFull;
+              s.U64(v);
+            }),
+            "0123456789abcdef");
+  EXPECT_EQ(WrittenHex([](Serializer& s) {
+              int v = -2;
+              s.I32(v);
+            }),
+            "fffffffffffffffe");
+  EXPECT_EQ(WrittenHex([](Serializer& s) {
+              int64_t v = -9876543210LL;
+              s.I64(v);
+            }),
+            "fffffffdb34fe916");
+  EXPECT_EQ(WrittenHex([](Serializer& s) {
+              bool t = true, f = false;
+              s.Bool(t);
+              s.Bool(f);
+            }),
+            "0100");
+  EXPECT_EQ(WrittenHex([](Serializer& s) {
+              std::string v = "ab";
+              s.Str(v);
+            }),
+            "00000000000000026162");
+  EXPECT_EQ(WrittenHex([](Serializer& s) {
+              std::vector<double> v = {1.0, -2.5};
+              s.VecF64(v);
+            }),
+            "00000000000000023ff0000000000000c004000000000000");
+  EXPECT_EQ(WrittenHex([](Serializer& s) {
+              double a = 0.1, b = -0.0;
+              s.F64(a);
+              s.F64(b);
+            }),
+            "3fb999999999999a8000000000000000");
+}
+
+// The reader decodes the same golden bytes back to the same values.
+TEST(SerializerTest, PrimitivesReadGoldenBytes) {
+  const std::string bytes =
+      std::string("\xab\xbe\xef\xde\xad\xbe\xef", 7) +
+      std::string("\x01\x23\x45\x67\x89\xab\xcd\xef", 8) +
+      std::string("\xff\xff\xff\xff\xff\xff\xff\xfe", 8) +
+      std::string("\xff\xff\xff\xfd\xb3\x4f\xe9\x16", 8) + "\x01" +
+      std::string("\x00\x00\x00\x00\x00\x00\x00\x02", 8) + "ab" +
+      std::string("\x80\x00\x00\x00\x00\x00\x00\x00", 8);
+  Serializer r = Serializer::Reader(bytes);
+  uint8_t u8 = 0;
+  uint16_t u16 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  int i32 = 0;
+  int64_t i64 = 0;
+  bool b = false;
+  std::string str;
+  double f = 1.0;
+  r.U8(u8);
+  r.U16(u16);
+  r.U32(u32);
+  r.U64(u64);
+  r.I32(i32);
+  r.I64(i64);
+  r.Bool(b);
+  r.Str(str);
+  r.F64(f);
+  r.ExpectExhausted();
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(u8, 0xAB);
+  EXPECT_EQ(u16, 0xBEEF);
+  EXPECT_EQ(u32, 0xDEADBEEFu);
+  EXPECT_EQ(u64, 0x0123456789ABCDEFull);
+  EXPECT_EQ(i32, -2);
+  EXPECT_EQ(i64, -9876543210LL);
+  EXPECT_TRUE(b);
+  EXPECT_EQ(str, "ab");
+  EXPECT_EQ(f, 0.0);
+  EXPECT_TRUE(std::signbit(f));
+}
+
 TEST(SerializerTest, DoubleRoundTripsAreBitExact) {
   // The durability contract: doubles survive as raw bit patterns — no
   // formatting, no renormalization. NaN payloads, -0.0, denormals and ULP
