@@ -52,6 +52,13 @@ constexpr const char* kGoldenSweep[] = {
     "8ff54a6e5a8cd707ce11f0a152dc8fd7", "b661370bc917fc9b386ca8331008d72b",
     "a1c7d67ea07e95975ef8929a0afb7dc7", "aa25ab3d38017795ccb8f231c35cae25",
 };
+// SolveResult fingerprints of ServedSweepFingerprint(budget) for budgets
+// 6 and 10.
+constexpr double kServedBudgets[] = {6.0, 10.0};
+constexpr const char* kGoldenServedT8[] = {
+    "d9bfb330cddb6275b2964e7f86bba585",
+    "e4807fa7f4232bc9659efef9bbb4f859",
+};
 
 scenario::ScenarioSpec SpecForGame(int index) {
   scenario::ScenarioSpec spec;
@@ -145,6 +152,34 @@ TEST(CggsSweepTest, IshmCggsSweepsMatchGoldenAcrossRuns) {
   }
 }
 
+// The catalog's zipf game at T = 8, swept by ishm-cggs at eps 0.25. The
+// goldens above are all T = 4 or 5, where the sweep prunes probes by the
+// subset-table bound; from T = 8 it does not, so these pin the other path.
+util::Fingerprint ServedSweepFingerprint(double budget) {
+  auto spec = scenario::SpecByName("zipf");
+  EXPECT_TRUE(spec.ok());
+  spec->num_types = 8;
+  const auto instance = scenario::Generate(*spec);
+  EXPECT_TRUE(instance.ok());
+
+  solver::EngineRequest request;
+  request.solver = "ishm-cggs";
+  request.instance = &*instance;
+  request.budget = budget;
+  request.options.ishm.step_size = 0.25;
+  auto result = solver::Solve(request);
+  EXPECT_TRUE(result.ok()) << budget;
+  return util::FingerprintState(*result);
+}
+
+TEST(CggsSweepTest, ZipfT8SweepsMatchGolden) {
+  for (size_t i = 0; i < std::size(kServedBudgets); ++i) {
+    EXPECT_EQ(ServedSweepFingerprint(kServedBudgets[i]).ToHex(),
+              kGoldenServedT8[i])
+        << "budget " << kServedBudgets[i];
+  }
+}
+
 // Past 4T+8 columns the next probe rebuilds the master from the previous
 // support and the seeds. Every probe, rebuilt or re-priced, must report
 // the exact loss of the policy it returns. Most sweeps stay under the cap;
@@ -202,12 +237,13 @@ TEST(ConfigVersionTest, ServedBitsArePinnedToTheConfigVersion) {
   fp.AppendU64(config.lo);
   for (const char* golden : kGoldenCggs) fp.AppendString(golden);
   for (const char* golden : kGoldenSweep) fp.AppendString(golden);
+  for (const char* golden : kGoldenServedT8) fp.AppendString(golden);
   std::ifstream csv(AUDITGAME_SYN_A_TABLES_CSV, std::ios::binary);
   ASSERT_TRUE(csv) << "cannot read " << AUDITGAME_SYN_A_TABLES_CSV;
   std::ostringstream tables;
   tables << csv.rdbuf();
   fp.AppendString(tables.str());
-  EXPECT_EQ(fp.Build().ToHex(), "9fbfde8bda70764082eddcce345fad10")
+  EXPECT_EQ(fp.Build().ToHex(), "81fcdf6c5ff0127416ca262cb3631804")
       << "The default service config, a golden fingerprint or "
          "bench/expected/syn_a_tables.csv changed. Changing served bits "
          "requires a config-version bump: bump the audit-service-config "
