@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "util/serializer.h"
+
 namespace auditgame::net {
 
 std::string EncodeFrame(std::string_view payload) {
@@ -13,11 +15,8 @@ std::string EncodeFrame(std::string_view payload) {
   const uint32_t n = static_cast<uint32_t>(payload.size());
   std::string frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
-  frame.push_back(static_cast<char>((n >> 24) & 0xff));
-  frame.push_back(static_cast<char>((n >> 16) & 0xff));
-  frame.push_back(static_cast<char>((n >> 8) & 0xff));
-  frame.push_back(static_cast<char>(n & 0xff));
-  frame.append(payload.data(), payload.size());
+  util::AppendBe(&frame, n);
+  frame.append(payload);
   return frame;
 }
 
@@ -29,12 +28,7 @@ util::StatusOr<bool> FrameDecoder::Next(std::string* payload) {
   if (!poisoned_.ok()) return poisoned_;
   if (buffered() < kFrameHeaderBytes) return false;
 
-  const unsigned char* h =
-      reinterpret_cast<const unsigned char*>(buffer_.data() + consumed_);
-  const uint32_t n = (static_cast<uint32_t>(h[0]) << 24) |
-                     (static_cast<uint32_t>(h[1]) << 16) |
-                     (static_cast<uint32_t>(h[2]) << 8) |
-                     static_cast<uint32_t>(h[3]);
+  const uint32_t n = util::LoadBe<uint32_t>(buffer_.data() + consumed_);
   if (n > max_payload_) {
     poisoned_ = util::ResourceExhaustedError(
         "frame payload of " + std::to_string(n) + " bytes exceeds the " +

@@ -1,102 +1,15 @@
 #include "server/binary_codec.h"
 
-#include <cstring>
 #include <utility>
+
+#include "util/serializer.h"
 
 namespace auditgame::server {
 
 namespace {
 
-/// --- writers: big-endian into an append-only string ---
-
-void PutU8(std::string* out, unsigned char v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-  out->push_back(static_cast<char>(v & 0xff));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "IEEE-754 doubles expected");
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-/// --- bounds-checked reader over an untrusted payload ---
-
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  bool ReadU8(unsigned char* v) {
-    if (pos_ + 1 > data_.size()) return false;
-    *v = static_cast<unsigned char>(data_[pos_++]);
-    return true;
-  }
-
-  bool ReadU16(uint16_t* v) {
-    if (pos_ + 2 > data_.size()) return false;
-    *v = static_cast<uint16_t>(
-        (static_cast<uint16_t>(Byte(pos_)) << 8) | Byte(pos_ + 1));
-    pos_ += 2;
-    return true;
-  }
-
-  bool ReadU32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) *v = (*v << 8) | Byte(pos_ + i);
-    pos_ += 4;
-    return true;
-  }
-
-  bool ReadU64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) *v = (*v << 8) | Byte(pos_ + i);
-    pos_ += 8;
-    return true;
-  }
-
-  bool ReadF64(double* v) {
-    uint64_t bits;
-    if (!ReadU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-
-  bool ReadBytes(size_t n, std::string* out) {
-    if (pos_ + n > data_.size()) return false;
-    out->assign(data_.substr(pos_, n));
-    pos_ += n;
-    return true;
-  }
-
-  bool exhausted() const { return pos_ == data_.size(); }
-
- private:
-  unsigned char Byte(size_t i) const {
-    return static_cast<unsigned char>(data_[i]);
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
+using util::AppendBe;
+using util::AppendF64;
 
 util::Status Malformed(const std::string& what) {
   return util::InvalidArgumentError("malformed binary frame: " + what);
@@ -104,12 +17,12 @@ util::Status Malformed(const std::string& what) {
 
 void PutRequestHeader(std::string* out, unsigned char verb,
                       int64_t correlation_id, const std::string& tenant) {
-  PutU8(out, kBinaryMagic);
-  PutU8(out, kBinaryVersion);
-  PutU8(out, kBinaryKindRequest);
-  PutU8(out, verb);
-  PutU64(out, static_cast<uint64_t>(correlation_id));
-  PutU16(out, static_cast<uint16_t>(tenant.size()));
+  AppendBe<uint8_t>(out, kBinaryMagic);
+  AppendBe<uint8_t>(out, kBinaryVersion);
+  AppendBe<uint8_t>(out, kBinaryKindRequest);
+  AppendBe<uint8_t>(out, verb);
+  AppendBe<uint64_t>(out, correlation_id);
+  AppendBe<uint16_t>(out, tenant.size());
   out->append(tenant);
 }
 
@@ -121,13 +34,13 @@ unsigned char BinaryVerbOf(Verb verb) {
 void PutResponseHeader(std::string* out, unsigned char verb,
                        int64_t correlation_id, unsigned char status,
                        int shard) {
-  PutU8(out, kBinaryMagic);
-  PutU8(out, kBinaryVersion);
-  PutU8(out, kBinaryKindResponse);
-  PutU8(out, verb);
-  PutU64(out, static_cast<uint64_t>(correlation_id));
-  PutU8(out, status);
-  PutU16(out, shard < 0 ? 0xffff : static_cast<uint16_t>(shard));
+  AppendBe<uint8_t>(out, kBinaryMagic);
+  AppendBe<uint8_t>(out, kBinaryVersion);
+  AppendBe<uint8_t>(out, kBinaryKindResponse);
+  AppendBe<uint8_t>(out, verb);
+  AppendBe<uint64_t>(out, correlation_id);
+  AppendBe<uint8_t>(out, status);
+  AppendBe<uint16_t>(out, shard < 0 ? 0xffff : static_cast<uint16_t>(shard));
 }
 
 /// A frame within the decoder's payload cap cannot legitimately announce
@@ -150,12 +63,12 @@ std::string EncodeBinaryIngestRequest(
   out.reserve(16 + tenant.size() + 2 + distributions.size() * 6 +
               doubles * 8);
   PutRequestHeader(&out, kBinaryVerbIngest, correlation_id, tenant);
-  PutU16(&out, static_cast<uint16_t>(distributions.size()));
+  AppendBe<uint16_t>(&out, distributions.size());
   for (const prob::CountDistribution& dist : distributions) {
-    PutU32(&out, static_cast<uint32_t>(dist.min_value()));
-    PutU16(&out, static_cast<uint16_t>(dist.support_size()));
+    AppendBe<uint32_t>(&out, dist.min_value());
+    AppendBe<uint16_t>(&out, dist.support_size());
     for (int z = dist.min_value(); z <= dist.max_value(); ++z) {
-      PutF64(&out, dist.Pmf(z));
+      AppendF64(&out, dist.Pmf(z));
     }
   }
   return out;
@@ -167,26 +80,26 @@ std::string EncodeBinarySolveCycleRequest(int64_t correlation_id,
   std::string out;
   out.reserve(17 + tenant.size());
   PutRequestHeader(&out, kBinaryVerbSolveCycle, correlation_id, tenant);
-  if (observe_policy) PutU8(&out, kBinarySolveFlagObservePolicy);
+  if (observe_policy) AppendBe<uint8_t>(&out, kBinarySolveFlagObservePolicy);
   return out;
 }
 
 int64_t BinaryCorrelationIdOf(std::string_view payload) {
-  Reader reader(payload);
+  util::ByteReader reader(payload);
   unsigned char magic, version, kind, verb;
   uint64_t id;
-  if (!reader.ReadU8(&magic) || !reader.ReadU8(&version) ||
-      !reader.ReadU8(&kind) || !reader.ReadU8(&verb) || !reader.ReadU64(&id)) {
+  if (!reader.Read(&magic) || !reader.Read(&version) ||
+      !reader.Read(&kind) || !reader.Read(&verb) || !reader.Read(&id)) {
     return -1;
   }
   return static_cast<int64_t>(id);
 }
 
 util::StatusOr<Request> DecodeBinaryRequest(std::string_view payload) {
-  Reader reader(payload);
+  util::ByteReader reader(payload);
   unsigned char magic, version, kind, verb;
-  if (!reader.ReadU8(&magic) || !reader.ReadU8(&version) ||
-      !reader.ReadU8(&kind) || !reader.ReadU8(&verb)) {
+  if (!reader.Read(&magic) || !reader.Read(&version) ||
+      !reader.Read(&kind) || !reader.Read(&verb)) {
     return Malformed("truncated header");
   }
   if (magic != kBinaryMagic) return Malformed("bad magic");
@@ -197,21 +110,22 @@ util::StatusOr<Request> DecodeBinaryRequest(std::string_view payload) {
 
   Request request;
   uint64_t id;
-  if (!reader.ReadU64(&id)) return Malformed("truncated correlation id");
+  if (!reader.Read(&id)) return Malformed("truncated correlation id");
   request.id = static_cast<int64_t>(id);
 
   uint16_t tenant_len;
-  if (!reader.ReadU16(&tenant_len) ||
-      !reader.ReadBytes(tenant_len, &request.tenant)) {
+  std::string_view tenant;
+  if (!reader.Read(&tenant_len) || !reader.ReadBytes(tenant_len, &tenant)) {
     return Malformed("truncated tenant");
   }
+  request.tenant.assign(tenant);
   if (request.tenant.empty()) return Malformed("tenant must be non-empty");
 
   switch (verb) {
     case kBinaryVerbSolveCycle: {
       request.verb = Verb::kSolveCycle;
       unsigned char flags;
-      if (reader.ReadU8(&flags)) {
+      if (reader.Read(&flags)) {
         // One canonical encoding per request: no flags means no byte.
         if (flags != kBinarySolveFlagObservePolicy) {
           return Malformed("solve_cycle flags " + std::to_string(flags));
@@ -223,7 +137,7 @@ util::StatusOr<Request> DecodeBinaryRequest(std::string_view payload) {
     case kBinaryVerbIngest: {
       request.verb = Verb::kIngest;
       uint16_t count;
-      if (!reader.ReadU16(&count)) return Malformed("truncated ingest body");
+      if (!reader.Read(&count)) return Malformed("truncated ingest body");
       if (count > kMaxDistributions) {
         return Malformed("distribution count " + std::to_string(count));
       }
@@ -231,7 +145,7 @@ util::StatusOr<Request> DecodeBinaryRequest(std::string_view payload) {
       for (uint16_t i = 0; i < count; ++i) {
         uint32_t min;
         uint16_t pmf_len;
-        if (!reader.ReadU32(&min) || !reader.ReadU16(&pmf_len)) {
+        if (!reader.Read(&min) || !reader.Read(&pmf_len)) {
           return Malformed("truncated distribution header");
         }
         if (min > 1000000000u) {
@@ -278,21 +192,21 @@ std::string EncodeBinarySolveCycleResponse(
   out.reserve(64 + report.policies.size() * 64);
   PutResponseHeader(&out, kBinaryVerbSolveCycle, correlation_id,
                     kBinaryStatusOk, shard);
-  PutU64(&out, static_cast<uint64_t>(report.cycle));
-  PutF64(&out, report.seconds);
-  PutU16(&out, static_cast<uint16_t>(report.policies.size()));
+  AppendBe<uint64_t>(&out, report.cycle);
+  AppendF64(&out, report.seconds);
+  AppendBe<uint16_t>(&out, report.policies.size());
   for (const service::AuditService::CyclePolicy& policy : report.policies) {
-    PutF64(&out, policy.budget);
-    PutU8(&out, static_cast<unsigned char>(policy.source));
-    PutF64(&out, policy.drift);
-    PutF64(&out, policy.result.objective);
-    PutU16(&out, static_cast<uint16_t>(policy.result.thresholds.size()));
-    for (double b : policy.result.thresholds) PutF64(&out, b);
+    AppendF64(&out, policy.budget);
+    AppendBe<uint8_t>(&out, static_cast<uint8_t>(policy.source));
+    AppendF64(&out, policy.drift);
+    AppendF64(&out, policy.result.objective);
+    AppendBe<uint16_t>(&out, policy.result.thresholds.size());
+    for (double b : policy.result.thresholds) AppendF64(&out, b);
   }
   if (detection_probs != nullptr) {
     for (const std::vector<double>& pal : *detection_probs) {
-      PutU16(&out, static_cast<uint16_t>(pal.size()));
-      for (double p : pal) PutF64(&out, p);
+      AppendBe<uint16_t>(&out, pal.size());
+      for (double p : pal) AppendF64(&out, p);
     }
   }
   return out;
@@ -320,10 +234,7 @@ bool RewriteBinaryCorrelationId(std::string* payload, int64_t correlation_id) {
   // magic(1) version(1) kind(1) verb(1) id(8): the id spans bytes 4..11 of
   // every binary frame, request or response.
   if (payload->size() < 12 || !IsBinaryFrame(*payload)) return false;
-  uint64_t v = static_cast<uint64_t>(correlation_id);
-  for (int i = 0; i < 8; ++i) {
-    (*payload)[4 + i] = static_cast<char>((v >> (56 - 8 * i)) & 0xff);
-  }
+  util::StoreBe(payload->data() + 4, static_cast<uint64_t>(correlation_id));
   return true;
 }
 
@@ -339,17 +250,17 @@ std::string EncodeBinaryErrorResponse(int64_t correlation_id,
   std::string out;
   out.reserve(19 + message.size());
   PutResponseHeader(&out, 0, correlation_id, kBinaryStatusError, -1);
-  PutU32(&out, static_cast<uint32_t>(message.size()));
+  AppendBe<uint32_t>(&out, message.size());
   out.append(message);
   return out;
 }
 
 util::StatusOr<BinaryResponse> DecodeBinaryResponse(std::string_view payload) {
-  Reader reader(payload);
+  util::ByteReader reader(payload);
   unsigned char magic, version, kind;
   BinaryResponse response;
-  if (!reader.ReadU8(&magic) || !reader.ReadU8(&version) ||
-      !reader.ReadU8(&kind) || !reader.ReadU8(&response.verb)) {
+  if (!reader.Read(&magic) || !reader.Read(&version) ||
+      !reader.Read(&kind) || !reader.Read(&response.verb)) {
     return Malformed("truncated header");
   }
   if (magic != kBinaryMagic) return Malformed("bad magic");
@@ -360,8 +271,8 @@ util::StatusOr<BinaryResponse> DecodeBinaryResponse(std::string_view payload) {
 
   uint64_t id;
   uint16_t shard;
-  if (!reader.ReadU64(&id) || !reader.ReadU8(&response.status) ||
-      !reader.ReadU16(&shard)) {
+  if (!reader.Read(&id) || !reader.Read(&response.status) ||
+      !reader.Read(&shard)) {
     return Malformed("truncated response header");
   }
   response.correlation_id = static_cast<int64_t>(id);
@@ -372,8 +283,8 @@ util::StatusOr<BinaryResponse> DecodeBinaryResponse(std::string_view payload) {
       if (response.verb == kBinaryVerbSolveCycle) {
         uint64_t cycle;
         uint16_t count;
-        if (!reader.ReadU64(&cycle) || !reader.ReadF64(&response.seconds) ||
-            !reader.ReadU16(&count)) {
+        if (!reader.Read(&cycle) || !reader.ReadF64(&response.seconds) ||
+            !reader.Read(&count)) {
           return Malformed("truncated solve body");
         }
         response.cycle = static_cast<int64_t>(cycle);
@@ -382,10 +293,10 @@ util::StatusOr<BinaryResponse> DecodeBinaryResponse(std::string_view payload) {
           BinaryPolicy policy;
           unsigned char source;
           uint16_t thresholds;
-          if (!reader.ReadF64(&policy.budget) || !reader.ReadU8(&source) ||
+          if (!reader.ReadF64(&policy.budget) || !reader.Read(&source) ||
               !reader.ReadF64(&policy.drift) ||
               !reader.ReadF64(&policy.objective) ||
-              !reader.ReadU16(&thresholds)) {
+              !reader.Read(&thresholds)) {
             return Malformed("truncated policy");
           }
           if (source > 2) return Malformed("bad policy source");
@@ -402,7 +313,7 @@ util::StatusOr<BinaryResponse> DecodeBinaryResponse(std::string_view payload) {
           // The observe_policy section: one detection vector per policy.
           for (BinaryPolicy& policy : response.policies) {
             uint16_t n;
-            if (!reader.ReadU16(&n)) return Malformed("truncated detection");
+            if (!reader.Read(&n)) return Malformed("truncated detection");
             policy.detection_probs.resize(n);
             for (uint16_t j = 0; j < n; ++j) {
               if (!reader.ReadF64(&policy.detection_probs[j])) {
@@ -418,9 +329,11 @@ util::StatusOr<BinaryResponse> DecodeBinaryResponse(std::string_view payload) {
       break;
     case kBinaryStatusError: {
       uint32_t len;
-      if (!reader.ReadU32(&len) || !reader.ReadBytes(len, &response.message)) {
+      std::string_view message;
+      if (!reader.Read(&len) || !reader.ReadBytes(len, &message)) {
         return Malformed("truncated error message");
       }
+      response.message.assign(message);
       break;
     }
     default:

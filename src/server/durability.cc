@@ -20,31 +20,24 @@
 namespace auditgame::server {
 namespace {
 
-void PutU32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v >> 24));
-  out->push_back(static_cast<char>(v >> 16));
-  out->push_back(static_cast<char>(v >> 8));
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-uint32_t GetU32(std::string_view data, size_t pos) {
-  return (uint32_t{static_cast<unsigned char>(data[pos])} << 24) |
-         (uint32_t{static_cast<unsigned char>(data[pos + 1])} << 16) |
-         (uint32_t{static_cast<unsigned char>(data[pos + 2])} << 8) |
-         uint32_t{static_cast<unsigned char>(data[pos + 3])};
-}
-
-uint64_t GetU64(std::string_view data, size_t pos) {
-  return (uint64_t{GetU32(data, pos)} << 32) | GetU32(data, pos + 4);
-}
+using util::AppendBe;
 
 util::Status ErrnoError(const std::string& what) {
   return util::InternalError(what + ": " + std::strerror(errno));
+}
+
+/// Writes all of `bytes` to `fd`, retrying short writes; `path` names the
+/// file in the error.
+util::Status WriteAll(int fd, std::string_view bytes, const std::string& path) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoError("write " + path);
+    }
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+  return util::OkStatus();
 }
 
 util::Status EnsureDir(const std::string& path) {
@@ -117,19 +110,12 @@ uint64_t NumberOfName(const std::string& name, std::string_view prefix,
       nullptr, 10);
 }
 
-/// Fixed per-record overhead: u32 len + u32 crc + u64 lsn.
-constexpr size_t kWalRecordHeader = 16;
-/// Segment header: magic + u32 version + u32 shard + u64 start_lsn + u32 crc.
-constexpr size_t kWalSegmentHeader = 8 + 4 + 4 + 8 + 4;
-/// Snapshot header: magic + u32 ver + u32 shard + u64 seq + u64 lsn +
-/// u64 body_len + u32 body_crc + u32 header_crc.
-constexpr size_t kSnapshotHeader = 8 + 4 + 4 + 8 + 8 + 8 + 4 + 4;
-
-std::string LsnBytes(uint64_t lsn) {
-  std::string bytes;
-  bytes.reserve(8);
-  PutU64(&bytes, lsn);
-  return bytes;
+/// A record's CRC-32 covers its big-endian LSN bytes, then its payload.
+uint32_t WalRecordCrc(uint64_t lsn, std::string_view payload) {
+  char lsn_bytes[8];
+  util::StoreBe(lsn_bytes, lsn);
+  return util::Crc32Update(util::Crc32({lsn_bytes, sizeof(lsn_bytes)}),
+                           payload);
 }
 
 }  // namespace
@@ -201,34 +187,20 @@ util::StatusOr<DurabilityOptions> DurabilityOptionsFromFlags(
 util::Status WriteSnapshotFile(const std::string& path, uint32_t shard,
                                uint64_t seq, uint64_t wal_lsn,
                                std::string_view body) {
-  std::string header;
-  header.reserve(kSnapshotHeader);
-  header.append(kSnapshotMagic);
-  PutU32(&header, kSnapshotFormatVersion);
-  PutU32(&header, shard);
-  PutU64(&header, seq);
-  PutU64(&header, wal_lsn);
-  PutU64(&header, body.size());
-  PutU32(&header, util::Crc32(body));
-  PutU32(&header, util::Crc32(header));
+  std::string header(kSnapshotMagic);
+  AppendBe(&header, kSnapshotFormatVersion);
+  AppendBe(&header, shard);
+  AppendBe(&header, seq);
+  AppendBe(&header, wal_lsn);
+  AppendBe<uint64_t>(&header, body.size());
+  AppendBe(&header, util::Crc32(body));
+  AppendBe(&header, util::Crc32(header));
 
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0666);
   if (fd < 0) return ErrnoError("open " + tmp);
-  auto write_all = [fd](std::string_view bytes) -> util::Status {
-    size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return ErrnoError("write snapshot");
-      }
-      off += static_cast<size_t>(n);
-    }
-    return util::OkStatus();
-  };
-  util::Status status = write_all(header);
-  if (status.ok()) status = write_all(body);
+  util::Status status = WriteAll(fd, header, tmp);
+  if (status.ok()) status = WriteAll(fd, body, tmp);
   if (status.ok() && ::fsync(fd) != 0) status = ErrnoError("fsync " + tmp);
   ::close(fd);
   if (!status.ok()) {
@@ -248,119 +220,126 @@ util::Status WriteSnapshotFile(const std::string& path, uint32_t shard,
 
 util::StatusOr<SnapshotContents> ReadSnapshotFile(const std::string& path) {
   ASSIGN_OR_RETURN(std::string data, ReadWholeFile(path));
-  if (data.size() < kSnapshotHeader) {
+  util::ByteReader in(data);
+  std::string_view magic;
+  uint32_t version = 0;
+  SnapshotContents contents;
+  uint64_t body_len = 0;
+  uint32_t body_crc = 0;
+  uint32_t header_crc = 0;
+  const bool whole_header =
+      in.ReadBytes(kSnapshotMagic.size(), &magic) && in.Read(&version) &&
+      in.Read(&contents.shard) && in.Read(&contents.seq) &&
+      in.Read(&contents.wal_lsn) && in.Read(&body_len) && in.Read(&body_crc);
+  const size_t crc_covered = in.pos();
+  if (!whole_header || !in.Read(&header_crc)) {
     return util::InvalidArgumentError(path + ": short snapshot header");
   }
-  if (std::string_view(data).substr(0, 8) != kSnapshotMagic) {
+  if (magic != kSnapshotMagic) {
     return util::InvalidArgumentError(path + ": bad snapshot magic");
   }
-  const uint32_t header_crc = GetU32(data, kSnapshotHeader - 4);
-  if (util::Crc32(std::string_view(data).substr(0, kSnapshotHeader - 4)) !=
+  if (util::Crc32(std::string_view(data).substr(0, crc_covered)) !=
       header_crc) {
     return util::InvalidArgumentError(path + ": snapshot header CRC mismatch");
   }
-  const uint32_t version = GetU32(data, 8);
   if (version != kSnapshotFormatVersion) {
     return util::InvalidArgumentError(
         path + ": unsupported snapshot format v" + std::to_string(version));
   }
-  SnapshotContents contents;
-  contents.shard = GetU32(data, 12);
-  contents.seq = GetU64(data, 16);
-  contents.wal_lsn = GetU64(data, 24);
-  const uint64_t body_len = GetU64(data, 32);
-  const uint32_t body_crc = GetU32(data, 40);
-  if (data.size() != kSnapshotHeader + body_len) {
+  if (in.remaining() != body_len) {
     return util::InvalidArgumentError(
         path + ": snapshot body length mismatch (header says " +
         std::to_string(body_len) + ", file has " +
-        std::to_string(data.size() - kSnapshotHeader) + ")");
+        std::to_string(in.remaining()) + ")");
   }
-  if (util::Crc32(std::string_view(data).substr(kSnapshotHeader)) !=
-      body_crc) {
+  const size_t header_bytes = in.pos();
+  if (util::Crc32(std::string_view(data).substr(header_bytes)) != body_crc) {
     return util::InvalidArgumentError(path + ": snapshot body CRC mismatch");
   }
   // Shift the body down in place rather than copy it into a new buffer.
-  data.erase(0, kSnapshotHeader);
+  data.erase(0, header_bytes);
   contents.body = std::move(data);
   return contents;
 }
 
 std::string EncodeWalSegmentHeader(uint32_t shard, uint64_t start_lsn) {
-  std::string header;
-  header.reserve(kWalSegmentHeader);
-  header.append(kWalMagic);
-  PutU32(&header, kWalFormatVersion);
-  PutU32(&header, shard);
-  PutU64(&header, start_lsn);
-  PutU32(&header, util::Crc32(header));
+  std::string header(kWalMagic);
+  AppendBe(&header, kWalFormatVersion);
+  AppendBe(&header, shard);
+  AppendBe(&header, start_lsn);
+  AppendBe(&header, util::Crc32(header));
   return header;
 }
 
-std::string EncodeWalRecord(uint64_t lsn, std::string_view payload) {
-  std::string record;
-  record.reserve(kWalRecordHeader + payload.size());
-  PutU32(&record, static_cast<uint32_t>(payload.size()));
-  PutU32(&record, util::Crc32Update(util::Crc32(LsnBytes(lsn)), payload));
-  PutU64(&record, lsn);
-  record.append(payload);
-  return record;
+void AppendWalRecord(std::string* out, uint64_t lsn,
+                     std::string_view payload) {
+  AppendBe<uint32_t>(out, payload.size());
+  AppendBe(out, WalRecordCrc(lsn, payload));
+  AppendBe(out, lsn);
+  out->append(payload);
 }
 
 util::StatusOr<WalSegmentScan> ScanWalSegment(
     const std::string& path,
     const std::function<void(const WalRecord&)>& on_record) {
   ASSIGN_OR_RETURN(std::string data, ReadWholeFile(path));
-  if (data.size() < kWalSegmentHeader) {
+  util::ByteReader in(data);
+  std::string_view magic;
+  uint32_t version = 0;
+  WalSegmentScan scan;
+  uint32_t header_crc = 0;
+  const bool whole_header = in.ReadBytes(kWalMagic.size(), &magic) &&
+                            in.Read(&version) && in.Read(&scan.shard) &&
+                            in.Read(&scan.start_lsn);
+  const size_t crc_covered = in.pos();
+  if (!whole_header || !in.Read(&header_crc)) {
     return util::InvalidArgumentError(path + ": short WAL segment header");
   }
-  const std::string_view view(data);
-  if (view.substr(0, 8) != kWalMagic) {
+  if (magic != kWalMagic) {
     return util::InvalidArgumentError(path + ": bad WAL magic");
   }
-  if (util::Crc32(view.substr(0, kWalSegmentHeader - 4)) !=
-      GetU32(data, kWalSegmentHeader - 4)) {
+  if (util::Crc32(std::string_view(data).substr(0, crc_covered)) !=
+      header_crc) {
     return util::InvalidArgumentError(path + ": WAL header CRC mismatch");
   }
-  const uint32_t version = GetU32(data, 8);
   if (version != kWalFormatVersion) {
     return util::InvalidArgumentError(path + ": unsupported WAL format v" +
                                       std::to_string(version));
   }
-  WalSegmentScan scan;
-  scan.shard = GetU32(data, 12);
-  scan.start_lsn = GetU64(data, 16);
   scan.last_lsn = scan.start_lsn - 1;
-  scan.valid_bytes = kWalSegmentHeader;
+  scan.valid_bytes = in.pos();
 
-  size_t pos = kWalSegmentHeader;
   uint64_t expected_lsn = scan.start_lsn;
-  while (pos < data.size()) {
-    if (data.size() - pos < kWalRecordHeader) {
-      scan.torn_reason = "short record header at offset " + std::to_string(pos);
+  while (!in.exhausted()) {
+    const size_t offset = in.pos();
+    uint32_t len = 0;
+    uint32_t crc = 0;
+    uint64_t lsn = 0;
+    if (!in.Read(&len) || !in.Read(&crc) || !in.Read(&lsn)) {
+      scan.torn_reason =
+          "short record header at offset " + std::to_string(offset);
       break;
     }
-    const uint32_t len = GetU32(data, pos);
     if (len > kMaxWalRecordPayload) {
       scan.torn_reason = "implausible record length " + std::to_string(len) +
-                         " at offset " + std::to_string(pos);
+                         " at offset " + std::to_string(offset);
       break;
     }
-    if (data.size() - pos - kWalRecordHeader < len) {
+    std::string_view payload;
+    if (!in.ReadBytes(len, &payload)) {
       scan.torn_reason =
-          "truncated record payload at offset " + std::to_string(pos);
+          "truncated record payload at offset " + std::to_string(offset);
       break;
     }
-    const uint32_t crc = GetU32(data, pos + 4);
-    const uint64_t lsn = GetU64(data, pos + 8);
-    const std::string_view payload = view.substr(pos + kWalRecordHeader, len);
-    if (util::Crc32Update(util::Crc32(LsnBytes(lsn)), payload) != crc) {
-      scan.torn_reason = "record CRC mismatch at offset " + std::to_string(pos);
+    if (WalRecordCrc(lsn, payload) != crc) {
+      scan.torn_reason =
+          "record CRC mismatch at offset " + std::to_string(offset);
       break;
     }
     if (lsn != expected_lsn) {
-      scan.torn_reason = "LSN discontinuity at offset " + std::to_string(pos) +
-                         " (found " + std::to_string(lsn) + ", expected " +
+      scan.torn_reason = "LSN discontinuity at offset " +
+                         std::to_string(offset) + " (found " +
+                         std::to_string(lsn) + ", expected " +
                          std::to_string(expected_lsn) + ")";
       break;
     }
@@ -370,8 +349,7 @@ util::StatusOr<WalSegmentScan> ScanWalSegment(
       record.payload = std::string(payload);
       on_record(record);
     }
-    pos += kWalRecordHeader + len;
-    scan.valid_bytes = pos;
+    scan.valid_bytes = in.pos();
     scan.last_lsn = lsn;
     ++scan.records;
     ++expected_lsn;
@@ -554,15 +532,7 @@ util::Status ShardPersistence::OpenFreshSegment() {
 
 util::Status ShardPersistence::WriteAndMaybeSync(std::string_view bytes,
                                                  bool sync) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(wal_fd_, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoError("write " + wal_path_);
-    }
-    off += static_cast<size_t>(n);
-  }
+  RETURN_IF_ERROR(WriteAll(wal_fd_, bytes, wal_path_));
   if (sync) {
     const auto start = std::chrono::steady_clock::now();
     if (::fdatasync(wal_fd_) != 0) return ErrnoError("fdatasync " + wal_path_);
@@ -578,10 +548,10 @@ util::Status ShardPersistence::WriteAndMaybeSync(std::string_view bytes,
 util::StatusOr<uint64_t> ShardPersistence::AppendWal(std::string_view payload) {
   if (wal_fd_ < 0) RETURN_IF_ERROR(OpenFreshSegment());
   const uint64_t lsn = next_lsn_++;
-  const std::string record = EncodeWalRecord(lsn, payload);
-  pending_.append(record);
+  const size_t before = pending_.size();
+  AppendWalRecord(&pending_, lsn, payload);
   ++pending_records_;
-  segment_bytes_ += record.size();
+  segment_bytes_ += pending_.size() - before;
   return lsn;
 }
 

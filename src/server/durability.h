@@ -155,8 +155,8 @@ util::StatusOr<WalSegmentScan> ScanWalSegment(
     const std::string& path,
     const std::function<void(const WalRecord&)>& on_record);
 
-/// Encodes one WAL record (the scan's inverse); exposed for tests.
-std::string EncodeWalRecord(uint64_t lsn, std::string_view payload);
+/// Appends one encoded WAL record to `out` (the scan's inverse).
+void AppendWalRecord(std::string* out, uint64_t lsn, std::string_view payload);
 /// Encodes a segment header; exposed for tests.
 std::string EncodeWalSegmentHeader(uint32_t shard, uint64_t start_lsn);
 

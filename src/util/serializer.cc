@@ -1,7 +1,6 @@
 #include "util/serializer.h"
 
 #include <array>
-#include <cstring>
 
 namespace auditgame::util {
 namespace {
@@ -67,100 +66,26 @@ void Serializer::Fail(Status status) {
   if (status_.ok()) status_ = std::move(status);
 }
 
-void Serializer::PutBytes(const void* data, size_t size) {
-  buffer_.append(static_cast<const char*>(data), size);
-}
-
-bool Serializer::TakeBytes(void* out, size_t size) {
-  if (!ok()) {
-    std::memset(out, 0, size);
-    return false;
-  }
-  if (remaining() < size) {
-    std::memset(out, 0, size);
-    Fail(InvalidArgumentError("serializer: truncated input (need " +
-                              std::to_string(size) + " bytes, have " +
-                              std::to_string(remaining()) + ")"));
-    return false;
-  }
-  std::memcpy(out, input_.data() + pos_, size);
-  pos_ += size;
-  return true;
-}
-
-void Serializer::U8(uint8_t& v) {
+template <typename T>
+void Serializer::Fixed(T& v) {
   if (!ok()) {
     if (reading()) v = 0;
     return;
   }
-  if (reading()) {
-    TakeBytes(&v, 1);
-  } else {
-    PutBytes(&v, 1);
-  }
-}
-
-void Serializer::U16(uint16_t& v) {
-  if (!ok()) {
-    if (reading()) v = 0;
-    return;
-  }
-  if (reading()) {
-    unsigned char b[2];
-    if (!TakeBytes(b, 2)) {
-      v = 0;
-      return;
-    }
-    v = static_cast<uint16_t>((uint16_t{b[0]} << 8) | uint16_t{b[1]});
-  } else {
-    unsigned char b[2] = {static_cast<unsigned char>(v >> 8),
-                          static_cast<unsigned char>(v)};
-    PutBytes(b, 2);
-  }
-}
-
-void Serializer::U32(uint32_t& v) {
-  if (!ok()) {
-    if (reading()) v = 0;
-    return;
-  }
-  if (reading()) {
-    unsigned char b[4];
-    if (!TakeBytes(b, 4)) {
-      v = 0;
-      return;
-    }
-    v = (uint32_t{b[0]} << 24) | (uint32_t{b[1]} << 16) |
-        (uint32_t{b[2]} << 8) | uint32_t{b[3]};
-  } else {
-    unsigned char b[4] = {
-        static_cast<unsigned char>(v >> 24), static_cast<unsigned char>(v >> 16),
-        static_cast<unsigned char>(v >> 8), static_cast<unsigned char>(v)};
-    PutBytes(b, 4);
-  }
-}
-
-void Serializer::U64(uint64_t& v) {
-  if (!ok()) {
-    if (reading()) v = 0;
-    return;
-  }
-  if (reading()) {
-    unsigned char b[8];
-    if (!TakeBytes(b, 8)) {
-      v = 0;
-      return;
-    }
+  if (writing()) {
+    AppendBe(&buffer_, v);
+  } else if (!input_.Read(&v)) {
     v = 0;
-    for (unsigned char byte : b) v = (v << 8) | byte;
-  } else {
-    unsigned char b[8];
-    for (int i = 7; i >= 0; --i) {
-      b[i] = static_cast<unsigned char>(v >> (8 * (7 - i)));
-    }
-    PutBytes(b, 8);
+    Fail(InvalidArgumentError("serializer: truncated input (need " +
+                              std::to_string(sizeof(T)) + " bytes, have " +
+                              std::to_string(remaining()) + ")"));
   }
 }
+
+void Serializer::U8(uint8_t& v) { Fixed(v); }
+void Serializer::U16(uint16_t& v) { Fixed(v); }
+void Serializer::U32(uint32_t& v) { Fixed(v); }
+void Serializer::U64(uint64_t& v) { Fixed(v); }
 
 void Serializer::I32(int& v) {
   int64_t wide = v;
@@ -169,10 +94,9 @@ void Serializer::I32(int& v) {
 }
 
 void Serializer::I64(int64_t& v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
+  uint64_t bits = static_cast<uint64_t>(v);
   U64(bits);
-  if (reading()) std::memcpy(&v, &bits, sizeof(v));
+  if (reading()) v = static_cast<int64_t>(bits);
 }
 
 void Serializer::SizeT(size_t& v) {
@@ -195,12 +119,9 @@ void Serializer::Bool(bool& v) {
 }
 
 void Serializer::F64(double& v) {
-  // Raw bit pattern: round trips every value (incl. -0.0, NaN payloads)
-  // bit-for-bit, which replay determinism depends on.
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
+  uint64_t bits = DoubleBits(v);
   U64(bits);
-  if (reading()) std::memcpy(&v, &bits, sizeof(v));
+  if (reading()) v = DoubleFromBits(bits);
 }
 
 uint64_t Serializer::Length(size_t size) {
@@ -222,10 +143,11 @@ void Serializer::Str(std::string& v) {
     return;
   }
   if (reading()) {
-    v.assign(input_.data() + pos_, static_cast<size_t>(n));
-    pos_ += static_cast<size_t>(n);
+    std::string_view bytes;
+    input_.ReadBytes(static_cast<size_t>(n), &bytes);
+    v.assign(bytes);
   } else {
-    PutBytes(v.data(), v.size());
+    buffer_.append(v);
   }
 }
 

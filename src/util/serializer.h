@@ -1,9 +1,12 @@
 #ifndef AUDIT_GAME_UTIL_SERIALIZER_H_
 #define AUDIT_GAME_UTIL_SERIALIZER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "util/hash.h"
@@ -19,16 +22,103 @@ namespace auditgame::util {
 uint32_t Crc32(std::string_view data);
 uint32_t Crc32Update(uint32_t crc, std::string_view data);
 
+/// ---- The byte layer ----------------------------------------------------
+///
+/// The one encoding under every format the project writes: the frame
+/// header, the binary codec, the WAL, the snapshot header and Serializer
+/// streams. Integers are fixed-width big-endian, doubles their raw
+/// IEEE-754 bits, so a decoded value is the encoded one bit for bit on
+/// every host. `T` is an unsigned integer type.
+
+template <typename T>
+inline void StoreBe(char* out, T v) {
+  static_assert(std::is_unsigned_v<T>, "StoreBe takes an unsigned type");
+  for (size_t i = sizeof(T); i-- > 0; v >>= 8) {
+    out[i] = static_cast<char>(v & 0xFFu);
+  }
+}
+
+template <typename T>
+inline T LoadBe(const char* in) {
+  static_assert(std::is_unsigned_v<T>, "LoadBe takes an unsigned type");
+  T v = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    v = static_cast<T>(v << 8 | static_cast<unsigned char>(in[i]));
+  }
+  return v;
+}
+
+template <typename T>
+inline void AppendBe(std::string* out, T v) {
+  char bytes[sizeof(T)];
+  StoreBe(bytes, v);
+  out->append(bytes, sizeof(T));
+}
+
+inline uint64_t DoubleBits(double v) {
+  static_assert(sizeof(uint64_t) == sizeof(double), "IEEE-754 doubles");
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+inline double DoubleFromBits(uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+inline void AppendF64(std::string* out, double v) {
+  AppendBe(out, DoubleBits(v));
+}
+
+/// Bounds-checked sequential reads over untrusted bytes. A read that would
+/// run past the end returns false and consumes nothing.
+class ByteReader {
+ public:
+  explicit ByteReader(std::string_view data) : data_(data) {}
+
+  template <typename T>
+  bool Read(T* v) {
+    if (remaining() < sizeof(T)) return false;
+    *v = LoadBe<T>(data_.data() + pos_);
+    pos_ += sizeof(T);
+    return true;
+  }
+
+  bool ReadF64(double* v) {
+    uint64_t bits;
+    if (!Read(&bits)) return false;
+    *v = DoubleFromBits(bits);
+    return true;
+  }
+
+  /// The next `n` bytes, as a view into the input.
+  bool ReadBytes(size_t n, std::string_view* out) {
+    if (remaining() < n) return false;
+    *out = data_.substr(pos_, n);
+    pos_ += n;
+    return true;
+  }
+
+  size_t pos() const { return pos_; }
+  size_t remaining() const { return data_.size() - pos_; }
+  bool exhausted() const { return pos_ == data_.size(); }
+
+ private:
+  std::string_view data_;
+  size_t pos_ = 0;
+};
+
 /// A bidirectional, versioned, endian-stable state stream — the single
 /// interface every stateful layer implements via a
 /// `StreamState(Serializer&)` method that both saves and restores it (the
 /// direction lives in the serializer, so the field list is written exactly
 /// once and read/write can never skew).
 ///
-/// Encoding: all integers fixed-width big-endian; doubles as their raw
-/// IEEE-754 bit pattern (bit-for-bit round trips — no text formatting, no
-/// renormalization — because snapshot/WAL replay must reproduce solver
-/// state exactly); strings and vectors length-prefixed.
+/// Encoding: the byte layer above (bit-for-bit round trips, because
+/// snapshot/WAL replay must reproduce solver state exactly); strings and
+/// vectors carry a u64 length prefix.
 ///
 /// Only logical state is streamed — what replay needs to reproduce later
 /// responses and state. Counters and wall-clock measurements stay in
@@ -52,7 +142,7 @@ class Serializer {
   static Serializer Writer() { return Serializer(Mode::kWrite); }
   static Serializer Reader(std::string_view data) {
     Serializer s(Mode::kRead);
-    s.input_ = data;
+    s.input_ = ByteReader(data);
     return s;
   }
 
@@ -119,7 +209,7 @@ class Serializer {
   std::string TakeBuffer() { return std::move(buffer_); }
 
   /// Read mode: unconsumed bytes.
-  size_t remaining() const { return input_.size() - pos_; }
+  size_t remaining() const { return input_.remaining(); }
   /// Read mode: fails unless every input byte was consumed (trailing
   /// garbage means the producer and consumer disagree about the layout).
   void ExpectExhausted();
@@ -133,14 +223,14 @@ class Serializer {
   /// read (each element is at least one byte). Returns the length.
   uint64_t Length(size_t size);
 
-  void PutBytes(const void* data, size_t size);
-  bool TakeBytes(void* out, size_t size);
+  /// Streams one fixed-width unsigned integer.
+  template <typename T>
+  void Fixed(T& v);
 
   Mode mode_;
   Status status_ = OkStatus();
-  std::string buffer_;      // write mode
-  std::string_view input_;  // read mode
-  size_t pos_ = 0;
+  std::string buffer_;                    // write mode
+  ByteReader input_{std::string_view()};  // read mode
 };
 
 /// Content fingerprint of any StreamState-bearing value: the fingerprint

@@ -74,7 +74,7 @@ TEST(DurabilityMutationTest, WalMutantsFailTheHeaderOrScanToAPrefix) {
     const size_t at = segment.size();
     fields.push_back({at, 4});      // payload length
     fields.push_back({at + 8, 8});  // LSN
-    segment += EncodeWalRecord(record.lsn, record.payload);
+    AppendWalRecord(&segment, record.lsn, record.payload);
     records.emplace_back(at, segment.size());
     originals.push_back(record);
   }

@@ -161,7 +161,7 @@ std::string MakeSegment(uint32_t shard, uint64_t start_lsn,
   std::string data = EncodeWalSegmentHeader(shard, start_lsn);
   uint64_t lsn = start_lsn;
   for (const std::string& payload : payloads) {
-    data += EncodeWalRecord(lsn++, payload);
+    AppendWalRecord(&data, lsn++, payload);
   }
   return data;
 }
@@ -194,7 +194,8 @@ TEST(WalSegmentTest, EveryByteTruncationOfLastRecordRecoversCleanly) {
   // torn record.
   TempDir dir("wal_torn");
   const std::string intact = MakeSegment(0, 1, {"first", "second"});
-  const std::string with_tail = intact + EncodeWalRecord(3, "torn-payload");
+  std::string with_tail = intact;
+  AppendWalRecord(&with_tail, 3, "torn-payload");
   const std::string path = dir.path() + "/wal-00000000000000000001.wal";
 
   // cut == intact.size() is a clean end-of-segment, not a torn tail.
@@ -232,8 +233,9 @@ TEST(WalSegmentTest, CorruptRecordStopsTheScanAtTheLastValidRecord) {
   std::string data = MakeSegment(0, 1, {"aaaa", "bbbb", "cccc"});
   // Flip a byte in the middle record's payload.
   const size_t header = EncodeWalSegmentHeader(0, 1).size();
-  const size_t record1 = EncodeWalRecord(1, "aaaa").size();
-  data[header + record1 + 16 + 1] ^= 0x40;  // second record's payload
+  std::string record1;
+  AppendWalRecord(&record1, 1, "aaaa");
+  data[header + record1.size() + 16 + 1] ^= 0x40;  // second record's payload
   const std::string path = dir.path() + "/wal-00000000000000000001.wal";
   WriteFile(path, data);
 
@@ -247,8 +249,8 @@ TEST(WalSegmentTest, CorruptRecordStopsTheScanAtTheLastValidRecord) {
 TEST(WalSegmentTest, LsnDiscontinuityStopsTheScan) {
   TempDir dir("wal_gap");
   std::string data = EncodeWalSegmentHeader(0, 1);
-  data += EncodeWalRecord(1, "one");
-  data += EncodeWalRecord(3, "three");  // skips LSN 2
+  AppendWalRecord(&data, 1, "one");
+  AppendWalRecord(&data, 3, "three");  // skips LSN 2
   const std::string path = dir.path() + "/wal-00000000000000000001.wal";
   WriteFile(path, data);
   auto scan = ScanWalSegment(path, nullptr);
@@ -351,7 +353,7 @@ TEST(ShardPersistenceTest, DataDirFromTheBytewiseCrcBuildRecovers) {
   std::string wal = EncodeWalSegmentHeader(/*shard=*/1, /*start_lsn=*/1);
   uint64_t lsn = 1;
   for (size_t len : {1, 8, 13, 64}) {
-    wal += EncodeWalRecord(lsn++, FixtureBytes(len, static_cast<int>(len)));
+    AppendWalRecord(&wal, lsn++, FixtureBytes(len, static_cast<int>(len)));
   }
   EXPECT_EQ(wal, kBytewiseWal);
 }
@@ -457,7 +459,8 @@ TEST(ShardPersistenceTest, TornTailIsTruncatedOnRecovery) {
 
   // Simulate the kill -9: append half a record by hand.
   const std::string full = ReadFile(wal_path);
-  const std::string torn = EncodeWalRecord(2, "torn-record");
+  std::string torn;
+  AppendWalRecord(&torn, 2, "torn-record");
   WriteFile(wal_path, full + torn.substr(0, torn.size() / 2));
 
   std::vector<std::string> replayed;
