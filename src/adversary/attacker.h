@@ -81,8 +81,6 @@ struct AttackerSpec {
   double attack_rate = 0.6;
   /// Quantal-response rationality.
   double lambda = 4.0;
-  /// Reserved for stochastic variants; today's models are deterministic.
-  uint64_t seed = 1;
 };
 
 /// One attacker driving one tenant's alert stream. NextCycle() maps the

@@ -141,6 +141,35 @@ class BenchCompareTest(unittest.TestCase):
         malformed = run_compare(report, report, "--require", "cases[x].n")
         self.assertEqual(malformed.returncode, 2)
 
+    def test_exact_equal_passes(self):
+        report = {"sweeps": [{"ishm_lp_solves": 90, "objective": 12.5}]}
+        result = run_compare(report, report,
+                             "--exact", "sweeps[0].ishm_lp_solves",
+                             "--exact", "sweeps[0].objective")
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_exact_one_unit_drift_fails_either_way(self):
+        # Both drifts sit well inside the 25% band the walk allows.
+        for drifted in (89, 91):
+            result = run_compare({"ishm_lp_solves": 90},
+                                 {"ishm_lp_solves": drifted},
+                                 "--exact", "ishm_lp_solves")
+            self.assertEqual(result.returncode, 1, drifted)
+            self.assertIn("differs from baseline", result.stdout)
+
+    def test_exact_objective_drift_fails(self):
+        result = run_compare({"objective": 12.957012952982659},
+                             {"objective": 12.957012952982661},
+                             "--exact", "objective")
+        self.assertEqual(result.returncode, 1)
+
+    def test_exact_missing_key_fails(self):
+        missing = run_compare({"probes": 81}, {}, "--exact", "probes")
+        self.assertEqual(missing.returncode, 1)
+        self.assertIn("missing from current", missing.stdout)
+        malformed = run_compare({}, {}, "--exact", "cases[x].n")
+        self.assertEqual(malformed.returncode, 2)
+
     def test_unreadable_report_exits_2(self):
         result = subprocess.run(
             [sys.executable, SCRIPT, "/nonexistent/a.json",

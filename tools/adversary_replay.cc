@@ -426,7 +426,6 @@ int Run(int argc, char** argv) {
                "attacker model: best-response, quantal, fictitious");
   flags.Define("attack_rate", "0.6", "attack-mass tilt strength");
   flags.Define("lambda", "4", "quantal-response rationality");
-  flags.Define("attacker_seed", "1", "attacker seed (reserved)");
   flags.Define("cycles", "20", "audit cycles to replay");
   flags.Define("budget", "10", "audit budget served each cycle");
   flags.Define("eps", "0.25", "ISHM step size");
@@ -549,7 +548,6 @@ int Run(int argc, char** argv) {
     spec.kind = *kind;
     spec.attack_rate = flags.GetDouble("attack_rate");
     spec.lambda = flags.GetDouble("lambda");
-    spec.seed = static_cast<uint64_t>(flags.GetInt("attacker_seed"));
     auto made = adversary::MakeAttacker(spec, instance.alert_distributions,
                                         *economics);
     if (!made.ok()) {

@@ -39,6 +39,13 @@ run — would otherwise pass unchecked. The cluster smoke uses it to make
 ``warm_hit_after_failover`` and ``backend_failover_observed`` mandatory,
 not merely non-regressing.
 
+``--exact KEY`` (repeatable, same path syntax) implies ``--require KEY``
+and fails unless the two reports hold the same value there. It is for the
+counters and objectives that are deterministic, such as LP solves, pivots,
+columns, evaluations and objectives: any drift in them is a changed
+algorithm, so a re-baseline shows as a reviewed diff instead of a move
+inside the band.
+
 Exit codes: 0 ok, 1 regression, 2 usage / unreadable report.
 """
 
@@ -210,28 +217,44 @@ def main():
         "with [i] for list elements); a missing required key fails the gate "
         "even if nothing regressed",
     )
+    parser.add_argument(
+        "--exact",
+        action="append",
+        default=[],
+        metavar="KEY",
+        help="key path whose value must equal the baseline's (repeatable; "
+        "implies --require); for deterministic counters and objectives",
+    )
     args = parser.parse_args()
     if not 0 <= args.threshold < 1:
         print("bench_compare: --threshold must be in [0, 1)", file=sys.stderr)
         sys.exit(2)
     required = []
-    for key in args.require:
-        steps = parse_path(key)
-        if steps is None:
-            print(f"bench_compare: malformed --require path {key!r}",
-                  file=sys.stderr)
-            sys.exit(2)
-        required.append((key, steps))
+    for flag, keys, exact in (("--require", args.require, False),
+                              ("--exact", args.exact, True)):
+        for key in keys:
+            steps = parse_path(key)
+            if steps is None:
+                print(f"bench_compare: malformed {flag} path {key!r}",
+                      file=sys.stderr)
+                sys.exit(2)
+            required.append((key, steps, exact))
 
     baseline = load(args.baseline)
     current = load(args.current)
     comparison = Comparison(args.threshold, args.gate_timing)
     comparison.walk("", baseline, current)
-    for key, steps in required:
+    for key, steps, exact in required:
+        lookups = []
         for label, report in (("baseline", baseline), ("current", current)):
-            found, _ = lookup(report, steps)
+            found, value = lookup(report, steps)
             if not found:
                 comparison.fail(key, f"required key missing from {label}")
+            lookups.append((found, value))
+        (base_found, base), (cur_found, cur) = lookups
+        if exact and base_found and cur_found and base != cur:
+            comparison.fail(key, f"{cur!r} differs from baseline {base!r} "
+                                 "(exact)")
         comparison.checked += 1
 
     name = baseline.get("bench", args.baseline) if isinstance(baseline, dict) else args.baseline
