@@ -57,13 +57,13 @@ inline void AppendBe(std::string* out, T v) {
 
 inline uint64_t DoubleBits(double v) {
   static_assert(sizeof(uint64_t) == sizeof(double), "IEEE-754 doubles");
-  uint64_t bits;
+  uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
 }
 
 inline double DoubleFromBits(uint64_t bits) {
-  double v;
+  double v = 0.0;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
 }
@@ -87,7 +87,7 @@ class ByteReader {
   }
 
   bool ReadF64(double* v) {
-    uint64_t bits;
+    uint64_t bits = 0;
     if (!Read(&bits)) return false;
     *v = DoubleFromBits(bits);
     return true;
